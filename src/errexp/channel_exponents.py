@@ -12,7 +12,7 @@ import numpy as np
 
 from .exceptions import DomainError, InputError
 from .legendre import ScoredPmf, conjugate
-from .optimize import GridSpec, maximize_1d, pattern_search, simplex_grid
+from .optimize import GridSpec, grid_then_pattern, maximize_1d, simplex_grid
 from .prob_core import Channel, JointPmf, Pmf, kl_array
 
 RHO_CAP = 1e4
@@ -65,6 +65,26 @@ def _pair_weights(design: InputDesign) -> np.ndarray:
     return (pxs.T * ps) @ pxs
 
 
+def _expurgation_terms(design: InputDesign, ch: Channel):
+    """(wl, logb, inf_below) of the expurgated objective
+    -rho*R - rho*log(sum wl * exp(logb / rho)).
+
+    wl and logb are the pair weights and log Bhattacharyya entries where both
+    are positive. Weight on zero kernel entries makes the objective grow
+    linearly in rho once R < -log(sum wl), so the exponent is +inf for every
+    rate below inf_below (-inf when no weight sits on a zero entry).
+    """
+    w = _pair_weights(design).reshape(-1)
+    b = bhattacharyya_kernel(ch).reshape(-1)
+    live = (w > 0) & (b > 0)
+    wl = w[live]
+    inf_below = -np.inf
+    if float(w[(w > 0) & (b == 0)].sum()) > 0:
+        live_mass = float(wl.sum())
+        inf_below = np.inf if live_mass == 0.0 else -float(np.log(live_mass))
+    return wl, np.log(b[live]), inf_below
+
+
 def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
     """Expurgated channel exponent at the given rate, in nats.
 
@@ -77,18 +97,9 @@ def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
         raise DomainError("rate must be non-negative")
     if design.joint.row_alphabet != ch.input_alphabet:
         raise InputError("design alphabet does not match channel input alphabet")
-    w = _pair_weights(design).reshape(-1)
-    b = bhattacharyya_kernel(ch).reshape(-1)
-    keep = w > 0
-    w, b = w[keep], b[keep]
-    dead_mass = float(w[b == 0].sum())
-    if dead_mass > 0:
-        live_mass = float(w[b > 0].sum())
-        if live_mass == 0.0 or -rate - np.log(live_mass) > 0:
-            return float("inf")
-
-    wl = w[b > 0]
-    logb = np.log(b[b > 0])
+    wl, logb, inf_below = _expurgation_terms(design, ch)
+    if rate < inf_below:
+        return float("inf")
 
     def objective(rho: float) -> float:
         kernel = float(np.sum(wl * np.exp(logb / rho)))
@@ -114,13 +125,9 @@ def expurgated_exponent_opt(rate: float, ch: Channel,
         design = InputDesign(JointPmf(alphabet, alphabet, blocks[0].reshape(n, n)))
         return expurgated_exponent(rate, design, ch)
 
-    best_val = -np.inf
-    best_vec = None
-    for vec in simplex_grid(GridSpec(n * n, grid_resolution)):
-        val = f([vec])
-        if val > best_val:
-            best_val, best_vec = val, vec
-    blocks, val = pattern_search(f, [best_vec], step=0.25, min_step=pattern_min_step)
+    candidates = ([vec] for vec in simplex_grid(GridSpec(n * n, grid_resolution)))
+    blocks, val = grid_then_pattern(f, candidates, step=0.25,
+                                    min_step=pattern_min_step)
     design = InputDesign(JointPmf(alphabet, alphabet, blocks[0].reshape(n, n)))
     return val, design
 

@@ -271,8 +271,7 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise InputError("trials must be >= 1")
     ns = tuple(int(v) for v in args.n_grid.split(","))
-    cfg = SimConfig(ns, args.trials, args.seed,
-                    theta0=args.theta0, theta1=args.theta1)
+    cfg = SimConfig(ns, args.trials, args.seed)
     p = model.p_uv.flatten()
     q = model.q_uv.flatten()
     if model.channel is None:
@@ -332,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", default=None, help="mirror rows to a JSON file")
         p.add_argument("--grid", type=int, default=10,
                        help="simplex grid resolution for design searches")
-        p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count (speed only, never affects output)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--points", type=int, default=25,
                        help="number of kappa_alpha grid points")

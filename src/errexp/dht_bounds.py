@@ -7,15 +7,17 @@ bound, all expressed through KL-ball projections and information quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_exponents import (InputDesign, _pair_weights, bhattacharyya_kernel,
-                                output_given_state, special_message_exponent,
-                                theta_bounds)
+from .channel_exponents import (RHO_CAP, RHO_GRID_POINTS, InputDesign,
+                                _expurgation_terms, output_given_state,
+                                special_message_exponent, theta_bounds)
 from .exceptions import InputError
-from .optimize import GridSpec, pattern_search, simplex_grid, simplex_grid_array
+from .optimize import (GridSpec, grid_then_pattern, pattern_search,
+                       simplex_grid, simplex_grid_array)
 from .prob_core import (Channel, JointPmf, Pmf, capacity, kl_array,
                         mutual_information_arrays)
 
@@ -251,14 +253,9 @@ def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha: float,
         seeds = [[np.full(n_x, 1.0 / n_x) for _ in range(n_u * n_s)]]
         if n_x == n_u:
             seeds.append([np.eye(n_u)[u] for u in range(n_u) for _ in range(n_s)])
-        best_val, best_rows = -np.inf, None
-        for seed in seeds:
-            blocks, val = pattern_search(f, seed, step=0.25,
-                                         min_step=config.pattern_min_step)
-            if val > best_val:
-                best_val = val
-                best_rows = np.stack(blocks).reshape(n_u, n_s, n_x)
-        return best_val, best_rows
+        blocks, val = grid_then_pattern(f, [], seeds, step=0.25,
+                                        min_step=config.pattern_min_step)
+        return val, np.stack(blocks).reshape(n_u, n_s, n_x)
 
     if n_states == 1:
         p_s = Pmf((0,), [1.0])
@@ -361,15 +358,10 @@ class _SxCache:
 
     def __init__(self, design: InputDesign, ch: Channel, theta_points: int):
         self.design = design
-        w = _pair_weights(design).reshape(-1)
-        b = bhattacharyya_kernel(ch).reshape(-1)
-        keep = (w > 0) & (b > 0)
-        self.dead_mass = float(w[(w > 0) & (b == 0)].sum())
-        self.wl = w[keep]
-        self.logb = np.log(b[keep])
-        self.rhos = np.geomspace(1.0, 1e4, 80)
+        self.wl, logb, self._inf_below = _expurgation_terms(design, ch)
+        self.rhos = np.geomspace(1.0, RHO_CAP, RHO_GRID_POINTS)
         # rho-grid Bhattacharyya powers, fixed per design
-        self._powers = np.exp(self.logb[None, :] / self.rhos[:, None])
+        self._powers = np.exp(logb[None, :] / self.rhos[:, None])
         ps = design.state_probs
         pys = output_given_state(design, ch)
         self.rate = 0.0
@@ -385,10 +377,8 @@ class _SxCache:
                               for t in self.thetas])
 
     def expurgated(self, rate: float) -> float:
-        if self.dead_mass > 0:
-            live = float(self.wl.sum())
-            if live == 0.0 or -rate - np.log(live) > 0:
-                return float("inf")
+        if rate < self._inf_below:
+            return float("inf")
         kernels = self._powers @ self.wl
         return float(np.max(-self.rhos * rate - self.rhos * np.log(kernels)))
 
@@ -435,73 +425,28 @@ def _best_channel_terms(caches: list[_SxCache], zeta: float,
 
 
 def _wu_candidates(n_u: int, n_w: int, resolution: int):
-    """All row-wise simplex-grid stochastic matrices P_{W|U}."""
+    """All row-wise simplex-grid stochastic matrices P_{W|U}, the last row
+    varying fastest."""
     rows = list(simplex_grid(GridSpec(n_w, resolution)))
-    idx = [0] * n_u
-    while True:
-        yield np.stack([rows[i] for i in idx])
-        j = n_u - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(rows):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
+    return (np.stack(combo) for combo in itertools.product(rows, repeat=n_u))
 
 
 # ---------------------------------------------------------------------------
-# SHTCC bounds: TAI
+# SHTCC bounds
 
 
-def shtcc_tai_stein(model: SourceModel, ch: Channel,
-                    config: DhtSearchConfig = DhtSearchConfig()) -> float:
-    """Stein-regime separation bound for testing against independence:
-    max I(V;W) over P_{W|U} with I(U;W) <= capacity, |W| <= |U|+1."""
-    if not model.is_tai:
-        raise InputError("model is not testing against independence")
-    cap = capacity(ch)
+def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha: float,
+           config: DhtSearchConfig, first_term, offset) -> BoundReport:
+    """Separation bound at kappa_alpha: max over the quantizer P_{W|U}, the
+    channel design and the threshold of min{E1, offset + channel term}.
+
+    `first_term(w_rows)` gives the first-term objective of a joint law (as
+    a flat vector), minimized over the KL ball around P_UV; `offset(rho)` is
+    added to the channel term.
+    """
     p_uv = model.p_uv.probs
-    marg_product = np.outer(p_uv.sum(axis=1), p_uv.sum(axis=0))
-    if np.max(np.abs(p_uv - marg_product)) <= PRODUCT_TOL:
-        return 0.0  # I(V;W) <= I(V;U) = 0 for any quantizer
     n_u = p_uv.shape[0]
     n_w = n_u + 1
-
-    def score(w_rows: np.ndarray) -> float:
-        if mutual_information_arrays(p_uv.sum(axis=1)[:, None] * w_rows) > cap + 1e-12:
-            return -np.inf
-        return mutual_information_arrays(p_uv.T @ w_rows)
-
-    def f(blocks) -> float:
-        return score(np.stack(blocks))
-
-    best_val, best_rows = -np.inf, None
-    for w_rows in _wu_candidates(n_u, n_w, config.design_resolution):
-        val = score(w_rows)
-        if val > best_val:
-            best_val, best_rows = val, w_rows
-    seeds = [list(best_rows)]
-    seeds.append([np.eye(n_u, n_w)[u] for u in range(n_u)])  # W = U embedded
-    for seed in seeds:
-        _, val = pattern_search(f, seed, step=0.25,
-                                min_step=config.pattern_min_step)
-        best_val = max(best_val, val)
-    return max(best_val, 0.0)
-
-
-def shtcc_tai(model: SourceModel, ch: Channel, kappa_alpha: float,
-              config: DhtSearchConfig = DhtSearchConfig()) -> BoundReport:
-    """Separation bound for TAI at positive kappa_alpha: max over quantizer,
-    channel design, and threshold of the three-way minimum."""
-    if not model.is_tai:
-        raise InputError("model is not testing against independence")
-    p_uv = model.p_uv.probs
-    shape = p_uv.shape
-    n_u, n_v = shape
-    n_w = n_u + 1
-    p_v = p_uv.sum(axis=0)
     caches = _sx_caches(ch, config)
 
     def evaluate(w_rows: np.ndarray):
@@ -512,15 +457,9 @@ def shtcc_tai(model: SourceModel, ch: Channel, kappa_alpha: float,
         if channel_part is None:
             return None
         term, cache, e_x, theta = channel_part
-
-        def e1_obj(p_flat: np.ndarray) -> float:
-            p_hat_v = p_flat.reshape(shape).sum(axis=0)
-            return (_info_vw(p_flat, shape, w_rows)
-                    + kl_array(p_hat_v, p_v))
-
-        e1 = _ball_optimize(p_uv, e1_obj, kappa_alpha, maximize=False,
-                            config=config)
-        value = min(e1, rho + term)
+        e1 = _ball_optimize(p_uv, first_term(w_rows), kappa_alpha,
+                            maximize=False, config=config)
+        value = min(e1, offset(rho) + term)
         return value, {"p_wu": tuple(w_rows.reshape(-1)),
                        "p_sx": tuple(cache.design.joint.probs.reshape(-1)),
                        "theta": theta, "zeta": zeta, "rho": rho, "e_x": e_x}
@@ -531,7 +470,7 @@ def shtcc_tai(model: SourceModel, ch: Channel, kappa_alpha: float,
         if result is not None and result[0] > best_val:
             best_val, best_ach = result
     if best_ach is None:
-        return BoundReport("shtcc_tai", kappa_alpha, 0.0, {}, feasible=False,
+        return BoundReport(name, kappa_alpha, 0.0, {}, feasible=False,
                            grid_resolution=config.design_resolution)
 
     def f(blocks) -> float:
@@ -545,12 +484,57 @@ def shtcc_tai(model: SourceModel, ch: Channel, kappa_alpha: float,
                                  min_improve=1e-6)
     if val > best_val:
         best_val, best_ach = evaluate(np.stack(blocks))
-    return BoundReport("shtcc_tai", kappa_alpha, max(best_val, 0.0), best_ach,
+    return BoundReport(name, kappa_alpha, max(best_val, 0.0), best_ach,
                        feasible=True, grid_resolution=config.design_resolution)
 
 
-# ---------------------------------------------------------------------------
-# SHTCC bounds: TAD
+def shtcc_tai_stein(model: SourceModel, ch: Channel,
+                    config: DhtSearchConfig = DhtSearchConfig()) -> float:
+    """Stein-regime separation bound for testing against independence:
+    max I(V;W) over P_{W|U} with I(U;W) <= capacity, |W| <= |U|+1."""
+    if not model.is_tai:
+        raise InputError("model is not testing against independence")
+    cap = capacity(ch)
+    p_uv = model.p_uv.probs
+    p_u = p_uv.sum(axis=1)
+    marg_product = np.outer(p_u, p_uv.sum(axis=0))
+    if np.max(np.abs(p_uv - marg_product)) <= PRODUCT_TOL:
+        return 0.0  # I(V;W) <= I(V;U) = 0 for any quantizer
+    n_u = p_uv.shape[0]
+    n_w = n_u + 1
+
+    def f(blocks) -> float:
+        w_rows = np.stack(blocks)
+        if mutual_information_arrays(p_u[:, None] * w_rows) > cap + 1e-12:
+            return -np.inf
+        return mutual_information_arrays(p_uv.T @ w_rows)
+
+    candidates = (list(w_rows) for w_rows in
+                  _wu_candidates(n_u, n_w, config.design_resolution))
+    identity = [np.eye(n_u, n_w)[u] for u in range(n_u)]  # W = U embedded
+    _, best_val = grid_then_pattern(f, candidates, [identity], step=0.25,
+                                    min_step=config.pattern_min_step)
+    return max(best_val, 0.0)
+
+
+def shtcc_tai(model: SourceModel, ch: Channel, kappa_alpha: float,
+              config: DhtSearchConfig = DhtSearchConfig()) -> BoundReport:
+    """Separation bound for TAI at positive kappa_alpha: max over quantizer,
+    channel design, and threshold of the three-way minimum."""
+    if not model.is_tai:
+        raise InputError("model is not testing against independence")
+    p_uv = model.p_uv.probs
+    shape = p_uv.shape
+    p_v = p_uv.sum(axis=0)
+
+    def first_term(w_rows: np.ndarray):
+        def e1_obj(p_flat: np.ndarray) -> float:
+            p_hat_v = p_flat.reshape(shape).sum(axis=0)
+            return _info_vw(p_flat, shape, w_rows) + kl_array(p_hat_v, p_v)
+        return e1_obj
+
+    return _shtcc("shtcc_tai", model, ch, kappa_alpha, config, first_term,
+                  offset=lambda rho: rho)
 
 
 def shtcc_tad_stein(model: SourceModel, ch: Channel,
@@ -565,7 +549,8 @@ def shtcc_tad_stein(model: SourceModel, ch: Channel,
     caches = _sx_caches(ch, config)
     max_rate = max(c.rate for c in caches)
 
-    def score(w_rows: np.ndarray) -> float:
+    def f(blocks) -> float:
+        w_rows = np.stack(blocks)
         i_q_uw = mutual_information_arrays(q_u[:, None] * w_rows)
         if not i_q_uw <= max_rate:
             return -np.inf
@@ -579,18 +564,12 @@ def shtcc_tad_stein(model: SourceModel, ch: Channel,
             best = max(best, val)
         return best
 
-    def f(blocks) -> float:
-        return score(np.stack(blocks))
-
-    best_val, best_rows = -np.inf, None
-    for w_rows in _wu_candidates(n_u, n_w, config.design_resolution):
-        val = score(w_rows)
-        if val > best_val:
-            best_val, best_rows = val, w_rows
-    _, val = pattern_search(f, list(best_rows), step=0.25,
-                            min_step=max(config.pattern_min_step, 0.01),
-                            min_improve=1e-7)
-    return max(best_val, val, 0.0)
+    candidates = (list(w_rows) for w_rows in
+                  _wu_candidates(n_u, n_w, config.design_resolution))
+    _, best_val = grid_then_pattern(f, candidates, step=0.25,
+                                    min_step=max(config.pattern_min_step, 0.01),
+                                    min_improve=1e-7)
+    return max(best_val, 0.0)
 
 
 def shtcc_tad(model: SourceModel, ch: Channel, kappa_alpha: float,
@@ -599,56 +578,19 @@ def shtcc_tad(model: SourceModel, ch: Channel, kappa_alpha: float,
     surrogate first term (a certified lower bound)."""
     if not model.is_tad:
         raise InputError("model is not testing against dependence")
-    p_uv = model.p_uv.probs
     q_uv = model.q_uv.probs
-    shape = p_uv.shape
-    n_u = shape[0]
-    n_w = n_u + 1
-    caches = _sx_caches(ch, config)
+    shape = q_uv.shape
 
-    def evaluate(w_rows: np.ndarray):
-        zeta, rho = zeta_rho(model, Channel(tuple(range(n_u)),
-                                            tuple(range(n_w)), w_rows),
-                             kappa_alpha, config)
-        channel_part = _best_channel_terms(caches, zeta, kappa_alpha)
-        if channel_part is None:
-            return None
-        term, cache, e_x, theta = channel_part
+    def first_term(w_rows: np.ndarray):
         q_vw = (q_uv.T @ w_rows).reshape(-1)
 
         def e1_obj(p_flat: np.ndarray) -> float:
             p_vw = (p_flat.reshape(shape).T @ w_rows).reshape(-1)
             return kl_array(p_vw, q_vw)
+        return e1_obj
 
-        e1 = _ball_optimize(p_uv, e1_obj, kappa_alpha, maximize=False,
-                            config=config)
-        value = min(e1, term)
-        return value, {"p_wu": tuple(w_rows.reshape(-1)),
-                       "p_sx": tuple(cache.design.joint.probs.reshape(-1)),
-                       "theta": theta, "zeta": zeta, "rho": rho, "e_x": e_x}
-
-    best_val, best_ach = -np.inf, None
-    for w_rows in _wu_candidates(n_u, n_w, config.design_resolution):
-        result = evaluate(w_rows)
-        if result is not None and result[0] > best_val:
-            best_val, best_ach = result
-    if best_ach is None:
-        return BoundReport("shtcc_tad", kappa_alpha, 0.0, {}, feasible=False,
-                           grid_resolution=config.design_resolution)
-
-    def f(blocks) -> float:
-        result = evaluate(np.stack(blocks))
-        return -np.inf if result is None else result[0]
-
-    start = [np.asarray(best_ach["p_wu"]).reshape(n_u, n_w)[u]
-             for u in range(n_u)]
-    blocks, val = pattern_search(f, start, step=0.25,
-                                 min_step=max(config.pattern_min_step, 0.01),
-                                 min_improve=1e-6)
-    if val > best_val:
-        best_val, best_ach = evaluate(np.stack(blocks))
-    return BoundReport("shtcc_tad", kappa_alpha, max(best_val, 0.0), best_ach,
-                       feasible=True, grid_resolution=config.design_resolution)
+    return _shtcc("shtcc_tad", model, ch, kappa_alpha, config, first_term,
+                  offset=lambda rho: 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,19 @@ local threshold test with a two-codeword channel code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError, InputError
-from .legendre import ScoredPmf, conjugate, conjugate_mixture, loglik_scores, llr_interval
-from .optimize import GridSpec, pattern_search, simplex_grid
+from .legendre import (ScoredPmf, _mix_log_mgf, _mix_tilted_mean, conjugate,
+                       conjugate_mixture, llr_interval, loglik_scores)
+from .optimize import GridSpec, grid_then_pattern, simplex_grid
 from .prob_core import Channel, JointPmf, Pmf, kl_array, kl_divergence
+
+# pattern-search opening step and largest input alphabet of the pair-law search
+PATTERN_STEP = 0.25
+MAX_INPUT_SIZE = 6
 
 
 @dataclass(frozen=True)
@@ -86,9 +91,7 @@ class LawSearchConfig:
     """Search settings for the transmitted-pair law optimization."""
 
     grid_resolution: int = 20
-    pattern_step: float = 0.25
     pattern_min_step: float = 1e-4
-    max_input_size: int = 6
 
 
 def direct_region_point(p: Pmf, q: Pmf, theta: float) -> ExponentPoint:
@@ -121,41 +124,20 @@ def direct_tradeoff(p: Pmf, q: Pmf, kappa_alpha: float) -> float:
         return 0.0
     sp = loglik_scores(p, q)
     p_eff, f_eff = sp.effective()
-    return _invert_boundary(_CgfMixture([(1.0, p_eff, f_eff)]), kappa_alpha)
+    return _invert_boundary([(1.0, p_eff, f_eff)], kappa_alpha)
 
 
-class _CgfMixture:
-    """Weighted sum of log-MGFs over finite-score components, one shared tilt."""
-
-    def __init__(self, components: list[tuple[float, np.ndarray, np.ndarray]]):
-        self.components = components
-
-    def psi(self, lam: float) -> float:
-        total = 0.0
-        for w, p, f in self.components:
-            shift = lam * f
-            m = shift.max()
-            total += w * (m + np.log(np.sum(p * np.exp(shift - m))))
-        return total
-
-    def mean(self, lam: float) -> float:
-        total = 0.0
-        for w, p, f in self.components:
-            shift = lam * f
-            t = p * np.exp(shift - shift.max())
-            total += w * float(np.sum(t * f) / t.sum())
-        return total
-
-
-def _invert_boundary(mix: _CgfMixture, kappa_alpha: float) -> float:
+def _invert_boundary(components, kappa_alpha: float) -> float:
     """kappa_beta on the boundary traced by lam in [0, 1].
 
-    On that segment the type-I exponent g(lam) = lam*psi'(lam) - psi(lam)
-    grows from 0 to its maximum at lam = 1; bisect g = kappa_alpha and return
-    kappa_alpha - psi'(lam*).
+    `components` are (weight, probs, finite scores) triples whose weighted
+    log-MGFs sum to psi. On that segment the type-I exponent
+    g(lam) = lam*psi'(lam) - psi(lam) grows from 0 to its maximum at lam = 1;
+    bisect g = kappa_alpha and return kappa_alpha - psi'(lam*).
     """
     def g(lam: float) -> float:
-        return lam * mix.mean(lam) - mix.psi(lam)
+        return (lam * _mix_tilted_mean(components, lam)
+                - _mix_log_mgf(components, lam))
 
     if kappa_alpha >= g(1.0):
         return 0.0
@@ -167,7 +149,7 @@ def _invert_boundary(mix: _CgfMixture, kappa_alpha: float) -> float:
         else:
             hi = mid
     lam = 0.5 * (lo + hi)
-    return kappa_alpha - mix.mean(lam)
+    return kappa_alpha - _mix_tilted_mean(components, lam)
 
 
 def _pair_scores(ch: Channel) -> list[list[ScoredPmf]]:
@@ -250,8 +232,9 @@ def channel_max_divergence(ch: Channel) -> tuple[float, tuple]:
     return best, best_pair
 
 
-def _law_mixture(ch: Channel, weights: np.ndarray) -> _CgfMixture | None:
-    """CGF mixture of per-pair LLR scores; None when only diagonal mass remains."""
+def _law_mixture(ch: Channel, weights: np.ndarray) -> list | None:
+    """CGF components of the per-pair LLR scores; None when only diagonal
+    mass remains."""
     with np.errstate(divide="ignore"):
         logrows = np.log(ch.rows)
     n = weights.shape[0]
@@ -262,15 +245,15 @@ def _law_mixture(ch: Channel, weights: np.ndarray) -> _CgfMixture | None:
                 continue
             components.append((float(weights[i, j]), ch.rows[i],
                                logrows[j] - logrows[i]))
-    return _CgfMixture(components) if components else None
+    return components or None
 
 
 def _channel_branch_beta(ch: Channel, law: ChannelPairLaw, kappa_alpha: float) -> float:
     """kappa_beta of the channel test at the given type-I exponent, for one law."""
-    mix = _law_mixture(ch, law.probs)
-    if mix is None:
+    components = _law_mixture(ch, law.probs)
+    if components is None:
         return 0.0
-    return _invert_boundary(mix, kappa_alpha)
+    return _invert_boundary(components, kappa_alpha)
 
 
 def best_channel_branch(ch: Channel, kappa_alpha: float,
@@ -282,9 +265,8 @@ def best_channel_branch(ch: Channel, kappa_alpha: float,
     """
     _check_assumption(ch)
     n = len(ch.input_alphabet)
-    if n > config.max_input_size:
-        raise InputError(
-            f"law search capped at {config.max_input_size} inputs; got {n}")
+    if n > MAX_INPUT_SIZE:
+        raise InputError(f"law search capped at {MAX_INPUT_SIZE} inputs; got {n}")
     dim = n * n
 
     def objective(blocks):
@@ -292,15 +274,10 @@ def best_channel_branch(ch: Channel, kappa_alpha: float,
         law = ChannelPairLaw(JointPmf(ch.input_alphabet, ch.input_alphabet, w))
         return _channel_branch_beta(ch, law, kappa_alpha)
 
-    best_val = -np.inf
-    best_vec = None
-    for vec in simplex_grid(GridSpec(dim, config.grid_resolution)):
-        val = objective([vec])
-        if val > best_val:
-            best_val, best_vec = val, vec
-    blocks, val = pattern_search(objective, [best_vec],
-                                 step=config.pattern_step,
-                                 min_step=config.pattern_min_step)
+    candidates = ([vec] for vec in
+                  simplex_grid(GridSpec(dim, config.grid_resolution)))
+    blocks, val = grid_then_pattern(objective, candidates, step=PATTERN_STEP,
+                                    min_step=config.pattern_min_step)
     law = ChannelPairLaw(JointPmf(ch.input_alphabet, ch.input_alphabet,
                                   blocks[0].reshape(n, n)))
     return val, law

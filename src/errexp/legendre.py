@@ -57,13 +57,6 @@ class ConjugateResult:
         return self.value
 
 
-def _logsumexp(log_terms: np.ndarray) -> float:
-    m = np.max(log_terms)
-    if np.isneginf(m):
-        return float("-inf")
-    return float(m + np.log(np.sum(np.exp(log_terms - m))))
-
-
 def log_mgf(sp: ScoredPmf, lam: float) -> float:
     """psi(lam) = log E[exp(lam * f(Z))] in nats; psi(0) = 0 exactly."""
     if np.isnan(lam):
@@ -79,16 +72,7 @@ def log_mgf(sp: ScoredPmf, lam: float) -> float:
         return float("inf")
     finite = np.isfinite(f)
     # infinite scores on the vanishing side contribute zero weight
-    with np.errstate(divide="ignore"):
-        log_terms = np.log(p[finite]) + lam * f[finite]
-    return _logsumexp(log_terms)
-
-
-def _tilted_weights(p: np.ndarray, f: np.ndarray, lam: float) -> np.ndarray:
-    shift = lam * f
-    shift = shift - np.max(shift)
-    w = p * np.exp(shift)
-    return w / w.sum()
+    return _mix_log_mgf([(1.0, p[finite], f[finite])], lam)
 
 
 def tilted_mean(sp: ScoredPmf, lam: float) -> float:
@@ -96,21 +80,27 @@ def tilted_mean(sp: ScoredPmf, lam: float) -> float:
     p, f = sp.effective()
     if not np.all(np.isfinite(f)):
         raise InputError("tilted_mean requires finite scores")
-    return float(np.sum(_tilted_weights(p, f, lam) * f))
+    return _mix_tilted_mean([(1.0, p, f)], lam)
 
 
 def _mix_tilted_mean(components, lam: float) -> float:
+    """sum_k w_k psi_k'(lam) over (weight, probs, finite scores) components."""
     total = 0.0
     for w, p, f in components:
-        total += w * float(np.sum(_tilted_weights(p, f, lam) * f))
+        shift = lam * f
+        t = p * np.exp(shift - shift.max())
+        total += w * float(np.sum(t * f) / t.sum())
     return total
 
 
 def _mix_log_mgf(components, lam: float) -> float:
+    """sum_k w_k psi_k(lam) over (weight, probs, finite scores) components,
+    each log-MGF shifted by its largest exponent."""
     total = 0.0
     for w, p, f in components:
-        with np.errstate(divide="ignore"):
-            total += w * _logsumexp(np.log(p) + lam * f)
+        shift = lam * f
+        m = shift.max()
+        total += w * float(m + np.log(np.sum(p * np.exp(shift - m))))
     return total
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -146,3 +146,29 @@ def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
         if not improved:
             step *= 0.5
     return x, best
+
+
+def grid_then_pattern(f: Callable[[Sequence[np.ndarray]], float],
+                      candidates: Iterable[Sequence[np.ndarray]],
+                      seeds: Iterable[Sequence[np.ndarray]] = (),
+                      **pattern_kw) -> tuple[list[np.ndarray] | None, float]:
+    """Best (blocks, value) of a grid pass followed by pattern searches.
+
+    Scores the candidate block lists in the order given and keeps the first
+    of any equal maxima; then runs `pattern_search` (with `pattern_kw`) from
+    that winner and from each extra seed, in order. A search result replaces
+    the running best only when it is strictly larger, so the value is never
+    below the best candidate's. Returns (None, -inf) when every candidate and
+    every search scores -inf.
+    """
+    best_blocks, best_val = None, -np.inf
+    for blocks in candidates:
+        val = f(blocks)
+        if val > best_val:
+            best_blocks, best_val = blocks, val
+    starts = list(seeds) if best_blocks is None else [best_blocks, *seeds]
+    for start in starts:
+        blocks, val = pattern_search(f, start, **pattern_kw)
+        if val > best_val:
+            best_blocks, best_val = blocks, val
+    return best_blocks, best_val

@@ -15,6 +15,7 @@ import numpy as np
 
 from .exact_regions import ChannelPairLaw, _check_assumption
 from .exceptions import EstimationError, InputError
+from .legendre import loglik_scores
 from .prob_core import Channel, Pmf
 
 CHUNK_TRIALS = 250_000
@@ -23,15 +24,11 @@ MIN_FIT_POINTS = 2
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Blocklength grid, trial budget, seed, and test thresholds."""
+    """Blocklength grid, trial budget and seed."""
 
     blocklengths: tuple[int, ...]
     trials: int
     seed: int
-    theta: float = 0.0
-    theta0: float = 0.0
-    theta1: float = 0.0
-    law: ChannelPairLaw | None = None
 
     def __post_init__(self) -> None:
         ns = tuple(int(n) for n in self.blocklengths)
@@ -74,16 +71,9 @@ class SimReport:
 
 
 def _llr_vector(p: Pmf, q: Pmf) -> np.ndarray:
-    if p.alphabet != q.alphabet:
-        raise InputError("PMFs are defined on different alphabets")
-    pp, qq = p.probs, q.probs
-    if np.any((pp == 0) & (qq == 0)):
+    scores = loglik_scores(p, q).scores
+    if np.any((p.probs == 0) & (q.probs == 0)):
         raise InputError("symbol with zero probability under both hypotheses")
-    scores = np.zeros(len(pp))
-    both = (pp > 0) & (qq > 0)
-    scores[both] = np.log(qq[both] / pp[both])
-    scores[(pp > 0) & (qq == 0)] = -np.inf
-    scores[(pp == 0) & (qq > 0)] = np.inf
     return scores
 
 

@@ -233,6 +233,77 @@ class TestShtccTad:
         assert shtcc_tad_stein(example1, Channel.bsc(0.5), FAST) == 0.0
 
 
+# Values of the reference implementation at the FAST config, full precision.
+# The TAI rows use skewed_tai_model(), the TAD rows example1; both over BSC(0.35).
+SHTCC_PINS = {
+    ("tai", 0.0): (0.010609132861602491, {
+        "p_wu": (0.0, 0.0, 1.0, 0.2, 0.8, 0.0), "p_sx": (0.0, 0.0, 0.5, 0.5),
+        "theta": -0.04715533973562064, "zeta": 0.020422924464179912,
+        "rho": 0.010609132861602491, "e_x": 0.0028768178942868462}),
+    ("tai", 0.001): (0.003968455611867234, {
+        "p_wu": (0.0, 0.30889894419306185, 0.6911010558069381,
+                 0.6666666666666666, 0.3333333333333333, 0.0),
+        "p_sx": (0.0, 0.0, 0.5, 0.5),
+        "theta": -0.029744861999195606, "zeta": 0.022290013111513247,
+        "rho": 0.0032256612464994735, "e_x": 0.0010097292469535106}),
+    ("tai", 0.004): (0.001083117999457548, {
+        "p_wu": (0.07330316742081448, 0.30889894419306185, 0.6177978883861237,
+                 0.0, 1.0, 0.0),
+        "p_sx": (0.0, 0.0, 0.5, 0.5),
+        "theta": -0.018137876841578922, "zeta": 0.00948601227930589,
+        "rho": -2.2204460492503136e-16, "e_x": 0.013813730079160869}),
+    ("tad", 0.0): (0.023546350722380035, {
+        "p_wu": (2.5420193096806677e-06, 0.0, 0.9999974579806904, 0.0, 0.0, 1.0),
+        "p_sx": (0.0, 0.0, 0.5, 0.5),
+        "theta": -0.04715533973562064, "zeta": 8.809975664508446e-07,
+        "rho": 0.0, "e_x": 0.023546350722380035}),
+    ("tad", 0.001): (0.023546081242896786, {
+        "p_wu": (2.54201930968067e-06, 0.0, 0.9999974579806904, 0.0, 0.0, 1.0),
+        "p_sx": (0.0, 0.0, 0.5, 0.5),
+        "theta": -0.029744861999195606, "zeta": 8.956093395996941e-07,
+        "rho": 0.0, "e_x": 0.023546081242896786}),
+    ("tad", 0.004): (0.02253886813149659, {
+        "p_wu": (0.002083633851730725, 0.0, 0.9979163661482692, 0.0, 0.0, 1.0),
+        "p_sx": (0.0, 0.0, 0.5, 0.5),
+        "theta": -0.018137876841578922, "zeta": 0.0007453919860632756,
+        "rho": 2.2204460492503126e-16, "e_x": 0.022554350372403484}),
+}
+PIN_REL = 1e-12
+
+
+class TestPinnedValues:
+    """Regression pins: the searches must keep returning the same numbers
+    and the same achievers."""
+
+    @pytest.mark.parametrize("kind,kappa", sorted(SHTCC_PINS))
+    def test_shtcc(self, kind, kappa, example1, bsc35):
+        value, achiever = SHTCC_PINS[(kind, kappa)]
+        if kind == "tai":
+            report = shtcc_tai(skewed_tai_model(), bsc35, kappa, FAST)
+        else:
+            report = shtcc_tad(example1, bsc35, kappa, FAST)
+        assert report.feasible
+        assert report.value == pytest.approx(value, rel=PIN_REL)
+        assert set(report.achiever) == set(achiever)
+        for key, expected in achiever.items():
+            assert report.achiever[key] == pytest.approx(expected, rel=PIN_REL), key
+
+    def test_shtcc_tai_stein(self, bsc35):
+        assert shtcc_tai_stein(skewed_tai_model(), bsc35, FAST) == pytest.approx(
+            0.010609132861602491, rel=PIN_REL)
+
+    def test_shtcc_tad_stein(self, example1, bsc35):
+        assert shtcc_tad_stein(example1, bsc35, FAST) == pytest.approx(
+            0.0235745396973739, rel=PIN_REL)
+
+    def test_jhtcc_uncoded_two_states(self, example1, bsc35):
+        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2, config=FAST)
+        assert rep.value == pytest.approx(0.02958613211209734, rel=PIN_REL)
+        assert rep.achiever["p_s"] == pytest.approx((0.0, 1.0), rel=PIN_REL)
+        assert rep.achiever["p_x_given_us"] == pytest.approx(
+            (0.5, 0.5, 0.0, 1.0, 0.5, 0.5, 1.0, 0.0), rel=PIN_REL)
+
+
 class TestCompareSchemes:
     def test_useless_channel_all_zero(self, example1):
         rows, crossover = compare_schemes(example1, Channel.bsc(0.5),

@@ -5,8 +5,9 @@ import pytest
 
 from errexp import Pmf, ScoredPmf, tilted_mean
 from errexp.exceptions import BracketError
-from errexp.optimize import (GridSpec, bisect_monotone, maximize_1d,
-                             pattern_search, simplex_grid, simplex_grid_array)
+from errexp.optimize import (GridSpec, bisect_monotone, grid_then_pattern,
+                             maximize_1d, pattern_search, simplex_grid,
+                             simplex_grid_array)
 
 
 class TestBisectMonotone:
@@ -92,3 +93,39 @@ class TestPatternSearch:
         start = rng.dirichlet(np.ones(4))
         _, v = pattern_search(f, [start])
         assert v >= f([start])
+
+
+class TestGridThenPattern:
+    def test_equal_values_keep_first_candidate(self):
+        # constant objective: every candidate ties and no probe improves
+        cands = [[np.array([0.0, 1.0])], [np.array([0.5, 0.5])],
+                 [np.array([1.0, 0.0])]]
+        blocks, v = grid_then_pattern(lambda b: 1.0, cands)
+        assert v == 1.0
+        assert blocks is cands[0]
+
+    def test_never_below_best_candidate(self):
+        rng = np.random.default_rng(43)
+        coef = rng.normal(size=3)
+
+        def f(blocks):
+            return float(coef @ blocks[0])
+
+        cands = [[p] for p in simplex_grid(GridSpec(3, 4))]
+        blocks, v = grid_then_pattern(f, cands, min_step=1e-3)
+        assert v >= max(f(c) for c in cands)
+        assert v == pytest.approx(f(blocks))
+
+    def test_seeds_only(self):
+        target = np.array([0.6, 0.3, 0.1])
+
+        def f(blocks):
+            return -float(np.sum((blocks[0] - target) ** 2))
+
+        seeds = [[np.full(3, 1 / 3)], [np.array([1.0, 0.0, 0.0])]]
+        blocks, v = grid_then_pattern(f, [], seeds, min_step=1e-6)
+        assert np.allclose(blocks[0], target, atol=1e-4)
+        assert v == pytest.approx(0.0, abs=1e-7)
+
+    def test_nothing_to_search(self):
+        assert grid_then_pattern(lambda b: 0.0, []) == (None, -np.inf)
