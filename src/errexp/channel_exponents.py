@@ -17,6 +17,8 @@ from .prob_core import Channel, JointPmf, Pmf, kl_array
 
 RHO_CAP = 1e4
 RHO_GRID_POINTS = 80
+RHO_GRID = np.geomspace(1.0, RHO_CAP, RHO_GRID_POINTS)
+RHO_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,12 @@ def _pair_weights(design: InputDesign) -> np.ndarray:
 
 
 def _expurgation_terms(design: InputDesign, ch: Channel):
-    """(wl, logb, inf_below) of the expurgated objective
+    """(wl, logb, powers, inf_below) of the expurgated objective
     -rho*R - rho*log(sum wl * exp(logb / rho)).
 
     wl and logb are the pair weights and log Bhattacharyya entries where both
-    are positive. Weight on zero kernel entries makes the objective grow
+    are positive; powers holds exp(logb / rho) per RHO_GRID point (rows) and
+    entry (columns). Weight on zero kernel entries makes the objective grow
     linearly in rho once R < -log(sum wl), so the exponent is +inf for every
     rate below inf_below (-inf when no weight sits on a zero entry).
     """
@@ -82,7 +85,14 @@ def _expurgation_terms(design: InputDesign, ch: Channel):
     if float(w[(w > 0) & (b == 0)].sum()) > 0:
         live_mass = float(wl.sum())
         inf_below = np.inf if live_mass == 0.0 else -float(np.log(live_mass))
-    return wl, np.log(b[live]), inf_below
+    logb = np.log(b[live])
+    return wl, logb, np.exp(logb[None, :] / RHO_GRID[:, None]), inf_below
+
+
+def _rho_grid_objective(rate: float, wl: np.ndarray,
+                        powers: np.ndarray) -> np.ndarray:
+    """The expurgated objective -rho*R - rho*log(sum wl B^(1/rho)) on RHO_GRID."""
+    return -RHO_GRID * rate - RHO_GRID * np.log(powers @ wl)
 
 
 def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
@@ -97,7 +107,7 @@ def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
         raise DomainError("rate must be non-negative")
     if design.joint.row_alphabet != ch.input_alphabet:
         raise InputError("design alphabet does not match channel input alphabet")
-    wl, logb, inf_below = _expurgation_terms(design, ch)
+    wl, logb, powers, inf_below = _expurgation_terms(design, ch)
     if rate < inf_below:
         return float("inf")
 
@@ -105,11 +115,9 @@ def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
         kernel = float(np.sum(wl * np.exp(logb / rho)))
         return -rho * rate - rho * np.log(kernel)
 
-    rhos = np.geomspace(1.0, RHO_CAP, RHO_GRID_POINTS)
-    vals = np.array([objective(r) for r in rhos])
-    k = int(np.argmax(vals))
-    lo = rhos[max(k - 1, 0)]
-    hi = rhos[min(k + 1, len(rhos) - 1)]
+    k = int(np.argmax(_rho_grid_objective(rate, wl, powers)))
+    lo = RHO_GRID[max(k - 1, 0)]
+    hi = RHO_GRID[min(k + 1, RHO_GRID_POINTS - 1)]
     _, best = maximize_1d(objective, lo, hi, tol=1e-9)
     return best
 

@@ -7,17 +7,18 @@ bound, all expressed through KL-ball projections and information quantities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_exponents import (RHO_CAP, RHO_GRID_POINTS, InputDesign,
-                                _expurgation_terms, output_given_state,
+from .channel_exponents import (InputDesign, _expurgation_terms,
+                                _rho_grid_objective, output_given_state,
                                 special_message_exponent, theta_bounds)
 from .exceptions import InputError
-from .optimize import (GridSpec, grid_then_pattern, pattern_search,
-                       simplex_grid, simplex_grid_array)
+from .optimize import (GridSpec, bisect_monotone, grid_then_pattern,
+                       pattern_search, simplex_grid, simplex_grid_array)
 from .prob_core import (Channel, JointPmf, Pmf, capacity, kl_array,
                         mutual_information_arrays)
 
@@ -147,6 +148,7 @@ def _project_components(components: list[tuple[float, np.ndarray, np.ndarray]],
     if kappa_alpha < kappa_min - 1e-12:
         return [r.copy() for _, r, _ in comps], float("inf")
 
+    @functools.cache
     def minimizers(mu: float) -> list[np.ndarray]:
         return [_geometric_mixture(r, t, mu) for _, r, t in comps]
 
@@ -156,23 +158,20 @@ def _project_components(components: list[tuple[float, np.ndarray, np.ndarray]],
     def value_of(ps: list[np.ndarray]) -> float:
         return sum(w * kl_array(p, t) for (w, _, t), p in zip(comps, ps))
 
-    free = minimizers(0.0)
-    if ball_radius(free) <= kappa_alpha:
+    @functools.cache
+    def gap(mu: float) -> float:
+        return ball_radius(minimizers(mu)) - kappa_alpha
+
+    if gap(0.0) <= 0.0:
+        free = minimizers(0.0)
         return free, float(value_of(free))
     lo, hi = 0.0, 1.0
-    while ball_radius(minimizers(hi)) > kappa_alpha and hi < 1e12:
+    while gap(hi) > 0.0 and hi < 1e12:
         lo, hi = hi, hi * 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gap = ball_radius(minimizers(mid)) - kappa_alpha
-        if abs(gap) <= BALL_ACTIVE_TOL:
-            lo = hi = mid
-            break
-        if gap > 0:
-            lo = mid
-        else:
-            hi = mid
-    ps = minimizers(0.5 * (lo + hi))
+    # the radius falls in mu; past the 1e12 cap keep the last multiplier
+    mu = hi if gap(hi) > 0.0 else bisect_monotone(
+        gap, lo, hi, tol=BALL_ACTIVE_TOL, max_iter=200)
+    ps = minimizers(mu)
     return ps, float(value_of(ps))
 
 
@@ -358,10 +357,7 @@ class _SxCache:
 
     def __init__(self, design: InputDesign, ch: Channel, theta_points: int):
         self.design = design
-        self.wl, logb, self._inf_below = _expurgation_terms(design, ch)
-        self.rhos = np.geomspace(1.0, RHO_CAP, RHO_GRID_POINTS)
-        # rho-grid Bhattacharyya powers, fixed per design
-        self._powers = np.exp(logb[None, :] / self.rhos[:, None])
+        self.wl, _, self._powers, self._inf_below = _expurgation_terms(design, ch)
         ps = design.state_probs
         pys = output_given_state(design, ch)
         self.rate = 0.0
@@ -379,8 +375,7 @@ class _SxCache:
     def expurgated(self, rate: float) -> float:
         if rate < self._inf_below:
             return float("inf")
-        kernels = self._powers @ self.wl
-        return float(np.max(-self.rhos * rate - self.rhos * np.log(kernels)))
+        return float(np.max(_rho_grid_objective(rate, self.wl, self._powers)))
 
     def best_theta_term(self, kappa_alpha: float) -> tuple[float, float]:
         """(max over feasible theta of E_sp - theta, that theta); -inf if no
@@ -619,20 +614,16 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid,
                          feasible=True, grid_resolution=config.sx_resolution)
         rows.append((sr, jr))
     crossover = None
-    kas = [float(k) for k in kappa_grid]
-    if kas and np.isfinite(e_x0):
-        lo, hi = min(kas), max(kas)
+    # kappa_u* per kappa_alpha, seeded with the grid rows' values
+    known = {jr.kappa_alpha: jr.value for _, jr in rows}
+    if known and np.isfinite(e_x0):
+        lo, hi = min(known), max(known)
 
         def gap(ka: float) -> float:
-            return jhtcc_uncoded_opt(model, ch, ka, config=config).value - e_x0
+            if ka not in known:
+                known[ka] = jhtcc_uncoded_opt(model, ch, ka, config=config).value
+            return known[ka] - e_x0
 
-        glo, ghi = gap(lo), gap(hi)
-        if glo >= 0 >= ghi:
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if gap(mid) >= 0:
-                    lo = mid
-                else:
-                    hi = mid
-            crossover = 0.5 * (lo + hi)
+        if gap(lo) >= 0 >= gap(hi):
+            crossover = bisect_monotone(gap, lo, hi, tol=0.0, max_iter=40)
     return rows, crossover

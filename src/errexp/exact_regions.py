@@ -7,6 +7,7 @@ local threshold test with a two-codeword channel code.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,8 @@ import numpy as np
 from .exceptions import DomainError, InputError
 from .legendre import (ScoredPmf, _mix_log_mgf, _mix_tilted_mean, conjugate,
                        conjugate_mixture, llr_interval, loglik_scores)
-from .optimize import GridSpec, grid_then_pattern, simplex_grid
+from .optimize import (GridSpec, bisect_monotone, grid_then_pattern,
+                       simplex_grid)
 from .prob_core import Channel, JointPmf, Pmf, kl_array, kl_divergence
 
 # pattern-search opening step and largest input alphabet of the pair-law search
@@ -135,20 +137,16 @@ def _invert_boundary(components, kappa_alpha: float) -> float:
     g(lam) = lam*psi'(lam) - psi(lam) grows from 0 to its maximum at lam = 1;
     bisect g = kappa_alpha and return kappa_alpha - psi'(lam*).
     """
+    @functools.cache
     def g(lam: float) -> float:
         return (lam * _mix_tilted_mean(components, lam)
                 - _mix_log_mgf(components, lam))
 
     if kappa_alpha >= g(1.0):
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < kappa_alpha:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
+    # g(0) = -psi(0) is 0 up to rounding of the masses; below it lam* = 0
+    lam = 0.0 if kappa_alpha <= max(g(0.0), 0.0) else bisect_monotone(
+        lambda lam: g(lam) - kappa_alpha, 0.0, 1.0, tol=0.0, max_iter=80)
     return kappa_alpha - _mix_tilted_mean(components, lam)
 
 
@@ -233,18 +231,19 @@ def channel_max_divergence(ch: Channel) -> tuple[float, tuple]:
 
 
 def _law_mixture(ch: Channel, weights: np.ndarray) -> list | None:
-    """CGF components of the per-pair LLR scores; None when only diagonal
-    mass remains."""
+    """CGF components of the per-pair LLR scores, each on row i's support;
+    None when only diagonal mass remains."""
     with np.errstate(divide="ignore"):
         logrows = np.log(ch.rows)
     n = weights.shape[0]
     components = []
     for i in range(n):
+        live = ch.rows[i] > 0
         for j in range(n):
             if weights[i, j] == 0 or i == j:
                 continue
-            components.append((float(weights[i, j]), ch.rows[i],
-                               logrows[j] - logrows[i]))
+            components.append((float(weights[i, j]), ch.rows[i][live],
+                               logrows[j][live] - logrows[i][live]))
     return components or None
 
 

@@ -7,11 +7,13 @@ strictly increasing in the tilt, rather than by direct 1-D maximization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InputError
+from .optimize import bisect_monotone
 from .prob_core import Pmf, kl_divergence
 
 LAMBDA_CAP = 1e6
@@ -72,6 +74,8 @@ def log_mgf(sp: ScoredPmf, lam: float) -> float:
         return float("inf")
     finite = np.isfinite(f)
     # infinite scores on the vanishing side contribute zero weight
+    if not np.any(finite):
+        return float("-inf")
     return _mix_log_mgf([(1.0, p[finite], f[finite])], lam)
 
 
@@ -136,38 +140,28 @@ def _conjugate_finite(components, theta: float,
 
     floor = lam_lo if lam_lo is not None else -np.inf
     lo, hi = max(-1.0, floor), 1.0
+
+    @functools.cache
+    def g(lam: float) -> float:
+        return _mix_tilted_mean(components, lam) - theta
+
     # grow the bracket geometrically until psi' straddles theta
-    while _mix_tilted_mean(components, lo) > theta and lo > max(-LAMBDA_CAP, floor):
+    while g(lo) > 0.0 and lo > max(-LAMBDA_CAP, floor):
         lo = max(lo * 2.0 if lo < 0 else -1.0, max(-LAMBDA_CAP, floor))
         if lo == floor:
             break
-    while _mix_tilted_mean(components, hi) < theta and hi < LAMBDA_CAP:
+    while g(hi) < 0.0 and hi < LAMBDA_CAP:
         hi = min(hi * 2.0, LAMBDA_CAP)
-    glo = _mix_tilted_mean(components, lo) - theta
-    ghi = _mix_tilted_mean(components, hi) - theta
-    if glo > 0.0:
+    if g(lo) > 0.0:
         # theta below the attainable tilted-mean range on [floor, cap]
-        lam = lo
-        value = theta * lam - _mix_log_mgf(components, lam)
-        return ConjugateResult(value, lam, lam_lo is not None)
-    if ghi < 0.0:
-        lam = hi
-        value = theta * lam - _mix_log_mgf(components, lam)
-        return ConjugateResult(value, lam, False)
-    converged = True
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        gm = _mix_tilted_mean(components, mid) - theta
-        if abs(gm) <= THETA_RESIDUAL_TOL or (hi - lo) <= 1e-13 * max(1.0, abs(mid)):
-            lo = hi = mid
-            break
-        if gm < 0:
-            lo = mid
-        else:
-            hi = mid
+        lam, converged = lo, lam_lo is not None
+    elif g(hi) < 0.0:
+        lam, converged = hi, False
     else:
-        converged = abs(_mix_tilted_mean(components, 0.5 * (lo + hi)) - theta) <= 1e-6
-    lam = 0.5 * (lo + hi)
+        # the width stop ends a 2 * LAMBDA_CAP bracket within ~65 halvings
+        lam = bisect_monotone(g, lo, hi, tol=THETA_RESIDUAL_TOL, xtol=1e-13,
+                              max_iter=300)
+        converged = True
     value = theta * lam - _mix_log_mgf(components, lam)
     return ConjugateResult(value, lam, converged)
 

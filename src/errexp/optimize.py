@@ -31,10 +31,14 @@ class GridSpec:
 
 
 def bisect_monotone(g: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Root of a monotone scalar function by deterministic midpoint bisection.
+                    tol: float = 1e-10, xtol: float = 0.0,
+                    max_iter: int = 200) -> float:
+    """Root of a monotone (increasing or decreasing) scalar function.
 
-    Stops when |g(mid)| <= tol or the bracket width drops below tol.
+    An end where g is exactly zero is returned; ends of equal sign raise
+    BracketError. Otherwise the sign-changing bracket is halved until
+    |g(mid)| <= tol or hi - lo <= xtol * max(1, |mid|), returning that mid,
+    or the final midpoint after max_iter halvings.
     """
     glo, ghi = g(lo), g(hi)
     if glo == 0.0:
@@ -46,7 +50,7 @@ def bisect_monotone(g: Callable[[float], float], lo: float, hi: float,
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
-        if abs(gm) <= tol or (hi - lo) <= tol:
+        if abs(gm) <= tol or (hi - lo) <= xtol * max(1.0, abs(mid)):
             return mid
         if np.sign(gm) == np.sign(glo):
             lo, glo = mid, gm

@@ -8,6 +8,7 @@ from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
                     shtcc_tad, shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
                     special_message_exponent, zeta_rho)
 from errexp.channel_exponents import output_given_state
+from errexp.dht_bounds import _project_components
 from errexp.prob_core import kl_array
 from conftest import fit_geometric_family
 
@@ -55,6 +56,14 @@ class TestKlBallProjection:
         tgt = JointPmf((0, 1), (0, 1), [[0.0, 0.0], [0.0, 1.0]])
         _, value = kl_ball_projection(ref, tgt, 0.1)
         assert value == float("inf")
+
+    def test_multiplier_cap_returns_last_minimizer(self):
+        # every geometric mixture is [1, 0] at radius log 2, just above the
+        # ball, so the multiplier grows to its 1e12 cap without a sign change
+        ref, tgt = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+        ps, value = _project_components([(1.0, ref, tgt)], np.log(2.0) - 1e-13)
+        assert ps[0].tolist() == [1.0, 0.0]
+        assert value == 0.0
 
     def test_randomized_kkt_sweep(self):
         rng = np.random.default_rng(53)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,39 @@ class TestRhtTradeoff:
     def test_kappa_above_both_branches_returns_zero(self, bsc35):
         big = kl_divergence(Q58, P58) * 2
         assert rht_tradeoff(P58, Q58, bsc35, big, FAST_SEARCH) == 0.0
+
+
+class TestChannelBranchAtZero:
+    def test_point_mass_law_gives_row_divergence(self):
+        # psi(0) rounds to -2e-16 on some of these channels; kappa_alpha = 0
+        # must still give D(row_0 || row_1), not a root near lam = 1e-8
+        from errexp.exact_regions import _channel_branch_beta
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            ch = Channel((0, 1, 2), (0, 1, 2), rng.dirichlet(np.ones(3), size=3))
+            law = ChannelPairLaw.point_mass(ch.input_alphabet, (0, 1))
+            assert _channel_branch_beta(ch, law, 0.0) == pytest.approx(
+                kl_divergence(ch.row_at(0), ch.row_at(1)), abs=1e-12)
+
+
+class TestDeadOutputSymbol:
+    """An output symbol that no input can produce changes nothing."""
+
+    DEAD = Channel((0, 1), (0, 1, 2), [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0]])
+    LIVE = Channel((0, 1), (0, 1), [[0.5, 0.5], [0.3, 0.7]])
+
+    def test_same_results_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ka in (0.01, 0.03):
+                dead_val, dead_law = best_channel_branch(self.DEAD, ka,
+                                                         FAST_SEARCH)
+                live_val, live_law = best_channel_branch(self.LIVE, ka,
+                                                         FAST_SEARCH)
+                assert np.isfinite(dead_val) and dead_val == live_val
+                assert np.array_equal(dead_law.probs, live_law.probs)
+                assert (rht_tradeoff(P58, Q58, self.DEAD, ka, FAST_SEARCH)
+                        == rht_tradeoff(P58, Q58, self.LIVE, ka, FAST_SEARCH))
 
 
 class TestKappa0:

@@ -32,6 +32,13 @@ class TestLogMgf:
         with pytest.raises(InputError):
             ScoredPmf(Pmf((0, 1), [0.5, 0.5]), [np.nan, 0.0])
 
+    def test_only_vanishing_infinite_scores_give_minus_infinity(self):
+        # the supported score is -inf, so psi(lam) = log 0 for lam > 0
+        sp = loglik_scores(Pmf((0, 1), [1.0, 0.0]), Pmf((0, 1), [0.0, 1.0]))
+        assert log_mgf(sp, 1.0) == float("-inf")
+        assert log_mgf(sp, 0.5) == float("-inf")
+        assert log_mgf(sp, -1.0) == float("inf")
+
 
 class TestTiltedMean:
     def test_zero_tilt_is_expectation(self):

@@ -31,6 +31,37 @@ class TestBisectMonotone:
         with pytest.raises(BracketError):
             bisect_monotone(lambda x: x + 1.0, 0.0, 2.0)
 
+    def test_relative_width_stop(self):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x - 1234567.891
+
+        root = bisect_monotone(g, 1e6, 2e6, tol=0.0, xtol=1e-9)
+        assert abs(root - 1234567.891) <= 1e-9 * root
+        # two ends, then 31 midpoints: the 31st sits in a bracket of width
+        # 1e6 / 2**30 < 1e-9 * 1.23e6, long before max_iter = 200
+        assert len(calls) == 2 + 31
+
+    def test_max_iter_returns_final_midpoint(self):
+        # 0.5 -> hi, 0.25 -> lo, 0.375 -> hi; midpoint of [0.25, 0.375]
+        root = bisect_monotone(lambda x: x - 1.0 / 3.0, 0.0, 1.0, tol=0.0,
+                               max_iter=3)
+        assert root == 0.3125
+
+    def test_exact_zero_at_an_end(self):
+        assert bisect_monotone(lambda x: x, 0.0, 1.0) == 0.0
+        assert bisect_monotone(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+        # an exact zero wins over a missing sign change
+        assert bisect_monotone(lambda x: x * x, 0.0, 1.0) == 0.0
+
+    def test_decreasing_function(self):
+        assert bisect_monotone(lambda x: 1.0 / 3.0 - x, 0.0, 1.0, tol=0.0,
+                               max_iter=3) == 0.3125
+        root = bisect_monotone(lambda x: np.exp(-x) - 0.5, 0.0, 5.0, tol=1e-13)
+        assert root == pytest.approx(np.log(2.0), abs=1e-12)
+
 
 class TestMaximize1d:
     def test_interior_quadratic(self):
