@@ -74,6 +74,8 @@ def _as_joint(rows, row_alphabet, col_alphabet, what: str) -> JointPmf:
 
 
 def _as_channel(spec, what: str) -> Channel:
+    if not isinstance(spec, dict):
+        raise InputError(f"{what}: expected a JSON object")
     arr = _decimal_matrix(spec["rows"], what)
     if np.any(arr < 0) or np.max(np.abs(arr.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
         raise InputError(f"{what}: rows must be stochastic within 1e-9")
@@ -90,15 +92,18 @@ def load_model(path: str) -> ModelFile:
         raise InputError(f"cannot read model file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"model file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("model file must hold a JSON object")
     digest = hashlib.sha256(raw).hexdigest()
     try:
         u_alpha = tuple(data["u_alphabet"])
         v_alpha = tuple(data["v_alphabet"])
         p_uv = _as_joint(data["p_uv"], u_alpha, v_alpha, "p_uv")
         q_uv = _as_joint(data["q_uv"], u_alpha, v_alpha, "q_uv")
+        channel = (_as_channel(data["channel"], "channel")
+                   if "channel" in data else None)
     except KeyError as exc:
         raise InputError(f"model file missing field {exc}") from exc
-    channel = _as_channel(data["channel"], "channel") if "channel" in data else None
     pair_law = None
     if "pair_law" in data:
         if channel is None:
@@ -157,9 +162,18 @@ def _emit(out_path: str | None, header: list[str], columns: list[str],
             fh.write("\n")
 
 
+def _number_list(text: str, convert, option: str) -> list:
+    try:
+        return [convert(v) for v in text.split(",")]
+    except (InvalidOperation, ValueError) as exc:
+        raise InputError(
+            f"{option}: expected comma-separated numbers, got {text!r}") from exc
+
+
 def _kappa_grid(args, upper: float) -> list[float]:
     if args.kappa_grid:
-        return [float(Decimal(v)) for v in args.kappa_grid.split(",")]
+        return _number_list(args.kappa_grid, lambda v: float(Decimal(v)),
+                            "--kappa-grid")
     points = args.points
     if not np.isfinite(upper) or upper <= 0:
         return []
@@ -270,7 +284,7 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model)
     if args.trials < 1:
         raise InputError("trials must be >= 1")
-    ns = tuple(int(v) for v in args.n_grid.split(","))
+    ns = tuple(_number_list(args.n_grid, int, "--n-grid"))
     cfg = SimConfig(ns, args.trials, args.seed)
     p = model.p_uv.flatten()
     q = model.q_uv.flatten()
@@ -364,6 +378,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.points < 1:
+            raise InputError("points must be >= 1")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_exponents import (InputDesign, _expurgation_terms,
-                                _rho_grid_objective, output_given_state,
-                                special_message_exponent, theta_bounds)
+                                _rho_grid_objective, expurgated_exponent_opt,
+                                output_given_state, special_message_exponent,
+                                theta_bounds)
 from .exceptions import InputError
 from .optimize import (GridSpec, bisect_monotone, grid_then_pattern,
                        pattern_search, simplex_grid, simplex_grid_array)
@@ -603,8 +604,6 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid,
     kappa_u* falls to the expurgated zero-rate value (None if no crossing
     inside the grid span).
     """
-    from .channel_exponents import expurgated_exponent_opt
-
     e_x0, design0 = expurgated_exponent_opt(0.0, ch)
     rows = []
     for ka in kappa_grid:

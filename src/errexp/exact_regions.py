@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, InputError
-from .legendre import (ScoredPmf, _mix_log_mgf, _mix_tilted_mean, conjugate,
-                       conjugate_mixture, llr_interval, loglik_scores)
+from .legendre import Mixture, conjugate, llr_interval, loglik_scores
 from .optimize import (GridSpec, bisect_monotone, grid_then_pattern,
                        simplex_grid)
 from .prob_core import Channel, JointPmf, Pmf, kl_array, kl_divergence
@@ -124,40 +123,29 @@ def direct_tradeoff(p: Pmf, q: Pmf, kappa_alpha: float) -> float:
         return d_pq
     if kappa_alpha >= d_qp:
         return 0.0
-    sp = loglik_scores(p, q)
-    p_eff, f_eff = sp.effective()
-    return _invert_boundary([(1.0, p_eff, f_eff)], kappa_alpha)
+    mix = Mixture([(1.0, *loglik_scores(p, q).effective())])
+    return _invert_boundary(mix, kappa_alpha)
 
 
-def _invert_boundary(components, kappa_alpha: float) -> float:
+def _invert_boundary(mix: Mixture, kappa_alpha: float) -> float:
     """kappa_beta on the boundary traced by lam in [0, 1].
 
-    `components` are (weight, probs, finite scores) triples whose weighted
-    log-MGFs sum to psi. On that segment the type-I exponent
-    g(lam) = lam*psi'(lam) - psi(lam) grows from 0 to its maximum at lam = 1;
-    bisect g = kappa_alpha and return kappa_alpha - psi'(lam*).
+    On that segment the type-I exponent g(lam) = lam*psi'(lam) - psi(lam) of
+    the mixture grows from 0 to its maximum at lam = 1; bisect
+    g = kappa_alpha and return kappa_alpha - psi'(lam*).
     """
-    @functools.cache
+    tilt = functools.cache(mix.tilt)
+
     def g(lam: float) -> float:
-        return (lam * _mix_tilted_mean(components, lam)
-                - _mix_log_mgf(components, lam))
+        psi, dpsi = tilt(lam)
+        return lam * dpsi - psi
 
     if kappa_alpha >= g(1.0):
         return 0.0
     # g(0) = -psi(0) is 0 up to rounding of the masses; below it lam* = 0
     lam = 0.0 if kappa_alpha <= max(g(0.0), 0.0) else bisect_monotone(
         lambda lam: g(lam) - kappa_alpha, 0.0, 1.0, tol=0.0, max_iter=80)
-    return kappa_alpha - _mix_tilted_mean(components, lam)
-
-
-def _pair_scores(ch: Channel) -> list[list[ScoredPmf]]:
-    """scores[i][j]: log(row_j / row_i) with base row_i, for every input pair."""
-    n = len(ch.input_alphabet)
-    out = []
-    for i in range(n):
-        row_i = ch.row_at(i)
-        out.append([loglik_scores(row_i, ch.row_at(j)) for j in range(n)])
-    return out
+    return kappa_alpha - tilt(lam)[1]
 
 
 def _check_assumption(ch: Channel) -> None:
@@ -185,28 +173,14 @@ def channel_d_bounds(ch: Channel, law: ChannelPairLaw) -> tuple[float, float]:
     return d_min, d_max
 
 
-def _channel_conjugate(ch: Channel, law: ChannelPairLaw, theta: float):
-    """Conjugate of the law-averaged per-pair log-MGF at threshold theta."""
-    w = law.probs
-    scored, weights = [], []
-    pairs = _pair_scores(ch)
-    n = w.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if w[i, j] == 0:
-                continue
-            scored.append(pairs[i][j])
-            weights.append(w[i, j])
-    return conjugate_mixture(scored, weights, theta)
-
-
 def channel_region_point(ch: Channel, law: ChannelPairLaw, theta: float) -> ExponentPoint:
     """Boundary point for testing between two channel input sequences."""
     d_min, d_max = channel_d_bounds(ch, law)
     if not (-d_min <= theta <= d_max):
         raise DomainError(
             f"theta={theta} outside the admissible interval ({-d_min}, {d_max})")
-    value = _channel_conjugate(ch, law, theta).value
+    mix = _law_mixture(ch, law.probs)
+    value = 0.0 if mix is None else mix.conjugate(theta).value
     return ExponentPoint(value, value - theta, theta)
 
 
@@ -230,29 +204,22 @@ def channel_max_divergence(ch: Channel) -> tuple[float, tuple]:
     return best, best_pair
 
 
-def _law_mixture(ch: Channel, weights: np.ndarray) -> list | None:
-    """CGF components of the per-pair LLR scores, each on row i's support;
-    None when only diagonal mass remains."""
-    with np.errstate(divide="ignore"):
-        logrows = np.log(ch.rows)
-    n = weights.shape[0]
-    components = []
-    for i in range(n):
-        live = ch.rows[i] > 0
-        for j in range(n):
-            if weights[i, j] == 0 or i == j:
-                continue
-            components.append((float(weights[i, j]), ch.rows[i][live],
-                               logrows[j][live] - logrows[i][live]))
-    return components or None
+def _law_mixture(ch: Channel, weights: np.ndarray) -> Mixture | None:
+    """CGF mixture of the per-pair scores log(row_j / row_i) with base row_i,
+    one component per off-diagonal pair the law charges; None when only
+    diagonal mass remains."""
+    i, j = np.nonzero((weights != 0) & ~np.eye(len(weights), dtype=bool))
+    if i.size == 0:
+        return None
+    return Mixture(zip(weights[i, j], ch.rows[i], ch.pair_scores[i, j]))
 
 
 def _channel_branch_beta(ch: Channel, law: ChannelPairLaw, kappa_alpha: float) -> float:
     """kappa_beta of the channel test at the given type-I exponent, for one law."""
-    components = _law_mixture(ch, law.probs)
-    if components is None:
+    mix = _law_mixture(ch, law.probs)
+    if mix is None:
         return 0.0
-    return _invert_boundary(components, kappa_alpha)
+    return _invert_boundary(mix, kappa_alpha)
 
 
 def best_channel_branch(ch: Channel, kappa_alpha: float,

@@ -1,8 +1,11 @@
 """Log moment generating functions and their Legendre-Fenchel conjugates.
 
 A ScoredPmf pairs a finite PMF with a real (possibly extended-real) score per
-symbol. The conjugate is computed by root-finding on the tilted mean, which is
-strictly increasing in the tilt, rather than by direct 1-D maximization.
+symbol. Every log-MGF, tilted mean, conjugate and boundary inversion in the
+package evaluates a Mixture: weighted log-MGFs sharing one tilt, stored as one
+padded component array. The conjugate is computed by root-finding on the
+tilted mean, which is strictly increasing in the tilt, rather than by direct
+1-D maximization.
 """
 
 from __future__ import annotations
@@ -59,6 +62,103 @@ class ConjugateResult:
         return self.value
 
 
+@dataclass(frozen=True)
+class Mixture:
+    """Weighted sum of log-MGFs sharing one tilt: psi(lam) = sum_k w_k psi_k(lam).
+
+    Built from (weight, probs, finite-on-support scores) components of any
+    lengths (probs may be sub-PMFs) and stored as w (K,), p (K, m) and
+    f (K, m). Every atom with zero mass, padded or not, repeats a live score of
+    its own row, so each row's min, max and log-sum-exp shift are those of
+    its support.
+    """
+
+    w: np.ndarray
+    p: np.ndarray
+    f: np.ndarray
+
+    def __init__(self, components) -> None:
+        comps = [(float(wk), np.asarray(pk, dtype=float),
+                  np.asarray(fk, dtype=float)) for wk, pk, fk in components]
+        if not comps:
+            raise InputError("mixture has no components")
+        m = max(pk.size for _, pk, _ in comps)
+        p = np.zeros((len(comps), m))
+        f = np.empty((len(comps), m))
+        for k, (_, pk, fk) in enumerate(comps):
+            live = pk > 0
+            if not np.any(live) or not np.all(np.isfinite(fk[live])):
+                raise InputError("mixture components need mass and finite "
+                                 "scores on their support")
+            p[k, :pk.size] = pk
+            # zero-mass atoms, padded or not, repeat the first live score
+            f[k] = fk[live][0]
+            f[k, :pk.size][live] = fk[live]
+        w = np.array([wk for wk, _, _ in comps])
+        for name, arr in (("w", w), ("p", p), ("f", f)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def tilt(self, lam: float) -> tuple[float, float]:
+        """(psi(lam), psi'(lam)) from one tilt, each row shifted by its
+        largest exponent."""
+        shift = lam * self.f
+        top = shift.max(axis=1)
+        t = self.p * np.exp(shift - top[:, None])
+        mass = t.sum(axis=1)
+        psi = np.sum(self.w * (top + np.log(mass)))
+        dpsi = np.sum(self.w * (np.sum(t * self.f, axis=1) / mass))
+        return float(psi), float(dpsi)
+
+    def conjugate(self, theta: float, lam_lo: float | None = None) -> ConjugateResult:
+        """sup_lam theta*lam - psi(lam), with the tilt bounded below by
+        `lam_lo` when negative tilts are inadmissible."""
+        fmin_k, fmax_k = self.f.min(axis=1), self.f.max(axis=1)
+        fmin, fmax = np.sum(self.w * fmin_k), np.sum(self.w * fmax_k)
+        if fmax == fmin:
+            # constant effective score: psi is linear, conjugate degenerates
+            if theta == fmin:
+                return ConjugateResult(0.0, 0.0, True)
+            lim = -np.sum(self.w * np.log(self.p.sum(axis=1)))
+            return ConjugateResult(float(lim),
+                                   np.copysign(np.inf, theta - fmin), True)
+        if theta >= fmax or (theta <= fmin and lam_lo is None):
+            # limit as lam -> +/-inf: -sum_k w_k log P_k(argmax / argmin set),
+            # positive since every row's extremes are live scores
+            side, ext = (1.0, fmax_k) if theta >= fmax else (-1.0, fmin_k)
+            masses = np.where(np.isclose(self.f, ext[:, None]), self.p,
+                              0.0).sum(axis=1)
+            return ConjugateResult(float(-np.sum(self.w * np.log(masses))),
+                                   side * np.inf, True)
+
+        floor = lam_lo if lam_lo is not None else -np.inf
+        lo, hi = max(-1.0, floor), 1.0
+        tilt = functools.cache(self.tilt)
+
+        def g(lam: float) -> float:
+            return tilt(lam)[1] - theta
+
+        # grow the bracket geometrically until psi' straddles theta
+        while g(lo) > 0.0 and lo > max(-LAMBDA_CAP, floor):
+            lo = max(lo * 2.0 if lo < 0 else -1.0, max(-LAMBDA_CAP, floor))
+            if lo == floor:
+                break
+        while g(hi) < 0.0 and hi < LAMBDA_CAP:
+            hi = min(hi * 2.0, LAMBDA_CAP)
+        if g(lo) > 0.0:
+            # theta below the attainable tilted-mean range on [floor, cap]
+            lam, converged = lo, lam_lo is not None
+        elif g(hi) < 0.0:
+            lam, converged = hi, False
+        else:
+            # the width stop ends a 2 * LAMBDA_CAP bracket within ~65 halvings
+            lam = bisect_monotone(g, lo, hi, tol=THETA_RESIDUAL_TOL, xtol=1e-13,
+                                  max_iter=300)
+            converged = True
+        value = theta * lam - tilt(lam)[0]
+        return ConjugateResult(value, lam, converged)
+
+
 def log_mgf(sp: ScoredPmf, lam: float) -> float:
     """psi(lam) = log E[exp(lam * f(Z))] in nats; psi(0) = 0 exactly."""
     if np.isnan(lam):
@@ -76,7 +176,7 @@ def log_mgf(sp: ScoredPmf, lam: float) -> float:
     # infinite scores on the vanishing side contribute zero weight
     if not np.any(finite):
         return float("-inf")
-    return _mix_log_mgf([(1.0, p[finite], f[finite])], lam)
+    return Mixture([(1.0, p[finite], f[finite])]).tilt(lam)[0]
 
 
 def tilted_mean(sp: ScoredPmf, lam: float) -> float:
@@ -84,86 +184,7 @@ def tilted_mean(sp: ScoredPmf, lam: float) -> float:
     p, f = sp.effective()
     if not np.all(np.isfinite(f)):
         raise InputError("tilted_mean requires finite scores")
-    return _mix_tilted_mean([(1.0, p, f)], lam)
-
-
-def _mix_tilted_mean(components, lam: float) -> float:
-    """sum_k w_k psi_k'(lam) over (weight, probs, finite scores) components."""
-    total = 0.0
-    for w, p, f in components:
-        shift = lam * f
-        t = p * np.exp(shift - shift.max())
-        total += w * float(np.sum(t * f) / t.sum())
-    return total
-
-
-def _mix_log_mgf(components, lam: float) -> float:
-    """sum_k w_k psi_k(lam) over (weight, probs, finite scores) components,
-    each log-MGF shifted by its largest exponent."""
-    total = 0.0
-    for w, p, f in components:
-        shift = lam * f
-        m = shift.max()
-        total += w * float(m + np.log(np.sum(p * np.exp(shift - m))))
-    return total
-
-
-def _conjugate_finite(components, theta: float,
-                      lam_lo: float | None = None) -> ConjugateResult:
-    """sup_lam theta*lam - sum_k w_k psi_k(lam) for finite-score components.
-
-    `components` is a list of (weight, probs, scores) with probs not
-    necessarily normalized (sub-PMFs allowed). `lam_lo` restricts the tilt
-    from below (used when negative tilts are inadmissible).
-    """
-    fmin = sum(w * np.min(f) for w, p, f in components)
-    fmax = sum(w * np.max(f) for w, p, f in components)
-    if fmax == fmin:
-        # constant effective score: psi is linear, conjugate degenerates
-        if theta == fmin:
-            return ConjugateResult(0.0, 0.0, True)
-        lim = -sum(w * np.log(p.sum()) for w, p, f in components)
-        return ConjugateResult(lim, np.copysign(np.inf, theta - fmin), True)
-    if theta >= fmax:
-        # limiting value as lam -> +inf: -sum w log P(argmax set)
-        masses = [float(p[np.isclose(f, np.max(f))].sum()) for w, p, f in components]
-        if any(m == 0.0 for m in masses):
-            return ConjugateResult(float("inf"), float("inf"), True)
-        value = -sum(w * np.log(m) for (w, p, f), m in zip(components, masses))
-        return ConjugateResult(value, float("inf"), True)
-    if theta <= fmin and (lam_lo is None):
-        masses = [float(p[np.isclose(f, np.min(f))].sum()) for w, p, f in components]
-        if any(m == 0.0 for m in masses):
-            return ConjugateResult(float("inf"), float("-inf"), True)
-        value = -sum(w * np.log(m) for (w, p, f), m in zip(components, masses))
-        return ConjugateResult(value, float("-inf"), True)
-
-    floor = lam_lo if lam_lo is not None else -np.inf
-    lo, hi = max(-1.0, floor), 1.0
-
-    @functools.cache
-    def g(lam: float) -> float:
-        return _mix_tilted_mean(components, lam) - theta
-
-    # grow the bracket geometrically until psi' straddles theta
-    while g(lo) > 0.0 and lo > max(-LAMBDA_CAP, floor):
-        lo = max(lo * 2.0 if lo < 0 else -1.0, max(-LAMBDA_CAP, floor))
-        if lo == floor:
-            break
-    while g(hi) < 0.0 and hi < LAMBDA_CAP:
-        hi = min(hi * 2.0, LAMBDA_CAP)
-    if g(lo) > 0.0:
-        # theta below the attainable tilted-mean range on [floor, cap]
-        lam, converged = lo, lam_lo is not None
-    elif g(hi) < 0.0:
-        lam, converged = hi, False
-    else:
-        # the width stop ends a 2 * LAMBDA_CAP bracket within ~65 halvings
-        lam = bisect_monotone(g, lo, hi, tol=THETA_RESIDUAL_TOL, xtol=1e-13,
-                              max_iter=300)
-        converged = True
-    value = theta * lam - _mix_log_mgf(components, lam)
-    return ConjugateResult(value, lam, converged)
+    return Mixture([(1.0, p, f)]).tilt(lam)[1]
 
 
 def conjugate(sp: ScoredPmf, theta: float) -> ConjugateResult:
@@ -191,14 +212,17 @@ def conjugate(sp: ScoredPmf, theta: float) -> ConjugateResult:
         return ConjugateResult(res.value, -res.maximizer, res.converged)
     if has_neg:
         finite = np.isfinite(f)
-        sub = [(1.0, p[finite], f[finite])]
-        interior = _conjugate_finite(sub, theta, lam_lo=0.0)
+        if not np.any(finite):
+            # psi = log 0 for every lam > 0
+            return ConjugateResult(float("inf"), float("inf"), True)
+        interior = Mixture([(1.0, p[finite], f[finite])]).conjugate(
+            theta, lam_lo=0.0)
         # lam -> 0+ drops the -inf atoms: value -log(sub-mass); lam = 0 gives 0
         at_zero_plus = -float(np.log(p[finite].sum()))
         if at_zero_plus >= interior.value:
             return ConjugateResult(at_zero_plus, 0.0, True)
         return interior
-    return _conjugate_finite([(1.0, p, f)], theta)
+    return Mixture([(1.0, p, f)]).conjugate(theta)
 
 
 def conjugate_mixture(scored: list[ScoredPmf], weights, theta: float) -> ConjugateResult:
@@ -213,17 +237,10 @@ def conjugate_mixture(scored: list[ScoredPmf], weights, theta: float) -> Conjuga
         raise InputError("weights must be non-negative, one per component")
     if abs(w.sum() - 1.0) > 1e-9:
         raise InputError("weights must sum to 1")
-    components = []
-    for wk, sp in zip(w, scored):
-        if wk == 0:
-            continue
-        p, f = sp.effective()
-        if not np.all(np.isfinite(f)):
-            raise InputError("conjugate_mixture requires finite scores")
-        components.append((float(wk), p, f))
+    components = [(wk, *sp.effective()) for wk, sp in zip(w, scored) if wk != 0]
     if not components:
         raise InputError("all mixture weights are zero")
-    return _conjugate_finite(components, theta)
+    return Mixture(components).conjugate(theta)
 
 
 def loglik_scores(p: Pmf, q: Pmf) -> ScoredPmf:

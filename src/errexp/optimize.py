@@ -23,7 +23,6 @@ class GridSpec:
 
     dimension: int
     resolution: int  # denominator k
-    refinement_steps: int = 20
 
     def __post_init__(self) -> None:
         if self.dimension < 1 or self.resolution < 1:

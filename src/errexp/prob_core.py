@@ -7,6 +7,7 @@ are representable and propagate (p*log(p/0) = +inf, 0*log(0/q) = 0).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -63,17 +64,6 @@ class Pmf:
     def prob(self, symbol) -> float:
         return float(self.probs[self.index(symbol)])
 
-    @property
-    def support(self) -> np.ndarray:
-        return self.probs > 0
-
-    def renormalized(self) -> "Pmf":
-        """Explicit renormalization; never done silently elsewhere."""
-        total = self.probs.sum()
-        if total <= 0:
-            raise InputError("cannot renormalize an all-zero vector")
-        return Pmf(self.alphabet, self.probs / total)
-
     @staticmethod
     def uniform(alphabet: Sequence) -> "Pmf":
         alphabet = tuple(alphabet)
@@ -122,13 +112,6 @@ class JointPmf:
         labels = tuple((r, c) for r in self.row_alphabet for c in self.col_alphabet)
         return Pmf(labels, self.probs.reshape(-1))
 
-    def conditional_rows(self) -> "Channel":
-        """P(col | row); rows with zero marginal become uniform."""
-        marg = self.probs.sum(axis=1, keepdims=True)
-        rows = np.where(marg > 0, self.probs / np.where(marg > 0, marg, 1.0),
-                        1.0 / len(self.col_alphabet))
-        return Channel(self.row_alphabet, self.col_alphabet, rows)
-
     @staticmethod
     def product(row: Pmf, col: Pmf) -> "JointPmf":
         return JointPmf(row.alphabet, col.alphabet, np.outer(row.probs, col.probs))
@@ -160,10 +143,6 @@ class Channel:
         object.__setattr__(self, "output_alphabet", output_alphabet)
         object.__setattr__(self, "rows", arr)
 
-    def row(self, symbol) -> Pmf:
-        idx = self.input_alphabet.index(symbol)
-        return Pmf(self.output_alphabet, self.rows[idx])
-
     def row_at(self, idx: int) -> Pmf:
         return Pmf(self.output_alphabet, self.rows[idx])
 
@@ -183,10 +162,17 @@ class Channel:
                     return (self.input_alphabet[i], self.input_alphabet[j])
         return None
 
-    def output_distribution(self, input_pmf: Pmf) -> Pmf:
-        if input_pmf.alphabet != self.input_alphabet:
-            raise InputError("input PMF alphabet does not match channel input alphabet")
-        return Pmf(self.output_alphabet, input_pmf.probs @ self.rows)
+    @functools.cached_property
+    def pair_scores(self) -> np.ndarray:
+        """S[i, j, y] = log W(y|j) - log W(y|i): 0 where both rows vanish,
+        -inf where only row j does and +inf where only row i does."""
+        live = self.rows > 0
+        logw = np.log(np.where(live, self.rows, 1.0))
+        scores = logw[None, :, :] - logw[:, None, :]
+        scores[live[:, None] & ~live[None, :]] = -np.inf
+        scores[~live[:, None] & live[None, :]] = np.inf
+        scores.flags.writeable = False
+        return scores
 
     @staticmethod
     def bsc(p: float) -> "Channel":

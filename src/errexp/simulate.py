@@ -97,11 +97,12 @@ def np_decide(seq, p: Pmf, q: Pmf, theta: float) -> str:
     """Neyman-Pearson threshold test; returns "H1" iff the accumulated
     log-likelihood ratio reaches n*theta (ties decide H1)."""
     scores = _llr_vector(p, q)
+    seq = tuple(seq)
     counts = np.zeros(len(p), dtype=np.int64)
     for z in seq:
         counts[p.index(z)] += 1
     stat = _count_scores(counts[None, :], scores)[0]
-    return "H1" if stat >= len(tuple(seq)) * theta else "H0"
+    return "H1" if stat >= len(seq) * theta else "H0"
 
 
 def build_type_sequences(law: ChannelPairLaw, n: int):
@@ -216,13 +217,7 @@ def _channel_stat(rng: np.random.Generator, ch: Channel,
     stat = np.zeros(n_trials)
     rows = ch.rows
     for a, b, count in classes:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = np.where(
-                (rows[a] == 0) & (rows[b] == 0), 0.0,
-                np.log(np.where(rows[b] > 0, rows[b], 1.0))
-                - np.log(np.where(rows[a] > 0, rows[a], 1.0)))
-        score = np.where((rows[a] > 0) & (rows[b] == 0), -np.inf, score)
-        score = np.where((rows[a] == 0) & (rows[b] > 0), np.inf, score)
+        score = ch.pair_scores[a, b]
         for transmit_b in (False, True):
             mask = transmit_prime == transmit_b
             m = int(np.count_nonzero(mask))

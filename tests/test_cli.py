@@ -54,6 +54,25 @@ class TestLoadModel:
         bad.write_text("{not json")
         assert main(["region", str(bad), "--kind", "direct"]) == 2
 
+    @pytest.mark.parametrize("model, command, options", [
+        (dict(BERN, channel={"input_alphabet": ["0", "1"],
+                             "output_alphabet": ["0", "1"]}),
+         "region", ["--kind", "direct"]),
+        ([BERN], "region", ["--kind", "direct"]),
+        (BERN, "region", ["--kind", "direct", "--points", "0"]),
+        (BERN, "region", ["--kind", "direct", "--kappa-grid", "abc"]),
+        (BERN, "simulate", ["--n-grid", "10,x"]),
+    ], ids=["channel-without-rows", "json-list", "zero-points",
+            "bad-kappa-grid", "bad-n-grid"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, model, command,
+                                     options):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main([command, str(path), "--out", str(tmp_path / "x.csv")]
+                    + options) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_non_stochastic_rejected(self, tmp_path):
         spec = dict(BERN, p_uv=[["0.5"], ["0.6"]])
         path = tmp_path / "bad2.json"

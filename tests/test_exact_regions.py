@@ -202,6 +202,33 @@ class TestChannelBranchAtZero:
                 kl_divergence(ch.row_at(0), ch.row_at(1)), abs=1e-12)
 
 
+class TestChannelPointMatchesBranch:
+    """channel_region_point and the remote-HT branch read one mixture: at
+    the point's kappa_alpha the branch gives the point's kappa_beta."""
+
+    def test_laws_with_diagonal_mass(self):
+        from errexp.exact_regions import _channel_branch_beta
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            ch = Channel((0, 1, 2), (0, 1, 2),
+                         (rng.dirichlet(np.ones(3), size=3) + 0.05) / 1.15)
+            w = rng.dirichlet(np.ones(9)).reshape(3, 3)
+            w[np.diag_indices(3)] += 0.2
+            law = ChannelPairLaw.from_matrix(ch.input_alphabet, w / w.sum())
+            d_min, d_max = channel_d_bounds(ch, law)
+            for t in (0.1, 0.5, 0.9):
+                pt = channel_region_point(ch, law, -d_min + t * (d_min + d_max))
+                assert _channel_branch_beta(ch, law, pt.kappa_alpha) == \
+                    pytest.approx(pt.kappa_beta, abs=1e-9)
+
+    def test_diagonal_only_law_gives_zero(self, bsc35):
+        from errexp.exact_regions import _channel_branch_beta
+        law = ChannelPairLaw.from_matrix((0, 1), [[0.3, 0.0], [0.0, 0.7]])
+        pt = channel_region_point(bsc35, law, 0.0)
+        assert (pt.kappa_alpha, pt.kappa_beta) == (0.0, 0.0)
+        assert _channel_branch_beta(bsc35, law, 0.01) == 0.0
+
+
 class TestDeadOutputSymbol:
     """An output symbol that no input can produce changes nothing."""
 

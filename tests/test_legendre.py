@@ -4,6 +4,7 @@ import pytest
 from errexp import (InputError, Pmf, ScoredPmf, conjugate, conjugate_mixture,
                     kl_divergence, llr_interval, log_mgf, loglik_scores,
                     tilted_mean)
+from errexp.legendre import Mixture
 from conftest import dense_grid_conjugate, random_pmf
 
 
@@ -95,6 +96,12 @@ class TestConjugate:
         assert below.value == pytest.approx(-np.log(0.25))
         assert below.maximizer == float("-inf")
 
+    def test_only_vanishing_supported_scores_give_infinity(self):
+        # psi = log 0 for every lam > 0, so the supremum is +inf
+        sp = loglik_scores(Pmf((0, 1), [1.0, 0.0]), Pmf((0, 1), [0.0, 1.0]))
+        res = conjugate(sp, 0.3)
+        assert res.value == float("inf") and res.maximizer == float("inf")
+
     def test_convex_and_nonnegative(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -140,6 +147,42 @@ class TestConjugateMixture:
             conjugate_mixture([sp, sp], [0.7, 0.7], 0.0)
         with pytest.raises(InputError):
             conjugate_mixture([sp], [-1.0], 0.0)
+
+
+class TestMixturePadding:
+    """Components of unequal length: the shorter row is padded with one of
+    its own live scores, so its min and max are those of its support (a pad
+    score of 0 would lower the positive-only row's min from 0.5 to 0)."""
+
+    SHORT = scored([0.3, 0.7], [0.5, 1.5])
+    LONG = scored([0.2, 0.5, 0.3], [-2.0, 0.1, 1.0])
+    W = (0.4, 0.6)
+    FMIN = 0.4 * 0.5 + 0.6 * -2.0
+    FMAX = 0.4 * 1.5 + 0.6 * 1.0
+
+    def test_storage(self):
+        mix = Mixture([(w, *sp.effective())
+                       for w, sp in zip(self.W, (self.SHORT, self.LONG))])
+        assert mix.p.tolist() == [[0.3, 0.7, 0.0], [0.2, 0.5, 0.3]]
+        assert mix.f[0, 2] in (0.5, 1.5)
+
+    def test_interior_vs_dense_grid(self):
+        lams = np.arange(-20.0, 20.0 + 1e-4, 1e-4)
+        psi = sum(w * np.log(np.exp(np.outer(lams, sp.scores))
+                             @ sp.base.probs)
+                  for w, sp in zip(self.W, (self.SHORT, self.LONG)))
+        for theta in (-0.6, 0.0, 0.5, 1.0):
+            value = conjugate_mixture([self.SHORT, self.LONG], self.W, theta)
+            assert value.value == pytest.approx(
+                float(np.max(theta * lams - psi)), abs=1e-6)
+
+    def test_score_range_limits(self):
+        lo = conjugate_mixture([self.SHORT, self.LONG], self.W, self.FMIN)
+        assert lo.value == -(0.4 * np.log(0.3) + 0.6 * np.log(0.2))
+        assert lo.maximizer == float("-inf")
+        hi = conjugate_mixture([self.SHORT, self.LONG], self.W, self.FMAX)
+        assert hi.value == -(0.4 * np.log(0.7) + 0.6 * np.log(0.3))
+        assert hi.maximizer == float("inf")
 
 
 class TestLoglikScores:

@@ -56,6 +56,15 @@ class TestChannel:
         assert not ident.absolutely_continuous
         assert ident.violating_row_pair() == (0, 1)
 
+    def test_pair_scores(self):
+        ch = Channel((0, 1), (0, 1, 2), [[0.5, 0.5, 0.0], [0.25, 0.0, 0.75]])
+        s = ch.pair_scores
+        assert s.shape == (2, 2, 3)
+        assert s[0, 1].tolist() == [np.log(0.25) - np.log(0.5), -np.inf, np.inf]
+        assert s[1, 0].tolist() == [np.log(0.5) - np.log(0.25), np.inf, -np.inf]
+        assert s[0, 0].tolist() == [0.0, 0.0, 0.0]
+        assert s[1, 1].tolist() == [0.0, 0.0, 0.0]
+
 
 class TestKlDivergence:
     def test_identity_is_zero(self):

@@ -25,6 +25,11 @@ class TestNpDecide:
                 expect = "H1" if scores[symbol] >= theta else "H0"
                 assert np_decide([symbol], P58, Q58, theta) == expect
 
+    def test_iterator_decides_like_list(self):
+        for theta in (-1.0, -0.2, 0.0, 0.5):
+            assert np_decide(iter([0, 0, 0, 0]), P58, Q58, theta) == \
+                np_decide([0, 0, 0, 0], P58, Q58, theta)
+
     def test_dead_symbol_rejected(self):
         p = Pmf((0, 1), [1.0, 0.0])
         with pytest.raises(InputError):
