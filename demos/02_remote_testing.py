@@ -13,7 +13,6 @@ import numpy as np
 from errexp import (Channel, ChannelPairLaw, Pmf, channel_d_bounds,
                     channel_max_divergence, channel_region_point, kappa0,
                     kl_divergence, rht_tradeoff)
-from errexp.exact_regions import LawSearchConfig
 
 p = Pmf((0, 1), [0.5, 0.5])
 q = Pmf((0, 1), [0.2, 0.8])
@@ -35,18 +34,18 @@ for theta in (-d_min + 1e-6, 0.0, d_max - 1e-6):
     print(f"theta = {theta:+.6f}  ->  "
           f"kappa_alpha = {pt.kappa_alpha:.6f}  kappa_beta = {pt.kappa_beta:.6f}")
 
-# The full trade-off maximizes over transmitted-pair laws (simplex grid plus
-# pattern search) and couples the two branches through a shared kappa_alpha.
-search = LawSearchConfig(grid_resolution=10, pattern_min_step=1e-3)
+# The full trade-off maximizes over transmitted-pair laws, a maximum attained
+# by a point mass on one input pair, and couples the two branches through a
+# shared kappa_alpha.
 print("\nremote trade-off (max over pair laws):")
 print("  kappa_alpha  kappa_beta")
 for ka in (1e-4, 0.005, 0.02, 0.05, 0.10):
-    kb = rht_tradeoff(p, q, ch, ka, search)
+    kb = rht_tradeoff(p, q, ch, ka)
     print(f"  {ka:11.4f}  {kb:10.6f}")
 
 # Sanity: the remote region is inside the direct region of the source pair,
 # so the remote kappa_beta never exceeds the direct one.
 from errexp import direct_tradeoff
 for ka in (0.005, 0.02, 0.05):
-    assert rht_tradeoff(p, q, ch, ka, search) <= direct_tradeoff(p, q, ka) + 1e-9
+    assert rht_tradeoff(p, q, ch, ka) <= direct_tradeoff(p, q, ka) + 1e-9
 print("containment in the direct region verified")

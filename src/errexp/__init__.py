@@ -38,7 +38,6 @@ from .exact_regions import (
     ExponentPoint,
     TradeoffCurve,
     ChannelPairLaw,
-    LawSearchConfig,
     direct_region_point,
     direct_tradeoff,
     direct_curve,
@@ -91,7 +90,7 @@ __all__ = [
     "empirical_type",
     "ScoredPmf", "ConjugateResult", "log_mgf", "tilted_mean", "conjugate",
     "conjugate_mixture", "loglik_scores", "llr_interval",
-    "ExponentPoint", "TradeoffCurve", "ChannelPairLaw", "LawSearchConfig",
+    "ExponentPoint", "TradeoffCurve", "ChannelPairLaw",
     "direct_region_point", "direct_tradeoff", "direct_curve",
     "channel_d_bounds", "channel_region_point", "channel_max_divergence",
     "best_channel_branch", "rht_tradeoff", "kappa0",

@@ -21,9 +21,9 @@ from . import __version__
 from .dht_bounds import (AuxiliaryDesign, DhtSearchConfig, SourceModel,
                          compare_schemes, jhtcc_uncoded_opt, shtcc_tad,
                          shtcc_tai)
-from .exact_regions import (ChannelPairLaw, LawSearchConfig,
-                            channel_max_divergence, channel_region_point,
-                            direct_tradeoff, rht_tradeoff)
+from .exact_regions import (ChannelPairLaw, channel_max_divergence,
+                            channel_region_point, direct_tradeoff,
+                            rht_tradeoff)
 from .exceptions import (BracketError, ConvergenceError, DomainError,
                          ErrexpError, EstimationError, InputError)
 from .legendre import conjugate, loglik_scores
@@ -172,8 +172,12 @@ def _number_list(text: str, convert, option: str) -> list:
 
 def _kappa_grid(args, upper: float) -> list[float]:
     if args.kappa_grid:
-        return _number_list(args.kappa_grid, lambda v: float(Decimal(v)),
-                            "--kappa-grid")
+        kappas = _number_list(args.kappa_grid, lambda v: float(Decimal(v)),
+                              "--kappa-grid")
+        if not np.all(np.isfinite(kappas)):
+            raise InputError(
+                f"--kappa-grid: values must be finite, got {args.kappa_grid!r}")
+        return kappas
     points = args.points
     if not np.isfinite(upper) or upper <= 0:
         return []
@@ -227,9 +231,8 @@ def cmd_region(args) -> int:
         if upper <= 0:
             print("warning: degenerate model, empty positive boundary",
                   file=sys.stderr)
-        law_cfg = LawSearchConfig(grid_resolution=args.grid)
         for ka in _kappa_grid(args, upper):
-            kb = rht_tradeoff(p, q, model.channel, ka, law_cfg)
+            kb = rht_tradeoff(p, q, model.channel, ka)
             rows.append([ka, kb, "", "", "rht"])
     header = _manifest_lines("region", model, {
         "kind": args.kind, "points": args.points, "grid": args.grid,
@@ -344,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         p.add_argument("--json", default=None, help="mirror rows to a JSON file")
         p.add_argument("--grid", type=int, default=10,
-                       help="simplex grid resolution for design searches")
+                       help="simplex grid resolution of the bounds design "
+                            "searches; region only records it in the "
+                            "manifest and simulate ignores it")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--points", type=int, default=25,
                        help="number of kappa_alpha grid points")

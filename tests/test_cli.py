@@ -62,8 +62,12 @@ class TestLoadModel:
         (BERN, "region", ["--kind", "direct", "--points", "0"]),
         (BERN, "region", ["--kind", "direct", "--kappa-grid", "abc"]),
         (BERN, "simulate", ["--n-grid", "10,x"]),
+        (BERN, "region", ["--kind", "direct", "--kappa-grid=nan"]),
+        (BERN, "region", ["--kind", "direct", "--kappa-grid=0.01,inf"]),
+        (BERN, "bounds", ["--scheme", "shtcc", "--kappa-grid=-inf"]),
     ], ids=["channel-without-rows", "json-list", "zero-points",
-            "bad-kappa-grid", "bad-n-grid"])
+            "bad-kappa-grid", "bad-n-grid", "nan-kappa-grid",
+            "inf-kappa-grid", "minus-inf-kappa-grid"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, model, command,
                                      options):
         path = tmp_path / "model.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from errexp import (Channel, ChannelPairLaw, DomainError, ExponentPoint,
-                    InputError, JointPmf, LawSearchConfig, Pmf, TradeoffCurve,
+                    InputError, JointPmf, Pmf, TradeoffCurve,
                     best_channel_branch, channel_d_bounds,
                     channel_max_divergence, channel_region_point, direct_curve,
                     direct_region_point, direct_tradeoff, kappa0,
@@ -13,8 +13,6 @@ from conftest import dense_grid_conjugate
 
 P58 = Pmf((0, 1), [0.5, 0.5])
 Q58 = Pmf((0, 1), [0.2, 0.8])
-
-FAST_SEARCH = LawSearchConfig(grid_resolution=8, pattern_min_step=1e-3)
 
 
 class TestDirectRegionPoint:
@@ -145,7 +143,7 @@ class TestRhtTradeoff:
             rht_tradeoff(P58, Q58, bsc35, 0.0)
 
     def test_near_stein_corner(self, bsc35):
-        value = rht_tradeoff(P58, Q58, bsc35, 1e-3, FAST_SEARCH)
+        value = rht_tradeoff(P58, Q58, bsc35, 1e-3)
         corner = kappa0(P58, Q58, bsc35)
         assert value <= corner + 1e-9
         assert value >= corner - 0.06
@@ -153,7 +151,7 @@ class TestRhtTradeoff:
     def test_near_noiseless_channel_reduces_to_direct(self):
         ch = Channel.bsc(1e-4)
         ka = 0.05
-        assert rht_tradeoff(P58, Q58, ch, ka, FAST_SEARCH) == pytest.approx(
+        assert rht_tradeoff(P58, Q58, ch, ka) == pytest.approx(
             direct_tradeoff(P58, Q58, ka), abs=1e-12)
 
     def test_exact_noiseless_channel_rejected(self):
@@ -162,16 +160,16 @@ class TestRhtTradeoff:
 
     def test_dominated_by_both_branches(self, bsc35):
         for ka in (0.005, 0.02):
-            value = rht_tradeoff(P58, Q58, bsc35, ka, FAST_SEARCH)
+            value = rht_tradeoff(P58, Q58, bsc35, ka)
             assert value <= direct_tradeoff(P58, Q58, ka) + 1e-9
-            channel_sup, _ = best_channel_branch(bsc35, ka, FAST_SEARCH)
+            channel_sup, _ = best_channel_branch(bsc35, ka)
             assert value <= channel_sup + 1e-9
 
     def test_exhaustive_grid_oracle(self, bsc35):
         """Cross-check against a brute-force sweep over pair laws and
         thresholds at kappa_alpha = 0.01."""
         ka = 0.01
-        value = rht_tradeoff(P58, Q58, bsc35, ka, FAST_SEARCH)
+        value = rht_tradeoff(P58, Q58, bsc35, ka)
         # oracle: the source branch is law-free; the channel branch is scanned
         # over a fine law grid with theta resolved by the same exact inversion
         # identity kappa_beta = kappa_alpha - theta1 at psi*(theta1)=kappa_alpha.
@@ -186,7 +184,7 @@ class TestRhtTradeoff:
 
     def test_kappa_above_both_branches_returns_zero(self, bsc35):
         big = kl_divergence(Q58, P58) * 2
-        assert rht_tradeoff(P58, Q58, bsc35, big, FAST_SEARCH) == 0.0
+        assert rht_tradeoff(P58, Q58, bsc35, big) == 0.0
 
 
 class TestChannelBranchAtZero:
@@ -239,14 +237,60 @@ class TestDeadOutputSymbol:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for ka in (0.01, 0.03):
-                dead_val, dead_law = best_channel_branch(self.DEAD, ka,
-                                                         FAST_SEARCH)
-                live_val, live_law = best_channel_branch(self.LIVE, ka,
-                                                         FAST_SEARCH)
+                dead_val, dead_law = best_channel_branch(self.DEAD, ka)
+                live_val, live_law = best_channel_branch(self.LIVE, ka)
                 assert np.isfinite(dead_val) and dead_val == live_val
                 assert np.array_equal(dead_law.probs, live_law.probs)
-                assert (rht_tradeoff(P58, Q58, self.DEAD, ka, FAST_SEARCH)
-                        == rht_tradeoff(P58, Q58, self.LIVE, ka, FAST_SEARCH))
+                assert (rht_tradeoff(P58, Q58, self.DEAD, ka)
+                        == rht_tradeoff(P58, Q58, self.LIVE, ka))
+
+
+class TestBestChannelBranch:
+    """The channel branch is a maximum over point-mass pair laws."""
+
+    @staticmethod
+    def channels():
+        rng = np.random.default_rng(23)
+        chans = [Channel((0, 1, 2), (0, 1, 2),
+                         (rng.dirichlet(np.ones(3), size=3) + 0.05) / 1.15)
+                 for _ in range(3)]
+        dead = np.zeros((3, 4))
+        dead[:, :3] = (rng.dirichlet(np.ones(3), size=3) + 0.05) / 1.15
+        return chans + [Channel((0, 1, 2), (0, 1, 2, 3), dead)]
+
+    def test_no_grid_law_beats_the_pair_maximum(self):
+        # the simplex sweep is an oracle only: 495 laws on the 9-simplex
+        from errexp.exact_regions import _channel_branch_beta
+        from errexp.optimize import GridSpec, simplex_grid
+        for ch in self.channels():
+            for ka in (0.005, 0.05):
+                value, law = best_channel_branch(ch, ka)
+                assert np.count_nonzero(law.probs) == 1
+                assert _channel_branch_beta(ch, law, ka) == value
+                for vec in simplex_grid(GridSpec(9, 4)):
+                    grid_law = ChannelPairLaw.from_matrix(ch.input_alphabet,
+                                                          vec.reshape(3, 3))
+                    assert _channel_branch_beta(ch, grid_law, ka) \
+                        <= value + 1e-12
+
+    def test_ties_keep_the_last_pair(self):
+        for ch in self.channels():
+            big = 2 * channel_max_divergence(ch)[0]
+            value, law = best_channel_branch(ch, big)
+            assert value == 0.0
+            assert law.probs[2, 2] == 1.0
+
+    def test_seven_inputs_take_the_pair_maximum(self):
+        rng = np.random.default_rng(29)
+        rows = (rng.dirichlet(np.ones(4), size=7) + 0.05) / 1.2
+        ch = Channel(tuple(range(7)), tuple(range(4)), rows)
+        for ka in (0.01, 0.1):
+            oracle = max((direct_tradeoff(ch.row_at(i), ch.row_at(j), ka),
+                          (i, j))
+                         for i in range(7) for j in range(7) if i != j)
+            value, law = best_channel_branch(ch, ka)
+            assert value == pytest.approx(oracle[0], abs=1e-12)
+            assert law.probs[oracle[1]] == 1.0
 
 
 class TestKappa0:
@@ -276,7 +320,7 @@ class TestCurves:
 
     def test_rht_curve_monotone(self, bsc35):
         kas = np.linspace(0.002, 0.05, 6)
-        kbs = [rht_tradeoff(P58, Q58, bsc35, float(k), FAST_SEARCH) for k in kas]
+        kbs = [rht_tradeoff(P58, Q58, bsc35, float(k)) for k in kas]
         assert all(b <= a + 1e-9 for a, b in zip(kbs, kbs[1:]))
 
 
