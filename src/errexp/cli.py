@@ -174,9 +174,9 @@ def _kappa_grid(args, upper: float) -> list[float]:
     if args.kappa_grid:
         kappas = _number_list(args.kappa_grid, lambda v: float(Decimal(v)),
                               "--kappa-grid")
-        if not np.all(np.isfinite(kappas)):
-            raise InputError(
-                f"--kappa-grid: values must be finite, got {args.kappa_grid!r}")
+        if not all(0.0 <= k < np.inf for k in kappas):
+            raise InputError("--kappa-grid: values must be finite and "
+                             f"non-negative, got {args.kappa_grid!r}")
         return kappas
     points = args.points
     if not np.isfinite(upper) or upper <= 0:

@@ -18,6 +18,7 @@ from .channel_exponents import (InputDesign, _expurgation_terms,
                                 output_given_state, special_message_exponent,
                                 theta_bounds)
 from .exceptions import InputError
+from .legendre import Mixture
 from .optimize import (GridSpec, bisect_monotone, grid_then_pattern,
                        pattern_search, simplex_grid, simplex_grid_array)
 from .prob_core import (Channel, JointPmf, Pmf, capacity, kl_array,
@@ -112,26 +113,18 @@ class DhtSearchConfig:
 # KL-ball projection
 
 
-def _geometric_mixture(ref: np.ndarray, tgt: np.ndarray, mu: float) -> np.ndarray:
-    mask = (ref > 0) & (tgt > 0)
-    out = np.zeros_like(ref)
-    a = mu / (1.0 + mu)
-    with np.errstate(divide="ignore"):
-        logp = a * np.log(ref[mask]) + (1.0 - a) * np.log(tgt[mask])
-    logp -= np.max(logp)
-    p = np.exp(logp)
-    out[mask] = p / p.sum()
-    return out
-
-
 def _project_components(components: list[tuple[float, np.ndarray, np.ndarray]],
                         kappa_alpha: float) -> tuple[list[np.ndarray], float]:
     """Shared-multiplier KL-ball projection across weighted components.
 
     Minimizes sum_s w_s D(P_s || tgt_s) subject to
     sum_s w_s D(P_s || ref_s) <= kappa_alpha. A single Lagrange multiplier mu
-    serves every component; each component's optimum is then the geometric
-    mixture between its reference and target.
+    serves every component; each component's optimum is then the tilted law
+    P_s ~ ref_s exp(lam f_s), f_s = log(tgt_s / ref_s) on the common support,
+    at lam = 1 / (1 + mu), and the ball radius is lam psi'(lam) - psi(lam) of
+    the weighted CGF. The multiplier is bracketed by doubling up to a 1e12
+    cap and then bisected in mu = (1 - lam) / lam; that schedule fixes the
+    returned digits. The value is re-evaluated on the returned laws.
     """
     if kappa_alpha < 0:
         raise InputError("kappa_alpha must be non-negative")
@@ -141,48 +134,40 @@ def _project_components(components: list[tuple[float, np.ndarray, np.ndarray]],
     if kappa_alpha == 0:
         value = sum(w * kl_array(r, t) for w, r, t in comps)
         return [r.copy() for _, r, _ in comps], float(value)
-    for w, r, t in comps:
-        if not np.any((r > 0) & (t > 0)):
-            return [r.copy() for _, r, _ in comps], float("inf")
     # feasible supports: P_s must be << ref_s, and << tgt_s for finite value
-    kappa_min = sum(-w * np.log(r[(r > 0) & (t > 0)].sum()) for w, r, t in comps)
-    if kappa_alpha < kappa_min - 1e-12:
+    masks = [(r > 0) & (t > 0) for _, r, t in comps]
+    if not all(np.any(m) for m in masks):
+        return [r.copy() for _, r, _ in comps], float("inf")
+    mix = Mixture([(w, r[m], np.log(t[m]) - np.log(r[m]))
+                   for (w, r, t), m in zip(comps, masks)])
+    if kappa_alpha < -mix.tilt(0.0)[0] - 1e-12:
         return [r.copy() for _, r, _ in comps], float("inf")
 
     @functools.cache
-    def minimizers(mu: float) -> list[np.ndarray]:
-        return [_geometric_mixture(r, t, mu) for _, r, t in comps]
-
-    def ball_radius(ps: list[np.ndarray]) -> float:
-        return sum(w * kl_array(p, r) for (w, r, _), p in zip(comps, ps))
-
-    def value_of(ps: list[np.ndarray]) -> float:
-        return sum(w * kl_array(p, t) for (w, _, t), p in zip(comps, ps))
-
-    @functools.cache
     def gap(mu: float) -> float:
-        return ball_radius(minimizers(mu)) - kappa_alpha
+        lam = 1.0 / (1.0 + mu)
+        psi, dpsi = mix.tilt(lam)
+        return lam * dpsi - psi - kappa_alpha
 
-    if gap(0.0) <= 0.0:
-        free = minimizers(0.0)
-        return free, float(value_of(free))
-    lo, hi = 0.0, 1.0
-    while gap(hi) > 0.0 and hi < 1e12:
-        lo, hi = hi, hi * 2.0
-    # the radius falls in mu; past the 1e12 cap keep the last multiplier
-    mu = hi if gap(hi) > 0.0 else bisect_monotone(
-        gap, lo, hi, tol=BALL_ACTIVE_TOL, max_iter=200)
-    ps = minimizers(mu)
-    return ps, float(value_of(ps))
+    mu, lo, hi = 0.0, 0.0, 1.0
+    if gap(0.0) > 0.0:
+        while gap(hi) > 0.0 and hi < 1e12:
+            lo, hi = hi, hi * 2.0
+        # the radius falls in mu; past the 1e12 cap keep the last multiplier
+        mu = hi if gap(hi) > 0.0 else bisect_monotone(
+            gap, lo, hi, tol=BALL_ACTIVE_TOL, max_iter=200)
+    ps = [np.zeros_like(r) for _, r, _ in comps]
+    for p, m, row in zip(ps, masks, mix.tilted(1.0 / (1.0 + mu))):
+        p[m] = row[:m.sum()]
+    return ps, float(sum(w * kl_array(p, t) for (w, _, t), p in zip(comps, ps)))
 
 
 def kl_ball_projection(p_ref: JointPmf, q_target: JointPmf,
                        kappa_alpha: float) -> tuple[JointPmf, float]:
     """min over P of D(P || Q_target) subject to D(P || P_ref) <= kappa_alpha.
 
-    The minimizer lies on the geometric-mixture family between P_ref and
-    Q_target; the ball constraint is driven active within 1e-9 whenever it
-    binds.
+    The minimizer lies on the tilted family P_ref (Q_target / P_ref)^lam;
+    the ball constraint is driven active within 1e-9 whenever it binds.
     """
     if (p_ref.row_alphabet != q_target.row_alphabet
             or p_ref.col_alphabet != q_target.col_alphabet):

@@ -99,16 +99,26 @@ class Mixture:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    def _shifted(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's largest exponent top and p * exp(lam * f - top)."""
+        shift = lam * self.f
+        top = shift.max(axis=1)
+        return top, self.p * np.exp(shift - top[:, None])
+
     def tilt(self, lam: float) -> tuple[float, float]:
         """(psi(lam), psi'(lam)) from one tilt, each row shifted by its
         largest exponent."""
-        shift = lam * self.f
-        top = shift.max(axis=1)
-        t = self.p * np.exp(shift - top[:, None])
+        top, t = self._shifted(lam)
         mass = t.sum(axis=1)
         psi = np.sum(self.w * (top + np.log(mass)))
         dpsi = np.sum(self.w * (np.sum(t * self.f, axis=1) / mass))
         return float(psi), float(dpsi)
+
+    def tilted(self, lam: float) -> np.ndarray:
+        """The tilted laws p * exp(lam * f) / sum, one normalised row per
+        component; padded atoms keep mass zero."""
+        t = self._shifted(lam)[1]
+        return t / t.sum(axis=1, keepdims=True)
 
     def conjugate(self, theta: float, lam_lo: float | None = None) -> ConjugateResult:
         """sup_lam theta*lam - psi(lam), with the tilt bounded below by
@@ -126,8 +136,7 @@ class Mixture:
             # limit as lam -> +/-inf: -sum_k w_k log P_k(argmax / argmin set),
             # positive since every row's extremes are live scores
             side, ext = (1.0, fmax_k) if theta >= fmax else (-1.0, fmin_k)
-            masses = np.where(np.isclose(self.f, ext[:, None]), self.p,
-                              0.0).sum(axis=1)
+            masses = np.where(self.f == ext[:, None], self.p, 0.0).sum(axis=1)
             return ConjugateResult(float(-np.sum(self.w * np.log(masses))),
                                    side * np.inf, True)
 

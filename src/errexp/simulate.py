@@ -38,6 +38,8 @@ class SimConfig:
             raise InputError("blocklengths must be strictly increasing")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
+        if self.seed < 0:
+            raise InputError("seed must be non-negative")
         object.__setattr__(self, "blocklengths", ns)
 
 

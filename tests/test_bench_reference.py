@@ -1,10 +1,12 @@
 """The benchmark's committed reference rows, reproduced in process.
 
-Runs the ``rht3`` and ``shtcc`` commands of ``bench/workloads.py`` at the
-default seed through ``cli.main`` and checks the output the way the
-benchmark does: data rows against ``bench/reference/*.csv`` within 1e-9
-(achiever digests skipped) plus each workload's invariant. Between them the
-two commands exercise the conjugate and the remote-HT boundary inversion.
+Runs the ``rht3``, ``shtcc`` and ``schemes`` commands of
+``bench/workloads.py`` at the default seed through ``cli.main`` and checks
+the output the way the benchmark does: data rows against
+``bench/reference/*.csv`` within 1e-9 (achiever digests skipped) plus each
+workload's invariant. Between them the three commands exercise the
+conjugate, the remote-HT boundary inversion and the KL-ball projection
+behind the uncoded bound.
 """
 
 import importlib.util
@@ -34,7 +36,7 @@ def _load_workloads():
 BENCH = _load_workloads()
 
 
-@pytest.mark.parametrize("name", ["rht3", "shtcc"])
+@pytest.mark.parametrize("name", ["rht3", "shtcc", "schemes"])
 def test_matches_reference(name, monkeypatch, capsys):
     workload = BENCH.WORKLOADS[name]
     seed = BENCH.DEFAULT_SEED

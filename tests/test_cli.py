@@ -65,9 +65,13 @@ class TestLoadModel:
         (BERN, "region", ["--kind", "direct", "--kappa-grid=nan"]),
         (BERN, "region", ["--kind", "direct", "--kappa-grid=0.01,inf"]),
         (BERN, "bounds", ["--scheme", "shtcc", "--kappa-grid=-inf"]),
+        (BERN, "region", ["--kind", "direct", "--kappa-grid=-0.1"]),
+        (BERN, "bounds", ["--scheme", "shtcc", "--kappa-grid=0.01,-0.01"]),
+        (BERN, "simulate", ["--n-grid", "10", "--trials", "10", "--seed=-1"]),
     ], ids=["channel-without-rows", "json-list", "zero-points",
             "bad-kappa-grid", "bad-n-grid", "nan-kappa-grid",
-            "inf-kappa-grid", "minus-inf-kappa-grid"])
+            "inf-kappa-grid", "minus-inf-kappa-grid", "negative-kappa-grid",
+            "negative-bounds-kappa-grid", "negative-seed"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, model, command,
                                      options):
         path = tmp_path / "model.json"

@@ -78,6 +78,70 @@ class TestKlBallProjection:
                 assert kl_array(minimizer.probs, ref.probs) <= kappa + 1e-7
 
 
+def _overlapping_components(rng):
+    """Two weighted (ref, tgt) pairs on 4 symbols; ref and tgt each miss one
+    random symbol, so the common supports overlap only in part."""
+    comps = []
+    for w in rng.dirichlet(np.ones(2)):
+        pair = []
+        for _ in range(2):
+            law = rng.dirichlet(np.ones(4))
+            law[rng.integers(4)] = 0.0
+            pair.append(law / law.sum())
+        comps.append((float(w), *pair))
+    return comps
+
+
+def _free_radius(comps):
+    """Radius g(1) of the unconstrained optimum: each tgt renormalised on
+    its common support, measured against ref."""
+    total = 0.0
+    for w, r, t in comps:
+        p = np.where(r > 0, t, 0.0)
+        total += w * kl_array(p / p.sum(), r)
+    return total
+
+
+class TestProjectComponents:
+    CASES = 12
+
+    def test_binding_radius_and_shared_exponent(self):
+        rng = np.random.default_rng(7)
+        for _ in range(self.CASES):
+            comps = _overlapping_components(rng)
+            kappa_min = -sum(w * np.log(r[t > 0].sum()) for w, r, t in comps)
+            kappa = float(rng.uniform(kappa_min, _free_radius(comps)))
+            ps, value = _project_components(comps, kappa)
+            radius = sum(w * kl_array(p, r) for (w, r, _), p in zip(comps, ps))
+            assert radius == pytest.approx(kappa, abs=1e-9)
+            assert value == sum(w * kl_array(p, t)
+                                for (w, _, t), p in zip(comps, ps))
+            slopes = []
+            for (_, r, t), p in zip(comps, ps):
+                common = (r > 0) & (t > 0)
+                assert np.all(p[~common] == 0.0) and np.all(p[common] > 0)
+                # log(P / ref) = lam log(tgt / ref) - c on the common support
+                f = np.log(t[common] / r[common])
+                y = np.log(p[common] / r[common])
+                design = np.stack([f, np.ones_like(f)], axis=1)
+                coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+                assert np.max(np.abs(design @ coef - y)) <= 1e-9
+                slopes.append(coef[0])
+            assert 0.0 < slopes[0] <= 1.0
+            assert slopes[1] == pytest.approx(slopes[0], abs=1e-9)
+
+    def test_saturated_ball_reaches_renormalised_targets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(self.CASES):
+            comps = _overlapping_components(rng)
+            ps, value = _project_components(comps, _free_radius(comps) + 0.01)
+            assert value == sum(w * kl_array(p, t)
+                                for (w, _, t), p in zip(comps, ps))
+            assert value == pytest.approx(
+                -sum(w * np.log(t[r > 0].sum()) for w, r, t in comps),
+                abs=1e-12)
+
+
 class TestJhtccUncoded:
     def test_example1_at_zero(self, example1, bsc35):
         design = AuxiliaryDesign.identity_uncoded(2)

@@ -96,6 +96,17 @@ class TestConjugate:
         assert below.value == pytest.approx(-np.log(0.25))
         assert below.maximizer == float("-inf")
 
+    @pytest.mark.parametrize("probs, scores, value", [
+        ([0.5, 0.5], [0.0, 1e-9], np.log(2.0)),
+        ([0.25, 0.25, 0.5], [0.0, 1e-9, -1.0], np.log(4.0)),
+    ], ids=["two-atoms", "three-atoms"])
+    def test_limit_keeps_only_the_exact_maximum(self, probs, scores, value):
+        # a score 1e-9 below the maximum is a distinct atom, not part of the
+        # argmax set whose mass gives the limit
+        res = conjugate(scored(probs, scores), 1e-9)
+        assert res.value == pytest.approx(value, rel=1e-15)
+        assert res.maximizer == float("inf")
+
     def test_only_vanishing_supported_scores_give_infinity(self):
         # psi = log 0 for every lam > 0, so the supremum is +inf
         sp = loglik_scores(Pmf((0, 1), [1.0, 0.0]), Pmf((0, 1), [0.0, 1.0]))
@@ -183,6 +194,19 @@ class TestMixturePadding:
         hi = conjugate_mixture([self.SHORT, self.LONG], self.W, self.FMAX)
         assert hi.value == -(0.4 * np.log(0.7) + 0.6 * np.log(0.3))
         assert hi.maximizer == float("inf")
+
+
+    def test_tilted_rows(self):
+        mix = Mixture([(w, *sp.effective())
+                       for w, sp in zip(self.W, (self.SHORT, self.LONG))])
+        for lam in (-3.0, 0.0, 0.7, 25.0):
+            rows = mix.tilted(lam)
+            assert rows.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-15)
+            assert rows[0, 2] == 0.0
+            for row, sp in zip(rows, (self.SHORT, self.LONG)):
+                p, f = sp.effective()
+                law = p * np.exp(lam * f)
+                assert row[:p.size] == pytest.approx(law / law.sum(), rel=1e-12)
 
 
 class TestLoglikScores:
