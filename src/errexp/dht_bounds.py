@@ -21,8 +21,8 @@ from .exceptions import InputError
 from .legendre import Mixture
 from .optimize import (GridSpec, bisect_monotone, grid_then_pattern,
                        pattern_search, simplex_grid, simplex_grid_array)
-from .prob_core import (Channel, JointPmf, Pmf, capacity, kl_array,
-                        mutual_information_arrays)
+from .prob_core import (Channel, JointPmf, Pmf, capacity, kl_array, kl_rows,
+                        mutual_information_arrays, mutual_information_rows)
 
 PRODUCT_TOL = 1e-12
 BALL_ACTIVE_TOL = 1e-9
@@ -263,60 +263,76 @@ def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha: float,
 # Ball-constrained information quantities for the separation scheme
 
 
-def _kl_rows(grid: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """KL divergence of every grid row against ref, +inf outside its support."""
-    out = np.full(grid.shape[0], np.inf)
-    ok = ~np.any((grid > 0) & (ref == 0), axis=1)
-    sub = grid[ok]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(sub > 0, sub * (np.log(np.where(sub > 0, sub, 1.0))
-                                         - np.log(np.where(ref > 0, ref, 1.0))), 0.0)
-    out[ok] = terms.sum(axis=1)
-    return out
-
-
 def _ball_optimize(p_ref: np.ndarray, objective, kappa_alpha: float,
                    maximize: bool, config: DhtSearchConfig) -> float:
     """Extremize `objective` over joints within the KL ball around p_ref.
 
-    Grid seeding plus pattern search, with infeasible points discarded. The
-    reference point itself is always a feasible fallback.
+    `objective` maps a (B, n) stack of flat joints to their B values. Grid
+    seeding plus pattern search, with infeasible points discarded; the grid
+    and every pattern-search sweep are scored as one stack. The reference
+    point itself is always a feasible fallback.
     """
     ref = p_ref.reshape(-1)
     sign = 1.0 if maximize else -1.0
+    limit = kappa_alpha + 1e-12
 
-    def penalized(blocks) -> float:
-        p = blocks[0]
-        if kl_array(p, ref) > kappa_alpha + 1e-12:
-            return -np.inf
-        return sign * objective(p)
+    def penalized(ps: np.ndarray) -> np.ndarray:
+        return np.where(kl_rows(ps, ref) > limit, -np.inf, sign * objective(ps))
 
-    best_val = sign * objective(ref)
+    best_val = sign * objective(ref[None])[0]
     best_vec = ref
     if kappa_alpha > 0:
         grid = simplex_grid_array(ref.size, config.ball_resolution)
-        feasible = grid[_kl_rows(grid, ref) <= kappa_alpha + 1e-12]
-        for vec in feasible:
-            val = sign * objective(vec)
-            if val > best_val:
-                best_val, best_vec = val, vec
-        blocks, val = pattern_search(penalized, [best_vec], step=0.25,
-                                     min_step=config.pattern_min_step,
-                                     min_improve=1e-9)
+        feasible = grid[kl_rows(grid, ref) <= limit]
+        if len(feasible):
+            vals = sign * objective(feasible)
+            k = int(np.argmax(vals))  # the first of equal maxima
+            if vals[k] > best_val:
+                best_val, best_vec = vals[k], feasible[k]
+        _, val = pattern_search(lambda blocks: penalized(blocks[0][None])[0],
+                                [best_vec], step=0.25,
+                                min_step=config.pattern_min_step,
+                                min_improve=1e-9,
+                                f_many=lambda probes: penalized(probes[:, 0]))
         best_val = max(best_val, val)
-    return sign * best_val
+    return float(sign * best_val)
 
 
-def _info_uw(p_flat: np.ndarray, shape: tuple[int, int],
-             w_rows: np.ndarray) -> float:
-    p_u = p_flat.reshape(shape).sum(axis=1)
-    return mutual_information_arrays(p_u[:, None] * w_rows)
+def _info_uw(ps: np.ndarray, shape: tuple[int, int],
+             w_rows: np.ndarray) -> np.ndarray:
+    """I(U;W) of each flat joint P_UV in a stack, W drawn from U by w_rows."""
+    p_u = ps.reshape(-1, *shape).sum(axis=2)
+    return mutual_information_rows(p_u[:, :, None] * w_rows)
 
 
-def _info_vw(p_flat: np.ndarray, shape: tuple[int, int],
-             w_rows: np.ndarray) -> float:
-    p_uv = p_flat.reshape(shape)
-    return mutual_information_arrays(p_uv.T @ w_rows)
+def _joint_vw(ps: np.ndarray, shape: tuple[int, int],
+              w_rows: np.ndarray) -> np.ndarray:
+    """P_VW of each flat joint P_UV in a stack, as a (B, |V|, |W|) stack."""
+    return ps.reshape(-1, *shape).transpose(0, 2, 1) @ w_rows
+
+
+def _info_vw(ps: np.ndarray, shape: tuple[int, int],
+             w_rows: np.ndarray) -> np.ndarray:
+    """I(V;W) of each flat joint P_UV in a stack, W drawn from U by w_rows."""
+    return mutual_information_rows(_joint_vw(ps, shape, w_rows))
+
+
+def _tai_first_term(p_uv: np.ndarray, w_rows: np.ndarray):
+    """The TAI first term I(V;W) + D(P'_V || P_V), as an objective of a stack
+    of flat joints P'_UV; P_V is the V-marginal of p_uv."""
+    shape = p_uv.shape
+    p_v = p_uv.sum(axis=0)
+    return lambda ps: (_info_vw(ps, shape, w_rows)
+                       + kl_rows(ps.reshape(-1, *shape).sum(axis=1), p_v))
+
+
+def _tad_first_term(q_uv: np.ndarray, w_rows: np.ndarray):
+    """The TAD surrogate first term D(P'_VW || Q_VW), as an objective of a
+    stack of flat joints P'_UV."""
+    shape = q_uv.shape
+    q_vw = (q_uv.T @ w_rows).reshape(-1)
+    return lambda ps: kl_rows(
+        _joint_vw(ps, shape, w_rows).reshape(len(ps), -1), q_vw)
 
 
 def zeta_rho(model: SourceModel, p_wu: Channel, kappa_alpha: float,
@@ -357,6 +373,8 @@ class _SxCache:
         self.thetas = np.linspace(-self.theta_l, self.theta_u, theta_points)
         self.e_sp = np.array([special_message_exponent(design, ch, t)
                               for t in self.thetas])
+        for arr in (self.wl, self._powers, self.thetas, self.e_sp):
+            arr.flags.writeable = False  # the caches are shared
 
     def expurgated(self, rate: float) -> float:
         if rate < self._inf_below:
@@ -374,17 +392,26 @@ class _SxCache:
         return float(vals[k]), float(self.thetas[ok][k])
 
 
-def _sx_caches(ch: Channel, config: DhtSearchConfig) -> list[_SxCache]:
-    alphabet = ch.input_alphabet
-    n = len(alphabet)
-    caches = []
-    for vec in simplex_grid(GridSpec(n * n, config.sx_resolution)):
-        design = InputDesign(JointPmf(alphabet, alphabet, vec.reshape(n, n)))
-        caches.append(_SxCache(design, ch, config.theta_points))
-    return caches
+def _sx_caches(ch: Channel, config: DhtSearchConfig) -> tuple[_SxCache, ...]:
+    """The `_SxCache` of every grid P_SX design, built once per channel and
+    config and shared by every kappa_alpha."""
+    return _sx_caches_of(ch.input_alphabet, ch.output_alphabet,
+                         ch.rows.tobytes(), config)
 
 
-def _best_channel_terms(caches: list[_SxCache], zeta: float,
+@functools.lru_cache(maxsize=4)
+def _sx_caches_of(inputs: tuple, outputs: tuple, rows: bytes,
+                  config: DhtSearchConfig) -> tuple[_SxCache, ...]:
+    ch = Channel(inputs, outputs,
+                 np.frombuffer(rows).reshape(len(inputs), len(outputs)))
+    n = len(inputs)
+    return tuple(
+        _SxCache(InputDesign(JointPmf(inputs, inputs, vec.reshape(n, n))), ch,
+                 config.theta_points)
+        for vec in simplex_grid(GridSpec(n * n, config.sx_resolution)))
+
+
+def _best_channel_terms(caches: tuple[_SxCache, ...], zeta: float,
                         kappa_alpha: float):
     """Max over cached P_SX designs of min{E_x(zeta), E_sp - theta} subject to
     the rate constraint and the feasibility floor; returns (value, cache,
@@ -421,9 +448,9 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha: float,
     """Separation bound at kappa_alpha: max over the quantizer P_{W|U}, the
     channel design and the threshold of min{E1, offset + channel term}.
 
-    `first_term(w_rows)` gives the first-term objective of a joint law (as
-    a flat vector), minimized over the KL ball around P_UV; `offset(rho)` is
-    added to the channel term.
+    `first_term(w_rows)` gives the first-term objective of a stack of joint
+    laws (as flat rows), minimized over the KL ball around P_UV;
+    `offset(rho)` is added to the channel term.
     """
     p_uv = model.p_uv.probs
     n_u = p_uv.shape[0]
@@ -504,17 +531,8 @@ def shtcc_tai(model: SourceModel, ch: Channel, kappa_alpha: float,
     channel design, and threshold of the three-way minimum."""
     if not model.is_tai:
         raise InputError("model is not testing against independence")
-    p_uv = model.p_uv.probs
-    shape = p_uv.shape
-    p_v = p_uv.sum(axis=0)
-
-    def first_term(w_rows: np.ndarray):
-        def e1_obj(p_flat: np.ndarray) -> float:
-            p_hat_v = p_flat.reshape(shape).sum(axis=0)
-            return _info_vw(p_flat, shape, w_rows) + kl_array(p_hat_v, p_v)
-        return e1_obj
-
-    return _shtcc("shtcc_tai", model, ch, kappa_alpha, config, first_term,
+    return _shtcc("shtcc_tai", model, ch, kappa_alpha, config,
+                  functools.partial(_tai_first_term, model.p_uv.probs),
                   offset=lambda rho: rho)
 
 
@@ -559,18 +577,8 @@ def shtcc_tad(model: SourceModel, ch: Channel, kappa_alpha: float,
     surrogate first term (a certified lower bound)."""
     if not model.is_tad:
         raise InputError("model is not testing against dependence")
-    q_uv = model.q_uv.probs
-    shape = q_uv.shape
-
-    def first_term(w_rows: np.ndarray):
-        q_vw = (q_uv.T @ w_rows).reshape(-1)
-
-        def e1_obj(p_flat: np.ndarray) -> float:
-            p_vw = (p_flat.reshape(shape).T @ w_rows).reshape(-1)
-            return kl_array(p_vw, q_vw)
-        return e1_obj
-
-    return _shtcc("shtcc_tad", model, ch, kappa_alpha, config, first_term,
+    return _shtcc("shtcc_tad", model, ch, kappa_alpha, config,
+                  functools.partial(_tad_first_term, model.q_uv.probs),
                   offset=lambda rho: 0.0)
 
 

@@ -110,45 +110,78 @@ def simplex_grid_array(dimension: int, resolution: int) -> np.ndarray:
     return arr
 
 
+def project_rows(v: np.ndarray) -> np.ndarray:
+    """`project_simplex` applied to every row of a 2-D stack."""
+    w = np.clip(v, 0.0, None)
+    total = w.sum(axis=1, keepdims=True)
+    empty = total[:, 0] <= 0
+    out = w / np.where(empty[:, None], 1.0, total)
+    out[empty] = 1.0 / w.shape[1]
+    return out
+
+
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Clamp negatives to zero and renormalize; deterministic."""
-    w = np.clip(v, 0.0, None)
-    total = w.sum()
-    if total <= 0:
-        return np.full_like(w, 1.0 / w.size)
-    return w / total
+    return project_rows(np.asarray(v, dtype=float)[None])[0]
 
 
 def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
                    start: Sequence[np.ndarray],
                    step: float = 0.25,
                    min_step: float = 1e-4,
-                   min_improve: float = 0.0) -> tuple[list[np.ndarray], float]:
+                   min_improve: float = 0.0, *,
+                   f_many: Callable[[np.ndarray], np.ndarray] | None = None,
+                   ) -> tuple[list[np.ndarray], float]:
     """Coordinate-wise pattern search over a product of probability simplices.
 
-    Probes +/- step on every coordinate of every block, projecting back onto
-    the simplex; the step halves when no probe improves by more than
-    `min_improve`. Deterministic probe order, never returns a value below
-    f(start).
+    The blocks of `start` share one size. A sweep probes +/- step on every
+    coordinate of every block in turn (block, then coordinate, then +
+    before -), projecting the moved block back onto the simplex; the step
+    halves after a sweep in which no accepted probe improved by more than
+    `min_improve`. Acceptance is sequential: the first probe, in that order,
+    whose value is > the running best is taken, and the sweep goes on from
+    the next move with probes rebuilt from the new point. Never returns a
+    value below f(start).
+
+    `f(blocks)` scores one probe, given as a list of blocks. With `f_many`,
+    the remaining probes of a sweep are scored at once: `f_many(probes)`
+    takes a (B, n_blocks, size) stack and returns B values in probe order,
+    each equal to `f` of that probe. Without it, `f` is called probe by
+    probe and no further once a probe is accepted. Both visit the same
+    points and return the same (blocks, value).
     """
-    x = [project_simplex(np.asarray(b, dtype=float)) for b in start]
-    best = f(x)
+    if len({np.size(b) for b in start}) > 1:
+        raise InputError("pattern_search: blocks must share one size")
+    x = project_rows(np.asarray(start, dtype=float))
+    best = f(list(x))
+    n_blocks, size = x.shape
+    # move m shifts coordinate ci[m] of block bi[m] by sign[m] * step
+    bi = np.repeat(np.arange(n_blocks), 2 * size)
+    ci = np.tile(np.repeat(np.arange(size), 2), n_blocks)
+    sign = np.tile([+1.0, -1.0], n_blocks * size)
     while step >= min_step:
         improved = False
-        for bi in range(len(x)):
-            for ci in range(x[bi].size):
-                for sign in (+1.0, -1.0):
-                    probe = [b.copy() for b in x]
-                    probe[bi][ci] += sign * step
-                    probe[bi] = project_simplex(probe[bi])
-                    val = f(probe)
-                    if val > best:
-                        if val > best + min_improve:
-                            improved = True
-                        x, best = probe, val
+        k = 0
+        while k < bi.size:
+            rows = np.arange(bi.size - k)
+            moved = x[bi[k:]]
+            moved[rows, ci[k:]] += sign[k:] * step
+            probes = np.repeat(x[None], rows.size, axis=0)
+            probes[rows, bi[k:]] = project_rows(moved)
+            vals = (f_many(probes) if f_many is not None
+                    else (f(list(probe)) for probe in probes))
+            hit = next(((j, val) for j, val in enumerate(vals) if val > best),
+                       None)
+            if hit is None:
+                break
+            j, val = hit
+            if val > best + min_improve:
+                improved = True
+            x, best = probes[j], val
+            k += j + 1
         if not improved:
             step *= 0.5
-    return x, best
+    return list(x), best
 
 
 def grid_then_pattern(f: Callable[[Sequence[np.ndarray]], float],

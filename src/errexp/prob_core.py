@@ -224,6 +224,32 @@ def kl_array(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
+def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`kl_array` of every row of a 2-D stack p against q (one row, or one per
+    row of p), bit for bit.
+
+    kl_array sums only the terms on p's support, and numpy's summation order
+    depends on how many there are. So rows that share one support are summed
+    over its columns; otherwise rows are summed in groups of equal support
+    size, each row's terms packed to the front in their order. A term p/0
+    is +inf, which makes a row off q's support +inf.
+    """
+    p = np.ascontiguousarray(p, dtype=float)
+    mask = p > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log(p / q)
+    if len(p) and (mask == mask[0]).all():
+        return terms.compress(mask[0], axis=1).sum(axis=1)
+    packed = np.take_along_axis(np.where(mask, terms, 0.0),
+                                np.argsort(~mask, axis=1, kind="stable"), axis=1)
+    counts = mask.sum(axis=1)
+    out = np.empty(len(p))
+    for k in set(counts.tolist()):
+        rows = counts == k
+        out[rows] = packed[rows, :k].sum(axis=1)
+    return out
+
+
 def kl_divergence(p: Pmf, q: Pmf) -> float:
     """D(p || q) in nats; +inf when p is not absolutely continuous w.r.t. q."""
     _check_same_alphabet(p, q)
@@ -260,6 +286,17 @@ def mutual_information_arrays(joint: np.ndarray) -> float:
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     return kl_array(joint.reshape(-1), np.outer(px, py).reshape(-1))
+
+
+def mutual_information_rows(joints: np.ndarray) -> np.ndarray:
+    """`mutual_information_arrays` of every joint in a (B, |X|, |Y|) stack,
+    bit for bit."""
+    joints = np.ascontiguousarray(joints, dtype=float)
+    n, n_x, n_y = joints.shape
+    px = joints.sum(axis=2)
+    py = joints.sum(axis=1)
+    return kl_rows(joints.reshape(n, n_x * n_y),
+                   (px[:, :, None] * py[:, None, :]).reshape(n, n_x * n_y))
 
 
 def capacity(ch: Channel, tol: float = 1e-9, max_iter: int = 100_000) -> float:

@@ -8,8 +8,9 @@ from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
                     shtcc_tad, shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
                     special_message_exponent, zeta_rho)
 from errexp.channel_exponents import output_given_state
-from errexp.dht_bounds import _project_components
-from errexp.prob_core import kl_array
+from errexp.dht_bounds import (_info_uw, _info_vw, _project_components,
+                               _tad_first_term, _tai_first_term)
+from errexp.prob_core import kl_array, kl_rows, mutual_information_arrays
 from conftest import fit_geometric_family
 
 FAST = DhtSearchConfig(design_resolution=3, ball_resolution=8,
@@ -229,6 +230,57 @@ class TestZetaRho:
         assert rho == pytest.approx(best_rho, abs=2e-3)
 
 
+class TestStackedBallObjectives:
+    """The stacked objectives of the KL-ball searches equal the scalar
+    kl_array / mutual_information_arrays formulas bit for bit, row by row."""
+
+    @staticmethod
+    def _rows(rng, n_rows, size, zero_frac):
+        rows = rng.dirichlet(np.ones(size), size=n_rows)
+        largest = rows == rows.max(axis=1, keepdims=True)
+        rows[(rng.random(rows.shape) < zero_frac) & ~largest] = 0
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4)])
+    def test_row_by_row(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        n_u, n_v = shape
+        ps = self._rows(rng, 60, n_u * n_v, 0.25).reshape(-1, n_u, n_v)
+        ps[::2, :, -1] = 0  # inside the support of p_uv below
+        ps[::3, :, 0] = 0   # inside the support of q_uv below
+        ps = ps.reshape(len(ps), -1)
+        ps = ps[ps.sum(axis=1) > 0]
+        ps /= ps.sum(axis=1, keepdims=True)
+        # references with a zero column: the other rows leave their support
+        p_uv = self._rows(rng, 1, n_u * n_v, 0.0)[0].reshape(shape)
+        p_uv[:, -1] = 0
+        p_uv /= p_uv.sum()
+        ref = p_uv.reshape(-1)
+        q_uv = np.roll(p_uv, 1, axis=1)
+        w_rows = self._rows(rng, n_u, n_u + 1, 0.3)
+        p_v, q_vw = p_uv.sum(axis=0), (q_uv.T @ w_rows).reshape(-1)
+
+        stacked = {"ball": kl_rows(ps, ref),
+                   "zeta": _info_uw(ps, shape, w_rows),
+                   "rho": _info_vw(ps, shape, w_rows),
+                   "tai_e1": _tai_first_term(p_uv, w_rows)(ps),
+                   "tad_e1": _tad_first_term(q_uv, w_rows)(ps)}
+        for b, p in enumerate(ps):
+            joint = p.reshape(shape)
+            scalar = {
+                "ball": kl_array(p, ref),
+                "zeta": mutual_information_arrays(
+                    joint.sum(axis=1)[:, None] * w_rows),
+                "rho": mutual_information_arrays(joint.T @ w_rows),
+                "tai_e1": (mutual_information_arrays(joint.T @ w_rows)
+                           + kl_array(joint.sum(axis=0), p_v)),
+                "tad_e1": kl_array((joint.T @ w_rows).reshape(-1), q_vw)}
+            for key, value in scalar.items():
+                assert stacked[key][b] == value, (key, b)
+        for key in ("ball", "tai_e1", "tad_e1"):
+            assert np.isinf(stacked[key]).any() and np.isfinite(stacked[key]).any()
+
+
 class TestShtccTaiStein:
     def test_product_source_is_zero(self, bsc35):
         p = JointPmf.product(Pmf((0, 1), [0.5, 0.5]), Pmf((0, 1), [0.3, 0.7]))
@@ -344,6 +396,35 @@ SHTCC_PINS = {
 PIN_REL = 1e-12
 
 
+def ternary_tai_model() -> SourceModel:
+    """A 3x3 TAI instance: U and V agree on their most likely symbol."""
+    p = np.array([[0.30, 0.05, 0.02], [0.04, 0.25, 0.06], [0.03, 0.05, 0.20]])
+    q = np.outer(p.sum(axis=1), p.sum(axis=0))
+    return SourceModel(JointPmf((0, 1, 2), (0, 1, 2), p),
+                       JointPmf((0, 1, 2), (0, 1, 2), q))
+
+
+# A config cheap enough for 9-entry joints, and the values it gave on
+# ternary_tai_model() over BSC(0.1) before the KL-ball sweeps were batched.
+TERNARY_FAST = DhtSearchConfig(design_resolution=1, ball_resolution=3,
+                               sx_resolution=2, theta_points=9,
+                               pattern_min_step=0.02)
+TERNARY_TAI_PINS = {
+    0.01: (0.07501934378176296, {
+        "p_wu": (0.21333333333333335, 0.26666666666666666, 0.0, 0.52,
+                 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0),
+        "p_sx": (0.0, 0.0, 0.5, 0.5),
+        "theta": -0.29110316603236874, "zeta": 0.2121639756246504,
+        "rho": 0.0726886687221834, "e_x": 0.010979575689559318}),
+    0.05: (0.04777920450290338, {
+        "p_wu": (0.16, 0.2, 0.0, 0.64, 0.0, 0.0,
+                 0.06692810457516339, 0.9330718954248366, 0.0, 0.0, 0.0, 1.0),
+        "p_sx": (0.0, 0.0, 0.5, 0.5),
+        "theta": -0.07138070829874682, "zeta": 0.17251743293497596,
+        "rho": 0.034405573314840454, "e_x": 0.05062611837923375}),
+}
+
+
 class TestPinnedValues:
     """Regression pins: the searches must keep returning the same numbers
     and the same achievers."""
@@ -355,6 +436,17 @@ class TestPinnedValues:
             report = shtcc_tai(skewed_tai_model(), bsc35, kappa, FAST)
         else:
             report = shtcc_tad(example1, bsc35, kappa, FAST)
+        assert report.feasible
+        assert report.value == pytest.approx(value, rel=PIN_REL)
+        assert set(report.achiever) == set(achiever)
+        for key, expected in achiever.items():
+            assert report.achiever[key] == pytest.approx(expected, rel=PIN_REL), key
+
+    @pytest.mark.parametrize("kappa", sorted(TERNARY_TAI_PINS))
+    def test_shtcc_tai_ternary(self, kappa):
+        value, achiever = TERNARY_TAI_PINS[kappa]
+        report = shtcc_tai(ternary_tai_model(), Channel.bsc(0.1), kappa,
+                           TERNARY_FAST)
         assert report.feasible
         assert report.value == pytest.approx(value, rel=PIN_REL)
         assert set(report.achiever) == set(achiever)

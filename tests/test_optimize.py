@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from errexp import Pmf, ScoredPmf, tilted_mean
-from errexp.exceptions import BracketError
+from errexp.exceptions import BracketError, InputError
 from errexp.optimize import (GridSpec, bisect_monotone, grid_then_pattern,
                              maximize_1d, pattern_search, simplex_grid,
                              simplex_grid_array)
@@ -124,6 +124,116 @@ class TestPatternSearch:
         start = rng.dirichlet(np.ones(4))
         _, v = pattern_search(f, [start])
         assert v >= f([start])
+
+
+def frozen_pattern_search(f, start, step=0.25, min_step=1e-4, min_improve=0.0):
+    """The probe-by-probe pattern search loop, kept as the reference that the
+    batched sweeps must reproduce."""
+    def project(v):
+        w = np.clip(v, 0.0, None)
+        total = w.sum()
+        if total <= 0:
+            return np.full_like(w, 1.0 / w.size)
+        return w / total
+
+    x = [project(np.asarray(b, dtype=float)) for b in start]
+    best = f(x)
+    while step >= min_step:
+        improved = False
+        for bi in range(len(x)):
+            for ci in range(x[bi].size):
+                for sign in (+1.0, -1.0):
+                    probe = [b.copy() for b in x]
+                    probe[bi][ci] += sign * step
+                    probe[bi] = project(probe[bi])
+                    val = f(probe)
+                    if val > best:
+                        if val > best + min_improve:
+                            improved = True
+                        x, best = probe, val
+        if not improved:
+            step *= 0.5
+    return x, best
+
+
+def _objectives():
+    """(name, objective of a (B, n_blocks, size) probe stack, start): smooth
+    random objectives, the same rounded coarsely (ties), with a -inf region,
+    and a flat plateau."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for n_blocks, size in [(1, 2), (1, 4), (2, 3), (3, 4), (1, 9)]:
+        coef = rng.normal(size=(n_blocks, size))
+        target = rng.dirichlet(np.ones(size), size=n_blocks)
+        start = list(rng.dirichlet(np.ones(size), size=n_blocks))
+
+        def smooth(p, coef=coef, target=target):
+            return (p * coef - 3.0 * (p - target) ** 2).sum(axis=(1, 2))
+
+        def ties(p, smooth=smooth):
+            return np.round(smooth(p), 1)
+
+        def walled(p, smooth=smooth):
+            return np.where(p[:, 0, 0] > 0.6, -np.inf, smooth(p))
+
+        def plateau(p):
+            return np.zeros(len(p))
+
+        shape = f"{n_blocks}x{size}"
+        cases += [(f"smooth{shape}", smooth, start),
+                  (f"ties{shape}", ties, start),
+                  (f"walled{shape}", walled, start),
+                  (f"plateau{shape}", plateau, start)]
+    return cases
+
+
+class TestBatchedPatternSearch:
+    """pattern_search with and without f_many against the frozen loop."""
+
+    @pytest.mark.parametrize("min_improve", [0.0, 1e-3])
+    @pytest.mark.parametrize("name,many,start", _objectives(),
+                             ids=[c[0] for c in _objectives()])
+    def test_same_result_probe_order_and_calls(self, name, many, start,
+                                               min_improve):
+        kw = dict(step=0.25, min_step=1e-3, min_improve=min_improve)
+        calls = {"frozen": [], "lazy": [], "start": [], "batches": []}
+
+        def scalar(key):
+            def f(blocks):
+                probe = np.stack(blocks)
+                calls[key].append(probe)
+                return float(many(probe[None])[0])
+            return f
+
+        def f_many(probes):
+            assert probes.ndim == 3 and probes.shape[1:] == np.shape(start)
+            calls["batches"].append(probes.copy())
+            return many(probes)
+
+        x0, v0 = frozen_pattern_search(scalar("frozen"), start, **kw)
+        x1, v1 = pattern_search(scalar("lazy"), start, **kw)
+        x2, v2 = pattern_search(scalar("start"), start, f_many=f_many, **kw)
+        assert v0 == v1 == v2
+        assert np.array_equal(np.stack(x0), np.stack(x1))
+        assert np.array_equal(np.stack(x0), np.stack(x2))
+        frozen = np.stack(calls["frozen"])
+        # a scalar-only objective sees exactly the frozen loop's calls
+        assert np.array_equal(frozen, np.stack(calls["lazy"]))
+        # with f_many, f scores only the start; the batches, each cut after
+        # its first improving probe, replay the frozen probe order
+        assert len(calls["start"]) == 1
+        replay, best = calls["start"], many(calls["start"][0][None])[0]
+        for stack in calls["batches"]:
+            hits = np.flatnonzero(many(stack) > best)
+            if hits.size:
+                best = many(stack)[hits[0]]
+                stack = stack[:hits[0] + 1]
+            replay.extend(stack)
+        assert np.array_equal(frozen, np.stack(replay))
+
+    def test_ragged_blocks_rejected(self):
+        with pytest.raises(InputError):
+            pattern_search(lambda b: 0.0, [np.ones(2) / 2, np.ones(3) / 3])
 
 
 class TestGridThenPattern:

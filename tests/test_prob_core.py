@@ -4,6 +4,8 @@ import pytest
 from errexp import (Channel, EmpiricalType, InputError, JointPmf, Pmf,
                     capacity, conditional_kl, empirical_type, kl_divergence,
                     mutual_information)
+from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
+                              mutual_information_rows)
 from conftest import random_pmf
 
 
@@ -152,6 +154,48 @@ class TestMutualInformation:
             prod = JointPmf.product(j.row_marginal(), j.col_marginal())
             assert mutual_information(j) == pytest.approx(
                 kl_divergence(j.flatten(), prod.flatten()), abs=1e-12)
+
+
+def _sparse_rows(rng, n_rows, size, zero_frac=0.3):
+    """Random PMF rows with some entries set to zero (never a whole row)."""
+    rows = rng.dirichlet(np.ones(size), size=n_rows)
+    largest = rows == rows.max(axis=1, keepdims=True)
+    rows[(rng.random(rows.shape) < zero_frac) & ~largest] = 0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+class TestRowWiseForms:
+    """kl_rows and mutual_information_rows equal the scalar forms bit for
+    bit; rows of 8 or more entries reach numpy's pairwise summation."""
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 7, 8, 9, 12, 16, 20])
+    def test_kl_rows_equals_kl_array(self, size):
+        rng = np.random.default_rng(size)
+        for trial in range(40):
+            p = _sparse_rows(rng, int(rng.integers(1, 9)), size)
+            shared = _sparse_rows(rng, 1, size, zero_frac=0.15)[0]
+            per_row = _sparse_rows(rng, len(p), size, zero_frac=0.15)
+            if trial % 4 == 0:
+                p[:] = p[0]  # one support shared by every row
+            got_shared, got_rows = kl_rows(p, shared), kl_rows(p, per_row)
+            for b in range(len(p)):
+                assert got_shared[b] == kl_array(p[b], shared)
+                assert got_rows[b] == kl_array(p[b], per_row[b])
+
+    def test_kl_rows_off_support_and_empty(self):
+        p = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0]])
+        q = np.array([0.5, 0.5, 0.0])
+        got = kl_rows(p, q)
+        assert got[0] == 0.0 and got[1] == np.inf and got[2] == np.log(2.0)
+        assert kl_rows(np.empty((0, 3)), q).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+    def test_mutual_information_rows(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        joints = _sparse_rows(rng, 50, shape[0] * shape[1]).reshape(-1, *shape)
+        got = mutual_information_rows(joints)
+        for b, joint in enumerate(joints):
+            assert got[b] == mutual_information_arrays(joint)
 
 
 class TestCapacity:
