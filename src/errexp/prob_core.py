@@ -229,10 +229,14 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     row of p), bit for bit.
 
     kl_array sums only the terms on p's support, and numpy's summation order
-    depends on how many there are. So rows that share one support are summed
-    over its columns; otherwise rows are summed in groups of equal support
-    size, each row's terms packed to the front in their order. A term p/0
-    is +inf, which makes a row off q's support +inf.
+    depends on how many there are. So rows are summed in groups of equal
+    support size, each row's terms packed to the front in their order. A
+    term p/0 is +inf, which makes a row off q's support +inf.
+
+    Stacks whose rows all share one support (nine calls in ten on the shtcc
+    benchmark) skip the packing: summing that support's columns gives the
+    same bits at about a third of the per-call cost, and saves about a fifth
+    of that benchmark's wall time.
     """
     p = np.ascontiguousarray(p, dtype=float)
     mask = p > 0

@@ -42,6 +42,15 @@ def random_pmf(rng: np.random.Generator, size: int, floor: float = 0.02) -> Pmf:
     return Pmf(tuple(range(size)), probs)
 
 
+def sparse_rows(rng: np.random.Generator, n_rows: int, size: int,
+                zero_frac: float = 0.3) -> np.ndarray:
+    """Random PMF rows with some entries set to zero (never a whole row)."""
+    rows = rng.dirichlet(np.ones(size), size=n_rows)
+    largest = rows == rows.max(axis=1, keepdims=True)
+    rows[(rng.random(rows.shape) < zero_frac) & ~largest] = 0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
 @pytest.fixture
 def bsc35() -> Channel:
     return Channel.bsc(0.35)

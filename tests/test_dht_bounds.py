@@ -11,7 +11,7 @@ from errexp.channel_exponents import output_given_state
 from errexp.dht_bounds import (_info_uw, _info_vw, _project_components,
                                _tad_first_term, _tai_first_term)
 from errexp.prob_core import kl_array, kl_rows, mutual_information_arrays
-from conftest import fit_geometric_family
+from conftest import fit_geometric_family, sparse_rows
 
 FAST = DhtSearchConfig(design_resolution=3, ball_resolution=8,
                        sx_resolution=4, theta_points=17,
@@ -234,30 +234,23 @@ class TestStackedBallObjectives:
     """The stacked objectives of the KL-ball searches equal the scalar
     kl_array / mutual_information_arrays formulas bit for bit, row by row."""
 
-    @staticmethod
-    def _rows(rng, n_rows, size, zero_frac):
-        rows = rng.dirichlet(np.ones(size), size=n_rows)
-        largest = rows == rows.max(axis=1, keepdims=True)
-        rows[(rng.random(rows.shape) < zero_frac) & ~largest] = 0
-        return rows / rows.sum(axis=1, keepdims=True)
-
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4)])
     def test_row_by_row(self, shape):
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         n_u, n_v = shape
-        ps = self._rows(rng, 60, n_u * n_v, 0.25).reshape(-1, n_u, n_v)
+        ps = sparse_rows(rng, 60, n_u * n_v, 0.25).reshape(-1, n_u, n_v)
         ps[::2, :, -1] = 0  # inside the support of p_uv below
         ps[::3, :, 0] = 0   # inside the support of q_uv below
         ps = ps.reshape(len(ps), -1)
         ps = ps[ps.sum(axis=1) > 0]
         ps /= ps.sum(axis=1, keepdims=True)
         # references with a zero column: the other rows leave their support
-        p_uv = self._rows(rng, 1, n_u * n_v, 0.0)[0].reshape(shape)
+        p_uv = sparse_rows(rng, 1, n_u * n_v, 0.0)[0].reshape(shape)
         p_uv[:, -1] = 0
         p_uv /= p_uv.sum()
         ref = p_uv.reshape(-1)
         q_uv = np.roll(p_uv, 1, axis=1)
-        w_rows = self._rows(rng, n_u, n_u + 1, 0.3)
+        w_rows = sparse_rows(rng, n_u, n_u + 1, 0.3)
         p_v, q_vw = p_uv.sum(axis=0), (q_uv.T @ w_rows).reshape(-1)
 
         stacked = {"ball": kl_rows(ps, ref),

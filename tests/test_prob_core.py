@@ -6,7 +6,7 @@ from errexp import (Channel, EmpiricalType, InputError, JointPmf, Pmf,
                     mutual_information)
 from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
                               mutual_information_rows)
-from conftest import random_pmf
+from conftest import random_pmf, sparse_rows
 
 
 def binary_entropy(p: float) -> float:
@@ -156,14 +156,6 @@ class TestMutualInformation:
                 kl_divergence(j.flatten(), prod.flatten()), abs=1e-12)
 
 
-def _sparse_rows(rng, n_rows, size, zero_frac=0.3):
-    """Random PMF rows with some entries set to zero (never a whole row)."""
-    rows = rng.dirichlet(np.ones(size), size=n_rows)
-    largest = rows == rows.max(axis=1, keepdims=True)
-    rows[(rng.random(rows.shape) < zero_frac) & ~largest] = 0
-    return rows / rows.sum(axis=1, keepdims=True)
-
-
 class TestRowWiseForms:
     """kl_rows and mutual_information_rows equal the scalar forms bit for
     bit; rows of 8 or more entries reach numpy's pairwise summation."""
@@ -172,9 +164,9 @@ class TestRowWiseForms:
     def test_kl_rows_equals_kl_array(self, size):
         rng = np.random.default_rng(size)
         for trial in range(40):
-            p = _sparse_rows(rng, int(rng.integers(1, 9)), size)
-            shared = _sparse_rows(rng, 1, size, zero_frac=0.15)[0]
-            per_row = _sparse_rows(rng, len(p), size, zero_frac=0.15)
+            p = sparse_rows(rng, int(rng.integers(1, 9)), size)
+            shared = sparse_rows(rng, 1, size, zero_frac=0.15)[0]
+            per_row = sparse_rows(rng, len(p), size, zero_frac=0.15)
             if trial % 4 == 0:
                 p[:] = p[0]  # one support shared by every row
             got_shared, got_rows = kl_rows(p, shared), kl_rows(p, per_row)
@@ -192,7 +184,7 @@ class TestRowWiseForms:
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
     def test_mutual_information_rows(self, shape):
         rng = np.random.default_rng(sum(shape))
-        joints = _sparse_rows(rng, 50, shape[0] * shape[1]).reshape(-1, *shape)
+        joints = sparse_rows(rng, 50, shape[0] * shape[1]).reshape(-1, *shape)
         got = mutual_information_rows(joints)
         for b, joint in enumerate(joints):
             assert got[b] == mutual_information_arrays(joint)
