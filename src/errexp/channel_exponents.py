@@ -103,41 +103,63 @@ def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
     when the kernel has zero entries carrying weight and the remaining mass
     is small enough that the objective grows linearly in rho.
     """
+    return float(expurgated_exponents(rate, [design], ch)[0])
+
+
+def expurgated_exponents(rate: float, designs, ch: Channel) -> np.ndarray:
+    """`expurgated_exponent` of every design, refined in lockstep.
+
+    Designs whose objectives have one number of live kernel entries share
+    one golden section over a (designs, entries) stack, so each row's sums
+    keep the bits of its own refinement.
+    """
     if rate < 0:
         raise DomainError("rate must be non-negative")
-    if design.joint.row_alphabet != ch.input_alphabet:
-        raise InputError("design alphabet does not match channel input alphabet")
-    wl, logb, powers, inf_below = _expurgation_terms(design, ch)
-    if rate < inf_below:
-        return float("inf")
+    values = np.full(len(designs), np.inf)
+    stacks: dict[int, list] = {}
+    for i, design in enumerate(designs):
+        if design.joint.row_alphabet != ch.input_alphabet:
+            raise InputError("design alphabet does not match channel input alphabet")
+        wl, logb, powers, inf_below = _expurgation_terms(design, ch)
+        if rate < inf_below:
+            continue
+        k = int(np.argmax(_rho_grid_objective(rate, wl, powers)))
+        stacks.setdefault(wl.size, []).append(
+            (i, wl, logb, RHO_GRID[max(k - 1, 0)],
+             RHO_GRID[min(k + 1, RHO_GRID_POINTS - 1)]))
+    for rows in stacks.values():
+        idx, wl, logb, lo, hi = (np.array(col) for col in zip(*rows))
 
-    def objective(rho: float) -> float:
-        kernel = float(np.sum(wl * np.exp(logb / rho)))
-        return -rho * rate - rho * np.log(kernel)
+        def objective(rho: np.ndarray) -> np.ndarray:
+            kernel = np.sum(wl * np.exp(logb / rho[:, None]), axis=1)
+            return -rho * rate - rho * np.log(kernel)
 
-    k = int(np.argmax(_rho_grid_objective(rate, wl, powers)))
-    lo = RHO_GRID[max(k - 1, 0)]
-    hi = RHO_GRID[min(k + 1, RHO_GRID_POINTS - 1)]
-    _, best = maximize_1d(objective, lo, hi, tol=1e-9)
-    return best
+        values[idx] = maximize_1d(objective, lo, hi, tol=1e-9)[1]
+    return values
 
 
 def expurgated_exponent_opt(rate: float, ch: Channel,
                             grid_resolution: int = 20,
                             pattern_min_step: float = 1e-4) -> tuple[float, InputDesign]:
-    """Expurgated exponent maximized over input designs (grid + pattern search)."""
+    """Expurgated exponent maximized over input designs (grid + pattern
+    search); the grid and every pattern-search sweep are scored as one
+    stack."""
     alphabet = ch.input_alphabet
     n = len(alphabet)
 
-    def f(blocks):
-        design = InputDesign(JointPmf(alphabet, alphabet, blocks[0].reshape(n, n)))
-        return expurgated_exponent(rate, design, ch)
+    def design(vec: np.ndarray) -> InputDesign:
+        return InputDesign(JointPmf(alphabet, alphabet, vec.reshape(n, n)))
+
+    def f(blocks) -> float:
+        return expurgated_exponent(rate, design(blocks[0]), ch)
+
+    def f_many(stack: np.ndarray) -> np.ndarray:
+        return expurgated_exponents(rate, [design(b[0]) for b in stack], ch)
 
     candidates = ([vec] for vec in simplex_grid(GridSpec(n * n, grid_resolution)))
     blocks, val = grid_then_pattern(f, candidates, step=0.25,
-                                    min_step=pattern_min_step)
-    design = InputDesign(JointPmf(alphabet, alphabet, blocks[0].reshape(n, n)))
-    return val, design
+                                    min_step=pattern_min_step, f_many=f_many)
+    return val, design(blocks[0])
 
 
 def bsc_expurgated_zero_rate(p: float) -> float:
@@ -168,14 +190,15 @@ def theta_bounds(design: InputDesign, ch: Channel) -> tuple[float, float]:
     return theta_l, theta_u
 
 
-def special_message_exponent(design: InputDesign, ch: Channel, theta: float) -> float:
+def special_message_exponent(design: InputDesign, ch: Channel, theta):
     """State-averaged conjugate of the special-message log-likelihood score.
 
     theta must lie in the closed interval [-theta_l, theta_u]; endpoint
-    evaluations return the limiting values.
+    evaluations return the limiting values. Elementwise over an array of
+    theta, whose conjugates are solved in lockstep.
     """
     theta_l, theta_u = theta_bounds(design, ch)
-    if not (-theta_l <= theta <= theta_u):
+    if not np.all((-theta_l <= np.asarray(theta)) & (theta <= theta_u)):
         raise DomainError(
             f"theta={theta} outside the admissible interval ({-theta_l}, {theta_u})")
     ps = design.state_probs

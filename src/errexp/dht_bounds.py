@@ -113,53 +113,132 @@ class DhtSearchConfig:
 # KL-ball projection
 
 
-def _project_components(components: list[tuple[float, np.ndarray, np.ndarray]],
-                        kappa_alpha: float) -> tuple[list[np.ndarray], float]:
-    """Shared-multiplier KL-ball projection across weighted components.
+def _project_components(problems, kappa_alpha: float
+                        ) -> list[tuple[list[np.ndarray], float]]:
+    """Shared-multiplier KL-ball projections across weighted components.
 
-    Minimizes sum_s w_s D(P_s || tgt_s) subject to
-    sum_s w_s D(P_s || ref_s) <= kappa_alpha. A single Lagrange multiplier mu
-    serves every component; each component's optimum is then the tilted law
-    P_s ~ ref_s exp(lam f_s), f_s = log(tgt_s / ref_s) on the common support,
-    at lam = 1 / (1 + mu), and the ball radius is lam psi'(lam) - psi(lam) of
-    the weighted CGF. The multiplier is bracketed by doubling up to a 1e12
-    cap and then bisected in mu = (1 - lam) / lam; that schedule fixes the
-    returned digits. The value is re-evaluated on the returned laws.
+    Each problem is a list of (w_s, ref_s, tgt_s) components and gets its
+    (laws, value). It minimizes sum_s w_s D(P_s || tgt_s) subject to
+    sum_s w_s D(P_s || ref_s) <= kappa_alpha. A single Lagrange multiplier
+    mu serves every component; each component's optimum is then the tilted
+    law P_s ~ ref_s exp(lam f_s), f_s = log(tgt_s / ref_s) on the common
+    support, at lam = 1 / (1 + mu), and the ball radius is
+    lam psi'(lam) - psi(lam) of the weighted CGF. The multiplier is
+    bracketed by doubling up to a 1e12 cap and then bisected in
+    mu = (1 - lam) / lam; that schedule fixes the returned digits. The value
+    is re-evaluated on the returned laws.
+
+    Problems whose CGFs have one shape (components, width) are solved as one
+    `Mixture.stack`, every step one tilt with a lam per problem, so each
+    visits the multipliers it would visit alone and gets the same bits.
     """
     if kappa_alpha < 0:
         raise InputError("kappa_alpha must be non-negative")
-    comps = [(w, np.asarray(r, dtype=float).reshape(-1),
-              np.asarray(t, dtype=float).reshape(-1))
-             for w, r, t in components if w > 0]
-    if kappa_alpha == 0:
-        value = sum(w * kl_array(r, t) for w, r, t in comps)
-        return [r.copy() for _, r, _ in comps], float(value)
-    # feasible supports: P_s must be << ref_s, and << tgt_s for finite value
-    masks = [(r > 0) & (t > 0) for _, r, t in comps]
-    if not all(np.any(m) for m in masks):
-        return [r.copy() for _, r, _ in comps], float("inf")
-    mix = Mixture([(w, r[m], np.log(t[m]) - np.log(r[m]))
-                   for (w, r, t), m in zip(comps, masks)])
-    if kappa_alpha < -mix.tilt(0.0)[0] - 1e-12:
-        return [r.copy() for _, r, _ in comps], float("inf")
+    problems = [[(w, np.asarray(r, dtype=float).reshape(-1),
+                  np.asarray(t, dtype=float).reshape(-1))
+                 for w, r, t in components if w > 0]
+                for components in problems]
+    out = [None] * len(problems)
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, comps in enumerate(problems):
+        if kappa_alpha == 0:
+            value = sum(w * kl_array(r, t) for w, r, t in comps)
+            out[i] = [r.copy() for _, r, _ in comps], float(value)
+        elif not comps:
+            raise InputError("mixture has no components")
+        else:
+            key = (len(comps), max(r.size for _, r, _ in comps))
+            shapes.setdefault(key, []).append(i)
+    for (n_comp, n), idx in shapes.items():
+        w = np.array([[c[0] for c in problems[i]] for i in idx])
+        ref, tgt = np.zeros((2, len(idx), n_comp, n))
+        for b, i in enumerate(idx):
+            for k, (_, r, t) in enumerate(problems[i]):
+                ref[b, k, :r.size], tgt[b, k, :t.size] = r, t
+        values = _project_stack(w, ref, tgt, kappa_alpha)
+        for b, i in enumerate(idx):
+            laws, value = values[b]
+            out[i] = ([law[:r.size] for law, (_, r, _)
+                       in zip(laws, problems[i])], value)
+    return out
 
-    @functools.cache
-    def gap(mu: float) -> float:
+
+def _project_stack(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
+                   kappa_alpha: float) -> list[tuple[np.ndarray, float]]:
+    """`_project_components` on B problems of K components, as w (B, K) and
+    zero-padded ref and tgt (B, K, n), at kappa_alpha > 0; (laws (K, n),
+    value) per problem."""
+    # feasible supports: P_s must be << ref_s, and << tgt_s for finite value
+    masks = (ref > 0) & (tgt > 0)
+    counts = masks.sum(axis=-1)
+    result = [(ref[b].copy(), float("inf")) for b in range(len(w))]
+    live = counts.min(axis=-1) > 0
+    # the CGF of a problem is as wide as its widest common support; only
+    # problems of one width share a stack, so every row sum keeps its bits
+    for m in sorted(set(counts.max(axis=-1)[live].tolist())):
+        idx = np.flatnonzero(live & (counts.max(axis=-1) == m))
+        mk, cnt = masks[idx], counts[idx]
+        # each row's support atoms packed to the front, in order
+        order = np.argsort(~mk, axis=-1, kind="stable")[..., :m]
+        p = np.take_along_axis(ref[idx], order, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.take_along_axis(np.log(tgt[idx]) - np.log(ref[idx]),
+                                   order, axis=-1)
+        # padded atoms get mass zero and repeat the row's first live score
+        pad = np.arange(m) >= cnt[..., None]
+        mix = Mixture.stack(w[idx], np.where(pad, 0.0, p),
+                            np.where(pad, f[..., :1], f))
+        feasible = ~(kappa_alpha < -mix.tilt(np.zeros(len(idx)))[0] - 1e-12)
+        mix, idx, pad = mix.rows(feasible), idx[feasible], pad[feasible]
+        if not len(idx):
+            continue
+        lam = 1.0 / (1.0 + _ball_multipliers(mix, kappa_alpha))
+        laws = np.zeros(ref[idx].shape)
+        laws[masks[idx]] = mix.tilted(lam)[~pad]
+        div = kl_rows(laws.reshape(-1, laws.shape[-1]),
+                      tgt[idx].reshape(-1, laws.shape[-1])).reshape(pad.shape[:2])
+        value = 0.0
+        for k in range(div.shape[1]):
+            value = value + w[idx, k] * div[:, k]
+        for b, i in enumerate(idx):
+            result[i] = laws[b], float(value[b])
+    return result
+
+
+def _ball_multipliers(mix: Mixture, kappa_alpha: float) -> np.ndarray:
+    """The multiplier mu of every problem of a stack: 0 when the ball does
+    not bind, else doubled from 1 until the radius gap changes sign (at most
+    to the 1e12 cap, where the last multiplier is kept) and bisected to a gap
+    of BALL_ACTIVE_TOL. All problems step in lockstep, and the gaps at the
+    bracket ends are carried into the bisection."""
+
+    def gap(mix: Mixture, mu: np.ndarray) -> np.ndarray:
         lam = 1.0 / (1.0 + mu)
         psi, dpsi = mix.tilt(lam)
         return lam * dpsi - psi - kappa_alpha
 
-    mu, lo, hi = 0.0, 0.0, 1.0
-    if gap(0.0) > 0.0:
-        while gap(hi) > 0.0 and hi < 1e12:
-            lo, hi = hi, hi * 2.0
-        # the radius falls in mu; past the 1e12 cap keep the last multiplier
-        mu = hi if gap(hi) > 0.0 else bisect_monotone(
-            gap, lo, hi, tol=BALL_ACTIVE_TOL, max_iter=200)
-    ps = [np.zeros_like(r) for _, r, _ in comps]
-    for p, m, row in zip(ps, masks, mix.tilted(1.0 / (1.0 + mu))):
-        p[m] = row[:m.sum()]
-    return ps, float(sum(w * kl_array(p, t) for (w, _, t), p in zip(comps, ps)))
+    mu = np.zeros(len(mix.w))
+    g0 = gap(mix, mu)
+    binds = np.flatnonzero(g0 > 0.0)
+    if not binds.size:
+        return mu
+    mix = mix.rows(binds)
+    lo, glo = np.zeros(binds.size), g0[binds]
+    hi = np.ones(binds.size)
+    ghi = gap(mix, hi)
+    while (grow := (ghi > 0.0) & (hi < 1e12)).any():
+        lo, glo = np.where(grow, hi, lo), np.where(grow, ghi, glo)
+        hi = np.where(grow, hi * 2.0, hi)
+        ghi = np.where(grow, gap(mix, hi), ghi)
+    # the radius falls in mu; past the 1e12 cap keep the last multiplier
+    mu[binds] = hi
+    run = ~(ghi > 0.0)
+    if run.any():
+        sub = mix.rows(run)
+        mu[binds[run]] = bisect_monotone(
+            lambda x: gap(sub, x), lo[run], hi[run], tol=BALL_ACTIVE_TOL,
+            max_iter=200, glo=glo[run], ghi=ghi[run])
+    return mu
 
 
 def kl_ball_projection(p_ref: JointPmf, q_target: JointPmf,
@@ -172,8 +251,8 @@ def kl_ball_projection(p_ref: JointPmf, q_target: JointPmf,
     if (p_ref.row_alphabet != q_target.row_alphabet
             or p_ref.col_alphabet != q_target.col_alphabet):
         raise InputError("reference and target must share alphabets")
-    mins, value = _project_components(
-        [(1.0, p_ref.probs, q_target.probs)], kappa_alpha)
+    [(mins, value)] = _project_components(
+        [[(1.0, p_ref.probs, q_target.probs)]], kappa_alpha)
     shape = p_ref.probs.shape
     minimizer = JointPmf(p_ref.row_alphabet, p_ref.col_alphabet,
                          mins[0].reshape(shape))
@@ -209,9 +288,15 @@ def _conditional_vy_laws(model: SourceModel, ch: Channel,
 def jhtcc_uncoded(model: SourceModel, ch: Channel, kappa_alpha: float,
                   design: AuxiliaryDesign) -> float:
     """Uncoded-transmission bound kappa_u for a fixed (P_S, P_{X|US}) design."""
-    triples = _conditional_vy_laws(model, ch, design)
-    _, value = _project_components(triples, kappa_alpha)
-    return value
+    return float(_uncoded_values(model, ch, kappa_alpha, [design])[0])
+
+
+def _uncoded_values(model: SourceModel, ch: Channel, kappa_alpha: float,
+                    designs) -> np.ndarray:
+    """`jhtcc_uncoded` of every design, as one list of projections."""
+    problems = [_conditional_vy_laws(model, ch, d) for d in designs]
+    return np.array([value for _, value
+                     in _project_components(problems, kappa_alpha)])
 
 
 def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha: float,
@@ -224,23 +309,27 @@ def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha: float,
     if n_states not in (1, 2):
         raise InputError("n_states must be 1 or 2")
 
-    def evaluate(rows: np.ndarray, p_s: Pmf) -> float:
-        design = AuxiliaryDesign(p_s=p_s, p_x_given_us=rows)
-        return jhtcc_uncoded(model, ch, kappa_alpha, design)
-
     def search(p_s: Pmf) -> tuple[float, np.ndarray]:
         n_s = len(p_s)
 
-        def f(blocks):
-            rows = np.stack(blocks).reshape(n_u, n_s, n_x)
-            return evaluate(rows, p_s)
+        def design(blocks) -> AuxiliaryDesign:
+            rows = np.reshape(blocks, (n_u, n_s, n_x))
+            return AuxiliaryDesign(p_s=p_s, p_x_given_us=rows)
+
+        def f(blocks) -> float:
+            return jhtcc_uncoded(model, ch, kappa_alpha, design(blocks))
+
+        def f_many(probes: np.ndarray) -> np.ndarray:
+            return _uncoded_values(model, ch, kappa_alpha,
+                                   [design(probe) for probe in probes])
 
         seeds = [[np.full(n_x, 1.0 / n_x) for _ in range(n_u * n_s)]]
         if n_x == n_u:
             seeds.append([np.eye(n_u)[u] for u in range(n_u) for _ in range(n_s)])
         blocks, val = grid_then_pattern(f, [], seeds, step=0.25,
-                                        min_step=config.pattern_min_step)
-        return val, np.stack(blocks).reshape(n_u, n_s, n_x)
+                                        min_step=config.pattern_min_step,
+                                        f_many=f_many)
+        return float(val), np.stack(blocks).reshape(n_u, n_s, n_x)
 
     if n_states == 1:
         p_s = Pmf((0,), [1.0])
@@ -371,8 +460,7 @@ class _SxCache:
                     self.rate += weight * px * kl_array(ch.rows[x], pys[s])
         self.theta_l, self.theta_u = theta_bounds(design, ch)
         self.thetas = np.linspace(-self.theta_l, self.theta_u, theta_points)
-        self.e_sp = np.array([special_message_exponent(design, ch, t)
-                              for t in self.thetas])
+        self.e_sp = special_message_exponent(design, ch, self.thetas)
         for arr in (self.wl, self._powers, self.thetas, self.e_sp):
             arr.flags.writeable = False  # the caches are shared
 

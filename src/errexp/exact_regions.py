@@ -7,7 +7,6 @@ local threshold test with a two-codeword channel code.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -112,28 +111,37 @@ def direct_tradeoff(p: Pmf, q: Pmf, kappa_alpha: float) -> float:
     if kappa_alpha >= d_qp:
         return 0.0
     mix = Mixture([(1.0, *loglik_scores(p, q).effective())])
-    return _invert_boundary(mix, kappa_alpha)
+    return float(_invert_boundary([mix], kappa_alpha)[0])
 
 
-def _invert_boundary(mix: Mixture, kappa_alpha: float) -> float:
-    """kappa_beta on the boundary traced by lam in [0, 1].
+def _invert_boundary(mixes: list[Mixture], kappa_alpha: float) -> np.ndarray:
+    """kappa_beta on the boundary traced by lam in [0, 1], per mixture.
 
     On that segment the type-I exponent g(lam) = lam*psi'(lam) - psi(lam) of
-    the mixture grows from 0 to its maximum at lam = 1; bisect
-    g = kappa_alpha and return kappa_alpha - psi'(lam*).
+    each mixture grows from 0 to its maximum at lam = 1; bisect
+    g = kappa_alpha and return kappa_alpha - psi'(lam*). The mixtures share
+    one shape and are bisected in lockstep as one `Mixture.stack`.
     """
-    tilt = functools.cache(mix.tilt)
+    mix = Mixture.stack(np.stack([m.w for m in mixes]),
+                        np.stack([m.p for m in mixes]),
+                        np.stack([m.f for m in mixes]))
 
-    def g(lam: float) -> float:
-        psi, dpsi = tilt(lam)
+    def g(mix: Mixture, lam: np.ndarray) -> np.ndarray:
+        psi, dpsi = mix.tilt(lam)
         return lam * dpsi - psi
 
-    if kappa_alpha >= g(1.0):
-        return 0.0
+    g0, g1 = g(mix, np.zeros(len(mixes))), g(mix, np.ones(len(mixes)))
     # g(0) = -psi(0) is 0 up to rounding of the masses; below it lam* = 0
-    lam = 0.0 if kappa_alpha <= max(g(0.0), 0.0) else bisect_monotone(
-        lambda lam: g(lam) - kappa_alpha, 0.0, 1.0, tol=0.0, max_iter=80)
-    return kappa_alpha - tilt(lam)[1]
+    lam = np.zeros(len(mixes))
+    run = ~(kappa_alpha >= g1) & ~(kappa_alpha <= np.maximum(g0, 0.0))
+    if run.any():
+        sub = mix.rows(run)
+        lam[run] = bisect_monotone(lambda x: g(sub, x) - kappa_alpha,
+                                   np.zeros(sub.w.shape[0]),
+                                   np.ones(sub.w.shape[0]), tol=0.0,
+                                   max_iter=80, glo=g0[run] - kappa_alpha,
+                                   ghi=g1[run] - kappa_alpha)
+    return np.where(kappa_alpha >= g1, 0.0, kappa_alpha - mix.tilt(lam)[1])
 
 
 def _check_assumption(ch: Channel) -> None:
@@ -202,12 +210,18 @@ def _law_mixture(ch: Channel, weights: np.ndarray) -> Mixture | None:
     return Mixture(zip(weights[i, j], ch.rows[i], ch.pair_scores[i, j]))
 
 
-def _channel_branch_beta(ch: Channel, law: ChannelPairLaw, kappa_alpha: float) -> float:
-    """kappa_beta of the channel test at the given type-I exponent, for one law."""
-    mix = _law_mixture(ch, law.probs)
-    if mix is None:
-        return 0.0
-    return _invert_boundary(mix, kappa_alpha)
+def _channel_branch_beta(ch: Channel, laws, kappa_alpha: float) -> np.ndarray:
+    """kappa_beta of the channel test at the given type-I exponent, per law;
+    the laws whose mixtures share a shape are inverted as one stack."""
+    mixes = [_law_mixture(ch, law.probs) for law in laws]
+    betas = np.zeros(len(mixes))
+    shapes: dict[tuple, list[int]] = {}
+    for i, mix in enumerate(mixes):
+        if mix is not None:
+            shapes.setdefault(mix.p.shape, []).append(i)
+    for idx in shapes.values():
+        betas[idx] = _invert_boundary([mixes[i] for i in idx], kappa_alpha)
+    return betas
 
 
 def best_channel_branch(ch: Channel, kappa_alpha: float) -> tuple[float, ChannelPairLaw]:
@@ -234,12 +248,12 @@ def best_channel_branch(ch: Channel, kappa_alpha: float) -> tuple[float, Channel
     channels I" (Inf. Control, 1967).
     """
     _check_assumption(ch)
+    laws = [ChannelPairLaw.point_mass(ch.input_alphabet, pair)
+            for pair in itertools.product(ch.input_alphabet, repeat=2)]
     best_val, best_law = -np.inf, None
-    for pair in itertools.product(ch.input_alphabet, repeat=2):
-        law = ChannelPairLaw.point_mass(ch.input_alphabet, pair)
-        val = _channel_branch_beta(ch, law, kappa_alpha)
+    for law, val in zip(laws, _channel_branch_beta(ch, laws, kappa_alpha)):
         if val >= best_val:
-            best_val, best_law = val, law
+            best_val, best_law = float(val), law
     return best_val, best_law
 
 

@@ -10,7 +10,6 @@ tilted mean, which is strictly increasing in the tilt, rather than by direct
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,7 @@ class ConjugateResult:
     """Value of the conjugate, the maximizing tilt, and a convergence flag.
 
     `maximizer` is +/-inf when the supremum is attained only in the limit.
+    The fields are arrays, one entry per theta, for an array of theta.
     """
 
     value: float
@@ -60,6 +60,16 @@ class ConjugateResult:
 
     def __float__(self) -> float:
         return self.value
+
+    @staticmethod
+    def of(value: np.ndarray, lam: np.ndarray, converged: np.ndarray,
+           scalar: bool) -> "ConjugateResult":
+        """The result of an elementwise solve: arrays, or the scalars of its
+        one row."""
+        if scalar:
+            return ConjugateResult(float(value[0]), float(lam[0]),
+                                   bool(converged[0]))
+        return ConjugateResult(value, lam, converged)
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,9 @@ class Mixture:
     lengths (probs may be sub-PMFs) and stored as w (K,), p (K, m) and
     f (K, m). Every atom with zero mass, padded or not, repeats a live score of
     its own row, so each row's min, max and log-sum-exp shift are those of
-    its support.
+    its support. `Mixture.stack` holds B such mixtures of one shape as
+    w (B, K), p (B, K, m) and f (B, K, m); its tilts take one lam per
+    mixture and return one value per mixture.
     """
 
     w: np.ndarray
@@ -95,77 +107,131 @@ class Mixture:
             f[k] = fk[live][0]
             f[k, :pk.size][live] = fk[live]
         w = np.array([wk for wk, _, _ in comps])
+        self._freeze(w, p, f)
+
+    def _freeze(self, w: np.ndarray, p: np.ndarray, f: np.ndarray) -> None:
         for name, arr in (("w", w), ("p", p), ("f", f)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def _shifted(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's largest exponent top and p * exp(lam * f - top)."""
-        shift = lam * self.f
-        top = shift.max(axis=1)
-        return top, self.p * np.exp(shift - top[:, None])
+    @classmethod
+    def stack(cls, w: np.ndarray, p: np.ndarray, f: np.ndarray) -> "Mixture":
+        """B mixtures from w (B, K), p (B, K, m) and f (B, K, m), each row
+        laid out as `Mixture(components)` lays out its components.
 
-    def tilt(self, lam: float) -> tuple[float, float]:
+        Row sums run over the last axis of C-ordered arrays, so every
+        mixture's values are bit for bit those of its own `Mixture`."""
+        mix = object.__new__(cls)
+        mix._freeze(*(np.ascontiguousarray(a, dtype=float) for a in (w, p, f)))
+        return mix
+
+    def rows(self, index) -> "Mixture":
+        """The sub-stack of the mixtures selected by `index`."""
+        return Mixture.stack(self.w[index], self.p[index], self.f[index])
+
+    def _shifted(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's largest exponent top and p * exp(lam * f - top)."""
+        if self.w.ndim > 1:
+            lam = np.asarray(lam)[:, None, None]
+        shift = lam * self.f
+        top = shift.max(axis=-1)
+        return top, self.p * np.exp(shift - top[..., None])
+
+    def tilt(self, lam):
         """(psi(lam), psi'(lam)) from one tilt, each row shifted by its
-        largest exponent."""
+        largest exponent: floats, or arrays with one value per mixture of a
+        stack."""
         top, t = self._shifted(lam)
-        mass = t.sum(axis=1)
-        psi = np.sum(self.w * (top + np.log(mass)))
-        dpsi = np.sum(self.w * (np.sum(t * self.f, axis=1) / mass))
+        mass = t.sum(axis=-1)
+        psi = np.sum(self.w * (top + np.log(mass)), axis=-1)
+        dpsi = np.sum(self.w * (np.sum(t * self.f, axis=-1) / mass), axis=-1)
+        if self.w.ndim > 1:
+            return psi, dpsi
         return float(psi), float(dpsi)
 
-    def tilted(self, lam: float) -> np.ndarray:
+    def tilted(self, lam) -> np.ndarray:
         """The tilted laws p * exp(lam * f) / sum, one normalised row per
         component; padded atoms keep mass zero."""
         t = self._shifted(lam)[1]
-        return t / t.sum(axis=1, keepdims=True)
+        return t / t.sum(axis=-1, keepdims=True)
 
-    def conjugate(self, theta: float, lam_lo: float | None = None) -> ConjugateResult:
+    def conjugate(self, theta, lam_lo: float | None = None) -> ConjugateResult:
         """sup_lam theta*lam - psi(lam), with the tilt bounded below by
-        `lam_lo` when negative tilts are inadmissible."""
+        `lam_lo` when negative tilts are inadmissible.
+
+        Elementwise over an array of theta: every theta grows its own
+        bracket and all are bisected in lockstep on one stack of copies of
+        this mixture, so each gets the digits it would get alone. A scalar
+        theta is the one-row case and gives a result of scalars."""
+        scalar = np.ndim(theta) == 0
+        theta = np.array(theta, dtype=float, ndmin=1)
         fmin_k, fmax_k = self.f.min(axis=1), self.f.max(axis=1)
         fmin, fmax = np.sum(self.w * fmin_k), np.sum(self.w * fmax_k)
+        lam = np.zeros(theta.shape)
+        value = np.zeros(theta.shape)
+        converged = np.ones(theta.shape, dtype=bool)
         if fmax == fmin:
             # constant effective score: psi is linear, conjugate degenerates
-            if theta == fmin:
-                return ConjugateResult(0.0, 0.0, True)
+            off = theta != fmin
             lim = -np.sum(self.w * np.log(self.p.sum(axis=1)))
-            return ConjugateResult(float(lim),
-                                   np.copysign(np.inf, theta - fmin), True)
-        if theta >= fmax or (theta <= fmin and lam_lo is None):
+            value[off] = float(lim)
+            lam[off] = np.copysign(np.inf, theta[off] - fmin)
+            return ConjugateResult.of(value, lam, converged, scalar)
+        upper = theta >= fmax
+        lower = ~upper & (theta <= fmin) & (lam_lo is None)
+        for rows, side, ext in ((upper, 1.0, fmax_k), (lower, -1.0, fmin_k)):
             # limit as lam -> +/-inf: -sum_k w_k log P_k(argmax / argmin set),
             # positive since every row's extremes are live scores
-            side, ext = (1.0, fmax_k) if theta >= fmax else (-1.0, fmin_k)
             masses = np.where(self.f == ext[:, None], self.p, 0.0).sum(axis=1)
-            return ConjugateResult(float(-np.sum(self.w * np.log(masses))),
-                                   side * np.inf, True)
+            value[rows] = float(-np.sum(self.w * np.log(masses)))
+            lam[rows] = side * np.inf
+        inner = ~(upper | lower)
+        if inner.any():
+            value[inner], lam[inner], converged[inner] = self._solve(
+                theta[inner], lam_lo)
+        return ConjugateResult.of(value, lam, converged, scalar)
+
+    def _solve(self, theta: np.ndarray, lam_lo: float | None):
+        """(value, lam, converged) of the conjugate at every theta strictly
+        inside the score range (or below it, with a floor on the tilt)."""
+        stack = Mixture.stack(*(np.repeat(a[None], theta.size, axis=0)
+                                for a in (self.w, self.p, self.f)))
+
+        def g(mix: Mixture, lam: np.ndarray, theta: np.ndarray) -> np.ndarray:
+            return mix.tilt(lam)[1] - theta
 
         floor = lam_lo if lam_lo is not None else -np.inf
-        lo, hi = max(-1.0, floor), 1.0
-        tilt = functools.cache(self.tilt)
-
-        def g(lam: float) -> float:
-            return tilt(lam)[1] - theta
-
-        # grow the bracket geometrically until psi' straddles theta
-        while g(lo) > 0.0 and lo > max(-LAMBDA_CAP, floor):
-            lo = max(lo * 2.0 if lo < 0 else -1.0, max(-LAMBDA_CAP, floor))
-            if lo == floor:
-                break
-        while g(hi) < 0.0 and hi < LAMBDA_CAP:
-            hi = min(hi * 2.0, LAMBDA_CAP)
-        if g(lo) > 0.0:
-            # theta below the attainable tilted-mean range on [floor, cap]
-            lam, converged = lo, lam_lo is not None
-        elif g(hi) < 0.0:
-            lam, converged = hi, False
-        else:
+        lo_cap = max(-LAMBDA_CAP, floor)
+        lo = np.full(theta.size, max(-1.0, floor))
+        hi = np.ones(theta.size)
+        # grow each bracket geometrically until psi' straddles theta
+        glo = g(stack, lo, theta)
+        grow = (glo > 0.0) & (lo > lo_cap)
+        while grow.any():
+            lo = np.where(grow, np.maximum(np.where(lo < 0, lo * 2.0, -1.0),
+                                           lo_cap), lo)
+            glo = np.where(grow, g(stack, lo, theta), glo)
+            grow &= (lo != floor) & (glo > 0.0) & (lo > lo_cap)
+        ghi = g(stack, hi, theta)
+        grow = (ghi < 0.0) & (hi < LAMBDA_CAP)
+        while grow.any():
+            hi = np.where(grow, np.minimum(hi * 2.0, LAMBDA_CAP), hi)
+            ghi = np.where(grow, g(stack, hi, theta), ghi)
+            grow &= (ghi < 0.0) & (hi < LAMBDA_CAP)
+        # theta below the attainable tilted-mean range on [floor, cap], or
+        # above it
+        below, above = glo > 0.0, ~(glo > 0.0) & (ghi < 0.0)
+        lam = np.where(below, lo, hi)
+        converged = np.where(below, lam_lo is not None, ~above)
+        run = ~(below | above)
+        if run.any():
+            sub = stack.rows(run)
             # the width stop ends a 2 * LAMBDA_CAP bracket within ~65 halvings
-            lam = bisect_monotone(g, lo, hi, tol=THETA_RESIDUAL_TOL, xtol=1e-13,
-                                  max_iter=300)
-            converged = True
-        value = theta * lam - tilt(lam)[0]
-        return ConjugateResult(value, lam, converged)
+            lam[run] = bisect_monotone(
+                lambda x: g(sub, x, theta[run]), lo[run], hi[run],
+                tol=THETA_RESIDUAL_TOL, xtol=1e-13, max_iter=300,
+                glo=glo[run], ghi=ghi[run])
+        return theta * lam - stack.tilt(lam)[0], lam, converged
 
 
 def log_mgf(sp: ScoredPmf, lam: float) -> float:
@@ -196,42 +262,50 @@ def tilted_mean(sp: ScoredPmf, lam: float) -> float:
     return Mixture([(1.0, p, f)]).tilt(lam)[1]
 
 
-def conjugate(sp: ScoredPmf, theta: float) -> ConjugateResult:
+def conjugate(sp: ScoredPmf, theta) -> ConjugateResult:
     """Legendre-Fenchel conjugate psi*(theta) = sup_lam theta*lam - psi(lam).
 
     Interior theta is solved by monotone bisection on the tilted mean; beyond
     the score range the limiting value is returned with the maximizer flagged
     +/-inf. Atoms with infinite scores restrict the admissible tilt to the
-    side on which they vanish.
+    side on which they vanish. Elementwise over an array of theta (see
+    `Mixture.conjugate`).
     """
-    if not np.isfinite(theta):
+    scalar = np.ndim(theta) == 0
+    theta = np.array(theta, dtype=float, ndmin=1)
+    if not np.all(np.isfinite(theta)):
         raise InputError("theta must be finite")
     p, f = sp.effective()
     if p.size == 0:
         raise InputError("base PMF has empty support")
     has_neg = np.any(np.isneginf(f))
     has_pos = np.any(np.isposinf(f))
+    zeros, exact = np.zeros(theta.shape), np.ones(theta.shape, dtype=bool)
     if has_neg and has_pos:
         # psi is finite only at lam = 0
-        return ConjugateResult(0.0, 0.0, True)
+        return ConjugateResult.of(zeros, zeros, exact, scalar)
     if has_pos:
         # mirror: conjugate of the reflected scores at -theta with lam <= 0
-        mirrored = ScoredPmf(sp.base, -sp.scores)
-        res = conjugate(mirrored, -theta)
-        return ConjugateResult(res.value, -res.maximizer, res.converged)
+        res = conjugate(ScoredPmf(sp.base, -sp.scores), -theta)
+        return ConjugateResult.of(res.value, -res.maximizer, res.converged,
+                                  scalar)
     if has_neg:
         finite = np.isfinite(f)
         if not np.any(finite):
             # psi = log 0 for every lam > 0
-            return ConjugateResult(float("inf"), float("inf"), True)
+            inf = np.full(theta.shape, np.inf)
+            return ConjugateResult.of(inf, inf, exact, scalar)
         interior = Mixture([(1.0, p[finite], f[finite])]).conjugate(
             theta, lam_lo=0.0)
         # lam -> 0+ drops the -inf atoms: value -log(sub-mass); lam = 0 gives 0
         at_zero_plus = -float(np.log(p[finite].sum()))
-        if at_zero_plus >= interior.value:
-            return ConjugateResult(at_zero_plus, 0.0, True)
-        return interior
-    return Mixture([(1.0, p, f)]).conjugate(theta)
+        edge = at_zero_plus >= interior.value
+        return ConjugateResult.of(
+            np.where(edge, at_zero_plus, interior.value),
+            np.where(edge, 0.0, interior.maximizer),
+            edge | interior.converged, scalar)
+    res = Mixture([(1.0, p, f)]).conjugate(theta)
+    return ConjugateResult.of(res.value, res.maximizer, res.converged, scalar)
 
 
 def conjugate_mixture(scored: list[ScoredPmf], weights, theta: float) -> ConjugateResult:

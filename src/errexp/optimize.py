@@ -6,6 +6,7 @@ bit-identical results.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -15,6 +16,9 @@ import numpy as np
 from .exceptions import BracketError, InputError
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# candidates scored per call by grid_then_pattern; a batch scorer holds
+# one object per candidate at once, so this bounds the memory it takes
+GRID_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -29,59 +33,112 @@ class GridSpec:
             raise InputError("GridSpec: dimension and resolution must be >= 1")
 
 
-def bisect_monotone(g: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-10, xtol: float = 0.0,
-                    max_iter: int = 200) -> float:
-    """Root of a monotone (increasing or decreasing) scalar function.
+def _elementwise(g: Callable, lo, hi):
+    """(g over an array of points, lo and hi as 1-D float arrays, scalar?).
 
-    An end where g is exactly zero is returned; ends of equal sign raise
-    BracketError. Otherwise the sign-changing bracket is halved until
-    |g(mid)| <= tol or hi - lo <= xtol * max(1, |mid|), returning that mid,
-    or the final midpoint after max_iter halvings.
+    Scalar ends with a scalar g are the one-row case: g is then called with
+    one float at a time."""
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
+    if lo.shape != hi.shape:
+        lo, hi = (np.array(end) for end in np.broadcast_arrays(lo, hi))
+    if scalar:
+        g_scalar = g
+
+        def g(x: np.ndarray) -> np.ndarray:
+            return np.array([g_scalar(float(x[0]))])
+    return g, lo, hi, scalar
+
+
+def bisect_monotone(g: Callable, lo, hi, tol: float = 1e-10,
+                    xtol: float = 0.0, max_iter: int = 200, *,
+                    glo=None, ghi=None):
+    """Roots of monotone (increasing or decreasing) functions, elementwise.
+
+    Each row is one problem on its own bracket [lo, hi]. With array ends,
+    `g` maps an array of points, one per row, to the array of values; all
+    rows are halved in lockstep. Scalar ends with a scalar `g` are the
+    one-row case and return a float. `glo` and `ghi` pass values of g at
+    the ends that the caller already holds.
+
+    An end where g is exactly zero is returned (lo first); ends of equal
+    sign raise BracketError. Otherwise the sign-changing bracket is halved
+    until |g(mid)| <= tol or hi - lo <= xtol * max(1, |mid|), returning that
+    mid, or the final midpoint after max_iter halvings. Rows that have
+    stopped are still halved and evaluated, but their result stays fixed.
     """
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if np.sign(glo) == np.sign(ghi):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: g={glo}, {ghi}")
-    for _ in range(max_iter):
+    g, lo, hi, scalar = _elementwise(g, lo, hi)
+    glo = g(lo) if glo is None else np.array(glo, dtype=float, ndmin=1)
+    ghi = g(hi) if ghi is None else np.array(ghi, dtype=float, ndmin=1)
+    root = np.where(glo == 0.0, lo, hi)
+    done = (glo == 0.0) | (ghi == 0.0)
+    sign_lo = np.sign(glo)
+    bad = ~done & (sign_lo == np.sign(ghi))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BracketError(f"no sign change on [{lo[i]}, {hi[i]}]: "
+                           f"g={glo[i]}, {ghi[i]}")
+    for _ in range(max_iter if not done.all() else 0):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
-        if abs(gm) <= tol or (hi - lo) <= xtol * max(1.0, abs(mid)):
-            return mid
-        if np.sign(gm) == np.sign(glo):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        stop = np.abs(gm) <= tol
+        stop |= (hi - lo) <= xtol * np.maximum(1.0, np.abs(mid))
+        if stop.any():
+            stop &= ~done
+            root[stop] = mid[stop]
+            done |= stop
+            if done.all():
+                break
+        # g keeps the sign of g(lo) on the lower part of the bracket
+        down = np.sign(gm) == sign_lo
+        lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+    else:
+        root = np.where(done, root, 0.5 * (lo + hi))
+    return float(root[0]) if scalar else root
 
 
-def maximize_1d(g: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi].
+def maximize_1d(g: Callable, lo, hi,
+                tol: float = 1e-10) -> tuple:
+    """Golden-section maximization of unimodal functions, elementwise.
 
-    Returns (argmax, value); endpoints are returned as-is when the maximum
-    sits on the boundary.
+    Each row is one problem on its own interval [lo, hi]; with array ends,
+    `g` maps an array of points, one per row, to their values, and all rows
+    step in lockstep, each until its own b - a <= tol (a row that has
+    stopped keeps stepping, but its midpoint is fixed). Each row then
+    returns the first maximum among (lo, hi, midpoint), so endpoints are
+    returned as-is when the maximum sits on the boundary. Returns (argmax,
+    value): floats for scalar ends with a scalar `g`, else arrays.
     """
-    a, b = lo, hi
+    g, lo, hi, scalar = _elementwise(g, lo, hi)
+    a, b = lo.copy(), hi.copy()
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = g(c), g(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = g(d)
-    x = 0.5 * (a + b)
-    candidates = [(g(lo), lo), (g(hi), hi), (g(x), x)]
-    best = max(candidates, key=lambda t: t[0])
-    return best[1], best[0]
+    x = np.empty_like(a)
+    done = np.zeros(a.shape, dtype=bool)
+    while True:
+        stop = ~done & ~((b - a) > tol)
+        x = np.where(stop, 0.5 * (a + b), x)
+        done |= stop
+        if done.all():
+            break
+        # left: the maximum lies in [a, d]; c becomes the new d
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_new = g(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    best_x, best = lo, g(lo)
+    for pt in (hi, x):
+        val = g(pt)
+        # strictly larger only, so the first of equal maxima is kept
+        better = val > best
+        best_x, best = np.where(better, pt, best_x), np.where(better, val, best)
+    if scalar:
+        return float(best_x[0]), float(best[0])
+    return best_x, best
 
 
 def simplex_grid(spec: GridSpec) -> Iterator[np.ndarray]:
@@ -125,6 +182,18 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return project_rows(np.asarray(v, dtype=float)[None])[0]
 
 
+def _probe_stack(x: np.ndarray, bi: np.ndarray, ci: np.ndarray,
+                 delta: np.ndarray) -> np.ndarray:
+    """One probe per move: x with coordinate ci[m] of block bi[m] shifted by
+    delta[m] and that block projected back onto the simplex."""
+    rows = np.arange(bi.size)
+    moved = x[bi]
+    moved[rows, ci] += delta
+    probes = np.repeat(x[None], bi.size, axis=0)
+    probes[rows, bi] = project_rows(moved)
+    return probes
+
+
 def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
                    start: Sequence[np.ndarray],
                    step: float = 0.25,
@@ -144,11 +213,11 @@ def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
     value below f(start).
 
     `f(blocks)` scores one probe, given as a list of blocks. With `f_many`,
-    the remaining probes of a sweep are scored at once: `f_many(probes)`
-    takes a (B, n_blocks, size) stack and returns B values in probe order,
-    each equal to `f` of that probe. Without it, `f` is called probe by
-    probe and no further once a probe is accepted. Both visit the same
-    points and return the same (blocks, value).
+    the remaining probes of a sweep are built and scored at once:
+    `f_many(probes)` takes a (B, n_blocks, size) stack and returns B values
+    in probe order, each equal to `f` of that probe. Without it, each probe
+    is built and scored by `f` in turn, and none past an accepted one. Both
+    visit the same points and return the same (blocks, value).
     """
     if len({np.size(b) for b in start}) > 1:
         raise InputError("pattern_search: blocks must share one size")
@@ -159,25 +228,34 @@ def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
     bi = np.repeat(np.arange(n_blocks), 2 * size)
     ci = np.tile(np.repeat(np.arange(size), 2), n_blocks)
     sign = np.tile([+1.0, -1.0], n_blocks * size)
+
+    def first_hit(k: int):
+        """(j, probe, value) of the first probe, from move k on, that beats
+        the running best; None when none does."""
+        if f_many is not None:
+            probes = _probe_stack(x, bi[k:], ci[k:], sign[k:] * step)
+            vals = f_many(probes)
+            j = next((j for j, val in enumerate(vals) if val > best), None)
+            return None if j is None else (j, probes[j], vals[j])
+        for j, m in enumerate(range(k, bi.size)):
+            probe = _probe_stack(x, bi[m:m + 1], ci[m:m + 1],
+                                 sign[m:m + 1] * step)[0]
+            val = f(list(probe))
+            if val > best:
+                return j, probe, val
+        return None
+
     while step >= min_step:
         improved = False
         k = 0
         while k < bi.size:
-            rows = np.arange(bi.size - k)
-            moved = x[bi[k:]]
-            moved[rows, ci[k:]] += sign[k:] * step
-            probes = np.repeat(x[None], rows.size, axis=0)
-            probes[rows, bi[k:]] = project_rows(moved)
-            vals = (f_many(probes) if f_many is not None
-                    else (f(list(probe)) for probe in probes))
-            hit = next(((j, val) for j, val in enumerate(vals) if val > best),
-                       None)
+            hit = first_hit(k)
             if hit is None:
                 break
-            j, val = hit
+            j, x, val = hit
             if val > best + min_improve:
                 improved = True
-            x, best = probes[j], val
+            best = val
             k += j + 1
         if not improved:
             step *= 0.5
@@ -186,7 +264,8 @@ def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
 
 def grid_then_pattern(f: Callable[[Sequence[np.ndarray]], float],
                       candidates: Iterable[Sequence[np.ndarray]],
-                      seeds: Iterable[Sequence[np.ndarray]] = (),
+                      seeds: Iterable[Sequence[np.ndarray]] = (), *,
+                      f_many: Callable[[np.ndarray], np.ndarray] | None = None,
                       **pattern_kw) -> tuple[list[np.ndarray] | None, float]:
     """Best (blocks, value) of a grid pass followed by pattern searches.
 
@@ -196,15 +275,28 @@ def grid_then_pattern(f: Callable[[Sequence[np.ndarray]], float],
     the running best only when it is strictly larger, so the value is never
     below the best candidate's. Returns (None, -inf) when every candidate and
     every search scores -inf.
+
+    The candidates are taken GRID_CHUNK at a time. With `f_many` (see
+    `pattern_search`), each chunk is scored as one (B, n_blocks, size) stack
+    and the pattern searches score their sweeps with it; the result is the
+    same as with `f` alone.
     """
+    def score(stack: np.ndarray) -> np.ndarray:
+        if f_many is not None:
+            return np.asarray(f_many(stack))
+        return np.array([f(list(blocks)) for blocks in stack], dtype=float)
+
     best_blocks, best_val = None, -np.inf
-    for blocks in candidates:
-        val = f(blocks)
-        if val > best_val:
-            best_blocks, best_val = blocks, val
+    candidates = iter(candidates)
+    while chunk := list(itertools.islice(candidates, GRID_CHUNK)):
+        vals = score(np.asarray(chunk, dtype=float))
+        # the first of equal maxima, as a running `>` keeps; NaN never wins
+        k = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
+        if vals[k] > best_val:
+            best_blocks, best_val = chunk[k], vals[k]
     starts = list(seeds) if best_blocks is None else [best_blocks, *seeds]
     for start in starts:
-        blocks, val = pattern_search(f, start, **pattern_kw)
+        blocks, val = pattern_search(f, start, f_many=f_many, **pattern_kw)
         if val > best_val:
             best_blocks, best_val = blocks, val
     return best_blocks, best_val

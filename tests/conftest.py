@@ -62,3 +62,50 @@ def example1() -> SourceModel:
     p_uv = JointPmf(("0", "1"), ("0", "1"), np.full((2, 2), 0.25))
     q_uv = JointPmf(("0", "1"), ("0", "1"), [[0.0, 0.5], [0.5, 0.0]])
     return SourceModel(p_uv, q_uv)
+
+
+def frozen_bisect_monotone(g, lo, hi, tol=1e-10, xtol=0.0, max_iter=200):
+    """The scalar bisection loop, kept as the reference that the elementwise
+    `bisect_monotone` must reproduce row by row."""
+    glo, ghi = g(lo), g(hi)
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    if np.sign(glo) == np.sign(ghi):
+        raise ValueError("no sign change")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if abs(gm) <= tol or (hi - lo) <= xtol * max(1.0, abs(mid)):
+            return mid
+        if np.sign(gm) == np.sign(glo):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def frozen_maximize_1d(g, lo, hi, tol=1e-10):
+    """The scalar golden-section loop, kept as the reference that the
+    elementwise `maximize_1d` must reproduce row by row."""
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = g(c), g(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = g(d)
+    x = 0.5 * (a + b)
+    candidates = [(g(lo), lo), (g(hi), hi), (g(x), x)]
+    best = max(candidates, key=lambda t: t[0])
+    return best[1], best[0]

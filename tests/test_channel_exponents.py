@@ -5,8 +5,12 @@ from errexp import (Channel, DomainError, InputDesign, Pmf, ScoredPmf,
                     bsc_expurgated_zero_rate, conjugate, expurgated_exponent,
                     expurgated_exponent_opt, special_message_exponent,
                     theta_bounds)
-from errexp.channel_exponents import bhattacharyya_kernel, output_given_state
-from conftest import dense_grid_conjugate
+from errexp.channel_exponents import (RHO_GRID, RHO_GRID_POINTS,
+                                      _expurgation_terms, _rho_grid_objective,
+                                      bhattacharyya_kernel,
+                                      expurgated_exponents, output_given_state)
+from errexp.optimize import GridSpec, grid_then_pattern, simplex_grid
+from conftest import dense_grid_conjugate, frozen_maximize_1d, sparse_rows
 
 UNIFORM2 = InputDesign.from_matrix((0, 1), np.full((2, 2), 0.25))
 
@@ -54,6 +58,73 @@ class TestExpurgatedOpt:
         v0, _ = expurgated_exponent_opt(0.0, bsc35, grid_resolution=8)
         v1, _ = expurgated_exponent_opt(np.log(2.0), bsc35, grid_resolution=8)
         assert v1 <= v0 + 1e-12
+
+
+def frozen_expurgated_exponent(rate, design, ch):
+    """The scalar expurgated exponent with its golden section, kept as the
+    reference that the lockstep `expurgated_exponents` must reproduce."""
+    wl, logb, powers, inf_below = _expurgation_terms(design, ch)
+    if rate < inf_below:
+        return float("inf")
+
+    def objective(rho):
+        kernel = float(np.sum(wl * np.exp(logb / rho)))
+        return -rho * rate - rho * np.log(kernel)
+
+    k = int(np.argmax(_rho_grid_objective(rate, wl, powers)))
+    lo = RHO_GRID[max(k - 1, 0)]
+    hi = RHO_GRID[min(k + 1, RHO_GRID_POINTS - 1)]
+    return frozen_maximize_1d(objective, lo, hi, tol=1e-9)[1]
+
+
+# 3-input channels: overlapping rows, and rows 0 and 1 disjoint (a zero
+# Bhattacharyya entry, so weight there makes the exponent +inf at low rates)
+CYCLIC3 = Channel((0, 1, 2), (0, 1, 2),
+                  [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+SPLIT3 = Channel((0, 1, 2), (0, 1, 2),
+                 [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
+
+
+class TestLockstepExpurgated:
+    """expurgated_exponents on lists of designs against the frozen scalar
+    refinement, design by design and bit for bit."""
+
+    @pytest.mark.parametrize("ch", [CYCLIC3, SPLIT3], ids=["cyclic", "split"])
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.3, 1.2])
+    def test_designs_match_scalar(self, ch, rate):
+        rng = np.random.default_rng(int(rate * 100) + len(ch.rows[1].nonzero()[0]))
+        designs = [InputDesign.from_matrix((0, 1, 2), row.reshape(3, 3))
+                   for row in sparse_rows(rng, 40, 9, 0.4)]
+        designs.append(InputDesign.from_matrix((0, 1, 2), np.eye(3) / 3))
+        values = expurgated_exponents(rate, designs, ch)
+        expect = [frozen_expurgated_exponent(rate, d, ch) for d in designs]
+        assert values.tolist() == expect
+        assert expurgated_exponent(rate, designs[0], ch) == expect[0]
+        if ch is SPLIT3 and rate == 0.0:
+            assert np.isinf(expect).any() and np.isfinite(expect).any()
+
+    def test_binary_designs_match_scalar(self, bsc35):
+        rng = np.random.default_rng(3)
+        designs = [InputDesign.from_matrix((0, 1), row.reshape(2, 2))
+                   for row in sparse_rows(rng, 30, 4, 0.3)]
+        for rate in (0.0, 0.1):
+            values = expurgated_exponents(rate, designs, bsc35)
+            assert values.tolist() == [frozen_expurgated_exponent(rate, d, bsc35)
+                                       for d in designs]
+
+    @pytest.mark.parametrize("ch", [CYCLIC3, SPLIT3], ids=["cyclic", "split"])
+    def test_opt_matches_scalar_search(self, ch):
+        def f(blocks):
+            design = InputDesign.from_matrix((0, 1, 2), blocks[0].reshape(3, 3))
+            return frozen_expurgated_exponent(0.0, design, ch)
+
+        candidates = ([v] for v in simplex_grid(GridSpec(9, 2)))
+        blocks, value = grid_then_pattern(f, candidates, step=0.25,
+                                          min_step=1e-2)
+        got, design = expurgated_exponent_opt(0.0, ch, grid_resolution=2,
+                                              pattern_min_step=1e-2)
+        assert got == value
+        assert np.array_equal(design.joint.probs.reshape(-1), blocks[0])
 
 
 class TestBscZeroRate:
@@ -137,3 +208,20 @@ class TestSpecialMessageExponent:
             special_message_exponent(self.DESIGN, bsc35, tu + 0.01)
         with pytest.raises(DomainError):
             special_message_exponent(self.DESIGN, bsc35, -tl - 0.01)
+
+    @pytest.mark.parametrize("ch", [CYCLIC3, SPLIT3], ids=["cyclic", "split"])
+    def test_theta_array_matches_scalars(self, ch, bsc35):
+        rng = np.random.default_rng(9)
+        for design in [self.DESIGN] + [
+                InputDesign.from_matrix((0, 1, 2), row.reshape(3, 3))
+                for row in sparse_rows(rng, 4, 9, 0.3)]:
+            chan = bsc35 if len(design.state_probs) == 2 else ch
+            tl, tu = theta_bounds(design, chan)
+            # the bounds are +inf where a state's outputs leave a row's support
+            thetas = np.linspace(max(-tl, -3.0), min(tu, 3.0), 33)
+            values = special_message_exponent(design, chan, thetas)
+            assert values.tolist() == [
+                special_message_exponent(design, chan, float(t)) for t in thetas]
+            outside = tu + 0.01 if np.isfinite(tu) else np.nan
+            with pytest.raises(DomainError):
+                special_message_exponent(design, chan, np.append(thetas, outside))

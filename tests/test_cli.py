@@ -150,6 +150,25 @@ class TestBounds:
         assert names == {"shtcc_ex0_upper", "jhtcc_uncoded"}
 
 
+    def test_jhtcc_uncoded_ternary_pin(self, tmp_path):
+        """Byte-for-byte output of the uncoded bound on the general 3-input
+        model bench/models/rht3.json (|V| = 1, |Y| = 3), as computed by the
+        scalar KL-ball projection before the sweeps were stacked."""
+        out = tmp_path / "rht3.csv"
+        assert main(["bounds", "bench/models/rht3.json", "--scheme",
+                     "jhtcc-uncoded", "--grid", "4", "--kappa-grid",
+                     "0.01,0.03,0.06", "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "# errexp 0.1.0 subcommand=bounds\n"
+            "# model=rht3 sha256=a1c42b50b84108e33ee319b04b46d09eadf74948aeceeea"
+            "4612eec3a1adb2dbf\n"
+            "# params grid=4,kappa_grid=0.01,0.03,0.06,points=25,"
+            "scheme=jhtcc-uncoded\n"
+            "kappa_alpha,bound,value,feasible,achiever_digest\n"
+            "0.01,jhtcc_uncoded,0.0305635264,1,eae6dcd84196\n"
+            "0.03,jhtcc_uncoded,0.0110852574,1,eae6dcd84196\n"
+            "0.06,jhtcc_uncoded,0.0013438974,1,eae6dcd84196\n")
+
 class TestSimulate:
     def test_deterministic_byte_identical(self, bern_model, tmp_path):
         args = ["simulate", bern_model, "--n-grid", "40,80", "--trials",

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
                     shtcc_tad, shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
                     special_message_exponent, zeta_rho)
 from errexp.channel_exponents import output_given_state
-from errexp.dht_bounds import (_info_uw, _info_vw, _project_components,
-                               _tad_first_term, _tai_first_term)
+from errexp.dht_bounds import (_conditional_vy_laws, _info_uw, _info_vw,
+                               _project_components, _tad_first_term,
+                               _tai_first_term, _uncoded_values)
+from errexp.legendre import Mixture
 from errexp.prob_core import kl_array, kl_rows, mutual_information_arrays
-from conftest import fit_geometric_family, sparse_rows
+from conftest import (fit_geometric_family, frozen_bisect_monotone,
+                      sparse_rows)
 
 FAST = DhtSearchConfig(design_resolution=3, ball_resolution=8,
                        sx_resolution=4, theta_points=17,
@@ -62,7 +67,8 @@ class TestKlBallProjection:
         # every geometric mixture is [1, 0] at radius log 2, just above the
         # ball, so the multiplier grows to its 1e12 cap without a sign change
         ref, tgt = np.array([0.5, 0.5]), np.array([1.0, 0.0])
-        ps, value = _project_components([(1.0, ref, tgt)], np.log(2.0) - 1e-13)
+        [(ps, value)] = _project_components([[(1.0, ref, tgt)]],
+                                            np.log(2.0) - 1e-13)
         assert ps[0].tolist() == [1.0, 0.0]
         assert value == 0.0
 
@@ -112,7 +118,7 @@ class TestProjectComponents:
             comps = _overlapping_components(rng)
             kappa_min = -sum(w * np.log(r[t > 0].sum()) for w, r, t in comps)
             kappa = float(rng.uniform(kappa_min, _free_radius(comps)))
-            ps, value = _project_components(comps, kappa)
+            [(ps, value)] = _project_components([comps], kappa)
             radius = sum(w * kl_array(p, r) for (w, r, _), p in zip(comps, ps))
             assert radius == pytest.approx(kappa, abs=1e-9)
             assert value == sum(w * kl_array(p, t)
@@ -135,12 +141,182 @@ class TestProjectComponents:
         rng = np.random.default_rng(11)
         for _ in range(self.CASES):
             comps = _overlapping_components(rng)
-            ps, value = _project_components(comps, _free_radius(comps) + 0.01)
+            [(ps, value)] = _project_components(
+                [comps], _free_radius(comps) + 0.01)
             assert value == sum(w * kl_array(p, t)
                                 for (w, _, t), p in zip(comps, ps))
             assert value == pytest.approx(
                 -sum(w * np.log(t[r > 0].sum()) for w, r, t in comps),
                 abs=1e-12)
+
+
+def frozen_project_components(components, kappa_alpha):
+    """The scalar KL-ball projection with its mu schedule, kept as the
+    reference that the stacked `_project_components` must reproduce."""
+    comps = [(w, np.asarray(r, dtype=float).reshape(-1),
+              np.asarray(t, dtype=float).reshape(-1))
+             for w, r, t in components if w > 0]
+    if kappa_alpha == 0:
+        value = sum(w * kl_array(r, t) for w, r, t in comps)
+        return [r.copy() for _, r, _ in comps], float(value)
+    masks = [(r > 0) & (t > 0) for _, r, t in comps]
+    if not all(np.any(m) for m in masks):
+        return [r.copy() for _, r, _ in comps], float("inf")
+    mix = Mixture([(w, r[m], np.log(t[m]) - np.log(r[m]))
+                   for (w, r, t), m in zip(comps, masks)])
+    if kappa_alpha < -mix.tilt(0.0)[0] - 1e-12:
+        return [r.copy() for _, r, _ in comps], float("inf")
+
+    @functools.cache
+    def gap(mu):
+        lam = 1.0 / (1.0 + mu)
+        psi, dpsi = mix.tilt(lam)
+        return lam * dpsi - psi - kappa_alpha
+
+    mu, lo, hi = 0.0, 0.0, 1.0
+    if gap(0.0) > 0.0:
+        while gap(hi) > 0.0 and hi < 1e12:
+            lo, hi = hi, hi * 2.0
+        mu = hi if gap(hi) > 0.0 else frozen_bisect_monotone(
+            gap, lo, hi, tol=1e-9, max_iter=200)
+    ps = [np.zeros_like(r) for _, r, _ in comps]
+    for p, m, row in zip(ps, masks, mix.tilted(1.0 / (1.0 + mu))):
+        p[m] = row[:m.sum()]
+    return ps, float(sum(w * kl_array(p, t) for (w, _, t), p in zip(comps, ps)))
+
+
+def _radius_at(components, lam):
+    """The ball radius lam psi'(lam) - psi(lam) of one problem's CGF, in the
+    arithmetic of the projection, so a gap there is exactly zero."""
+    mix = Mixture([(w, r[(r > 0) & (t > 0)],
+                    np.log(t[(r > 0) & (t > 0)]) - np.log(r[(r > 0) & (t > 0)]))
+                   for w, r, t in components if w > 0])
+    psi, dpsi = mix.tilt(lam)
+    return lam * dpsi - psi
+
+
+def _random_problems(rng, n, size):
+    """n problems of one or two components on `size` atoms, with zeros in
+    ref and tgt (so supports differ within the stack), a zero weight, a
+    component with disjoint supports and one near-disjoint problem."""
+    problems = []
+    for i in range(n):
+        n_comp = 1 + i % 2
+        weights = rng.dirichlet(np.ones(n_comp))
+        if i % 7 == 3:
+            weights = np.array([1.0, 0.0])  # K = 2 with a zero weight
+        comps = []
+        for w in weights:
+            ref, tgt = sparse_rows(rng, 2, size, 0.25)
+            comps.append((float(w), ref, tgt))
+        problems.append(comps)
+    disjoint = np.zeros(size), np.zeros(size)
+    disjoint[0][:2], disjoint[1][2:4] = 0.5, 0.5
+    problems.append([(1.0, *disjoint)])
+    # common support of ref mass 0.02: kappa_min = -log 0.02 = 3.9
+    thin = np.full(size, 0.98 / (size - 1)), np.full(size, 1.0 / size)
+    thin[0][0], thin[1][1:] = 0.02, 0.0
+    thin[1][0] = 1.0
+    problems.append([(1.0, *thin)])
+    return problems
+
+
+class TestStackedProjection:
+    """`_project_components` on lists of problems against the frozen scalar
+    projection, problem by problem and bit for bit."""
+
+    @staticmethod
+    def check(problems, kappa):
+        got = _project_components(problems, kappa)
+        assert len(got) == len(problems)
+        for comps, (laws, value) in zip(problems, got):
+            ref_laws, ref_value = frozen_project_components(comps, kappa)
+            assert value == ref_value
+            assert len(laws) == len(ref_laws)
+            for a, b in zip(laws, ref_laws):
+                assert np.array_equal(a, b)
+        return [value for _, value in got]
+
+    @pytest.mark.parametrize("size", [4, 9])
+    @pytest.mark.parametrize("kappa", [0.0, 1e-4, 0.01, 0.05, 0.3, 5.0])
+    def test_random_stacks(self, size, kappa):
+        rng = np.random.default_rng(size * 100 + int(kappa * 1e4))
+        values = self.check(_random_problems(rng, 24, size), kappa)
+        if kappa > 0:
+            # the disjoint problem, and the thin one while kappa < 3.9
+            assert values[-2] == np.inf
+            assert (values[-1] == np.inf) == (kappa < 3.9)
+
+    def test_unequal_widths_in_one_list(self):
+        rng = np.random.default_rng(5)
+        problems = (_random_problems(rng, 10, 4) + _random_problems(rng, 10, 9)
+                    + [[(0.5, *sparse_rows(rng, 2, 3)),
+                        (0.5, *sparse_rows(rng, 2, 6))]])
+        self.check(problems, 0.02)
+
+    def test_multiplier_cap_and_exact_zero_gaps(self):
+        rng = np.random.default_rng(13)
+        capped = [(1.0, np.array([0.5, 0.5]), np.array([1.0, 0.0]))]
+        others = [[(1.0, *sparse_rows(rng, 2, 2, 0.0))] for _ in range(6)]
+        kappa = np.log(2.0) - 1e-13
+        values = self.check([capped, *others], kappa)
+        assert values[0] == 0.0
+        # gaps of exactly zero at mu = 0, at the first bracket end mu = 1
+        # and at the doubled end mu = 2
+        base = [(1.0, np.array([0.4, 0.3, 0.3]), np.array([0.1, 0.2, 0.7]))]
+        for mu in (0.0, 1.0, 2.0):
+            kappa = float(_radius_at(base, 1.0 / (1.0 + mu)))
+            [(laws, _)] = _project_components([base], kappa)
+            _, r, t = base[0]
+            tilted = Mixture([(1.0, r, np.log(t) - np.log(r))])
+            assert np.array_equal(laws[0], tilted.tilted(1.0 / (1.0 + mu))[0])
+            self.check([base, *others], kappa)
+
+    def test_rows_stop_at_different_iterations(self):
+        rng = np.random.default_rng(31)
+        problems = [[(1.0, *sparse_rows(rng, 2, 4, 0.0))] for _ in range(30)]
+        kappa = 0.01
+        tilts = [self._count_tilts(comps, kappa) for comps in problems]
+        assert len(set(tilts)) > 3
+        self.check(problems, kappa)
+
+    @staticmethod
+    def _count_tilts(comps, kappa):
+        """Distinct multipliers the frozen schedule visits for one problem."""
+        seen = set()
+        w, r, t = comps[0]
+        mix = Mixture([(w, r, np.log(t) - np.log(r))])
+
+        def gap(mu):
+            seen.add(mu)
+            lam = 1.0 / (1.0 + mu)
+            psi, dpsi = mix.tilt(lam)
+            return lam * dpsi - psi - kappa
+        mu, lo, hi = 0.0, 0.0, 1.0
+        if gap(0.0) > 0.0:
+            while gap(hi) > 0.0 and hi < 1e12:
+                lo, hi = hi, hi * 2.0
+            frozen_bisect_monotone(gap, lo, hi, tol=1e-9, max_iter=200)
+        return len(seen)
+
+    def test_uncoded_values_on_a_ternary_model(self):
+        rng = np.random.default_rng(37)
+        p_uv = sparse_rows(rng, 1, 9, 0.2)[0].reshape(3, 3)
+        q_uv = sparse_rows(rng, 1, 9, 0.2)[0].reshape(3, 3)
+        model = SourceModel(JointPmf((0, 1, 2), (0, 1, 2), p_uv),
+                            JointPmf((0, 1, 2), (0, 1, 2), q_uv))
+        ch = Channel((0, 1, 2), (0, 1, 2), sparse_rows(rng, 3, 3, 0.3))
+        designs = []
+        for i in range(20):
+            p_s = Pmf((0, 1), [1.0, 0.0] if i % 5 == 0 else [0.3, 0.7])
+            rows = sparse_rows(rng, 6, 3, 0.3).reshape(3, 2, 3)
+            designs.append(AuxiliaryDesign(p_s=p_s, p_x_given_us=rows))
+        for kappa in (0.0, 0.005, 0.05):
+            values = _uncoded_values(model, ch, kappa, designs)
+            expect = [frozen_project_components(
+                _conditional_vy_laws(model, ch, d), kappa)[1] for d in designs]
+            assert values.tolist() == expect
+            assert jhtcc_uncoded(model, ch, kappa, designs[1]) == expect[1]
 
 
 class TestJhtccUncoded:

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -9,7 +10,9 @@ from errexp import (Channel, ChannelPairLaw, DomainError, ExponentPoint,
                     channel_max_divergence, channel_region_point, direct_curve,
                     direct_region_point, direct_tradeoff, kappa0,
                     kl_divergence, llr_interval, loglik_scores, rht_tradeoff)
-from conftest import dense_grid_conjugate
+from errexp.exact_regions import _channel_branch_beta, _law_mixture
+from conftest import (dense_grid_conjugate, frozen_bisect_monotone,
+                      sparse_rows)
 
 P58 = Pmf((0, 1), [0.5, 0.5])
 Q58 = Pmf((0, 1), [0.2, 0.8])
@@ -174,11 +177,9 @@ class TestRhtTradeoff:
         # over a fine law grid with theta resolved by the same exact inversion
         # identity kappa_beta = kappa_alpha - theta1 at psi*(theta1)=kappa_alpha.
         from errexp.optimize import GridSpec, simplex_grid
-        from errexp.exact_regions import _channel_branch_beta
-        best = 0.0
-        for vec in simplex_grid(GridSpec(4, 20)):
-            law = ChannelPairLaw.from_matrix((0, 1), vec.reshape(2, 2))
-            best = max(best, _channel_branch_beta(bsc35, law, ka))
+        laws = [ChannelPairLaw.from_matrix((0, 1), vec.reshape(2, 2))
+                for vec in simplex_grid(GridSpec(4, 20))]
+        best = max(0.0, *_channel_branch_beta(bsc35, laws, ka))
         oracle = min(direct_tradeoff(P58, Q58, ka), best)
         assert value == pytest.approx(oracle, abs=1e-3)
 
@@ -191,12 +192,11 @@ class TestChannelBranchAtZero:
     def test_point_mass_law_gives_row_divergence(self):
         # psi(0) rounds to -2e-16 on some of these channels; kappa_alpha = 0
         # must still give D(row_0 || row_1), not a root near lam = 1e-8
-        from errexp.exact_regions import _channel_branch_beta
         rng = np.random.default_rng(0)
         for _ in range(200):
             ch = Channel((0, 1, 2), (0, 1, 2), rng.dirichlet(np.ones(3), size=3))
             law = ChannelPairLaw.point_mass(ch.input_alphabet, (0, 1))
-            assert _channel_branch_beta(ch, law, 0.0) == pytest.approx(
+            assert _channel_branch_beta(ch, [law], 0.0)[0] == pytest.approx(
                 kl_divergence(ch.row_at(0), ch.row_at(1)), abs=1e-12)
 
 
@@ -205,7 +205,6 @@ class TestChannelPointMatchesBranch:
     the point's kappa_alpha the branch gives the point's kappa_beta."""
 
     def test_laws_with_diagonal_mass(self):
-        from errexp.exact_regions import _channel_branch_beta
         rng = np.random.default_rng(11)
         for _ in range(20):
             ch = Channel((0, 1, 2), (0, 1, 2),
@@ -216,15 +215,14 @@ class TestChannelPointMatchesBranch:
             d_min, d_max = channel_d_bounds(ch, law)
             for t in (0.1, 0.5, 0.9):
                 pt = channel_region_point(ch, law, -d_min + t * (d_min + d_max))
-                assert _channel_branch_beta(ch, law, pt.kappa_alpha) == \
+                assert _channel_branch_beta(ch, [law], pt.kappa_alpha)[0] == \
                     pytest.approx(pt.kappa_beta, abs=1e-9)
 
     def test_diagonal_only_law_gives_zero(self, bsc35):
-        from errexp.exact_regions import _channel_branch_beta
         law = ChannelPairLaw.from_matrix((0, 1), [[0.3, 0.0], [0.0, 0.7]])
         pt = channel_region_point(bsc35, law, 0.0)
         assert (pt.kappa_alpha, pt.kappa_beta) == (0.0, 0.0)
-        assert _channel_branch_beta(bsc35, law, 0.01) == 0.0
+        assert _channel_branch_beta(bsc35, [law], 0.01)[0] == 0.0
 
 
 class TestDeadOutputSymbol:
@@ -260,18 +258,17 @@ class TestBestChannelBranch:
 
     def test_no_grid_law_beats_the_pair_maximum(self):
         # the simplex sweep is an oracle only: 495 laws on the 9-simplex
-        from errexp.exact_regions import _channel_branch_beta
         from errexp.optimize import GridSpec, simplex_grid
         for ch in self.channels():
             for ka in (0.005, 0.05):
                 value, law = best_channel_branch(ch, ka)
                 assert np.count_nonzero(law.probs) == 1
-                assert _channel_branch_beta(ch, law, ka) == value
-                for vec in simplex_grid(GridSpec(9, 4)):
-                    grid_law = ChannelPairLaw.from_matrix(ch.input_alphabet,
-                                                          vec.reshape(3, 3))
-                    assert _channel_branch_beta(ch, grid_law, ka) \
-                        <= value + 1e-12
+                assert _channel_branch_beta(ch, [law], ka)[0] == value
+                grid = [ChannelPairLaw.from_matrix(ch.input_alphabet,
+                                                   vec.reshape(3, 3))
+                        for vec in simplex_grid(GridSpec(9, 4))]
+                assert np.all(_channel_branch_beta(ch, grid, ka)
+                              <= value + 1e-12)
 
     def test_ties_keep_the_last_pair(self):
         for ch in self.channels():
@@ -291,6 +288,45 @@ class TestBestChannelBranch:
             value, law = best_channel_branch(ch, ka)
             assert value == pytest.approx(oracle[0], abs=1e-12)
             assert law.probs[oracle[1]] == 1.0
+
+
+def frozen_invert_boundary(mix, kappa_alpha):
+    """The scalar boundary inversion, kept as the reference that the
+    lockstep `_invert_boundary` must reproduce mixture by mixture."""
+    tilt = functools.cache(mix.tilt)
+
+    def g(lam):
+        psi, dpsi = tilt(lam)
+        return lam * dpsi - psi
+
+    if kappa_alpha >= g(1.0):
+        return 0.0
+    lam = 0.0 if kappa_alpha <= max(g(0.0), 0.0) else frozen_bisect_monotone(
+        lambda lam: g(lam) - kappa_alpha, 0.0, 1.0, tol=0.0, max_iter=80)
+    return kappa_alpha - tilt(lam)[1]
+
+
+class TestLockstepInversion:
+    """_channel_branch_beta on lists of laws, grouped into stacks of one
+    mixture shape, against the frozen scalar inversion, law by law."""
+
+    @pytest.mark.parametrize("n_out", [3, 4])
+    def test_laws_match_scalar(self, n_out):
+        rng = np.random.default_rng(n_out)
+        rows = rng.dirichlet(np.ones(n_out), size=3)
+        if n_out == 4:
+            rows[:, 3] = 0.0  # an output symbol no input produces
+            rows /= rows.sum(axis=1, keepdims=True)
+        ch = Channel((0, 1, 2), tuple(range(n_out)), rows)
+        laws = [ChannelPairLaw.from_matrix(ch.input_alphabet, w.reshape(3, 3))
+                for w in sparse_rows(rng, 30, 9, 0.5)]
+        laws += [ChannelPairLaw.point_mass(ch.input_alphabet, (i, j))
+                 for i in range(3) for j in range(3)]
+        for ka in (0.0, 1e-4, 0.02, 0.3, 5.0):
+            got = _channel_branch_beta(ch, laws, ka)
+            expect = [0.0 if (mix := _law_mixture(ch, law.probs)) is None
+                      else frozen_invert_boundary(mix, ka) for law in laws]
+            assert got.tolist() == expect
 
 
 class TestKappa0:

@@ -1,11 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 
 from errexp import (InputError, Pmf, ScoredPmf, conjugate, conjugate_mixture,
                     kl_divergence, llr_interval, log_mgf, loglik_scores,
                     tilted_mean)
-from errexp.legendre import Mixture
-from conftest import dense_grid_conjugate, random_pmf
+from errexp.legendre import LAMBDA_CAP, THETA_RESIDUAL_TOL, Mixture
+from conftest import dense_grid_conjugate, frozen_bisect_monotone, random_pmf
 
 
 def scored(p_probs, scores) -> ScoredPmf:
@@ -207,6 +209,121 @@ class TestMixturePadding:
                 p, f = sp.effective()
                 law = p * np.exp(lam * f)
                 assert row[:p.size] == pytest.approx(law / law.sum(), rel=1e-12)
+
+
+def frozen_mixture_conjugate(mix, theta, lam_lo=None):
+    """The scalar conjugate solve of one mixture, kept as the reference that
+    the elementwise `Mixture.conjugate` must reproduce theta by theta:
+    (value, maximizer, converged)."""
+    fmin_k, fmax_k = mix.f.min(axis=1), mix.f.max(axis=1)
+    fmin, fmax = np.sum(mix.w * fmin_k), np.sum(mix.w * fmax_k)
+    if fmax == fmin:
+        if theta == fmin:
+            return 0.0, 0.0, True
+        lim = -np.sum(mix.w * np.log(mix.p.sum(axis=1)))
+        return float(lim), np.copysign(np.inf, theta - fmin), True
+    if theta >= fmax or (theta <= fmin and lam_lo is None):
+        side, ext = (1.0, fmax_k) if theta >= fmax else (-1.0, fmin_k)
+        masses = np.where(mix.f == ext[:, None], mix.p, 0.0).sum(axis=1)
+        return float(-np.sum(mix.w * np.log(masses))), side * np.inf, True
+    floor = lam_lo if lam_lo is not None else -np.inf
+    lo, hi = max(-1.0, floor), 1.0
+    tilt = functools.cache(mix.tilt)
+
+    def g(lam):
+        return tilt(lam)[1] - theta
+
+    while g(lo) > 0.0 and lo > max(-LAMBDA_CAP, floor):
+        lo = max(lo * 2.0 if lo < 0 else -1.0, max(-LAMBDA_CAP, floor))
+        if lo == floor:
+            break
+    while g(hi) < 0.0 and hi < LAMBDA_CAP:
+        hi = min(hi * 2.0, LAMBDA_CAP)
+    if g(lo) > 0.0:
+        lam, converged = lo, lam_lo is not None
+    elif g(hi) < 0.0:
+        lam, converged = hi, False
+    else:
+        lam = frozen_bisect_monotone(g, lo, hi, tol=THETA_RESIDUAL_TOL,
+                                     xtol=1e-13, max_iter=300)
+        converged = True
+    return theta * lam - tilt(lam)[0], lam, converged
+
+
+class TestElementwiseConjugate:
+    """Mixture.conjugate and conjugate on theta arrays against the frozen
+    scalar solve, theta by theta and bit for bit."""
+
+    @staticmethod
+    def thetas(rng, mix, n=40):
+        """Thetas across and beyond the score range, with its ends exactly,
+        and some far below, where the tilt floor or cap binds."""
+        lo = float(np.sum(mix.w * mix.f.min(axis=1)))
+        hi = float(np.sum(mix.w * mix.f.max(axis=1)))
+        span = hi - lo
+        return np.concatenate([rng.uniform(lo - 0.2 * span, hi + 0.2 * span, n),
+                               [lo, hi, lo + 1e-9 * span, hi - 1e-9 * span,
+                                lo - 50.0, 0.5 * (lo + hi)]])
+
+    @staticmethod
+    def check(mix, thetas, lam_lo=None):
+        res = mix.conjugate(thetas, lam_lo=lam_lo)
+        got = list(zip(res.value.tolist(), res.maximizer.tolist(),
+                       res.converged.tolist()))
+        expect = [tuple(map(float, frozen_mixture_conjugate(mix, t, lam_lo)[:2]))
+                  + (bool(frozen_mixture_conjugate(mix, t, lam_lo)[2]),)
+                  for t in thetas]
+        assert got == expect
+        one = mix.conjugate(float(thetas[0]), lam_lo=lam_lo)
+        assert (one.value, one.maximizer, one.converged) == expect[0]
+        return res
+
+    @pytest.mark.parametrize("lam_lo", [None, 0.0])
+    @pytest.mark.parametrize("n_comp,size", [(1, 2), (1, 5), (2, 3), (3, 9)])
+    def test_random_mixtures(self, n_comp, size, lam_lo):
+        rng = np.random.default_rng(n_comp * 10 + size)
+        for _ in range(4):
+            comps = [(w, random_pmf(rng, size).probs,
+                      rng.normal(scale=3.0, size=size))
+                     for w in rng.dirichlet(np.ones(n_comp))]
+            mix = Mixture(comps)
+            self.check(mix, self.thetas(rng, mix), lam_lo)
+
+    def test_steep_scores_reach_the_tilt_cap(self):
+        # a score gap of 1e-7 needs tilts near 1e7 > LAMBDA_CAP to move psi'
+        mix = Mixture([(1.0, np.array([0.999999, 1e-6]),
+                        np.array([0.0, 1e-7]))])
+        res = self.check(mix, np.array([2e-8, 5e-8, 9e-8, 1e-13]))
+        assert not res.converged.all()
+
+    def test_constant_scores(self):
+        mix = Mixture([(0.4, np.array([0.5, 0.3]), np.array([1.0, 1.0])),
+                       (0.6, np.array([0.2]), np.array([-1.0]))])
+        self.check(mix, np.array([-0.2, -0.1, 0.0, 0.5]))
+
+    def test_infinite_scores_and_mirror(self):
+        rng = np.random.default_rng(3)
+        cases = [[0.0, -np.inf, 1.5], [2.0, np.inf, -1.0], [-np.inf, np.inf, 0.0],
+                 [-np.inf, -np.inf, -np.inf]]
+        for scores in cases:
+            sp = scored([0.3, 0.3, 0.4], scores)
+            thetas = rng.uniform(-3.0, 3.0, 25)
+            res = conjugate(sp, thetas)
+            for i, t in enumerate(thetas):
+                one = conjugate(sp, float(t))
+                assert (res.value[i], res.maximizer[i], res.converged[i]) == (
+                    one.value, one.maximizer, one.converged)
+
+    def test_infinite_scores_match_frozen_solve(self):
+        # with -inf atoms the solve runs on the finite part with lam >= 0
+        p, f = np.array([0.3, 0.3, 0.4]), np.array([0.0, -np.inf, 1.5])
+        mix = Mixture([(1.0, p[[0, 2]], f[[0, 2]])])
+        thetas = np.linspace(-1.0, 2.0, 31)
+        interior = self.check(mix, thetas, lam_lo=0.0)
+        res = conjugate(scored(p, f), thetas)
+        at_zero = -float(np.log(0.7))
+        assert res.value.tolist() == np.where(
+            at_zero >= interior.value, at_zero, interior.value).tolist()
 
 
 class TestLoglikScores:

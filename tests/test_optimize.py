@@ -8,6 +8,7 @@ from errexp.exceptions import BracketError, InputError
 from errexp.optimize import (GridSpec, bisect_monotone, grid_then_pattern,
                              maximize_1d, pattern_search, simplex_grid,
                              simplex_grid_array)
+from conftest import frozen_bisect_monotone, frozen_maximize_1d
 
 
 class TestBisectMonotone:
@@ -72,6 +73,120 @@ class TestMaximize1d:
     def test_monotone_returns_boundary(self):
         x, v = maximize_1d(lambda x: x, 0.0, 2.0)
         assert x == 2.0 and v == 2.0
+
+
+def _monotone_rows(rng, n):
+    """n monotone cubics s * ((x - r)^3 + c (x - r)) with a root r inside
+    [lo, hi]; the first rows have their root exactly at lo or at hi."""
+    r = rng.uniform(-3.0, 3.0, n)
+    lo = r - rng.uniform(0.0, 4.0, n)
+    hi = r + rng.uniform(0.0, 4.0, n)
+    lo[0], hi[1] = r[0], r[1]
+    s = rng.choice([-1.0, 1.0], n)
+    c = rng.uniform(0.0, 2.0, n)
+
+    def g(x, rows=slice(None)):
+        t = x - r[rows]
+        return s[rows] * (t * t * t + c[rows] * t)
+    return g, lo, hi
+
+
+class TestElementwiseBisect:
+    """bisect_monotone on stacks against the frozen scalar loop, row by row."""
+
+    @pytest.mark.parametrize("tol,xtol,max_iter", [
+        (1e-10, 0.0, 200), (1e-3, 0.0, 200), (0.0, 1e-6, 200),
+        (0.0, 0.0, 7), (1e-2, 0.0, 9)])
+    def test_rows_match_scalar_loop(self, tol, xtol, max_iter):
+        rng = np.random.default_rng(17)
+        g, lo, hi = _monotone_rows(rng, 40)
+        kw = dict(tol=tol, xtol=xtol, max_iter=max_iter)
+        roots = bisect_monotone(g, lo, hi, **kw)
+        expect = [frozen_bisect_monotone(lambda x, i=i: float(g(x, i)),
+                                         lo[i], hi[i], **kw)
+                  for i in range(len(lo))]
+        assert roots.tolist() == expect
+        # exact zeros at the ends are returned as they are
+        assert roots[0] == lo[0] and roots[1] == hi[1]
+
+    def test_rows_stop_at_different_iterations(self):
+        rng = np.random.default_rng(19)
+        g, lo, hi = _monotone_rows(rng, 30)
+        stops = []
+        for i in range(len(lo)):
+            calls = []
+
+            def gi(x, i=i):
+                calls.append(x)
+                return float(g(x, i))
+            frozen_bisect_monotone(gi, lo[i], hi[i], tol=1e-4)
+            stops.append(len(calls))
+        assert len(set(stops)) > 3
+        roots = bisect_monotone(g, lo, hi, tol=1e-4)
+        assert roots.tolist() == [
+            frozen_bisect_monotone(lambda x, i=i: float(g(x, i)), lo[i],
+                                   hi[i], tol=1e-4) for i in range(len(lo))]
+
+    def test_carried_ends_are_not_recomputed(self):
+        rng = np.random.default_rng(23)
+        g, lo, hi = _monotone_rows(rng, 8)
+        seen = []
+
+        def counted(x):
+            seen.append(x.copy())
+            return g(x)
+        roots = bisect_monotone(counted, lo, hi, glo=g(lo), ghi=g(hi))
+        assert roots.tolist() == bisect_monotone(g, lo, hi).tolist()
+        assert not any(np.array_equal(x, lo) or np.array_equal(x, hi)
+                       for x in seen)
+
+    def test_scalar_ends_give_a_float(self):
+        root = bisect_monotone(lambda x: x - 0.3, 0.0, 1.0, tol=1e-12)
+        assert type(root) is float
+        assert root == frozen_bisect_monotone(lambda x: x - 0.3, 0.0, 1.0,
+                                              tol=1e-12)
+
+    def test_any_row_without_sign_change_raises(self):
+        lo, hi = np.array([0.0, 2.0]), np.array([2.0, 3.0])
+        with pytest.raises(BracketError):
+            bisect_monotone(lambda x: x - 1.0, lo, hi)
+
+
+def _unimodal_rows(rng, n):
+    """n concave quadratics on intervals of widths from 1e-11 to 1e3, with
+    peaks inside, at an end, or flat (all ends tie)."""
+    lo = rng.uniform(-5.0, 5.0, n)
+    hi = lo + 10.0 ** rng.uniform(-11.0, 3.0, n)
+    peak = lo + (hi - lo) * rng.uniform(-0.5, 1.5, n)
+    curve = rng.uniform(0.0, 3.0, n)
+    curve[:3] = 0.0
+
+    def g(x, rows=slice(None)):
+        t = x - peak[rows]
+        return -curve[rows] * t * t
+    return g, lo, hi
+
+
+class TestElementwiseMaximize1d:
+    """maximize_1d on stacks against the frozen golden section, row by row."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-3])
+    def test_rows_match_scalar_loop(self, tol):
+        rng = np.random.default_rng(29)
+        g, lo, hi = _unimodal_rows(rng, 60)
+        xs, vals = maximize_1d(g, lo, hi, tol=tol)
+        for i in range(len(lo)):
+            x, v = frozen_maximize_1d(lambda t, i=i: float(g(t, i)), lo[i],
+                                      hi[i], tol=tol)
+            assert (xs[i], vals[i]) == (x, v)
+        # flat rows keep the first of equal maxima: the lower end
+        assert xs[:3].tolist() == lo[:3].tolist()
+
+    def test_scalar_ends_give_floats(self):
+        x, v = maximize_1d(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
+        assert type(x) is float and type(v) is float
+        assert (x, v) == frozen_maximize_1d(lambda t: -(t - 0.3) ** 2,
+                                            0.0, 1.0)
 
 
 class TestSimplexGrid:
@@ -267,6 +382,37 @@ class TestGridThenPattern:
         blocks, v = grid_then_pattern(f, [], seeds, min_step=1e-6)
         assert np.allclose(blocks[0], target, atol=1e-4)
         assert v == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 4096])
+    def test_batch_scorer_matches_scalar_pass(self, monkeypatch, chunk):
+        monkeypatch.setattr("errexp.optimize.GRID_CHUNK", chunk)
+        rng = np.random.default_rng(47)
+        coef = rng.normal(size=(2, 3))
+
+        def many(p):
+            # rounded to create ties across chunk boundaries, -inf on a wall
+            vals = np.round((p * coef).sum(axis=(1, 2)), 1)
+            return np.where(p[:, 0, 0] > 0.7, -np.inf, vals)
+
+        cands = [[a, b] for a in simplex_grid(GridSpec(3, 3))
+                 for b in simplex_grid(GridSpec(3, 2))]
+        def f(blocks):
+            return float(many(np.stack(blocks)[None])[0])
+
+        scalar = grid_then_pattern(f, cands, min_step=1e-2)
+        batched = grid_then_pattern(f, cands, f_many=many, min_step=1e-2)
+        assert batched[1] == scalar[1]
+        assert np.array_equal(np.stack(batched[0]), np.stack(scalar[0]))
+        # without pattern steps, the winner is the first of equal maxima
+        first = grid_then_pattern(f, cands, f_many=many, min_step=1.0)
+        vals = many(np.asarray(cands))
+        assert first[0] is cands[int(np.argmax(vals))]
+
+    def test_batch_scorer_all_minus_inf(self):
+        cands = [[p] for p in simplex_grid(GridSpec(2, 3))]
+        result = grid_then_pattern(lambda b: -np.inf, cands,
+                                   f_many=lambda p: np.full(len(p), -np.inf))
+        assert result == (None, -np.inf)
 
     def test_nothing_to_search(self):
         assert grid_then_pattern(lambda b: 0.0, []) == (None, -np.inf)
