@@ -206,8 +206,9 @@ def cmd_region(args) -> int:
         if upper <= 0:
             print("warning: degenerate model, empty positive boundary",
                   file=sys.stderr)
-        for ka in _kappa_grid(args, upper):
-            kb = direct_tradeoff(p, q, ka)
+        kappas = _kappa_grid(args, upper)
+        betas = direct_tradeoff(p, q, np.array(kappas)) if kappas else []
+        for ka, kb in zip(kappas, map(float, betas)):
             rows.append([ka, kb, ka - kb, "", "direct"])
     elif args.kind == "channel":
         if model.channel is None:
@@ -221,9 +222,10 @@ def cmd_region(args) -> int:
         if d_max <= 0:
             print("warning: degenerate law, empty positive boundary",
                   file=sys.stderr)
-        for theta in np.linspace(0.0, d_max * (1 - 1e-9), args.points):
-            pt = channel_region_point(model.channel, law, theta)
-            rows.append([pt.kappa_alpha, pt.kappa_beta, "", pt.theta, "channel"])
+        curve = channel_region_point(
+            model.channel, law, np.linspace(0.0, d_max * (1 - 1e-9), args.points))
+        for ka, kb, theta in zip(curve.kappa_alpha, curve.kappa_beta, curve.theta):
+            rows.append([float(ka), float(kb), "", theta, "channel"])
     else:  # rht
         if model.channel is None:
             raise InputError("rht region requires a channel in the model")

@@ -82,13 +82,15 @@ class ChannelPairLaw:
         return ChannelPairLaw(JointPmf(alphabet, alphabet, matrix))
 
 
-def direct_region_point(p: Pmf, q: Pmf, theta: float) -> ExponentPoint:
-    """Boundary point of the direct-HT region at log-likelihood threshold theta."""
+def direct_region_point(p: Pmf, q: Pmf, theta) -> ExponentPoint:
+    """Boundary point of the direct-HT region at log-likelihood threshold
+    theta; elementwise over an array of theta, whose point has array
+    fields."""
     d_pq = kl_divergence(p, q)
     d_qp = kl_divergence(q, p)
     if not (np.isfinite(d_pq) and np.isfinite(d_qp)):
         raise DomainError("direct region requires mutual absolute continuity")
-    if not (-d_pq < theta < d_qp):
+    if not np.all((-d_pq < np.asarray(theta)) & (theta < d_qp)):
         raise DomainError(
             f"theta={theta} outside the admissible interval ({-d_pq}, {d_qp})")
     sp = loglik_scores(p, q)
@@ -96,32 +98,38 @@ def direct_region_point(p: Pmf, q: Pmf, theta: float) -> ExponentPoint:
     return ExponentPoint(value, value - theta, theta)
 
 
-def direct_tradeoff(p: Pmf, q: Pmf, kappa_alpha: float) -> float:
+def direct_tradeoff(p: Pmf, q: Pmf, kappa_alpha):
     """kappa_beta on the direct-HT boundary at a given kappa_alpha.
 
     Out-of-range kappa_alpha maps to the boundary values: 0 maps to D(p||q),
-    anything at or above D(q||p) maps to 0.
+    anything at or above D(q||p) maps to 0. Elementwise over an array of
+    kappa_alpha, inverted as one stack.
     """
     d_pq = kl_divergence(p, q)
     d_qp = kl_divergence(q, p)
     if not (np.isfinite(d_pq) and np.isfinite(d_qp)):
         raise DomainError("direct trade-off requires mutual absolute continuity")
-    if kappa_alpha <= 0:
-        return d_pq
-    if kappa_alpha >= d_qp:
-        return 0.0
-    mix = Mixture([(1.0, *loglik_scores(p, q).effective())])
-    return float(_invert_boundary([mix], kappa_alpha)[0])
+    kappa = np.array(kappa_alpha, dtype=float, ndmin=1)
+    beta = np.where(kappa <= 0, d_pq, 0.0)
+    inside = ~(kappa <= 0) & ~(kappa >= d_qp)
+    if inside.any():
+        mix = Mixture([(1.0, *loglik_scores(p, q).effective())])
+        beta[inside] = _invert_boundary([mix] * int(inside.sum()),
+                                        kappa[inside])
+    return float(beta[0]) if np.ndim(kappa_alpha) == 0 else beta
 
 
-def _invert_boundary(mixes: list[Mixture], kappa_alpha: float) -> np.ndarray:
+def _invert_boundary(mixes: list[Mixture], kappa_alpha) -> np.ndarray:
     """kappa_beta on the boundary traced by lam in [0, 1], per mixture.
 
     On that segment the type-I exponent g(lam) = lam*psi'(lam) - psi(lam) of
     each mixture grows from 0 to its maximum at lam = 1; bisect
-    g = kappa_alpha and return kappa_alpha - psi'(lam*). The mixtures share
-    one shape and are bisected in lockstep as one `Mixture.stack`.
+    g = kappa_alpha and return kappa_alpha - psi'(lam*). kappa_alpha is one
+    value, or one per mixture. The mixtures share one shape and are
+    bisected in lockstep as one `Mixture.stack`.
     """
+    kappa_alpha = np.broadcast_to(np.asarray(kappa_alpha, dtype=float),
+                                  (len(mixes),))
     mix = Mixture.stack(np.stack([m.w for m in mixes]),
                         np.stack([m.p for m in mixes]),
                         np.stack([m.f for m in mixes]))
@@ -136,11 +144,11 @@ def _invert_boundary(mixes: list[Mixture], kappa_alpha: float) -> np.ndarray:
     run = ~(kappa_alpha >= g1) & ~(kappa_alpha <= np.maximum(g0, 0.0))
     if run.any():
         sub = mix.rows(run)
-        lam[run] = bisect_monotone(lambda x: g(sub, x) - kappa_alpha,
-                                   np.zeros(sub.w.shape[0]),
-                                   np.ones(sub.w.shape[0]), tol=0.0,
-                                   max_iter=80, glo=g0[run] - kappa_alpha,
-                                   ghi=g1[run] - kappa_alpha)
+        kap = kappa_alpha[run]
+        lam[run] = bisect_monotone(lambda x: g(sub, x) - kap,
+                                   np.zeros(kap.size), np.ones(kap.size),
+                                   tol=0.0, max_iter=80, glo=g0[run] - kap,
+                                   ghi=g1[run] - kap)
     return np.where(kappa_alpha >= g1, 0.0, kappa_alpha - mix.tilt(lam)[1])
 
 
@@ -169,14 +177,18 @@ def channel_d_bounds(ch: Channel, law: ChannelPairLaw) -> tuple[float, float]:
     return d_min, d_max
 
 
-def channel_region_point(ch: Channel, law: ChannelPairLaw, theta: float) -> ExponentPoint:
-    """Boundary point for testing between two channel input sequences."""
+def channel_region_point(ch: Channel, law: ChannelPairLaw, theta) -> ExponentPoint:
+    """Boundary point for testing between two channel input sequences;
+    elementwise over an array of theta, whose point has array fields."""
     d_min, d_max = channel_d_bounds(ch, law)
-    if not (-d_min <= theta <= d_max):
+    if not np.all((-d_min <= np.asarray(theta)) & (theta <= d_max)):
         raise DomainError(
             f"theta={theta} outside the admissible interval ({-d_min}, {d_max})")
     mix = _law_mixture(ch, law.probs)
-    value = 0.0 if mix is None else mix.conjugate(theta).value
+    if mix is None:
+        value = np.zeros(np.shape(theta)) if np.ndim(theta) else 0.0
+    else:
+        value = mix.conjugate(theta).value
     return ExponentPoint(value, value - theta, theta)
 
 
@@ -289,7 +301,9 @@ def direct_curve(p: Pmf, q: Pmf, n_points: int = 50, margin: float = 1e-9,
     """Sweep the direct-HT boundary over an even theta grid."""
     lo, hi = llr_interval(p, q)
     thetas = np.linspace(lo + margin, hi - margin, n_points)
-    pts = [direct_region_point(p, q, float(t)) for t in thetas]
+    curve = direct_region_point(p, q, thetas)
+    pts = [ExponentPoint(float(a), float(b), float(t)) for a, b, t
+           in zip(curve.kappa_alpha, curve.kappa_beta, curve.theta)]
     pts.sort(key=lambda pt: pt.kappa_alpha)
     dedup = []
     for pt in pts:

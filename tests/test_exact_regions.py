@@ -11,6 +11,7 @@ from errexp import (Channel, ChannelPairLaw, DomainError, ExponentPoint,
                     direct_region_point, direct_tradeoff, kappa0,
                     kl_divergence, llr_interval, loglik_scores, rht_tradeoff)
 from errexp.exact_regions import _channel_branch_beta, _law_mixture
+from errexp.legendre import Mixture
 from conftest import (dense_grid_conjugate, frozen_bisect_monotone,
                       sparse_rows)
 
@@ -327,6 +328,41 @@ class TestLockstepInversion:
             expect = [0.0 if (mix := _law_mixture(ch, law.probs)) is None
                       else frozen_invert_boundary(mix, ka) for law in laws]
             assert got.tolist() == expect
+
+
+class TestElementwiseRegions:
+    """The region functions on arrays of kappa_alpha or theta against their
+    scalar calls and the frozen scalar inversion, point by point."""
+
+    def test_direct_tradeoff_per_kappa(self):
+        d_qp = kl_divergence(Q58, P58)
+        kappas = np.concatenate([[0.0, -1.0, d_qp, 2 * d_qp],
+                                 np.linspace(1e-6, d_qp * (1 - 1e-9), 40)])
+        betas = direct_tradeoff(P58, Q58, kappas)
+        assert betas.tolist() == [direct_tradeoff(P58, Q58, float(k))
+                                  for k in kappas]
+        mix = Mixture([(1.0, *loglik_scores(P58, Q58).effective())])
+        assert betas[4:].tolist() == [frozen_invert_boundary(mix, float(k))
+                                      for k in kappas[4:]]
+
+    def test_region_points_per_theta(self, bsc35):
+        lo, hi = llr_interval(P58, Q58)
+        thetas = np.linspace(lo + 1e-9, hi - 1e-9, 30)
+        pt = direct_region_point(P58, Q58, thetas)
+        for i, t in enumerate(thetas):
+            one = direct_region_point(P58, Q58, float(t))
+            assert (pt.kappa_alpha[i], pt.kappa_beta[i]) == (
+                one.kappa_alpha, one.kappa_beta)
+        law = ChannelPairLaw.from_matrix((0, 1), [[0.1, 0.4], [0.2, 0.3]])
+        d_min, d_max = channel_d_bounds(bsc35, law)
+        thetas = np.linspace(-d_min, d_max, 30)
+        pt = channel_region_point(bsc35, law, thetas)
+        for i, t in enumerate(thetas):
+            one = channel_region_point(bsc35, law, float(t))
+            assert (pt.kappa_alpha[i], pt.kappa_beta[i]) == (
+                one.kappa_alpha, one.kappa_beta)
+        with pytest.raises(DomainError):
+            channel_region_point(bsc35, law, np.append(thetas, d_max + 0.1))
 
 
 class TestKappa0:
