@@ -12,7 +12,7 @@ import numpy as np
 
 from .exceptions import DomainError, InputError
 from .legendre import ScoredPmf, conjugate
-from .optimize import GridSpec, grid_then_pattern, maximize_1d, simplex_grid
+from .optimize import grid_then_pattern, maximize_1d, simplex_grid
 from .prob_core import Channel, JointPmf, Pmf, kl_array
 
 RHO_CAP = 1e4
@@ -150,15 +150,12 @@ def expurgated_exponent_opt(rate: float, ch: Channel,
     def design(vec: np.ndarray) -> InputDesign:
         return InputDesign(JointPmf(alphabet, alphabet, vec.reshape(n, n)))
 
-    def f(blocks) -> float:
-        return expurgated_exponent(rate, design(blocks[0]), ch)
-
-    def f_many(stack: np.ndarray) -> np.ndarray:
+    def score(stack: np.ndarray) -> np.ndarray:
         return expurgated_exponents(rate, [design(b[0]) for b in stack], ch)
 
-    candidates = ([vec] for vec in simplex_grid(GridSpec(n * n, grid_resolution)))
-    blocks, val = grid_then_pattern(f, candidates, step=0.25,
-                                    min_step=pattern_min_step, f_many=f_many)
+    candidates = ([vec] for vec in simplex_grid(n * n, grid_resolution))
+    blocks, val = grid_then_pattern(score, candidates,
+                                    min_step=pattern_min_step)
     return val, design(blocks[0])
 
 

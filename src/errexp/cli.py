@@ -108,12 +108,9 @@ def load_model(path: str) -> ModelFile:
     if "pair_law" in data:
         if channel is None:
             raise InputError("pair_law given without a channel")
-        arr = _decimal_matrix(data["pair_law"], "pair_law")
-        if np.any(arr < 0) or abs(arr.sum() - 1.0) > STOCHASTIC_TOL:
-            raise InputError("pair_law: entries must be a joint PMF within 1e-9")
-        pair_law = ChannelPairLaw(JointPmf(channel.input_alphabet,
-                                           channel.input_alphabet,
-                                           arr / arr.sum()))
+        pair_law = ChannelPairLaw(_as_joint(
+            data["pair_law"], channel.input_alphabet, channel.input_alphabet,
+            "pair_law"))
     return ModelFile(str(data.get("name", "model")), p_uv, q_uv, channel,
                      pair_law, digest)
 

@@ -19,10 +19,10 @@ from .channel_exponents import (InputDesign, _expurgation_terms,
                                 theta_bounds)
 from .exceptions import InputError
 from .legendre import Mixture
-from .optimize import (GridSpec, bisect_monotone, grid_then_pattern,
-                       pattern_search, simplex_grid, simplex_grid_array)
+from .optimize import (bisect_monotone, grid_then_pattern, pattern_search,
+                       simplex_grid, simplex_grid_array)
 from .prob_core import (Channel, JointPmf, Pmf, capacity, kl_array, kl_rows,
-                        mutual_information_arrays, mutual_information_rows)
+                        mutual_information_rows)
 
 PRODUCT_TOL = 1e-12
 BALL_ACTIVE_TOL = 1e-9
@@ -316,19 +316,15 @@ def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha: float,
             rows = np.reshape(blocks, (n_u, n_s, n_x))
             return AuxiliaryDesign(p_s=p_s, p_x_given_us=rows)
 
-        def f(blocks) -> float:
-            return jhtcc_uncoded(model, ch, kappa_alpha, design(blocks))
-
-        def f_many(probes: np.ndarray) -> np.ndarray:
+        def score(probes: np.ndarray) -> np.ndarray:
             return _uncoded_values(model, ch, kappa_alpha,
                                    [design(probe) for probe in probes])
 
         seeds = [[np.full(n_x, 1.0 / n_x) for _ in range(n_u * n_s)]]
         if n_x == n_u:
             seeds.append([np.eye(n_u)[u] for u in range(n_u) for _ in range(n_s)])
-        blocks, val = grid_then_pattern(f, [], seeds, step=0.25,
-                                        min_step=config.pattern_min_step,
-                                        f_many=f_many)
+        blocks, val = grid_then_pattern(score, [], seeds,
+                                        min_step=config.pattern_min_step)
         return float(val), np.stack(blocks).reshape(n_u, n_s, n_x)
 
     if n_states == 1:
@@ -378,11 +374,10 @@ def _ball_optimize(p_ref: np.ndarray, objective, kappa_alpha: float,
             k = int(np.argmax(vals))  # the first of equal maxima
             if vals[k] > best_val:
                 best_val, best_vec = vals[k], feasible[k]
-        _, val = pattern_search(lambda blocks: penalized(blocks[0][None])[0],
-                                [best_vec], step=0.25,
-                                min_step=config.pattern_min_step,
-                                min_improve=1e-9,
-                                f_many=lambda probes: penalized(probes[:, 0]))
+        _, val = grid_then_pattern(lambda probes: penalized(probes[:, 0]),
+                                   [], [[best_vec]],
+                                   min_step=config.pattern_min_step,
+                                   min_improve=1e-9)
         best_val = max(best_val, val)
     return float(sign * best_val)
 
@@ -464,10 +459,13 @@ class _SxCache:
         for arr in (self.wl, self._powers, self.thetas, self.e_sp):
             arr.flags.writeable = False  # the caches are shared
 
-    def expurgated(self, rate: float) -> float:
-        if rate < self._inf_below:
-            return float("inf")
-        return float(np.max(_rho_grid_objective(rate, self.wl, self._powers)))
+    def expurgated(self, rate):
+        """E_x at `rate`; elementwise over an array of rates."""
+        rate = np.asarray(rate)
+        value = np.max(_rho_grid_objective(rate[..., None], self.wl,
+                                           self._powers), axis=-1)
+        value = np.where(rate < self._inf_below, np.inf, value)
+        return value if rate.ndim else float(value)
 
     def best_theta_term(self, kappa_alpha: float) -> tuple[float, float]:
         """(max over feasible theta of E_sp - theta, that theta); -inf if no
@@ -496,7 +494,7 @@ def _sx_caches_of(inputs: tuple, outputs: tuple, rows: bytes,
     return tuple(
         _SxCache(InputDesign(JointPmf(inputs, inputs, vec.reshape(n, n))), ch,
                  config.theta_points)
-        for vec in simplex_grid(GridSpec(n * n, config.sx_resolution)))
+        for vec in simplex_grid(n * n, config.sx_resolution))
 
 
 def _best_channel_terms(caches: tuple[_SxCache, ...], zeta: float,
@@ -523,7 +521,7 @@ def _best_channel_terms(caches: tuple[_SxCache, ...], zeta: float,
 def _wu_candidates(n_u: int, n_w: int, resolution: int):
     """All row-wise simplex-grid stochastic matrices P_{W|U}, the last row
     varying fastest."""
-    rows = list(simplex_grid(GridSpec(n_w, resolution)))
+    rows = list(simplex_grid(n_w, resolution))
     return (np.stack(combo) for combo in itertools.product(rows, repeat=n_u))
 
 
@@ -575,7 +573,7 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha: float,
 
     start = [np.asarray(best_ach["p_wu"]).reshape(n_u, n_w)[u]
              for u in range(n_u)]
-    blocks, val = pattern_search(f, start, step=0.25,
+    blocks, val = pattern_search(f, start,
                                  min_step=max(config.pattern_min_step, 0.01),
                                  min_improve=1e-6)
     if val > best_val:
@@ -599,18 +597,16 @@ def shtcc_tai_stein(model: SourceModel, ch: Channel,
     n_u = p_uv.shape[0]
     n_w = n_u + 1
 
-    def f(blocks) -> float:
-        w_rows = np.stack(blocks)
-        if mutual_information_arrays(p_u[:, None] * w_rows) > cap + 1e-12:
-            return -np.inf
-        return mutual_information_arrays(p_uv.T @ w_rows)
+    def score(stack: np.ndarray) -> np.ndarray:
+        i_uw = mutual_information_rows(p_u[:, None] * stack)
+        return np.where(i_uw > cap + 1e-12, -np.inf,
+                        mutual_information_rows(p_uv.T @ stack))
 
-    candidates = (list(w_rows) for w_rows in
-                  _wu_candidates(n_u, n_w, config.design_resolution))
-    identity = [np.eye(n_u, n_w)[u] for u in range(n_u)]  # W = U embedded
-    _, best_val = grid_then_pattern(f, candidates, [identity], step=0.25,
+    candidates = _wu_candidates(n_u, n_w, config.design_resolution)
+    identity = np.eye(n_u, n_w)  # W = U embedded
+    _, best_val = grid_then_pattern(score, candidates, [identity],
                                     min_step=config.pattern_min_step)
-    return max(best_val, 0.0)
+    return float(max(best_val, 0.0))
 
 
 def shtcc_tai(model: SourceModel, ch: Channel, kappa_alpha: float,
@@ -634,29 +630,28 @@ def shtcc_tad_stein(model: SourceModel, ch: Channel,
     n_w = n_u + 1
     q_u = q_uv.sum(axis=1)
     caches = _sx_caches(ch, config)
-    max_rate = max(c.rate for c in caches)
 
-    def f(blocks) -> float:
-        w_rows = np.stack(blocks)
-        i_q_uw = mutual_information_arrays(q_u[:, None] * w_rows)
-        if not i_q_uw <= max_rate:
-            return -np.inf
-        q_vw = q_uv.T @ w_rows
-        t1 = kl_array(np.outer(q_vw.sum(axis=1), q_vw.sum(axis=0)), q_vw)
-        best = -np.inf
+    def score(stack: np.ndarray) -> np.ndarray:
+        rates = mutual_information_rows(q_u[:, None] * stack)
+        q_vw = q_uv.T @ stack
+        product = q_vw.sum(axis=2)[:, :, None] * q_vw.sum(axis=1)[:, None, :]
+        t1 = kl_rows(product.reshape(len(stack), -1),
+                     q_vw.reshape(len(stack), -1))
+        # min and max as Python's: a later value replaces only if strictly
+        # smaller (larger), so ties keep the earlier one's sign of zero
+        best = np.full(len(stack), -np.inf)
         for cache in caches:
-            if not i_q_uw <= cache.rate:
-                continue
-            val = min(t1, cache.expurgated(i_q_uw), cache.theta_l)
-            best = max(best, val)
+            e_x = cache.expurgated(rates)
+            val = np.where(e_x < t1, e_x, t1)
+            val = np.where(cache.theta_l < val, cache.theta_l, val)
+            best = np.where((rates <= cache.rate) & (val > best), val, best)
         return best
 
-    candidates = (list(w_rows) for w_rows in
-                  _wu_candidates(n_u, n_w, config.design_resolution))
-    _, best_val = grid_then_pattern(f, candidates, step=0.25,
+    candidates = _wu_candidates(n_u, n_w, config.design_resolution)
+    _, best_val = grid_then_pattern(score, candidates,
                                     min_step=max(config.pattern_min_step, 0.01),
                                     min_improve=1e-7)
-    return max(best_val, 0.0)
+    return float(max(best_val, 0.0))
 
 
 def shtcc_tad(model: SourceModel, ch: Channel, kappa_alpha: float,

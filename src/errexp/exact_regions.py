@@ -86,11 +86,13 @@ def direct_region_point(p: Pmf, q: Pmf, theta) -> ExponentPoint:
     """Boundary point of the direct-HT region at log-likelihood threshold
     theta; elementwise over an array of theta, whose point has array
     fields."""
+    if np.ndim(theta):
+        theta = np.asarray(theta, dtype=float)
     d_pq = kl_divergence(p, q)
     d_qp = kl_divergence(q, p)
     if not (np.isfinite(d_pq) and np.isfinite(d_qp)):
         raise DomainError("direct region requires mutual absolute continuity")
-    if not np.all((-d_pq < np.asarray(theta)) & (theta < d_qp)):
+    if not np.all((-d_pq < theta) & (theta < d_qp)):
         raise DomainError(
             f"theta={theta} outside the admissible interval ({-d_pq}, {d_qp})")
     sp = loglik_scores(p, q)
@@ -180,8 +182,10 @@ def channel_d_bounds(ch: Channel, law: ChannelPairLaw) -> tuple[float, float]:
 def channel_region_point(ch: Channel, law: ChannelPairLaw, theta) -> ExponentPoint:
     """Boundary point for testing between two channel input sequences;
     elementwise over an array of theta, whose point has array fields."""
+    if np.ndim(theta):
+        theta = np.asarray(theta, dtype=float)
     d_min, d_max = channel_d_bounds(ch, law)
-    if not np.all((-d_min <= np.asarray(theta)) & (theta <= d_max)):
+    if not np.all((-d_min <= theta) & (theta <= d_max)):
         raise DomainError(
             f"theta={theta} outside the admissible interval ({-d_min}, {d_max})")
     mix = _law_mixture(ch, law.probs)

@@ -7,7 +7,6 @@ bit-identical results.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -19,18 +18,8 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # candidates scored per call by grid_then_pattern; a batch scorer holds
 # one object per candidate at once, so this bounds the memory it takes
 GRID_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Simplex grid: points are integer multiples of 1/k in `dimension` parts."""
-
-    dimension: int
-    resolution: int  # denominator k
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1 or self.resolution < 1:
-            raise InputError("GridSpec: dimension and resolution must be >= 1")
+# the first step of every pattern search, halved down to its min_step
+PATTERN_STEP = 0.25
 
 
 def _elementwise(g: Callable, lo, hi):
@@ -141,28 +130,25 @@ def maximize_1d(g: Callable, lo, hi,
     return best_x, best
 
 
-def simplex_grid(spec: GridSpec) -> Iterator[np.ndarray]:
-    """All compositions of k into `dimension` parts, divided by k.
+def simplex_grid(dimension: int, resolution: int) -> Iterator[np.ndarray]:
+    """All compositions of k = `resolution` into `dimension` parts, divided
+    by k.
 
-    Lexicographic order; emits exactly C(k+d-1, d-1) valid PMF vectors.
+    Lexicographic order; emits exactly C(k+d-1, d-1) valid PMF vectors. Each
+    composition is read off the d-1 bar positions among k+d-1 slots (stars
+    and bars), which itertools.combinations yields in that order.
     """
-    d, k = spec.dimension, spec.resolution
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for c in range(remaining + 1):
-            yield from rec(prefix + [c], remaining - c, slots - 1)
-
-    for comp in rec([], k, d):
-        yield np.asarray(comp, dtype=float) / k
+    if dimension < 1 or resolution < 1:
+        raise InputError("simplex_grid: dimension and resolution must be >= 1")
+    slots = resolution + dimension - 1
+    return ((np.diff((-1, *bars, slots)) - 1) / resolution
+            for bars in itertools.combinations(range(slots), dimension - 1))
 
 
 @lru_cache(maxsize=64)
 def simplex_grid_array(dimension: int, resolution: int) -> np.ndarray:
     """The full simplex grid as a read-only (n_points, dimension) array."""
-    arr = np.stack(list(simplex_grid(GridSpec(dimension, resolution))))
+    arr = np.stack(list(simplex_grid(dimension, resolution)))
     arr.flags.writeable = False
     return arr
 
@@ -196,7 +182,6 @@ def _probe_stack(x: np.ndarray, bi: np.ndarray, ci: np.ndarray,
 
 def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
                    start: Sequence[np.ndarray],
-                   step: float = 0.25,
                    min_step: float = 1e-4,
                    min_improve: float = 0.0, *,
                    f_many: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -206,8 +191,9 @@ def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
     The blocks of `start` share one size. A sweep probes +/- step on every
     coordinate of every block in turn (block, then coordinate, then +
     before -), projecting the moved block back onto the simplex; the step
-    halves after a sweep in which no accepted probe improved by more than
-    `min_improve`. Acceptance is sequential: the first probe, in that order,
+    starts at PATTERN_STEP and halves after a sweep in which no accepted
+    probe improved by more than `min_improve`, until it falls below
+    `min_step`. Acceptance is sequential: the first probe, in that order,
     whose value is > the running best is taken, and the sweep goes on from
     the next move with probes rebuilt from the new point. Never returns a
     value below f(start).
@@ -228,6 +214,7 @@ def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
     bi = np.repeat(np.arange(n_blocks), 2 * size)
     ci = np.tile(np.repeat(np.arange(size), 2), n_blocks)
     sign = np.tile([+1.0, -1.0], n_blocks * size)
+    step = PATTERN_STEP
 
     def first_hit(k: int):
         """(j, probe, value) of the first probe, from move k on, that beats
@@ -262,41 +249,36 @@ def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
     return list(x), best
 
 
-def grid_then_pattern(f: Callable[[Sequence[np.ndarray]], float],
+def grid_then_pattern(score: Callable[[np.ndarray], np.ndarray],
                       candidates: Iterable[Sequence[np.ndarray]],
-                      seeds: Iterable[Sequence[np.ndarray]] = (), *,
-                      f_many: Callable[[np.ndarray], np.ndarray] | None = None,
+                      seeds: Iterable[Sequence[np.ndarray]] = (),
                       **pattern_kw) -> tuple[list[np.ndarray] | None, float]:
     """Best (blocks, value) of a grid pass followed by pattern searches.
 
-    Scores the candidate block lists in the order given and keeps the first
-    of any equal maxima; then runs `pattern_search` (with `pattern_kw`) from
-    that winner and from each extra seed, in order. A search result replaces
-    the running best only when it is strictly larger, so the value is never
-    below the best candidate's. Returns (None, -inf) when every candidate and
-    every search scores -inf.
-
-    The candidates are taken GRID_CHUNK at a time. With `f_many` (see
-    `pattern_search`), each chunk is scored as one (B, n_blocks, size) stack
-    and the pattern searches score their sweeps with it; the result is the
-    same as with `f` alone.
+    `score(stack)` maps a (B, n_blocks, size) stack of block lists to their
+    B values. The candidates are scored GRID_CHUNK at a time, in the order
+    given, and the first of any equal maxima is kept; then `pattern_search`
+    (with `pattern_kw`) runs from that winner and from each extra seed, in
+    order, scoring its start as a one-row stack and each sweep as one stack.
+    A search result replaces the running best only when it is strictly
+    larger, so the value is never below the best candidate's. Returns
+    (None, -inf) when every candidate and every search scores -inf.
     """
-    def score(stack: np.ndarray) -> np.ndarray:
-        if f_many is not None:
-            return np.asarray(f_many(stack))
-        return np.array([f(list(blocks)) for blocks in stack], dtype=float)
+    def score_one(blocks: Sequence[np.ndarray]) -> float:
+        return score(np.asarray(blocks, dtype=float)[None])[0]
 
     best_blocks, best_val = None, -np.inf
     candidates = iter(candidates)
     while chunk := list(itertools.islice(candidates, GRID_CHUNK)):
-        vals = score(np.asarray(chunk, dtype=float))
+        vals = np.asarray(score(np.asarray(chunk, dtype=float)))
         # the first of equal maxima, as a running `>` keeps; NaN never wins
         k = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
         if vals[k] > best_val:
             best_blocks, best_val = chunk[k], vals[k]
     starts = list(seeds) if best_blocks is None else [best_blocks, *seeds]
     for start in starts:
-        blocks, val = pattern_search(f, start, f_many=f_many, **pattern_kw)
+        blocks, val = pattern_search(score_one, start, f_many=score,
+                                     **pattern_kw)
         if val > best_val:
             best_blocks, best_val = blocks, val
     return best_blocks, best_val

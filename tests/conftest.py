@@ -42,6 +42,13 @@ def random_pmf(rng: np.random.Generator, size: int, floor: float = 0.02) -> Pmf:
     return Pmf(tuple(range(size)), probs)
 
 
+def stacked(f):
+    """A per-probe objective f(blocks) as the stacked scorer that
+    `grid_then_pattern` takes: a (B, n_blocks, size) stack to B values."""
+    return lambda stack: np.array([f(list(blocks)) for blocks in stack],
+                                  dtype=float)
+
+
 def sparse_rows(rng: np.random.Generator, n_rows: int, size: int,
                 zero_frac: float = 0.3) -> np.ndarray:
     """Random PMF rows with some entries set to zero (never a whole row)."""

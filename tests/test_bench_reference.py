@@ -8,9 +8,10 @@ workload's invariant. Between them the three commands exercise the
 conjugate, the remote-HT boundary inversion and the KL-ball projection
 behind the uncoded bound.
 
-It also runs ``bench/traced.py`` on a small SHTCC command: the tracer wraps
-each pattern-search objective as a scalar function, so the traced output
-must equal the untraced one.
+It also runs ``bench/traced.py`` on a small SHTCC command and on a small
+``--scheme both`` command, whose searches go through ``grid_then_pattern``'s
+stacked scorer: the tracer wraps each pattern-search objective as a scalar
+function, so the traced output must equal the untraced one.
 """
 
 import importlib.util
@@ -53,9 +54,13 @@ def test_matches_reference(name, monkeypatch, capsys):
     assert workload.check(capsys.readouterr().out, reference) == []
 
 
-def test_traced_run_matches_untraced(tmp_path, monkeypatch, capsys):
-    args = ["bounds", "models/example1.json", "--scheme", "shtcc",
-            "--grid", "2", "--kappa-grid", "0.01"]
+@pytest.mark.parametrize("args", [
+    ["bounds", "models/example1.json", "--scheme", "shtcc",
+     "--grid", "2", "--kappa-grid", "0.01"],
+    ["bounds", "models/example1.json", "--scheme", "both",
+     "--grid", "3", "--kappa-grid", "0.002,0.006"],
+], ids=["shtcc", "both"])
+def test_traced_run_matches_untraced(args, tmp_path, monkeypatch, capsys):
     record, output = tmp_path / "record.json", tmp_path / "out.csv"
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [
@@ -67,7 +72,9 @@ def test_traced_run_matches_untraced(tmp_path, monkeypatch, capsys):
     assert done.returncode == 0, done.stderr
     traced = json.loads(record.read_text())
     assert traced["exit"] == 0
-    assert traced["spans"]["dht_bounds.zeta_rho"]["calls"] > 0
+    spans = traced["spans"]
+    assert spans["dht_bounds.zeta_rho" if "shtcc" in args
+                 else "dht_bounds.jhtcc_uncoded_opt"]["calls"] > 0
     monkeypatch.chdir(ROOT)
     assert cli.main(args) == 0
     assert output.read_text() == capsys.readouterr().out

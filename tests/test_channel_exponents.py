@@ -9,8 +9,9 @@ from errexp.channel_exponents import (RHO_GRID, RHO_GRID_POINTS,
                                       _expurgation_terms, _rho_grid_objective,
                                       bhattacharyya_kernel,
                                       expurgated_exponents, output_given_state)
-from errexp.optimize import GridSpec, grid_then_pattern, simplex_grid
-from conftest import dense_grid_conjugate, frozen_maximize_1d, sparse_rows
+from errexp.optimize import grid_then_pattern, simplex_grid
+from conftest import (dense_grid_conjugate, frozen_maximize_1d, sparse_rows,
+                      stacked)
 
 UNIFORM2 = InputDesign.from_matrix((0, 1), np.full((2, 2), 0.25))
 
@@ -118,8 +119,8 @@ class TestLockstepExpurgated:
             design = InputDesign.from_matrix((0, 1, 2), blocks[0].reshape(3, 3))
             return frozen_expurgated_exponent(0.0, design, ch)
 
-        candidates = ([v] for v in simplex_grid(GridSpec(9, 2)))
-        blocks, value = grid_then_pattern(f, candidates, step=0.25,
+        candidates = ([v] for v in simplex_grid(9, 2))
+        blocks, value = grid_then_pattern(stacked(f), candidates,
                                           min_step=1e-2)
         got, design = expurgated_exponent_opt(0.0, ch, grid_resolution=2,
                                               pattern_min_step=1e-2)

@@ -81,6 +81,36 @@ class TestLoadModel:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_pair_law_parses_and_drives_the_channel_curve(self, tmp_path):
+        law = [["0.1", "0.4"], ["0.2", "0.3"]]
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(dict(BERN, pair_law=law)))
+        model = load_model(str(path))
+        assert model.pair_law.probs.tolist() == [[0.1, 0.4], [0.2, 0.3]]
+        assert model.pair_law.alphabet == ("0", "1")
+        outs = []
+        for spec in (dict(BERN, pair_law=law), BERN):
+            path.write_text(json.dumps(spec))
+            out = tmp_path / "channel.csv"
+            assert main(["region", str(path), "--kind", "channel",
+                         "--points", "3", "--out", str(out)]) == 0
+            outs.append(read_csv(out)[2])
+        assert outs[0] != outs[1]  # the law, not the best pair, was used
+
+    @pytest.mark.parametrize("spec, message", [
+        (dict(BERN, pair_law=[["0.1", "0.4"], ["0.2", "0.4"]]),
+         "error: pair_law: entries must be a joint PMF within 1e-9\n"),
+        (dict({k: v for k, v in BERN.items() if k != "channel"},
+              pair_law=[["0.25", "0.25"], ["0.25", "0.25"]]),
+         "error: pair_law given without a channel\n"),
+    ], ids=["not-a-pmf", "no-channel"])
+    def test_bad_pair_law_exits_2(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        assert main(["region", str(path), "--kind", "direct",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == message
+
     def test_non_stochastic_rejected(self, tmp_path):
         spec = dict(BERN, p_uv=[["0.5"], ["0.6"]])
         path = tmp_path / "bad2.json"

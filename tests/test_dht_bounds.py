@@ -1,3 +1,4 @@
+import copy
 import functools
 
 import numpy as np
@@ -9,12 +10,14 @@ from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
                     kl_ball_projection, kl_divergence, mutual_information,
                     shtcc_tad, shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
                     special_message_exponent, zeta_rho)
-from errexp.channel_exponents import output_given_state
+from errexp.channel_exponents import _rho_grid_objective, output_given_state
 from errexp.dht_bounds import (_conditional_vy_laws, _info_uw, _info_vw,
-                               _project_components, _tad_first_term,
-                               _tai_first_term, _uncoded_values)
+                               _project_components, _sx_caches,
+                               _tad_first_term, _tai_first_term,
+                               _uncoded_values)
 from errexp.legendre import Mixture
-from errexp.prob_core import kl_array, kl_rows, mutual_information_arrays
+from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
+                               mutual_information_rows)
 from conftest import (fit_geometric_family, frozen_bisect_monotone,
                       sparse_rows)
 
@@ -448,6 +451,159 @@ class TestStackedBallObjectives:
                 assert stacked[key][b] == value, (key, b)
         for key in ("ball", "tai_e1", "tad_e1"):
             assert np.isinf(stacked[key]).any() and np.isfinite(stacked[key]).any()
+
+
+def frozen_tai_stein_objective(p_uv, cap):
+    """The per-probe objective of shtcc_tai_stein before it took stacks."""
+    p_u = p_uv.sum(axis=1)
+
+    def f(blocks):
+        w_rows = np.stack(blocks)
+        if mutual_information_arrays(p_u[:, None] * w_rows) > cap + 1e-12:
+            return -np.inf
+        return mutual_information_arrays(p_uv.T @ w_rows)
+    return f
+
+
+def frozen_tad_stein_objective(q_uv, caches):
+    """The per-probe objective of shtcc_tad_stein before it took stacks."""
+    q_u = q_uv.sum(axis=1)
+    max_rate = max(c.rate for c in caches)
+
+    def f(blocks):
+        w_rows = np.stack(blocks)
+        i_q_uw = mutual_information_arrays(q_u[:, None] * w_rows)
+        if not i_q_uw <= max_rate:
+            return -np.inf
+        q_vw = q_uv.T @ w_rows
+        t1 = kl_array(np.outer(q_vw.sum(axis=1), q_vw.sum(axis=0)), q_vw)
+        best = -np.inf
+        for cache in caches:
+            if not i_q_uw <= cache.rate:
+                continue
+            val = min(t1, cache.expurgated(i_q_uw), cache.theta_l)
+            best = max(best, val)
+        return best
+    return f
+
+
+def stein_score(monkeypatch, bound, model, ch):
+    """The stacked objective that a Stein bound hands to grid_then_pattern."""
+    seen = []
+
+    def capture(score, *args, **kwargs):
+        seen.append(score)
+        return None, -np.inf
+
+    monkeypatch.setattr("errexp.dht_bounds.grid_then_pattern", capture)
+    assert bound(model, ch, FAST) == 0.0
+    return seen[0]
+
+
+def tad_model(n: int, rng) -> SourceModel:
+    """A TAD instance on n x n with zeros in Q_UV: P_UV is Q's marginals'
+    product."""
+    q = sparse_rows(rng, 1, n * n, 0.3).reshape(n, n)
+    alphabet = tuple(range(n))
+    return SourceModel(JointPmf(alphabet, alphabet,
+                                np.outer(q.sum(axis=1), q.sum(axis=0))),
+                       JointPmf(alphabet, alphabet, q))
+
+
+class TestStackedSteinObjectives:
+    """The Stein bounds' stacked objectives equal their per-probe forms bit
+    for bit, row by row, on random quantizer stacks P_{W|U} with zeros,
+    including rows past the capacity or rate limit and rows exactly at it."""
+
+    @pytest.mark.parametrize("ternary", [False, True])
+    def test_tai(self, monkeypatch, ternary):
+        model = ternary_tai_model() if ternary else skewed_tai_model()
+        p_uv = model.p_uv.probs
+        n_u = p_uv.shape[0]
+        rng = np.random.default_rng(n_u)
+        stack = sparse_rows(rng, 60 * n_u, n_u + 1).reshape(60, n_u, n_u + 1)
+        i_uw = mutual_information_rows(p_uv.sum(axis=1)[:, None] * stack)
+        # a capacity whose limit cap + 1e-12 is exactly the median row's I(U;W)
+        k = int(np.argsort(i_uw)[len(i_uw) // 2])
+        cap = i_uw[k] - 1e-12
+        for _ in range(8):
+            if cap + 1e-12 == i_uw[k]:
+                break
+            cap = np.nextafter(cap, -np.inf if cap + 1e-12 > i_uw[k] else np.inf)
+        assert cap + 1e-12 == i_uw[k]
+        monkeypatch.setattr("errexp.dht_bounds.capacity", lambda ch: cap)
+        score = stein_score(monkeypatch, shtcc_tai_stein, model,
+                            Channel.bsc(0.35))
+        got = score(stack)
+        frozen = frozen_tai_stein_objective(p_uv, cap)
+        assert got.tolist() == [frozen(list(w)) for w in stack]
+        assert np.isfinite(got[k]) and np.isinf(got).any()
+
+    @pytest.mark.parametrize("crossover", [0.35, 0.1])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tad(self, monkeypatch, n, crossover):
+        ch = Channel.bsc(crossover)
+        rng = np.random.default_rng(10 + n)
+        model = tad_model(n, rng)
+        q_uv = model.q_uv.probs
+        stack = sparse_rows(rng, 60 * n, n + 1).reshape(60, n, n + 1)
+        rates = mutual_information_rows(q_uv.sum(axis=1)[:, None] * stack)
+        # some caches take the rates of lower rows, so those rows sit exactly
+        # at a cache's rate, and no cache admits the top four rows
+        caches = [copy.copy(c) for c in _sx_caches(ch, FAST)]
+        order = np.argsort(rates)
+        assigned = order[5:25:5]
+        for cache, k in zip(caches[::9], assigned, strict=True):
+            cache.rate = rates[k]
+        for cache in caches:
+            cache.rate = min(cache.rate, rates[order[-5]])
+            # scaled so that theta_l, too, is the least of the three terms
+            # at the best cache of some rows
+            cache.theta_l *= 0.1
+        monkeypatch.setattr("errexp.dht_bounds._sx_caches",
+                            lambda ch, config: tuple(caches))
+        score = stein_score(monkeypatch, shtcc_tad_stein, model, ch)
+        got = score(stack)
+        frozen = frozen_tad_stein_objective(q_uv, caches)
+        assert got.tolist() == [frozen(list(w)) for w in stack]
+        assert np.isfinite(got[assigned[-1]])
+        assert (got[order[-4:]] == -np.inf).all()
+
+    def test_cache_expurgated_is_elementwise(self, bsc35):
+        rates = np.linspace(0.0, 0.1, 41)
+        for cache in _sx_caches(bsc35, FAST)[::4]:
+            cache = copy.copy(cache)
+            # the rate below which E_x is +inf: none, mid-range, every rate
+            for floor in (-np.inf, rates[17], np.inf):
+                cache._inf_below = floor
+                frozen = [float("inf") if rate < floor else float(np.max(
+                    _rho_grid_objective(rate, cache.wl, cache._powers)))
+                    for rate in rates]
+                assert cache.expurgated(rates).tolist() == frozen
+                assert [cache.expurgated(float(r)) for r in rates] == frozen
+                assert type(cache.expurgated(0.05)) is float
+
+
+# (crossover of the BSC, config): (shtcc_tai_stein on skewed_tai_model(),
+# shtcc_tad_stein on example1), as the per-probe searches gave them
+STEIN_PINS = {
+    (0.35, "FAST"): (0.010609132861602491, 0.0235745396973739),
+    (0.1, "FAST"): (0.010609132861602491, 0.25540925132307063),
+    (0.5, "FAST"): (2.2137847111025616e-16, 0.0),
+    (0.35, "default"): (0.010609132861602491, 0.0235745396973739),
+    (0.1, "default"): (0.010609132861602491, 0.2554092747464046),
+    (0.5, "default"): (0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("crossover, config", sorted(STEIN_PINS))
+def test_stein_pins(crossover, config, example1):
+    cfg = FAST if config == "FAST" else DhtSearchConfig()
+    ch = Channel.bsc(crossover)
+    got = (shtcc_tai_stein(skewed_tai_model(), ch, cfg),
+           shtcc_tad_stein(example1, ch, cfg))
+    assert got == STEIN_PINS[(crossover, config)]
+    assert all(type(v) is float for v in got)
 
 
 class TestShtccTaiStein:

@@ -177,9 +177,9 @@ class TestRhtTradeoff:
         # oracle: the source branch is law-free; the channel branch is scanned
         # over a fine law grid with theta resolved by the same exact inversion
         # identity kappa_beta = kappa_alpha - theta1 at psi*(theta1)=kappa_alpha.
-        from errexp.optimize import GridSpec, simplex_grid
+        from errexp.optimize import simplex_grid
         laws = [ChannelPairLaw.from_matrix((0, 1), vec.reshape(2, 2))
-                for vec in simplex_grid(GridSpec(4, 20))]
+                for vec in simplex_grid(4, 20)]
         best = max(0.0, *_channel_branch_beta(bsc35, laws, ka))
         oracle = min(direct_tradeoff(P58, Q58, ka), best)
         assert value == pytest.approx(oracle, abs=1e-3)
@@ -259,7 +259,7 @@ class TestBestChannelBranch:
 
     def test_no_grid_law_beats_the_pair_maximum(self):
         # the simplex sweep is an oracle only: 495 laws on the 9-simplex
-        from errexp.optimize import GridSpec, simplex_grid
+        from errexp.optimize import simplex_grid
         for ch in self.channels():
             for ka in (0.005, 0.05):
                 value, law = best_channel_branch(ch, ka)
@@ -267,7 +267,7 @@ class TestBestChannelBranch:
                 assert _channel_branch_beta(ch, [law], ka)[0] == value
                 grid = [ChannelPairLaw.from_matrix(ch.input_alphabet,
                                                    vec.reshape(3, 3))
-                        for vec in simplex_grid(GridSpec(9, 4))]
+                        for vec in simplex_grid(9, 4)]
                 assert np.all(_channel_branch_beta(ch, grid, ka)
                               <= value + 1e-12)
 
@@ -363,6 +363,23 @@ class TestElementwiseRegions:
                 one.kappa_alpha, one.kappa_beta)
         with pytest.raises(DomainError):
             channel_region_point(bsc35, law, np.append(thetas, d_max + 0.1))
+
+    def test_region_points_take_a_list(self, bsc35):
+        lo, hi = llr_interval(P58, Q58)
+        thetas = np.linspace(lo + 1e-9, hi - 1e-9, 7)
+        law = ChannelPairLaw.from_matrix((0, 1), [[0.1, 0.4], [0.2, 0.3]])
+        d_min, d_max = channel_d_bounds(bsc35, law)
+        for point, grid in [
+                (functools.partial(direct_region_point, P58, Q58), thetas),
+                (functools.partial(channel_region_point, bsc35, law),
+                 np.linspace(-d_min, d_max, 7))]:
+            listed, arrayed = point(grid.tolist()), point(grid)
+            for field in ("kappa_alpha", "kappa_beta", "theta"):
+                got = getattr(listed, field)
+                assert isinstance(got, np.ndarray)
+                assert got.tolist() == getattr(arrayed, field).tolist()
+        with pytest.raises(DomainError):
+            direct_region_point(P58, Q58, [0.0, hi + 0.1])
 
 
 class TestKappa0:

@@ -5,10 +5,10 @@ import pytest
 
 from errexp import Pmf, ScoredPmf, tilted_mean
 from errexp.exceptions import BracketError, InputError
-from errexp.optimize import (GridSpec, bisect_monotone, grid_then_pattern,
+from errexp.optimize import (bisect_monotone, grid_then_pattern,
                              maximize_1d, pattern_search, simplex_grid,
                              simplex_grid_array)
-from conftest import frozen_bisect_monotone, frozen_maximize_1d
+from conftest import frozen_bisect_monotone, frozen_maximize_1d, stacked
 
 
 class TestBisectMonotone:
@@ -191,19 +191,30 @@ class TestElementwiseMaximize1d:
 
 class TestSimplexGrid:
     def test_dim2_k2(self):
-        pts = [p.tolist() for p in simplex_grid(GridSpec(2, 2))]
+        pts = [p.tolist() for p in simplex_grid(2, 2)]
         assert pts == [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
 
     def test_dim3_k1_vertices(self):
-        pts = [p.tolist() for p in simplex_grid(GridSpec(3, 1))]
+        pts = [p.tolist() for p in simplex_grid(3, 1)]
         assert pts == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
     def test_counts_and_validity(self):
         for d, k in [(3, 4), (2, 7), (4, 3)]:
-            pts = list(simplex_grid(GridSpec(d, k)))
+            pts = list(simplex_grid(d, k))
             assert len(pts) == comb(k + d - 1, d - 1)
             for p in pts:
                 assert np.all(p >= 0) and p.sum() == pytest.approx(1.0)
+
+    def test_one_part(self):
+        assert [p.tolist() for p in simplex_grid(1, 3)] == [[1.0]]
+
+    @pytest.mark.parametrize("dimension, resolution",
+                             [(0, 2), (2, 0), (-1, 3), (3, -2)])
+    def test_sizes_below_one_rejected(self, dimension, resolution):
+        with pytest.raises(InputError, match="must be >= 1"):
+            simplex_grid(dimension, resolution)
+        with pytest.raises(InputError, match="must be >= 1"):
+            simplex_grid_array(dimension, resolution)
 
     def test_array_form_is_cached_and_frozen(self):
         a = simplex_grid_array(3, 4)
@@ -310,7 +321,7 @@ class TestBatchedPatternSearch:
                              ids=[c[0] for c in _objectives()])
     def test_same_result_probe_order_and_calls(self, name, many, start,
                                                min_improve):
-        kw = dict(step=0.25, min_step=1e-3, min_improve=min_improve)
+        kw = dict(min_step=1e-3, min_improve=min_improve)
         calls = {"frozen": [], "lazy": [], "start": [], "batches": []}
 
         def scalar(key):
@@ -356,7 +367,7 @@ class TestGridThenPattern:
         # constant objective: every candidate ties and no probe improves
         cands = [[np.array([0.0, 1.0])], [np.array([0.5, 0.5])],
                  [np.array([1.0, 0.0])]]
-        blocks, v = grid_then_pattern(lambda b: 1.0, cands)
+        blocks, v = grid_then_pattern(stacked(lambda b: 1.0), cands)
         assert v == 1.0
         assert blocks is cands[0]
 
@@ -367,8 +378,8 @@ class TestGridThenPattern:
         def f(blocks):
             return float(coef @ blocks[0])
 
-        cands = [[p] for p in simplex_grid(GridSpec(3, 4))]
-        blocks, v = grid_then_pattern(f, cands, min_step=1e-3)
+        cands = [[p] for p in simplex_grid(3, 4)]
+        blocks, v = grid_then_pattern(stacked(f), cands, min_step=1e-3)
         assert v >= max(f(c) for c in cands)
         assert v == pytest.approx(f(blocks))
 
@@ -379,40 +390,72 @@ class TestGridThenPattern:
             return -float(np.sum((blocks[0] - target) ** 2))
 
         seeds = [[np.full(3, 1 / 3)], [np.array([1.0, 0.0, 0.0])]]
-        blocks, v = grid_then_pattern(f, [], seeds, min_step=1e-6)
+        blocks, v = grid_then_pattern(stacked(f), [], seeds, min_step=1e-6)
         assert np.allclose(blocks[0], target, atol=1e-4)
         assert v == pytest.approx(0.0, abs=1e-7)
 
     @pytest.mark.parametrize("chunk", [1, 4, 4096])
     def test_batch_scorer_matches_scalar_pass(self, monkeypatch, chunk):
         monkeypatch.setattr("errexp.optimize.GRID_CHUNK", chunk)
-        rng = np.random.default_rng(47)
-        coef = rng.normal(size=(2, 3))
+        target = np.random.default_rng(47).dirichlet(np.ones(3), size=2)
 
         def many(p):
             # rounded to create ties across chunk boundaries, -inf on a wall
-            vals = np.round((p * coef).sum(axis=(1, 2)), 1)
+            vals = np.round(-((p - target) ** 2).sum(axis=(1, 2)), 1)
             return np.where(p[:, 0, 0] > 0.7, -np.inf, vals)
 
-        cands = [[a, b] for a in simplex_grid(GridSpec(3, 3))
-                 for b in simplex_grid(GridSpec(3, 2))]
+        cands = [[a, b] for a in simplex_grid(3, 3)
+                 for b in simplex_grid(3, 2)]
+
         def f(blocks):
             return float(many(np.stack(blocks)[None])[0])
 
-        scalar = grid_then_pattern(f, cands, min_step=1e-2)
-        batched = grid_then_pattern(f, cands, f_many=many, min_step=1e-2)
-        assert batched[1] == scalar[1]
-        assert np.array_equal(np.stack(batched[0]), np.stack(scalar[0]))
+        # reference: a running `>` over the candidates, then the per-probe
+        # pattern search from the winner
+        first, first_val = None, -np.inf
+        for cand in cands:
+            if f(cand) > first_val:
+                first, first_val = cand, f(cand)
+        lazy, lazy_val = pattern_search(f, first, min_step=1e-2)
+        blocks, val = grid_then_pattern(many, cands, min_step=1e-2)
+        assert lazy_val > first_val and val == lazy_val
+        assert np.array_equal(np.stack(blocks), np.stack(lazy))
         # without pattern steps, the winner is the first of equal maxima
-        first = grid_then_pattern(f, cands, f_many=many, min_step=1.0)
         vals = many(np.asarray(cands))
-        assert first[0] is cands[int(np.argmax(vals))]
+        assert np.count_nonzero(vals == vals.max()) > 1
+        blocks, val = grid_then_pattern(many, cands, min_step=1.0)
+        assert blocks is cands[int(np.argmax(vals))] is first
+        assert val == first_val
+
+    def test_start_scored_as_one_row_stack(self):
+        target = np.array([0.6, 0.3, 0.1])
+        calls = []
+
+        def score(stack):
+            calls.append(stack.copy())
+            return -((stack[:, 0] - target) ** 2).sum(axis=1)
+
+        seed = [np.array([2.0, 1.0, 1.0])]  # projected before it is scored
+        grid_then_pattern(score, [], [seed], min_step=1e-2)
+        assert calls[0].shape == (1, 1, 3)
+        assert calls[0][0, 0].tolist() == [0.5, 0.25, 0.25]
+        # each sweep is one stack of the remaining probes, two per coordinate
+        assert all(len(c) <= 6 for c in calls[1:]) and len(calls[1]) == 6
 
     def test_batch_scorer_all_minus_inf(self):
-        cands = [[p] for p in simplex_grid(GridSpec(2, 3))]
-        result = grid_then_pattern(lambda b: -np.inf, cands,
-                                   f_many=lambda p: np.full(len(p), -np.inf))
-        assert result == (None, -np.inf)
+        cands = [[p] for p in simplex_grid(2, 3)]
+        calls = []
+
+        def score(stack):
+            calls.append(len(stack))
+            return np.full(len(stack), -np.inf)
+
+        assert grid_then_pattern(score, cands) == (None, -np.inf)
+        assert calls == [len(cands)]  # no search starts from a -inf grid
+        # a seed is still searched, and a search that finds nothing finite
+        # leaves the result at (None, -inf)
+        assert grid_then_pattern(score, cands, [cands[0]]) == (None, -np.inf)
+        assert calls[1:3] == [len(cands), 1]
 
     def test_nothing_to_search(self):
-        assert grid_then_pattern(lambda b: 0.0, []) == (None, -np.inf)
+        assert grid_then_pattern(stacked(lambda b: 0.0), []) == (None, -np.inf)
