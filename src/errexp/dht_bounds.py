@@ -299,49 +299,60 @@ def _uncoded_values(model: SourceModel, ch: Channel, kappa_alpha: float,
                      in _project_components(problems, kappa_alpha)])
 
 
+def _design_search(values, model: SourceModel, ch: Channel, p_s: Pmf,
+                   config: DhtSearchConfig) -> tuple[float, np.ndarray | None]:
+    """Best (value, P_{X|US} rows, None if all score -inf) over designs with
+    time-share P_S, scored by `values(designs)`: `grid_then_pattern` from
+    the uniform rows and, when |X| = |U|, from X = U."""
+    n_u, n_s, n_x = len(model.p_uv.row_alphabet), len(p_s), len(ch.input_alphabet)
+
+    def score(probes: np.ndarray) -> np.ndarray:
+        return values([AuxiliaryDesign(p_s=p_s, p_x_given_us=np.reshape(
+            probe, (n_u, n_s, n_x))) for probe in probes])
+
+    seeds = [[np.full(n_x, 1.0 / n_x) for _ in range(n_u * n_s)]]
+    if n_x == n_u:
+        seeds.append([np.eye(n_u)[u] for u in range(n_u) for _ in range(n_s)])
+    blocks, val = grid_then_pattern(score, [], seeds,
+                                    min_step=config.pattern_min_step)
+    rows = None if blocks is None else np.reshape(blocks, (n_u, n_s, n_x))
+    return float(val), rows
+
+
 def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha: float,
                       n_states: int = 1,
                       config: DhtSearchConfig = DhtSearchConfig()) -> BoundReport:
     """kappa_u* : the uncoded bound maximized over P_{X|US} (and P_S when
     two time-share states are enabled)."""
-    n_u = len(model.p_uv.row_alphabet)
-    n_x = len(ch.input_alphabet)
     if n_states not in (1, 2):
         raise InputError("n_states must be 1 or 2")
-
-    def search(p_s: Pmf) -> tuple[float, np.ndarray]:
-        n_s = len(p_s)
-
-        def design(blocks) -> AuxiliaryDesign:
-            rows = np.reshape(blocks, (n_u, n_s, n_x))
-            return AuxiliaryDesign(p_s=p_s, p_x_given_us=rows)
-
-        def score(probes: np.ndarray) -> np.ndarray:
-            return _uncoded_values(model, ch, kappa_alpha,
-                                   [design(probe) for probe in probes])
-
-        seeds = [[np.full(n_x, 1.0 / n_x) for _ in range(n_u * n_s)]]
-        if n_x == n_u:
-            seeds.append([np.eye(n_u)[u] for u in range(n_u) for _ in range(n_s)])
-        blocks, val = grid_then_pattern(score, [], seeds,
-                                        min_step=config.pattern_min_step)
-        return float(val), np.stack(blocks).reshape(n_u, n_s, n_x)
-
-    if n_states == 1:
-        p_s = Pmf((0,), [1.0])
-        value, rows = search(p_s)
-        achiever = {"p_s": (1.0,), "p_x_given_us": tuple(rows.reshape(-1))}
-    else:
-        value, rows, p_s = -np.inf, None, None
-        for k in range(config.sx_resolution + 1):
-            cand = Pmf((0, 1), [k / config.sx_resolution,
-                                1.0 - k / config.sx_resolution])
-            val, r = search(cand)
-            if val > value:
-                value, rows, p_s = val, r, cand
-        achiever = {"p_s": tuple(p_s.probs), "p_x_given_us": tuple(rows.reshape(-1))}
+    res = config.sx_resolution
+    p_s_grid = ([Pmf((0,), [1.0])] if n_states == 1 else
+                [Pmf((0, 1), [k / res, 1.0 - k / res]) for k in range(res + 1)])
+    values = functools.partial(_uncoded_values, model, ch, kappa_alpha)
+    value, rows, p_s = -np.inf, None, None
+    for cand in p_s_grid:
+        val, r = _design_search(values, model, ch, cand, config)
+        if val > value:
+            value, rows, p_s = val, r, cand
+    achiever = {"p_s": tuple(p_s.probs), "p_x_given_us": tuple(rows.reshape(-1))}
     return BoundReport("jhtcc_uncoded", kappa_alpha, value, achiever,
                        feasible=True, grid_resolution=config.sx_resolution)
+
+
+def _crossing_values(model: SourceModel, ch: Channel, radius: float,
+                     designs) -> np.ndarray:
+    """kappa_alpha_d of every design, where kappa_u(d, .) falls to `radius`:
+    the KL-ball projection with reference and target swapped. A design whose
+    kappa_u(d, 0) is already below the radius gets -inf."""
+    problems = [_conditional_vy_laws(model, ch, d) for d in designs]
+    at_zero = np.array([value for _, value
+                        in _project_components(problems, 0.0)])
+    swapped = [[(w, q_vy, p_vy) for w, p_vy, q_vy in comps]
+               for comps in problems]
+    crossing = np.array([value for _, value
+                         in _project_components(swapped, radius)])
+    return np.where(at_zero < radius, -np.inf, crossing)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +465,13 @@ class _SxCache:
                 if px > 0:
                     self.rate += weight * px * kl_array(ch.rows[x], pys[s])
         self.theta_l, self.theta_u = theta_bounds(design, ch)
-        self.thetas = np.linspace(-self.theta_l, self.theta_u, theta_points)
-        self.e_sp = special_message_exponent(design, ch, self.thetas)
+        # a design that mixes inputs of disjoint rows has an infinite theta
+        # bound: it gets no theta grid, so best_theta_term gives -inf
+        if np.isfinite(self.theta_l) and np.isfinite(self.theta_u):
+            self.thetas = np.linspace(-self.theta_l, self.theta_u, theta_points)
+            self.e_sp = special_message_exponent(design, ch, self.thetas)
+        else:
+            self.thetas = self.e_sp = np.empty(0)
         for arr in (self.wl, self._powers, self.thetas, self.e_sp):
             arr.flags.writeable = False  # the caches are shared
 
@@ -677,8 +693,13 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid,
 
     Returns (rows, crossover) where each row is a (shtcc BoundReport,
     jhtcc BoundReport) pair and crossover is the kappa_alpha at which
-    kappa_u* falls to the expurgated zero-rate value (None if no crossing
-    inside the grid span).
+    kappa_u* falls to the expurgated zero-rate value E_x(0) (None when
+    E_x(0) is infinite or the crossing lies outside the grid span).
+
+    Each design's kappa_u(d, .) is non-increasing, so kappa_u* >= E_x(0)
+    exactly up to max_d kappa_alpha_d, with kappa_alpha_d = min D(P || P_VY)
+    over D(P || Q_VY) <= E_x(0) (Hoeffding, Ann. Math. Stat. 1965; Csiszar,
+    Ann. Probab. 1975): one design search over single-state designs.
     """
     e_x0, design0 = expurgated_exponent_opt(0.0, ch)
     rows = []
@@ -689,16 +710,10 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid,
                          feasible=True, grid_resolution=config.sx_resolution)
         rows.append((sr, jr))
     crossover = None
-    # kappa_u* per kappa_alpha, seeded with the grid rows' values
-    known = {jr.kappa_alpha: jr.value for _, jr in rows}
-    if known and np.isfinite(e_x0):
-        lo, hi = min(known), max(known)
-
-        def gap(ka: float) -> float:
-            if ka not in known:
-                known[ka] = jhtcc_uncoded_opt(model, ch, ka, config=config).value
-            return known[ka] - e_x0
-
-        if gap(lo) >= 0 >= gap(hi):
-            crossover = bisect_monotone(gap, lo, hi, tol=0.0, max_iter=40)
+    grid = [jr.kappa_alpha for _, jr in rows]
+    if grid and np.isfinite(e_x0):
+        crossing = functools.partial(_crossing_values, model, ch, e_x0)
+        value, _ = _design_search(crossing, model, ch, Pmf((0,), [1.0]), config)
+        if min(grid) <= value <= max(grid):
+            crossover = value
     return rows, crossover

@@ -22,34 +22,15 @@ GRID_CHUNK = 256
 PATTERN_STEP = 0.25
 
 
-def _elementwise(g: Callable, lo, hi):
-    """(g over an array of points, lo and hi as 1-D float arrays, scalar?).
-
-    Scalar ends with a scalar g are the one-row case: g is then called with
-    one float at a time."""
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    lo = np.array(lo, dtype=float, ndmin=1)
-    hi = np.array(hi, dtype=float, ndmin=1)
-    if lo.shape != hi.shape:
-        lo, hi = (np.array(end) for end in np.broadcast_arrays(lo, hi))
-    if scalar:
-        g_scalar = g
-
-        def g(x: np.ndarray) -> np.ndarray:
-            return np.array([g_scalar(float(x[0]))])
-    return g, lo, hi, scalar
-
-
 def bisect_monotone(g: Callable, lo, hi, tol: float = 1e-10,
                     xtol: float = 0.0, max_iter: int = 200, *,
                     glo=None, ghi=None):
     """Roots of monotone (increasing or decreasing) functions, elementwise.
 
-    Each row is one problem on its own bracket [lo, hi]. With array ends,
-    `g` maps an array of points, one per row, to the array of values; all
-    rows are halved in lockstep. Scalar ends with a scalar `g` are the
-    one-row case and return a float. `glo` and `ghi` pass values of g at
-    the ends that the caller already holds.
+    Each row is one problem on its own bracket [lo, hi], given as 1-D float
+    arrays of one shape; `g` maps an array of points, one per row, to the
+    array of values, and all rows are halved in lockstep. `glo` and `ghi`
+    pass values of g at the ends that the caller already holds.
 
     An end where g is exactly zero is returned (lo first); ends of equal
     sign raise BracketError. Otherwise the sign-changing bracket is halved
@@ -57,9 +38,8 @@ def bisect_monotone(g: Callable, lo, hi, tol: float = 1e-10,
     mid, or the final midpoint after max_iter halvings. Rows that have
     stopped are still halved and evaluated, but their result stays fixed.
     """
-    g, lo, hi, scalar = _elementwise(g, lo, hi)
-    glo = g(lo) if glo is None else np.array(glo, dtype=float, ndmin=1)
-    ghi = g(hi) if ghi is None else np.array(ghi, dtype=float, ndmin=1)
+    glo = g(lo) if glo is None else glo
+    ghi = g(hi) if ghi is None else ghi
     root = np.where(glo == 0.0, lo, hi)
     done = (glo == 0.0) | (ghi == 0.0)
     sign_lo = np.sign(glo)
@@ -84,23 +64,22 @@ def bisect_monotone(g: Callable, lo, hi, tol: float = 1e-10,
         lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
     else:
         root = np.where(done, root, 0.5 * (lo + hi))
-    return float(root[0]) if scalar else root
+    return root
 
 
 def maximize_1d(g: Callable, lo, hi,
                 tol: float = 1e-10) -> tuple:
     """Golden-section maximization of unimodal functions, elementwise.
 
-    Each row is one problem on its own interval [lo, hi]; with array ends,
-    `g` maps an array of points, one per row, to their values, and all rows
-    step in lockstep, each until its own b - a <= tol (a row that has
-    stopped keeps stepping, but its midpoint is fixed). Each row then
-    returns the first maximum among (lo, hi, midpoint), so endpoints are
-    returned as-is when the maximum sits on the boundary. Returns (argmax,
-    value): floats for scalar ends with a scalar `g`, else arrays.
+    Each row is one problem on its own interval [lo, hi], given as 1-D float
+    arrays of one shape; `g` maps an array of points, one per row, to their
+    values, and all rows step in lockstep, each until its own b - a <= tol
+    (a row that has stopped keeps stepping, but its midpoint is fixed). Each
+    row then returns the first maximum among (lo, hi, midpoint), so
+    endpoints are returned as-is when the maximum sits on the boundary.
+    Returns the arrays (argmax, value).
     """
-    g, lo, hi, scalar = _elementwise(g, lo, hi)
-    a, b = lo.copy(), hi.copy()
+    a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = g(c), g(d)
@@ -125,8 +104,6 @@ def maximize_1d(g: Callable, lo, hi,
         # strictly larger only, so the first of equal maxima is kept
         better = val > best
         best_x, best = np.where(better, pt, best_x), np.where(better, val, best)
-    if scalar:
-        return float(best_x[0]), float(best[0])
     return best_x, best
 
 

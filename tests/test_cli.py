@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,25 @@ class TestBounds:
         names = {r[1] for r in rows}
         assert names == {"shtcc_ex0_upper", "jhtcc_uncoded"}
 
+
+    def test_shtcc_on_disjoint_rows_channel(self, tmp_path):
+        """Designs that mix two inputs of disjoint rows have theta_l = +inf;
+        they are skipped, with no NaN theta grid and no warning."""
+        model = json.loads(open(EXAMPLE1).read())
+        model["channel"].update(output_alphabet=["0", "1", "2"],
+                                rows=[["0.5", "0.5", "0"], ["0", "0", "1"]])
+        path = tmp_path / "disjoint.json"
+        path.write_text(json.dumps(model))
+        out = tmp_path / "shtcc.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bounds", str(path), "--scheme", "shtcc",
+                         "--kappa-grid", "0.01", "--grid", "3",
+                         "--out", str(out)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        _, _, rows = read_csv(out)
+        assert rows and not any("nan" in cell.lower()
+                                for row in rows for cell in row)
 
     def test_jhtcc_uncoded_ternary_pin(self, tmp_path):
         """Byte-for-byte output of the uncoded bound on the general 3-input

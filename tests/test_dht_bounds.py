@@ -1,6 +1,8 @@
 import copy
 import functools
+import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
                     kl_ball_projection, kl_divergence, mutual_information,
                     shtcc_tad, shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
                     special_message_exponent, zeta_rho)
-from errexp.channel_exponents import _rho_grid_objective, output_given_state
+from errexp.channel_exponents import (_rho_grid_objective,
+                                      expurgated_exponent_opt,
+                                      output_given_state)
 from errexp.dht_bounds import (_conditional_vy_laws, _info_uw, _info_vw,
                                _project_components, _sx_caches,
                                _tad_first_term, _tai_first_term,
@@ -24,6 +28,11 @@ from conftest import (fit_geometric_family, frozen_bisect_monotone,
 FAST = DhtSearchConfig(design_resolution=3, ball_resolution=8,
                        sx_resolution=4, theta_points=17,
                        pattern_min_step=5e-3)
+
+# two inputs whose output rows share no symbol: every design that mixes them
+# has theta_l = +inf, and the zero-rate expurgated exponent is +inf
+DISJOINT = Channel((0, 1), (0, 1, 2), np.array([[0.5, 0.5, 0.0],
+                                                [0.0, 0.0, 1.0]]))
 
 
 def skewed_tai_model() -> SourceModel:
@@ -794,6 +803,44 @@ class TestPinnedValues:
             (0.5, 0.5, 0.0, 1.0, 0.5, 0.5, 1.0, 0.0), rel=PIN_REL)
 
 
+def full_support_tad_model() -> SourceModel:
+    """TAD with a fully supported Q_UV (row masses a = 0.48 and 0.52)."""
+    q = np.array([[0.1, 0.38], [0.42, 0.1]])
+    p = np.outer(q.sum(axis=1), q.sum(axis=0))
+    return SourceModel(JointPmf((0, 1), (0, 1), p), JointPmf((0, 1), (0, 1), q))
+
+
+def mp_identity_crossing(model: SourceModel, ch: Channel, radius) -> mpmath.mpf:
+    """kappa_alpha_d of the single-state X = U design, to 50 digits: the
+    minimum of D(P || P_VY) over D(P || Q_VY) <= radius, solved on the
+    geometric family P ~ Q_VY^(1-lam) P_VY^lam by 200 halvings of lam."""
+    with mpmath.workdps(50):
+        def mp(a):
+            return [[mpmath.mpf(float(x)) for x in r] for r in a]
+        w, p_uv, q_uv = mp(ch.rows), mp(model.p_uv.probs), mp(model.q_uv.probs)
+        n_u, n_v, n_y = len(p_uv), len(p_uv[0]), len(w[0])
+
+        def vy(j):
+            return [sum(j[u][v] * w[u][y] for u in range(n_u))
+                    for v in range(n_v) for y in range(n_y)]
+        p_vy, q_vy = vy(p_uv), vy(q_uv)
+
+        def kl(a, b):
+            return sum(x * mpmath.log(x / y) for x, y in zip(a, b) if x > 0)
+
+        def tilted(lam):
+            t = [q ** (1 - lam) * p ** lam for p, q in zip(p_vy, q_vy)]
+            return [x / sum(t) for x in t]
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if kl(tilted(mid), q_vy) < mpmath.mpf(float(radius)):
+                lo = mid
+            else:
+                hi = mid
+        return kl(tilted(lo), p_vy)
+
+
 class TestCompareSchemes:
     def test_useless_channel_all_zero(self, example1):
         rows, crossover = compare_schemes(example1, Channel.bsc(0.5),
@@ -801,6 +848,7 @@ class TestCompareSchemes:
         for shtcc_rep, jhtcc_rep in rows:
             assert shtcc_rep.value == pytest.approx(0.0, abs=1e-9)
             assert jhtcc_rep.value == pytest.approx(0.0, abs=1e-9)
+        assert crossover is None
 
     def test_example1_rows(self, example1, bsc35):
         rows, crossover = compare_schemes(example1, bsc35, [0.0, 0.005], FAST)
@@ -809,6 +857,77 @@ class TestCompareSchemes:
         assert j0.value == pytest.approx(0.0471, abs=2e-4)
         assert j1.value < j0.value
         assert crossover is not None and 0.0 < crossover < 0.005
+
+    def test_crossover_matches_mpmath_on_identity_design(self, example1,
+                                                         bsc35):
+        # X = U wins on example1; the 40-halving bisection was 4.7e-10 off
+        _, crossover = compare_schemes(example1, bsc35, [0.001, 0.008])
+        e_x0 = expurgated_exponent_opt(0.0, bsc35)[0]
+        oracle = mp_identity_crossing(example1, bsc35, e_x0)
+        assert abs(crossover - float(oracle)) <= 2e-10
+
+    def test_crossover_dominates_dense_design_grid(self, example1, bsc35):
+        _, crossover = compare_schemes(example1, bsc35, [0.001, 0.008], FAST)
+        e_x0 = expurgated_exponent_opt(0.0, bsc35)[0]
+        ts = np.linspace(0.0, 1.0, 101)
+        problems = []
+        for a, b in itertools.product(ts, ts):
+            design = AuxiliaryDesign(p_s=Pmf((0,), [1.0]), p_x_given_us=np.array(
+                [[[a, 1.0 - a]], [[b, 1.0 - b]]]))
+            problems.append([(w, q_vy, p_vy) for w, p_vy, q_vy
+                             in _conditional_vy_laws(example1, bsc35, design)])
+        values = [value for _, value in _project_components(problems, e_x0)]
+        assert crossover >= max(values) - 1e-12
+
+    @pytest.mark.parametrize("grid", [[0.005, 0.008], [0.001, 0.003]],
+                             ids=["below-grid", "above-grid"])
+    def test_none_when_crossing_outside_grid(self, example1, bsc35, grid):
+        # the crossing lies near 0.00396
+        assert compare_schemes(example1, bsc35, grid, FAST)[1] is None
+
+    def test_none_when_no_design_reaches_the_line(self):
+        # kappa_u*(0) = 0.21 lies below E_x(0) = 0.81; unmasked, every design
+        # would score a crossing at 0, inside the grid
+        rows, crossover = compare_schemes(full_support_tad_model(),
+                                          Channel.bsc(0.01), [0.0, 0.01], FAST)
+        (ex0, uncoded_at_zero), _ = rows
+        assert uncoded_at_zero.value < ex0.value
+        assert crossover is None
+
+    def test_none_when_zero_rate_exponent_infinite(self, example1):
+        rows, crossover = compare_schemes(example1, DISJOINT, [0.01, 0.02],
+                                          FAST)
+        assert rows[0][0].value == np.inf
+        assert crossover is None
+
+
+class TestDisjointRowChannel:
+    def test_infinite_theta_bound_gets_no_theta_grid(self):
+        caches = _sx_caches(DISJOINT, FAST)
+        skipped = [c for c in caches
+                   if not (np.isfinite(c.theta_l) and np.isfinite(c.theta_u))]
+        assert skipped and len(skipped) < len(caches)
+        for cache in caches:
+            if cache in skipped:
+                assert cache.thetas.size == cache.e_sp.size == 0
+                assert cache.best_theta_term(0.0)[0] == -np.inf
+            else:
+                assert cache.thetas.size == FAST.theta_points
+                assert np.isfinite(cache.e_sp).all()
+
+    def test_tad_stein_finite_on_full_support_source(self):
+        value = shtcc_tad_stein(full_support_tad_model(), DISJOINT, FAST)
+        assert np.isfinite(value) and value > 0.0
+
+    def test_tad_stein_infinite_on_example1(self, example1):
+        # the channel carries U without error and U != V always under H1,
+        # so beta can be driven to zero: the exponent is +inf
+        assert shtcc_tad_stein(example1, DISJOINT, FAST) == np.inf
+
+    def test_shtcc_tad_skips_designs_without_theta_grid(self, example1):
+        for model in (example1, full_support_tad_model()):
+            report = shtcc_tad(model, DISJOINT, 0.01, FAST)
+            assert not np.isnan(report.value)
 
 
 def test_auxiliary_design_validation():

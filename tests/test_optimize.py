@@ -11,15 +11,23 @@ from errexp.optimize import (bisect_monotone, grid_then_pattern,
 from conftest import frozen_bisect_monotone, frozen_maximize_1d, stacked
 
 
+def row(*ends):
+    """Each end as a one-element array: one problem for the elementwise
+    `bisect_monotone` and `maximize_1d`."""
+    return [np.array([end], dtype=float) for end in ends]
+
+
 class TestBisectMonotone:
     def test_linear_root(self):
-        assert bisect_monotone(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0)
+        [root] = bisect_monotone(lambda x: x - 1.0, *row(0.0, 2.0))
+        assert root == pytest.approx(1.0)
 
     def test_tilted_mean_root_vs_dense_grid(self):
         sp = ScoredPmf(Pmf((0, 1), [0.3, 0.7]), np.array([-1.0, 2.0]))
         theta = 0.5
-        root = bisect_monotone(lambda lam: tilted_mean(sp, lam) - theta,
-                               -20.0, 20.0, tol=1e-12)
+        [root] = bisect_monotone(
+            lambda lam: np.array([tilted_mean(sp, lam[0]) - theta]),
+            *row(-20.0, 20.0), tol=1e-12)
         lams = np.arange(-20.0, 20.0, 1e-5)
         p, f = sp.effective()
         w = p[None, :] * np.exp(lams[:, None] * f[None, :])
@@ -30,7 +38,7 @@ class TestBisectMonotone:
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            bisect_monotone(lambda x: x + 1.0, 0.0, 2.0)
+            bisect_monotone(lambda x: x + 1.0, *row(0.0, 2.0))
 
     def test_relative_width_stop(self):
         calls = []
@@ -39,7 +47,7 @@ class TestBisectMonotone:
             calls.append(x)
             return x - 1234567.891
 
-        root = bisect_monotone(g, 1e6, 2e6, tol=0.0, xtol=1e-9)
+        [root] = bisect_monotone(g, *row(1e6, 2e6), tol=0.0, xtol=1e-9)
         assert abs(root - 1234567.891) <= 1e-9 * root
         # two ends, then 31 midpoints: the 31st sits in a bracket of width
         # 1e6 / 2**30 < 1e-9 * 1.23e6, long before max_iter = 200
@@ -47,31 +55,33 @@ class TestBisectMonotone:
 
     def test_max_iter_returns_final_midpoint(self):
         # 0.5 -> hi, 0.25 -> lo, 0.375 -> hi; midpoint of [0.25, 0.375]
-        root = bisect_monotone(lambda x: x - 1.0 / 3.0, 0.0, 1.0, tol=0.0,
-                               max_iter=3)
+        [root] = bisect_monotone(lambda x: x - 1.0 / 3.0, *row(0.0, 1.0),
+                                 tol=0.0, max_iter=3)
         assert root == 0.3125
 
     def test_exact_zero_at_an_end(self):
-        assert bisect_monotone(lambda x: x, 0.0, 1.0) == 0.0
-        assert bisect_monotone(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+        assert bisect_monotone(lambda x: x, *row(0.0, 1.0)) == [0.0]
+        assert bisect_monotone(lambda x: x - 1.0, *row(0.0, 1.0)) == [1.0]
         # an exact zero wins over a missing sign change
-        assert bisect_monotone(lambda x: x * x, 0.0, 1.0) == 0.0
+        assert bisect_monotone(lambda x: x * x, *row(0.0, 1.0)) == [0.0]
 
     def test_decreasing_function(self):
-        assert bisect_monotone(lambda x: 1.0 / 3.0 - x, 0.0, 1.0, tol=0.0,
-                               max_iter=3) == 0.3125
-        root = bisect_monotone(lambda x: np.exp(-x) - 0.5, 0.0, 5.0, tol=1e-13)
+        assert bisect_monotone(lambda x: 1.0 / 3.0 - x, *row(0.0, 1.0),
+                               tol=0.0, max_iter=3) == [0.3125]
+        [root] = bisect_monotone(lambda x: np.exp(-x) - 0.5, *row(0.0, 5.0),
+                                 tol=1e-13)
         assert root == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 class TestMaximize1d:
     def test_interior_quadratic(self):
-        x, v = maximize_1d(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=1e-12)
+        [x], [v] = maximize_1d(lambda x: -(x - 0.3) ** 2, *row(0.0, 1.0),
+                               tol=1e-12)
         assert x == pytest.approx(0.3, abs=1e-6)
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_returns_boundary(self):
-        x, v = maximize_1d(lambda x: x, 0.0, 2.0)
+        [x], [v] = maximize_1d(lambda x: x, *row(0.0, 2.0))
         assert x == 2.0 and v == 2.0
 
 
@@ -140,11 +150,11 @@ class TestElementwiseBisect:
         assert not any(np.array_equal(x, lo) or np.array_equal(x, hi)
                        for x in seen)
 
-    def test_scalar_ends_give_a_float(self):
-        root = bisect_monotone(lambda x: x - 0.3, 0.0, 1.0, tol=1e-12)
-        assert type(root) is float
-        assert root == frozen_bisect_monotone(lambda x: x - 0.3, 0.0, 1.0,
-                                              tol=1e-12)
+    def test_one_row_matches_scalar_loop(self):
+        root = bisect_monotone(lambda x: x - 0.3, *row(0.0, 1.0), tol=1e-12)
+        assert root.shape == (1,)
+        assert root[0] == frozen_bisect_monotone(lambda x: x - 0.3, 0.0, 1.0,
+                                                 tol=1e-12)
 
     def test_any_row_without_sign_change_raises(self):
         lo, hi = np.array([0.0, 2.0]), np.array([2.0, 3.0])
@@ -182,11 +192,11 @@ class TestElementwiseMaximize1d:
         # flat rows keep the first of equal maxima: the lower end
         assert xs[:3].tolist() == lo[:3].tolist()
 
-    def test_scalar_ends_give_floats(self):
-        x, v = maximize_1d(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
-        assert type(x) is float and type(v) is float
-        assert (x, v) == frozen_maximize_1d(lambda t: -(t - 0.3) ** 2,
-                                            0.0, 1.0)
+    def test_one_row_matches_scalar_loop(self):
+        x, v = maximize_1d(lambda t: -(t - 0.3) ** 2, *row(0.0, 1.0))
+        assert x.shape == v.shape == (1,)
+        assert (x[0], v[0]) == frozen_maximize_1d(lambda t: -(t - 0.3) ** 2,
+                                                  0.0, 1.0)
 
 
 class TestSimplexGrid:
