@@ -345,11 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("model", help="JSON model file")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         p.add_argument("--json", default=None, help="mirror rows to a JSON file")
-        p.add_argument("--grid", type=int, default=10,
-                       help="simplex grid resolution of the bounds design "
-                            "searches; region only records it in the "
-                            "manifest and simulate ignores it")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
+
+    def grid_flags(p: argparse.ArgumentParser, grid_help: str) -> None:
+        p.add_argument("--grid", type=int, default=10, help=grid_help)
         p.add_argument("--points", type=int, default=25,
                        help="number of kappa_alpha grid points")
         p.add_argument("--kappa-grid", default=None,
@@ -357,18 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_region = sub.add_parser("region", help="exact trade-off regions")
     common(p_region)
+    grid_flags(p_region, "recorded in the manifest only")
     p_region.add_argument("--kind", choices=("direct", "channel", "rht"),
                           required=True)
     p_region.set_defaults(func=cmd_region)
 
     p_bounds = sub.add_parser("bounds", help="achievable bounds for DHT over a channel")
     common(p_bounds)
+    grid_flags(p_bounds, "simplex grid resolution of the design searches")
     p_bounds.add_argument("--scheme", choices=("shtcc", "jhtcc-uncoded", "both"),
                           default="both")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo verification")
     common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_sim.add_argument("--theta0", type=float, default=0.0)
     p_sim.add_argument("--theta1", type=float, default=0.0)
     p_sim.add_argument("--n-grid", default="100,200,400",
@@ -382,7 +383,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.points < 1:
+        if "points" in args and args.points < 1:
             raise InputError("points must be >= 1")
         return args.func(args)
     except InputError as exc:

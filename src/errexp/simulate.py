@@ -5,10 +5,27 @@ two-codeword separation scheme for remote testing over a channel, then fits
 empirical error exponents against blocklength. Sequences are never
 materialized: the tests depend on the data only through symbol counts, so
 trials are drawn as multinomial types.
+
+A run is 2 x |n-grid| independent tasks, one per (blocklength, hypothesis)
+pair, each drawing from its own substream (``_substream``). The tasks run
+concurrently on a thread pool with at most one thread per usable core; the
+multinomial draws release the interpreter lock. Within a task, trials come in
+chunks of ``CHUNK_TRIALS``: a chunk draws all its source rows, then its
+channel rows class by class and, within a class, first for the trials that
+send x_tilde and then for those that send x_prime. That order fixes which
+generator output each trial gets, so changing ``CHUNK_TRIALS`` changes the
+output. Each of those draws is made and scored in blocks of ``BLOCK_ROWS``
+rows. A multinomial draw split over several calls consumes the generator
+exactly as one call does, so the blocks change no count; they keep each score
+matvec on one BLAS thread (see ``_count_scores``), so no BLAS helper thread
+competes with the workers and tie signs do not depend on the core count; and
+they keep each task's temporaries to a few hundred KB besides its per-trial
+statistic.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +35,14 @@ from .exceptions import EstimationError, InputError
 from .legendre import loglik_scores
 from .prob_core import Channel, Pmf
 
+# Trials per chunk. It fixes the draw order, so changing it changes the output.
 CHUNK_TRIALS = 250_000
+# Rows per multinomial draw and per score matvec; a multiple of 4.
+BLOCK_ROWS = 4096
+# OpenBLAS runs a matvec with fewer matrix elements than this on one thread
+# (2304 x its default GEMM_MULTITHREAD_THRESHOLD of 4, the smallest cutoff its
+# releases have used; release 0.3.31 threads only from about 460,800).
+BLAS_THREAD_MIN_ELEMENTS = 9216
 MIN_FIT_POINTS = 2
 
 
@@ -82,12 +106,26 @@ def _llr_vector(p: Pmf, q: Pmf) -> np.ndarray:
 def _count_scores(counts: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Accumulated score per trial row, with infinities dominating.
 
+    The finite part is a matvec per block of rows. Each block has a multiple
+    of 4 rows (except the last) and fewer than ``BLAS_THREAD_MIN_ELEMENTS``
+    elements, so OpenBLAS computes it on one thread, and every row follows
+    the same kernel path as in one single-threaded matvec over all rows: only
+    the last ``len(counts) % 4`` rows take the kernel's scalar tail. Row sums
+    that differ in their last bits, such as the sign of an exact tie, thus do
+    not depend on the number of cores.
+
     Within one hypothesis a trial never holds both +inf and -inf atoms (the
     signs are tied to which support the samples came from), so the two
     infinite cases are exclusive.
     """
     finite = np.isfinite(scores)
-    total = counts[:, finite].astype(float) @ scores[finite]
+    width = max(1, int(np.count_nonzero(finite)))
+    step = max(4, min(BLOCK_ROWS,
+                      (BLAS_THREAD_MIN_ELEMENTS - 1) // width // 4 * 4))
+    total = np.empty(len(counts))
+    for start in range(0, len(counts), step):
+        block = counts[start:start + step, finite].astype(float)
+        total[start:start + step] = block @ scores[finite]
     pos = counts[:, np.isposinf(scores)].sum(axis=1) > 0
     neg = counts[:, np.isneginf(scores)].sum(axis=1) > 0
     total = np.where(pos, np.inf, total)
@@ -135,19 +173,79 @@ def _substream(seed: int, n: int, stage: int) -> np.random.Generator:
         entropy=seed, spawn_key=(n, stage)))
 
 
-def _direct_error_count(rng: np.random.Generator, sampling: np.ndarray,
-                        scores: np.ndarray, n: int, trials: int,
-                        theta: float, reject_is_error: bool) -> int:
+def _add_draws(rng: np.random.Generator, n: int, probs: np.ndarray,
+               scores: np.ndarray, out: np.ndarray) -> None:
+    """Adds to each entry of out the accumulated score of a fresh
+    multinomial(n, probs) draw, drawing and scoring BLOCK_ROWS rows at a
+    time."""
+    for start in range(0, len(out), BLOCK_ROWS):
+        block = rng.multinomial(n, probs, size=min(BLOCK_ROWS, len(out) - start))
+        out[start:start + len(block)] += _count_scores(block, scores)
+
+
+def _error_count(seed: int, n: int, stage: int, source: np.ndarray,
+                 source_scores: np.ndarray, theta0: float, trials: int,
+                 channel: tuple | None) -> int:
+    """Errors of one task: trials of blocklength n drawn from source, the
+    law of hypothesis H<stage>, so a rejection is an error at stage 0 and an
+    acceptance at stage 1.
+
+    The local NP test rejects iff the source score reaches n*theta0. With a
+    channel, given as (ch, classes, theta1), the local decision instead
+    selects x_prime (reject) or x_tilde for transmission, and the decision
+    maker rejects iff the accumulated pair score of the channel output
+    reaches n*theta1. The per-trial statistic keeps the trials that send
+    x_tilde first, so each class adds its draws to two contiguous parts.
+    """
+    rng = _substream(seed, n, stage)
     errors = 0
-    done = 0
-    while done < trials:
-        batch = min(CHUNK_TRIALS, trials - done)
-        counts = rng.multinomial(n, sampling, size=batch)
-        stat = _count_scores(counts, scores)
-        reject = stat >= n * theta
-        errors += int(np.count_nonzero(reject if reject_is_error else ~reject))
-        done += batch
+    for done in range(0, trials, CHUNK_TRIALS):
+        stat = np.zeros(min(CHUNK_TRIALS, trials - done))
+        _add_draws(rng, n, source, source_scores, stat)
+        reject = stat >= n * theta0
+        if channel is not None:
+            ch, classes, theta1 = channel
+            split = len(stat) - int(np.count_nonzero(reject))
+            stat[:] = 0.0
+            for a, b, count in classes:
+                score = ch.pair_scores[a, b]
+                _add_draws(rng, count, ch.rows[a], score, stat[:split])
+                _add_draws(rng, count, ch.rows[b], score, stat[split:])
+            reject = stat >= n * theta1
+        errors += int(np.count_nonzero(reject if stage == 0 else ~reject))
     return errors
+
+
+def _simulate(p: Pmf, q: Pmf, theta0: float, cfg: SimConfig,
+              channels: dict | None = None,
+              realized_types: tuple | None = None) -> SimReport:
+    """Runs the (n, hypothesis) tasks concurrently and fits the report;
+    channels maps each n to its (ch, classes, theta1) for the separation
+    scheme."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    scores = _llr_vector(p, q)
+    tasks = [(n, stage) for n in cfg.blocklengths for stage in (0, 1)]
+
+    def run(task: tuple[int, int]) -> int:
+        n, stage = task
+        return _error_count(cfg.seed, n, stage, (p, q)[stage].probs, scores,
+                            theta0, cfg.trials,
+                            None if channels is None else channels[n])
+
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(cores, len(tasks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        errors = list(pool.map(run, tasks))
+    alpha_err, beta_err = tuple(errors[0::2]), tuple(errors[1::2])
+    alpha_hat = tuple(e / cfg.trials for e in alpha_err)
+    beta_hat = tuple(e / cfg.trials for e in beta_err)
+    return SimReport(cfg.blocklengths, cfg.trials, alpha_hat, beta_hat,
+                     alpha_err, beta_err,
+                     _try_fit(cfg.blocklengths, alpha_hat),
+                     _try_fit(cfg.blocklengths, beta_hat),
+                     realized_types=realized_types)
 
 
 def fit_exponent(blocklengths, rates) -> FitResult:
@@ -182,21 +280,7 @@ def _try_fit(blocklengths, rates) -> FitResult | None:
 
 def simulate_direct(p: Pmf, q: Pmf, theta: float, cfg: SimConfig) -> SimReport:
     """Monte Carlo run of the direct NP test at threshold theta."""
-    scores = _llr_vector(p, q)
-    alpha_err, beta_err = [], []
-    for n in cfg.blocklengths:
-        alpha_err.append(_direct_error_count(
-            _substream(cfg.seed, n, 0), p.probs, scores, n, cfg.trials,
-            theta, reject_is_error=True))
-        beta_err.append(_direct_error_count(
-            _substream(cfg.seed, n, 1), q.probs, scores, n, cfg.trials,
-            theta, reject_is_error=False))
-    alpha_hat = tuple(e / cfg.trials for e in alpha_err)
-    beta_hat = tuple(e / cfg.trials for e in beta_err)
-    return SimReport(cfg.blocklengths, cfg.trials, alpha_hat, beta_hat,
-                     tuple(alpha_err), tuple(beta_err),
-                     _try_fit(cfg.blocklengths, alpha_hat),
-                     _try_fit(cfg.blocklengths, beta_hat))
+    return _simulate(p, q, theta, cfg)
 
 
 def _pair_counts(law: ChannelPairLaw, n: int) -> list[tuple[int, int, int]]:
@@ -211,61 +295,14 @@ def _pair_counts(law: ChannelPairLaw, n: int) -> list[tuple[int, int, int]]:
     return [(a, b, c) for (a, b), c in sorted(classes.items())]
 
 
-def _channel_stat(rng: np.random.Generator, ch: Channel,
-                  classes: list[tuple[int, int, int]], transmit_prime: np.ndarray,
-                  n_trials: int) -> np.ndarray:
-    """Decoder statistic per trial: accumulated pair score of the channel
-    output, with the transmitted row selected per trial."""
-    stat = np.zeros(n_trials)
-    rows = ch.rows
-    for a, b, count in classes:
-        score = ch.pair_scores[a, b]
-        for transmit_b in (False, True):
-            mask = transmit_prime == transmit_b
-            m = int(np.count_nonzero(mask))
-            if m == 0:
-                continue
-            y_counts = rng.multinomial(count, rows[b if transmit_b else a], size=m)
-            stat[mask] += _count_scores(y_counts, score)
-    return stat
-
-
 def simulate_rht(p_u: Pmf, q_u: Pmf, ch: Channel, theta0: float, theta1: float,
                  law: ChannelPairLaw, cfg: SimConfig) -> SimReport:
     """Monte Carlo run of the separation scheme: a local NP test on the
     source selects one of two type sequences, the channel corrupts it, and
     the decision maker thresholds the accumulated pair score."""
     _check_assumption(ch)
-    source_scores = _llr_vector(p_u, q_u)
-    alpha_err, beta_err = [], []
-    realized = []
-    for n in cfg.blocklengths:
-        classes = _pair_counts(law, n)
-        realized.append(tuple((law.alphabet[a], law.alphabet[b], c / n)
-                              for a, b, c in classes))
-        for stage, (source, reject_is_error) in enumerate(
-                [(p_u, True), (q_u, False)]):
-            rng = _substream(cfg.seed, n, stage)
-            errors = 0
-            done = 0
-            while done < cfg.trials:
-                batch = min(CHUNK_TRIALS, cfg.trials - done)
-                u_counts = rng.multinomial(n, source.probs, size=batch)
-                local_stat = _count_scores(u_counts, source_scores)
-                transmit_prime = local_stat >= n * theta0
-                stat = _channel_stat(rng, ch, classes, transmit_prime, batch)
-                reject = stat >= n * theta1
-                errors += int(np.count_nonzero(
-                    reject if reject_is_error else ~reject))
-                done += batch
-            if reject_is_error:
-                alpha_err.append(errors)
-            else:
-                beta_err.append(errors)
-    alpha_hat = tuple(e / cfg.trials for e in alpha_err)
-    beta_hat = tuple(e / cfg.trials for e in beta_err)
-    return SimReport(cfg.blocklengths, cfg.trials, alpha_hat, beta_hat,
-                     tuple(alpha_err), tuple(beta_err),
-                     _try_fit(cfg.blocklengths, alpha_hat),
-                     _try_fit(cfg.blocklengths, beta_hat),
-                     realized_types=tuple(realized))
+    channels = {n: (ch, _pair_counts(law, n), theta1) for n in cfg.blocklengths}
+    realized = tuple(
+        tuple((law.alphabet[a], law.alphabet[b], c / n) for a, b, c in classes)
+        for n, (_, classes, _) in channels.items())
+    return _simulate(p_u, q_u, theta0, cfg, channels, realized)

@@ -82,6 +82,22 @@ class TestLoadModel:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, options", [
+        ("simulate", ["--grid", "3"]),
+        ("simulate", ["--points", "4"]),
+        ("simulate", ["--kappa-grid", "0.01"]),
+        ("region", ["--kind", "direct", "--seed", "1"]),
+        ("bounds", ["--scheme", "shtcc", "--seed", "1"]),
+    ], ids=["simulate-grid", "simulate-points", "simulate-kappa-grid",
+            "region-seed", "bounds-seed"])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, bern_model,
+                                                       capsys, command,
+                                                       options):
+        with pytest.raises(SystemExit) as exc:
+            main([command, bern_model] + options)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_pair_law_parses_and_drives_the_channel_curve(self, tmp_path):
         law = [["0.1", "0.4"], ["0.2", "0.3"]]
         path = tmp_path / "law.json"

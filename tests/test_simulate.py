@@ -1,11 +1,22 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import errexp.simulate as simulate
 from errexp import (Channel, ChannelPairLaw, EstimationError, InputError, Pmf,
-                    SimConfig, build_type_sequences, channel_region_point,
-                    conjugate, direct_region_point, fit_exponent,
-                    loglik_scores, np_decide, simulate_direct, simulate_rht)
+                    SimConfig, SimReport, build_type_sequences,
+                    channel_region_point, conjugate, direct_region_point,
+                    fit_exponent, loglik_scores, np_decide, simulate_direct,
+                    simulate_rht)
+from errexp.simulate import (_count_scores, _llr_vector, _pair_counts,
+                             _substream, _try_fit)
 
+ROOT = Path(__file__).resolve().parents[1]
 P58 = Pmf((0, 1), [0.5, 0.5])
 Q58 = Pmf((0, 1), [0.2, 0.8])
 
@@ -173,3 +184,250 @@ class TestSimConfig:
             SimConfig((100, 50), 10, seed=0)
         with pytest.raises(InputError):
             SimConfig((100,), 0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The serial loops that the concurrent, blocked run replaced, kept as the
+# oracle: one task after another, each chunk drawn in one call per source
+# and per (class, mask), scored with one matvec per call.
+
+
+def _serial_count_scores(counts, scores):
+    finite = np.isfinite(scores)
+    total = counts[:, finite].astype(float) @ scores[finite]
+    pos = counts[:, np.isposinf(scores)].sum(axis=1) > 0
+    neg = counts[:, np.isneginf(scores)].sum(axis=1) > 0
+    total = np.where(pos, np.inf, total)
+    total = np.where(neg, -np.inf, total)
+    return total
+
+
+def _serial_direct_error_count(rng, sampling, scores, n, trials, theta,
+                               reject_is_error, chunk):
+    errors = 0
+    done = 0
+    while done < trials:
+        batch = min(chunk, trials - done)
+        counts = rng.multinomial(n, sampling, size=batch)
+        stat = _serial_count_scores(counts, scores)
+        reject = stat >= n * theta
+        errors += int(np.count_nonzero(reject if reject_is_error else ~reject))
+        done += batch
+    return errors
+
+
+def _serial_direct(p, q, theta, cfg, chunk):
+    scores = _llr_vector(p, q)
+    alpha_err, beta_err = [], []
+    for n in cfg.blocklengths:
+        alpha_err.append(_serial_direct_error_count(
+            _substream(cfg.seed, n, 0), p.probs, scores, n, cfg.trials,
+            theta, True, chunk))
+        beta_err.append(_serial_direct_error_count(
+            _substream(cfg.seed, n, 1), q.probs, scores, n, cfg.trials,
+            theta, False, chunk))
+    alpha_hat = tuple(e / cfg.trials for e in alpha_err)
+    beta_hat = tuple(e / cfg.trials for e in beta_err)
+    return SimReport(cfg.blocklengths, cfg.trials, alpha_hat, beta_hat,
+                     tuple(alpha_err), tuple(beta_err),
+                     _try_fit(cfg.blocklengths, alpha_hat),
+                     _try_fit(cfg.blocklengths, beta_hat))
+
+
+def _serial_channel_stat(rng, ch, classes, transmit_prime, n_trials,
+                         mask_sizes):
+    stat = np.zeros(n_trials)
+    rows = ch.rows
+    for a, b, count in classes:
+        score = ch.pair_scores[a, b]
+        for transmit_b in (False, True):
+            mask = transmit_prime == transmit_b
+            m = int(np.count_nonzero(mask))
+            if m == 0:
+                continue
+            mask_sizes.append(m)
+            y_counts = rng.multinomial(count, rows[b if transmit_b else a],
+                                       size=m)
+            stat[mask] += _serial_count_scores(y_counts, score)
+    return stat
+
+
+def _serial_rht(p_u, q_u, ch, theta0, theta1, law, cfg, chunk, mask_sizes):
+    source_scores = _llr_vector(p_u, q_u)
+    alpha_err, beta_err = [], []
+    realized = []
+    for n in cfg.blocklengths:
+        classes = _pair_counts(law, n)
+        realized.append(tuple((law.alphabet[a], law.alphabet[b], c / n)
+                              for a, b, c in classes))
+        for stage, (source, reject_is_error) in enumerate(
+                [(p_u, True), (q_u, False)]):
+            rng = _substream(cfg.seed, n, stage)
+            errors = 0
+            done = 0
+            while done < cfg.trials:
+                batch = min(chunk, cfg.trials - done)
+                u_counts = rng.multinomial(n, source.probs, size=batch)
+                local_stat = _serial_count_scores(u_counts, source_scores)
+                transmit_prime = local_stat >= n * theta0
+                stat = _serial_channel_stat(rng, ch, classes, transmit_prime,
+                                            batch, mask_sizes)
+                reject = stat >= n * theta1
+                errors += int(np.count_nonzero(
+                    reject if reject_is_error else ~reject))
+                done += batch
+            if reject_is_error:
+                alpha_err.append(errors)
+            else:
+                beta_err.append(errors)
+    alpha_hat = tuple(e / cfg.trials for e in alpha_err)
+    beta_hat = tuple(e / cfg.trials for e in beta_err)
+    return SimReport(cfg.blocklengths, cfg.trials, alpha_hat, beta_hat,
+                     tuple(alpha_err), tuple(beta_err),
+                     _try_fit(cfg.blocklengths, alpha_hat),
+                     _try_fit(cfg.blocklengths, beta_hat),
+                     realized_types=tuple(realized))
+
+
+# a 3-symbol pair whose scores hold both +inf and -inf
+P3 = Pmf((0, 1, 2), [0.6, 0.4, 0.0])
+Q3 = Pmf((0, 1, 2), [0.0, 0.5, 0.5])
+MULTI_CLASS_LAW = ChannelPairLaw.from_matrix((0, 1), [[0.3, 0.2], [0.1, 0.4]])
+
+
+class TestConcurrentRunMatchesSerialLoop:
+    """Small chunks and blocks, so every path runs many times: a trial count
+    that is not a multiple of the chunk, blocks that split draws, and masks
+    of every size modulo 4. The blocks keep a multiple of 4 rows, so each
+    row's matvec follows the same kernel path as in the oracle's one call,
+    and exact ties (the BSC's pair scores are exact negations) get the same
+    sign."""
+
+    CHUNK = 64
+    BLOCK = 8
+    TRIALS = 250
+    SEEDS = (0, 1, 5, 12)
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", self.CHUNK)
+        monkeypatch.setattr(simulate, "BLOCK_ROWS", self.BLOCK)
+
+    def test_infinite_scores_on_both_sides(self):
+        scores = _llr_vector(P3, Q3)
+        assert np.isposinf(scores).any() and np.isneginf(scores).any()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("p, q, theta", [(P58, Q58, 0.0), (P58, Q58, -0.2),
+                                             (P3, Q3, 0.0)],
+                             ids=["binary", "binary-low-theta", "ternary-inf"])
+    def test_direct(self, seed, p, q, theta):
+        cfg = SimConfig((5, 12, 30), self.TRIALS, seed)
+        assert simulate_direct(p, q, theta, cfg) == _serial_direct(
+            p, q, theta, cfg, self.CHUNK)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("p, q, law", [
+        (P58, Q58, ChannelPairLaw.point_mass((0, 1), (0, 1))),
+        (P58, Q58, MULTI_CLASS_LAW),
+        (P3, Q3, MULTI_CLASS_LAW),
+    ], ids=["point-mass", "four-classes", "ternary-inf-four-classes"])
+    def test_rht(self, bsc35, seed, p, q, law):
+        cfg = SimConfig((6, 10, 17), self.TRIALS, seed)
+        mask_sizes: list[int] = []
+        expect = _serial_rht(p, q, bsc35, 0.0, 0.0, law, cfg, self.CHUNK,
+                             mask_sizes)
+        assert simulate_rht(p, q, bsc35, 0.0, 0.0, law, cfg) == expect
+        assert any(m % 4 for m in mask_sizes)
+        assert any(m > self.BLOCK for m in mask_sizes)
+
+    def test_classes_of_the_multi_class_law(self):
+        assert len(_pair_counts(MULTI_CLASS_LAW, 10)) == 4
+
+
+class TestTaskPool:
+    def test_worker_error_reaches_caller_and_threads_are_joined(
+            self, monkeypatch):
+        def failing(seed, n, stage, *args):
+            if (n, stage) == (20, 1):
+                raise RuntimeError("task failed")
+            return 0
+
+        monkeypatch.setattr(simulate, "_error_count", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="task failed"):
+            simulate_direct(P58, Q58, 0.0, SimConfig((10, 20, 30), 10, 0))
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_run(self, bsc35):
+        before = threading.active_count()
+        simulate_rht(P58, Q58, bsc35, 0.0, 0.0, TestSimulateRht.LAW,
+                     SimConfig((10, 20, 30, 40), 100, 0))
+        assert threading.active_count() == before
+
+
+def _subprocess_env(**extra):
+    """This interpreter's environment with the checkout's sources first and
+    BLAS threads at their default unless extra sets them."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(extra, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return env
+
+
+class TestBlasThreadIndependence:
+    """A one-call matvec over more rows than OpenBLAS's threading cutoff is
+    split between threads, and a row at the end of a thread's share takes
+    the kernel's scalar tail, so an exact tie's sign depended on the core
+    count. The blocked sums must equal a single-threaded one-call matvec."""
+
+    ROWS = (4095, 4096, 4097, 4098, 4099, 4100, 4101, 8193, 250_001)
+    SINGLE_THREADED = (
+        "import sys\n"
+        "import numpy as np\n"
+        "scores = np.load(sys.argv[1])\n"
+        "finite = np.isfinite(scores)\n"
+        "np.savez(sys.argv[2], *[\n"
+        "    np.tile([50, 50], (int(m), 1))[:, finite].astype(float)"
+        " @ scores[finite]\n"
+        "    for m in sys.argv[3:]])\n")
+
+    def test_count_scores_matches_single_threaded_matvec(self, bsc35,
+                                                         tmp_path):
+        scores = bsc35.pair_scores[0, 1]
+        assert scores[0] == -scores[1]
+        np.save(tmp_path / "scores.npy", scores)
+        done = subprocess.run(
+            [sys.executable, "-c", self.SINGLE_THREADED,
+             str(tmp_path / "scores.npy"), str(tmp_path / "sums.npz"),
+             *map(str, self.ROWS)],
+            env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        with np.load(tmp_path / "sums.npz") as expect:
+            for i, m in enumerate(self.ROWS):
+                want = expect[f"arr_{i}"]
+                got = _count_scores(np.tile([50, 50], (m, 1)), scores)
+                assert got.tobytes() == want.tobytes(), m
+                # ties of both signs: the kernel's scalar tail is the last
+                # m % 4 rows
+                assert np.count_nonzero(want < 0) == m % 4
+
+    def test_cli_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # theta0 = -10 sends x_prime in every trial, so one mask holds all
+        # 240,002 trials of the chunk; a one-call matvec over them was
+        # split between two threads, and at seed 0 the tie at the split
+        # row flipped one alpha error at n = 20
+        argv = [sys.executable, "-m", "errexp.cli", "simulate",
+                "bench/models/mc.json", "--n-grid", "10,20", "--trials",
+                "240002", "--theta0", "-10", "--seed", "0"]
+        outputs = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            done = subprocess.run(argv, cwd=ROOT,
+                                  env=_subprocess_env(**threads),
+                                  capture_output=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert b"\n20,0.94720044,0.0531703902,227330,12761\n" in outputs[0]
