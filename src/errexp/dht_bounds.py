@@ -19,8 +19,9 @@ from .channel_exponents import (InputDesign, _expurgation_terms,
                                 theta_bounds)
 from .exceptions import InputError
 from .legendre import Mixture
-from .optimize import (bisect_monotone, grid_then_pattern, pattern_search,
-                       simplex_grid, simplex_grid_array)
+from .optimize import (bisect_monotone, chunked, grid_then_pattern,
+                       lockstep_pattern_search, project_rows, simplex_grid,
+                       simplex_grid_array)
 from .prob_core import (Channel, JointPmf, Pmf, capacity, kl_array, kl_rows,
                         mutual_information_rows)
 
@@ -359,43 +360,60 @@ def _crossing_values(model: SourceModel, ch: Channel, radius: float,
 # Ball-constrained information quantities for the separation scheme
 
 
-def _ball_optimize(p_ref: np.ndarray, objective, kappa_alpha: float,
-                   maximize: bool, config: DhtSearchConfig) -> float:
-    """Extremize `objective` over joints within the KL ball around p_ref.
+def _ball_optimize(p_ref: np.ndarray, objective, signs: np.ndarray,
+                   kappa_alpha: float, config: DhtSearchConfig) -> np.ndarray:
+    """Extremize R objectives over joints within the KL ball around p_ref.
 
-    `objective` maps a (B, n) stack of flat joints to their B values. Grid
-    seeding plus pattern search, with infeasible points discarded; the grid
-    and every pattern-search sweep are scored as one stack. The reference
-    point itself is always a feasible fallback.
+    `objective(ps, owner)` maps a (B, n) stack of flat joints and the (B,)
+    index of the problem that owns each row to their B values; problem r is
+    maximized when signs[r] is +1 and minimized when it is -1. Each problem
+    gets grid seeding plus pattern search, with infeasible points discarded,
+    and the reference point itself is always a feasible fallback. The R
+    problems share the grid pass and run one `lockstep_pattern_search`, and
+    `objective` never sees more than GRID_CHUNK rows at once; each problem
+    gets the value its own search would give alone. Returns the R extrema.
     """
     ref = p_ref.reshape(-1)
-    sign = 1.0 if maximize else -1.0
+    signs = np.asarray(signs, dtype=float)
+    owners = np.arange(len(signs))
     limit = kappa_alpha + 1e-12
 
-    def penalized(ps: np.ndarray) -> np.ndarray:
-        return np.where(kl_rows(ps, ref) > limit, -np.inf, sign * objective(ps))
+    def signed(ps: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return chunked(lambda t: signs[owner[t]] * objective(ps[t], owner[t]),
+                       len(ps))
 
-    best_val = sign * objective(ref[None])[0]
-    best_vec = ref
+    def penalized(ps: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return np.where(kl_rows(ps, ref) > limit, -np.inf, signed(ps, owner))
+
+    best_vec = np.repeat(ref[None], len(signs), axis=0)
+    best_val = signed(best_vec, owners)
     if kappa_alpha > 0:
         grid = simplex_grid_array(ref.size, config.ball_resolution)
         feasible = grid[kl_rows(grid, ref) <= limit]
-        if len(feasible):
-            vals = sign * objective(feasible)
-            k = int(np.argmax(vals))  # the first of equal maxima
-            if vals[k] > best_val:
-                best_val, best_vec = vals[k], feasible[k]
-        _, val = grid_then_pattern(lambda probes: penalized(probes[:, 0]),
-                                   [], [[best_vec]],
-                                   min_step=config.pattern_min_step,
-                                   min_improve=1e-9)
-        best_val = max(best_val, val)
-    return float(sign * best_val)
+        if n_grid := len(feasible):
+            # row t of the tiled grid is point t % n_grid of problem t // n_grid
+            vals = chunked(lambda t: signs[t // n_grid] * objective(
+                feasible[t % n_grid], t // n_grid), len(signs) * n_grid)
+            vals = vals.reshape(len(signs), n_grid)
+            k = np.argmax(vals, axis=1)  # the first of equal maxima
+            top = vals[owners, k]
+            better = top > best_val
+            best_val = np.where(better, top, best_val)
+            best_vec[better] = feasible[k[better]]
+        start = project_rows(best_vec)[:, None]
+        _, val = lockstep_pattern_search(
+            lambda probes, owner: penalized(probes[:, 0], owner), start,
+            penalized(start[:, 0], owners), min_step=config.pattern_min_step,
+            min_improve=1e-9)
+        # the search's value only where strictly larger, as Python's max
+        best_val = np.where(val > best_val, val, best_val)
+    return signs * best_val
 
 
 def _info_uw(ps: np.ndarray, shape: tuple[int, int],
              w_rows: np.ndarray) -> np.ndarray:
-    """I(U;W) of each flat joint P_UV in a stack, W drawn from U by w_rows."""
+    """I(U;W) of each flat joint P_UV in a stack, W drawn from U by w_rows
+    (one matrix, or one per joint)."""
     p_u = ps.reshape(-1, *shape).sum(axis=2)
     return mutual_information_rows(p_u[:, :, None] * w_rows)
 
@@ -408,41 +426,56 @@ def _joint_vw(ps: np.ndarray, shape: tuple[int, int],
 
 def _info_vw(ps: np.ndarray, shape: tuple[int, int],
              w_rows: np.ndarray) -> np.ndarray:
-    """I(V;W) of each flat joint P_UV in a stack, W drawn from U by w_rows."""
+    """I(V;W) of each flat joint P_UV in a stack, W drawn from U by w_rows
+    (one matrix, or one per joint)."""
     return mutual_information_rows(_joint_vw(ps, shape, w_rows))
 
 
 def _tai_first_term(p_uv: np.ndarray, w_rows: np.ndarray):
-    """The TAI first term I(V;W) + D(P'_V || P_V), as an objective of a stack
-    of flat joints P'_UV; P_V is the V-marginal of p_uv."""
+    """The TAI first term I(V;W) + D(P'_V || P_V), as an owner-indexed
+    objective of a stack of flat joints P'_UV: quantizer w_rows[owner] for
+    each row. P_V is the V-marginal of p_uv."""
     shape = p_uv.shape
     p_v = p_uv.sum(axis=0)
-    return lambda ps: (_info_vw(ps, shape, w_rows)
-                       + kl_rows(ps.reshape(-1, *shape).sum(axis=1), p_v))
+    return lambda ps, owner: (
+        _info_vw(ps, shape, w_rows[owner])
+        + kl_rows(ps.reshape(-1, *shape).sum(axis=1), p_v))
 
 
 def _tad_first_term(q_uv: np.ndarray, w_rows: np.ndarray):
-    """The TAD surrogate first term D(P'_VW || Q_VW), as an objective of a
-    stack of flat joints P'_UV."""
+    """The TAD surrogate first term D(P'_VW || Q_VW), as an owner-indexed
+    objective of a stack of flat joints P'_UV: quantizer w_rows[owner] for
+    each row."""
     shape = q_uv.shape
-    q_vw = (q_uv.T @ w_rows).reshape(-1)
-    return lambda ps: kl_rows(
-        _joint_vw(ps, shape, w_rows).reshape(len(ps), -1), q_vw)
+    q_vw = (q_uv.T @ w_rows).reshape(len(w_rows), -1)
+    return lambda ps, owner: kl_rows(
+        _joint_vw(ps, shape, w_rows[owner]).reshape(len(ps), -1), q_vw[owner])
 
 
-def zeta_rho(model: SourceModel, p_wu: Channel, kappa_alpha: float,
-             config: DhtSearchConfig = DhtSearchConfig()) -> tuple[float, float]:
-    """(zeta, rho): the extremes of I(U;W) and I(V;W) over the KL ball of
-    joints around P_UV, with W generated by the fixed test channel."""
+def zeta_rho(model: SourceModel, p_wus, kappa_alpha: float,
+             config: DhtSearchConfig = DhtSearchConfig()
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(zeta, rho) arrays, one entry per test channel in `p_wus`: the extremes
+    of I(U;W) and I(V;W) over the KL ball of joints around P_UV, with W
+    generated by that fixed channel. The channels share one output alphabet
+    size, and all 2R searches run as one `_ball_optimize`."""
+    if len({p_wu.rows.shape for p_wu in p_wus}) != 1:
+        raise InputError("zeta_rho: test channels must share one shape")
     shape = model.p_uv.probs.shape
-    w_rows = p_wu.rows
-    zeta = _ball_optimize(model.p_uv.probs,
-                          lambda p: _info_uw(p, shape, w_rows),
-                          kappa_alpha, maximize=True, config=config)
-    rho = _ball_optimize(model.p_uv.probs,
-                         lambda p: _info_vw(p, shape, w_rows),
-                         kappa_alpha, maximize=False, config=config)
-    return zeta, rho
+    w_rows = np.stack([p_wu.rows for p_wu in p_wus])
+    n = len(w_rows)
+
+    def objective(ps: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        # owners below n are the zeta problems, the others the rho problems
+        out = np.empty(len(ps))
+        zeta = owner < n
+        out[zeta] = _info_uw(ps[zeta], shape, w_rows[owner[zeta]])
+        out[~zeta] = _info_vw(ps[~zeta], shape, w_rows[owner[~zeta] - n])
+        return out
+
+    both = _ball_optimize(model.p_uv.probs, objective,
+                          np.repeat([1.0, -1.0], n), kappa_alpha, config)
+    return both[:n], both[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -513,25 +546,27 @@ def _sx_caches_of(inputs: tuple, outputs: tuple, rows: bytes,
         for vec in simplex_grid(n * n, config.sx_resolution))
 
 
-def _best_channel_terms(caches: tuple[_SxCache, ...], zeta: float,
-                        kappa_alpha: float):
-    """Max over cached P_SX designs of min{E_x(zeta), E_sp - theta} subject to
-    the rate constraint and the feasibility floor; returns (value, cache,
-    e_x, theta) or None when every design is infeasible."""
-    best = None
-    for cache in caches:
-        if not zeta < cache.rate:
-            continue
-        e_x = cache.expurgated(zeta)
-        if e_x < kappa_alpha:
-            continue
-        term, theta = cache.best_theta_term(kappa_alpha)
+def _best_channel_terms(caches: tuple[_SxCache, ...], zeta: np.ndarray,
+                        kappa_alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of the zeta array: the max over cached P_SX designs of
+    min{E_x(zeta), E_sp - theta}, subject to the rate constraint and the
+    feasibility floor, and the index of the first design that attains it.
+    Both are arrays; the index is -1 and the value -inf where every design
+    is infeasible."""
+    best = np.full(zeta.shape, -np.inf)
+    which = np.full(zeta.shape, -1)
+    for i, cache in enumerate(caches):
+        term, _ = cache.best_theta_term(kappa_alpha)
         if term == float("-inf"):
             continue
-        value = min(e_x, term)
-        if best is None or value > best[0]:
-            best = (value, cache, e_x, theta)
-    return best
+        e_x = cache.expurgated(zeta)
+        ok = (zeta < cache.rate) & ~(e_x < kappa_alpha)
+        # min(e_x, term) as Python's: term only if strictly smaller
+        value = np.where(term < e_x, term, e_x)
+        better = ok & ((which < 0) | (value > best))
+        best = np.where(better, value, best)
+        which = np.where(better, i, which)
+    return best, which
 
 
 def _wu_candidates(n_u: int, n_w: int, resolution: int):
@@ -550,51 +585,51 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha: float,
     """Separation bound at kappa_alpha: max over the quantizer P_{W|U}, the
     channel design and the threshold of min{E1, offset + channel term}.
 
-    `first_term(w_rows)` gives the first-term objective of a stack of joint
-    laws (as flat rows), minimized over the KL ball around P_UV;
-    `offset(rho)` is added to the channel term.
+    `first_term(w_rows)` gives the owner-indexed first-term objective of a
+    stack of joint laws (as flat rows) for a (R, |U|, |W|) quantizer stack,
+    minimized over the KL ball around P_UV; `offset(rho)` is added to the
+    channel term, elementwise. The quantizer grid and every sweep of the
+    pattern search that follows are scored as stacks: one `zeta_rho` call
+    for the stack, then one lockstep E1 search over its feasible rows.
     """
     p_uv = model.p_uv.probs
     n_u = p_uv.shape[0]
     n_w = n_u + 1
     caches = _sx_caches(ch, config)
 
-    def evaluate(w_rows: np.ndarray):
-        zeta, rho = zeta_rho(model, Channel(tuple(range(n_u)),
-                                            tuple(range(n_w)), w_rows),
-                             kappa_alpha, config)
-        channel_part = _best_channel_terms(caches, zeta, kappa_alpha)
-        if channel_part is None:
-            return None
-        term, cache, e_x, theta = channel_part
-        e1 = _ball_optimize(p_uv, first_term(w_rows), kappa_alpha,
-                            maximize=False, config=config)
-        value = min(e1, offset(rho) + term)
-        return value, {"p_wu": tuple(w_rows.reshape(-1)),
-                       "p_sx": tuple(cache.design.joint.probs.reshape(-1)),
-                       "theta": theta, "zeta": zeta, "rho": rho, "e_x": e_x}
+    def evaluate(stack: np.ndarray):
+        """(value, zeta, rho, design index) arrays of a quantizer stack; the
+        value is -inf and the index -1 where no channel design is feasible."""
+        zeta, rho = zeta_rho(model, [Channel(range(n_u), range(n_w), w_rows)
+                                     for w_rows in stack], kappa_alpha, config)
+        term, which = _best_channel_terms(caches, zeta, kappa_alpha)
+        ok = which >= 0
+        e1 = np.full(len(stack), np.inf)
+        if ok.any():
+            e1[ok] = _ball_optimize(p_uv, first_term(stack[ok]),
+                                    np.full(np.count_nonzero(ok), -1.0),
+                                    kappa_alpha, config)
+        # min(e1, offset + term) as Python's: the second only if smaller
+        part = offset(rho) + term
+        value = np.where(ok, np.where(part < e1, part, e1), -np.inf)
+        return value, zeta, rho, which
 
-    best_val, best_ach = -np.inf, None
-    for w_rows in _wu_candidates(n_u, n_w, config.design_resolution):
-        result = evaluate(w_rows)
-        if result is not None and result[0] > best_val:
-            best_val, best_ach = result
-    if best_ach is None:
+    candidates = _wu_candidates(n_u, n_w, config.design_resolution)
+    blocks, _ = grid_then_pattern(lambda stack: evaluate(stack)[0], candidates,
+                                  min_step=max(config.pattern_min_step, 0.01),
+                                  min_improve=1e-6)
+    if blocks is None:
         return BoundReport(name, kappa_alpha, 0.0, {}, feasible=False,
                            grid_resolution=config.design_resolution)
-
-    def f(blocks) -> float:
-        result = evaluate(np.stack(blocks))
-        return -np.inf if result is None else result[0]
-
-    start = [np.asarray(best_ach["p_wu"]).reshape(n_u, n_w)[u]
-             for u in range(n_u)]
-    blocks, val = pattern_search(f, start,
-                                 min_step=max(config.pattern_min_step, 0.01),
-                                 min_improve=1e-6)
-    if val > best_val:
-        best_val, best_ach = evaluate(np.stack(blocks))
-    return BoundReport(name, kappa_alpha, max(best_val, 0.0), best_ach,
+    w_rows = np.stack(blocks)
+    [value], [zeta], [rho], [which] = evaluate(w_rows[None])
+    cache = caches[which]
+    achiever = {"p_wu": tuple(w_rows.reshape(-1)),
+                "p_sx": tuple(cache.design.joint.probs.reshape(-1)),
+                "theta": cache.best_theta_term(kappa_alpha)[1],
+                "zeta": float(zeta), "rho": float(rho),
+                "e_x": cache.expurgated(float(zeta))}
+    return BoundReport(name, kappa_alpha, max(float(value), 0.0), achiever,
                        feasible=True, grid_resolution=config.design_resolution)
 
 
@@ -673,7 +708,11 @@ def shtcc_tad_stein(model: SourceModel, ch: Channel,
 def shtcc_tad(model: SourceModel, ch: Channel, kappa_alpha: float,
               config: DhtSearchConfig = DhtSearchConfig()) -> BoundReport:
     """Separation bound for TAD at positive kappa_alpha, using the
-    surrogate first term (a certified lower bound)."""
+    surrogate first term D(P'_VW || Q_VW) for E1.
+
+    Not a certified lower bound: zeta (a max), rho and E1 (mins) over the
+    KL ball come from grid plus pattern search, so a zeta found too low or
+    a rho or E1 found too high can put the value above the true bound."""
     if not model.is_tad:
         raise InputError("model is not testing against dependence")
     return _shtcc("shtcc_tad", model, ch, kappa_alpha, config,

@@ -15,8 +15,8 @@ import numpy as np
 from .exceptions import BracketError, InputError
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# candidates scored per call by grid_then_pattern; a batch scorer holds
-# one object per candidate at once, so this bounds the memory it takes
+# rows scored per call by grid_then_pattern's grid pass and by `chunked`; a
+# batch scorer holds one object per row at once, so this bounds its memory
 GRID_CHUNK = 256
 # the first step of every pattern search, halved down to its min_step
 PATTERN_STEP = 0.25
@@ -147,14 +147,22 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 def _probe_stack(x: np.ndarray, bi: np.ndarray, ci: np.ndarray,
                  delta: np.ndarray) -> np.ndarray:
-    """One probe per move: x with coordinate ci[m] of block bi[m] shifted by
-    delta[m] and that block projected back onto the simplex."""
+    """One probe per move m: point x[m] with coordinate ci[m] of block bi[m]
+    shifted by delta[m] and that block projected back onto the simplex."""
     rows = np.arange(bi.size)
-    moved = x[bi]
+    probes = x.copy()
+    moved = probes[rows, bi]
     moved[rows, ci] += delta
-    probes = np.repeat(x[None], bi.size, axis=0)
     probes[rows, bi] = project_rows(moved)
     return probes
+
+
+def _moves(n_blocks: int, size: int):
+    """(bi, ci, sign) of every pattern move, in sweep order: block, then
+    coordinate, then + before -."""
+    return (np.repeat(np.arange(n_blocks), 2 * size),
+            np.tile(np.repeat(np.arange(size), 2), n_blocks),
+            np.tile([+1.0, -1.0], n_blocks * size))
 
 
 def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
@@ -176,54 +184,87 @@ def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
     value below f(start).
 
     `f(blocks)` scores one probe, given as a list of blocks. With `f_many`,
-    the remaining probes of a sweep are built and scored at once:
+    the search is the one-problem case of `lockstep_pattern_search`: the
+    remaining probes of a sweep are built and scored at once, and
     `f_many(probes)` takes a (B, n_blocks, size) stack and returns B values
-    in probe order, each equal to `f` of that probe. Without it, each probe
-    is built and scored by `f` in turn, and none past an accepted one. Both
-    visit the same points and return the same (blocks, value).
+    in probe order, each equal to `f` of that probe; `f` scores the start
+    only. Without it, each probe is built and scored by `f` in turn, and
+    none past an accepted one. Both visit the same points and return the
+    same (blocks, value).
     """
     if len({np.size(b) for b in start}) > 1:
         raise InputError("pattern_search: blocks must share one size")
     x = project_rows(np.asarray(start, dtype=float))
     best = f(list(x))
-    n_blocks, size = x.shape
-    # move m shifts coordinate ci[m] of block bi[m] by sign[m] * step
-    bi = np.repeat(np.arange(n_blocks), 2 * size)
-    ci = np.tile(np.repeat(np.arange(size), 2), n_blocks)
-    sign = np.tile([+1.0, -1.0], n_blocks * size)
+    if f_many is not None:
+        xs, vals = lockstep_pattern_search(
+            lambda probes, owner: f_many(probes), x[None], [best],
+            min_step=min_step, min_improve=min_improve)
+        return list(xs[0]), vals[0]
+    bi, ci, sign = _moves(*x.shape)
     step = PATTERN_STEP
-
-    def first_hit(k: int):
-        """(j, probe, value) of the first probe, from move k on, that beats
-        the running best; None when none does."""
-        if f_many is not None:
-            probes = _probe_stack(x, bi[k:], ci[k:], sign[k:] * step)
-            vals = f_many(probes)
-            j = next((j for j, val in enumerate(vals) if val > best), None)
-            return None if j is None else (j, probes[j], vals[j])
-        for j, m in enumerate(range(k, bi.size)):
-            probe = _probe_stack(x, bi[m:m + 1], ci[m:m + 1],
+    while step >= min_step:
+        improved = False
+        for m in range(bi.size):
+            probe = _probe_stack(x[None], bi[m:m + 1], ci[m:m + 1],
                                  sign[m:m + 1] * step)[0]
             val = f(list(probe))
             if val > best:
-                return j, probe, val
-        return None
-
-    while step >= min_step:
-        improved = False
-        k = 0
-        while k < bi.size:
-            hit = first_hit(k)
-            if hit is None:
-                break
-            j, x, val = hit
-            if val > best + min_improve:
-                improved = True
-            best = val
-            k += j + 1
+                if val > best + min_improve:
+                    improved = True
+                x, best = probe, val
         if not improved:
             step *= 0.5
     return list(x), best
+
+
+def lockstep_pattern_search(score: Callable[[np.ndarray, np.ndarray],
+                                            np.ndarray],
+                            x: np.ndarray, best, min_step: float = 1e-4,
+                            min_improve: float = 0.0
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """R independent `pattern_search` runs advanced together.
+
+    `x` holds the R start points as an (R, n_blocks, size) stack, already on
+    the simplex, and `best` their R values. Every round builds the remaining
+    probes of the current sweep of every live search (each from its own
+    next move on) and scores all of them in one call: `score(probes, owner)`
+    gets the (B, n_blocks, size) probe stack and the (B,) index of the
+    search that owns each row, and returns B values, each depending on its
+    own row and owner only. Each search then takes its first probe that
+    beats its running best, or ends its sweep, exactly as `pattern_search`
+    does alone; so each returns the point and value of its own run, bit for
+    bit. Returns the (R, n_blocks, size) points and the R values.
+    """
+    x = np.array(x, dtype=float)
+    best = np.array(best, dtype=float)
+    bi, ci, sign = _moves(*x.shape[1:])
+    step = np.full(len(x), PATTERN_STEP)
+    k = np.zeros(len(x), dtype=int)          # each search's next move
+    improved = np.zeros(len(x), dtype=bool)
+    while (live := np.flatnonzero(step >= min_step)).size:
+        # the moves k..end of each live search, searches in order
+        counts = bi.size - k[live]
+        owner = np.repeat(live, counts)
+        first = np.cumsum(counts) - counts
+        move = np.arange(owner.size) - np.repeat(first - k[live], counts)
+        probes = _probe_stack(x[owner], bi[move], ci[move],
+                              sign[move] * step[owner])
+        vals = np.asarray(score(probes, owner), dtype=float)
+        # each search's first probe above its running best; owner.size if none
+        beats = np.where(vals > best[owner], np.arange(owner.size), owner.size)
+        hit = np.minimum.reduceat(beats, first)
+        took = hit < owner.size
+        won, j = live[took], hit[took]
+        x[won] = probes[j]
+        improved[won] |= vals[j] > best[won] + min_improve
+        best[won] = vals[j]
+        k[won] = move[j] + 1
+        # a sweep ends when no probe beats the best or the last move is taken
+        ended = np.concatenate([live[~took], won[k[won] == bi.size]])
+        step[ended[~improved[ended]]] *= 0.5
+        k[ended], improved[ended] = 0, False
+    return x, best
 
 
 def grid_then_pattern(score: Callable[[np.ndarray], np.ndarray],
@@ -233,17 +274,16 @@ def grid_then_pattern(score: Callable[[np.ndarray], np.ndarray],
     """Best (blocks, value) of a grid pass followed by pattern searches.
 
     `score(stack)` maps a (B, n_blocks, size) stack of block lists to their
-    B values. The candidates are scored GRID_CHUNK at a time, in the order
-    given, and the first of any equal maxima is kept; then `pattern_search`
-    (with `pattern_kw`) runs from that winner and from each extra seed, in
-    order, scoring its start as a one-row stack and each sweep as one stack.
-    A search result replaces the running best only when it is strictly
-    larger, so the value is never below the best candidate's. Returns
-    (None, -inf) when every candidate and every search scores -inf.
+    B values, each depending on its own row only. The candidates are scored
+    GRID_CHUNK at a time, in the order given, and the first of any equal
+    maxima is kept; then pattern searches (with `pattern_kw`) run from that
+    winner and from each extra seed, all in one `lockstep_pattern_search`:
+    their projected starts are scored as one stack, and so is each round of
+    sweeps. A search result replaces the running best, in that order, only
+    when it is strictly larger, so the value is never below the best
+    candidate's. Returns (None, -inf) when every candidate and every search
+    scores -inf.
     """
-    def score_one(blocks: Sequence[np.ndarray]) -> float:
-        return score(np.asarray(blocks, dtype=float)[None])[0]
-
     best_blocks, best_val = None, -np.inf
     candidates = iter(candidates)
     while chunk := list(itertools.islice(candidates, GRID_CHUNK)):
@@ -253,9 +293,23 @@ def grid_then_pattern(score: Callable[[np.ndarray], np.ndarray],
         if vals[k] > best_val:
             best_blocks, best_val = chunk[k], vals[k]
     starts = list(seeds) if best_blocks is None else [best_blocks, *seeds]
-    for start in starts:
-        blocks, val = pattern_search(score_one, start, f_many=score,
-                                     **pattern_kw)
+    if not starts:
+        return best_blocks, best_val
+    x = np.asarray(starts, dtype=float)
+    x = project_rows(x.reshape(-1, x.shape[-1])).reshape(x.shape)
+    xs, vals = lockstep_pattern_search(lambda probes, owner: score(probes),
+                                       x, score(x), **pattern_kw)
+    for blocks, val in zip(xs, vals):
         if val > best_val:
-            best_blocks, best_val = blocks, val
+            best_blocks, best_val = list(blocks), val
     return best_blocks, best_val
+
+
+def chunked(fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+    """fn(t) over the row indices t = 0..n-1, GRID_CHUNK rows per call, with
+    the values concatenated in row order: a row-wise scorer's memory stays
+    bounded however many rows there are."""
+    if n == 0:
+        return np.empty(0)
+    return np.concatenate([fn(np.arange(s, min(s + GRID_CHUNK, n)))
+                           for s in range(0, n, GRID_CHUNK)])

@@ -3,7 +3,8 @@
 Runs the four commands of ``bench/workloads.py`` at the default seed
 through ``cli.main`` and checks the output the way the benchmark does: data
 rows against ``bench/reference/*.csv`` within 1e-9 (achiever digests
-skipped) plus each workload's invariant. Between them the commands exercise
+skipped) plus each workload's invariant. The ``shtcc`` command's full
+stdout, digests included, is pinned byte for byte as well. Between them the commands exercise
 the conjugate, the remote-HT boundary inversion, the KL-ball projection
 behind the uncoded bound and the Monte Carlo run of the separation scheme,
 whose error counts (5639 and 4424 at n = 100) are integers, so the 1e-9
@@ -53,6 +54,26 @@ def test_matches_reference(name, monkeypatch, capsys):
     assert cli.main(workload.prepare(seed, ROOT, ROOT, fresh=False)) == 0
     reference = workload.reference(seed, fresh=False)
     assert workload.check(capsys.readouterr().out, reference) == []
+
+
+# The full stdout of the shtcc workload's command, achiever digests included:
+# the reference check above skips digests, so a search that visits its
+# points in another order could change an achiever unseen.
+SHTCC_STDOUT = """\
+# errexp 0.1.0 subcommand=bounds
+# model=example1 sha256=352a10ab0dacaf87cfe440613cf48b476ee4645ce3763fe1802b84c07459111e
+# params grid=2,kappa_grid=0.008,0.01,points=25,scheme=shtcc
+kappa_alpha,bound,value,feasible,achiever_digest
+0.008,shtcc_tad,0.0151690745,1,34467f6e273c
+0.01,shtcc_tad,0.0120199709,1,821b73cf4ce8
+"""
+
+
+def test_shtcc_stdout_byte_identical(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["bounds", "models/example1.json", "--scheme", "shtcc",
+                     "--grid", "2", "--kappa-grid", "0.008,0.01"]) == 0
+    assert capsys.readouterr().out == SHTCC_STDOUT
 
 
 @pytest.mark.parametrize("args", [

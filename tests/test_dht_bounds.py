@@ -15,11 +15,12 @@ from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
 from errexp.channel_exponents import (_rho_grid_objective,
                                       expurgated_exponent_opt,
                                       output_given_state)
-from errexp.dht_bounds import (_conditional_vy_laws, _info_uw, _info_vw,
-                               _project_components, _sx_caches,
+from errexp.dht_bounds import (_ball_optimize, _conditional_vy_laws, _info_uw,
+                               _info_vw, _project_components, _sx_caches,
                                _tad_first_term, _tai_first_term,
                                _uncoded_values)
 from errexp.legendre import Mixture
+from errexp.optimize import GRID_CHUNK
 from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
                                mutual_information_rows)
 from conftest import (fit_geometric_family, frozen_bisect_monotone,
@@ -370,7 +371,7 @@ class TestZetaRho:
     W_SPLIT = Channel((0, 1), (0, 1), [[0.9, 0.1], [0.2, 0.8]])
 
     def test_zero_radius_is_pointwise(self, example1):
-        zeta, rho = zeta_rho(example1, self.W_SPLIT, 0.0)
+        zeta, rho = zeta_rho(example1, [self.W_SPLIT], 0.0)
         p_u = example1.p_uv.row_marginal().probs
         i_uw = mutual_information(
             JointPmf((0, 1), (0, 1), p_u[:, None] * self.W_SPLIT.rows))
@@ -382,11 +383,11 @@ class TestZetaRho:
 
     def test_identical_rows_decouple(self, example1):
         blind = Channel((0, 1), (0, 1), [[0.5, 0.5], [0.5, 0.5]])
-        assert zeta_rho(example1, blind, 0.01, FAST) == (0.0, 0.0)
+        assert zeta_rho(example1, [blind], 0.01, FAST) == (0.0, 0.0)
 
     def test_exhaustive_grid_oracle(self, example1):
         kappa = 0.01
-        zeta, rho = zeta_rho(example1, self.W_SPLIT, kappa, FAST)
+        zeta, rho = zeta_rho(example1, [self.W_SPLIT], kappa, FAST)
         from errexp.optimize import simplex_grid_array
         grid = simplex_grid_array(4, 40)
         ref = example1.p_uv.probs.reshape(-1)
@@ -418,6 +419,54 @@ class TestZetaRho:
         assert rho == pytest.approx(best_rho, abs=2e-3)
 
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.01])
+    def test_stack_equals_per_channel_calls(self, example1, kappa):
+        blind = Channel((0, 1), (0, 1), [[0.5, 0.5], [0.5, 0.5]])
+        third = Channel((0, 1), (0, 1), [[0.3, 0.7], [1.0, 0.0]])
+        channels = [self.W_SPLIT, blind, third]
+        zeta, rho = zeta_rho(example1, channels, kappa, FAST)
+        assert zeta.shape == rho.shape == (3,)
+        for i, ch in enumerate(channels):
+            [z], [r] = zeta_rho(example1, [ch], kappa, FAST)
+            assert (zeta[i], rho[i]) == (z, r)
+
+    def test_channels_of_two_shapes_rejected(self, example1):
+        wide = Channel((0, 1), (0, 1, 2), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+        with pytest.raises(InputError, match="one shape"):
+            zeta_rho(example1, [self.W_SPLIT, wide], 0.01, FAST)
+
+
+class TestBallOptimizeChunks:
+    """The KL-ball searches score at most GRID_CHUNK rows per objective call,
+    however many problems share the stack, and the cap leaves every bit of
+    the result unchanged."""
+
+    @staticmethod
+    def run(example1, rows_seen):
+        rng = np.random.default_rng(53)
+        w_rows = rng.dirichlet(np.ones(3), size=(12, 2))
+        shape = example1.p_uv.probs.shape
+
+        def objective(ps, owner):
+            rows_seen.append(len(ps))
+            return _info_vw(ps, shape, w_rows[owner % len(w_rows)])
+
+        signs = np.tile([1.0, -1.0], len(w_rows))
+        # 56 feasible grid points, so the grid pass tiles 24 * 56 rows
+        return _ball_optimize(example1.p_uv.probs, objective, signs, 0.2,
+                              DhtSearchConfig(ball_resolution=10))
+
+    @pytest.mark.parametrize("cap", [7, 64])
+    def test_rows_per_call_capped(self, example1, monkeypatch, cap):
+        default_rows = []
+        expect = self.run(example1, default_rows)
+        assert max(default_rows) == GRID_CHUNK
+        monkeypatch.setattr("errexp.optimize.GRID_CHUNK", cap)
+        rows = []
+        assert np.array_equal(self.run(example1, rows), expect)
+        assert max(rows) == cap
+
+
 class TestStackedBallObjectives:
     """The stacked objectives of the KL-ball searches equal the scalar
     kl_array / mutual_information_arrays formulas bit for bit, row by row."""
@@ -440,12 +489,13 @@ class TestStackedBallObjectives:
         q_uv = np.roll(p_uv, 1, axis=1)
         w_rows = sparse_rows(rng, n_u, n_u + 1, 0.3)
         p_v, q_vw = p_uv.sum(axis=0), (q_uv.T @ w_rows).reshape(-1)
+        owner = np.zeros(len(ps), dtype=int)  # one quantizer for every row
 
         stacked = {"ball": kl_rows(ps, ref),
                    "zeta": _info_uw(ps, shape, w_rows),
                    "rho": _info_vw(ps, shape, w_rows),
-                   "tai_e1": _tai_first_term(p_uv, w_rows)(ps),
-                   "tad_e1": _tad_first_term(q_uv, w_rows)(ps)}
+                   "tai_e1": _tai_first_term(p_uv, w_rows[None])(ps, owner),
+                   "tad_e1": _tad_first_term(q_uv, w_rows[None])(ps, owner)}
         for b, p in enumerate(ps):
             joint = p.reshape(shape)
             scalar = {

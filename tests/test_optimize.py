@@ -2,11 +2,13 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from errexp import Pmf, ScoredPmf, tilted_mean
 from errexp.exceptions import BracketError, InputError
 from errexp.optimize import (bisect_monotone, grid_then_pattern,
-                             maximize_1d, pattern_search, simplex_grid,
+                             lockstep_pattern_search, maximize_1d,
+                             pattern_search, project_rows, simplex_grid,
                              simplex_grid_array)
 from conftest import frozen_bisect_monotone, frozen_maximize_1d, stacked
 
@@ -370,6 +372,103 @@ class TestBatchedPatternSearch:
     def test_ragged_blocks_rejected(self):
         with pytest.raises(InputError):
             pattern_search(lambda b: 0.0, [np.ones(2) / 2, np.ones(3) / 3])
+
+
+KINDS = ("smooth", "ties", "walled", "plateau")
+
+
+def _problem(kind, seed, n_blocks, size):
+    """(objective of a (B, n_blocks, size) probe stack, start) of one search:
+    a smooth random objective, the same rounded coarsely (ties), with a -inf
+    wall, or a flat plateau."""
+    rng = np.random.default_rng(seed)
+    coef = rng.normal(size=(n_blocks, size))
+    target = rng.dirichlet(np.ones(size), size=n_blocks)
+    start = rng.dirichlet(np.ones(size), size=n_blocks)
+
+    def smooth(p):
+        return (p * coef - 3.0 * (p - target) ** 2).sum(axis=(1, 2))
+
+    many = {"smooth": smooth,
+            "ties": lambda p: np.round(smooth(p), 1),
+            "walled": lambda p: np.where(p[:, 0, 0] > target[0, 0], -np.inf,
+                                         smooth(p)),
+            "plateau": lambda p: np.zeros(len(p))}[kind]
+    return many, start
+
+
+class TestLockstepPatternSearch:
+    """R searches run in lockstep each give their own f_many run's result,
+    bit for bit, after the same sequence of probe stacks; and that result is
+    the per-probe search's."""
+
+    @staticmethod
+    def check(problems, n_blocks, size, min_step, min_improve):
+        fs, starts = zip(*(_problem(kind, seed, n_blocks, size)
+                           for kind, seed in problems))
+        alone = []
+        for f, start in zip(fs, starts):
+            batches = []
+
+            def f_many(probes, f=f):
+                batches.append(probes.copy())
+                return f(probes)
+
+            def one(blocks, f=f):
+                return float(f(np.stack(blocks)[None])[0])
+            kw = dict(min_step=min_step, min_improve=min_improve)
+            x, v = pattern_search(one, start, f_many=f_many, **kw)
+            # the per-probe path, which does not go through the lockstep loop
+            x0, v0 = pattern_search(one, start, **kw)
+            assert v0 == v and np.array_equal(np.stack(x0), np.stack(x))
+            alone.append((np.stack(x), v, batches))
+
+        seen = [[] for _ in problems]
+
+        def score(probes, owner):
+            assert np.all(np.diff(owner) >= 0)  # searches in order
+            vals = np.empty(len(probes))
+            for r in np.unique(owner):
+                rows = owner == r
+                seen[r].append(probes[rows].copy())
+                vals[rows] = fs[r](probes[rows])
+            return vals
+
+        # projected as pattern_search projects its start
+        x = np.stack([project_rows(s) for s in starts])
+        best = [f(s[None])[0] for f, s in zip(fs, x)]
+        xs, vals = lockstep_pattern_search(score, x, best, min_step=min_step,
+                                           min_improve=min_improve)
+        for r, (x1, v1, batches) in enumerate(alone):
+            assert vals[r] == v1
+            assert np.array_equal(xs[r], x1)
+            assert len(seen[r]) == len(batches)
+            assert all(np.array_equal(a, b) for a, b in zip(seen[r], batches))
+        return [len(s) for s in seen]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(problems=st.lists(st.tuples(st.sampled_from(KINDS),
+                                       st.integers(0, 2**32 - 1)),
+                             min_size=1, max_size=6),
+           n_blocks=st.integers(1, 3), size=st.integers(2, 4),
+           min_step=st.sampled_from([1e-2, 3e-3]),
+           min_improve=st.sampled_from([0.0, 1e-3]))
+    @example(problems=[(kind, 11) for kind in KINDS], n_blocks=2, size=3,
+             min_step=1e-2, min_improve=0.0)
+    def test_each_search_matches_its_own_run(self, problems, n_blocks, size,
+                                             min_step, min_improve):
+        self.check(problems, n_blocks, size, min_step, min_improve)
+
+    @pytest.mark.parametrize("min_improve", [0.0, 1e-3])
+    def test_searches_finish_in_different_rounds(self, min_improve):
+        rounds = self.check([(kind, 3) for kind in KINDS] + [("smooth", 4)],
+                            2, 3, 1e-3, min_improve)
+        assert len(set(rounds)) > 2
+
+    def test_no_searches(self):
+        xs, vals = lockstep_pattern_search(lambda p, o: np.zeros(len(p)),
+                                           np.empty((0, 1, 3)), [])
+        assert xs.shape == (0, 1, 3) and vals.shape == (0,)
 
 
 class TestGridThenPattern:
