@@ -150,12 +150,12 @@ def expurgated_exponent_opt(rate: float, ch: Channel,
     def design(vec: np.ndarray) -> InputDesign:
         return InputDesign(JointPmf(alphabet, alphabet, vec.reshape(n, n)))
 
-    def score(stack: np.ndarray) -> np.ndarray:
+    def score(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return expurgated_exponents(rate, [design(b[0]) for b in stack], ch)
 
     candidates = ([vec] for vec in simplex_grid(n * n, grid_resolution))
-    blocks, val = grid_then_pattern(score, candidates,
-                                    min_step=pattern_min_step)
+    [blocks], [val] = grid_then_pattern(score, candidates,
+                                        min_step=pattern_min_step)
     return val, design(blocks[0])
 
 

@@ -21,9 +21,9 @@ from . import __version__
 from .dht_bounds import (AuxiliaryDesign, DhtSearchConfig, SourceModel,
                          compare_schemes, jhtcc_uncoded_opt, shtcc_tad,
                          shtcc_tai)
-from .exact_regions import (ChannelPairLaw, channel_max_divergence,
-                            channel_region_point, direct_tradeoff,
-                            rht_tradeoff)
+from .exact_regions import (ChannelPairLaw, channel_d_bounds,
+                            channel_max_divergence, channel_region_point,
+                            direct_tradeoff, rht_tradeoff)
 from .exceptions import (BracketError, ConvergenceError, DomainError,
                          ErrexpError, EstimationError, InputError)
 from .legendre import conjugate, loglik_scores
@@ -188,6 +188,15 @@ def _digest_achiever(achiever: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def _pair_law(model: ModelFile) -> ChannelPairLaw:
+    """The model's transmitted-pair law; by default the point mass on the
+    input pair of largest divergence."""
+    if model.pair_law is not None:
+        return model.pair_law
+    _, pair = channel_max_divergence(model.channel)
+    return ChannelPairLaw.point_mass(model.channel.input_alphabet, pair)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -210,11 +219,7 @@ def cmd_region(args) -> int:
     elif args.kind == "channel":
         if model.channel is None:
             raise InputError("channel region requires a channel in the model")
-        law = model.pair_law
-        if law is None:
-            _, pair = channel_max_divergence(model.channel)
-            law = ChannelPairLaw.point_mass(model.channel.input_alphabet, pair)
-        from .exact_regions import channel_d_bounds
+        law = _pair_law(model)
         _, d_max = channel_d_bounds(model.channel, law)
         if d_max <= 0:
             print("warning: degenerate law, empty positive boundary",
@@ -288,24 +293,25 @@ def cmd_simulate(args) -> int:
         raise InputError("trials must be >= 1")
     ns = tuple(_number_list(args.n_grid, int, "--n-grid"))
     cfg = SimConfig(ns, args.trials, args.seed)
+    for option, theta in (("--theta0", args.theta0), ("--theta1", args.theta1)):
+        if not np.isfinite(theta):
+            raise InputError(f"{option}: must be finite, got {theta}")
     p = model.p_uv.flatten()
     q = model.q_uv.flatten()
+    # the analytic exponents first: a threshold outside its interval fails
+    # before any trial is drawn
     if model.channel is None:
-        report = simulate_direct(p, q, args.theta0, cfg)
-        src = loglik_scores(p, q)
-        zeta0 = conjugate(src, args.theta0).value
+        zeta0 = conjugate(loglik_scores(p, q), args.theta0).value
         zeta1 = zeta0 - args.theta0
+        report = simulate_direct(p, q, args.theta0, cfg)
     else:
-        law = model.pair_law
-        if law is None:
-            _, pair = channel_max_divergence(model.channel)
-            law = ChannelPairLaw.point_mass(model.channel.input_alphabet, pair)
-        report = simulate_rht(p, q, model.channel, args.theta0, args.theta1,
-                              law, cfg)
+        law = _pair_law(model)
         src = conjugate(loglik_scores(p, q), args.theta0)
         chn = channel_region_point(model.channel, law, args.theta1)
         zeta0 = min(src.value, chn.kappa_alpha)
         zeta1 = min(src.value - args.theta0, chn.kappa_beta)
+        report = simulate_rht(p, q, model.channel, args.theta0, args.theta1,
+                              law, cfg)
     columns = ["n", "alpha_hat", "beta_hat", "alpha_errors", "beta_errors"]
     rows = [[n, a, b, ae, be]
             for n, a, b, ae, be in zip(report.blocklengths, report.alpha_hat,

@@ -20,8 +20,7 @@ from .channel_exponents import (InputDesign, _expurgation_terms,
 from .exceptions import InputError
 from .legendre import Mixture
 from .optimize import (bisect_monotone, chunked, grid_then_pattern,
-                       lockstep_pattern_search, project_rows, simplex_grid,
-                       simplex_grid_array)
+                       simplex_grid, simplex_grid_array)
 from .prob_core import (Channel, JointPmf, Pmf, capacity, kl_array, kl_rows,
                         mutual_information_rows)
 
@@ -300,24 +299,26 @@ def _uncoded_values(model: SourceModel, ch: Channel, kappa_alpha: float,
                      in _project_components(problems, kappa_alpha)])
 
 
-def _design_search(values, model: SourceModel, ch: Channel, p_s: Pmf,
-                   config: DhtSearchConfig) -> tuple[float, np.ndarray | None]:
-    """Best (value, P_{X|US} rows, None if all score -inf) over designs with
-    time-share P_S, scored by `values(designs)`: `grid_then_pattern` from
-    the uniform rows and, when |X| = |U|, from X = U."""
-    n_u, n_s, n_x = len(model.p_uv.row_alphabet), len(p_s), len(ch.input_alphabet)
+def _design_search(values, model: SourceModel, ch: Channel, p_ss: list[Pmf],
+                   config: DhtSearchConfig) -> tuple[np.ndarray, list]:
+    """Best values and P_{X|US} rows (None where all score -inf) over designs
+    with each time-share P_S in `p_ss` (of one size), scored by
+    `values(designs)`: one `grid_then_pattern` call for all of them, from the
+    uniform rows and, when |X| = |U|, from X = U."""
+    n_u, n_s, n_x = (len(model.p_uv.row_alphabet), len(p_ss[0]),
+                     len(ch.input_alphabet))
 
-    def score(probes: np.ndarray) -> np.ndarray:
-        return values([AuxiliaryDesign(p_s=p_s, p_x_given_us=np.reshape(
-            probe, (n_u, n_s, n_x))) for probe in probes])
+    def score(probes: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return values([AuxiliaryDesign(p_s=p_ss[r], p_x_given_us=np.reshape(
+            probe, (n_u, n_s, n_x))) for probe, r in zip(probes, owner)])
 
     seeds = [[np.full(n_x, 1.0 / n_x) for _ in range(n_u * n_s)]]
     if n_x == n_u:
         seeds.append([np.eye(n_u)[u] for u in range(n_u) for _ in range(n_s)])
-    blocks, val = grid_then_pattern(score, [], seeds,
-                                    min_step=config.pattern_min_step)
-    rows = None if blocks is None else np.reshape(blocks, (n_u, n_s, n_x))
-    return float(val), rows
+    blocks, vals = grid_then_pattern(score, [], seeds, problems=len(p_ss),
+                                     min_step=config.pattern_min_step)
+    return vals, [None if b is None else np.reshape(b, (n_u, n_s, n_x))
+                  for b in blocks]
 
 
 def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha: float,
@@ -330,14 +331,13 @@ def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha: float,
     res = config.sx_resolution
     p_s_grid = ([Pmf((0,), [1.0])] if n_states == 1 else
                 [Pmf((0, 1), [k / res, 1.0 - k / res]) for k in range(res + 1)])
-    values = functools.partial(_uncoded_values, model, ch, kappa_alpha)
-    value, rows, p_s = -np.inf, None, None
-    for cand in p_s_grid:
-        val, r = _design_search(values, model, ch, cand, config)
-        if val > value:
-            value, rows, p_s = val, r, cand
-    achiever = {"p_s": tuple(p_s.probs), "p_x_given_us": tuple(rows.reshape(-1))}
-    return BoundReport("jhtcc_uncoded", kappa_alpha, value, achiever,
+    values, rows = _design_search(
+        functools.partial(_uncoded_values, model, ch, kappa_alpha), model, ch,
+        p_s_grid, config)
+    k = int(np.argmax(values))  # the first of equal maxima
+    achiever = {"p_s": tuple(p_s_grid[k].probs),
+                "p_x_given_us": tuple(rows[k].reshape(-1))}
+    return BoundReport("jhtcc_uncoded", kappa_alpha, float(values[k]), achiever,
                        feasible=True, grid_resolution=config.sx_resolution)
 
 
@@ -366,48 +366,39 @@ def _ball_optimize(p_ref: np.ndarray, objective, signs: np.ndarray,
 
     `objective(ps, owner)` maps a (B, n) stack of flat joints and the (B,)
     index of the problem that owns each row to their B values; problem r is
-    maximized when signs[r] is +1 and minimized when it is -1. Each problem
-    gets grid seeding plus pattern search, with infeasible points discarded,
-    and the reference point itself is always a feasible fallback. The R
-    problems share the grid pass and run one `lockstep_pattern_search`, and
-    `objective` never sees more than GRID_CHUNK rows at once; each problem
-    gets the value its own search would give alone. Returns the R extrema.
+    maximized when signs[r] is +1 and minimized when it is -1. The R
+    problems run as one `grid_then_pattern` call over the reference and
+    then the feasible grid points, so a grid point must beat the reference
+    strictly. Points outside the ball score -inf, and every point inside it
+    at least the lowest finite float: so a problem that is -inf at the
+    reference and on the whole grid is still searched from the reference,
+    lest a min such as E1 stay at +inf, on the optimistic side; if the
+    search finds nothing either, its value reads -inf again. `objective`
+    never sees more than GRID_CHUNK rows at once. Returns the R extrema.
     """
     ref = p_ref.reshape(-1)
     signs = np.asarray(signs, dtype=float)
-    owners = np.arange(len(signs))
     limit = kappa_alpha + 1e-12
+    floor = -np.finfo(float).max
 
     def signed(ps: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return chunked(lambda t: signs[owner[t]] * objective(ps[t], owner[t]),
                        len(ps))
 
-    def penalized(ps: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return np.where(kl_rows(ps, ref) > limit, -np.inf, signed(ps, owner))
+    def penalized(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        ps = stack[:, 0]
+        return np.where(kl_rows(ps, ref) > limit, -np.inf,
+                        np.maximum(signed(ps, owner), floor))
 
-    best_vec = np.repeat(ref[None], len(signs), axis=0)
-    best_val = signed(best_vec, owners)
-    if kappa_alpha > 0:
-        grid = simplex_grid_array(ref.size, config.ball_resolution)
-        feasible = grid[kl_rows(grid, ref) <= limit]
-        if n_grid := len(feasible):
-            # row t of the tiled grid is point t % n_grid of problem t // n_grid
-            vals = chunked(lambda t: signs[t // n_grid] * objective(
-                feasible[t % n_grid], t // n_grid), len(signs) * n_grid)
-            vals = vals.reshape(len(signs), n_grid)
-            k = np.argmax(vals, axis=1)  # the first of equal maxima
-            top = vals[owners, k]
-            better = top > best_val
-            best_val = np.where(better, top, best_val)
-            best_vec[better] = feasible[k[better]]
-        start = project_rows(best_vec)[:, None]
-        _, val = lockstep_pattern_search(
-            lambda probes, owner: penalized(probes[:, 0], owner), start,
-            penalized(start[:, 0], owners), min_step=config.pattern_min_step,
-            min_improve=1e-9)
-        # the search's value only where strictly larger, as Python's max
-        best_val = np.where(val > best_val, val, best_val)
-    return signs * best_val
+    if not kappa_alpha > 0:
+        return signs * signed(np.repeat(ref[None], len(signs), axis=0),
+                              np.arange(len(signs)))
+    grid = simplex_grid_array(ref.size, config.ball_resolution)
+    candidates = [[ref], *([p] for p in grid[kl_rows(grid, ref) <= limit])]
+    _, best = grid_then_pattern(penalized, candidates, problems=len(signs),
+                                min_step=config.pattern_min_step,
+                                min_improve=1e-9)
+    return signs * np.where(best == floor, -np.inf, best)
 
 
 def _info_uw(ps: np.ndarray, shape: tuple[int, int],
@@ -615,9 +606,9 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha: float,
         return value, zeta, rho, which
 
     candidates = _wu_candidates(n_u, n_w, config.design_resolution)
-    blocks, _ = grid_then_pattern(lambda stack: evaluate(stack)[0], candidates,
-                                  min_step=max(config.pattern_min_step, 0.01),
-                                  min_improve=1e-6)
+    [blocks], _ = grid_then_pattern(
+        lambda stack, owner: evaluate(stack)[0], candidates,
+        min_step=max(config.pattern_min_step, 0.01), min_improve=1e-6)
     if blocks is None:
         return BoundReport(name, kappa_alpha, 0.0, {}, feasible=False,
                            grid_resolution=config.design_resolution)
@@ -648,15 +639,15 @@ def shtcc_tai_stein(model: SourceModel, ch: Channel,
     n_u = p_uv.shape[0]
     n_w = n_u + 1
 
-    def score(stack: np.ndarray) -> np.ndarray:
+    def score(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
         i_uw = mutual_information_rows(p_u[:, None] * stack)
         return np.where(i_uw > cap + 1e-12, -np.inf,
                         mutual_information_rows(p_uv.T @ stack))
 
     candidates = _wu_candidates(n_u, n_w, config.design_resolution)
     identity = np.eye(n_u, n_w)  # W = U embedded
-    _, best_val = grid_then_pattern(score, candidates, [identity],
-                                    min_step=config.pattern_min_step)
+    _, [best_val] = grid_then_pattern(score, candidates, [identity],
+                                      min_step=config.pattern_min_step)
     return float(max(best_val, 0.0))
 
 
@@ -682,7 +673,7 @@ def shtcc_tad_stein(model: SourceModel, ch: Channel,
     q_u = q_uv.sum(axis=1)
     caches = _sx_caches(ch, config)
 
-    def score(stack: np.ndarray) -> np.ndarray:
+    def score(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
         rates = mutual_information_rows(q_u[:, None] * stack)
         q_vw = q_uv.T @ stack
         product = q_vw.sum(axis=2)[:, :, None] * q_vw.sum(axis=1)[:, None, :]
@@ -699,9 +690,9 @@ def shtcc_tad_stein(model: SourceModel, ch: Channel,
         return best
 
     candidates = _wu_candidates(n_u, n_w, config.design_resolution)
-    _, best_val = grid_then_pattern(score, candidates,
-                                    min_step=max(config.pattern_min_step, 0.01),
-                                    min_improve=1e-7)
+    _, [best_val] = grid_then_pattern(
+        score, candidates, min_step=max(config.pattern_min_step, 0.01),
+        min_improve=1e-7)
     return float(max(best_val, 0.0))
 
 
@@ -752,7 +743,8 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid,
     grid = [jr.kappa_alpha for _, jr in rows]
     if grid and np.isfinite(e_x0):
         crossing = functools.partial(_crossing_values, model, ch, e_x0)
-        value, _ = _design_search(crossing, model, ch, Pmf((0,), [1.0]), config)
+        [value], _ = _design_search(crossing, model, ch, [Pmf((0,), [1.0])],
+                                    config)
         if min(grid) <= value <= max(grid):
-            crossover = value
+            crossover = float(value)
     return rows, crossover

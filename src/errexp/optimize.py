@@ -15,8 +15,9 @@ import numpy as np
 from .exceptions import BracketError, InputError
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# rows scored per call by grid_then_pattern's grid pass and by `chunked`; a
-# batch scorer holds one object per row at once, so this bounds its memory
+# candidates scored per call by grid_then_pattern's grid pass (one row per
+# problem each) and rows per call of `chunked`; a batch scorer holds one
+# object per row at once, so this bounds its memory
 GRID_CHUNK = 256
 # the first step of every pattern search, halved down to its min_step
 PATTERN_STEP = 0.25
@@ -131,7 +132,8 @@ def simplex_grid_array(dimension: int, resolution: int) -> np.ndarray:
 
 
 def project_rows(v: np.ndarray) -> np.ndarray:
-    """`project_simplex` applied to every row of a 2-D stack."""
+    """Every row of a 2-D stack onto the simplex: negatives clamped to zero,
+    then renormalized (a row with no mass left becomes uniform)."""
     w = np.clip(v, 0.0, None)
     total = w.sum(axis=1, keepdims=True)
     empty = total[:, 0] <= 0
@@ -141,7 +143,9 @@ def project_rows(v: np.ndarray) -> np.ndarray:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Clamp negatives to zero and renormalize; deterministic."""
+    """`project_rows` of one vector. It stays only because bench/traced.py
+    resolves it by name, and goes once that tracer counts `project_rows`
+    instead (ROADMAP item 1)."""
     return project_rows(np.asarray(v, dtype=float)[None])[0]
 
 
@@ -166,56 +170,19 @@ def _moves(n_blocks: int, size: int):
 
 
 def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
-                   start: Sequence[np.ndarray],
-                   min_step: float = 1e-4,
-                   min_improve: float = 0.0, *,
-                   f_many: Callable[[np.ndarray], np.ndarray] | None = None,
-                   ) -> tuple[list[np.ndarray], float]:
-    """Coordinate-wise pattern search over a product of probability simplices.
-
-    The blocks of `start` share one size. A sweep probes +/- step on every
-    coordinate of every block in turn (block, then coordinate, then +
-    before -), projecting the moved block back onto the simplex; the step
-    starts at PATTERN_STEP and halves after a sweep in which no accepted
-    probe improved by more than `min_improve`, until it falls below
-    `min_step`. Acceptance is sequential: the first probe, in that order,
-    whose value is > the running best is taken, and the sweep goes on from
-    the next move with probes rebuilt from the new point. Never returns a
-    value below f(start).
-
-    `f(blocks)` scores one probe, given as a list of blocks. With `f_many`,
-    the search is the one-problem case of `lockstep_pattern_search`: the
-    remaining probes of a sweep are built and scored at once, and
-    `f_many(probes)` takes a (B, n_blocks, size) stack and returns B values
-    in probe order, each equal to `f` of that probe; `f` scores the start
-    only. Without it, each probe is built and scored by `f` in turn, and
-    none past an accepted one. Both visit the same points and return the
-    same (blocks, value).
-    """
+                   start: Sequence[np.ndarray], min_step: float = 1e-4,
+                   min_improve: float = 0.0) -> tuple[list[np.ndarray], float]:
+    """`lockstep_pattern_search` from one start, with `f(blocks)` scoring one
+    probe (a list of blocks) per call; returns (blocks, value). It stays
+    only because bench/traced.py resolves it by name, and goes once that
+    tracer counts the lockstep rounds instead (ROADMAP item 1)."""
     if len({np.size(b) for b in start}) > 1:
         raise InputError("pattern_search: blocks must share one size")
     x = project_rows(np.asarray(start, dtype=float))
-    best = f(list(x))
-    if f_many is not None:
-        xs, vals = lockstep_pattern_search(
-            lambda probes, owner: f_many(probes), x[None], [best],
-            min_step=min_step, min_improve=min_improve)
-        return list(xs[0]), vals[0]
-    bi, ci, sign = _moves(*x.shape)
-    step = PATTERN_STEP
-    while step >= min_step:
-        improved = False
-        for m in range(bi.size):
-            probe = _probe_stack(x[None], bi[m:m + 1], ci[m:m + 1],
-                                 sign[m:m + 1] * step)[0]
-            val = f(list(probe))
-            if val > best:
-                if val > best + min_improve:
-                    improved = True
-                x, best = probe, val
-        if not improved:
-            step *= 0.5
-    return list(x), best
+    xs, vals = lockstep_pattern_search(
+        lambda probes, owner: np.array([f(list(p)) for p in probes]),
+        x[None], [f(list(x))], min_step=min_step, min_improve=min_improve)
+    return list(xs[0]), vals[0]
 
 
 def lockstep_pattern_search(score: Callable[[np.ndarray, np.ndarray],
@@ -223,18 +190,27 @@ def lockstep_pattern_search(score: Callable[[np.ndarray, np.ndarray],
                             x: np.ndarray, best, min_step: float = 1e-4,
                             min_improve: float = 0.0
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """R independent `pattern_search` runs advanced together.
+    """R independent coordinate-wise pattern searches over products of
+    probability simplices, advanced together.
 
     `x` holds the R start points as an (R, n_blocks, size) stack, already on
-    the simplex, and `best` their R values. Every round builds the remaining
-    probes of the current sweep of every live search (each from its own
-    next move on) and scores all of them in one call: `score(probes, owner)`
-    gets the (B, n_blocks, size) probe stack and the (B,) index of the
-    search that owns each row, and returns B values, each depending on its
-    own row and owner only. Each search then takes its first probe that
-    beats its running best, or ends its sweep, exactly as `pattern_search`
-    does alone; so each returns the point and value of its own run, bit for
-    bit. Returns the (R, n_blocks, size) points and the R values.
+    the simplex, and `best` their R values. A sweep of one search probes
+    +/- step on every coordinate of every block in turn (block, then
+    coordinate, then + before -), projecting the moved block back onto the
+    simplex; the step starts at PATTERN_STEP and halves after a sweep in
+    which no accepted probe improved by more than `min_improve`, until it
+    falls below `min_step`. Acceptance is sequential: the first probe, in
+    that order, whose value is > the running best is taken, and the sweep
+    goes on from the next move with probes rebuilt from the new point. So no
+    search returns a value below its start's.
+
+    Every round builds the remaining probes of the current sweep of every
+    live search (each from its own next move on) and scores all of them in
+    one call: `score(probes, owner)` gets the (B, n_blocks, size) probe stack
+    and the (B,) index of the search that owns each row, and returns B
+    values, each depending on its own row and owner only. So each search
+    returns the point and value it would reach alone, bit for bit. Returns
+    the (R, n_blocks, size) points and the R values.
     """
     x = np.array(x, dtype=float)
     best = np.array(best, dtype=float)
@@ -267,41 +243,55 @@ def lockstep_pattern_search(score: Callable[[np.ndarray, np.ndarray],
     return x, best
 
 
-def grid_then_pattern(score: Callable[[np.ndarray], np.ndarray],
+def grid_then_pattern(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       candidates: Iterable[Sequence[np.ndarray]],
                       seeds: Iterable[Sequence[np.ndarray]] = (),
-                      **pattern_kw) -> tuple[list[np.ndarray] | None, float]:
-    """Best (blocks, value) of a grid pass followed by pattern searches.
+                      problems: int = 1, **pattern_kw
+                      ) -> tuple[list, np.ndarray]:
+    """The design-search driver: the best (blocks, value) of each of R =
+    `problems` problems, by a grid pass followed by pattern searches.
 
-    `score(stack)` maps a (B, n_blocks, size) stack of block lists to their
-    B values, each depending on its own row only. The candidates are scored
-    GRID_CHUNK at a time, in the order given, and the first of any equal
-    maxima is kept; then pattern searches (with `pattern_kw`) run from that
-    winner and from each extra seed, all in one `lockstep_pattern_search`:
-    their projected starts are scored as one stack, and so is each round of
-    sweeps. A search result replaces the running best, in that order, only
-    when it is strictly larger, so the value is never below the best
-    candidate's. Returns (None, -inf) when every candidate and every search
-    scores -inf.
+    `score(stack, owner)` maps a (B, n_blocks, size) stack of block lists and
+    the (B,) index of the problem that owns each row to their B values, each
+    depending on its own row and owner only. Every candidate is scored for
+    every problem, GRID_CHUNK candidates (times R rows) at a time, in the
+    order given, and each problem keeps the first of its equal maxima. Then
+    pattern searches (with `pattern_kw`) run from each problem's winner and
+    from each extra seed, for every problem, all in one
+    `lockstep_pattern_search`: their projected starts are scored as one
+    stack, and so is each round of sweeps. A search result replaces its
+    problem's running best, in that order, only when it is strictly larger,
+    so no value is below that problem's best candidate. Returns the R
+    winners, as lists of blocks (None where every candidate and every search
+    scores -inf), and the array of R values.
     """
-    best_blocks, best_val = None, -np.inf
+    owners = np.arange(problems)
+    best_blocks, best_val = [None] * problems, np.full(problems, -np.inf)
     candidates = iter(candidates)
     while chunk := list(itertools.islice(candidates, GRID_CHUNK)):
-        vals = np.asarray(score(np.asarray(chunk, dtype=float)))
+        # row t is candidate t % len(chunk) of problem t // len(chunk)
+        stack = np.tile(np.asarray(chunk, dtype=float), (problems, 1, 1))
+        vals = np.asarray(score(stack, np.repeat(owners, len(chunk))))
+        vals = vals.reshape(problems, len(chunk))
         # the first of equal maxima, as a running `>` keeps; NaN never wins
-        k = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
-        if vals[k] > best_val:
-            best_blocks, best_val = chunk[k], vals[k]
-    starts = list(seeds) if best_blocks is None else [best_blocks, *seeds]
+        k = np.argmax(np.where(np.isnan(vals), -np.inf, vals), axis=1)
+        top = vals[owners, k]
+        for r in np.flatnonzero(top > best_val):
+            best_blocks[r], best_val[r] = chunk[k[r]], top[r]
+    seeds = list(seeds)
+    starts = [(r, blocks) for r in owners
+              for blocks in [best_blocks[r], *seeds] if blocks is not None]
     if not starts:
         return best_blocks, best_val
-    x = np.asarray(starts, dtype=float)
+    owner = np.array([r for r, _ in starts])
+    x = np.asarray([blocks for _, blocks in starts], dtype=float)
     x = project_rows(x.reshape(-1, x.shape[-1])).reshape(x.shape)
-    xs, vals = lockstep_pattern_search(lambda probes, owner: score(probes),
-                                       x, score(x), **pattern_kw)
-    for blocks, val in zip(xs, vals):
-        if val > best_val:
-            best_blocks, best_val = list(blocks), val
+    xs, vals = lockstep_pattern_search(
+        lambda probes, search: score(probes, owner[search]), x,
+        score(x, owner), **pattern_kw)
+    for r, blocks, val in zip(owner, xs, vals):
+        if val > best_val[r]:
+            best_blocks[r], best_val[r] = list(blocks), val
     return best_blocks, best_val
 
 

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from errexp import Channel, JointPmf, Pmf, ScoredPmf, SourceModel
+
+# every property test draws the same examples on every run and writes no
+# example database, so the suite stays deterministic
+settings.register_profile("errexp", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("errexp")
 
 
 def dense_grid_conjugate(sp: ScoredPmf, theta: float,
@@ -43,10 +50,11 @@ def random_pmf(rng: np.random.Generator, size: int, floor: float = 0.02) -> Pmf:
 
 
 def stacked(f):
-    """A per-probe objective f(blocks) as the stacked scorer that
-    `grid_then_pattern` takes: a (B, n_blocks, size) stack to B values."""
-    return lambda stack: np.array([f(list(blocks)) for blocks in stack],
-                                  dtype=float)
+    """A per-probe objective f(blocks) as the stacked scorer of one problem
+    that `grid_then_pattern` takes: a (B, n_blocks, size) stack and its owner
+    array to B values."""
+    return lambda stack, owner: np.array([f(list(blocks)) for blocks in stack],
+                                         dtype=float)
 
 
 def sparse_rows(rng: np.random.Generator, n_rows: int, size: int,

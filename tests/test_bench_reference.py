@@ -3,17 +3,19 @@
 Runs the four commands of ``bench/workloads.py`` at the default seed
 through ``cli.main`` and checks the output the way the benchmark does: data
 rows against ``bench/reference/*.csv`` within 1e-9 (achiever digests
-skipped) plus each workload's invariant. The ``shtcc`` command's full
-stdout, digests included, is pinned byte for byte as well. Between them the commands exercise
+skipped) plus each workload's invariant. The full stdout of the ``shtcc``
+and ``schemes`` commands, digests included, is pinned byte for byte as
+well. Between them the commands exercise
 the conjugate, the remote-HT boundary inversion, the KL-ball projection
 behind the uncoded bound and the Monte Carlo run of the separation scheme,
 whose error counts (5639 and 4424 at n = 100) are integers, so the 1e-9
 check pins them exactly.
 
 It also runs ``bench/traced.py`` on a small SHTCC command and on a small
-``--scheme both`` command, whose searches go through ``grid_then_pattern``'s
-stacked scorer: the tracer wraps each pattern-search objective as a scalar
-function, so the traced output must equal the untraced one.
+``--scheme both`` command. The tracer replaces functions of the package with
+counting and timing wrappers under every name that imported them, so the
+traced output must equal the untraced one, and the spans of the traced
+searches (``zeta_rho`` and ``jhtcc_uncoded_opt``) must be recorded.
 """
 
 import importlib.util
@@ -74,6 +76,36 @@ def test_shtcc_stdout_byte_identical(monkeypatch, capsys):
     assert cli.main(["bounds", "models/example1.json", "--scheme", "shtcc",
                      "--grid", "2", "--kappa-grid", "0.008,0.01"]) == 0
     assert capsys.readouterr().out == SHTCC_STDOUT
+
+
+# The full stdout of the schemes workload's command: the uncoded bound, the
+# crossover and the expurgated optimum all come out of design searches whose
+# achievers only the digests show.
+SCHEMES_STDOUT = """\
+# errexp 0.1.0 subcommand=bounds
+# model=example1 sha256=352a10ab0dacaf87cfe440613cf48b476ee4645ce3763fe1802b84c07459111e
+# params grid=10,kappa_grid=0.001,0.002,0.004,0.006,0.008,points=25,scheme=both
+kappa_alpha,bound,value,feasible,achiever_digest
+0.001,shtcc_ex0_upper,0.0235776421,1,630a0da0b6fb
+0.001,jhtcc_uncoded,0.0343155152,1,3dd470d8100f
+0.002,shtcc_ex0_upper,0.0235776421,1,630a0da0b6fb
+0.002,jhtcc_uncoded,0.0295861321,1,3dd470d8100f
+0.004,shtcc_ex0_upper,0.0235776421,1,630a0da0b6fb
+0.004,jhtcc_uncoded,0.0234895369,1,cd9eb066aa24
+0.006,shtcc_ex0_upper,0.0235776421,1,630a0da0b6fb
+0.006,jhtcc_uncoded,0.019283116,1,cd9eb066aa24
+0.008,shtcc_ex0_upper,0.0235776421,1,630a0da0b6fb
+0.008,jhtcc_uncoded,0.0160561549,1,cd9eb066aa24
+# crossover kappa_alpha=0.00396420512
+"""
+
+
+def test_schemes_stdout_byte_identical(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["bounds", "models/example1.json", "--scheme", "both",
+                     "--grid", "10", "--kappa-grid",
+                     "0.001,0.002,0.004,0.006,0.008"]) == 0
+    assert capsys.readouterr().out == SCHEMES_STDOUT
 
 
 @pytest.mark.parametrize("args", [

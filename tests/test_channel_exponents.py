@@ -120,8 +120,8 @@ class TestLockstepExpurgated:
             return frozen_expurgated_exponent(0.0, design, ch)
 
         candidates = ([v] for v in simplex_grid(9, 2))
-        blocks, value = grid_then_pattern(stacked(f), candidates,
-                                          min_step=1e-2)
+        [blocks], [value] = grid_then_pattern(stacked(f), candidates,
+                                              min_step=1e-2)
         got, design = expurgated_exponent_opt(0.0, ch, grid_resolution=2,
                                               pattern_min_step=1e-2)
         assert got == value

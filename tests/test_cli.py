@@ -263,6 +263,28 @@ class TestSimulate:
         payload = json.loads(mirror.read_text())
         assert [row["n"] for row in payload["rows"]] == [40, 80]
 
+    @pytest.mark.parametrize("option", ["--theta0", "--theta1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_2_before_drawing(
+            self, bern_model, monkeypatch, capsys, option, value):
+        def no_draws(*args):
+            raise AssertionError("trials drawn")
+
+        monkeypatch.setattr("errexp.cli.simulate_rht", no_draws)
+        assert main(["simulate", bern_model, "--n-grid", "40", "--trials",
+                     "2000", f"{option}={value}"]) == 2
+        assert f"{option}: must be finite" in capsys.readouterr().err
+
+    def test_threshold_outside_interval_exits_3_before_drawing(
+            self, bern_model, monkeypatch, capsys):
+        def no_draws(*args):
+            raise AssertionError("trials drawn")
+
+        monkeypatch.setattr("errexp.cli.simulate_rht", no_draws)
+        assert main(["simulate", bern_model, "--n-grid", "40", "--trials",
+                     "2000", "--theta1", "5"]) == 3
+        assert "outside the admissible interval" in capsys.readouterr().err
+
     def test_zero_trials_usage_error(self, bern_model, tmp_path):
         assert main(["simulate", bern_model, "--trials", "0",
                      "--out", str(tmp_path / "x.csv")]) == 2

@@ -467,6 +467,33 @@ class TestBallOptimizeChunks:
         assert max(rows) == cap
 
 
+class TestBallOptimizeMinusInfReference:
+    """A problem whose reference and feasible grid points all score -inf is
+    still searched from the reference: dropping that search would leave a
+    min such as E1 at +inf, on the optimistic side."""
+
+    def test_search_from_minus_inf_reference(self):
+        ref = np.array([0.23, 0.27, 0.5])
+        # the first probe of a search from ref: +0.25 on the first coordinate
+        first = (ref + [0.25, 0.0, 0.0]) / 1.25
+
+        def objective(ps, owner):
+            return np.where(np.isclose(ps, first).all(axis=1), 0.0, np.inf)
+
+        config = DhtSearchConfig(ball_resolution=8, pattern_min_step=5e-3)
+        assert _ball_optimize(ref, objective, [-1.0], 1.0, config).tolist() == [0.0]
+        # beside a problem that finds a finite point on the grid, and one
+        # that finds nothing at all
+        def two(ps, owner):
+            return np.where(owner == 0, objective(ps, owner),
+                            np.where(owner == 1, ps[:, 0], np.inf))
+
+        got = _ball_optimize(ref, two, [-1.0, -1.0, -1.0], 1.0, config)
+        assert got[0] == 0.0 and np.isfinite(got[1]) and got[2] == np.inf
+        assert got[1] == _ball_optimize(ref, lambda ps, o: ps[:, 0], [-1.0],
+                                        1.0, config)[0]
+
+
 class TestStackedBallObjectives:
     """The stacked objectives of the KL-ball searches equal the scalar
     kl_array / mutual_information_arrays formulas bit for bit, row by row."""
@@ -552,7 +579,7 @@ def stein_score(monkeypatch, bound, model, ch):
 
     def capture(score, *args, **kwargs):
         seen.append(score)
-        return None, -np.inf
+        return [None], np.array([-np.inf])
 
     monkeypatch.setattr("errexp.dht_bounds.grid_then_pattern", capture)
     assert bound(model, ch, FAST) == 0.0
@@ -593,7 +620,7 @@ class TestStackedSteinObjectives:
         monkeypatch.setattr("errexp.dht_bounds.capacity", lambda ch: cap)
         score = stein_score(monkeypatch, shtcc_tai_stein, model,
                             Channel.bsc(0.35))
-        got = score(stack)
+        got = score(stack, np.zeros(len(stack), dtype=int))
         frozen = frozen_tai_stein_objective(p_uv, cap)
         assert got.tolist() == [frozen(list(w)) for w in stack]
         assert np.isfinite(got[k]) and np.isinf(got).any()
@@ -622,7 +649,7 @@ class TestStackedSteinObjectives:
         monkeypatch.setattr("errexp.dht_bounds._sx_caches",
                             lambda ch, config: tuple(caches))
         score = stein_score(monkeypatch, shtcc_tad_stein, model, ch)
-        got = score(stack)
+        got = score(stack, np.zeros(len(stack), dtype=int))
         frozen = frozen_tad_stein_objective(q_uv, caches)
         assert got.tolist() == [frozen(list(w)) for w in stack]
         assert np.isfinite(got[assigned[-1]])

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from errexp import (Channel, ChannelPairLaw, DomainError, ExponentPoint,
                     InputError, JointPmf, Pmf, TradeoffCurve,
@@ -13,7 +14,7 @@ from errexp import (Channel, ChannelPairLaw, DomainError, ExponentPoint,
 from errexp.exact_regions import _channel_branch_beta, _law_mixture
 from errexp.legendre import Mixture
 from conftest import (dense_grid_conjugate, frozen_bisect_monotone,
-                      sparse_rows)
+                      random_pmf, sparse_rows)
 
 P58 = Pmf((0, 1), [0.5, 0.5])
 Q58 = Pmf((0, 1), [0.2, 0.8])
@@ -380,6 +381,41 @@ class TestElementwiseRegions:
                 assert got.tolist() == getattr(arrayed, field).tolist()
         with pytest.raises(DomainError):
             direct_region_point(P58, Q58, [0.0, hi + 0.1])
+
+
+class TestSymmetryProperties:
+    """Swapping the hypotheses mirrors the direct region, and relabelling U,
+    X and Y leaves the remote-HT trade-off unchanged."""
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 4),
+           frac=st.floats(0.01, 0.99))
+    def test_swapping_p_and_q_mirrors_direct_region(self, seed, size, frac):
+        rng = np.random.default_rng(seed)
+        p, q = random_pmf(rng, size), random_pmf(rng, size)
+        d_pq = kl_divergence(p, q)
+        theta = -d_pq + frac * (d_pq + kl_divergence(q, p))
+        point = direct_region_point(p, q, theta)
+        mirror = direct_region_point(q, p, -theta)
+        assert abs(mirror.kappa_alpha - point.kappa_beta) <= 1e-9
+        assert abs(mirror.kappa_beta - point.kappa_alpha) <= 1e-9
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 0.95),
+           perm_u=st.permutations(range(3)), perm_x=st.permutations(range(3)),
+           perm_y=st.permutations(range(3)))
+    def test_relabelling_leaves_rht_tradeoff_unchanged(self, seed, frac,
+                                                       perm_u, perm_x, perm_y):
+        rng = np.random.default_rng(seed)
+        p, q = random_pmf(rng, 3), random_pmf(rng, 3)
+        rows = rng.dirichlet(np.ones(3), size=3)
+        kappa = frac * kl_divergence(q, p)
+        labels = (0, 1, 2)
+        base = rht_tradeoff(p, q, Channel(labels, labels, rows), kappa)
+        relabelled = rht_tradeoff(
+            Pmf(labels, p.probs[perm_u]), Pmf(labels, q.probs[perm_u]),
+            Channel(labels, labels, rows[perm_x][:, perm_y]), kappa)
+        assert abs(relabelled - base) <= 1e-9
 
 
 class TestKappa0:

@@ -326,7 +326,8 @@ def _objectives():
 
 
 class TestBatchedPatternSearch:
-    """pattern_search with and without f_many against the frozen loop."""
+    """pattern_search against the frozen probe-by-probe loop and against a
+    one-search lockstep run."""
 
     @pytest.mark.parametrize("min_improve", [0.0, 1e-3])
     @pytest.mark.parametrize("name,many,start", _objectives(),
@@ -334,7 +335,7 @@ class TestBatchedPatternSearch:
     def test_same_result_probe_order_and_calls(self, name, many, start,
                                                min_improve):
         kw = dict(min_step=1e-3, min_improve=min_improve)
-        calls = {"frozen": [], "lazy": [], "start": [], "batches": []}
+        calls = {"frozen": [], "search": [], "batches": []}
 
         def scalar(key):
             def f(blocks):
@@ -343,31 +344,32 @@ class TestBatchedPatternSearch:
                 return float(many(probe[None])[0])
             return f
 
-        def f_many(probes):
+        def score(probes, owner):
             assert probes.ndim == 3 and probes.shape[1:] == np.shape(start)
+            assert not owner.any()
             calls["batches"].append(probes.copy())
             return many(probes)
 
         x0, v0 = frozen_pattern_search(scalar("frozen"), start, **kw)
-        x1, v1 = pattern_search(scalar("lazy"), start, **kw)
-        x2, v2 = pattern_search(scalar("start"), start, f_many=f_many, **kw)
-        assert v0 == v1 == v2
+        x1, v1 = pattern_search(scalar("search"), start, **kw)
+        x = project_rows(np.asarray(start))
+        xs, vals = lockstep_pattern_search(score, x[None], many(x[None]), **kw)
+        assert v0 == v1 == vals[0]
         assert np.array_equal(np.stack(x0), np.stack(x1))
-        assert np.array_equal(np.stack(x0), np.stack(x2))
-        frozen = np.stack(calls["frozen"])
-        # a scalar-only objective sees exactly the frozen loop's calls
-        assert np.array_equal(frozen, np.stack(calls["lazy"]))
-        # with f_many, f scores only the start; the batches, each cut after
-        # its first improving probe, replay the frozen probe order
-        assert len(calls["start"]) == 1
-        replay, best = calls["start"], many(calls["start"][0][None])[0]
+        assert np.array_equal(np.stack(x0), xs[0])
+        # f scores the start, then every probe of each lockstep round
+        assert np.array_equal(np.stack(calls["search"]),
+                              np.concatenate([x[None], *calls["batches"]]))
+        # the rounds, each cut after its first improving probe, replay the
+        # frozen probe order
+        replay, best = [x], many(x[None])[0]
         for stack in calls["batches"]:
             hits = np.flatnonzero(many(stack) > best)
             if hits.size:
                 best = many(stack)[hits[0]]
                 stack = stack[:hits[0] + 1]
             replay.extend(stack)
-        assert np.array_equal(frozen, np.stack(replay))
+        assert np.array_equal(np.stack(calls["frozen"]), np.stack(replay))
 
     def test_ragged_blocks_rejected(self):
         with pytest.raises(InputError):
@@ -398,30 +400,30 @@ def _problem(kind, seed, n_blocks, size):
 
 
 class TestLockstepPatternSearch:
-    """R searches run in lockstep each give their own f_many run's result,
-    bit for bit, after the same sequence of probe stacks; and that result is
-    the per-probe search's."""
+    """R searches run in lockstep each give their own one-search run's
+    result, bit for bit, after the same sequence of probe stacks; and that
+    result is the frozen probe-by-probe loop's."""
 
     @staticmethod
     def check(problems, n_blocks, size, min_step, min_improve):
         fs, starts = zip(*(_problem(kind, seed, n_blocks, size)
                            for kind, seed in problems))
+        kw = dict(min_step=min_step, min_improve=min_improve)
+        # projected as pattern_search projects its start
+        x = np.stack([project_rows(s) for s in starts])
         alone = []
-        for f, start in zip(fs, starts):
+        for f, start, x1 in zip(fs, starts, x):
             batches = []
 
-            def f_many(probes, f=f):
+            def one(probes, owner, f=f):
                 batches.append(probes.copy())
                 return f(probes)
 
-            def one(blocks, f=f):
-                return float(f(np.stack(blocks)[None])[0])
-            kw = dict(min_step=min_step, min_improve=min_improve)
-            x, v = pattern_search(one, start, f_many=f_many, **kw)
-            # the per-probe path, which does not go through the lockstep loop
-            x0, v0 = pattern_search(one, start, **kw)
-            assert v0 == v and np.array_equal(np.stack(x0), np.stack(x))
-            alone.append((np.stack(x), v, batches))
+            xs, vals = lockstep_pattern_search(one, x1[None], f(x1[None]), **kw)
+            x0, v0 = frozen_pattern_search(
+                lambda b, f=f: float(f(np.stack(b)[None])[0]), start, **kw)
+            assert v0 == vals[0] and np.array_equal(np.stack(x0), xs[0])
+            alone.append((xs[0], vals[0], batches))
 
         seen = [[] for _ in problems]
 
@@ -434,11 +436,8 @@ class TestLockstepPatternSearch:
                 vals[rows] = fs[r](probes[rows])
             return vals
 
-        # projected as pattern_search projects its start
-        x = np.stack([project_rows(s) for s in starts])
         best = [f(s[None])[0] for f, s in zip(fs, x)]
-        xs, vals = lockstep_pattern_search(score, x, best, min_step=min_step,
-                                           min_improve=min_improve)
+        xs, vals = lockstep_pattern_search(score, x, best, **kw)
         for r, (x1, v1, batches) in enumerate(alone):
             assert vals[r] == v1
             assert np.array_equal(xs[r], x1)
@@ -446,7 +445,7 @@ class TestLockstepPatternSearch:
             assert all(np.array_equal(a, b) for a, b in zip(seen[r], batches))
         return [len(s) for s in seen]
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(problems=st.lists(st.tuples(st.sampled_from(KINDS),
                                        st.integers(0, 2**32 - 1)),
                              min_size=1, max_size=6),
@@ -476,7 +475,7 @@ class TestGridThenPattern:
         # constant objective: every candidate ties and no probe improves
         cands = [[np.array([0.0, 1.0])], [np.array([0.5, 0.5])],
                  [np.array([1.0, 0.0])]]
-        blocks, v = grid_then_pattern(stacked(lambda b: 1.0), cands)
+        [blocks], [v] = grid_then_pattern(stacked(lambda b: 1.0), cands)
         assert v == 1.0
         assert blocks is cands[0]
 
@@ -488,7 +487,7 @@ class TestGridThenPattern:
             return float(coef @ blocks[0])
 
         cands = [[p] for p in simplex_grid(3, 4)]
-        blocks, v = grid_then_pattern(stacked(f), cands, min_step=1e-3)
+        [blocks], [v] = grid_then_pattern(stacked(f), cands, min_step=1e-3)
         assert v >= max(f(c) for c in cands)
         assert v == pytest.approx(f(blocks))
 
@@ -499,7 +498,7 @@ class TestGridThenPattern:
             return -float(np.sum((blocks[0] - target) ** 2))
 
         seeds = [[np.full(3, 1 / 3)], [np.array([1.0, 0.0, 0.0])]]
-        blocks, v = grid_then_pattern(stacked(f), [], seeds, min_step=1e-6)
+        [blocks], [v] = grid_then_pattern(stacked(f), [], seeds, min_step=1e-6)
         assert np.allclose(blocks[0], target, atol=1e-4)
         assert v == pytest.approx(0.0, abs=1e-7)
 
@@ -508,7 +507,7 @@ class TestGridThenPattern:
         monkeypatch.setattr("errexp.optimize.GRID_CHUNK", chunk)
         target = np.random.default_rng(47).dirichlet(np.ones(3), size=2)
 
-        def many(p):
+        def many(p, owner=None):
             # rounded to create ties across chunk boundaries, -inf on a wall
             vals = np.round(-((p - target) ** 2).sum(axis=(1, 2)), 1)
             return np.where(p[:, 0, 0] > 0.7, -np.inf, vals)
@@ -519,20 +518,20 @@ class TestGridThenPattern:
         def f(blocks):
             return float(many(np.stack(blocks)[None])[0])
 
-        # reference: a running `>` over the candidates, then the per-probe
-        # pattern search from the winner
+        # reference: a running `>` over the candidates, then the frozen
+        # probe-by-probe pattern search from the winner
         first, first_val = None, -np.inf
         for cand in cands:
             if f(cand) > first_val:
                 first, first_val = cand, f(cand)
-        lazy, lazy_val = pattern_search(f, first, min_step=1e-2)
-        blocks, val = grid_then_pattern(many, cands, min_step=1e-2)
+        lazy, lazy_val = frozen_pattern_search(f, first, min_step=1e-2)
+        [blocks], [val] = grid_then_pattern(many, cands, min_step=1e-2)
         assert lazy_val > first_val and val == lazy_val
         assert np.array_equal(np.stack(blocks), np.stack(lazy))
         # without pattern steps, the winner is the first of equal maxima
         vals = many(np.asarray(cands))
         assert np.count_nonzero(vals == vals.max()) > 1
-        blocks, val = grid_then_pattern(many, cands, min_step=1.0)
+        [blocks], [val] = grid_then_pattern(many, cands, min_step=1.0)
         assert blocks is cands[int(np.argmax(vals))] is first
         assert val == first_val
 
@@ -540,7 +539,7 @@ class TestGridThenPattern:
         target = np.array([0.6, 0.3, 0.1])
         calls = []
 
-        def score(stack):
+        def score(stack, owner):
             calls.append(stack.copy())
             return -((stack[:, 0] - target) ** 2).sum(axis=1)
 
@@ -555,16 +554,105 @@ class TestGridThenPattern:
         cands = [[p] for p in simplex_grid(2, 3)]
         calls = []
 
-        def score(stack):
+        def score(stack, owner):
             calls.append(len(stack))
             return np.full(len(stack), -np.inf)
 
-        assert grid_then_pattern(score, cands) == (None, -np.inf)
+        winners, vals = grid_then_pattern(score, cands)
+        assert winners == [None] and vals.tolist() == [-np.inf]
         assert calls == [len(cands)]  # no search starts from a -inf grid
         # a seed is still searched, and a search that finds nothing finite
         # leaves the result at (None, -inf)
-        assert grid_then_pattern(score, cands, [cands[0]]) == (None, -np.inf)
+        winners, vals = grid_then_pattern(score, cands, [cands[0]])
+        assert winners == [None] and vals.tolist() == [-np.inf]
         assert calls[1:3] == [len(cands), 1]
 
     def test_nothing_to_search(self):
-        assert grid_then_pattern(stacked(lambda b: 0.0), []) == (None, -np.inf)
+        winners, vals = grid_then_pattern(stacked(lambda b: 0.0), [])
+        assert winners == [None] and vals.tolist() == [-np.inf]
+
+
+def _driver_problems():
+    """Four one-problem scorers of (B, 2, 3) stacks: rounded (ties across
+    chunks), rounded with a -inf wall, -inf on every point of the test grid
+    and of the seeds but finite off it, and -inf everywhere."""
+    target = np.random.default_rng(59).dirichlet(np.ones(3), size=(2, 2))
+
+    def rounded(p, t=target[0]):
+        return np.round(-2.0 * ((p - t) ** 2).sum(axis=(1, 2))) / 2.0
+
+    def walled(p):
+        return np.where(p[:, 0, 0] > 0.7, -np.inf, rounded(p, target[1]))
+
+    def off_grid(p):
+        thirds = p[:, 0, 0] * 6
+        return np.where(np.isclose(thirds, np.round(thirds)), -np.inf,
+                        rounded(p))
+
+    def nowhere(p):
+        return np.full(len(p), -np.inf)
+
+    return [rounded, walled, off_grid, nowhere]
+
+
+class TestGridThenPatternProblems:
+    """R problems in one grid_then_pattern call each get, bit for bit, the
+    winner and value of their own one-problem call."""
+
+    CANDS = [[a, b] for a in simplex_grid(3, 3) for b in simplex_grid(3, 2)]
+    SEEDS = [[np.full(3, 1 / 3), np.full(3, 1 / 3)],
+             [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.5])]]
+
+    @pytest.mark.parametrize("chunk", [1, 4, 4096])
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("min_step", [1.0, 1e-2])
+    def test_each_problem_matches_its_own_call(self, monkeypatch, chunk,
+                                               seeded, min_step):
+        monkeypatch.setattr("errexp.optimize.GRID_CHUNK", chunk)
+        fs = _driver_problems()
+        seeds = self.SEEDS if seeded else []
+        rows = []
+
+        def score(stack, owner):
+            rows.append(len(stack))
+            vals = np.empty(len(stack))
+            for r in np.unique(owner):
+                vals[owner == r] = fs[r](stack[owner == r])
+            return vals
+
+        winners, vals = grid_then_pattern(score, self.CANDS, seeds,
+                                          problems=len(fs), min_step=min_step)
+        # every candidate is scored for every problem, chunk by chunk
+        n = len(self.CANDS)
+        grid_rows = [len(fs) * min(chunk, n - s) for s in range(0, n, chunk)]
+        assert rows[:len(grid_rows)] == grid_rows
+        for r, f in enumerate(fs):
+            [alone], [val] = grid_then_pattern(lambda p, o, f=f: f(p),
+                                               self.CANDS, seeds,
+                                               min_step=min_step)
+            assert vals[r] == val
+            if alone is None:
+                assert winners[r] is None
+            else:
+                assert np.array_equal(np.stack(winners[r]), np.stack(alone))
+            if min_step == 1.0 and not seeded and alone is not None:
+                # no pattern step: the winner is the candidate itself
+                assert any(winners[r] is c for c in self.CANDS)
+        # -inf everywhere gives None; -inf on the grid and seeds only is
+        # still found by a seed's search
+        assert winners[3] is None and vals[3] == -np.inf
+        assert (winners[2] is None) == (not seeded or min_step == 1.0)
+        assert np.isfinite(vals[:2]).all()
+
+    def test_ties_keep_first_per_problem(self, monkeypatch):
+        monkeypatch.setattr("errexp.optimize.GRID_CHUNK", 4)
+        fs = _driver_problems()[:2]
+        stack = np.asarray(self.CANDS)
+        winners, vals = grid_then_pattern(
+            lambda p, o: np.where(o == 0, fs[0](p), fs[1](p)), self.CANDS,
+            problems=2, min_step=1.0)
+        for r, f in enumerate(fs):
+            grid = f(stack)
+            assert np.count_nonzero(grid == grid.max()) > 1
+            assert winners[r] is self.CANDS[int(np.argmax(grid))]
+            assert vals[r] == grid.max()
