@@ -13,7 +13,7 @@ import numpy as np
 from .exceptions import DomainError, InputError
 from .legendre import ScoredPmf, conjugate
 from .optimize import grid_then_pattern, maximize_1d, simplex_grid
-from .prob_core import Channel, JointPmf, Pmf, kl_array
+from .prob_core import Channel, JointPmf, Pmf, conditional_kl_arrays
 
 RHO_CAP = 1e4
 RHO_GRID_POINTS = 80
@@ -177,14 +177,8 @@ def theta_bounds(design: InputDesign, ch: Channel) -> tuple[float, float]:
     """State-averaged divergences between P(.|S=s) and the channel row at x=s."""
     ps = design.state_probs
     pys = output_given_state(design, ch)
-    theta_l = 0.0
-    theta_u = 0.0
-    for s, weight in enumerate(ps):
-        if weight == 0:
-            continue
-        theta_l += weight * kl_array(pys[s], ch.rows[s])
-        theta_u += weight * kl_array(ch.rows[s], pys[s])
-    return theta_l, theta_u
+    return (conditional_kl_arrays(ps, pys, ch.rows),
+            conditional_kl_arrays(ps, ch.rows, pys))
 
 
 def special_message_exponent(design: InputDesign, ch: Channel, theta):

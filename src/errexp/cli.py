@@ -26,7 +26,7 @@ from .exact_regions import (ChannelPairLaw, channel_d_bounds,
                             direct_tradeoff, rht_tradeoff)
 from .exceptions import (BracketError, ConvergenceError, DomainError,
                          ErrexpError, EstimationError, InputError)
-from .legendre import conjugate, loglik_scores
+from .legendre import conjugate, llr_interval, loglik_scores
 from .prob_core import Channel, JointPmf, Pmf, kl_divergence
 from .simulate import SimConfig, simulate_direct, simulate_rht
 
@@ -301,6 +301,10 @@ def cmd_simulate(args) -> int:
     # the analytic exponents first: a threshold outside its interval fails
     # before any trial is drawn
     if model.channel is None:
+        lo, hi = llr_interval(p, q)
+        if not lo <= args.theta0 <= hi:
+            raise DomainError(f"--theta0={args.theta0} outside the admissible "
+                              f"interval ({lo}, {hi})")
         zeta0 = conjugate(loglik_scores(p, q), args.theta0).value
         zeta1 = zeta0 - args.theta0
         report = simulate_direct(p, q, args.theta0, cfg)

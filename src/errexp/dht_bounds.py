@@ -21,8 +21,8 @@ from .exceptions import InputError
 from .legendre import Mixture
 from .optimize import (bisect_monotone, chunked, grid_then_pattern,
                        simplex_grid, simplex_grid_array)
-from .prob_core import (Channel, JointPmf, Pmf, capacity, kl_array, kl_rows,
-                        mutual_information_rows)
+from .prob_core import (Channel, JointPmf, Pmf, capacity, conditional_kl_arrays,
+                        kl_array, kl_rows, mutual_information_rows)
 
 PRODUCT_TOL = 1e-12
 BALL_ACTIVE_TOL = 1e-9
@@ -57,19 +57,13 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class AuxiliaryDesign:
-    """Quantization channel P_{W|U}, optional time-share P_S and per-(u, s)
-    channel-input rows P_{X|US} (shape |U| x |S| x |X|)."""
+    """Time-share P_S and per-(u, s) channel-input rows P_{X|US} (shape
+    |U| x |S| x |X|) of the uncoded JHTCC scheme."""
 
-    p_wu: Channel | None = None
     p_s: Pmf | None = None
     p_x_given_us: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.p_wu is not None:
-            n_u = len(self.p_wu.input_alphabet)
-            n_w = len(self.p_wu.output_alphabet)
-            if n_w > n_u + 1:
-                raise InputError("auxiliary alphabet larger than |U|+1")
         if self.p_x_given_us is not None:
             arr = np.asarray(self.p_x_given_us, dtype=float)
             if arr.ndim != 3:
@@ -479,15 +473,12 @@ class _SxCache:
     def __init__(self, design: InputDesign, ch: Channel, theta_points: int):
         self.design = design
         self.wl, _, self._powers, self._inf_below = _expurgation_terms(design, ch)
-        ps = design.state_probs
+        # I(X;Y|S) = sum_{s,x} P(s) P(x|s) D(W(.|x) || P(.|s)), s-major
         pys = output_given_state(design, ch)
-        self.rate = 0.0
-        for s, weight in enumerate(ps):
-            if weight == 0:
-                continue
-            for x, px in enumerate(design.input_given_state[s]):
-                if px > 0:
-                    self.rate += weight * px * kl_array(ch.rows[x], pys[s])
+        n = len(ch.rows)
+        self.rate = conditional_kl_arrays(
+            (design.state_probs[:, None] * design.input_given_state).reshape(-1),
+            np.tile(ch.rows, (n, 1)), np.repeat(pys, n, axis=0))
         self.theta_l, self.theta_u = theta_bounds(design, ch)
         # a design that mixes inputs of disjoint rows has an infinite theta
         # bound: it gets no theta grid, so best_theta_term gives -inf

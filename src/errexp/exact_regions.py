@@ -15,7 +15,8 @@ import numpy as np
 from .exceptions import DomainError, InputError
 from .legendre import Mixture, conjugate, llr_interval, loglik_scores
 from .optimize import bisect_monotone
-from .prob_core import Channel, JointPmf, Pmf, kl_array, kl_divergence
+from .prob_core import (Channel, JointPmf, Pmf, conditional_kl_arrays,
+                        kl_divergence, kl_rows)
 
 
 @dataclass(frozen=True)
@@ -166,17 +167,10 @@ def channel_d_bounds(ch: Channel, law: ChannelPairLaw) -> tuple[float, float]:
     _check_assumption(ch)
     if law.joint.row_alphabet != ch.input_alphabet:
         raise InputError("pair law alphabet does not match channel input alphabet")
-    w = law.probs
-    n = w.shape[0]
-    d_min = 0.0
-    d_max = 0.0
-    for i in range(n):
-        for j in range(n):
-            if w[i, j] == 0:
-                continue
-            d_min += w[i, j] * kl_array(ch.rows[i], ch.rows[j])
-            d_max += w[i, j] * kl_array(ch.rows[j], ch.rows[i])
-    return d_min, d_max
+    row_i, row_j = _row_pairs(ch)
+    w = law.probs.reshape(-1)
+    return (conditional_kl_arrays(w, row_i, row_j),
+            conditional_kl_arrays(w, row_j, row_i))
 
 
 def channel_region_point(ch: Channel, law: ChannelPairLaw, theta) -> ExponentPoint:
@@ -202,18 +196,19 @@ def channel_max_divergence(ch: Channel) -> tuple[float, tuple]:
     Ties break to the lexicographically smallest index pair; identical-row
     channels return (0, (first, first)).
     """
-    n = len(ch.input_alphabet)
-    best = 0.0
-    best_pair = (ch.input_alphabet[0], ch.input_alphabet[0])
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = kl_array(ch.rows[i], ch.rows[j])
-            if d > best:
-                best = d
-                best_pair = (ch.input_alphabet[i], ch.input_alphabet[j])
-    return best, best_pair
+    # a diagonal pair scores exactly 0, so a positive maximum is off the diagonal
+    d = kl_rows(*_row_pairs(ch))
+    k = int(np.argmax(d))
+    if d[k] <= 0:
+        return 0.0, (ch.input_alphabet[0], ch.input_alphabet[0])
+    i, j = divmod(k, len(ch.input_alphabet))
+    return float(d[k]), (ch.input_alphabet[i], ch.input_alphabet[j])
+
+
+def _row_pairs(ch: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """(row i, row j) stacks over every input pair (i, j), i-major."""
+    n = len(ch.rows)
+    return np.repeat(ch.rows, n, axis=0), np.tile(ch.rows, (n, 1))
 
 
 def _law_mixture(ch: Channel, weights: np.ndarray) -> Mixture | None:

@@ -214,24 +214,16 @@ def _check_same_alphabet(p: Pmf, q: Pmf) -> None:
         raise InputError("PMFs are defined on different alphabets")
 
 
-def kl_array(p: np.ndarray, q: np.ndarray) -> float:
-    """KL divergence between raw probability arrays, in nats."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return float("inf")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
 def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """`kl_array` of every row of a 2-D stack p against q (one row, or one per
-    row of p), bit for bit.
+    """KL divergence D(p_k || q_k) in nats of every row of a 2-D stack p
+    against q (one row, or one per row of p): the one kernel that sums a KL
+    divergence.
 
-    kl_array sums only the terms on p's support, and numpy's summation order
-    depends on how many there are. So rows are summed in groups of equal
-    support size, each row's terms packed to the front in their order. A
-    term p/0 is +inf, which makes a row off q's support +inf.
+    Each row sums only the terms on its support, and numpy's summation order
+    depends on how many there are, so a row's value must not depend on the
+    stack it is in. Rows are summed in groups of equal support size, each
+    row's terms packed to the front in their order. A term p/0 is +inf,
+    which makes a row off q's support +inf.
 
     Stacks whose rows all share one support (nine calls in ten on the shtcc
     benchmark) skip the packing: summing that support's columns gives the
@@ -254,6 +246,13 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def kl_array(p: np.ndarray, q: np.ndarray) -> float:
+    """KL divergence between raw probability arrays, in nats: the one-row
+    `kl_rows`."""
+    return float(kl_rows(np.reshape(p, (1, -1)),
+                         np.asarray(q, dtype=float).reshape(-1))[0])
+
+
 def kl_divergence(p: Pmf, q: Pmf) -> float:
     """D(p || q) in nats; +inf when p is not absolutely continuous w.r.t. q."""
     _check_same_alphabet(p, q)
@@ -267,34 +266,40 @@ def conditional_kl(p_given_x: Channel, q_given_x: Channel, px: Pmf) -> float:
         raise InputError("channels are defined on different alphabets")
     if px.alphabet != p_given_x.input_alphabet:
         raise InputError("weight PMF alphabet does not match channel input alphabet")
+    total = conditional_kl_arrays(px.probs, p_given_x.rows, q_given_x.rows)
+    # +inf as a Python float, the type kl_divergence gives it
+    return float("inf") if total == np.inf else total
+
+
+def conditional_kl_arrays(w: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """sum_k w_k D(p_k || q_k) over the rows k of the 2-D stacks p and q with
+    w_k != 0; +inf propagates.
+
+    The terms are added one at a time from 0.0 in row order: numpy's own sum
+    regroups them from 8 terms up, which would move the last digits. A zero
+    weight skips its row, so it never multiplies a +inf divergence into NaN.
+    """
+    live = w != 0
     total = 0.0
-    for i, w in enumerate(px.probs):
-        if w == 0:
-            continue
-        d = kl_array(p_given_x.rows[i], q_given_x.rows[i])
-        if np.isinf(d):
-            return float("inf")
-        total += w * d
+    for term in w[live] * kl_rows(p[live], q[live]):
+        total += term
     return total
 
 
 def mutual_information(pxy: JointPmf) -> float:
     """I(X;Y) = D(P_XY || P_X P_Y) in nats."""
-    px = pxy.probs.sum(axis=1)
-    py = pxy.probs.sum(axis=0)
-    return kl_array(pxy.probs.reshape(-1), np.outer(px, py).reshape(-1))
+    return mutual_information_arrays(pxy.probs)
 
 
 def mutual_information_arrays(joint: np.ndarray) -> float:
-    """Mutual information of a raw joint matrix (no Pmf wrapping)."""
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    return kl_array(joint.reshape(-1), np.outer(px, py).reshape(-1))
+    """Mutual information of a raw joint matrix (no Pmf wrapping): the
+    one-joint `mutual_information_rows`."""
+    return float(mutual_information_rows(joint[None])[0])
 
 
 def mutual_information_rows(joints: np.ndarray) -> np.ndarray:
-    """`mutual_information_arrays` of every joint in a (B, |X|, |Y|) stack,
-    bit for bit."""
+    """I(X;Y) = D(P_XY || P_X P_Y) in nats of every joint in a
+    (B, |X|, |Y|) stack."""
     joints = np.ascontiguousarray(joints, dtype=float)
     n, n_x, n_y = joints.shape
     px = joints.sum(axis=2)

@@ -145,26 +145,33 @@ def np_decide(seq, p: Pmf, q: Pmf, theta: float) -> str:
     return "H1" if stat >= len(seq) * theta else "H0"
 
 
-def build_type_sequences(law: ChannelPairLaw, n: int):
-    """Length-n sequence pair whose joint type tracks the law by
-    largest-remainder apportionment (lexicographic tie-break on pairs)."""
+def _pair_counts(law: ChannelPairLaw, n: int) -> list[tuple[int, int, int]]:
+    """(index of x_tilde, index of x_prime, count) classes, in lexicographic
+    index order, of the length-n sequence pair whose joint type tracks the
+    law by largest-remainder apportionment (lexicographic tie-break on
+    pairs)."""
     if n < 1:
         raise InputError("n must be >= 1")
-    alphabet = law.alphabet
-    pairs = [(a, b) for a in alphabet for b in alphabet]
-    probs = law.probs.reshape(-1)
-    raw = n * probs
+    raw = n * law.probs.reshape(-1)
     counts = np.floor(raw).astype(np.int64)
     remainder = raw - counts
     short = n - int(counts.sum())
     # stable sort: descending remainder, lexicographic pair order on ties
-    order = sorted(range(len(pairs)), key=lambda i: (-remainder[i], i))
+    order = sorted(range(len(raw)), key=lambda i: (-remainder[i], i))
     for i in order[:short]:
         counts[i] += 1
+    size = len(law.alphabet)
+    return [(*divmod(i, size), int(c)) for i, c in enumerate(counts) if c]
+
+
+def build_type_sequences(law: ChannelPairLaw, n: int):
+    """Length-n sequence pair whose joint type tracks the law by
+    largest-remainder apportionment (lexicographic tie-break on pairs)."""
+    alphabet = law.alphabet
     x_tilde, x_prime = [], []
-    for (a, b), c in zip(pairs, counts):
-        x_tilde.extend([a] * int(c))
-        x_prime.extend([b] * int(c))
+    for a, b, c in _pair_counts(law, n):
+        x_tilde.extend([alphabet[a]] * c)
+        x_prime.extend([alphabet[b]] * c)
     return tuple(x_tilde), tuple(x_prime)
 
 
@@ -281,18 +288,6 @@ def _try_fit(blocklengths, rates) -> FitResult | None:
 def simulate_direct(p: Pmf, q: Pmf, theta: float, cfg: SimConfig) -> SimReport:
     """Monte Carlo run of the direct NP test at threshold theta."""
     return _simulate(p, q, theta, cfg)
-
-
-def _pair_counts(law: ChannelPairLaw, n: int) -> list[tuple[int, int, int]]:
-    """(index of x_tilde, index of x_prime, count) classes of the realized
-    sequence pair."""
-    x_tilde, x_prime = build_type_sequences(law, n)
-    classes: dict[tuple[int, int], int] = {}
-    alphabet = list(law.alphabet)
-    for a, b in zip(x_tilde, x_prime):
-        key = (alphabet.index(a), alphabet.index(b))
-        classes[key] = classes.get(key, 0) + 1
-    return [(a, b, c) for (a, b), c in sorted(classes.items())]
 
 
 def simulate_rht(p_u: Pmf, q_u: Pmf, ch: Channel, theta0: float, theta1: float,

@@ -78,6 +78,63 @@ def example1() -> SourceModel:
     q_uv = JointPmf(("0", "1"), ("0", "1"), [[0.0, 0.5], [0.5, 0.0]])
     return SourceModel(p_uv, q_uv)
 
+def frozen_kl_array(p, q) -> float:
+    """The scalar KL body that `kl_rows` replaced, kept as the reference that
+    every KL value must reproduce bit for bit."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    mask = p > 0
+    if np.any(q[mask] == 0):
+        return float("inf")
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def frozen_mutual_information(joint: np.ndarray) -> float:
+    """The scalar mutual-information body, on `frozen_kl_array`."""
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    return frozen_kl_array(joint.reshape(-1), np.outer(px, py).reshape(-1))
+
+
+def assert_bit_equal(got, expect) -> None:
+    """Equal values of one type: the repr of a float round-trips its bits
+    (and tells +0.0 from -0.0), and `type` tells np.float64 from float."""
+    assert got == expect, (got, expect)
+    assert type(got) is type(expect) and repr(got) == repr(expect), (got, expect)
+
+
+CHANNEL_KINDS = ("dense", "sparse", "repeated", "identical", "disjoint")
+
+
+def divergence_channels(seed: int, count: int = 60):
+    """(kind, rows) of random channels with 2-5 inputs and 2-6 outputs,
+    cycling through CHANNEL_KINDS: full-support rows, rows with zeros, a
+    last row repeating the first, all rows equal, and point-mass rows on
+    distinct outputs while outputs last (disjoint supports, so +inf
+    divergences)."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        kind = CHANNEL_KINDS[case % len(CHANNEL_KINDS)]
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        rows = sparse_rows(rng, n, m, 0.35 if kind == "sparse" else 0.0)
+        if kind == "repeated":
+            rows[-1] = rows[0]
+        elif kind == "identical":
+            rows[:] = rows[0]
+        elif kind == "disjoint":
+            rows = np.eye(m)[np.arange(n) % m]
+        yield kind, rows
+
+
+def random_weights(rng: np.random.Generator, size: int) -> np.ndarray:
+    """A random PMF of `size` entries, about a third of them zero (never
+    all)."""
+    w = rng.dirichlet(np.ones(size))
+    w[rng.random(size) < 0.35] = 0.0
+    if not w.any():
+        w[rng.integers(size)] = 1.0
+    return w / w.sum()
+
 
 def frozen_bisect_monotone(g, lo, hi, tol=1e-10, xtol=0.0, max_iter=200):
     """The scalar bisection loop, kept as the reference that the elementwise

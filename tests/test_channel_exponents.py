@@ -10,8 +10,9 @@ from errexp.channel_exponents import (RHO_GRID, RHO_GRID_POINTS,
                                       bhattacharyya_kernel,
                                       expurgated_exponents, output_given_state)
 from errexp.optimize import grid_then_pattern, simplex_grid
-from conftest import (dense_grid_conjugate, frozen_maximize_1d, sparse_rows,
-                      stacked)
+from conftest import (assert_bit_equal, dense_grid_conjugate,
+                      divergence_channels, frozen_kl_array, frozen_maximize_1d,
+                      random_weights, sparse_rows, stacked)
 
 UNIFORM2 = InputDesign.from_matrix((0, 1), np.full((2, 2), 0.25))
 
@@ -165,6 +166,38 @@ class TestThetaBounds:
         got_l, got_u = theta_bounds(design, bsc35)
         assert got_l == pytest.approx(tl, abs=1e-12)
         assert got_u == pytest.approx(tu, abs=1e-12)
+
+
+    def test_equals_frozen_loop(self):
+        """The hand loop that theta_bounds replaced, bit for bit and type for
+        type, on random channels with 2-5 inputs and designs with zero-weight
+        states."""
+
+        def frozen(design, ch):
+            ps = design.state_probs
+            pys = output_given_state(design, ch)
+            theta_l = 0.0
+            theta_u = 0.0
+            for s, weight in enumerate(ps):
+                if weight == 0:
+                    continue
+                theta_l += weight * frozen_kl_array(pys[s], ch.rows[s])
+                theta_u += weight * frozen_kl_array(ch.rows[s], pys[s])
+            return theta_l, theta_u
+
+        rng = np.random.default_rng(23)
+        infinite = 0
+        for _, rows in divergence_channels(23):
+            n, m = rows.shape
+            ch = Channel(range(n), range(m), rows)
+            for _ in range(3):
+                design = InputDesign.from_matrix(
+                    range(n), random_weights(rng, n * n).reshape(n, n))
+                got, expect = theta_bounds(design, ch), frozen(design, ch)
+                for g, e in zip(got, expect):
+                    assert_bit_equal(g, e)
+                infinite += np.isinf(expect[0])
+        assert infinite > 0
 
 
 class TestSpecialMessageExponent:

@@ -32,7 +32,9 @@ def bern_model(tmp_path):
 def read_csv(path):
     comments, rows = [], []
     header = None
-    for line in open(path).read().splitlines():
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    for line in lines:
         if line.startswith("#"):
             comments.append(line)
         elif header is None:
@@ -200,7 +202,8 @@ class TestBounds:
     def test_shtcc_on_disjoint_rows_channel(self, tmp_path):
         """Designs that mix two inputs of disjoint rows have theta_l = +inf;
         they are skipped, with no NaN theta grid and no warning."""
-        model = json.loads(open(EXAMPLE1).read())
+        with open(EXAMPLE1) as fh:
+            model = json.load(fh)
         model["channel"].update(output_alphabet=["0", "1", "2"],
                                 rows=[["0.5", "0.5", "0"], ["0", "0", "1"]])
         path = tmp_path / "disjoint.json"
@@ -283,6 +286,21 @@ class TestSimulate:
         monkeypatch.setattr("errexp.cli.simulate_rht", no_draws)
         assert main(["simulate", bern_model, "--n-grid", "40", "--trials",
                      "2000", "--theta1", "5"]) == 3
+        assert "outside the admissible interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta0", ["5", "-5"])
+    def test_direct_theta0_outside_interval_exits_3_before_drawing(
+            self, tmp_path, monkeypatch, capsys, theta0):
+        # Bern(.5) against Bern(.2): the LLR interval is about (-0.223, 0.193)
+        def no_draws(*args):
+            raise AssertionError("trials drawn")
+
+        monkeypatch.setattr("errexp.cli.simulate_direct", no_draws)
+        path = tmp_path / "direct.json"
+        path.write_text(json.dumps({k: v for k, v in BERN.items()
+                                    if k != "channel"}))
+        assert main(["simulate", str(path), "--n-grid", "40", "--trials",
+                     "2000", f"--theta0={theta0}"]) == 3
         assert "outside the admissible interval" in capsys.readouterr().err
 
     def test_zero_trials_usage_error(self, bern_model, tmp_path):

@@ -17,14 +17,16 @@ from errexp.channel_exponents import (_rho_grid_objective,
                                       output_given_state)
 from errexp.dht_bounds import (_ball_optimize, _conditional_vy_laws, _info_uw,
                                _info_vw, _project_components, _sx_caches,
-                               _tad_first_term, _tai_first_term,
+                               _SxCache, _tad_first_term, _tai_first_term,
                                _uncoded_values)
 from errexp.legendre import Mixture
 from errexp.optimize import GRID_CHUNK
 from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
                                mutual_information_rows)
-from conftest import (fit_geometric_family, frozen_bisect_monotone,
-                      sparse_rows)
+from conftest import (assert_bit_equal, divergence_channels,
+                      fit_geometric_family, frozen_bisect_monotone,
+                      frozen_kl_array, frozen_mutual_information,
+                      random_weights, sparse_rows)
 
 FAST = DhtSearchConfig(design_resolution=3, ball_resolution=8,
                        sx_resolution=4, theta_points=17,
@@ -495,8 +497,8 @@ class TestBallOptimizeMinusInfReference:
 
 
 class TestStackedBallObjectives:
-    """The stacked objectives of the KL-ball searches equal the scalar
-    kl_array / mutual_information_arrays formulas bit for bit, row by row."""
+    """The stacked objectives of the KL-ball searches equal the frozen scalar
+    KL and mutual-information bodies bit for bit, row by row."""
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4)])
     def test_row_by_row(self, shape):
@@ -526,13 +528,14 @@ class TestStackedBallObjectives:
         for b, p in enumerate(ps):
             joint = p.reshape(shape)
             scalar = {
-                "ball": kl_array(p, ref),
-                "zeta": mutual_information_arrays(
+                "ball": frozen_kl_array(p, ref),
+                "zeta": frozen_mutual_information(
                     joint.sum(axis=1)[:, None] * w_rows),
-                "rho": mutual_information_arrays(joint.T @ w_rows),
-                "tai_e1": (mutual_information_arrays(joint.T @ w_rows)
-                           + kl_array(joint.sum(axis=0), p_v)),
-                "tad_e1": kl_array((joint.T @ w_rows).reshape(-1), q_vw)}
+                "rho": frozen_mutual_information(joint.T @ w_rows),
+                "tai_e1": (frozen_mutual_information(joint.T @ w_rows)
+                           + frozen_kl_array(joint.sum(axis=0), p_v)),
+                "tad_e1": frozen_kl_array((joint.T @ w_rows).reshape(-1),
+                                          q_vw)}
             for key, value in scalar.items():
                 assert stacked[key][b] == value, (key, b)
         for key in ("ball", "tai_e1", "tad_e1"):
@@ -1007,10 +1010,35 @@ class TestDisjointRowChannel:
             assert not np.isnan(report.value)
 
 
+def test_sx_cache_rate_equals_frozen_loop():
+    """I(X;Y|S) of `_SxCache` against the hand loop it replaced, bit for bit
+    and type for type: |S||X| = 4-25 terms, zero-weight states and inputs,
+    and inputs of disjoint rows."""
+
+    def frozen_rate(design, ch):
+        ps = design.state_probs
+        pys = output_given_state(design, ch)
+        rate = 0.0
+        for s, weight in enumerate(ps):
+            if weight == 0:
+                continue
+            for x, px in enumerate(design.input_given_state[s]):
+                if px > 0:
+                    rate += weight * px * frozen_kl_array(ch.rows[x], pys[s])
+        return rate
+
+    rng = np.random.default_rng(37)
+    for _, rows in divergence_channels(37, count=30):
+        n, m = rows.shape
+        ch = Channel(range(n), range(m), rows)
+        for _ in range(2):
+            design = InputDesign.from_matrix(
+                range(n), random_weights(rng, n * n).reshape(n, n))
+            cache = _SxCache(design, ch, theta_points=3)
+            assert_bit_equal(cache.rate, frozen_rate(design, ch))
+
+
 def test_auxiliary_design_validation():
-    with pytest.raises(InputError):
-        AuxiliaryDesign(p_wu=Channel((0, 1), (0, 1, 2, 3),
-                                     np.full((2, 4), 0.25)))
     with pytest.raises(InputError):
         AuxiliaryDesign(p_x_given_us=np.full((2, 1, 2), 0.4))
 

@@ -13,8 +13,9 @@ from errexp import (Channel, ChannelPairLaw, DomainError, ExponentPoint,
                     kl_divergence, llr_interval, loglik_scores, rht_tradeoff)
 from errexp.exact_regions import _channel_branch_beta, _law_mixture
 from errexp.legendre import Mixture
-from conftest import (dense_grid_conjugate, frozen_bisect_monotone,
-                      random_pmf, sparse_rows)
+from conftest import (assert_bit_equal, dense_grid_conjugate,
+                      divergence_channels, frozen_bisect_monotone,
+                      frozen_kl_array, random_pmf, random_weights, sparse_rows)
 
 P58 = Pmf((0, 1), [0.5, 0.5])
 Q58 = Pmf((0, 1), [0.2, 0.8])
@@ -92,6 +93,37 @@ class TestChannelDBounds:
             channel_d_bounds(ident, law)
 
 
+    def test_equals_frozen_loop(self):
+        """The hand loop over input pairs that it replaced, bit for bit and
+        type for type: 4-25 pairs, so most sums pass numpy's 8-term
+        regrouping."""
+
+        def frozen(ch, w):
+            n = w.shape[0]
+            d_min = 0.0
+            d_max = 0.0
+            for i in range(n):
+                for j in range(n):
+                    if w[i, j] == 0:
+                        continue
+                    d_min += w[i, j] * frozen_kl_array(ch.rows[i], ch.rows[j])
+                    d_max += w[i, j] * frozen_kl_array(ch.rows[j], ch.rows[i])
+            return d_min, d_max
+
+        rng = np.random.default_rng(29)
+        for kind, rows in divergence_channels(29):
+            if kind in ("sparse", "disjoint"):
+                continue  # rows that do not share support are rejected
+            n, m = rows.shape
+            ch = Channel(range(n), range(m), rows)
+            for _ in range(3):
+                law = ChannelPairLaw.from_matrix(
+                    range(n), random_weights(rng, n * n).reshape(n, n))
+                got, expect = channel_d_bounds(ch, law), frozen(ch, law.probs)
+                for g, e in zip(got, expect):
+                    assert_bit_equal(g, e)
+
+
 class TestChannelRegionPoint:
     def test_endpoints(self, bsc35):
         law = ChannelPairLaw.point_mass((0, 1), (0, 1))
@@ -140,6 +172,41 @@ class TestChannelMaxDivergence:
         value, pair = channel_max_divergence(ch)
         assert value == float("inf")
         assert pair == (1, 0)
+
+    def test_equals_frozen_loop(self):
+        """The hand loop's first strict maximum over input pairs, bit for bit and
+        type for type, with ties (a repeated row), +inf pairs and
+        identical-row channels among the random channels."""
+
+        def frozen(ch):
+            n = len(ch.input_alphabet)
+            best = 0.0
+            best_pair = (ch.input_alphabet[0], ch.input_alphabet[0])
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    d = frozen_kl_array(ch.rows[i], ch.rows[j])
+                    if d > best:
+                        best = d
+                        best_pair = (ch.input_alphabet[i], ch.input_alphabet[j])
+            return best, best_pair
+
+        rng = np.random.default_rng(31)
+        for kind, rows in divergence_channels(31):
+            n, m = rows.shape
+            ch = Channel("abcde"[:n], range(m), rows)
+            (value, pair), (expect, expect_pair) = (channel_max_divergence(ch),
+                                                    frozen(ch))
+            assert_bit_equal(value, expect)
+            assert pair == expect_pair
+            if kind == "identical":
+                assert (value, pair) == (0.0, ("a", "a"))
+            if kind == "disjoint":
+                assert value == np.inf
+            p_u, q_u = random_pmf(rng, 3), random_pmf(rng, 3)
+            assert_bit_equal(kappa0(p_u, q_u, ch),
+                             min(frozen_kl_array(p_u.probs, q_u.probs), expect))
 
 
 class TestRhtTradeoff:

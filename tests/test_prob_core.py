@@ -4,9 +4,25 @@ import pytest
 from errexp import (Channel, EmpiricalType, InputError, JointPmf, Pmf,
                     capacity, conditional_kl, empirical_type, kl_divergence,
                     mutual_information)
-from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
+from errexp.prob_core import (conditional_kl_arrays, kl_array, kl_rows,
+                              mutual_information_arrays,
                               mutual_information_rows)
-from conftest import random_pmf, sparse_rows
+from conftest import (assert_bit_equal, divergence_channels, frozen_kl_array,
+                      frozen_mutual_information, random_pmf, random_weights,
+                      sparse_rows)
+
+
+def frozen_conditional_kl(p_rows, q_rows, px) -> float:
+    """The hand loop that `conditional_kl` ran before `conditional_kl_arrays`."""
+    total = 0.0
+    for i, w in enumerate(px):
+        if w == 0:
+            continue
+        d = frozen_kl_array(p_rows[i], q_rows[i])
+        if np.isinf(d):
+            return float("inf")
+        total += w * d
+    return total
 
 
 def binary_entropy(p: float) -> float:
@@ -157,8 +173,8 @@ class TestMutualInformation:
 
 
 class TestRowWiseForms:
-    """kl_rows and mutual_information_rows equal the scalar forms bit for
-    bit; rows of 8 or more entries reach numpy's pairwise summation."""
+    """kl_rows and mutual_information_rows equal the frozen scalar bodies bit
+    for bit; rows of 8 or more entries reach numpy's pairwise summation."""
 
     @pytest.mark.parametrize("size", [1, 2, 4, 7, 8, 9, 12, 16, 20])
     def test_kl_rows_equals_kl_array(self, size):
@@ -171,8 +187,10 @@ class TestRowWiseForms:
                 p[:] = p[0]  # one support shared by every row
             got_shared, got_rows = kl_rows(p, shared), kl_rows(p, per_row)
             for b in range(len(p)):
-                assert got_shared[b] == kl_array(p[b], shared)
-                assert got_rows[b] == kl_array(p[b], per_row[b])
+                assert got_shared[b] == frozen_kl_array(p[b], shared)
+                assert got_rows[b] == frozen_kl_array(p[b], per_row[b])
+                assert_bit_equal(kl_array(p[b], per_row[b]),
+                                 frozen_kl_array(p[b], per_row[b]))
 
     def test_kl_rows_off_support_and_empty(self):
         p = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0]])
@@ -187,7 +205,63 @@ class TestRowWiseForms:
         joints = sparse_rows(rng, 50, shape[0] * shape[1]).reshape(-1, *shape)
         got = mutual_information_rows(joints)
         for b, joint in enumerate(joints):
-            assert got[b] == mutual_information_arrays(joint)
+            expect = frozen_mutual_information(joint)
+            assert got[b] == expect
+            assert_bit_equal(mutual_information_arrays(joint), expect)
+            assert_bit_equal(mutual_information(JointPmf(
+                range(shape[0]), range(shape[1]), joint)), expect)
+
+
+class TestConditionalKlArrays:
+    """conditional_kl and its array form against the frozen hand loop, bit
+    for bit and type for type, on random channels with 2-5 inputs."""
+
+    def test_equals_frozen_loop(self):
+        rng = np.random.default_rng(17)
+        seen = set()
+        for kind, rows in divergence_channels(17):
+            n, m = rows.shape
+            px = random_weights(rng, n)
+            for other in (rows[::-1], sparse_rows(rng, n, m, 0.35)):
+                for p_rows, q_rows in ((rows, other), (other, rows)):
+                    expect = frozen_conditional_kl(p_rows, q_rows, px)
+                    got = conditional_kl(Channel(range(n), range(m), p_rows),
+                                         Channel(range(n), range(m), q_rows),
+                                         Pmf(range(n), px))
+                    assert_bit_equal(got, expect)
+                    if np.isfinite(expect):
+                        assert_bit_equal(
+                            conditional_kl_arrays(px, p_rows, q_rows), expect)
+                    seen.add((kind, bool(np.isinf(expect))))
+        assert {(k, True) for k in ("sparse", "disjoint")} <= seen
+        assert {(k, False) for k in ("dense", "identical")} <= seen
+
+    def test_zero_weight_beside_infinite_divergence(self):
+        p = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]])
+        q = np.array([[0.4, 0.6, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]])
+        w = np.array([0.25, 0.0, 0.75])  # row 1 is off q's support: D = +inf
+        expect = frozen_conditional_kl(p, q, w)
+        assert np.isfinite(expect)
+        assert_bit_equal(conditional_kl_arrays(w, p, q), expect)
+        got = conditional_kl(Channel(range(3), range(3), p),
+                             Channel(range(3), range(3), q),
+                             Pmf(range(3), [0.25, 0.5, 0.25]))
+        assert_bit_equal(got, float("inf"))  # a Python float, as before
+
+    def test_sums_in_row_order_past_eight_terms(self):
+        # numpy's own sum regroups 9 or more terms; the hand loop adds them
+        # one at a time, and so must the array form
+        rng = np.random.default_rng(4)
+        regrouped = 0
+        for _ in range(200):
+            p, q = sparse_rows(rng, 12, 3, 0.0), sparse_rows(rng, 12, 3, 0.0)
+            w = rng.dirichlet(np.ones(12))
+            expect = 0.0
+            for k in range(12):
+                expect += w[k] * frozen_kl_array(p[k], q[k])
+            assert_bit_equal(conditional_kl_arrays(w, p, q), expect)
+            regrouped += np.sum(w * kl_rows(p, q)) != expect
+        assert regrouped > 0
 
 
 class TestCapacity:
