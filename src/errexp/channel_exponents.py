@@ -38,9 +38,7 @@ class InputDesign:
 
     @property
     def input_given_state(self) -> np.ndarray:
-        marg = self.state_probs[:, None]
-        return np.where(marg > 0, self.joint.probs / np.where(marg > 0, marg, 1.0),
-                        1.0 / self.joint.probs.shape[1])
+        return _input_given_state(self.joint.probs)
 
     @staticmethod
     def from_matrix(alphabet, matrix) -> "InputDesign":
@@ -55,21 +53,27 @@ class InputDesign:
         return InputDesign(JointPmf(alphabet, alphabet, np.eye(n) / n))
 
 
+def _input_given_state(p_sx: np.ndarray) -> np.ndarray:
+    """P_{X|S} rows of a joint P_SX; uniform rows where P_S(s) = 0."""
+    marg = p_sx.sum(axis=1)[:, None]
+    return np.where(marg > 0, p_sx / np.where(marg > 0, marg, 1.0),
+                    1.0 / p_sx.shape[1])
+
+
 def bhattacharyya_kernel(ch: Channel) -> np.ndarray:
     """B[x, x'] = sum_y sqrt(P(y|x) P(y|x'))."""
     return np.sqrt(ch.rows) @ np.sqrt(ch.rows).T
 
 
-def _pair_weights(design: InputDesign) -> np.ndarray:
-    """w[x, x'] = sum_s P_S(s) P_{X|S}(x|s) P_{X|S}(x'|s)."""
-    ps = design.state_probs
-    pxs = design.input_given_state
-    return (pxs.T * ps) @ pxs
+def _pair_weights(p_sx: np.ndarray) -> np.ndarray:
+    """w[x, x'] = sum_s P_S(s) P_{X|S}(x|s) P_{X|S}(x'|s) of a joint P_SX."""
+    pxs = _input_given_state(p_sx)
+    return (pxs.T * p_sx.sum(axis=1)) @ pxs
 
 
-def _expurgation_terms(design: InputDesign, ch: Channel):
+def _expurgation_terms(p_sx: np.ndarray, ch: Channel):
     """(wl, logb, powers, inf_below) of the expurgated objective
-    -rho*R - rho*log(sum wl * exp(logb / rho)).
+    -rho*R - rho*log(sum wl * exp(logb / rho)) of a joint P_SX.
 
     wl and logb are the pair weights and log Bhattacharyya entries where both
     are positive; powers holds exp(logb / rho) per RHO_GRID point (rows) and
@@ -77,7 +81,7 @@ def _expurgation_terms(design: InputDesign, ch: Channel):
     linearly in rho once R < -log(sum wl), so the exponent is +inf for every
     rate below inf_below (-inf when no weight sits on a zero entry).
     """
-    w = _pair_weights(design).reshape(-1)
+    w = _pair_weights(p_sx).reshape(-1)
     b = bhattacharyya_kernel(ch).reshape(-1)
     live = (w > 0) & (b > 0)
     wl = w[live]
@@ -103,11 +107,15 @@ def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
     when the kernel has zero entries carrying weight and the remaining mass
     is small enough that the objective grows linearly in rho.
     """
-    return float(expurgated_exponents(rate, [design], ch)[0])
+    if design.joint.row_alphabet != ch.input_alphabet:
+        raise InputError("design alphabet does not match channel input alphabet")
+    return float(expurgated_exponents(rate, design.joint.probs[None], ch)[0])
 
 
-def expurgated_exponents(rate: float, designs, ch: Channel) -> np.ndarray:
-    """`expurgated_exponent` of every design, refined in lockstep.
+def expurgated_exponents(rate: float, p_sx: np.ndarray,
+                         ch: Channel) -> np.ndarray:
+    """`expurgated_exponent` of every joint P_SX of a (B, |X|, |X|) stack,
+    refined in lockstep.
 
     Designs whose objectives have one number of live kernel entries share
     one golden section over a (designs, entries) stack, so each row's sums
@@ -115,12 +123,10 @@ def expurgated_exponents(rate: float, designs, ch: Channel) -> np.ndarray:
     """
     if rate < 0:
         raise DomainError("rate must be non-negative")
-    values = np.full(len(designs), np.inf)
+    values = np.full(len(p_sx), np.inf)
     stacks: dict[int, list] = {}
-    for i, design in enumerate(designs):
-        if design.joint.row_alphabet != ch.input_alphabet:
-            raise InputError("design alphabet does not match channel input alphabet")
-        wl, logb, powers, inf_below = _expurgation_terms(design, ch)
+    for i, joint in enumerate(p_sx):
+        wl, logb, powers, inf_below = _expurgation_terms(joint, ch)
         if rate < inf_below:
             continue
         k = int(np.argmax(_rho_grid_objective(rate, wl, powers)))
@@ -144,19 +150,16 @@ def expurgated_exponent_opt(rate: float, ch: Channel,
     """Expurgated exponent maximized over input designs (grid + pattern
     search); the grid and every pattern-search sweep are scored as one
     stack."""
-    alphabet = ch.input_alphabet
-    n = len(alphabet)
-
-    def design(vec: np.ndarray) -> InputDesign:
-        return InputDesign(JointPmf(alphabet, alphabet, vec.reshape(n, n)))
+    n = len(ch.input_alphabet)
 
     def score(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return expurgated_exponents(rate, [design(b[0]) for b in stack], ch)
+        return expurgated_exponents(rate, stack.reshape(-1, n, n), ch)
 
     candidates = ([vec] for vec in simplex_grid(n * n, grid_resolution))
     [blocks], [val] = grid_then_pattern(score, candidates,
                                         min_step=pattern_min_step)
-    return val, design(blocks[0])
+    return val, InputDesign.from_matrix(ch.input_alphabet,
+                                        blocks[0].reshape(n, n))
 
 
 def bsc_expurgated_zero_rate(p: float) -> float:

@@ -73,6 +73,14 @@ def _as_joint(rows, row_alphabet, col_alphabet, what: str) -> JointPmf:
     return JointPmf(row_alphabet, col_alphabet, arr / arr.sum())
 
 
+def _alphabet(labels, what: str) -> tuple:
+    """An alphabet: a JSON list of labels, none of them a list or object."""
+    if not isinstance(labels, list) or any(isinstance(v, (list, dict))
+                                           for v in labels):
+        raise InputError(f"{what}: expected a list of labels")
+    return tuple(labels)
+
+
 def _as_channel(spec, what: str) -> Channel:
     if not isinstance(spec, dict):
         raise InputError(f"{what}: expected a JSON object")
@@ -80,7 +88,9 @@ def _as_channel(spec, what: str) -> Channel:
     if np.any(arr < 0) or np.max(np.abs(arr.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
         raise InputError(f"{what}: rows must be stochastic within 1e-9")
     arr = arr / arr.sum(axis=1, keepdims=True)
-    return Channel(tuple(spec["input_alphabet"]), tuple(spec["output_alphabet"]), arr)
+    return Channel(_alphabet(spec["input_alphabet"], f"{what} input_alphabet"),
+                   _alphabet(spec["output_alphabet"], f"{what} output_alphabet"),
+                   arr)
 
 
 def load_model(path: str) -> ModelFile:
@@ -96,8 +106,8 @@ def load_model(path: str) -> ModelFile:
         raise InputError("model file must hold a JSON object")
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        u_alpha = tuple(data["u_alphabet"])
-        v_alpha = tuple(data["v_alphabet"])
+        u_alpha = _alphabet(data["u_alphabet"], "u_alphabet")
+        v_alpha = _alphabet(data["v_alphabet"], "v_alphabet")
         p_uv = _as_joint(data["p_uv"], u_alpha, v_alpha, "p_uv")
         q_uv = _as_joint(data["q_uv"], u_alpha, v_alpha, "q_uv")
         channel = (_as_channel(data["channel"], "channel")
@@ -176,7 +186,10 @@ def _kappa_grid(args, upper: float) -> list[float]:
                              f"non-negative, got {args.kappa_grid!r}")
         return kappas
     points = args.points
-    if not np.isfinite(upper) or upper <= 0:
+    if upper == np.inf:
+        raise DomainError("D(Q||P) is infinite, so the default kappa_alpha "
+                          "grid has no upper end; give --kappa-grid")
+    if upper <= 0:
         return []
     return list(np.linspace(upper / points, upper * (1 - 1e-9), points))
 

@@ -22,7 +22,7 @@ from .legendre import Mixture
 from .optimize import (bisect_monotone, chunked, grid_then_pattern,
                        simplex_grid, simplex_grid_array)
 from .prob_core import (Channel, JointPmf, Pmf, capacity, conditional_kl_arrays,
-                        kl_array, kl_rows, mutual_information_rows)
+                        kl_rows, mutual_information_rows)
 
 PRODUCT_TOL = 1e-12
 BALL_ACTIVE_TOL = 1e-9
@@ -107,96 +107,78 @@ class DhtSearchConfig:
 # KL-ball projection
 
 
-def _project_components(problems, kappa_alpha: float
-                        ) -> list[tuple[list[np.ndarray], float]]:
-    """Shared-multiplier KL-ball projections across weighted components.
+def _project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
+                        kappa_alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shared-multiplier KL-ball projections of B problems of K weighted
+    components, given as w (B, K) and zero-padded ref and tgt (B, K, n):
+    the laws (B, K, n) and the values (B,).
 
-    Each problem is a list of (w_s, ref_s, tgt_s) components and gets its
-    (laws, value). It minimizes sum_s w_s D(P_s || tgt_s) subject to
-    sum_s w_s D(P_s || ref_s) <= kappa_alpha. A single Lagrange multiplier
+    Problem b minimizes sum_k w_k D(P_k || tgt_k) subject to
+    sum_k w_k D(P_k || ref_k) <= kappa_alpha. A single Lagrange multiplier
     mu serves every component; each component's optimum is then the tilted
-    law P_s ~ ref_s exp(lam f_s), f_s = log(tgt_s / ref_s) on the common
+    law P_k ~ ref_k exp(lam f_k), f_k = log(tgt_k / ref_k) on the common
     support, at lam = 1 / (1 + mu), and the ball radius is
     lam psi'(lam) - psi(lam) of the weighted CGF. The multiplier is
     bracketed by doubling up to a 1e12 cap and then bisected in
     mu = (1 - lam) / lam; that schedule fixes the returned digits. The value
-    is re-evaluated on the returned laws.
+    is re-evaluated on the returned laws, adding the components one at a
+    time from 0.0. A zero-weight component drops out and keeps its
+    reference as its law; so does every component of a problem whose value
+    is +inf (an empty common support, or a ball too small for the supports).
 
-    Problems whose CGFs have one shape (components, width) are solved as one
-    `Mixture.stack`, every step one tilt with a lam per problem, so each
-    visits the multipliers it would visit alone and gets the same bits.
+    Problems of one shape, live components and widest common support, are
+    solved as one `Mixture.stack` with their live components packed to the
+    front, every step one tilt with a lam per problem, so each visits the
+    multipliers it would visit alone and gets the same bits.
     """
     if kappa_alpha < 0:
         raise InputError("kappa_alpha must be non-negative")
-    problems = [[(w, np.asarray(r, dtype=float).reshape(-1),
-                  np.asarray(t, dtype=float).reshape(-1))
-                 for w, r, t in components if w > 0]
-                for components in problems]
-    out = [None] * len(problems)
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for i, comps in enumerate(problems):
-        if kappa_alpha == 0:
-            value = sum(w * kl_array(r, t) for w, r, t in comps)
-            out[i] = [r.copy() for _, r, _ in comps], float(value)
-        elif not comps:
+    live = w > 0
+    laws = ref.copy()
+    solved = np.full(len(w), kappa_alpha == 0)
+    if kappa_alpha > 0:
+        if not live.any(axis=1).all():
             raise InputError("mixture has no components")
-        else:
-            key = (len(comps), max(r.size for _, r, _ in comps))
-            shapes.setdefault(key, []).append(i)
-    for (n_comp, n), idx in shapes.items():
-        w = np.array([[c[0] for c in problems[i]] for i in idx])
-        ref, tgt = np.zeros((2, len(idx), n_comp, n))
-        for b, i in enumerate(idx):
-            for k, (_, r, t) in enumerate(problems[i]):
-                ref[b, k, :r.size], tgt[b, k, :t.size] = r, t
-        values = _project_stack(w, ref, tgt, kappa_alpha)
-        for b, i in enumerate(idx):
-            laws, value = values[b]
-            out[i] = ([law[:r.size] for law, (_, r, _)
-                       in zip(laws, problems[i])], value)
-    return out
-
-
-def _project_stack(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
-                   kappa_alpha: float) -> list[tuple[np.ndarray, float]]:
-    """`_project_components` on B problems of K components, as w (B, K) and
-    zero-padded ref and tgt (B, K, n), at kappa_alpha > 0; (laws (K, n),
-    value) per problem."""
-    # feasible supports: P_s must be << ref_s, and << tgt_s for finite value
-    masks = (ref > 0) & (tgt > 0)
-    counts = masks.sum(axis=-1)
-    result = [(ref[b].copy(), float("inf")) for b in range(len(w))]
-    live = counts.min(axis=-1) > 0
-    # the CGF of a problem is as wide as its widest common support; only
-    # problems of one width share a stack, so every row sum keeps its bits
-    for m in sorted(set(counts.max(axis=-1)[live].tolist())):
-        idx = np.flatnonzero(live & (counts.max(axis=-1) == m))
-        mk, cnt = masks[idx], counts[idx]
-        # each row's support atoms packed to the front, in order
-        order = np.argsort(~mk, axis=-1, kind="stable")[..., :m]
-        p = np.take_along_axis(ref[idx], order, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.take_along_axis(np.log(tgt[idx]) - np.log(ref[idx]),
-                                   order, axis=-1)
-        # padded atoms get mass zero and repeat the row's first live score
-        pad = np.arange(m) >= cnt[..., None]
-        mix = Mixture.stack(w[idx], np.where(pad, 0.0, p),
-                            np.where(pad, f[..., :1], f))
-        feasible = ~(kappa_alpha < -mix.tilt(np.zeros(len(idx)))[0] - 1e-12)
-        mix, idx, pad = mix.rows(feasible), idx[feasible], pad[feasible]
-        if not len(idx):
-            continue
-        lam = 1.0 / (1.0 + _ball_multipliers(mix, kappa_alpha))
-        laws = np.zeros(ref[idx].shape)
-        laws[masks[idx]] = mix.tilted(lam)[~pad]
-        div = kl_rows(laws.reshape(-1, laws.shape[-1]),
-                      tgt[idx].reshape(-1, laws.shape[-1])).reshape(pad.shape[:2])
-        value = 0.0
-        for k in range(div.shape[1]):
-            value = value + w[idx, k] * div[:, k]
-        for b, i in enumerate(idx):
-            result[i] = laws[b], float(value[b])
-    return result
+        # feasible supports: P_k must be << ref_k, and << tgt_k for finite value
+        masks = (ref > 0) & (tgt > 0)
+        counts = masks.sum(axis=-1)
+        n_live = live.sum(axis=1)
+        width = np.where(live, counts, 0).max(axis=1)
+        finite = ~(live & (counts == 0)).any(axis=1)
+        # live components packed to the front; the CGF of a problem is as
+        # wide as its widest common support, and only problems of one shape
+        # share a stack, so every row sum keeps its bits
+        comps = np.argsort(~live, axis=1, kind="stable")
+        for k, m in set(zip(n_live[finite].tolist(), width[finite].tolist())):
+            idx = np.flatnonzero(finite & (n_live == k) & (width == m))
+            at = idx[:, None], comps[idx, :k]
+            # each row's support atoms packed to the front, in order
+            order = np.argsort(~masks[at], axis=-1, kind="stable")[..., :m]
+            p = np.take_along_axis(ref[at], order, axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f = np.take_along_axis(np.log(tgt[at]) - np.log(ref[at]),
+                                       order, axis=-1)
+            # padded atoms get mass zero and repeat the row's first live score
+            pad = np.arange(m) >= counts[at][..., None]
+            mix = Mixture.stack(w[at], np.where(pad, 0.0, p),
+                                np.where(pad, f[..., :1], f))
+            feasible = ~(kappa_alpha < -mix.tilt(np.zeros(len(idx)))[0] - 1e-12)
+            mix, idx, pad = mix.rows(feasible), idx[feasible], pad[feasible]
+            if not len(idx):
+                continue
+            lam = 1.0 / (1.0 + _ball_multipliers(mix, kappa_alpha))
+            at = idx[:, None], comps[idx, :k]
+            tilted = np.zeros(ref[at].shape)
+            tilted[masks[at]] = mix.tilted(lam)[~pad]
+            laws[at] = tilted
+            solved[idx] = True
+    n = ref.shape[-1]
+    div = kl_rows(laws.reshape(-1, n), tgt.reshape(-1, n)).reshape(w.shape)
+    value = 0.0
+    for k in range(w.shape[1]):
+        # a zero weight adds nothing, not 0 * inf
+        value = value + w[:, k] * np.where(live[:, k], div[:, k], 0.0)
+    return laws, np.where(solved, value, np.inf)
 
 
 def _ball_multipliers(mix: Mixture, kappa_alpha: float) -> np.ndarray:
@@ -245,71 +227,66 @@ def kl_ball_projection(p_ref: JointPmf, q_target: JointPmf,
     if (p_ref.row_alphabet != q_target.row_alphabet
             or p_ref.col_alphabet != q_target.col_alphabet):
         raise InputError("reference and target must share alphabets")
-    [(mins, value)] = _project_components(
-        [[(1.0, p_ref.probs, q_target.probs)]], kappa_alpha)
-    shape = p_ref.probs.shape
+    laws, [value] = _project_components(
+        np.ones((1, 1)), p_ref.probs.reshape(1, 1, -1),
+        q_target.probs.reshape(1, 1, -1), kappa_alpha)
     minimizer = JointPmf(p_ref.row_alphabet, p_ref.col_alphabet,
-                         mins[0].reshape(shape))
-    return minimizer, value
+                         laws[0, 0].reshape(p_ref.probs.shape))
+    return minimizer, float(value)
 
 
 # ---------------------------------------------------------------------------
 # Uncoded joint scheme
 
 
-def _conditional_vy_laws(model: SourceModel, ch: Channel,
-                         design: AuxiliaryDesign):
-    """Per-state (weight, P_{VY|S=s}, Q_{VY|S=s}) triples."""
-    if design.p_s is None or design.p_x_given_us is None:
-        raise InputError("uncoded bound needs P_S and P_{X|US}")
-    n_u = len(model.p_uv.row_alphabet)
-    pxus = design.p_x_given_us
-    if pxus.shape[0] != n_u or pxus.shape[2] != len(ch.input_alphabet):
-        raise InputError("P_{X|US} shape does not match |U| and |X|")
-    if pxus.shape[1] != len(design.p_s):
-        raise InputError("P_{X|US} state count does not match P_S")
-    triples = []
-    for s, weight in enumerate(design.p_s.probs):
-        if weight == 0:
-            continue
-        y_given_u = pxus[:, s, :] @ ch.rows           # |U| x |Y|
-        p_vy = model.p_uv.probs.T @ y_given_u         # |V| x |Y|
-        q_vy = model.q_uv.probs.T @ y_given_u
-        triples.append((float(weight), p_vy, q_vy))
-    return triples
+def _vy_laws(model: SourceModel, ch: Channel,
+             pxus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_{VY|S=s} and Q_{VY|S=s} of every design in a (B, |U|, |S|, |X|)
+    stack of P_{X|US} rows, as two (B, |S|, |V||Y|) stacks."""
+    b, _, n_s, _ = pxus.shape
+    y_given_us = pxus.transpose(0, 2, 1, 3) @ ch.rows   # B x |S| x |U| x |Y|
+    return ((model.p_uv.probs.T @ y_given_us).reshape(b, n_s, -1),
+            (model.q_uv.probs.T @ y_given_us).reshape(b, n_s, -1))
 
 
 def jhtcc_uncoded(model: SourceModel, ch: Channel, kappa_alpha: float,
                   design: AuxiliaryDesign) -> float:
     """Uncoded-transmission bound kappa_u for a fixed (P_S, P_{X|US}) design."""
-    return float(_uncoded_values(model, ch, kappa_alpha, [design])[0])
+    if design.p_s is None or design.p_x_given_us is None:
+        raise InputError("uncoded bound needs P_S and P_{X|US}")
+    pxus = design.p_x_given_us
+    if (pxus.shape[0] != len(model.p_uv.row_alphabet)
+            or pxus.shape[2] != len(ch.input_alphabet)):
+        raise InputError("P_{X|US} shape does not match |U| and |X|")
+    if pxus.shape[1] != len(design.p_s):
+        raise InputError("P_{X|US} state count does not match P_S")
+    return float(_uncoded_values(model, ch, kappa_alpha, design.p_s.probs[None],
+                                 pxus[None])[0])
 
 
 def _uncoded_values(model: SourceModel, ch: Channel, kappa_alpha: float,
-                    designs) -> np.ndarray:
-    """`jhtcc_uncoded` of every design, as one list of projections."""
-    problems = [_conditional_vy_laws(model, ch, d) for d in designs]
-    return np.array([value for _, value
-                     in _project_components(problems, kappa_alpha)])
+                    p_s: np.ndarray, pxus: np.ndarray) -> np.ndarray:
+    """`jhtcc_uncoded` of every design of a stack: time shares p_s
+    (B, |S|) and P_{X|US} rows pxus (B, |U|, |S|, |X|)."""
+    return _project_components(p_s, *_vy_laws(model, ch, pxus), kappa_alpha)[1]
 
 
-def _design_search(values, model: SourceModel, ch: Channel, p_ss: list[Pmf],
+def _design_search(values, model: SourceModel, ch: Channel, p_s: np.ndarray,
                    config: DhtSearchConfig) -> tuple[np.ndarray, list]:
     """Best values and P_{X|US} rows (None where all score -inf) over designs
-    with each time-share P_S in `p_ss` (of one size), scored by
-    `values(designs)`: one `grid_then_pattern` call for all of them, from the
-    uniform rows and, when |X| = |U|, from X = U."""
-    n_u, n_s, n_x = (len(model.p_uv.row_alphabet), len(p_ss[0]),
+    with each time share of the (R, |S|) array p_s, scored by
+    `values(p_s, pxus)` on stacks: one `grid_then_pattern` call for all of
+    them, from the uniform rows and, when |X| = |U|, from X = U."""
+    n_u, n_s, n_x = (len(model.p_uv.row_alphabet), p_s.shape[1],
                      len(ch.input_alphabet))
 
     def score(probes: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return values([AuxiliaryDesign(p_s=p_ss[r], p_x_given_us=np.reshape(
-            probe, (n_u, n_s, n_x))) for probe, r in zip(probes, owner)])
+        return values(p_s[owner], probes.reshape(-1, n_u, n_s, n_x))
 
     seeds = [[np.full(n_x, 1.0 / n_x) for _ in range(n_u * n_s)]]
     if n_x == n_u:
         seeds.append([np.eye(n_u)[u] for u in range(n_u) for _ in range(n_s)])
-    blocks, vals = grid_then_pattern(score, [], seeds, problems=len(p_ss),
+    blocks, vals = grid_then_pattern(score, [], seeds, problems=len(p_s),
                                      min_step=config.pattern_min_step)
     return vals, [None if b is None else np.reshape(b, (n_u, n_s, n_x))
                   for b in blocks]
@@ -323,30 +300,25 @@ def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha: float,
     if n_states not in (1, 2):
         raise InputError("n_states must be 1 or 2")
     res = config.sx_resolution
-    p_s_grid = ([Pmf((0,), [1.0])] if n_states == 1 else
-                [Pmf((0, 1), [k / res, 1.0 - k / res]) for k in range(res + 1)])
+    p_s = (np.ones((1, 1)) if n_states == 1 else
+           np.array([[k / res, 1.0 - k / res] for k in range(res + 1)]))
     values, rows = _design_search(
         functools.partial(_uncoded_values, model, ch, kappa_alpha), model, ch,
-        p_s_grid, config)
+        p_s, config)
     k = int(np.argmax(values))  # the first of equal maxima
-    achiever = {"p_s": tuple(p_s_grid[k].probs),
-                "p_x_given_us": tuple(rows[k].reshape(-1))}
+    achiever = {"p_s": tuple(p_s[k]), "p_x_given_us": tuple(rows[k].reshape(-1))}
     return BoundReport("jhtcc_uncoded", kappa_alpha, float(values[k]), achiever,
                        feasible=True, grid_resolution=config.sx_resolution)
 
 
 def _crossing_values(model: SourceModel, ch: Channel, radius: float,
-                     designs) -> np.ndarray:
-    """kappa_alpha_d of every design, where kappa_u(d, .) falls to `radius`:
-    the KL-ball projection with reference and target swapped. A design whose
-    kappa_u(d, 0) is already below the radius gets -inf."""
-    problems = [_conditional_vy_laws(model, ch, d) for d in designs]
-    at_zero = np.array([value for _, value
-                        in _project_components(problems, 0.0)])
-    swapped = [[(w, q_vy, p_vy) for w, p_vy, q_vy in comps]
-               for comps in problems]
-    crossing = np.array([value for _, value
-                         in _project_components(swapped, radius)])
+                     p_s: np.ndarray, pxus: np.ndarray) -> np.ndarray:
+    """kappa_alpha_d of every design of a stack, where kappa_u(d, .) falls
+    to `radius`: the KL-ball projection with reference and target swapped.
+    A design whose kappa_u(d, 0) is already below the radius gets -inf."""
+    p_vy, q_vy = _vy_laws(model, ch, pxus)
+    at_zero = _project_components(p_s, p_vy, q_vy, 0.0)[1]
+    crossing = _project_components(p_s, q_vy, p_vy, radius)[1]
     return np.where(at_zero < radius, -np.inf, crossing)
 
 
@@ -472,7 +444,8 @@ class _SxCache:
 
     def __init__(self, design: InputDesign, ch: Channel, theta_points: int):
         self.design = design
-        self.wl, _, self._powers, self._inf_below = _expurgation_terms(design, ch)
+        self.wl, _, self._powers, self._inf_below = _expurgation_terms(
+            design.joint.probs, ch)
         # I(X;Y|S) = sum_{s,x} P(s) P(x|s) D(W(.|x) || P(.|s)), s-major
         pys = output_given_state(design, ch)
         n = len(ch.rows)
@@ -734,7 +707,7 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid,
     grid = [jr.kappa_alpha for _, jr in rows]
     if grid and np.isfinite(e_x0):
         crossing = functools.partial(_crossing_values, model, ch, e_x0)
-        [value], _ = _design_search(crossing, model, ch, [Pmf((0,), [1.0])],
+        [value], _ = _design_search(crossing, model, ch, np.ones((1, 1)),
                                     config)
         if min(grid) <= value <= max(grid):
             crossover = float(value)

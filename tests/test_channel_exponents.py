@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from errexp import (Channel, DomainError, InputDesign, Pmf, ScoredPmf,
-                    bsc_expurgated_zero_rate, conjugate, expurgated_exponent,
-                    expurgated_exponent_opt, special_message_exponent,
-                    theta_bounds)
+from errexp import (Channel, DomainError, InputDesign, InputError, Pmf,
+                    ScoredPmf, bsc_expurgated_zero_rate, conjugate,
+                    expurgated_exponent, expurgated_exponent_opt,
+                    special_message_exponent, theta_bounds)
 from errexp.channel_exponents import (RHO_GRID, RHO_GRID_POINTS,
                                       _expurgation_terms, _rho_grid_objective,
                                       bhattacharyya_kernel,
@@ -48,6 +48,11 @@ class TestExpurgatedExponent:
         with pytest.raises(DomainError):
             expurgated_exponent(-0.1, UNIFORM2, bsc35)
 
+    def test_design_alphabet_checked(self, bsc35):
+        design = InputDesign.from_matrix(("a", "b"), np.full((2, 2), 0.25))
+        with pytest.raises(InputError, match="alphabet"):
+            expurgated_exponent(0.0, design, bsc35)
+
 
 class TestExpurgatedOpt:
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.35])
@@ -65,7 +70,7 @@ class TestExpurgatedOpt:
 def frozen_expurgated_exponent(rate, design, ch):
     """The scalar expurgated exponent with its golden section, kept as the
     reference that the lockstep `expurgated_exponents` must reproduce."""
-    wl, logb, powers, inf_below = _expurgation_terms(design, ch)
+    wl, logb, powers, inf_below = _expurgation_terms(design.joint.probs, ch)
     if rate < inf_below:
         return float("inf")
 
@@ -87,9 +92,15 @@ SPLIT3 = Channel((0, 1, 2), (0, 1, 2),
                  [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
 
 
+def joints(designs) -> np.ndarray:
+    """The (B, |X|, |X|) stack of the designs' joints P_SX."""
+    return np.stack([d.joint.probs for d in designs])
+
+
 class TestLockstepExpurgated:
-    """expurgated_exponents on lists of designs against the frozen scalar
-    refinement, design by design and bit for bit."""
+    """expurgated_exponents on stacks of joints P_SX against the frozen
+    scalar refinement and the per-design `expurgated_exponent`, design by
+    design and bit for bit."""
 
     @pytest.mark.parametrize("ch", [CYCLIC3, SPLIT3], ids=["cyclic", "split"])
     @pytest.mark.parametrize("rate", [0.0, 0.05, 0.3, 1.2])
@@ -98,10 +109,10 @@ class TestLockstepExpurgated:
         designs = [InputDesign.from_matrix((0, 1, 2), row.reshape(3, 3))
                    for row in sparse_rows(rng, 40, 9, 0.4)]
         designs.append(InputDesign.from_matrix((0, 1, 2), np.eye(3) / 3))
-        values = expurgated_exponents(rate, designs, ch)
+        values = expurgated_exponents(rate, joints(designs), ch)
         expect = [frozen_expurgated_exponent(rate, d, ch) for d in designs]
         assert values.tolist() == expect
-        assert expurgated_exponent(rate, designs[0], ch) == expect[0]
+        assert [expurgated_exponent(rate, d, ch) for d in designs] == expect
         if ch is SPLIT3 and rate == 0.0:
             assert np.isinf(expect).any() and np.isfinite(expect).any()
 
@@ -110,9 +121,12 @@ class TestLockstepExpurgated:
         designs = [InputDesign.from_matrix((0, 1), row.reshape(2, 2))
                    for row in sparse_rows(rng, 30, 4, 0.3)]
         for rate in (0.0, 0.1):
-            values = expurgated_exponents(rate, designs, bsc35)
-            assert values.tolist() == [frozen_expurgated_exponent(rate, d, bsc35)
-                                       for d in designs]
+            values = expurgated_exponents(rate, joints(designs), bsc35)
+            expect = [frozen_expurgated_exponent(rate, d, bsc35)
+                      for d in designs]
+            assert values.tolist() == expect
+            assert [expurgated_exponent(rate, d, bsc35)
+                    for d in designs] == expect
 
     @pytest.mark.parametrize("ch", [CYCLIC3, SPLIT3], ids=["cyclic", "split"])
     def test_opt_matches_scalar_search(self, ch):

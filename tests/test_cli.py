@@ -71,10 +71,15 @@ class TestLoadModel:
         (BERN, "region", ["--kind", "direct", "--kappa-grid=-0.1"]),
         (BERN, "bounds", ["--scheme", "shtcc", "--kappa-grid=0.01,-0.01"]),
         (BERN, "simulate", ["--n-grid", "10", "--trials", "10", "--seed=-1"]),
+        (dict(BERN, u_alphabet=5), "region", ["--kind", "direct"]),
+        (dict(BERN, u_alphabet=[["0"], ["1"]]), "region", ["--kind", "direct"]),
+        (dict(BERN, channel=dict(BERN["channel"], input_alphabet=3)),
+         "region", ["--kind", "direct"]),
     ], ids=["channel-without-rows", "json-list", "zero-points",
             "bad-kappa-grid", "bad-n-grid", "nan-kappa-grid",
             "inf-kappa-grid", "minus-inf-kappa-grid", "negative-kappa-grid",
-            "negative-bounds-kappa-grid", "negative-seed"])
+            "negative-bounds-kappa-grid", "negative-seed", "int-alphabet",
+            "nested-alphabet", "int-channel-alphabet"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, model, command,
                                      options):
         path = tmp_path / "model.json"
@@ -171,6 +176,25 @@ class TestRegion:
         # the anti-diagonal Q of the bundled model has zeros where P does not
         assert main(["region", EXAMPLE1, "--kind", "direct",
                      "--out", str(tmp_path / "x.csv")]) == 3
+
+
+@pytest.mark.parametrize("command, options", [
+    ("region", ["--kind", "direct"]),
+    ("region", ["--kind", "rht"]),
+    ("bounds", ["--scheme", "jhtcc-uncoded", "--grid", "4"]),
+], ids=["direct", "rht", "jhtcc-uncoded"])
+def test_infinite_default_grid_end_exits_3(tmp_path, capsys, command, options):
+    # the bundled model with P and Q swapped: P_UV vanishes where Q_UV does
+    # not, so D(Q||P) = +inf and the default grid has no upper end
+    with open(EXAMPLE1) as fh:
+        spec = json.load(fh)
+    spec["p_uv"], spec["q_uv"] = spec["q_uv"], spec["p_uv"]
+    path = tmp_path / "mirror.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "x.csv"
+    assert main([command, str(path), "--out", str(out)] + options) == 3
+    assert "--kappa-grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestBounds:

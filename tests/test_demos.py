@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the package."""
+"""Every script under demos/ runs to completion against the package, with
+RuntimeWarning turned into an error as in the rest of the suite."""
 
 import os
 import subprocess
@@ -16,6 +17,8 @@ def test_demo_runs(script):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    # the suite's warning rule: a NaN-producing operation fails the demo
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                             str(script)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -15,10 +15,10 @@ from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
 from errexp.channel_exponents import (_rho_grid_objective,
                                       expurgated_exponent_opt,
                                       output_given_state)
-from errexp.dht_bounds import (_ball_optimize, _conditional_vy_laws, _info_uw,
-                               _info_vw, _project_components, _sx_caches,
-                               _SxCache, _tad_first_term, _tai_first_term,
-                               _uncoded_values)
+from errexp.dht_bounds import (_ball_optimize, _info_uw, _info_vw,
+                               _project_components, _sx_caches, _SxCache,
+                               _tad_first_term, _tai_first_term,
+                               _uncoded_values, _vy_laws)
 from errexp.legendre import Mixture
 from errexp.optimize import GRID_CHUNK
 from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
@@ -82,8 +82,8 @@ class TestKlBallProjection:
         # every geometric mixture is [1, 0] at radius log 2, just above the
         # ball, so the multiplier grows to its 1e12 cap without a sign change
         ref, tgt = np.array([0.5, 0.5]), np.array([1.0, 0.0])
-        [(ps, value)] = _project_components([[(1.0, ref, tgt)]],
-                                            np.log(2.0) - 1e-13)
+        [(ps, value)] = project_lists([[(1.0, ref, tgt)]],
+                                      np.log(2.0) - 1e-13)
         assert ps[0].tolist() == [1.0, 0.0]
         assert value == 0.0
 
@@ -98,6 +98,32 @@ class TestKlBallProjection:
                                         minimizer.probs) <= 1e-7
             if value > 0 and kappa < kl_array(tgt.probs, ref.probs):
                 assert kl_array(minimizer.probs, ref.probs) <= kappa + 1e-7
+
+
+def padded(problems):
+    """w (B, K), ref and tgt (B, K, n) of lists of (w, ref, tgt) components,
+    zero-padded to the longest list and the widest component."""
+    n_comp = max(len(comps) for comps in problems)
+    n = max(np.size(r) for comps in problems for _, r, _ in comps)
+    w = np.zeros((len(problems), n_comp))
+    ref, tgt = np.zeros((2, len(problems), n_comp, n))
+    for b, comps in enumerate(problems):
+        for k, (wk, r, t) in enumerate(comps):
+            w[b, k] = wk
+            ref[b, k, :np.size(r)], tgt[b, k, :np.size(t)] = np.ravel(r), np.ravel(t)
+    return w, ref, tgt
+
+
+def project_lists(problems, kappa):
+    """`_project_components` on lists of problems, through zero padding: per
+    problem, the laws of its positive-weight components cut to their own
+    lengths, and the value. Every zero-weight or padded component must keep
+    its reference as its law."""
+    w, ref, tgt = padded(problems)
+    laws, values = _project_components(w, ref, tgt, kappa)
+    assert np.array_equal(laws[w == 0], ref[w == 0])
+    return [([law[:np.size(r)] for law, (wk, r, _) in zip(laws[b], comps)
+              if wk > 0], values[b]) for b, comps in enumerate(problems)]
 
 
 def _overlapping_components(rng):
@@ -133,7 +159,7 @@ class TestProjectComponents:
             comps = _overlapping_components(rng)
             kappa_min = -sum(w * np.log(r[t > 0].sum()) for w, r, t in comps)
             kappa = float(rng.uniform(kappa_min, _free_radius(comps)))
-            [(ps, value)] = _project_components([comps], kappa)
+            [(ps, value)] = project_lists([comps], kappa)
             radius = sum(w * kl_array(p, r) for (w, r, _), p in zip(comps, ps))
             assert radius == pytest.approx(kappa, abs=1e-9)
             assert value == sum(w * kl_array(p, t)
@@ -156,8 +182,8 @@ class TestProjectComponents:
         rng = np.random.default_rng(11)
         for _ in range(self.CASES):
             comps = _overlapping_components(rng)
-            [(ps, value)] = _project_components(
-                [comps], _free_radius(comps) + 0.01)
+            [(ps, value)] = project_lists([comps],
+                                          _free_radius(comps) + 0.01)
             assert value == sum(w * kl_array(p, t)
                                 for (w, _, t), p in zip(comps, ps))
             assert value == pytest.approx(
@@ -237,12 +263,12 @@ def _random_problems(rng, n, size):
 
 
 class TestStackedProjection:
-    """`_project_components` on lists of problems against the frozen scalar
-    projection, problem by problem and bit for bit."""
+    """`_project_components` on zero-padded stacks of problems against the
+    frozen scalar projection, problem by problem and bit for bit."""
 
     @staticmethod
     def check(problems, kappa):
-        got = _project_components(problems, kappa)
+        got = project_lists(problems, kappa)
         assert len(got) == len(problems)
         for comps, (laws, value) in zip(problems, got):
             ref_laws, ref_value = frozen_project_components(comps, kappa)
@@ -281,7 +307,7 @@ class TestStackedProjection:
         base = [(1.0, np.array([0.4, 0.3, 0.3]), np.array([0.1, 0.2, 0.7]))]
         for mu in (0.0, 1.0, 2.0):
             kappa = float(_radius_at(base, 1.0 / (1.0 + mu)))
-            [(laws, _)] = _project_components([base], kappa)
+            [(laws, _)] = project_lists([base], kappa)
             _, r, t = base[0]
             tilted = Mixture([(1.0, r, np.log(t) - np.log(r))])
             assert np.array_equal(laws[0], tilted.tilted(1.0 / (1.0 + mu))[0])
@@ -314,24 +340,92 @@ class TestStackedProjection:
             frozen_bisect_monotone(gap, lo, hi, tol=1e-9, max_iter=200)
         return len(seen)
 
+    def test_zero_weight_component_first(self):
+        rng = np.random.default_rng(41)
+        problems = [[(0.0, *sparse_rows(rng, 2, 4, 0.25)),
+                     (1.0, *sparse_rows(rng, 2, 4, 0.25))] for _ in range(8)]
+        for kappa in (0.0, 0.01, 0.2):
+            self.check(problems, kappa)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.01])
+    def test_zero_weight_component_of_infinite_divergence(self, kappa):
+        # D(ref || tgt) = +inf on the zero-weight component: it must add
+        # nothing, where 0 * inf would warn and give NaN
+        live = (1.0, np.array([0.4, 0.6]), np.array([0.5, 0.5]))
+        dead = (0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        for comps in ([live, dead], [dead, live]):
+            [value] = self.check([comps], kappa)
+            assert np.isfinite(value)
+
     def test_uncoded_values_on_a_ternary_model(self):
         rng = np.random.default_rng(37)
-        p_uv = sparse_rows(rng, 1, 9, 0.2)[0].reshape(3, 3)
-        q_uv = sparse_rows(rng, 1, 9, 0.2)[0].reshape(3, 3)
-        model = SourceModel(JointPmf((0, 1, 2), (0, 1, 2), p_uv),
-                            JointPmf((0, 1, 2), (0, 1, 2), q_uv))
-        ch = Channel((0, 1, 2), (0, 1, 2), sparse_rows(rng, 3, 3, 0.3))
-        designs = []
-        for i in range(20):
-            p_s = Pmf((0, 1), [1.0, 0.0] if i % 5 == 0 else [0.3, 0.7])
-            rows = sparse_rows(rng, 6, 3, 0.3).reshape(3, 2, 3)
-            designs.append(AuxiliaryDesign(p_s=p_s, p_x_given_us=rows))
+        model, ch, p_s, pxus = ternary_uncoded_instance(rng, 20)
         for kappa in (0.0, 0.005, 0.05):
-            values = _uncoded_values(model, ch, kappa, designs)
-            expect = [frozen_project_components(
-                _conditional_vy_laws(model, ch, d), kappa)[1] for d in designs]
+            values = _uncoded_values(model, ch, kappa, p_s, pxus)
+            expect = [frozen_project_components(frozen_conditional_vy_laws(
+                model, ch, p_s[b], pxus[b]), kappa)[1] for b in range(len(pxus))]
             assert values.tolist() == expect
-            assert jhtcc_uncoded(model, ch, kappa, designs[1]) == expect[1]
+            design = AuxiliaryDesign(p_s=Pmf((0, 1), p_s[1]),
+                                     p_x_given_us=pxus[1])
+            assert jhtcc_uncoded(model, ch, kappa, design) == expect[1]
+
+
+def ternary_uncoded_instance(rng, n_designs):
+    """A ternary model and channel with zeros, and a stack of two-state
+    designs of which every fifth gives its first state zero weight."""
+    p_uv = sparse_rows(rng, 1, 9, 0.2)[0].reshape(3, 3)
+    q_uv = sparse_rows(rng, 1, 9, 0.2)[0].reshape(3, 3)
+    model = SourceModel(JointPmf((0, 1, 2), (0, 1, 2), p_uv),
+                        JointPmf((0, 1, 2), (0, 1, 2), q_uv))
+    ch = Channel((0, 1, 2), (0, 1, 2), sparse_rows(rng, 3, 3, 0.3))
+    p_s = np.array([[0.0, 1.0] if i % 5 == 0 else [0.3, 0.7]
+                    for i in range(n_designs)])
+    pxus = sparse_rows(rng, 6 * n_designs, 3, 0.3).reshape(-1, 3, 2, 3)
+    return model, ch, p_s, pxus
+
+
+def frozen_conditional_vy_laws(model, ch, p_s, pxus):
+    """The per-design loop that `_vy_laws` replaced, kept as its reference:
+    (weight, P_{VY|S=s}, Q_{VY|S=s}) of every state of positive weight."""
+    triples = []
+    for s, weight in enumerate(p_s):
+        if weight == 0:
+            continue
+        y_given_u = pxus[:, s, :] @ ch.rows           # |U| x |Y|
+        p_vy = model.p_uv.probs.T @ y_given_u         # |V| x |Y|
+        q_vy = model.q_uv.probs.T @ y_given_u
+        triples.append((float(weight), p_vy, q_vy))
+    return triples
+
+
+class TestUncodedStacks:
+    """The uncoded bound's stacked laws and values against the frozen
+    per-design loop and projection, bit for bit."""
+
+    def test_vy_laws_equal_frozen_loop(self, example1, bsc35):
+        rng = np.random.default_rng(43)
+        model, ch, p_s, pxus = ternary_uncoded_instance(rng, 20)
+        binary = rng.dirichlet(np.ones(2), size=(15, 2, 2))
+        for model, ch, p_s, pxus in ((model, ch, p_s, pxus),
+                                     (example1, bsc35, np.full((15, 2), 0.5),
+                                      binary)):
+            p_vy, q_vy = _vy_laws(model, ch, pxus)
+            for b in range(len(pxus)):
+                triples = frozen_conditional_vy_laws(model, ch, p_s[b], pxus[b])
+                live = np.flatnonzero(p_s[b] > 0)
+                assert len(triples) == len(live)
+                for s, (_, p, q) in zip(live, triples):
+                    assert np.array_equal(p_vy[b, s], p.reshape(-1))
+                    assert np.array_equal(q_vy[b, s], q.reshape(-1))
+
+    def test_design_shapes_checked(self, example1, bsc35):
+        for design in (AuxiliaryDesign(p_s=Pmf((0,), [1.0])),
+                       AuxiliaryDesign(p_s=Pmf((0,), [1.0]),
+                                       p_x_given_us=np.full((3, 1, 2), 0.5)),
+                       AuxiliaryDesign(p_s=Pmf((0, 1), [0.5, 0.5]),
+                                       p_x_given_us=np.full((2, 1, 2), 0.5))):
+            with pytest.raises(InputError):
+                jhtcc_uncoded(example1, bsc35, 0.01, design)
 
 
 class TestJhtccUncoded:
@@ -882,6 +976,19 @@ class TestPinnedValues:
         assert rep.achiever["p_x_given_us"] == pytest.approx(
             (0.5, 0.5, 0.0, 1.0, 0.5, 0.5, 1.0, 0.0), rel=PIN_REL)
 
+    def test_jhtcc_uncoded_two_states_bits(self, example1, bsc35):
+        # the winner gives its first state zero weight, a path that no CLI
+        # command runs; value and achiever are pinned bit for bit and type
+        # for type
+        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2, config=FAST)
+        assert repr(rep.value) == "0.029586132112097395"
+        f64 = "np.float64({})".format
+        assert repr(rep.achiever) == (
+            "{'p_s': (%s), 'p_x_given_us': (%s)}" % (
+                ", ".join(map(f64, ("0.0", "1.0"))),
+                ", ".join(map(f64, ("0.5", "0.5", "0.0", "1.0",
+                                    "0.5", "0.5", "1.0", "0.0")))))
+
 
 def full_support_tad_model() -> SourceModel:
     """TAD with a fully supported Q_UV (row masses a = 0.48 and 0.52)."""
@@ -950,14 +1057,12 @@ class TestCompareSchemes:
         _, crossover = compare_schemes(example1, bsc35, [0.001, 0.008], FAST)
         e_x0 = expurgated_exponent_opt(0.0, bsc35)[0]
         ts = np.linspace(0.0, 1.0, 101)
-        problems = []
-        for a, b in itertools.product(ts, ts):
-            design = AuxiliaryDesign(p_s=Pmf((0,), [1.0]), p_x_given_us=np.array(
-                [[[a, 1.0 - a]], [[b, 1.0 - b]]]))
-            problems.append([(w, q_vy, p_vy) for w, p_vy, q_vy
-                             in _conditional_vy_laws(example1, bsc35, design)])
-        values = [value for _, value in _project_components(problems, e_x0)]
-        assert crossover >= max(values) - 1e-12
+        pxus = np.array([[[[a, 1.0 - a]], [[b, 1.0 - b]]]
+                         for a, b in itertools.product(ts, ts)])
+        p_vy, q_vy = _vy_laws(example1, bsc35, pxus)
+        _, values = _project_components(np.ones((len(pxus), 1)), q_vy, p_vy,
+                                        e_x0)
+        assert crossover >= values.max() - 1e-12
 
     @pytest.mark.parametrize("grid", [[0.005, 0.008], [0.001, 0.003]],
                              ids=["below-grid", "above-grid"])
