@@ -19,6 +19,10 @@ RHO_CAP = 1e4
 RHO_GRID_POINTS = 80
 RHO_GRID = np.geomspace(1.0, RHO_CAP, RHO_GRID_POINTS)
 RHO_GRID.flags.writeable = False
+# designs whose rho grids are scored at once: the (RHO_BLOCK, RHO_GRID_POINTS,
+# k) power stacks stay small; a 256-design stack in one piece raised the peak
+# memory of a command by about 1 MB
+RHO_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,11 @@ class InputDesign:
 
 
 def _input_given_state(p_sx: np.ndarray) -> np.ndarray:
-    """P_{X|S} rows of a joint P_SX; uniform rows where P_S(s) = 0."""
-    marg = p_sx.sum(axis=1)[:, None]
+    """P_{X|S} rows of a joint P_SX (or of each of a stack); uniform rows
+    where P_S(s) = 0."""
+    marg = p_sx.sum(axis=-1)[..., None]
     return np.where(marg > 0, p_sx / np.where(marg > 0, marg, 1.0),
-                    1.0 / p_sx.shape[1])
+                    1.0 / p_sx.shape[-1])
 
 
 def bhattacharyya_kernel(ch: Channel) -> np.ndarray:
@@ -66,37 +71,59 @@ def bhattacharyya_kernel(ch: Channel) -> np.ndarray:
 
 
 def _pair_weights(p_sx: np.ndarray) -> np.ndarray:
-    """w[x, x'] = sum_s P_S(s) P_{X|S}(x|s) P_{X|S}(x'|s) of a joint P_SX."""
+    """w[b, x, x'] = sum_s P_S(s) P_{X|S}(x|s) P_{X|S}(x'|s) of every joint
+    P_SX of a (B, |X|, |X|) stack."""
     pxs = _input_given_state(p_sx)
-    return (pxs.T * p_sx.sum(axis=1)) @ pxs
+    return (pxs.transpose(0, 2, 1) * p_sx.sum(axis=2)[:, None, :]) @ pxs
 
 
 def _expurgation_terms(p_sx: np.ndarray, ch: Channel):
-    """(wl, logb, powers, inf_below) of the expurgated objective
-    -rho*R - rho*log(sum wl * exp(logb / rho)) of a joint P_SX.
+    """(wl, logb, k, inf_below) of the expurgated objective
+    -rho*R - rho*log(sum wl * exp(logb / rho)) of every joint P_SX of a
+    (B, |X|, |X|) stack.
 
-    wl and logb are the pair weights and log Bhattacharyya entries where both
-    are positive; powers holds exp(logb / rho) per RHO_GRID point (rows) and
-    entry (columns). Weight on zero kernel entries makes the objective grow
-    linearly in rho once R < -log(sum wl), so the exponent is +inf for every
-    rate below inf_below (-inf when no weight sits on a zero entry).
+    Row b of wl and logb holds the pair weights and log Bhattacharyya
+    entries of its k[b] live entries, where both are positive, packed to the
+    front in index order, then zeros; a sum over a row runs over its first
+    k[b] entries only, as over the live entries alone. Every diagonal entry
+    of positive weight is live, so k >= 1. Weight on zero kernel entries
+    makes the objective grow linearly in rho once R < -log(sum wl), so the
+    exponent is +inf for every rate below inf_below (-inf when no weight
+    sits on a zero entry).
     """
-    w = _pair_weights(p_sx).reshape(-1)
+    w = _pair_weights(p_sx).reshape(len(p_sx), -1)
     b = bhattacharyya_kernel(ch).reshape(-1)
     live = (w > 0) & (b > 0)
-    wl = w[live]
-    inf_below = -np.inf
-    if float(w[(w > 0) & (b == 0)].sum()) > 0:
-        live_mass = float(wl.sum())
-        inf_below = np.inf if live_mass == 0.0 else -float(np.log(live_mass))
-    logb = np.log(b[live])
-    return wl, logb, np.exp(logb[None, :] / RHO_GRID[:, None]), inf_below
+    k = live.sum(axis=1)
+    order = np.argsort(~live, axis=1, kind="stable")
+    packed = np.arange(b.size) < k[:, None]
+    wl = np.where(packed, np.take_along_axis(w, order, axis=1), 0.0)
+    logb = np.where(packed, np.log(np.where(b > 0, b, 1.0))[order], 0.0)
+    heavy = ((w > 0) & (b == 0)).any(axis=1)
+    inf_below = np.empty(len(w))
+    for rows, n in _live_groups(k):
+        inf_below[rows] = np.where(heavy[rows],
+                                   -np.log(wl[rows, :n].sum(axis=1)), -np.inf)
+    return wl, logb, k, inf_below
 
 
-def _rho_grid_objective(rate: float, wl: np.ndarray,
+def _live_groups(k: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(rows, n) of each live-entry count n in the array k."""
+    return [(np.flatnonzero(k == n), int(n))
+            for n in np.flatnonzero(np.bincount(k))]
+
+
+def _rho_grid_objective(rate, wl: np.ndarray,
                         powers: np.ndarray) -> np.ndarray:
-    """The expurgated objective -rho*R - rho*log(sum wl B^(1/rho)) on RHO_GRID."""
-    return -RHO_GRID * rate - RHO_GRID * np.log(powers @ wl)
+    """The expurgated objective -rho*R - rho*log(sum wl B^(1/rho)) on RHO_GRID
+    (the last axis), of live weights wl (..., k) and their powers
+    (..., RHO_GRID_POINTS, k)."""
+    return -RHO_GRID * rate - RHO_GRID * np.log((powers @ wl[..., None])[..., 0])
+
+
+def _powers(logb: np.ndarray) -> np.ndarray:
+    """exp(logb / rho) per RHO_GRID point (second last axis) and live entry."""
+    return np.exp(logb[..., None, :] / RHO_GRID[:, None])
 
 
 def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
@@ -117,31 +144,34 @@ def expurgated_exponents(rate: float, p_sx: np.ndarray,
     """`expurgated_exponent` of every joint P_SX of a (B, |X|, |X|) stack,
     refined in lockstep.
 
-    Designs whose objectives have one number of live kernel entries share
-    one golden section over a (designs, entries) stack, so each row's sums
-    keep the bits of its own refinement.
+    Every design runs in one golden section, its value replaced by +inf
+    below its inf_below. Its sums run over its own live kernel entries, with
+    the designs of one live-entry count stacked as (designs, entries), so
+    each row keeps the bits of its own refinement; the rho grid is scored
+    RHO_BLOCK designs at a time.
     """
-    if rate < 0:
+    if not rate >= 0:
         raise DomainError("rate must be non-negative")
-    values = np.full(len(p_sx), np.inf)
-    stacks: dict[int, list] = {}
-    for i, joint in enumerate(p_sx):
-        wl, logb, powers, inf_below = _expurgation_terms(joint, ch)
-        if rate < inf_below:
-            continue
-        k = int(np.argmax(_rho_grid_objective(rate, wl, powers)))
-        stacks.setdefault(wl.size, []).append(
-            (i, wl, logb, RHO_GRID[max(k - 1, 0)],
-             RHO_GRID[min(k + 1, RHO_GRID_POINTS - 1)]))
-    for rows in stacks.values():
-        idx, wl, logb, lo, hi = (np.array(col) for col in zip(*rows))
+    wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
+    groups = [(rows, wl[rows, :n], logb[rows, :n])
+              for rows, n in _live_groups(k)]
+    lo, hi = np.empty(len(k)), np.empty(len(k))
+    for rows, w_n, b_n in groups:
+        for s in range(0, rows.size, RHO_BLOCK):
+            block = slice(s, s + RHO_BLOCK)
+            top = np.argmax(_rho_grid_objective(rate, w_n[block],
+                                                _powers(b_n[block])), axis=-1)
+            lo[rows[block]] = RHO_GRID[np.maximum(top - 1, 0)]
+            hi[rows[block]] = RHO_GRID[np.minimum(top + 1, RHO_GRID_POINTS - 1)]
 
-        def objective(rho: np.ndarray) -> np.ndarray:
-            kernel = np.sum(wl * np.exp(logb / rho[:, None]), axis=1)
-            return -rho * rate - rho * np.log(kernel)
+    def objective(rho: np.ndarray) -> np.ndarray:
+        kernel = np.empty(rho.size)
+        for rows, w_n, b_n in groups:
+            kernel[rows] = np.sum(w_n * np.exp(b_n / rho[rows, None]), axis=1)
+        return -rho * rate - rho * np.log(kernel)
 
-        values[idx] = maximize_1d(objective, lo, hi, tol=1e-9)[1]
-    return values
+    values = maximize_1d(objective, lo, hi, tol=1e-9)[1]
+    return np.where(rate < inf_below, np.inf, values)
 
 
 def expurgated_exponent_opt(rate: float, ch: Channel,

@@ -283,14 +283,14 @@ def cmd_bounds(args) -> int:
         if crossover is not None:
             extra.append(f"# crossover kappa_alpha={_fmt(crossover)}")
     else:
-        for ka in kappas:
-            if args.scheme == "jhtcc-uncoded":
-                rep = jhtcc_uncoded_opt(model, model_file.channel, ka,
-                                        config=config)
-            elif model.is_tai:
-                rep = shtcc_tai(model, model_file.channel, ka, config)
-            else:
-                rep = shtcc_tad(model, model_file.channel, ka, config)
+        if args.scheme == "jhtcc-uncoded":
+            reps = jhtcc_uncoded_opt(model, model_file.channel, kappas,
+                                     config=config)
+        else:
+            shtcc = shtcc_tai if model.is_tai else shtcc_tad
+            reps = [shtcc(model, model_file.channel, ka, config)
+                    for ka in kappas]
+        for rep in reps:
             rows.append([rep.kappa_alpha, rep.name, rep.value,
                          int(rep.feasible), _digest_achiever(rep.achiever)])
     header = _manifest_lines("bounds", model_file, {

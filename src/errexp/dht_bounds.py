@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_exponents import (InputDesign, _expurgation_terms,
+from .channel_exponents import (InputDesign, _expurgation_terms, _powers,
                                 _rho_grid_objective, expurgated_exponent_opt,
                                 output_given_state, special_message_exponent,
                                 theta_bounds)
@@ -108,10 +108,11 @@ class DhtSearchConfig:
 
 
 def _project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
-                        kappa_alpha: float) -> tuple[np.ndarray, np.ndarray]:
+                        kappa_alpha) -> tuple[np.ndarray, np.ndarray]:
     """Shared-multiplier KL-ball projections of B problems of K weighted
-    components, given as w (B, K) and zero-padded ref and tgt (B, K, n):
-    the laws (B, K, n) and the values (B,).
+    components, given as w (B, K) and zero-padded ref and tgt (B, K, n),
+    with one kappa_alpha for all or one per problem: the laws (B, K, n) and
+    the values (B,).
 
     Problem b minimizes sum_k w_k D(P_k || tgt_k) subject to
     sum_k w_k D(P_k || ref_k) <= kappa_alpha. A single Lagrange multiplier
@@ -128,23 +129,24 @@ def _project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
 
     Problems of one shape, live components and widest common support, are
     solved as one `Mixture.stack` with their live components packed to the
-    front, every step one tilt with a lam per problem, so each visits the
-    multipliers it would visit alone and gets the same bits.
+    front, every step one tilt with a lam and a kappa_alpha per problem, so
+    each visits the multipliers it would visit alone and gets the same bits.
     """
-    if kappa_alpha < 0:
+    kappa = np.broadcast_to(np.asarray(kappa_alpha, dtype=float), len(w))
+    if not np.all(kappa >= 0):
         raise InputError("kappa_alpha must be non-negative")
     live = w > 0
     laws = ref.copy()
-    solved = np.full(len(w), kappa_alpha == 0)
-    if kappa_alpha > 0:
-        if not live.any(axis=1).all():
+    solved = kappa == 0
+    if not solved.all():
+        if not live[~solved].any(axis=1).all():
             raise InputError("mixture has no components")
         # feasible supports: P_k must be << ref_k, and << tgt_k for finite value
         masks = (ref > 0) & (tgt > 0)
         counts = masks.sum(axis=-1)
         n_live = live.sum(axis=1)
         width = np.where(live, counts, 0).max(axis=1)
-        finite = ~(live & (counts == 0)).any(axis=1)
+        finite = ~solved & ~(live & (counts == 0)).any(axis=1)
         # live components packed to the front; the CGF of a problem is as
         # wide as its widest common support, and only problems of one shape
         # share a stack, so every row sum keeps its bits
@@ -162,11 +164,11 @@ def _project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
             pad = np.arange(m) >= counts[at][..., None]
             mix = Mixture.stack(w[at], np.where(pad, 0.0, p),
                                 np.where(pad, f[..., :1], f))
-            feasible = ~(kappa_alpha < -mix.tilt(np.zeros(len(idx)))[0] - 1e-12)
+            feasible = ~(kappa[idx] < -mix.tilt(np.zeros(len(idx)))[0] - 1e-12)
             mix, idx, pad = mix.rows(feasible), idx[feasible], pad[feasible]
             if not len(idx):
                 continue
-            lam = 1.0 / (1.0 + _ball_multipliers(mix, kappa_alpha))
+            lam = 1.0 / (1.0 + _ball_multipliers(mix, kappa[idx]))
             at = idx[:, None], comps[idx, :k]
             tilted = np.zeros(ref[at].shape)
             tilted[masks[at]] = mix.tilted(lam)[~pad]
@@ -181,39 +183,40 @@ def _project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
     return laws, np.where(solved, value, np.inf)
 
 
-def _ball_multipliers(mix: Mixture, kappa_alpha: float) -> np.ndarray:
-    """The multiplier mu of every problem of a stack: 0 when the ball does
-    not bind, else doubled from 1 until the radius gap changes sign (at most
-    to the 1e12 cap, where the last multiplier is kept) and bisected to a gap
-    of BALL_ACTIVE_TOL. All problems step in lockstep, and the gaps at the
-    bracket ends are carried into the bisection."""
+def _ball_multipliers(mix: Mixture, kappa: np.ndarray) -> np.ndarray:
+    """The multiplier mu of every problem of a stack, each at its own radius
+    kappa: 0 when the ball does not bind, else doubled from 1 until the
+    radius gap changes sign (at most to the 1e12 cap, where the last
+    multiplier is kept) and bisected to a gap of BALL_ACTIVE_TOL. All
+    problems step in lockstep, and the gaps at the bracket ends are carried
+    into the bisection."""
 
-    def gap(mix: Mixture, mu: np.ndarray) -> np.ndarray:
+    def gap(mix: Mixture, mu: np.ndarray, kappa: np.ndarray) -> np.ndarray:
         lam = 1.0 / (1.0 + mu)
         psi, dpsi = mix.tilt(lam)
-        return lam * dpsi - psi - kappa_alpha
+        return lam * dpsi - psi - kappa
 
     mu = np.zeros(len(mix.w))
-    g0 = gap(mix, mu)
+    g0 = gap(mix, mu, kappa)
     binds = np.flatnonzero(g0 > 0.0)
     if not binds.size:
         return mu
-    mix = mix.rows(binds)
+    mix, kappa = mix.rows(binds), kappa[binds]
     lo, glo = np.zeros(binds.size), g0[binds]
     hi = np.ones(binds.size)
-    ghi = gap(mix, hi)
+    ghi = gap(mix, hi, kappa)
     while (grow := (ghi > 0.0) & (hi < 1e12)).any():
         lo, glo = np.where(grow, hi, lo), np.where(grow, ghi, glo)
         hi = np.where(grow, hi * 2.0, hi)
-        ghi = np.where(grow, gap(mix, hi), ghi)
+        ghi = np.where(grow, gap(mix, hi, kappa), ghi)
     # the radius falls in mu; past the 1e12 cap keep the last multiplier
     mu[binds] = hi
     run = ~(ghi > 0.0)
     if run.any():
         sub = mix.rows(run)
         mu[binds[run]] = bisect_monotone(
-            lambda x: gap(sub, x), lo[run], hi[run], tol=BALL_ACTIVE_TOL,
-            max_iter=200, glo=glo[run], ghi=ghi[run])
+            lambda x: gap(sub, x, kappa[run]), lo[run], hi[run],
+            tol=BALL_ACTIVE_TOL, max_iter=200, glo=glo[run], ghi=ghi[run])
     return mu
 
 
@@ -264,24 +267,29 @@ def jhtcc_uncoded(model: SourceModel, ch: Channel, kappa_alpha: float,
                                  pxus[None])[0])
 
 
-def _uncoded_values(model: SourceModel, ch: Channel, kappa_alpha: float,
+def _uncoded_values(model: SourceModel, ch: Channel, kappa_alpha,
                     p_s: np.ndarray, pxus: np.ndarray) -> np.ndarray:
     """`jhtcc_uncoded` of every design of a stack: time shares p_s
-    (B, |S|) and P_{X|US} rows pxus (B, |U|, |S|, |X|)."""
+    (B, |S|) and P_{X|US} rows pxus (B, |U|, |S|, |X|), at one kappa_alpha
+    for all or one per design."""
     return _project_components(p_s, *_vy_laws(model, ch, pxus), kappa_alpha)[1]
 
 
-def _design_search(values, model: SourceModel, ch: Channel, p_s: np.ndarray,
+def _design_search(values, model: SourceModel, ch: Channel,
+                   kappa: np.ndarray, p_s: np.ndarray,
                    config: DhtSearchConfig) -> tuple[np.ndarray, list]:
-    """Best values and P_{X|US} rows (None where all score -inf) over designs
-    with each time share of the (R, |S|) array p_s, scored by
-    `values(p_s, pxus)` on stacks: one `grid_then_pattern` call for all of
-    them, from the uniform rows and, when |X| = |U|, from X = U."""
+    """Best values and P_{X|US} rows (None where all score -inf) of R design
+    searches, search r at the radius kappa[r] of the (R,) array over designs
+    with the time share p_s[r] of the (R, |S|) array, scored by
+    `values(model, ch, kappa, p_s, pxus)` on stacks, one radius and time
+    share per row: one `grid_then_pattern` call for all of them, from the
+    uniform rows and, when |X| = |U|, from X = U."""
     n_u, n_s, n_x = (len(model.p_uv.row_alphabet), p_s.shape[1],
                      len(ch.input_alphabet))
 
     def score(probes: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return values(p_s[owner], probes.reshape(-1, n_u, n_s, n_x))
+        return values(model, ch, kappa[owner], p_s[owner],
+                      probes.reshape(-1, n_u, n_s, n_x))
 
     seeds = [[np.full(n_x, 1.0 / n_x) for _ in range(n_u * n_s)]]
     if n_x == n_u:
@@ -292,30 +300,41 @@ def _design_search(values, model: SourceModel, ch: Channel, p_s: np.ndarray,
                   for b in blocks]
 
 
-def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha: float,
+def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha,
                       n_states: int = 1,
-                      config: DhtSearchConfig = DhtSearchConfig()) -> BoundReport:
+                      config: DhtSearchConfig = DhtSearchConfig()):
     """kappa_u* : the uncoded bound maximized over P_{X|US} (and P_S when
-    two time-share states are enabled)."""
+    two time-share states are enabled).
+
+    Elementwise over a sequence of kappa_alpha, as one design search over
+    every (kappa_alpha, P_S) pair: a float gives one BoundReport, a sequence
+    a tuple of them."""
     if n_states not in (1, 2):
         raise InputError("n_states must be 1 or 2")
+    kappas = np.atleast_1d(np.asarray(kappa_alpha, dtype=float))
     res = config.sx_resolution
     p_s = (np.ones((1, 1)) if n_states == 1 else
            np.array([[k / res, 1.0 - k / res] for k in range(res + 1)]))
+    # search i * |P_S| + k pairs kappas[i] with the time share p_s[k]
     values, rows = _design_search(
-        functools.partial(_uncoded_values, model, ch, kappa_alpha), model, ch,
-        p_s, config)
-    k = int(np.argmax(values))  # the first of equal maxima
-    achiever = {"p_s": tuple(p_s[k]), "p_x_given_us": tuple(rows[k].reshape(-1))}
-    return BoundReport("jhtcc_uncoded", kappa_alpha, float(values[k]), achiever,
-                       feasible=True, grid_resolution=config.sx_resolution)
+        _uncoded_values, model, ch, np.repeat(kappas, len(p_s)),
+        np.tile(p_s, (len(kappas), 1)), config)
+    values = values.reshape(len(kappas), len(p_s))
+    reports = tuple(BoundReport(
+        "jhtcc_uncoded", float(kappas[i]), float(values[i, k]),
+        {"p_s": tuple(p_s[k]),
+         "p_x_given_us": tuple(rows[i * len(p_s) + k].reshape(-1))},
+        feasible=True, grid_resolution=config.sx_resolution)
+        for i, k in enumerate(values.argmax(axis=1)))  # first of equal maxima
+    return reports[0] if np.ndim(kappa_alpha) == 0 else reports
 
 
-def _crossing_values(model: SourceModel, ch: Channel, radius: float,
+def _crossing_values(model: SourceModel, ch: Channel, radius,
                      p_s: np.ndarray, pxus: np.ndarray) -> np.ndarray:
     """kappa_alpha_d of every design of a stack, where kappa_u(d, .) falls
-    to `radius`: the KL-ball projection with reference and target swapped.
-    A design whose kappa_u(d, 0) is already below the radius gets -inf."""
+    to `radius` (one for all, or one per design): the KL-ball projection
+    with reference and target swapped. A design whose kappa_u(d, 0) is
+    already below its radius gets -inf."""
     p_vy, q_vy = _vy_laws(model, ch, pxus)
     at_zero = _project_components(p_s, p_vy, q_vy, 0.0)[1]
     crossing = _project_components(p_s, q_vy, p_vy, radius)[1]
@@ -342,6 +361,8 @@ def _ball_optimize(p_ref: np.ndarray, objective, signs: np.ndarray,
     search finds nothing either, its value reads -inf again. `objective`
     never sees more than GRID_CHUNK rows at once. Returns the R extrema.
     """
+    if not kappa_alpha >= 0:
+        raise InputError("kappa_alpha must be non-negative")
     ref = p_ref.reshape(-1)
     signs = np.asarray(signs, dtype=float)
     limit = kappa_alpha + 1e-12
@@ -440,12 +461,14 @@ def zeta_rho(model: SourceModel, p_wus, kappa_alpha: float,
 
 
 class _SxCache:
-    """Precomputed channel-coding quantities for one P_SX design."""
+    """Precomputed channel-coding quantities for one P_SX design, given its
+    row (wl, logb, k, inf_below) of `_expurgation_terms` on a stack."""
 
-    def __init__(self, design: InputDesign, ch: Channel, theta_points: int):
+    def __init__(self, design: InputDesign, ch: Channel, theta_points: int,
+                 terms):
         self.design = design
-        self.wl, _, self._powers, self._inf_below = _expurgation_terms(
-            design.joint.probs, ch)
+        wl, logb, k, self._inf_below = terms
+        self.wl, self._powers = wl[:k], _powers(logb[:k])
         # I(X;Y|S) = sum_{s,x} P(s) P(x|s) D(W(.|x) || P(.|s)), s-major
         pys = output_given_state(design, ch)
         n = len(ch.rows)
@@ -495,10 +518,13 @@ def _sx_caches_of(inputs: tuple, outputs: tuple, rows: bytes,
     ch = Channel(inputs, outputs,
                  np.frombuffer(rows).reshape(len(inputs), len(outputs)))
     n = len(inputs)
+    p_sx = np.reshape(list(simplex_grid(n * n, config.sx_resolution)),
+                      (-1, n, n))
+    terms = _expurgation_terms(p_sx, ch)
     return tuple(
-        _SxCache(InputDesign(JointPmf(inputs, inputs, vec.reshape(n, n))), ch,
-                 config.theta_points)
-        for vec in simplex_grid(n * n, config.sx_resolution))
+        _SxCache(InputDesign(JointPmf(inputs, inputs, joint)), ch,
+                 config.theta_points, [t[i] for t in terms])
+        for i, joint in enumerate(p_sx))
 
 
 def _best_channel_terms(caches: tuple[_SxCache, ...], zeta: np.ndarray,
@@ -696,19 +722,15 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid,
     Ann. Probab. 1975): one design search over single-state designs.
     """
     e_x0, design0 = expurgated_exponent_opt(0.0, ch)
-    rows = []
-    for ka in kappa_grid:
-        jr = jhtcc_uncoded_opt(model, ch, float(ka), config=config)
-        sr = BoundReport("shtcc_ex0_upper", float(ka), e_x0,
+    grid = [float(ka) for ka in kappa_grid]
+    rows = [(BoundReport("shtcc_ex0_upper", jr.kappa_alpha, e_x0,
                          {"p_sx": tuple(design0.joint.probs.reshape(-1))},
-                         feasible=True, grid_resolution=config.sx_resolution)
-        rows.append((sr, jr))
+                         feasible=True, grid_resolution=config.sx_resolution),
+             jr) for jr in jhtcc_uncoded_opt(model, ch, grid, config=config)]
     crossover = None
-    grid = [jr.kappa_alpha for _, jr in rows]
     if grid and np.isfinite(e_x0):
-        crossing = functools.partial(_crossing_values, model, ch, e_x0)
-        [value], _ = _design_search(crossing, model, ch, np.ones((1, 1)),
-                                    config)
+        [value], _ = _design_search(_crossing_values, model, ch,
+                                    np.array([e_x0]), np.ones((1, 1)), config)
         if min(grid) <= value <= max(grid):
             crossover = float(value)
     return rows, crossover

@@ -108,6 +108,46 @@ def test_schemes_stdout_byte_identical(monkeypatch, capsys):
     assert capsys.readouterr().out == SCHEMES_STDOUT
 
 
+def test_schemes_searches_run_batched(monkeypatch, capsys):
+    """The schemes command runs three lockstep pattern searches (the
+    expurgated optimum, every kappa_alpha of the uncoded bound, the
+    crossover) in 38 scorer rounds, and one golden section per score call
+    of the expurgated search. These counts do not depend on the machine: a
+    change that searches one kappa_alpha or one live-entry count at a time
+    raises them (7 runs, 104 rounds and 34 golden sections before the
+    batching)."""
+    from errexp import channel_exponents, dht_bounds, optimize
+    counts = {"runs": 0, "rounds": 0, "golden": 0, "golden_in_opt": 0}
+    lockstep, golden = (optimize.lockstep_pattern_search,
+                        channel_exponents.maximize_1d)
+    expurgated_opt = dht_bounds.expurgated_exponent_opt
+
+    def counted_lockstep(score, *args, **kwargs):
+        counts["runs"] += 1
+
+        def counted_score(*score_args):
+            counts["rounds"] += 1
+            return score(*score_args)
+        return lockstep(counted_score, *args, **kwargs)
+
+    def counted_golden(*args, **kwargs):
+        counts["golden"] += 1
+        return golden(*args, **kwargs)
+
+    def counted_opt(*args, **kwargs):
+        before = counts["golden"]
+        result = expurgated_opt(*args, **kwargs)
+        counts["golden_in_opt"] += counts["golden"] - before
+        return result
+
+    monkeypatch.setattr(optimize, "lockstep_pattern_search", counted_lockstep)
+    monkeypatch.setattr(channel_exponents, "maximize_1d", counted_golden)
+    monkeypatch.setattr(dht_bounds, "expurgated_exponent_opt", counted_opt)
+    test_schemes_stdout_byte_identical(monkeypatch, capsys)
+    assert counts == {"runs": 3, "rounds": 38, "golden": 20,
+                      "golden_in_opt": 20}
+
+
 @pytest.mark.parametrize("args", [
     ["bounds", "models/example1.json", "--scheme", "shtcc",
      "--grid", "2", "--kappa-grid", "0.01"],

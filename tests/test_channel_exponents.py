@@ -5,9 +5,9 @@ from errexp import (Channel, DomainError, InputDesign, InputError, Pmf,
                     ScoredPmf, bsc_expurgated_zero_rate, conjugate,
                     expurgated_exponent, expurgated_exponent_opt,
                     special_message_exponent, theta_bounds)
-from errexp.channel_exponents import (RHO_GRID, RHO_GRID_POINTS,
-                                      _expurgation_terms, _rho_grid_objective,
-                                      bhattacharyya_kernel,
+from errexp.channel_exponents import (RHO_BLOCK, RHO_GRID, RHO_GRID_POINTS,
+                                      _expurgation_terms, _input_given_state,
+                                      _powers, bhattacharyya_kernel,
                                       expurgated_exponents, output_given_state)
 from errexp.optimize import grid_then_pattern, simplex_grid
 from conftest import (assert_bit_equal, dense_grid_conjugate,
@@ -48,6 +48,10 @@ class TestExpurgatedExponent:
         with pytest.raises(DomainError):
             expurgated_exponent(-0.1, UNIFORM2, bsc35)
 
+    def test_nan_rate_rejected(self, bsc35):
+        with pytest.raises(DomainError, match="rate"):
+            expurgated_exponent(np.nan, UNIFORM2, bsc35)
+
     def test_design_alphabet_checked(self, bsc35):
         design = InputDesign.from_matrix(("a", "b"), np.full((2, 2), 0.25))
         with pytest.raises(InputError, match="alphabet"):
@@ -61,16 +65,38 @@ class TestExpurgatedOpt:
         assert value == pytest.approx(bsc_expurgated_zero_rate(p), abs=2e-3)
         assert design.joint.probs.sum() == pytest.approx(1.0)
 
+    def test_nan_rate_rejected(self, bsc35):
+        with pytest.raises(DomainError, match="rate"):
+            expurgated_exponent_opt(np.nan, bsc35)
+
     def test_never_improves_past_zero_rate(self, bsc35):
         v0, _ = expurgated_exponent_opt(0.0, bsc35, grid_resolution=8)
         v1, _ = expurgated_exponent_opt(np.log(2.0), bsc35, grid_resolution=8)
         assert v1 <= v0 + 1e-12
 
 
+def frozen_expurgation_terms(p_sx, ch):
+    """The per-design terms that the stacked `_expurgation_terms` replaced,
+    kept as its reference: (wl, logb, powers, inf_below) of one joint P_SX,
+    with wl and logb on the live entries only."""
+    pxs = _input_given_state(p_sx)
+    w = ((pxs.T * p_sx.sum(axis=1)) @ pxs).reshape(-1)
+    b = bhattacharyya_kernel(ch).reshape(-1)
+    live = (w > 0) & (b > 0)
+    wl = w[live]
+    inf_below = -np.inf
+    if float(w[(w > 0) & (b == 0)].sum()) > 0:
+        live_mass = float(wl.sum())
+        inf_below = np.inf if live_mass == 0.0 else -float(np.log(live_mass))
+    logb = np.log(b[live])
+    return wl, logb, np.exp(logb[None, :] / RHO_GRID[:, None]), inf_below
+
+
 def frozen_expurgated_exponent(rate, design, ch):
     """The scalar expurgated exponent with its golden section, kept as the
     reference that the lockstep `expurgated_exponents` must reproduce."""
-    wl, logb, powers, inf_below = _expurgation_terms(design.joint.probs, ch)
+    wl, logb, powers, inf_below = frozen_expurgation_terms(design.joint.probs,
+                                                           ch)
     if rate < inf_below:
         return float("inf")
 
@@ -78,7 +104,7 @@ def frozen_expurgated_exponent(rate, design, ch):
         kernel = float(np.sum(wl * np.exp(logb / rho)))
         return -rho * rate - rho * np.log(kernel)
 
-    k = int(np.argmax(_rho_grid_objective(rate, wl, powers)))
+    k = int(np.argmax(-RHO_GRID * rate - RHO_GRID * np.log(powers @ wl)))
     lo = RHO_GRID[max(k - 1, 0)]
     hi = RHO_GRID[min(k + 1, RHO_GRID_POINTS - 1)]
     return frozen_maximize_1d(objective, lo, hi, tol=1e-9)[1]
@@ -127,6 +153,30 @@ class TestLockstepExpurgated:
             assert values.tolist() == expect
             assert [expurgated_exponent(rate, d, bsc35)
                     for d in designs] == expect
+
+    @pytest.mark.parametrize("ch", [CYCLIC3, SPLIT3], ids=["cyclic", "split"])
+    def test_terms_equal_frozen_per_design(self, ch):
+        rng = np.random.default_rng(17)
+        p_sx = np.concatenate([sparse_rows(rng, 60, 9, 0.4),
+                               np.eye(3).reshape(1, 9) / 3]).reshape(-1, 3, 3)
+        wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
+        assert len(set(k.tolist())) > 3 and np.isinf(inf_below).any()
+        for b, joint in enumerate(p_sx):
+            f_wl, f_logb, f_powers, f_inf = frozen_expurgation_terms(joint, ch)
+            assert k[b] == f_wl.size and inf_below[b] == f_inf
+            assert np.array_equal(wl[b, :k[b]], f_wl)
+            assert np.array_equal(logb[b, :k[b]], f_logb)
+            assert not wl[b, k[b]:].any() and not logb[b, k[b]:].any()
+            assert np.array_equal(_powers(logb[b, :k[b]]), f_powers)
+
+    def test_more_designs_than_a_rho_block(self, bsc35):
+        rng = np.random.default_rng(29)
+        p_sx = sparse_rows(rng, 3 * RHO_BLOCK + 5, 4, 0.2).reshape(-1, 2, 2)
+        assert np.bincount(_expurgation_terms(p_sx, bsc35)[2]).max() > RHO_BLOCK
+        values = expurgated_exponents(0.05, p_sx, bsc35)
+        designs = [InputDesign.from_matrix((0, 1), joint) for joint in p_sx]
+        assert values.tolist() == [
+            frozen_expurgated_exponent(0.05, d, bsc35) for d in designs]
 
     @pytest.mark.parametrize("ch", [CYCLIC3, SPLIT3], ids=["cyclic", "split"])
     def test_opt_matches_scalar_search(self, ch):

@@ -12,7 +12,7 @@ from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
                     kl_ball_projection, kl_divergence, mutual_information,
                     shtcc_tad, shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
                     special_message_exponent, zeta_rho)
-from errexp.channel_exponents import (_rho_grid_objective,
+from errexp.channel_exponents import (_expurgation_terms, _rho_grid_objective,
                                       expurgated_exponent_opt,
                                       output_given_state)
 from errexp.dht_bounds import (_ball_optimize, _info_uw, _info_vw,
@@ -357,6 +357,29 @@ class TestStackedProjection:
             [value] = self.check([comps], kappa)
             assert np.isfinite(value)
 
+    def test_kappa_per_row_equals_scalar_calls(self):
+        """One stack mixing kappa_alpha = 0, binding, non-binding and +inf
+        rows: each row keeps the bits of the scalar call at its own
+        kappa_alpha and of the frozen projection."""
+        rng = np.random.default_rng(59)
+        problems = _random_problems(rng, 30, 4)
+        kappas = np.resize([0.0, 1e-4, 0.01, 0.05, 5.0], len(problems))
+        w, ref, tgt = padded(problems)
+        laws, values = _project_components(w, ref, tgt, kappas)
+        free = _project_components(w, ref, tgt, 1e3)[1]
+        for ka in np.unique(kappas):
+            at = np.flatnonzero(kappas == ka)
+            sub_laws, sub_values = _project_components(w[at], ref[at],
+                                                       tgt[at], float(ka))
+            assert np.array_equal(laws[at], sub_laws)
+            assert values[at].tolist() == sub_values.tolist()
+        for b, comps in enumerate(problems):
+            assert values[b] == frozen_project_components(comps, kappas[b])[1]
+        positive = (kappas > 0) & np.isfinite(values)
+        assert (positive & (values > free)).any()    # the ball binds
+        assert (positive & (values == free)).any()   # it does not
+        assert (kappas == 0).any() and np.isinf(values[kappas > 0]).any()
+
     def test_uncoded_values_on_a_ternary_model(self):
         rng = np.random.default_rng(37)
         model, ch, p_s, pxus = ternary_uncoded_instance(rng, 20)
@@ -455,12 +478,50 @@ class TestJhtccUncoded:
                 for k in (0.0, 0.002, 0.01, 0.05)]
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("n_states", [1, 2])
+    def test_kappa_sequence_equals_scalar_calls(self, example1, bsc35,
+                                                n_states):
+        kappas = [0.0, 0.002, 0.01]
+        reports = jhtcc_uncoded_opt(example1, bsc35, kappas, n_states, FAST)
+        assert reports == tuple(jhtcc_uncoded_opt(example1, bsc35, k,
+                                                  n_states, FAST)
+                                for k in kappas)
+        assert [r.kappa_alpha for r in reports] == kappas
+
+    def test_empty_kappa_sequence(self, example1, bsc35):
+        assert jhtcc_uncoded_opt(example1, bsc35, [], config=FAST) == ()
+        assert compare_schemes(example1, bsc35, [], FAST) == ([], None)
+
     def test_two_state_time_share_available(self, example1, bsc35):
         rep1 = jhtcc_uncoded_opt(example1, bsc35, 0.002, config=FAST)
         rep2 = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2,
                                  config=FAST)
         assert rep2.value >= rep1.value - 1e-6
         assert len(rep2.achiever["p_s"]) == 2
+
+
+class TestNanKappa:
+    """A NaN kappa_alpha is rejected with a typed error at every entry
+    point, rather than read as +inf, 0 or an infeasible bound."""
+
+    def test_jhtcc_uncoded_opt(self, example1, bsc35):
+        with pytest.raises(InputError, match="kappa_alpha"):
+            jhtcc_uncoded_opt(example1, bsc35, np.nan, config=FAST)
+        with pytest.raises(InputError, match="kappa_alpha"):
+            jhtcc_uncoded_opt(example1, bsc35, [0.01, np.nan], config=FAST)
+
+    def test_kl_ball_projection(self):
+        with pytest.raises(InputError, match="kappa_alpha"):
+            kl_ball_projection(TestKlBallProjection.REF,
+                               TestKlBallProjection.TGT, np.nan)
+
+    def test_shtcc_tad(self, example1, bsc35):
+        with pytest.raises(InputError, match="kappa_alpha"):
+            shtcc_tad(example1, bsc35, np.nan, FAST)
+
+    def test_zeta_rho(self, example1):
+        with pytest.raises(InputError, match="kappa_alpha"):
+            zeta_rho(example1, [TestZetaRho.W_SPLIT], np.nan, FAST)
 
 
 class TestZetaRho:
@@ -1139,7 +1200,8 @@ def test_sx_cache_rate_equals_frozen_loop():
         for _ in range(2):
             design = InputDesign.from_matrix(
                 range(n), random_weights(rng, n * n).reshape(n, n))
-            cache = _SxCache(design, ch, theta_points=3)
+            terms = _expurgation_terms(design.joint.probs[None], ch)
+            cache = _SxCache(design, ch, 3, [t[0] for t in terms])
             assert_bit_equal(cache.rate, frozen_rate(design, ch))
 
 
