@@ -70,13 +70,6 @@ def bhattacharyya_kernel(ch: Channel) -> np.ndarray:
     return np.sqrt(ch.rows) @ np.sqrt(ch.rows).T
 
 
-def _pair_weights(p_sx: np.ndarray) -> np.ndarray:
-    """w[b, x, x'] = sum_s P_S(s) P_{X|S}(x|s) P_{X|S}(x'|s) of every joint
-    P_SX of a (B, |X|, |X|) stack."""
-    pxs = _input_given_state(p_sx)
-    return (pxs.transpose(0, 2, 1) * p_sx.sum(axis=2)[:, None, :]) @ pxs
-
-
 def _expurgation_terms(p_sx: np.ndarray, ch: Channel):
     """(wl, logb, k, inf_below) of the expurgated objective
     -rho*R - rho*log(sum wl * exp(logb / rho)) of every joint P_SX of a
@@ -91,7 +84,10 @@ def _expurgation_terms(p_sx: np.ndarray, ch: Channel):
     exponent is +inf for every rate below inf_below (-inf when no weight
     sits on a zero entry).
     """
-    w = _pair_weights(p_sx).reshape(len(p_sx), -1)
+    # pair weights w[x, x'] = sum_s P_S(s) P_{X|S}(x|s) P_{X|S}(x'|s)
+    pxs = _input_given_state(p_sx)
+    w = ((pxs.transpose(0, 2, 1) * p_sx.sum(axis=2)[:, None, :])
+         @ pxs).reshape(len(p_sx), -1)
     b = bhattacharyya_kernel(ch).reshape(-1)
     live = (w > 0) & (b > 0)
     k = live.sum(axis=1)
@@ -113,17 +109,16 @@ def _live_groups(k: np.ndarray) -> list[tuple[np.ndarray, int]]:
             for n in np.flatnonzero(np.bincount(k))]
 
 
-def _rho_grid_objective(rate, wl: np.ndarray,
-                        powers: np.ndarray) -> np.ndarray:
-    """The expurgated objective -rho*R - rho*log(sum wl B^(1/rho)) on RHO_GRID
-    (the last axis), of live weights wl (..., k) and their powers
-    (..., RHO_GRID_POINTS, k)."""
-    return -RHO_GRID * rate - RHO_GRID * np.log((powers @ wl[..., None])[..., 0])
-
-
-def _powers(logb: np.ndarray) -> np.ndarray:
-    """exp(logb / rho) per RHO_GRID point (second last axis) and live entry."""
-    return np.exp(logb[..., None, :] / RHO_GRID[:, None])
+def _rho_grid_at_zero(wl: np.ndarray, logb: np.ndarray,
+                      k: np.ndarray) -> np.ndarray:
+    """-rho*log(sum wl B^(1/rho)) on RHO_GRID (last axis) of every row of
+    `_expurgation_terms`, the objective at rate 0: at R add -RHO_GRID * R.
+    A row sums its own k live entries, rows of one count k stacked."""
+    out = np.empty((len(k), RHO_GRID_POINTS))
+    for rows, n in _live_groups(k):
+        powers = np.exp(logb[rows, None, :n] / RHO_GRID[:, None])
+        out[rows] = -RHO_GRID * np.log((powers @ wl[rows, :n, None])[..., 0])
+    return out
 
 
 def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
@@ -153,16 +148,15 @@ def expurgated_exponents(rate: float, p_sx: np.ndarray,
     if not rate >= 0:
         raise DomainError("rate must be non-negative")
     wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
+    top = np.empty(len(k), dtype=int)
+    for s in range(0, len(k), RHO_BLOCK):
+        block = slice(s, s + RHO_BLOCK)
+        top[block] = np.argmax(-RHO_GRID * rate + _rho_grid_at_zero(
+            wl[block], logb[block], k[block]), axis=-1)
+    lo = RHO_GRID[np.maximum(top - 1, 0)]
+    hi = RHO_GRID[np.minimum(top + 1, RHO_GRID_POINTS - 1)]
     groups = [(rows, wl[rows, :n], logb[rows, :n])
               for rows, n in _live_groups(k)]
-    lo, hi = np.empty(len(k)), np.empty(len(k))
-    for rows, w_n, b_n in groups:
-        for s in range(0, rows.size, RHO_BLOCK):
-            block = slice(s, s + RHO_BLOCK)
-            top = np.argmax(_rho_grid_objective(rate, w_n[block],
-                                                _powers(b_n[block])), axis=-1)
-            lo[rows[block]] = RHO_GRID[np.maximum(top - 1, 0)]
-            hi[rows[block]] = RHO_GRID[np.minimum(top + 1, RHO_GRID_POINTS - 1)]
 
     def objective(rho: np.ndarray) -> np.ndarray:
         kernel = np.empty(rho.size)
@@ -236,6 +230,5 @@ def special_message_exponent(design: InputDesign, ch: Channel, theta):
         scores = np.zeros(len(ch.output_alphabet))
         with np.errstate(divide="ignore"):
             scores[mask] = np.log(ch.rows[s][mask]) - np.log(pys[s][mask])
-        scores[(pys[s] == 0)] = 0.0
         total += weight * conjugate(ScoredPmf(base, scores), theta).value
     return total

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_exponents import (InputDesign, _expurgation_terms, _powers,
-                                _rho_grid_objective, expurgated_exponent_opt,
+from .channel_exponents import (RHO_GRID, InputDesign, _expurgation_terms,
+                                _rho_grid_at_zero, expurgated_exponent_opt,
                                 output_given_state, special_message_exponent,
                                 theta_bounds)
 from .exceptions import InputError
@@ -101,6 +101,15 @@ class DhtSearchConfig:
     sx_resolution: int = 6
     theta_points: int = 33
     pattern_min_step: float = 1e-3
+
+    def __post_init__(self) -> None:
+        # a zero resolution empties a search; a zero step never ends one
+        sizes = (self.design_resolution, self.ball_resolution,
+                 self.sx_resolution, self.theta_points)
+        if not (all(isinstance(v, (int, np.integer)) and v >= 1 for v in sizes)
+                and 0 < self.pattern_min_step < np.inf):
+            raise InputError("resolutions must be integers >= 1 and "
+                             f"pattern_min_step finite and > 0: {self}")
 
 
 # ---------------------------------------------------------------------------
@@ -457,97 +466,84 @@ def zeta_rho(model: SourceModel, p_wus, kappa_alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# Channel-side design cache shared by the SHTCC bounds
+# Channel-side design table shared by the SHTCC bounds
 
 
-class _SxCache:
-    """Precomputed channel-coding quantities for one P_SX design, given its
-    row (wl, logb, k, inf_below) of `_expurgation_terms` on a stack."""
+@dataclass(frozen=True, eq=False)
+class _ChannelTable:
+    """The channel side of D designs P_SX, a row each: the joint, the rate
+    I(X;Y|S), theta_l, the expurgated objective at rate 0 on RHO_GRID, the
+    rate below which E_x is +inf, and thetas on [-theta_l, theta_u] with
+    their E_sp. A design with an infinite theta bound (inputs of disjoint
+    rows) has NaN thetas and E_sp -inf: no theta is feasible for it."""
 
-    def __init__(self, design: InputDesign, ch: Channel, theta_points: int,
-                 terms):
-        self.design = design
-        wl, logb, k, self._inf_below = terms
-        self.wl, self._powers = wl[:k], _powers(logb[:k])
-        # I(X;Y|S) = sum_{s,x} P(s) P(x|s) D(W(.|x) || P(.|s)), s-major
-        pys = output_given_state(design, ch)
-        n = len(ch.rows)
-        self.rate = conditional_kl_arrays(
-            (design.state_probs[:, None] * design.input_given_state).reshape(-1),
-            np.tile(ch.rows, (n, 1)), np.repeat(pys, n, axis=0))
-        self.theta_l, self.theta_u = theta_bounds(design, ch)
-        # a design that mixes inputs of disjoint rows has an infinite theta
-        # bound: it gets no theta grid, so best_theta_term gives -inf
-        if np.isfinite(self.theta_l) and np.isfinite(self.theta_u):
-            self.thetas = np.linspace(-self.theta_l, self.theta_u, theta_points)
-            self.e_sp = special_message_exponent(design, ch, self.thetas)
-        else:
-            self.thetas = self.e_sp = np.empty(0)
-        for arr in (self.wl, self._powers, self.thetas, self.e_sp):
-            arr.flags.writeable = False  # the caches are shared
+    p_sx: np.ndarray
+    rate: np.ndarray
+    theta_l: np.ndarray
+    at_zero: np.ndarray
+    inf_below: np.ndarray
+    thetas: np.ndarray
+    e_sp: np.ndarray
 
-    def expurgated(self, rate):
-        """E_x at `rate`; elementwise over an array of rates."""
-        rate = np.asarray(rate)
-        value = np.max(_rho_grid_objective(rate[..., None], self.wl,
-                                           self._powers), axis=-1)
-        value = np.where(rate < self._inf_below, np.inf, value)
-        return value if rate.ndim else float(value)
+    def __post_init__(self) -> None:
+        for arr in vars(self).values():
+            arr.flags.writeable = False  # the table is shared
 
-    def best_theta_term(self, kappa_alpha: float) -> tuple[float, float]:
-        """(max over feasible theta of E_sp - theta, that theta); -inf if no
-        theta satisfies E_sp >= kappa_alpha."""
-        ok = self.e_sp >= kappa_alpha
-        if not np.any(ok):
-            return float("-inf"), float("nan")
-        vals = self.e_sp[ok] - self.thetas[ok]
-        k = int(np.argmax(vals))
-        return float(vals[k]), float(self.thetas[ok][k])
+    @staticmethod
+    def of(p_sx: np.ndarray, ch: Channel, theta_points: int) -> "_ChannelTable":
+        """The table of a (D, |X|, |X|) stack of joints."""
+        wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
+        rate, theta_l = np.empty(len(p_sx)), np.empty(len(p_sx))
+        thetas = np.full((len(p_sx), theta_points), np.nan)
+        e_sp = np.full(thetas.shape, -np.inf)
+        for d, joint in enumerate(p_sx):
+            design = InputDesign.from_matrix(ch.input_alphabet, joint)
+            # I(X;Y|S) = sum_{s,x} P(s) P(x|s) D(W(.|x) || P(.|s)), s-major
+            w_sx = design.state_probs[:, None] * design.input_given_state
+            rate[d] = conditional_kl_arrays(
+                w_sx.reshape(-1), np.tile(ch.rows, (len(w_sx), 1)),
+                np.repeat(output_given_state(design, ch), len(w_sx), axis=0))
+            theta_l[d], theta_u = theta_bounds(design, ch)
+            if np.isfinite(theta_l[d]) and np.isfinite(theta_u):
+                thetas[d] = np.linspace(-theta_l[d], theta_u, theta_points)
+                e_sp[d] = special_message_exponent(design, ch, thetas[d])
+        at_zero = _rho_grid_at_zero(wl, logb, k)
+        return _ChannelTable(p_sx, rate, theta_l, at_zero, inf_below, thetas, e_sp)
+
+    def expurgated(self, rates) -> np.ndarray:
+        """E_x (R, D) at each of R rates of every design."""
+        rates = np.asarray(rates, dtype=float)[:, None]
+        # a design at a time: an (R, D, RHO_GRID_POINTS) block raised memory
+        out = np.stack([np.max(-RHO_GRID * rates + at_zero, axis=1)
+                        for at_zero in self.at_zero], axis=1)
+        return np.where(rates < self.inf_below, np.inf, out)
+
+    def theta_terms(self, kappa_alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per design: the max of E_sp - theta over thetas with E_sp >=
+        kappa_alpha and the first theta attaining it (-inf and NaN if none)."""
+        vals = np.where(self.e_sp >= kappa_alpha, self.e_sp - self.thetas,
+                        -np.inf)
+        top = vals.argmax(axis=1)[:, None]  # the first of equal maxima
+        term, theta = (np.take_along_axis(a, top, axis=1)[:, 0]
+                       for a in (vals, self.thetas))
+        return term, np.where(term > -np.inf, theta, np.nan)
 
 
-def _sx_caches(ch: Channel, config: DhtSearchConfig) -> tuple[_SxCache, ...]:
-    """The `_SxCache` of every grid P_SX design, built once per channel and
-    config and shared by every kappa_alpha."""
-    return _sx_caches_of(ch.input_alphabet, ch.output_alphabet,
-                         ch.rows.tobytes(), config)
+def _channel_table(ch: Channel, config: DhtSearchConfig) -> _ChannelTable:
+    """The `_ChannelTable` of the grid P_SX designs, built once per channel
+    and config and shared by every kappa_alpha."""
+    return _channel_table_of(ch.input_alphabet, ch.output_alphabet,
+                             ch.rows.tobytes(), config)
 
 
 @functools.lru_cache(maxsize=4)
-def _sx_caches_of(inputs: tuple, outputs: tuple, rows: bytes,
-                  config: DhtSearchConfig) -> tuple[_SxCache, ...]:
-    ch = Channel(inputs, outputs,
-                 np.frombuffer(rows).reshape(len(inputs), len(outputs)))
+def _channel_table_of(inputs: tuple, outputs: tuple, rows: bytes,
+                      config: DhtSearchConfig) -> _ChannelTable:
     n = len(inputs)
-    p_sx = np.reshape(list(simplex_grid(n * n, config.sx_resolution)),
-                      (-1, n, n))
-    terms = _expurgation_terms(p_sx, ch)
-    return tuple(
-        _SxCache(InputDesign(JointPmf(inputs, inputs, joint)), ch,
-                 config.theta_points, [t[i] for t in terms])
-        for i, joint in enumerate(p_sx))
-
-
-def _best_channel_terms(caches: tuple[_SxCache, ...], zeta: np.ndarray,
-                        kappa_alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per entry of the zeta array: the max over cached P_SX designs of
-    min{E_x(zeta), E_sp - theta}, subject to the rate constraint and the
-    feasibility floor, and the index of the first design that attains it.
-    Both are arrays; the index is -1 and the value -inf where every design
-    is infeasible."""
-    best = np.full(zeta.shape, -np.inf)
-    which = np.full(zeta.shape, -1)
-    for i, cache in enumerate(caches):
-        term, _ = cache.best_theta_term(kappa_alpha)
-        if term == float("-inf"):
-            continue
-        e_x = cache.expurgated(zeta)
-        ok = (zeta < cache.rate) & ~(e_x < kappa_alpha)
-        # min(e_x, term) as Python's: term only if strictly smaller
-        value = np.where(term < e_x, term, e_x)
-        better = ok & ((which < 0) | (value > best))
-        best = np.where(better, value, best)
-        which = np.where(better, i, which)
-    return best, which
+    return _ChannelTable.of(
+        np.reshape(list(simplex_grid(n * n, config.sx_resolution)), (-1, n, n)),
+        Channel(inputs, outputs, np.frombuffer(rows).reshape(n, -1)),
+        config.theta_points)
 
 
 def _wu_candidates(n_u: int, n_w: int, resolution: int):
@@ -576,22 +572,30 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha: float,
     p_uv = model.p_uv.probs
     n_u = p_uv.shape[0]
     n_w = n_u + 1
-    caches = _sx_caches(ch, config)
+    table = _channel_table(ch, config)
+    term, theta = table.theta_terms(kappa_alpha)
 
     def evaluate(stack: np.ndarray):
-        """(value, zeta, rho, design index) arrays of a quantizer stack; the
-        value is -inf and the index -1 where no channel design is feasible."""
+        """(value, zeta, rho, design) arrays of a quantizer stack: the design
+        is the first of equal maxima of min{E_x(zeta), E_sp - theta} among
+        those meeting the rate and the floor; value -inf where none does."""
         zeta, rho = zeta_rho(model, [Channel(range(n_u), range(n_w), w_rows)
                                      for w_rows in stack], kappa_alpha, config)
-        term, which = _best_channel_terms(caches, zeta, kappa_alpha)
-        ok = which >= 0
+        e_x = table.expurgated(zeta)
+        # min(e_x, term) as Python's: term only if strictly smaller
+        channel = np.where((term > -np.inf) & (zeta[:, None] < table.rate)
+                           & ~(e_x < kappa_alpha),
+                           np.where(term < e_x, term, e_x), -np.inf)
+        which = channel.argmax(axis=1)
+        channel = np.take_along_axis(channel, which[:, None], axis=1)[:, 0]
+        ok = channel > -np.inf
         e1 = np.full(len(stack), np.inf)
         if ok.any():
             e1[ok] = _ball_optimize(p_uv, first_term(stack[ok]),
                                     np.full(np.count_nonzero(ok), -1.0),
                                     kappa_alpha, config)
-        # min(e1, offset + term) as Python's: the second only if smaller
-        part = offset(rho) + term
+        # min(e1, offset + channel) as Python's: the second only if smaller
+        part = offset(rho) + channel
         value = np.where(ok, np.where(part < e1, part, e1), -np.inf)
         return value, zeta, rho, which
 
@@ -604,12 +608,11 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha: float,
                            grid_resolution=config.design_resolution)
     w_rows = np.stack(blocks)
     [value], [zeta], [rho], [which] = evaluate(w_rows[None])
-    cache = caches[which]
     achiever = {"p_wu": tuple(w_rows.reshape(-1)),
-                "p_sx": tuple(cache.design.joint.probs.reshape(-1)),
-                "theta": cache.best_theta_term(kappa_alpha)[1],
+                "p_sx": tuple(table.p_sx[which].reshape(-1)),
+                "theta": float(theta[which]),
                 "zeta": float(zeta), "rho": float(rho),
-                "e_x": cache.expurgated(float(zeta))}
+                "e_x": float(table.expurgated([zeta])[0, which])}
     return BoundReport(name, kappa_alpha, max(float(value), 0.0), achiever,
                        feasible=True, grid_resolution=config.design_resolution)
 
@@ -661,7 +664,7 @@ def shtcc_tad_stein(model: SourceModel, ch: Channel,
     n_u = q_uv.shape[0]
     n_w = n_u + 1
     q_u = q_uv.sum(axis=1)
-    caches = _sx_caches(ch, config)
+    table = _channel_table(ch, config)
 
     def score(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
         rates = mutual_information_rows(q_u[:, None] * stack)
@@ -671,13 +674,11 @@ def shtcc_tad_stein(model: SourceModel, ch: Channel,
                      q_vw.reshape(len(stack), -1))
         # min and max as Python's: a later value replaces only if strictly
         # smaller (larger), so ties keep the earlier one's sign of zero
-        best = np.full(len(stack), -np.inf)
-        for cache in caches:
-            e_x = cache.expurgated(rates)
-            val = np.where(e_x < t1, e_x, t1)
-            val = np.where(cache.theta_l < val, cache.theta_l, val)
-            best = np.where((rates <= cache.rate) & (val > best), val, best)
-        return best
+        e_x = table.expurgated(rates)
+        val = np.where(e_x < t1[:, None], e_x, t1[:, None])
+        val = np.where(table.theta_l < val, table.theta_l, val)
+        val = np.where(rates[:, None] <= table.rate, val, -np.inf)
+        return np.take_along_axis(val, val.argmax(axis=1)[:, None], axis=1)[:, 0]
 
     candidates = _wu_candidates(n_u, n_w, config.design_resolution)
     _, [best_val] = grid_then_pattern(

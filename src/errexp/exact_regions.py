@@ -105,14 +105,16 @@ def direct_tradeoff(p: Pmf, q: Pmf, kappa_alpha):
     """kappa_beta on the direct-HT boundary at a given kappa_alpha.
 
     Out-of-range kappa_alpha maps to the boundary values: 0 maps to D(p||q),
-    anything at or above D(q||p) maps to 0. Elementwise over an array of
-    kappa_alpha, inverted as one stack.
+    anything at or above D(q||p) maps to 0; NaN raises InputError.
+    Elementwise over an array of kappa_alpha, inverted as one stack.
     """
+    kappa = np.array(kappa_alpha, dtype=float, ndmin=1)
+    if np.isnan(kappa).any():
+        raise InputError("kappa_alpha must not be NaN")
     d_pq = kl_divergence(p, q)
     d_qp = kl_divergence(q, p)
     if not (np.isfinite(d_pq) and np.isfinite(d_qp)):
         raise DomainError("direct trade-off requires mutual absolute continuity")
-    kappa = np.array(kappa_alpha, dtype=float, ndmin=1)
     beta = np.where(kappa <= 0, d_pq, 0.0)
     inside = ~(kappa <= 0) & ~(kappa >= d_qp)
     if inside.any():
@@ -258,6 +260,8 @@ def best_channel_branch(ch: Channel, kappa_alpha: float) -> tuple[float, Channel
     "Lower bounds to error probability for coding on discrete memoryless
     channels I" (Inf. Control, 1967).
     """
+    if np.isnan(kappa_alpha):
+        raise InputError("kappa_alpha must not be NaN")
     _check_assumption(ch)
     laws = [ChannelPairLaw.point_mass(ch.input_alphabet, pair)
             for pair in itertools.product(ch.input_alphabet, repeat=2)]

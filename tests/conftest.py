@@ -5,6 +5,8 @@ import pytest
 from hypothesis import settings
 
 from errexp import Channel, JointPmf, Pmf, ScoredPmf, SourceModel
+from errexp.channel_exponents import (RHO_GRID, _input_given_state,
+                                      bhattacharyya_kernel)
 
 # every property test draws the same examples on every run and writes no
 # example database, so the suite stays deterministic
@@ -181,3 +183,28 @@ def frozen_maximize_1d(g, lo, hi, tol=1e-10):
     candidates = [(g(lo), lo), (g(hi), hi), (g(x), x)]
     best = max(candidates, key=lambda t: t[0])
     return best[1], best[0]
+
+
+def frozen_expurgation_terms(p_sx, ch):
+    """The per-design terms that the stacked `_expurgation_terms` replaced,
+    kept as its reference: (wl, logb, powers, inf_below) of one joint P_SX,
+    with wl and logb on the live entries only."""
+    pxs = _input_given_state(p_sx)
+    w = ((pxs.T * p_sx.sum(axis=1)) @ pxs).reshape(-1)
+    b = bhattacharyya_kernel(ch).reshape(-1)
+    live = (w > 0) & (b > 0)
+    wl = w[live]
+    inf_below = -np.inf
+    if float(w[(w > 0) & (b == 0)].sum()) > 0:
+        live_mass = float(wl.sum())
+        inf_below = np.inf if live_mass == 0.0 else -float(np.log(live_mass))
+    logb = np.log(b[live])
+    return wl, logb, np.exp(logb[None, :] / RHO_GRID[:, None]), inf_below
+
+
+# 3-input channels: overlapping rows, and rows 0 and 1 disjoint (a zero
+# Bhattacharyya entry, so weight there makes the exponent +inf at low rates)
+CYCLIC3 = Channel((0, 1, 2), (0, 1, 2),
+                  [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+SPLIT3 = Channel((0, 1, 2), (0, 1, 2),
+                 [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])

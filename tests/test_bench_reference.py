@@ -148,6 +148,37 @@ def test_schemes_searches_run_batched(monkeypatch, capsys):
                       "golden_in_opt": 20}
 
 
+def test_shtcc_searches_run_batched(monkeypatch, capsys):
+    """The shtcc command runs 82 lockstep pattern searches in 1036 scorer
+    rounds and builds its channel-design table once for both kappa_alpha:
+    10 special-message exponents, one per P_SX design. These counts do not
+    depend on the machine. Searching every kappa_alpha in one lockstep run
+    would lower them on purpose; building the table per kappa_alpha would
+    double the last."""
+    from errexp import dht_bounds, optimize
+    dht_bounds._channel_table_of.cache_clear()  # build the table in this run
+    counts = {"runs": 0, "rounds": 0, "special": 0}
+    lockstep, special = (optimize.lockstep_pattern_search,
+                         dht_bounds.special_message_exponent)
+
+    def counted_lockstep(score, *args, **kwargs):
+        counts["runs"] += 1
+
+        def counted_score(*score_args):
+            counts["rounds"] += 1
+            return score(*score_args)
+        return lockstep(counted_score, *args, **kwargs)
+
+    def counted_special(*args, **kwargs):
+        counts["special"] += 1
+        return special(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "lockstep_pattern_search", counted_lockstep)
+    monkeypatch.setattr(dht_bounds, "special_message_exponent", counted_special)
+    test_shtcc_stdout_byte_identical(monkeypatch, capsys)
+    assert counts == {"runs": 82, "rounds": 1036, "special": 10}
+
+
 @pytest.mark.parametrize("args", [
     ["bounds", "models/example1.json", "--scheme", "shtcc",
      "--grid", "2", "--kappa-grid", "0.01"],

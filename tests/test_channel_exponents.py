@@ -6,13 +6,14 @@ from errexp import (Channel, DomainError, InputDesign, InputError, Pmf,
                     expurgated_exponent, expurgated_exponent_opt,
                     special_message_exponent, theta_bounds)
 from errexp.channel_exponents import (RHO_BLOCK, RHO_GRID, RHO_GRID_POINTS,
-                                      _expurgation_terms, _input_given_state,
-                                      _powers, bhattacharyya_kernel,
+                                      _expurgation_terms, _rho_grid_at_zero,
+                                      bhattacharyya_kernel,
                                       expurgated_exponents, output_given_state)
 from errexp.optimize import grid_then_pattern, simplex_grid
-from conftest import (assert_bit_equal, dense_grid_conjugate,
-                      divergence_channels, frozen_kl_array, frozen_maximize_1d,
-                      random_weights, sparse_rows, stacked)
+from conftest import (CYCLIC3, SPLIT3, assert_bit_equal, dense_grid_conjugate,
+                      divergence_channels, frozen_expurgation_terms,
+                      frozen_kl_array, frozen_maximize_1d, random_weights,
+                      sparse_rows, stacked)
 
 UNIFORM2 = InputDesign.from_matrix((0, 1), np.full((2, 2), 0.25))
 
@@ -75,23 +76,6 @@ class TestExpurgatedOpt:
         assert v1 <= v0 + 1e-12
 
 
-def frozen_expurgation_terms(p_sx, ch):
-    """The per-design terms that the stacked `_expurgation_terms` replaced,
-    kept as its reference: (wl, logb, powers, inf_below) of one joint P_SX,
-    with wl and logb on the live entries only."""
-    pxs = _input_given_state(p_sx)
-    w = ((pxs.T * p_sx.sum(axis=1)) @ pxs).reshape(-1)
-    b = bhattacharyya_kernel(ch).reshape(-1)
-    live = (w > 0) & (b > 0)
-    wl = w[live]
-    inf_below = -np.inf
-    if float(w[(w > 0) & (b == 0)].sum()) > 0:
-        live_mass = float(wl.sum())
-        inf_below = np.inf if live_mass == 0.0 else -float(np.log(live_mass))
-    logb = np.log(b[live])
-    return wl, logb, np.exp(logb[None, :] / RHO_GRID[:, None]), inf_below
-
-
 def frozen_expurgated_exponent(rate, design, ch):
     """The scalar expurgated exponent with its golden section, kept as the
     reference that the lockstep `expurgated_exponents` must reproduce."""
@@ -108,14 +92,6 @@ def frozen_expurgated_exponent(rate, design, ch):
     lo = RHO_GRID[max(k - 1, 0)]
     hi = RHO_GRID[min(k + 1, RHO_GRID_POINTS - 1)]
     return frozen_maximize_1d(objective, lo, hi, tol=1e-9)[1]
-
-
-# 3-input channels: overlapping rows, and rows 0 and 1 disjoint (a zero
-# Bhattacharyya entry, so weight there makes the exponent +inf at low rates)
-CYCLIC3 = Channel((0, 1, 2), (0, 1, 2),
-                  [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-SPLIT3 = Channel((0, 1, 2), (0, 1, 2),
-                 [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
 
 
 def joints(designs) -> np.ndarray:
@@ -161,13 +137,16 @@ class TestLockstepExpurgated:
                                np.eye(3).reshape(1, 9) / 3]).reshape(-1, 3, 3)
         wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
         assert len(set(k.tolist())) > 3 and np.isinf(inf_below).any()
+        at_zero = _rho_grid_at_zero(wl, logb, k)
         for b, joint in enumerate(p_sx):
             f_wl, f_logb, f_powers, f_inf = frozen_expurgation_terms(joint, ch)
             assert k[b] == f_wl.size and inf_below[b] == f_inf
             assert np.array_equal(wl[b, :k[b]], f_wl)
             assert np.array_equal(logb[b, :k[b]], f_logb)
             assert not wl[b, k[b]:].any() and not logb[b, k[b]:].any()
-            assert np.array_equal(_powers(logb[b, :k[b]]), f_powers)
+            # the rho grid at rate 0 as one design alone scored it
+            assert np.array_equal(
+                at_zero[b], -RHO_GRID * np.log((f_powers @ f_wl[:, None])[:, 0]))
 
     def test_more_designs_than_a_rho_block(self, bsc35):
         rng = np.random.default_rng(29)

@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import functools
 import itertools
 
@@ -8,25 +8,24 @@ import pytest
 
 from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
                     InputError, JointPmf, Pmf, SourceModel, compare_schemes,
-                    expurgated_exponent, jhtcc_uncoded, jhtcc_uncoded_opt,
-                    kl_ball_projection, kl_divergence, mutual_information,
-                    shtcc_tad, shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
-                    special_message_exponent, zeta_rho)
-from errexp.channel_exponents import (_expurgation_terms, _rho_grid_objective,
-                                      expurgated_exponent_opt,
+                    jhtcc_uncoded, jhtcc_uncoded_opt, kl_ball_projection,
+                    kl_divergence, mutual_information, shtcc_tad,
+                    shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
+                    special_message_exponent, theta_bounds, zeta_rho)
+from errexp.channel_exponents import (RHO_GRID, expurgated_exponent_opt,
                                       output_given_state)
-from errexp.dht_bounds import (_ball_optimize, _info_uw, _info_vw,
-                               _project_components, _sx_caches, _SxCache,
+from errexp.dht_bounds import (_ball_optimize, _channel_table, _ChannelTable,
+                               _info_uw, _info_vw, _project_components,
                                _tad_first_term, _tai_first_term,
                                _uncoded_values, _vy_laws)
 from errexp.legendre import Mixture
-from errexp.optimize import GRID_CHUNK
+from errexp.optimize import GRID_CHUNK, simplex_grid
 from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
                                mutual_information_rows)
-from conftest import (assert_bit_equal, divergence_channels,
+from conftest import (CYCLIC3, SPLIT3, assert_bit_equal, divergence_channels,
                       fit_geometric_family, frozen_bisect_monotone,
-                      frozen_kl_array, frozen_mutual_information,
-                      random_weights, sparse_rows)
+                      frozen_expurgation_terms, frozen_kl_array,
+                      frozen_mutual_information, random_weights, sparse_rows)
 
 FAST = DhtSearchConfig(design_resolution=3, ball_resolution=8,
                        sx_resolution=4, theta_points=17,
@@ -45,6 +44,56 @@ def skewed_tai_model() -> SourceModel:
     q = np.outer(p.sum(axis=1), p.sum(axis=0))
     return SourceModel(JointPmf((0, 1), (0, 1), p),
                        JointPmf((0, 1), (0, 1), q / q.sum()))
+
+
+def frozen_rate(design, ch):
+    """I(X;Y|S) by the hand loop that the stacked channel side replaced."""
+    ps = design.state_probs
+    pys = output_given_state(design, ch)
+    rate = 0.0
+    for s, weight in enumerate(ps):
+        if weight == 0:
+            continue
+        for x, px in enumerate(design.input_given_state[s]):
+            if px > 0:
+                rate += weight * px * frozen_kl_array(ch.rows[x], pys[s])
+    return rate
+
+
+class FrozenSxCache:
+    """The per-design channel-side cache that `_ChannelTable` replaced, kept
+    as its reference: one P_SX design's rate, theta grid, E_sp and E_x."""
+
+    def __init__(self, design, ch, theta_points):
+        self.wl, _, self.powers, self.inf_below = frozen_expurgation_terms(
+            design.joint.probs, ch)
+        self.rate = frozen_rate(design, ch)
+        self.theta_l, self.theta_u = theta_bounds(design, ch)
+        if np.isfinite(self.theta_l) and np.isfinite(self.theta_u):
+            self.thetas = np.linspace(-self.theta_l, self.theta_u, theta_points)
+            self.e_sp = special_message_exponent(design, ch, self.thetas)
+        else:
+            self.thetas = self.e_sp = np.empty(0)
+
+    def expurgated(self, rate: float) -> float:
+        if rate < self.inf_below:
+            return float("inf")
+        return float(np.max(-RHO_GRID * rate - RHO_GRID * np.log(
+            (self.powers @ self.wl[:, None])[:, 0])))
+
+    def best_theta_term(self, kappa_alpha: float) -> tuple[float, float]:
+        ok = self.e_sp >= kappa_alpha
+        if not np.any(ok):
+            return float("-inf"), float("nan")
+        vals = self.e_sp[ok] - self.thetas[ok]
+        k = int(np.argmax(vals))
+        return float(vals[k]), float(self.thetas[ok][k])
+
+
+def frozen_caches(table, ch, theta_points):
+    """A `FrozenSxCache` per row of a `_ChannelTable`."""
+    return [FrozenSxCache(InputDesign.from_matrix(ch.input_alphabet, joint),
+                          ch, theta_points) for joint in table.p_sx]
 
 
 class TestKlBallProjection:
@@ -792,20 +841,24 @@ class TestStackedSteinObjectives:
         q_uv = model.q_uv.probs
         stack = sparse_rows(rng, 60 * n, n + 1).reshape(60, n, n + 1)
         rates = mutual_information_rows(q_uv.sum(axis=1)[:, None] * stack)
-        # some caches take the rates of lower rows, so those rows sit exactly
-        # at a cache's rate, and no cache admits the top four rows
-        caches = [copy.copy(c) for c in _sx_caches(ch, FAST)]
+        # some designs take the rates of lower rows, so those rows sit
+        # exactly at a design's rate, and no design admits the top four rows
+        table = _channel_table(ch, FAST)
         order = np.argsort(rates)
         assigned = order[5:25:5]
-        for cache, k in zip(caches[::9], assigned, strict=True):
-            cache.rate = rates[k]
-        for cache in caches:
-            cache.rate = min(cache.rate, rates[order[-5]])
-            # scaled so that theta_l, too, is the least of the three terms
-            # at the best cache of some rows
-            cache.theta_l *= 0.1
-        monkeypatch.setattr("errexp.dht_bounds._sx_caches",
-                            lambda ch, config: tuple(caches))
+        rate = table.rate.copy()
+        rate[::9] = rates[assigned]
+        # theta_l scaled so that it, too, is the least of the three terms at
+        # the best design of some rows
+        table = dataclasses.replace(
+            table, rate=np.minimum(rate, rates[order[-5]]),
+            theta_l=table.theta_l * 0.1)
+        caches = frozen_caches(table, ch, FAST.theta_points)
+        for cache, rate, theta_l in zip(caches, table.rate, table.theta_l,
+                                        strict=True):
+            cache.rate, cache.theta_l = rate, theta_l
+        monkeypatch.setattr("errexp.dht_bounds._channel_table",
+                            lambda ch, config: table)
         score = stein_score(monkeypatch, shtcc_tad_stein, model, ch)
         got = score(stack, np.zeros(len(stack), dtype=int))
         frozen = frozen_tad_stein_objective(q_uv, caches)
@@ -814,18 +867,21 @@ class TestStackedSteinObjectives:
         assert (got[order[-4:]] == -np.inf).all()
 
     def test_cache_expurgated_is_elementwise(self, bsc35):
+        """The table's (rates x designs) E_x equals the frozen per-design,
+        per-rate E_x, and one rate alone gives the bits of its row."""
         rates = np.linspace(0.0, 0.1, 41)
-        for cache in _sx_caches(bsc35, FAST)[::4]:
-            cache = copy.copy(cache)
-            # the rate below which E_x is +inf: none, mid-range, every rate
-            for floor in (-np.inf, rates[17], np.inf):
-                cache._inf_below = floor
-                frozen = [float("inf") if rate < floor else float(np.max(
-                    _rho_grid_objective(rate, cache.wl, cache._powers)))
-                    for rate in rates]
-                assert cache.expurgated(rates).tolist() == frozen
-                assert [cache.expurgated(float(r)) for r in rates] == frozen
-                assert type(cache.expurgated(0.05)) is float
+        table = _channel_table(bsc35, FAST)
+        caches = frozen_caches(table, bsc35, FAST.theta_points)
+        # the rate below which E_x is +inf: none, mid-range, every rate
+        for floor in (-np.inf, rates[17], np.inf):
+            patched = dataclasses.replace(
+                table, inf_below=np.full(len(caches), floor))
+            for cache in caches:
+                cache.inf_below = floor
+            frozen = [[c.expurgated(float(r)) for c in caches] for r in rates]
+            assert patched.expurgated(rates).tolist() == frozen
+            assert [patched.expurgated([r])[0].tolist()
+                    for r in rates] == frozen
 
 
 # (crossover of the BSC, config): (shtcc_tai_stein on skewed_tai_model(),
@@ -883,22 +939,33 @@ class TestShtccTai:
                 for k in (0.0, 0.001, 0.01)]
         assert all(b <= a + 2e-3 for a, b in zip(vals, vals[1:]))
 
-    def test_achiever_passes_feasibility_audit(self, bsc35):
-        model = skewed_tai_model()
-        report = shtcc_tai(model, bsc35, 0.001, FAST)
+    @pytest.mark.parametrize("kind, kappa", [
+        ("tai", 0.001), ("tad", 0.002), ("tad", 0.008)])
+    def test_achiever_passes_feasibility_audit(self, kind, kappa, example1,
+                                               bsc35):
+        """The reported P_SX is a row of the channel table; its E_x at zeta
+        (that row's, bit for bit) and its E_sp at theta clear kappa_alpha,
+        zeta sits below its rate, and the value is at most
+        offset(rho) + min(e_x, E_sp(theta) - theta)."""
+        if kind == "tai":
+            model, bound, offset = skewed_tai_model(), shtcc_tai, lambda r: r
+        else:
+            model, bound, offset = example1, shtcc_tad, lambda r: 0.0
+        report = bound(model, bsc35, kappa, FAST)
         ach = report.achiever
-        design = InputDesign.from_matrix(
-            (0, 1), np.asarray(ach["p_sx"]).reshape(2, 2))
-        assert expurgated_exponent(ach["zeta"], design, bsc35) >= 0.001 - 1e-9
-        assert special_message_exponent(design, bsc35,
-                                        ach["theta"]) >= 0.001 - 1e-9
+        table = _channel_table(bsc35, FAST)
+        [d] = np.flatnonzero((table.p_sx.reshape(len(table.p_sx), -1)
+                              == ach["p_sx"]).all(axis=1))
+        design = InputDesign.from_matrix((0, 1), table.p_sx[d])
+        cache = FrozenSxCache(design, bsc35, FAST.theta_points)
+        assert_bit_equal(ach["e_x"], cache.expurgated(ach["zeta"]))
+        assert ach["e_x"] >= kappa
+        e_sp = special_message_exponent(design, bsc35, ach["theta"])
+        assert e_sp >= kappa
         # rate constraint: zeta < I_P(X;Y|S)
-        ps = design.state_probs
-        pys = output_given_state(design, bsc35)
-        rate = sum(ps[s] * design.input_given_state[s][x]
-                   * kl_array(bsc35.rows[x], pys[s])
-                   for s in range(2) for x in range(2))
-        assert ach["zeta"] < rate
+        assert ach["zeta"] < frozen_rate(design, bsc35)
+        assert report.value <= offset(ach["rho"]) + min(ach["e_x"],
+                                                        e_sp - ach["theta"])
 
 
 class TestShtccTad:
@@ -1149,17 +1216,20 @@ class TestCompareSchemes:
 
 class TestDisjointRowChannel:
     def test_infinite_theta_bound_gets_no_theta_grid(self):
-        caches = _sx_caches(DISJOINT, FAST)
-        skipped = [c for c in caches
-                   if not (np.isfinite(c.theta_l) and np.isfinite(c.theta_u))]
-        assert skipped and len(skipped) < len(caches)
-        for cache in caches:
-            if cache in skipped:
-                assert cache.thetas.size == cache.e_sp.size == 0
-                assert cache.best_theta_term(0.0)[0] == -np.inf
-            else:
-                assert cache.thetas.size == FAST.theta_points
-                assert np.isfinite(cache.e_sp).all()
+        table = _channel_table(DISJOINT, FAST)
+        caches = frozen_caches(table, DISJOINT, FAST.theta_points)
+        skipped = np.array([not (np.isfinite(c.theta_l)
+                                 and np.isfinite(c.theta_u)) for c in caches])
+        assert skipped.any() and not skipped.all()
+        assert table.thetas.shape == (len(caches), FAST.theta_points)
+        # no theta is feasible for a design of an infinite theta bound
+        assert np.isnan(table.thetas[skipped]).all()
+        assert (table.e_sp[skipped] == -np.inf).all()
+        term, theta = table.theta_terms(0.0)
+        assert (term[skipped] == -np.inf).all() and np.isnan(theta[skipped]).all()
+        assert np.isfinite(table.thetas[~skipped]).all()
+        assert np.isfinite(table.e_sp[~skipped]).all()
+        assert np.isfinite(term[~skipped]).all()
 
     def test_tad_stein_finite_on_full_support_source(self):
         value = shtcc_tad_stein(full_support_tad_model(), DISJOINT, FAST)
@@ -1177,32 +1247,72 @@ class TestDisjointRowChannel:
 
 
 def test_sx_cache_rate_equals_frozen_loop():
-    """I(X;Y|S) of `_SxCache` against the hand loop it replaced, bit for bit
-    and type for type: |S||X| = 4-25 terms, zero-weight states and inputs,
-    and inputs of disjoint rows."""
-
-    def frozen_rate(design, ch):
-        ps = design.state_probs
-        pys = output_given_state(design, ch)
-        rate = 0.0
-        for s, weight in enumerate(ps):
-            if weight == 0:
-                continue
-            for x, px in enumerate(design.input_given_state[s]):
-                if px > 0:
-                    rate += weight * px * frozen_kl_array(ch.rows[x], pys[s])
-        return rate
-
+    """I(X;Y|S) of the `_ChannelTable` rows against the hand loop it
+    replaced, bit for bit and type for type: |S||X| = 4-25 terms,
+    zero-weight states and inputs, and inputs of disjoint rows."""
     rng = np.random.default_rng(37)
     for _, rows in divergence_channels(37, count=30):
         n, m = rows.shape
         ch = Channel(range(n), range(m), rows)
-        for _ in range(2):
-            design = InputDesign.from_matrix(
-                range(n), random_weights(rng, n * n).reshape(n, n))
-            terms = _expurgation_terms(design.joint.probs[None], ch)
-            cache = _SxCache(design, ch, 3, [t[0] for t in terms])
-            assert_bit_equal(cache.rate, frozen_rate(design, ch))
+        p_sx = np.stack([random_weights(rng, n * n).reshape(n, n)
+                         for _ in range(2)])
+        table = _ChannelTable.of(p_sx, ch, 3)
+        for joint, rate in zip(p_sx, table.rate, strict=True):
+            assert_bit_equal(rate, frozen_rate(
+                InputDesign.from_matrix(range(n), joint), ch))
+
+
+# channels of the table check: BSCs, a 2 x 3 channel of partial supports,
+# two 3-input channels (one with disjoint rows) and the identity channel
+TABLE_CHANNELS = {
+    "bsc35": Channel.bsc(0.35), "bsc10": Channel.bsc(0.1),
+    "partial": Channel((0, 1), (0, 1, 2), np.array([[0.6, 0.4, 0.0],
+                                                    [0.0, 0.3, 0.7]])),
+    "disjoint": DISJOINT, "cyclic3": CYCLIC3, "split3": SPLIT3,
+    "identity": Channel((0, 1), (0, 1), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CHANNELS))
+def test_table_rows_equal_frozen_caches(name):
+    """Every row of `_ChannelTable` against the per-design cache it
+    replaced, bit for bit: rate, theta_l, the theta grid and its E_sp, the
+    best theta term at several kappa_alpha, and E_x at rates through the
+    +inf floors. The designs are grid designs and sparse random ones."""
+    ch = TABLE_CHANNELS[name]
+    n = len(ch.input_alphabet)
+    rng = np.random.default_rng(len(name))
+    p_sx = np.concatenate([
+        np.reshape(list(simplex_grid(n * n, 2)), (-1, n * n)),
+        sparse_rows(rng, 30, n * n, 0.4)]).reshape(-1, n, n)
+    table = _ChannelTable.of(p_sx, ch, 9)
+    caches = frozen_caches(table, ch, 9)
+    rates = np.concatenate([np.linspace(0.0, 0.8, 17), [np.log(2.0)]])
+    e_x = table.expurgated(rates)
+    for d, cache in enumerate(caches):
+        assert_bit_equal(table.rate[d], cache.rate)
+        assert table.theta_l[d] == cache.theta_l
+        if cache.thetas.size:
+            assert table.thetas[d].tolist() == cache.thetas.tolist()
+            assert table.e_sp[d].tolist() == cache.e_sp.tolist()
+        assert e_x[:, d].tolist() == [cache.expurgated(r) for r in rates]
+    for kappa in (0.0, 0.004, 0.02, 0.3):
+        term, theta = table.theta_terms(kappa)
+        frozen = [cache.best_theta_term(kappa) for cache in caches]
+        assert [repr(t) for t in term.tolist()] == [repr(f[0]) for f in frozen]
+        assert [repr(t) for t in theta.tolist()] == [repr(f[1]) for f in frozen]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("design_resolution", 0), ("ball_resolution", -1), ("sx_resolution", 2.5),
+    ("theta_points", 0), ("pattern_min_step", 0.0),
+    ("pattern_min_step", -1e-3), ("pattern_min_step", float("nan")),
+    ("pattern_min_step", float("inf"))])
+def test_search_config_rejects_hanging_or_empty_searches(field, value):
+    """A zero resolution empties a search and a zero step never ends one;
+    the config is only built here, no search runs."""
+    with pytest.raises(InputError):
+        DhtSearchConfig(**{field: value})
 
 
 def test_auxiliary_design_validation():

@@ -68,6 +68,27 @@ class TestDirectTradeoff:
                 oracle, abs=1e-6)
 
 
+class TestNanKappa:
+    """A NaN kappa_alpha has no place on a boundary: every entry point
+    raises InputError instead of returning NaN or a point mass."""
+
+    P, Q = Pmf((0, 1), [0.7, 0.3]), Pmf((0, 1), [0.4, 0.6])
+
+    def test_direct_tradeoff(self):
+        with pytest.raises(InputError):
+            direct_tradeoff(self.P, self.Q, float("nan"))
+        with pytest.raises(InputError):
+            direct_tradeoff(self.P, self.Q, np.array([0.01, np.nan]))
+
+    def test_rht_tradeoff(self):
+        with pytest.raises(InputError):
+            rht_tradeoff(self.P, self.Q, Channel.bsc(0.2), float("nan"))
+
+    def test_best_channel_branch(self):
+        with pytest.raises(InputError):
+            best_channel_branch(Channel.bsc(0.2), float("nan"))
+
+
 class TestChannelDBounds:
     def test_diagonal_law(self, bsc35):
         law = ChannelPairLaw.from_matrix((0, 1), [[0.5, 0.0], [0.0, 0.5]])
