@@ -288,8 +288,7 @@ def cmd_bounds(args) -> int:
                                      config=config)
         else:
             shtcc = shtcc_tai if model.is_tai else shtcc_tad
-            reps = [shtcc(model, model_file.channel, ka, config)
-                    for ka in kappas]
+            reps = shtcc(model, model_file.channel, kappas, config)
         for rep in reps:
             rows.append([rep.kappa_alpha, rep.name, rep.value,
                          int(rep.feasible), _digest_achiever(rep.achiever)])

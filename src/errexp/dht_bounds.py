@@ -22,7 +22,8 @@ from .legendre import Mixture
 from .optimize import (bisect_monotone, chunked, grid_then_pattern,
                        simplex_grid, simplex_grid_array)
 from .prob_core import (Channel, JointPmf, Pmf, capacity, conditional_kl_arrays,
-                        kl_rows, mutual_information_rows)
+                        kl_row_groups, kl_rows, mutual_information_pairs,
+                        mutual_information_rows)
 
 PRODUCT_TOL = 1e-12
 BALL_ACTIVE_TOL = 1e-9
@@ -355,26 +356,30 @@ def _crossing_values(model: SourceModel, ch: Channel, radius,
 
 
 def _ball_optimize(p_ref: np.ndarray, objective, signs: np.ndarray,
-                   kappa_alpha: float, config: DhtSearchConfig) -> np.ndarray:
-    """Extremize R objectives over joints within the KL ball around p_ref.
+                   kappa_alpha, config: DhtSearchConfig) -> np.ndarray:
+    """Extremize R objectives over joints within the KL ball around p_ref,
+    at one kappa_alpha for all problems or one per problem.
 
     `objective(ps, owner)` maps a (B, n) stack of flat joints and the (B,)
     index of the problem that owns each row to their B values; problem r is
-    maximized when signs[r] is +1 and minimized when it is -1. The R
-    problems run as one `grid_then_pattern` call over the reference and
-    then the feasible grid points, so a grid point must beat the reference
-    strictly. Points outside the ball score -inf, and every point inside it
-    at least the lowest finite float: so a problem that is -inf at the
-    reference and on the whole grid is still searched from the reference,
-    lest a min such as E1 stay at +inf, on the optimistic side; if the
-    search finds nothing either, its value reads -inf again. `objective`
-    never sees more than GRID_CHUNK rows at once. Returns the R extrema.
+    maximized when signs[r] is +1 and minimized when it is -1. A problem at
+    kappa_alpha 0 is evaluated at the reference. The others run as one
+    `grid_then_pattern` call over the reference and then the grid points
+    inside the largest ball, so a grid point must beat the reference
+    strictly. Points outside a problem's own ball score -inf and never win,
+    and every point inside it at least the lowest finite float: so a problem
+    that is -inf at the reference and on the whole grid is still searched
+    from the reference, lest a min such as E1 stay at +inf, on the
+    optimistic side; if the search finds nothing either, its value reads
+    -inf again. `objective` never sees more than GRID_CHUNK rows at once.
+    Returns the R extrema.
     """
-    if not kappa_alpha >= 0:
-        raise InputError("kappa_alpha must be non-negative")
     ref = p_ref.reshape(-1)
     signs = np.asarray(signs, dtype=float)
-    limit = kappa_alpha + 1e-12
+    kappa = np.broadcast_to(np.asarray(kappa_alpha, dtype=float), signs.shape)
+    if not np.all(kappa >= 0):
+        raise InputError("kappa_alpha must be non-negative")
+    limit = kappa + 1e-12
     floor = -np.finfo(float).max
 
     def signed(ps: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -383,85 +388,92 @@ def _ball_optimize(p_ref: np.ndarray, objective, signs: np.ndarray,
 
     def penalized(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
         ps = stack[:, 0]
-        return np.where(kl_rows(ps, ref) > limit, -np.inf,
+        return np.where(kl_rows(ps, ref) > limit[owner], -np.inf,
                         np.maximum(signed(ps, owner), floor))
 
-    if not kappa_alpha > 0:
-        return signs * signed(np.repeat(ref[None], len(signs), axis=0),
-                              np.arange(len(signs)))
-    grid = simplex_grid_array(ref.size, config.ball_resolution)
-    candidates = [[ref], *([p] for p in grid[kl_rows(grid, ref) <= limit])]
-    _, best = grid_then_pattern(penalized, candidates, problems=len(signs),
-                                min_step=config.pattern_min_step,
-                                min_improve=1e-9)
-    return signs * np.where(best == floor, -np.inf, best)
+    best = np.empty(len(signs))
+    at_ref = np.flatnonzero(kappa == 0)
+    best[at_ref] = signed(np.repeat(ref[None], at_ref.size, axis=0), at_ref)
+    if (search := np.flatnonzero(kappa > 0)).size:
+        grid = simplex_grid_array(ref.size, config.ball_resolution)
+        inside = kl_rows(grid, ref) <= limit[search].max()
+        _, found = grid_then_pattern(
+            lambda stack, owner: penalized(stack, search[owner]),
+            [[ref], *([p] for p in grid[inside])], problems=search.size,
+            min_step=config.pattern_min_step, min_improve=1e-9)
+        best[search] = np.where(found == floor, -np.inf, found)
+    return signs * best
 
 
-def _info_uw(ps: np.ndarray, shape: tuple[int, int],
-             w_rows: np.ndarray) -> np.ndarray:
-    """I(U;W) of each flat joint P_UV in a stack, W drawn from U by w_rows
-    (one matrix, or one per joint)."""
-    p_u = ps.reshape(-1, *shape).sum(axis=2)
-    return mutual_information_rows(p_u[:, :, None] * w_rows)
+def _joint_vw(joints: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
+    """P_VW of each joint P_UV of a (B, |U|, |V|) stack, W drawn from U by
+    w_rows (one matrix, or one per joint), as a (B, |V|, |W|) stack."""
+    return joints.transpose(0, 2, 1) @ w_rows
 
 
-def _joint_vw(ps: np.ndarray, shape: tuple[int, int],
-              w_rows: np.ndarray) -> np.ndarray:
-    """P_VW of each flat joint P_UV in a stack, as a (B, |V|, |W|) stack."""
-    return ps.reshape(-1, *shape).transpose(0, 2, 1) @ w_rows
+def _ball_objective(w_rows: np.ndarray, first_term=None):
+    """The owner-indexed objective of the KL-ball problems of a quantizer
+    stack w_rows (R, |U|, |W|), on a stack of flat joints P'_UV: owner
+    k * R + r is problem k of quantizer r, with k = 0 for I(U;W), 1 for
+    I(V;W) and 2 for `first_term(w_rows)(joints, r)`, given as (P, Q) row
+    pairs whose divergences add up in order. Every divergence of a call is
+    summed by one `kl_row_groups` call."""
+    n_q, n_u = w_rows.shape[:2]
+    terms = first_term(w_rows) if first_term is not None else None
 
-
-def _info_vw(ps: np.ndarray, shape: tuple[int, int],
-             w_rows: np.ndarray) -> np.ndarray:
-    """I(V;W) of each flat joint P_UV in a stack, W drawn from U by w_rows
-    (one matrix, or one per joint)."""
-    return mutual_information_rows(_joint_vw(ps, shape, w_rows))
+    def objective(ps: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        joints = ps.reshape(len(ps), n_u, -1)
+        kind, quant = np.divmod(owner, n_q)
+        zeta, rho, e1 = (np.flatnonzero(kind == k) for k in range(3))
+        p_u = joints[zeta].sum(axis=2)
+        pairs = [mutual_information_pairs(p_u[:, :, None] * w_rows[quant[zeta]]),
+                 mutual_information_pairs(
+                     _joint_vw(joints[rho], w_rows[quant[rho]]))]
+        if e1.size:
+            pairs += terms(joints[e1], quant[e1])
+        div = kl_row_groups(pairs)
+        out = np.empty(len(ps))
+        out[zeta], out[rho] = div[0], div[1]
+        if e1.size:
+            out[e1] = functools.reduce(np.add, div[2:])
+        return out
+    return objective
 
 
 def _tai_first_term(p_uv: np.ndarray, w_rows: np.ndarray):
-    """The TAI first term I(V;W) + D(P'_V || P_V), as an owner-indexed
-    objective of a stack of flat joints P'_UV: quantizer w_rows[owner] for
-    each row. P_V is the V-marginal of p_uv."""
-    shape = p_uv.shape
+    """The TAI first term I(V;W) + D(P'_V || P_V) of a stack of joints
+    P'_UV, quantizer w_rows[r] for each, as (P, Q) row pairs: a function
+    of (joints, r). P_V is the V-marginal of p_uv."""
     p_v = p_uv.sum(axis=0)
-    return lambda ps, owner: (
-        _info_vw(ps, shape, w_rows[owner])
-        + kl_rows(ps.reshape(-1, *shape).sum(axis=1), p_v))
+    return lambda joints, r: [
+        mutual_information_pairs(_joint_vw(joints, w_rows[r])),
+        (joints.sum(axis=1), p_v)]
 
 
 def _tad_first_term(q_uv: np.ndarray, w_rows: np.ndarray):
-    """The TAD surrogate first term D(P'_VW || Q_VW), as an owner-indexed
-    objective of a stack of flat joints P'_UV: quantizer w_rows[owner] for
-    each row."""
-    shape = q_uv.shape
+    """The TAD surrogate first term D(P'_VW || Q_VW) of a stack of joints
+    P'_UV, quantizer w_rows[r] for each, as a (P, Q) row pair: a function
+    of (joints, r)."""
     q_vw = (q_uv.T @ w_rows).reshape(len(w_rows), -1)
-    return lambda ps, owner: kl_rows(
-        _joint_vw(ps, shape, w_rows[owner]).reshape(len(ps), -1), q_vw[owner])
+    return lambda joints, r: [
+        (_joint_vw(joints, w_rows[r]).reshape(q_vw[r].shape), q_vw[r])]
 
 
-def zeta_rho(model: SourceModel, p_wus, kappa_alpha: float,
+def zeta_rho(model: SourceModel, p_wus, kappa_alpha,
              config: DhtSearchConfig = DhtSearchConfig()
              ) -> tuple[np.ndarray, np.ndarray]:
     """(zeta, rho) arrays, one entry per test channel in `p_wus`: the extremes
     of I(U;W) and I(V;W) over the KL ball of joints around P_UV, with W
-    generated by that fixed channel. The channels share one output alphabet
-    size, and all 2R searches run as one `_ball_optimize`."""
+    generated by that fixed channel, at one kappa_alpha for all channels or
+    one per channel. The channels share one output alphabet size, and all
+    2R searches run as one `_ball_optimize`."""
     if len({p_wu.rows.shape for p_wu in p_wus}) != 1:
         raise InputError("zeta_rho: test channels must share one shape")
-    shape = model.p_uv.probs.shape
     w_rows = np.stack([p_wu.rows for p_wu in p_wus])
     n = len(w_rows)
-
-    def objective(ps: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        # owners below n are the zeta problems, the others the rho problems
-        out = np.empty(len(ps))
-        zeta = owner < n
-        out[zeta] = _info_uw(ps[zeta], shape, w_rows[owner[zeta]])
-        out[~zeta] = _info_vw(ps[~zeta], shape, w_rows[owner[~zeta] - n])
-        return out
-
-    both = _ball_optimize(model.p_uv.probs, objective,
-                          np.repeat([1.0, -1.0], n), kappa_alpha, config)
+    kappa = np.broadcast_to(np.asarray(kappa_alpha, dtype=float), n)
+    both = _ball_optimize(model.p_uv.probs, _ball_objective(w_rows),
+                          np.repeat([1.0, -1.0], n), np.tile(kappa, 2), config)
     return both[:n], both[n:]
 
 
@@ -510,22 +522,24 @@ class _ChannelTable:
         at_zero = _rho_grid_at_zero(wl, logb, k)
         return _ChannelTable(p_sx, rate, theta_l, at_zero, inf_below, thetas, e_sp)
 
-    def expurgated(self, rates) -> np.ndarray:
-        """E_x (R, D) at each of R rates of every design."""
+    def expurgated(self, rates, designs=slice(None)) -> np.ndarray:
+        """E_x (R, D) at each of R rates of every design, or of the given
+        designs only."""
         rates = np.asarray(rates, dtype=float)[:, None]
         # a design at a time: an (R, D, RHO_GRID_POINTS) block raised memory
         out = np.stack([np.max(-RHO_GRID * rates + at_zero, axis=1)
-                        for at_zero in self.at_zero], axis=1)
-        return np.where(rates < self.inf_below, np.inf, out)
+                        for at_zero in self.at_zero[designs]], axis=1)
+        return np.where(rates < self.inf_below[designs], np.inf, out)
 
-    def theta_terms(self, kappa_alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per design: the max of E_sp - theta over thetas with E_sp >=
+    def theta_terms(self, kappa_alpha) -> tuple[np.ndarray, np.ndarray]:
+        """Per design, at a kappa_alpha or at each of an array of them (one
+        row each): the max of E_sp - theta over thetas with E_sp >=
         kappa_alpha and the first theta attaining it (-inf and NaN if none)."""
-        vals = np.where(self.e_sp >= kappa_alpha, self.e_sp - self.thetas,
-                        -np.inf)
-        top = vals.argmax(axis=1)[:, None]  # the first of equal maxima
-        term, theta = (np.take_along_axis(a, top, axis=1)[:, 0]
-                       for a in (vals, self.thetas))
+        kappa = np.asarray(kappa_alpha, dtype=float)[..., None, None]
+        vals = np.where(self.e_sp >= kappa, self.e_sp - self.thetas, -np.inf)
+        top = vals.argmax(axis=-1)[..., None]  # the first of equal maxima
+        term, theta = (np.take_along_axis(a, top, axis=-1)[..., 0]
+                       for a in (vals, np.broadcast_to(self.thetas, vals.shape)))
         return term, np.where(term > -np.inf, theta, np.nan)
 
 
@@ -557,64 +571,83 @@ def _wu_candidates(n_u: int, n_w: int, resolution: int):
 # SHTCC bounds
 
 
-def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha: float,
-           config: DhtSearchConfig, first_term, offset) -> BoundReport:
-    """Separation bound at kappa_alpha: max over the quantizer P_{W|U}, the
-    channel design and the threshold of min{E1, offset + channel term}.
+def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
+           config: DhtSearchConfig, first_term, offset):
+    """Separation bound at each kappa_alpha: max over the quantizer P_{W|U},
+    the channel design and the threshold of min{E1, offset + channel term}.
+    Elementwise like `jhtcc_uncoded_opt`: a float gives one BoundReport, a
+    sequence a tuple of them.
 
-    `first_term(w_rows)` gives the owner-indexed first-term objective of a
-    stack of joint laws (as flat rows) for a (R, |U|, |W|) quantizer stack,
-    minimized over the KL ball around P_UV; `offset(rho)` is added to the
-    channel term, elementwise. The quantizer grid and every sweep of the
-    pattern search that follows are scored as stacks: one `zeta_rho` call
-    for the stack, then one lockstep E1 search over its feasible rows.
+    `first_term(w_rows)` gives the first term of a (R, |U|, |W|) quantizer
+    stack as (P, Q) row pairs (see `_ball_objective`), minimized over the KL
+    ball around P_UV; `offset(rho)` is added to the channel term,
+    elementwise. One quantizer search serves every kappa_alpha, and the
+    grid and every round of its pattern searches are scored as stacks: one
+    `_ball_optimize` per stack covers zeta, rho and E1 of every row, each
+    at its row's kappa_alpha.
     """
+    kappas = np.atleast_1d(np.asarray(kappa_alpha, dtype=float))
+    if not np.all(kappas >= 0):
+        raise InputError("kappa_alpha must be non-negative")
+    if not kappas.size:
+        return ()
     p_uv = model.p_uv.probs
     n_u = p_uv.shape[0]
     n_w = n_u + 1
     table = _channel_table(ch, config)
-    term, theta = table.theta_terms(kappa_alpha)
+    terms, thetas = table.theta_terms(kappas)
 
-    def evaluate(stack: np.ndarray):
-        """(value, zeta, rho, design) arrays of a quantizer stack: the design
-        is the first of equal maxima of min{E_x(zeta), E_sp - theta} among
-        those meeting the rate and the floor; value -inf where none does."""
-        zeta, rho = zeta_rho(model, [Channel(range(n_u), range(n_w), w_rows)
-                                     for w_rows in stack], kappa_alpha, config)
-        e_x = table.expurgated(zeta)
+    def evaluate(stack: np.ndarray, owner: np.ndarray):
+        """(value, zeta, rho, design, E_x) arrays of a quantizer stack, row
+        b at kappas[owner[b]]: the design is the first of equal maxima of
+        min{E_x(zeta), E_sp - theta} among those meeting the rate and the
+        floor; value -inf where none does."""
+        kappa, term = kappas[owner], terms[owner]
+        zeta, rho, e1 = _ball_optimize(
+            p_uv, _ball_objective(stack, first_term),
+            np.repeat([1.0, -1.0, -1.0], len(stack)), np.tile(kappa, 3),
+            config).reshape(3, -1)
+        # E_x only of the designs that some row can use; one design at
+        # least, so that every row has a first maximum
+        usable = (term > -np.inf) & (zeta[:, None] < table.rate)
+        designs = (np.flatnonzero(usable.any(axis=0)) if usable.any()
+                   else np.zeros(1, dtype=int))
+        e_x, term = table.expurgated(zeta, designs), term[:, designs]
         # min(e_x, term) as Python's: term only if strictly smaller
-        channel = np.where((term > -np.inf) & (zeta[:, None] < table.rate)
-                           & ~(e_x < kappa_alpha),
+        channel = np.where(usable[:, designs] & ~(e_x < kappa[:, None]),
                            np.where(term < e_x, term, e_x), -np.inf)
-        which = channel.argmax(axis=1)
-        channel = np.take_along_axis(channel, which[:, None], axis=1)[:, 0]
+        top = channel.argmax(axis=1)[:, None]
+        channel, e_x = (np.take_along_axis(a, top, axis=1)[:, 0]
+                        for a in (channel, e_x))
         ok = channel > -np.inf
-        e1 = np.full(len(stack), np.inf)
-        if ok.any():
-            e1[ok] = _ball_optimize(p_uv, first_term(stack[ok]),
-                                    np.full(np.count_nonzero(ok), -1.0),
-                                    kappa_alpha, config)
         # min(e1, offset + channel) as Python's: the second only if smaller
         part = offset(rho) + channel
         value = np.where(ok, np.where(part < e1, part, e1), -np.inf)
-        return value, zeta, rho, which
+        return value, zeta, rho, designs[top[:, 0]], e_x
 
     candidates = _wu_candidates(n_u, n_w, config.design_resolution)
-    [blocks], _ = grid_then_pattern(
-        lambda stack, owner: evaluate(stack)[0], candidates,
-        min_step=max(config.pattern_min_step, 0.01), min_improve=1e-6)
-    if blocks is None:
-        return BoundReport(name, kappa_alpha, 0.0, {}, feasible=False,
+    blocks, _ = grid_then_pattern(
+        lambda stack, owner: evaluate(stack, owner)[0], candidates,
+        problems=kappas.size, min_step=max(config.pattern_min_step, 0.01),
+        min_improve=1e-6)
+    found = np.array([k for k, b in enumerate(blocks) if b is not None],
+                     dtype=int)
+    reports = [BoundReport(name, float(ka), 0.0, {}, feasible=False,
                            grid_resolution=config.design_resolution)
-    w_rows = np.stack(blocks)
-    [value], [zeta], [rho], [which] = evaluate(w_rows[None])
-    achiever = {"p_wu": tuple(w_rows.reshape(-1)),
-                "p_sx": tuple(table.p_sx[which].reshape(-1)),
-                "theta": float(theta[which]),
-                "zeta": float(zeta), "rho": float(rho),
-                "e_x": float(table.expurgated([zeta])[0, which])}
-    return BoundReport(name, kappa_alpha, max(float(value), 0.0), achiever,
-                       feasible=True, grid_resolution=config.design_resolution)
+               for ka in kappas]
+    if found.size:
+        w_rows = np.array([blocks[k] for k in found])
+        for k, w, *ach in zip(found, w_rows, *evaluate(w_rows, found)):
+            value, zeta, rho, which, e_x = ach
+            achiever = {"p_wu": tuple(w.reshape(-1)),
+                        "p_sx": tuple(table.p_sx[which].reshape(-1)),
+                        "theta": float(thetas[k, which]),
+                        "zeta": float(zeta), "rho": float(rho),
+                        "e_x": float(e_x)}
+            reports[k] = BoundReport(
+                name, float(kappas[k]), max(float(value), 0.0), achiever,
+                feasible=True, grid_resolution=config.design_resolution)
+    return reports[0] if np.ndim(kappa_alpha) == 0 else tuple(reports)
 
 
 def shtcc_tai_stein(model: SourceModel, ch: Channel,
@@ -644,10 +677,13 @@ def shtcc_tai_stein(model: SourceModel, ch: Channel,
     return float(max(best_val, 0.0))
 
 
-def shtcc_tai(model: SourceModel, ch: Channel, kappa_alpha: float,
-              config: DhtSearchConfig = DhtSearchConfig()) -> BoundReport:
+def shtcc_tai(model: SourceModel, ch: Channel, kappa_alpha,
+              config: DhtSearchConfig = DhtSearchConfig()):
     """Separation bound for TAI at positive kappa_alpha: max over quantizer,
-    channel design, and threshold of the three-way minimum."""
+    channel design, and threshold of the three-way minimum.
+
+    Elementwise over a sequence of kappa_alpha, as one search: a float
+    gives one BoundReport, a sequence a tuple of them."""
     if not model.is_tai:
         raise InputError("model is not testing against independence")
     return _shtcc("shtcc_tai", model, ch, kappa_alpha, config,
@@ -687,10 +723,11 @@ def shtcc_tad_stein(model: SourceModel, ch: Channel,
     return float(max(best_val, 0.0))
 
 
-def shtcc_tad(model: SourceModel, ch: Channel, kappa_alpha: float,
-              config: DhtSearchConfig = DhtSearchConfig()) -> BoundReport:
+def shtcc_tad(model: SourceModel, ch: Channel, kappa_alpha,
+              config: DhtSearchConfig = DhtSearchConfig()):
     """Separation bound for TAD at positive kappa_alpha, using the
-    surrogate first term D(P'_VW || Q_VW) for E1.
+    surrogate first term D(P'_VW || Q_VW) for E1; elementwise over a
+    sequence of kappa_alpha like `shtcc_tai`.
 
     Not a certified lower bound: zeta (a max), rho and E1 (mins) over the
     KL ball come from grid plus pattern search, so a zeta found too low or

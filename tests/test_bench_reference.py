@@ -15,7 +15,7 @@ It also runs ``bench/traced.py`` on a small SHTCC command and on a small
 ``--scheme both`` command. The tracer replaces functions of the package with
 counting and timing wrappers under every name that imported them, so the
 traced output must equal the untraced one, and the spans of the traced
-searches (``zeta_rho`` and ``jhtcc_uncoded_opt``) must be recorded.
+searches (``shtcc_tad`` and ``jhtcc_uncoded_opt``) must be recorded.
 """
 
 import importlib.util
@@ -149,17 +149,22 @@ def test_schemes_searches_run_batched(monkeypatch, capsys):
 
 
 def test_shtcc_searches_run_batched(monkeypatch, capsys):
-    """The shtcc command runs 82 lockstep pattern searches in 1036 scorer
-    rounds and builds its channel-design table once for both kappa_alpha:
-    10 special-message exponents, one per P_SX design. These counts do not
-    depend on the machine. Searching every kappa_alpha in one lockstep run
-    would lower them on purpose; building the table per kappa_alpha would
-    double the last."""
-    from errexp import dht_bounds, optimize
+    """The shtcc command runs one quantizer search for both kappa_alpha, in
+    which each quantizer stack gets one KL-ball search for zeta, rho and E1
+    together: 31 lockstep pattern searches in 557 scorer rounds (82 in 1036
+    with one search per kappa_alpha and E1 apart). Each objective call of a
+    KL-ball search sums all its divergences in one `kl_rows` call beside
+    the ball check's, 1480 calls in all (3238 with one call per term). It
+    builds its channel-design table once for both kappa_alpha: 10
+    special-message exponents, one per P_SX design. These counts do not
+    depend on the machine; building the table per kappa_alpha would double
+    the last."""
+    from errexp import dht_bounds, optimize, prob_core
     dht_bounds._channel_table_of.cache_clear()  # build the table in this run
-    counts = {"runs": 0, "rounds": 0, "special": 0}
-    lockstep, special = (optimize.lockstep_pattern_search,
-                         dht_bounds.special_message_exponent)
+    counts = {"runs": 0, "rounds": 0, "special": 0, "kl_rows": 0}
+    lockstep, special, kl_rows = (optimize.lockstep_pattern_search,
+                                  dht_bounds.special_message_exponent,
+                                  prob_core.kl_rows)
 
     def counted_lockstep(score, *args, **kwargs):
         counts["runs"] += 1
@@ -173,10 +178,17 @@ def test_shtcc_searches_run_batched(monkeypatch, capsys):
         counts["special"] += 1
         return special(*args, **kwargs)
 
+    def counted_kl_rows(*args, **kwargs):
+        counts["kl_rows"] += 1
+        return kl_rows(*args, **kwargs)
+
     monkeypatch.setattr(optimize, "lockstep_pattern_search", counted_lockstep)
     monkeypatch.setattr(dht_bounds, "special_message_exponent", counted_special)
+    for module in (prob_core, dht_bounds):
+        monkeypatch.setattr(module, "kl_rows", counted_kl_rows)
     test_shtcc_stdout_byte_identical(monkeypatch, capsys)
-    assert counts == {"runs": 82, "rounds": 1036, "special": 10}
+    assert counts == {"runs": 31, "rounds": 557, "special": 10,
+                      "kl_rows": 1480}
 
 
 @pytest.mark.parametrize("args", [
@@ -198,7 +210,7 @@ def test_traced_run_matches_untraced(args, tmp_path, monkeypatch, capsys):
     traced = json.loads(record.read_text())
     assert traced["exit"] == 0
     spans = traced["spans"]
-    assert spans["dht_bounds.zeta_rho" if "shtcc" in args
+    assert spans["dht_bounds.shtcc_tad" if "shtcc" in args
                  else "dht_bounds.jhtcc_uncoded_opt"]["calls"] > 0
     monkeypatch.chdir(ROOT)
     assert cli.main(args) == 0

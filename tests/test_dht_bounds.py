@@ -14,8 +14,8 @@ from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
                     special_message_exponent, theta_bounds, zeta_rho)
 from errexp.channel_exponents import (RHO_GRID, expurgated_exponent_opt,
                                       output_given_state)
-from errexp.dht_bounds import (_ball_optimize, _channel_table, _ChannelTable,
-                               _info_uw, _info_vw, _project_components,
+from errexp.dht_bounds import (_ball_objective, _ball_optimize, _channel_table,
+                               _ChannelTable, _project_components,
                                _tad_first_term, _tai_first_term,
                                _uncoded_values, _vy_laws)
 from errexp.legendre import Mixture
@@ -651,11 +651,12 @@ class TestBallOptimizeChunks:
     def run(example1, rows_seen):
         rng = np.random.default_rng(53)
         w_rows = rng.dirichlet(np.ones(3), size=(12, 2))
-        shape = example1.p_uv.probs.shape
+        info = _ball_objective(w_rows)
 
         def objective(ps, owner):
             rows_seen.append(len(ps))
-            return _info_vw(ps, shape, w_rows[owner % len(w_rows)])
+            # I(V;W), problem kind 1, of quantizer owner % 12
+            return info(ps, owner % len(w_rows) + len(w_rows))
 
         signs = np.tile([1.0, -1.0], len(w_rows))
         # 56 feasible grid points, so the grid pass tiles 24 * 56 rows
@@ -722,13 +723,21 @@ class TestStackedBallObjectives:
         q_uv = np.roll(p_uv, 1, axis=1)
         w_rows = sparse_rows(rng, n_u, n_u + 1, 0.3)
         p_v, q_vw = p_uv.sum(axis=0), (q_uv.T @ w_rows).reshape(-1)
-        owner = np.zeros(len(ps), dtype=int)  # one quantizer for every row
-
+        # one quantizer for every row, so owner k is problem kind k
+        tai = _ball_objective(w_rows[None],
+                              functools.partial(_tai_first_term, p_uv))
+        tad = _ball_objective(w_rows[None],
+                              functools.partial(_tad_first_term, q_uv))
+        kind = [np.full(len(ps), k) for k in range(3)]
         stacked = {"ball": kl_rows(ps, ref),
-                   "zeta": _info_uw(ps, shape, w_rows),
-                   "rho": _info_vw(ps, shape, w_rows),
-                   "tai_e1": _tai_first_term(p_uv, w_rows[None])(ps, owner),
-                   "tad_e1": _tad_first_term(q_uv, w_rows[None])(ps, owner)}
+                   "zeta": tad(ps, kind[0]), "rho": tad(ps, kind[1]),
+                   "tai_e1": tai(ps, kind[2]), "tad_e1": tad(ps, kind[2])}
+        # all kinds in one call, each row keeping its own kind's bits
+        mixed = np.arange(len(ps)) % 3
+        for objective, e1 in ((tai, "tai_e1"), (tad, "tad_e1")):
+            picked = np.choose(mixed, [stacked["zeta"], stacked["rho"],
+                                       stacked[e1]])
+            assert objective(ps, mixed).tolist() == picked.tolist()
         for b, p in enumerate(ps):
             joint = p.reshape(shape)
             scalar = {
@@ -947,11 +956,30 @@ class TestShtccTai:
         (that row's, bit for bit) and its E_sp at theta clear kappa_alpha,
         zeta sits below its rate, and the value is at most
         offset(rho) + min(e_x, E_sp(theta) - theta)."""
+        model, bound, offset = self.kind(kind, example1)
+        self.audit(bound(model, bsc35, kappa, FAST), kappa, offset, bsc35)
+
+    @pytest.mark.parametrize("kind, kappas", [
+        ("tai", (0.001, 0.0)), ("tad", (0.002, 0.008))])
+    def test_batched_achievers_pass_feasibility_audit(self, kind, kappas,
+                                                      example1, bsc35):
+        """The same audit on every report of one sequence call."""
+        model, bound, offset = self.kind(kind, example1)
+        reports = bound(model, bsc35, kappas, FAST)
+        assert [r.kappa_alpha for r in reports] == list(kappas)
+        for report, kappa in zip(reports, kappas, strict=True):
+            assert report.feasible
+            self.audit(report, kappa, offset, bsc35)
+
+    @staticmethod
+    def kind(kind, example1):
+        """(model, bound, offset of the channel term) of a TAI or TAD run."""
         if kind == "tai":
-            model, bound, offset = skewed_tai_model(), shtcc_tai, lambda r: r
-        else:
-            model, bound, offset = example1, shtcc_tad, lambda r: 0.0
-        report = bound(model, bsc35, kappa, FAST)
+            return skewed_tai_model(), shtcc_tai, lambda r: r
+        return example1, shtcc_tad, lambda r: 0.0
+
+    @staticmethod
+    def audit(report, kappa, offset, bsc35):
         ach = report.achiever
         table = _channel_table(bsc35, FAST)
         [d] = np.flatnonzero((table.p_sx.reshape(len(table.p_sx), -1)
@@ -992,6 +1020,88 @@ class TestShtccTad:
 
     def test_useless_channel_is_zero(self, example1):
         assert shtcc_tad_stein(example1, Channel.bsc(0.5), FAST) == 0.0
+
+
+class TestBatchedShtcc:
+    """shtcc_tad and shtcc_tai over a kappa_alpha sequence run one search
+    and give the reports of the per-kappa_alpha scalar calls, bit for bit
+    and achievers included."""
+
+    @pytest.mark.parametrize("kind, channel, kappas", [
+        ("tad", "bsc35", (0.01, 0.0, 0.05, 0.01)),
+        ("tai", "bsc35", (0.002, 0.0, 0.05, 0.002)),
+        ("tad", "split3", (0.01, 0.0, 0.2, 0.01)),
+        ("tad", "disjoint", (0.01, 0.0, 0.01)),
+    ])
+    def test_sequence_equals_scalar_calls(self, kind, channel, kappas,
+                                          example1):
+        ch = {"bsc35": Channel.bsc(0.35), "split3": SPLIT3,
+              "disjoint": DISJOINT}[channel]
+        model, bound, _ = TestShtccTai.kind(kind, example1)
+        reports = bound(model, ch, list(kappas), FAST)
+        assert type(reports) is tuple
+        scalar = [bound(model, ch, kappa, FAST) for kappa in kappas]
+        assert [repr(r) for r in reports] == [repr(r) for r in scalar]
+        # kappa_alpha 0 and the duplicate feasible, the third one not
+        feasible = [r.feasible for r in reports]
+        assert feasible == ([False] * 3 if channel == "disjoint"
+                            else [True, True, False, True])
+
+    def test_empty_sequence(self, example1, bsc35):
+        assert shtcc_tad(example1, bsc35, [], FAST) == ()
+        assert shtcc_tai(skewed_tai_model(), bsc35, (), FAST) == ()
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-3])
+    def test_bad_entry_raises_before_any_search(self, bad, example1, bsc35,
+                                                monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr("errexp.dht_bounds.grid_then_pattern", no_search)
+        monkeypatch.setattr("errexp.dht_bounds._channel_table", no_search)
+        for model, bound in ((example1, shtcc_tad),
+                             (skewed_tai_model(), shtcc_tai)):
+            with pytest.raises(InputError, match="kappa_alpha"):
+                bound(model, bsc35, [0.01, bad, 0.0], FAST)
+
+
+class TestPerProblemKappa:
+    """`_ball_optimize` and `zeta_rho` with one kappa_alpha per problem give
+    what their calls at that kappa_alpha alone give, bit for bit."""
+
+    # at the reference, binding, not binding (the ball around the uniform
+    # 2 x 2 joint holds the whole simplex once kappa_alpha > log 4), and +inf
+    KAPPAS = (0.0, 0.01, 5.0, np.inf)
+    CONFIG = DhtSearchConfig(ball_resolution=6, pattern_min_step=5e-3)
+
+    def test_ball_optimize(self, example1):
+        rng = np.random.default_rng(61)
+        w_rows = rng.dirichlet(np.ones(3), size=(4, 2))
+        objective = _ball_objective(
+            w_rows, functools.partial(_tad_first_term, example1.q_uv.probs))
+        # zeta, rho and E1 of four quantizers, the four radii in turn
+        signs = np.repeat([1.0, -1.0, -1.0], len(w_rows))
+        kappas = np.resize(self.KAPPAS, len(signs))
+        ref = example1.p_uv.probs
+        got = _ball_optimize(ref, objective, signs, kappas, self.CONFIG)
+        for r, kappa in enumerate(kappas):
+            alone = _ball_optimize(ref, objective, signs, kappa, self.CONFIG)
+            assert_bit_equal(got[r], alone[r])
+
+    def test_zeta_rho(self, example1):
+        channels = [TestZetaRho.W_SPLIT,
+                    Channel((0, 1), (0, 1), [[0.5, 0.5], [0.5, 0.5]]),
+                    Channel((0, 1), (0, 1), [[0.3, 0.7], [1.0, 0.0]]),
+                    TestZetaRho.W_SPLIT]
+        zeta, rho = zeta_rho(example1, channels, self.KAPPAS, self.CONFIG)
+        for i, (ch, kappa) in enumerate(zip(channels, self.KAPPAS)):
+            [z], [r] = zeta_rho(example1, [ch], kappa, self.CONFIG)
+            assert_bit_equal(zeta[i], z)
+            assert_bit_equal(rho[i], r)
+
+    def test_bad_kappa_rejected(self, example1):
+        with pytest.raises(InputError, match="kappa_alpha"):
+            zeta_rho(example1, [TestZetaRho.W_SPLIT] * 2, [0.01, -1.0])
 
 
 # Values of the reference implementation at the FAST config, full precision.

@@ -4,8 +4,8 @@ import pytest
 from errexp import (Channel, EmpiricalType, InputError, JointPmf, Pmf,
                     capacity, conditional_kl, empirical_type, kl_divergence,
                     mutual_information)
-from errexp.prob_core import (conditional_kl_arrays, kl_array, kl_rows,
-                              mutual_information_arrays,
+from errexp.prob_core import (conditional_kl_arrays, kl_array, kl_row_groups,
+                              kl_rows, mutual_information_arrays,
                               mutual_information_rows)
 from conftest import (assert_bit_equal, divergence_channels, frozen_kl_array,
                       frozen_mutual_information, random_pmf, random_weights,
@@ -198,6 +198,48 @@ class TestRowWiseForms:
         got = kl_rows(p, q)
         assert got[0] == 0.0 and got[1] == np.inf and got[2] == np.log(2.0)
         assert kl_rows(np.empty((0, 3)), q).shape == (0,)
+
+    @pytest.mark.parametrize("size", [2, 6, 8, 12, 20])
+    def test_kl_rows_zero_padding_keeps_bits(self, size):
+        """Zero-p columns appended to a stack, with any q under them, leave
+        every row's divergence bit for bit: stacks of one support and of
+        many, rows summed one term at a time (under 8 live terms) and
+        pairwise (8 or more), and rows off q's support. `kl_row_groups` pads
+        stacks of several widths into one call on this property."""
+        rng = np.random.default_rng(100 + size)
+        shared, long_rows, values = set(), set(), set()
+        for trial in range(40):
+            p = sparse_rows(rng, int(rng.integers(1, 9)), size)
+            q = sparse_rows(rng, len(p), size, zero_frac=0.15)
+            if trial % 2 == 0:
+                p[:] = p[0]  # one support shared by every row
+            pad = int(rng.integers(1, 5))
+            padded_p = np.hstack([p, np.zeros((len(p), pad))])
+            padded_q = np.hstack([q, rng.choice([0.0, 0.4, 1.0], (len(p), pad))])
+            got, expect = kl_rows(padded_p, padded_q), kl_rows(p, q)
+            for b in range(len(p)):
+                assert_bit_equal(float(got[b]), float(expect[b]))
+                assert got[b] == frozen_kl_array(p[b], q[b])
+            mask = p > 0
+            shared.add(bool((mask == mask[0]).all()))
+            long_rows |= set((mask.sum(axis=1) >= 8).tolist())
+            values |= {bool(np.isfinite(v)) for v in got}
+        assert shared == values == {True, False}
+        assert (True in long_rows) == (size >= 8)
+
+    def test_kl_row_groups_equals_separate_calls(self):
+        rng = np.random.default_rng(71)
+        pairs = [(sparse_rows(rng, 5, 6), sparse_rows(rng, 5, 6, 0.15)),
+                 (sparse_rows(rng, 3, 2), sparse_rows(rng, 1, 2)[0]),
+                 (np.empty((0, 4)), np.empty((0, 4))),
+                 (sparse_rows(rng, 4, 11), sparse_rows(rng, 4, 11, 0.15))]
+        got = kl_row_groups(pairs)
+        assert len(got) == len(pairs)
+        for div, (p, q) in zip(got, pairs):
+            expect = kl_rows(p, q)
+            assert div.shape == expect.shape
+            for a, b in zip(div, expect):
+                assert_bit_equal(float(a), float(b))
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
     def test_mutual_information_rows(self, shape):
