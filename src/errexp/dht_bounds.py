@@ -522,14 +522,13 @@ class _ChannelTable:
         at_zero = _rho_grid_at_zero(wl, logb, k)
         return _ChannelTable(p_sx, rate, theta_l, at_zero, inf_below, thetas, e_sp)
 
-    def expurgated(self, rates, designs=slice(None)) -> np.ndarray:
-        """E_x (R, D) at each of R rates of every design, or of the given
-        designs only."""
+    def expurgated(self, rates) -> np.ndarray:
+        """E_x (R, D) at each of R rates of every design."""
         rates = np.asarray(rates, dtype=float)[:, None]
         # a design at a time: an (R, D, RHO_GRID_POINTS) block raised memory
         out = np.stack([np.max(-RHO_GRID * rates + at_zero, axis=1)
-                        for at_zero in self.at_zero[designs]], axis=1)
-        return np.where(rates < self.inf_below[designs], np.inf, out)
+                        for at_zero in self.at_zero], axis=1)
+        return np.where(rates < self.inf_below, np.inf, out)
 
     def theta_terms(self, kappa_alpha) -> tuple[np.ndarray, np.ndarray]:
         """Per design, at a kappa_alpha or at each of an array of them (one
@@ -607,14 +606,10 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
             p_uv, _ball_objective(stack, first_term),
             np.repeat([1.0, -1.0, -1.0], len(stack)), np.tile(kappa, 3),
             config).reshape(3, -1)
-        # E_x only of the designs that some row can use; one design at
-        # least, so that every row has a first maximum
-        usable = (term > -np.inf) & (zeta[:, None] < table.rate)
-        designs = (np.flatnonzero(usable.any(axis=0)) if usable.any()
-                   else np.zeros(1, dtype=int))
-        e_x, term = table.expurgated(zeta, designs), term[:, designs]
+        e_x = table.expurgated(zeta)
         # min(e_x, term) as Python's: term only if strictly smaller
-        channel = np.where(usable[:, designs] & ~(e_x < kappa[:, None]),
+        channel = np.where((term > -np.inf) & (zeta[:, None] < table.rate)
+                           & ~(e_x < kappa[:, None]),
                            np.where(term < e_x, term, e_x), -np.inf)
         top = channel.argmax(axis=1)[:, None]
         channel, e_x = (np.take_along_axis(a, top, axis=1)[:, 0]
@@ -623,7 +618,7 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
         # min(e1, offset + channel) as Python's: the second only if smaller
         part = offset(rho) + channel
         value = np.where(ok, np.where(part < e1, part, e1), -np.inf)
-        return value, zeta, rho, designs[top[:, 0]], e_x
+        return value, zeta, rho, top[:, 0], e_x
 
     candidates = _wu_candidates(n_u, n_w, config.design_resolution)
     blocks, _ = grid_then_pattern(

@@ -15,10 +15,13 @@ import numpy as np
 from .exceptions import BracketError, InputError
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# candidates scored per call by grid_then_pattern's grid pass (one row per
-# problem each) and rows per call of `chunked`; a batch scorer holds one
-# object per row at once, so this bounds its memory
+# candidates taken at a time by grid_then_pattern's grid pass and rows per
+# call of `chunked`; a batch scorer holds one object per row at once, so
+# this bounds its memory
 GRID_CHUNK = 256
+# rows per score call of grid_then_pattern, however many problems share it:
+# a nested search's problems grow with its caller's rows
+GRID_ROWS = 8 * GRID_CHUNK
 # the first step of every pattern search, halved down to its min_step
 PATTERN_STEP = 0.25
 
@@ -254,12 +257,14 @@ def grid_then_pattern(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     `score(stack, owner)` maps a (B, n_blocks, size) stack of block lists and
     the (B,) index of the problem that owns each row to their B values, each
     depending on its own row and owner only. Every candidate is scored for
-    every problem, GRID_CHUNK candidates (times R rows) at a time, in the
-    order given, and each problem keeps the first of its equal maxima. Then
-    pattern searches (with `pattern_kw`) run from each problem's winner and
-    from each extra seed, for every problem, all in one
-    `lockstep_pattern_search`: their projected starts are scored as one
-    stack, and so is each round of sweeps. A search result replaces its
+    every problem, GRID_CHUNK candidates at a time, in the order given, and
+    each problem keeps the first of its equal maxima. Then pattern searches
+    (with `pattern_kw`) run from each problem's winner and from each extra
+    seed, for every problem, all in one `lockstep_pattern_search`: their
+    projected starts are scored as one stack, and so is each round of
+    sweeps. No score call gets more than GRID_ROWS rows (or one chunk of
+    candidates for one problem), so its memory stays bounded however many
+    problems there are. A search result replaces its
     problem's running best, in that order, only when it is strictly larger,
     so no value is below that problem's best candidate. Returns the R
     winners, as lists of blocks (None where every candidate and every search
@@ -269,15 +274,18 @@ def grid_then_pattern(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     best_blocks, best_val = [None] * problems, np.full(problems, -np.inf)
     candidates = iter(candidates)
     while chunk := list(itertools.islice(candidates, GRID_CHUNK)):
-        # row t is candidate t % len(chunk) of problem t // len(chunk)
-        stack = np.tile(np.asarray(chunk, dtype=float), (problems, 1, 1))
-        vals = np.asarray(score(stack, np.repeat(owners, len(chunk))))
-        vals = vals.reshape(problems, len(chunk))
-        # the first of equal maxima, as a running `>` keeps; NaN never wins
-        k = np.argmax(np.where(np.isnan(vals), -np.inf, vals), axis=1)
-        top = vals[owners, k]
-        for r in np.flatnonzero(top > best_val):
-            best_blocks[r], best_val[r] = chunk[k[r]], top[r]
+        blocks = np.asarray(chunk, dtype=float)
+        per_call = max(1, GRID_ROWS // len(chunk))
+        for rs in (owners[s:s + per_call] for s in range(0, problems, per_call)):
+            # row t is candidate t % len(chunk) of problem rs[t // len(chunk)]
+            vals = np.asarray(score(np.tile(blocks, (rs.size, 1, 1)),
+                                    np.repeat(rs, len(chunk))))
+            vals = vals.reshape(rs.size, len(chunk))
+            # the first of equal maxima, as a running `>` keeps; NaN never wins
+            k = np.argmax(np.where(np.isnan(vals), -np.inf, vals), axis=1)
+            top = vals[np.arange(rs.size), k]
+            for i in np.flatnonzero(top > best_val[rs]):
+                best_blocks[rs[i]], best_val[rs[i]] = chunk[k[i]], top[i]
     seeds = list(seeds)
     starts = [(r, blocks) for r in owners
               for blocks in [best_blocks[r], *seeds] if blocks is not None]
@@ -286,20 +294,27 @@ def grid_then_pattern(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     owner = np.array([r for r, _ in starts])
     x = np.asarray([blocks for _, blocks in starts], dtype=float)
     x = project_rows(x.reshape(-1, x.shape[-1])).reshape(x.shape)
+
+    def capped(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return chunked(lambda t: score(stack[t], rows[t]), len(stack),
+                       GRID_ROWS)
+
     xs, vals = lockstep_pattern_search(
-        lambda probes, search: score(probes, owner[search]), x,
-        score(x, owner), **pattern_kw)
+        lambda probes, search: capped(probes, owner[search]), x,
+        capped(x, owner), **pattern_kw)
     for r, blocks, val in zip(owner, xs, vals):
         if val > best_val[r]:
             best_blocks[r], best_val[r] = list(blocks), val
     return best_blocks, best_val
 
 
-def chunked(fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """fn(t) over the row indices t = 0..n-1, GRID_CHUNK rows per call, with
-    the values concatenated in row order: a row-wise scorer's memory stays
-    bounded however many rows there are."""
+def chunked(fn: Callable[[np.ndarray], np.ndarray], n: int,
+            size: int | None = None) -> np.ndarray:
+    """fn(t) over the row indices t = 0..n-1, `size` (GRID_CHUNK by default)
+    rows per call, with the values concatenated in row order: a row-wise
+    scorer's memory stays bounded however many rows there are."""
     if n == 0:
         return np.empty(0)
-    return np.concatenate([fn(np.arange(s, min(s + GRID_CHUNK, n)))
-                           for s in range(0, n, GRID_CHUNK)])
+    size = size or GRID_CHUNK
+    return np.concatenate([fn(np.arange(s, min(s + size, n)))
+                           for s in range(0, n, size)])

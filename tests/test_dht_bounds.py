@@ -19,7 +19,7 @@ from errexp.dht_bounds import (_ball_objective, _ball_optimize, _channel_table,
                                _tad_first_term, _tai_first_term,
                                _uncoded_values, _vy_laws)
 from errexp.legendre import Mixture
-from errexp.optimize import GRID_CHUNK, simplex_grid
+from errexp.optimize import GRID_CHUNK, grid_then_pattern, simplex_grid
 from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
                                mutual_information_rows)
 from conftest import (CYCLIC3, SPLIT3, assert_bit_equal, divergence_channels,
@@ -1046,6 +1046,28 @@ class TestBatchedShtcc:
         feasible = [r.feasible for r in reports]
         assert feasible == ([False] * 3 if channel == "disjoint"
                             else [True, True, False, True])
+
+    def test_rows_per_ball_call_capped(self, example1, bsc35, monkeypatch):
+        """Every kappa_alpha's zeta, rho and E1 problems share the KL-ball
+        searches, but no score call of any search gets more than GRID_ROWS
+        rows (or one chunk of candidates), and the cap changes no bit."""
+        kappas = [0.002, 0.0, 0.005, 0.01, 0.05]
+        rows = []
+
+        def counted(score, *args, **kwargs):
+            def score_counted(stack, owner):
+                rows.append(len(stack))
+                return score(stack, owner)
+            return grid_then_pattern(score_counted, *args, **kwargs)
+
+        monkeypatch.setattr("errexp.dht_bounds.grid_then_pattern", counted)
+        expect = [repr(r) for r in shtcc_tad(example1, bsc35, kappas, FAST)]
+        assert max(rows) > 2 * GRID_CHUNK
+        rows.clear()
+        monkeypatch.setattr("errexp.optimize.GRID_ROWS", 40)
+        got = [repr(r) for r in shtcc_tad(example1, bsc35, kappas, FAST)]
+        assert got == expect
+        assert max(rows) <= GRID_CHUNK
 
     def test_empty_sequence(self, example1, bsc35):
         assert shtcc_tad(example1, bsc35, [], FAST) == ()

@@ -644,6 +644,39 @@ class TestGridThenPatternProblems:
         assert (winners[2] is None) == (not seeded or min_step == 1.0)
         assert np.isfinite(vals[:2]).all()
 
+    @pytest.mark.parametrize("cap", [1, 7, 50])
+    @pytest.mark.parametrize("chunk", [4, 4096])
+    def test_rows_per_call_capped(self, monkeypatch, cap, chunk):
+        """No score call gets more than GRID_ROWS rows, or one chunk of
+        candidates for one problem, in the grid pass and in every round of
+        the searches, and the cap changes no bit of the result."""
+        monkeypatch.setattr("errexp.optimize.GRID_CHUNK", chunk)
+        fs = _driver_problems()
+        rows = []
+
+        def score(stack, owner):
+            rows.append(len(stack))
+            vals = np.empty(len(stack))
+            for r in np.unique(owner):
+                vals[owner == r] = fs[r](stack[owner == r])
+            return vals
+
+        def run():
+            return grid_then_pattern(score, self.CANDS, self.SEEDS,
+                                     problems=len(fs), min_step=1e-2)
+
+        winners, vals = run()
+        assert max(rows) > cap
+        monkeypatch.setattr("errexp.optimize.GRID_ROWS", cap)
+        rows.clear()
+        capped, capped_vals = run()
+        assert max(rows) <= max(cap, min(chunk, len(self.CANDS)))
+        assert capped_vals.tolist() == vals.tolist()
+        for got, want in zip(capped, winners):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(np.stack(got), np.stack(want))
+
     def test_ties_keep_first_per_problem(self, monkeypatch):
         monkeypatch.setattr("errexp.optimize.GRID_CHUNK", 4)
         fs = _driver_problems()[:2]
