@@ -39,8 +39,8 @@ for theta in (-d_min + 1e-6, 0.0, d_max - 1e-6):
 # shared kappa_alpha.
 print("\nremote trade-off (max over pair laws):")
 print("  kappa_alpha  kappa_beta")
-for ka in (1e-4, 0.005, 0.02, 0.05, 0.10):
-    kb = rht_tradeoff(p, q, ch, ka)
+kas = np.array([1e-4, 0.005, 0.02, 0.05, 0.10])
+for ka, kb in zip(kas, rht_tradeoff(p, q, ch, kas)):
     print(f"  {ka:11.4f}  {kb:10.6f}")
 
 # Sanity: the remote region is inside the direct region of the source pair,

@@ -4,6 +4,10 @@ Monte Carlo runs, and CSV/JSON emission.
 Model files are JSON with every probability written as a decimal string;
 outputs open with a reproducible run-manifest comment header and use fixed
 9-significant-digit formatting.
+
+Only `exceptions` and `prob_core` load with this module, which is all
+`load_model` needs; each subcommand imports the modules it runs when it
+runs, so `region` never loads the bound searches or the simulator.
 """
 
 from __future__ import annotations
@@ -14,21 +18,17 @@ import json
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .dht_bounds import (AuxiliaryDesign, DhtSearchConfig, SourceModel,
-                         compare_schemes, jhtcc_uncoded_opt, shtcc_tad,
-                         shtcc_tai)
-from .exact_regions import (ChannelPairLaw, channel_d_bounds,
-                            channel_max_divergence, channel_region_point,
-                            direct_tradeoff, rht_tradeoff)
 from .exceptions import (BracketError, ConvergenceError, DomainError,
                          ErrexpError, EstimationError, InputError)
-from .legendre import conjugate, llr_interval, loglik_scores
-from .prob_core import Channel, JointPmf, Pmf, kl_divergence
-from .simulate import SimConfig, simulate_direct, simulate_rht
+from .prob_core import Channel, JointPmf, kl_divergence
+
+if TYPE_CHECKING:
+    from .exact_regions import ChannelPairLaw
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -118,6 +118,7 @@ def load_model(path: str) -> ModelFile:
     if "pair_law" in data:
         if channel is None:
             raise InputError("pair_law given without a channel")
+        from .exact_regions import ChannelPairLaw
         pair_law = ChannelPairLaw(_as_joint(
             data["pair_law"], channel.input_alphabet, channel.input_alphabet,
             "pair_law"))
@@ -206,6 +207,7 @@ def _pair_law(model: ModelFile) -> ChannelPairLaw:
     input pair of largest divergence."""
     if model.pair_law is not None:
         return model.pair_law
+    from .exact_regions import ChannelPairLaw, channel_max_divergence
     _, pair = channel_max_divergence(model.channel)
     return ChannelPairLaw.point_mass(model.channel.input_alphabet, pair)
 
@@ -215,6 +217,8 @@ def _pair_law(model: ModelFile) -> ChannelPairLaw:
 
 
 def cmd_region(args) -> int:
+    from .exact_regions import (channel_d_bounds, channel_region_point,
+                                direct_tradeoff, rht_tradeoff)
     model = load_model(args.model)
     p = model.p_uv.flatten()
     q = model.q_uv.flatten()
@@ -248,8 +252,10 @@ def cmd_region(args) -> int:
         if upper <= 0:
             print("warning: degenerate model, empty positive boundary",
                   file=sys.stderr)
-        for ka in _kappa_grid(args, upper):
-            kb = rht_tradeoff(p, q, model.channel, ka)
+        kappas = _kappa_grid(args, upper)
+        betas = (rht_tradeoff(p, q, model.channel, np.array(kappas))
+                 if kappas else [])
+        for ka, kb in zip(kappas, map(float, betas)):
             rows.append([ka, kb, "", "", "rht"])
     header = _manifest_lines("region", model, {
         "kind": args.kind, "points": args.points, "grid": args.grid,
@@ -259,6 +265,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .dht_bounds import (DhtSearchConfig, SourceModel, compare_schemes,
+                             jhtcc_uncoded_opt, shtcc_tad, shtcc_tai)
     model_file = load_model(args.model)
     if model_file.channel is None:
         raise InputError("bounds require a channel in the model")
@@ -300,6 +308,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .exact_regions import channel_region_point
+    from .legendre import conjugate, llr_interval, loglik_scores
+    from .simulate import SimConfig, simulate_direct, simulate_rht
     model = load_model(args.model)
     if args.trials < 1:
         raise InputError("trials must be >= 1")

@@ -223,21 +223,29 @@ def _law_mixture(ch: Channel, weights: np.ndarray) -> Mixture | None:
     return Mixture(zip(weights[i, j], ch.rows[i], ch.pair_scores[i, j]))
 
 
-def _channel_branch_beta(ch: Channel, laws, kappa_alpha: float) -> np.ndarray:
-    """kappa_beta of the channel test at the given type-I exponent, per law;
-    the laws whose mixtures share a shape are inverted as one stack."""
+def _channel_branch_beta(ch: Channel, laws, kappa_alpha) -> np.ndarray:
+    """kappa_beta of the channel test at the given type-I exponent, per law.
+
+    Elementwise over kappa_alpha, one stack per branch: every (kappa_alpha,
+    law) pair whose law mixtures share a shape is one row of one inversion.
+    A scalar kappa_alpha gives (L,), an array of A values (A, L).
+    """
+    kappa = np.array(kappa_alpha, dtype=float, ndmin=1)
     mixes = [_law_mixture(ch, law.probs) for law in laws]
-    betas = np.zeros(len(mixes))
+    betas = np.zeros((kappa.size, len(mixes)))
     shapes: dict[tuple, list[int]] = {}
     for i, mix in enumerate(mixes):
         if mix is not None:
             shapes.setdefault(mix.p.shape, []).append(i)
     for idx in shapes.values():
-        betas[idx] = _invert_boundary([mixes[i] for i in idx], kappa_alpha)
-    return betas
+        # kappa-major rows: row a * len(idx) + k is law idx[k] at kappa[a]
+        betas[:, idx] = _invert_boundary(
+            [mixes[i] for i in idx] * kappa.size,
+            np.repeat(kappa, len(idx))).reshape(kappa.size, len(idx))
+    return betas[0] if np.ndim(kappa_alpha) == 0 else betas
 
 
-def best_channel_branch(ch: Channel, kappa_alpha: float) -> tuple[float, ChannelPairLaw]:
+def best_channel_branch(ch: Channel, kappa_alpha):
     """Largest channel-test type-II exponent over transmitted-pair laws.
 
     The maximum is attained by a point mass on one input pair, so the |X|^2
@@ -259,38 +267,61 @@ def best_channel_branch(ch: Channel, kappa_alpha: float) -> tuple[float, Channel
     Compare the two-codeword analysis of Shannon, Gallager and Berlekamp,
     "Lower bounds to error probability for coding on discrete memoryless
     channels I" (Inf. Control, 1967).
+
+    Elementwise over kappa_alpha: a scalar gives (value, law), an array the
+    array of values and the list of laws, every (kappa_alpha, law) pair
+    scored in one `_channel_branch_beta` call.
     """
-    if np.isnan(kappa_alpha):
+    kappa = np.array(kappa_alpha, dtype=float, ndmin=1)
+    if np.isnan(kappa).any():
         raise InputError("kappa_alpha must not be NaN")
     _check_assumption(ch)
     laws = [ChannelPairLaw.point_mass(ch.input_alphabet, pair)
             for pair in itertools.product(ch.input_alphabet, repeat=2)]
-    best_val, best_law = -np.inf, None
-    for law, val in zip(laws, _channel_branch_beta(ch, laws, kappa_alpha)):
-        if val >= best_val:
-            best_val, best_law = float(val), law
-    return best_val, best_law
+    # a `>=` scan from -inf keeps the last of equal maxima; the first law,
+    # a diagonal pair scoring exactly 0, is always taken
+    best = np.full(kappa.size, -np.inf)
+    arg = np.zeros(kappa.size, dtype=int)
+    for k, vals in enumerate(_channel_branch_beta(ch, laws, kappa).T):
+        take = vals >= best
+        best[take], arg[take] = vals[take], k
+    best_laws = [laws[k] for k in arg]
+    if np.ndim(kappa_alpha) == 0:
+        return float(best[0]), best_laws[0]
+    return best, best_laws
 
 
-def rht_tradeoff(p_u: Pmf, q_u: Pmf, ch: Channel, kappa_alpha: float) -> float:
+def rht_tradeoff(p_u: Pmf, q_u: Pmf, ch: Channel, kappa_alpha):
     """Best type-II exponent for remote HT at the given type-I exponent.
 
     The local test contributes kappa_alpha - theta0 with the source conjugate
     pinned at kappa_alpha; the channel test contributes its best branch over
-    transmitted-pair laws (`best_channel_branch`). The returned value is
-    exact: the single-letter characterisation of testing the marginal of U.
+    transmitted-pair laws (`best_channel_branch`), and the value is
+    min(source, max(channel, 0)), or 0 where the source branch is 0. The
+    returned value is exact: the single-letter characterisation of testing
+    the marginal of U.
+
+    Elementwise over kappa_alpha, one stack per branch: the source branch
+    of every kappa_alpha is one inversion and the channel branch of every
+    (kappa_alpha, point-mass law) pair another. A scalar gives a float.
     """
-    if kappa_alpha <= 0:
+    kappa = np.array(kappa_alpha, dtype=float, ndmin=1)
+    if (kappa <= 0).any():
         raise DomainError("kappa_alpha must be positive")
     d_pq = kl_divergence(p_u, q_u)
     d_qp = kl_divergence(q_u, p_u)
     if not (np.isfinite(d_pq) and np.isfinite(d_qp)):
         raise DomainError("remote HT requires mutually absolutely continuous sources")
-    source_beta = direct_tradeoff(p_u, q_u, kappa_alpha)
-    if source_beta == 0.0:
-        return 0.0
-    channel_beta, _ = best_channel_branch(ch, kappa_alpha)
-    return min(source_beta, max(channel_beta, 0.0))
+    beta = direct_tradeoff(p_u, q_u, kappa)
+    live = beta != 0.0
+    beta[~live] = 0.0
+    if live.any():
+        # Python's max(channel, 0.0) and min(source, channel): the first
+        # argument wins ties, so the sign of a zero is kept
+        channel = best_channel_branch(ch, kappa[live])[0]
+        channel = np.where(0.0 > channel, 0.0, channel)
+        beta[live] = np.where(channel < beta[live], channel, beta[live])
+    return float(beta[0]) if np.ndim(kappa_alpha) == 0 else beta
 
 
 def kappa0(p_u: Pmf, q_u: Pmf, ch: Channel) -> float:

@@ -3,9 +3,9 @@
 Runs the four commands of ``bench/workloads.py`` at the default seed
 through ``cli.main`` and checks the output the way the benchmark does: data
 rows against ``bench/reference/*.csv`` within 1e-9 (achiever digests
-skipped) plus each workload's invariant. The full stdout of the ``shtcc``
-and ``schemes`` commands, digests included, is pinned byte for byte as
-well. Between them the commands exercise
+skipped) plus each workload's invariant. The full stdout of the ``rht3``,
+``shtcc`` and ``schemes`` commands, digests included, is pinned byte for
+byte as well. Between them the commands exercise
 the conjugate, the remote-HT boundary inversion, the KL-ball projection
 behind the uncoded bound and the Monte Carlo run of the separation scheme,
 whose error counts (5639 and 4424 at n = 100) are integers, so the 1e-9
@@ -56,6 +56,50 @@ def test_matches_reference(name, monkeypatch, capsys):
     assert cli.main(workload.prepare(seed, ROOT, ROOT, fresh=False)) == 0
     reference = workload.reference(seed, fresh=False)
     assert workload.check(capsys.readouterr().out, reference) == []
+
+
+# The full stdout of the rht3 workload's command: the 1e-9 check above would
+# let the last digits of the remote-HT boundary inversion move unseen.
+RHT3_STDOUT = """\
+# errexp 0.1.0 subcommand=region
+# model=rht3 sha256=a1c42b50b84108e33ee319b04b46d09eadf74948aeceeea4612eec3a1adb2dbf
+# params grid=3,kappa_grid=0.01,0.03,0.06,kind=rht,points=25
+kappa_alpha,kappa_beta,theta0,theta1,bound
+0.01,0.136589477,,,rht
+0.03,0.0853641095,,,rht
+0.06,0.0472826585,,,rht
+"""
+
+
+def test_rht3_stdout_byte_identical(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["region", "bench/models/rht3.json", "--kind", "rht",
+                     "--grid", "3", "--kappa-grid", "0.01,0.03,0.06"]) == 0
+    assert capsys.readouterr().out == RHT3_STDOUT
+
+
+def test_rht3_inversions_run_batched(monkeypatch, capsys):
+    """The rht3 command inverts the boundary twice: the source branch of all
+    three kappa_alpha in one bisection and the channel branch of every
+    (kappa_alpha, point-mass law) pair in another, 166 mixture tilts in
+    all. These counts do not depend on the machine; one inversion per
+    kappa_alpha and branch gave 6 bisections and 498 tilts."""
+    from errexp import exact_regions, legendre
+    counts = {"bisect": 0, "tilt": 0}
+    bisect, tilt = exact_regions.bisect_monotone, legendre.Mixture.tilt
+
+    def counted_bisect(*args, **kwargs):
+        counts["bisect"] += 1
+        return bisect(*args, **kwargs)
+
+    def counted_tilt(self, lam):
+        counts["tilt"] += 1
+        return tilt(self, lam)
+
+    monkeypatch.setattr(exact_regions, "bisect_monotone", counted_bisect)
+    monkeypatch.setattr(legendre.Mixture, "tilt", counted_tilt)
+    test_rht3_stdout_byte_identical(monkeypatch, capsys)
+    assert counts == {"bisect": 2, "tilt": 166}
 
 
 # The full stdout of the shtcc workload's command, achiever digests included:

@@ -297,7 +297,7 @@ class TestSimulate:
         def no_draws(*args):
             raise AssertionError("trials drawn")
 
-        monkeypatch.setattr("errexp.cli.simulate_rht", no_draws)
+        monkeypatch.setattr("errexp.simulate.simulate_rht", no_draws)
         assert main(["simulate", bern_model, "--n-grid", "40", "--trials",
                      "2000", f"{option}={value}"]) == 2
         assert f"{option}: must be finite" in capsys.readouterr().err
@@ -307,7 +307,7 @@ class TestSimulate:
         def no_draws(*args):
             raise AssertionError("trials drawn")
 
-        monkeypatch.setattr("errexp.cli.simulate_rht", no_draws)
+        monkeypatch.setattr("errexp.simulate.simulate_rht", no_draws)
         assert main(["simulate", bern_model, "--n-grid", "40", "--trials",
                      "2000", "--theta1", "5"]) == 3
         assert "outside the admissible interval" in capsys.readouterr().err
@@ -319,7 +319,7 @@ class TestSimulate:
         def no_draws(*args):
             raise AssertionError("trials drawn")
 
-        monkeypatch.setattr("errexp.cli.simulate_direct", no_draws)
+        monkeypatch.setattr("errexp.simulate.simulate_direct", no_draws)
         path = tmp_path / "direct.json"
         path.write_text(json.dumps({k: v for k, v in BERN.items()
                                     if k != "channel"}))

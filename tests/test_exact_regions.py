@@ -367,6 +367,18 @@ class TestBestChannelBranch:
             assert value == 0.0
             assert law.probs[2, 2] == 1.0
 
+    def test_array_matches_scalar_calls(self):
+        for ch in self.channels():
+            big = 2 * channel_max_divergence(ch)[0]
+            kappas = np.array([0.0, 0.005, 0.05, big])
+            values, laws = best_channel_branch(ch, kappas)
+            for ka, value, law in zip(kappas.tolist(), values, laws):
+                one_value, one_law = best_channel_branch(ch, ka)
+                assert_bit_equal(float(value), one_value)
+                assert np.array_equal(law.probs, one_law.probs)
+        with pytest.raises(InputError):
+            best_channel_branch(ch, np.array([0.01, np.nan]))
+
     def test_seven_inputs_take_the_pair_maximum(self):
         rng = np.random.default_rng(29)
         rows = (rng.dirichlet(np.ones(4), size=7) + 0.05) / 1.2
@@ -469,6 +481,49 @@ class TestElementwiseRegions:
                 assert got.tolist() == getattr(arrayed, field).tolist()
         with pytest.raises(DomainError):
             direct_region_point(P58, Q58, [0.0, hi + 0.1])
+
+
+class TestRhtTradeoffArray:
+    """rht_tradeoff on an array of kappa_alpha against its definition from
+    the scalar branches, kappa_alpha by kappa_alpha, bit for bit."""
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), n_u=st.integers(2, 3),
+           n_x=st.integers(2, 3), n_y=st.integers(2, 3),
+           identical=st.booleans(),
+           fracs=st.lists(st.one_of(st.floats(0.01, 1.5), st.just(1.0)),
+                          min_size=1, max_size=6))
+    def test_array_matches_scalar_branches(self, seed, n_u, n_x, n_y,
+                                           identical, fracs):
+        rng = np.random.default_rng(seed)
+        p, q = random_pmf(rng, n_u), random_pmf(rng, n_u)
+        rows = rng.dirichlet(np.ones(n_y), size=n_x)
+        if identical:
+            rows[:] = rows[0]
+        ch = Channel(tuple(range(n_x)), tuple(range(n_y)), rows)
+        # fractions of D(Q||P) on both sides of it, where the source branch
+        # reaches 0
+        kappas = np.array(fracs) * kl_divergence(q, p)
+        expect = []
+        for ka in kappas.tolist():
+            source = direct_tradeoff(p, q, ka)
+            expect.append(0.0 if source == 0.0 else min(
+                source, max(best_channel_branch(ch, ka)[0], 0.0)))
+        expect = np.array(expect)
+        got = rht_tradeoff(p, q, ch, kappas)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
+        assert_bit_equal(rht_tradeoff(p, q, ch, float(kappas[-1])),
+                         float(expect[-1]))
+
+    @pytest.mark.parametrize("kappas", [[0.01, 0.0], [-1.0], [0.01, -0.0]])
+    def test_non_positive_kappa_raises(self, bsc35, kappas):
+        with pytest.raises(DomainError):
+            rht_tradeoff(P58, Q58, bsc35, np.array(kappas))
+
+    def test_nan_kappa_raises(self, bsc35):
+        with pytest.raises(InputError):
+            rht_tradeoff(P58, Q58, bsc35, np.array([0.01, np.nan]))
 
 
 class TestSymmetryProperties:
