@@ -371,8 +371,9 @@ def _ball_optimize(p_ref: np.ndarray, objective, signs: np.ndarray,
     that is -inf at the reference and on the whole grid is still searched
     from the reference, lest a min such as E1 stay at +inf, on the
     optimistic side; if the search finds nothing either, its value reads
-    -inf again. `objective` never sees more than GRID_CHUNK rows at once.
-    Returns the R extrema.
+    -inf again. So a maximized problem never reads below its value at p_ref,
+    nor a minimized one above it. `objective` never sees more than
+    GRID_CHUNK rows at once. Returns the R extrema.
     """
     ref = p_ref.reshape(-1)
     signs = np.asarray(signs, dtype=float)
@@ -584,6 +585,22 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
     grid and every round of its pattern searches are scored as stacks: one
     `_ball_optimize` per stack covers zeta, rho and E1 of every row, each
     at its row's kappa_alpha.
+
+    The search skips the rows that cannot win, exactly. `value_of` is
+    non-increasing in zeta and non-decreasing in rho and E1, in floating
+    point too: E_x is a max of lines of non-positive slope in the rate, so
+    it does not rise with zeta; a larger zeta meets fewer of the rate and
+    floor conditions, so fewer designs are feasible; `offset` is
+    non-decreasing; and min and + are monotone. `_ball_optimize` scores
+    P_UV first and keeps only strict gains, so its zeta is >= and its rho
+    and E1 are <= their values at P_UV. So `value_of` the extrema at P_UV,
+    a ball of radius 0, bounds each row's value from above, and
+    `grid_then_pattern` leaves unscored every row whose bound cannot beat
+    its problem's best. The rows it does score are searched once per
+    (quantizer, kappa_alpha) and call: a repeated row of a stack, or one
+    met in an earlier stack, reads the extrema of a cache. Each problem of
+    a `_ball_optimize` gets the bits it would get alone, so neither the
+    skipped rows nor the cache changes a bit of the result.
     """
     kappas = np.atleast_1d(np.asarray(kappa_alpha, dtype=float))
     if not np.all(kappas >= 0):
@@ -596,16 +613,12 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
     table = _channel_table(ch, config)
     terms, thetas = table.theta_terms(kappas)
 
-    def evaluate(stack: np.ndarray, owner: np.ndarray):
-        """(value, zeta, rho, design, E_x) arrays of a quantizer stack, row
-        b at kappas[owner[b]]: the design is the first of equal maxima of
-        min{E_x(zeta), E_sp - theta} among those meeting the rate and the
-        floor; value -inf where none does."""
+    def value_of(zeta, rho, e1, owner: np.ndarray):
+        """(value, design, E_x) arrays of quantizer rows with KL-ball
+        extrema (zeta, rho, e1), row b at kappas[owner[b]]: the design is
+        the first of equal maxima of min{E_x(zeta), E_sp - theta} among
+        those meeting the rate and the floor; value -inf where none does."""
         kappa, term = kappas[owner], terms[owner]
-        zeta, rho, e1 = _ball_optimize(
-            p_uv, _ball_objective(stack, first_term),
-            np.repeat([1.0, -1.0, -1.0], len(stack)), np.tile(kappa, 3),
-            config).reshape(3, -1)
         e_x = table.expurgated(zeta)
         # min(e_x, term) as Python's: term only if strictly smaller
         channel = np.where((term > -np.inf) & (zeta[:, None] < table.rate)
@@ -618,13 +631,42 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
         # min(e1, offset + channel) as Python's: the second only if smaller
         part = offset(rho) + channel
         value = np.where(ok, np.where(part < e1, part, e1), -np.inf)
-        return value, zeta, rho, top[:, 0], e_x
+        return value, top[:, 0], e_x
+
+    def extrema(stack: np.ndarray, radius: np.ndarray) -> np.ndarray:
+        """(zeta, rho, E1) of a quantizer stack as a (3, B) array, row b in
+        the KL ball of radius[b] around P_UV: one `_ball_optimize`."""
+        return _ball_optimize(
+            p_uv, _ball_objective(stack, first_term),
+            np.repeat([1.0, -1.0, -1.0], len(stack)),
+            np.tile(radius, 3), config).reshape(3, -1)
+
+    cache = {}  # (quantizer bytes, kappa index) -> (zeta, rho, E1)
+
+    def searched(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """`extrema` of a quantizer stack, row b at kappas[owner[b]], with
+        each (quantizer, kappa_alpha) searched once per call."""
+        keys = [(w.tobytes(), k) for w, k in zip(stack, owner.tolist())]
+        first = {}
+        for b, key in enumerate(keys):
+            if key not in cache:
+                first.setdefault(key, b)
+        if first:
+            rows = list(first.values())
+            cache.update(zip(first, extrema(stack[rows],
+                                            kappas[owner[rows]]).T))
+        return np.array([cache[key] for key in keys]).T
+
+    def bound(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """An upper bound of each row's value: `value_of` the extrema at
+        P_UV itself, a ball of radius 0."""
+        return value_of(*extrema(stack, np.zeros(len(stack))), owner)[0]
 
     candidates = _wu_candidates(n_u, n_w, config.design_resolution)
     blocks, _ = grid_then_pattern(
-        lambda stack, owner: evaluate(stack, owner)[0], candidates,
-        problems=kappas.size, min_step=max(config.pattern_min_step, 0.01),
-        min_improve=1e-6)
+        lambda stack, owner: value_of(*searched(stack, owner), owner)[0],
+        candidates, problems=kappas.size, bound=bound,
+        min_step=max(config.pattern_min_step, 0.01), min_improve=1e-6)
     found = np.array([k for k, b in enumerate(blocks) if b is not None],
                      dtype=int)
     reports = [BoundReport(name, float(ka), 0.0, {}, feasible=False,
@@ -632,15 +674,16 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
                for ka in kappas]
     if found.size:
         w_rows = np.array([blocks[k] for k in found])
-        for k, w, *ach in zip(found, w_rows, *evaluate(w_rows, found)):
-            value, zeta, rho, which, e_x = ach
-            achiever = {"p_wu": tuple(w.reshape(-1)),
-                        "p_sx": tuple(table.p_sx[which].reshape(-1)),
-                        "theta": float(thetas[k, which]),
-                        "zeta": float(zeta), "rho": float(rho),
-                        "e_x": float(e_x)}
+        zeta, rho, e1 = searched(w_rows, found)
+        value, which, e_x = value_of(zeta, rho, e1, found)
+        for i, (k, d) in enumerate(zip(found, which)):
+            achiever = {"p_wu": tuple(w_rows[i].reshape(-1)),
+                        "p_sx": tuple(table.p_sx[d].reshape(-1)),
+                        "theta": float(thetas[k, d]),
+                        "zeta": float(zeta[i]), "rho": float(rho[i]),
+                        "e_x": float(e_x[i])}
             reports[k] = BoundReport(
-                name, float(kappas[k]), max(float(value), 0.0), achiever,
+                name, float(kappas[k]), max(float(value[i]), 0.0), achiever,
                 feasible=True, grid_resolution=config.design_resolution)
     return reports[0] if np.ndim(kappa_alpha) == 0 else tuple(reports)
 

@@ -129,8 +129,9 @@ def _invert_boundary(mixes: list[Mixture], kappa_alpha) -> np.ndarray:
 
     On that segment the type-I exponent g(lam) = lam*psi'(lam) - psi(lam) of
     each mixture grows from 0 to its maximum at lam = 1; bisect
-    g = kappa_alpha and return kappa_alpha - psi'(lam*). kappa_alpha is one
-    value, or one per mixture. The mixtures share one shape and are
+    g = kappa_alpha and return kappa_alpha - psi'(lam*), clamped at 0 where
+    rounding takes it below (near the end of the segment). kappa_alpha is
+    one value, or one per mixture. The mixtures share one shape and are
     bisected in lockstep as one `Mixture.stack`.
     """
     kappa_alpha = np.broadcast_to(np.asarray(kappa_alpha, dtype=float),
@@ -154,7 +155,9 @@ def _invert_boundary(mixes: list[Mixture], kappa_alpha) -> np.ndarray:
                                    np.zeros(kap.size), np.ones(kap.size),
                                    tol=0.0, max_iter=80, glo=g0[run] - kap,
                                    ghi=g1[run] - kap)
-    return np.where(kappa_alpha >= g1, 0.0, kappa_alpha - mix.tilt(lam)[1])
+    beta = np.where(kappa_alpha >= g1, 0.0, kappa_alpha - mix.tilt(lam)[1])
+    # only strictly negative values: -0.0 keeps its sign
+    return np.where(beta < 0, 0.0, beta)
 
 
 def _check_assumption(ch: Channel) -> None:

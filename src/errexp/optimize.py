@@ -188,10 +188,23 @@ def pattern_search(f: Callable[[Sequence[np.ndarray]], float],
     return list(xs[0]), vals[0]
 
 
+def _bounded(score: Callable, bound: Callable | None, stack: np.ndarray,
+             owner: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """score(stack, owner), but -inf unscored where bound(stack, owner) <=
+    floor."""
+    if bound is None:
+        return np.asarray(score(stack, owner), dtype=float)
+    keep = ~(np.asarray(bound(stack, owner)) <= floor)
+    vals = np.full(len(stack), -np.inf)
+    if keep.any():
+        vals[keep] = score(stack[keep], owner[keep])
+    return vals
+
+
 def lockstep_pattern_search(score: Callable[[np.ndarray, np.ndarray],
                                             np.ndarray],
                             x: np.ndarray, best, min_step: float = 1e-4,
-                            min_improve: float = 0.0
+                            min_improve: float = 0.0, bound=None
                             ) -> tuple[np.ndarray, np.ndarray]:
     """R independent coordinate-wise pattern searches over products of
     probability simplices, advanced together.
@@ -214,6 +227,10 @@ def lockstep_pattern_search(score: Callable[[np.ndarray, np.ndarray],
     values, each depending on its own row and owner only. So each search
     returns the point and value it would reach alone, bit for bit. Returns
     the (R, n_blocks, size) points and the R values.
+
+    `bound(probes, owner)`, if given, gives upper bounds of the values: a
+    probe whose bound is <= its search's running best is not scored and
+    reads -inf, so it is still not accepted.
     """
     x = np.array(x, dtype=float)
     best = np.array(best, dtype=float)
@@ -229,7 +246,7 @@ def lockstep_pattern_search(score: Callable[[np.ndarray, np.ndarray],
         move = np.arange(owner.size) - np.repeat(first - k[live], counts)
         probes = _probe_stack(x[owner], bi[move], ci[move],
                               sign[move] * step[owner])
-        vals = np.asarray(score(probes, owner), dtype=float)
+        vals = _bounded(score, bound, probes, owner, best[owner])
         # each search's first probe above its running best; owner.size if none
         beats = np.where(vals > best[owner], np.arange(owner.size), owner.size)
         hit = np.minimum.reduceat(beats, first)
@@ -249,7 +266,7 @@ def lockstep_pattern_search(score: Callable[[np.ndarray, np.ndarray],
 def grid_then_pattern(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       candidates: Iterable[Sequence[np.ndarray]],
                       seeds: Iterable[Sequence[np.ndarray]] = (),
-                      problems: int = 1, **pattern_kw
+                      problems: int = 1, bound=None, **pattern_kw
                       ) -> tuple[list, np.ndarray]:
     """The design-search driver: the best (blocks, value) of each of R =
     `problems` problems, by a grid pass followed by pattern searches.
@@ -269,6 +286,12 @@ def grid_then_pattern(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     so no value is below that problem's best candidate. Returns the R
     winners, as lists of blocks (None where every candidate and every search
     scores -inf), and the array of R values.
+
+    `bound(stack, owner)`, if given, maps the same arguments to upper bounds
+    of the values. A row whose bound is <= its problem's best so far (before
+    the chunk in the grid pass, its search's running best in a round) could
+    neither win nor be accepted, so it is not scored and reads -inf (a NaN
+    bound is scored): the winners and values are the same bits.
     """
     owners = np.arange(problems)
     best_blocks, best_val = [None] * problems, np.full(problems, -np.inf)
@@ -278,8 +301,9 @@ def grid_then_pattern(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
         per_call = max(1, GRID_ROWS // len(chunk))
         for rs in (owners[s:s + per_call] for s in range(0, problems, per_call)):
             # row t is candidate t % len(chunk) of problem rs[t // len(chunk)]
-            vals = np.asarray(score(np.tile(blocks, (rs.size, 1, 1)),
-                                    np.repeat(rs, len(chunk))))
+            vals = _bounded(score, bound, np.tile(blocks, (rs.size, 1, 1)),
+                            np.repeat(rs, len(chunk)),
+                            np.repeat(best_val[rs], len(chunk)))
             vals = vals.reshape(rs.size, len(chunk))
             # the first of equal maxima, as a running `>` keeps; NaN never wins
             k = np.argmax(np.where(np.isnan(vals), -np.inf, vals), axis=1)
@@ -295,13 +319,15 @@ def grid_then_pattern(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x = np.asarray([blocks for _, blocks in starts], dtype=float)
     x = project_rows(x.reshape(-1, x.shape[-1])).reshape(x.shape)
 
-    def capped(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return chunked(lambda t: score(stack[t], rows[t]), len(stack),
-                       GRID_ROWS)
+    def capped(fn: Callable, stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return chunked(lambda t: fn(stack[t], rows[t]), len(stack), GRID_ROWS)
+
+    def per_search(fn: Callable) -> Callable:
+        return lambda probes, search: capped(fn, probes, owner[search])
 
     xs, vals = lockstep_pattern_search(
-        lambda probes, search: capped(probes, owner[search]), x,
-        capped(x, owner), **pattern_kw)
+        per_search(score), x, capped(score, x, owner),
+        bound=None if bound is None else per_search(bound), **pattern_kw)
     for r, blocks, val in zip(owner, xs, vals):
         if val > best_val[r]:
             best_blocks[r], best_val[r] = list(blocks), val

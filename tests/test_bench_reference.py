@@ -5,7 +5,8 @@ through ``cli.main`` and checks the output the way the benchmark does: data
 rows against ``bench/reference/*.csv`` within 1e-9 (achiever digests
 skipped) plus each workload's invariant. The full stdout of the ``rht3``,
 ``shtcc`` and ``schemes`` commands, digests included, is pinned byte for
-byte as well. Between them the commands exercise
+byte as well, and so is that of two heavier SHTCC commands (the default
+kappa_alpha points, and ``--grid 4``). Between them the commands exercise
 the conjugate, the remote-HT boundary inversion, the KL-ball projection
 behind the uncoded bound and the Monte Carlo run of the separation scheme,
 whose error counts (5639 and 4424 at n = 100) are integers, so the 1e-9
@@ -18,6 +19,7 @@ traced output must equal the untraced one, and the spans of the traced
 searches (``shtcc_tad`` and ``jhtcc_uncoded_opt``) must be recorded.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -195,20 +197,27 @@ def test_schemes_searches_run_batched(monkeypatch, capsys):
 def test_shtcc_searches_run_batched(monkeypatch, capsys):
     """The shtcc command runs one quantizer search for both kappa_alpha, in
     which each quantizer stack gets one KL-ball search for zeta, rho and E1
-    together: 31 lockstep pattern searches in 557 scorer rounds (82 in 1036
-    with one search per kappa_alpha and E1 apart). Each objective call of a
-    KL-ball search sums all its divergences in one `kl_rows` call beside
-    the ball check's, 1480 calls in all (3238 with one call per term). It
-    builds its channel-design table once for both kappa_alpha: 10
-    special-message exponents, one per P_SX design. These counts do not
-    depend on the machine; building the table per kappa_alpha would double
-    the last."""
+    together, and only for the rows that can still win. Of the 424 rows the
+    grid pass and the rounds offer, the zero-radius bound leaves 141 to
+    score (every row without it), and the 2 search starts are scored as
+    well: 143 rows. A row whose (quantizer, kappa_alpha) the call has met
+    before reads its cached extrema. So the command runs 23 lockstep
+    pattern searches in 368 scorer rounds (31 in 557 with every row scored
+    and searched, 82 in 1036 with one search per kappa_alpha and E1 apart).
+    Each objective call of a KL-ball search sums all its divergences in one
+    `kl_rows` call beside the ball check's, 891 calls in all (1480 with
+    every row scored, 3238 with one call per term). It builds its
+    channel-design table once for both kappa_alpha: 10 special-message
+    exponents, one per P_SX design. These counts do not depend on the
+    machine; building the table per kappa_alpha would double the last, and
+    scoring a row the bound rules out would raise the scored rows."""
     from errexp import dht_bounds, optimize, prob_core
     dht_bounds._channel_table_of.cache_clear()  # build the table in this run
-    counts = {"runs": 0, "rounds": 0, "special": 0, "kl_rows": 0}
-    lockstep, special, kl_rows = (optimize.lockstep_pattern_search,
-                                  dht_bounds.special_message_exponent,
-                                  prob_core.kl_rows)
+    counts = {"runs": 0, "rounds": 0, "special": 0, "kl_rows": 0,
+              "offered": 0, "scored": 0}
+    lockstep, special, kl_rows, search = (
+        optimize.lockstep_pattern_search, dht_bounds.special_message_exponent,
+        prob_core.kl_rows, dht_bounds.grid_then_pattern)
 
     def counted_lockstep(score, *args, **kwargs):
         counts["runs"] += 1
@@ -226,13 +235,57 @@ def test_shtcc_searches_run_batched(monkeypatch, capsys):
         counts["kl_rows"] += 1
         return kl_rows(*args, **kwargs)
 
+    def counted_rows(key, fn):
+        def rows(stack, owner):
+            counts[key] += len(stack)
+            return fn(stack, owner)
+        return rows
+
+    def counted_search(score, *args, bound=None, **kwargs):
+        # only the quantizer search has a bound; the KL-ball searches do not
+        if bound is not None:
+            score = counted_rows("scored", score)
+            bound = counted_rows("offered", bound)
+        return search(score, *args, bound=bound, **kwargs)
+
     monkeypatch.setattr(optimize, "lockstep_pattern_search", counted_lockstep)
     monkeypatch.setattr(dht_bounds, "special_message_exponent", counted_special)
+    monkeypatch.setattr(dht_bounds, "grid_then_pattern", counted_search)
     for module in (prob_core, dht_bounds):
         monkeypatch.setattr(module, "kl_rows", counted_kl_rows)
     test_shtcc_stdout_byte_identical(monkeypatch, capsys)
-    assert counts == {"runs": 31, "rounds": 557, "special": 10,
-                      "kl_rows": 1480}
+    assert counts == {"runs": 23, "rounds": 368, "special": 10,
+                      "kl_rows": 891, "offered": 424, "scored": 143}
+
+
+# The default-points shtcc command (`--grid 10`, 25 kappa_alpha up to
+# D(Q||P), every row infeasible at this grid), pinned by the md5 of its
+# stdout, and a `--grid 4` command in full: both print the bytes they
+# printed before the quantizer search skipped rows and cached extrema.
+SHTCC_DEFAULT_POINTS_MD5 = "9bc0e3814faaa4bf5f6a73e08fef73a5"
+SHTCC_GRID4_STDOUT = """\
+# errexp 0.1.0 subcommand=bounds
+# model=example1 sha256=352a10ab0dacaf87cfe440613cf48b476ee4645ce3763fe1802b84c07459111e
+# params grid=4,kappa_grid=0.002,0.005,points=25,scheme=shtcc
+kappa_alpha,bound,value,feasible,achiever_digest
+0.002,shtcc_tad,0.0235127902,1,af04a4b576b9
+0.005,shtcc_tad,0.0205629785,1,341d80f40c22
+"""
+
+
+def test_shtcc_default_points_byte_identical(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["bounds", "models/example1.json", "--scheme",
+                     "shtcc"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == SHTCC_DEFAULT_POINTS_MD5
+
+
+def test_shtcc_grid4_stdout_byte_identical(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["bounds", "models/example1.json", "--scheme", "shtcc",
+                     "--grid", "4", "--kappa-grid", "0.002,0.005"]) == 0
+    assert capsys.readouterr().out == SHTCC_GRID4_STDOUT
 
 
 @pytest.mark.parametrize("args", [

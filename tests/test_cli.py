@@ -172,6 +172,30 @@ class TestRegion:
         _, _, rows = read_csv(out)
         assert len(rows) == 3 and all(r[4] == "rht" for r in rows)
 
+    @pytest.mark.parametrize("kind", ["direct", "rht"])
+    def test_last_default_point_is_not_negative(self, kind, tmp_path):
+        """The last default point sits just below D(Q||P), where rounding
+        put kappa_beta at -1.11e-16; it is clamped to 0 and every other
+        row keeps its bytes."""
+        spec = dict(BERN, u_alphabet=["0", "1", "2"],
+                    p_uv=[["0.6"], ["0.3"], ["0.1"]],
+                    q_uv=[["0.2"], ["0.3"], ["0.5"]],
+                    channel={"input_alphabet": ["0", "1", "2"],
+                             "output_alphabet": ["0", "1"],
+                             "rows": [["0.4", "0.6"]] * 3})
+        path, out = tmp_path / "flat.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(spec))
+        assert main(["region", str(path), "--kind", kind,
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        betas = [r[1] for r in rows]
+        assert len(rows) == 25 and rows[-1][:2] == ["0.584996498", "0"]
+        if kind == "direct":
+            assert all(float(b) > 0 for b in betas[:-1])
+            assert betas[-2] == "0.00023322668"
+        else:  # the identical rows carry nothing: 0 on every row
+            assert betas == ["0"] * 25
+
     def test_non_ac_source_is_domain_error(self, tmp_path):
         # the anti-diagonal Q of the bundled model has zeros where P does not
         assert main(["region", EXAMPLE1, "--kind", "direct",

@@ -5,6 +5,7 @@ import itertools
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
                     InputError, JointPmf, Pmf, SourceModel, compare_schemes,
@@ -1191,6 +1192,98 @@ TERNARY_TAI_PINS = {
         "theta": -0.07138070829874682, "zeta": 0.17251743293497596,
         "rho": 0.034405573314840454, "e_x": 0.05062611837923375}),
 }
+
+
+def item13_tai_model() -> SourceModel:
+    """A TAI instance with |U| = 3 and |V| = 2, whose quantizer grid grows
+    fastest with the resolution."""
+    p = np.array([[.1557, .1169], [.197, .0465], [.4538, .0301]])
+    q = np.outer(p.sum(axis=1), p.sum(axis=0))
+    return SourceModel(JointPmf((0, 1, 2), (0, 1), p),
+                       JointPmf((0, 1, 2), (0, 1), q))
+
+
+BOUND_KAPPAS = (0.0, 0.002, 0.01, 0.05)
+
+
+@functools.lru_cache(maxsize=None)
+def shtcc_scorers(case: str):
+    """The value and the zero-radius bound that `_shtcc` hands to its
+    quantizer search on one of three instances, at BOUND_KAPPAS."""
+    bound_fn, model, ch, config = {
+        "tad": (shtcc_tad, SourceModel(
+            JointPmf((0, 1), (0, 1), np.full((2, 2), 0.25)),
+            JointPmf((0, 1), (0, 1), [[0.0, 0.5], [0.5, 0.0]])),
+            Channel.bsc(0.35), FAST),
+        "tai": (shtcc_tai, skewed_tai_model(), Channel.bsc(0.35), FAST),
+        "tai3": (shtcc_tai, item13_tai_model(), Channel.bsc(0.1),
+                 TERNARY_FAST),
+    }[case]
+    seen = {}
+
+    def capture(score, *args, problems=1, bound=None, **kwargs):
+        seen.update(score=score, bound=bound)
+        return [None] * problems, np.full(problems, -np.inf)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("errexp.dht_bounds.grid_then_pattern", capture)
+        bound_fn(model, ch, list(BOUND_KAPPAS), config)
+    return model.p_uv.probs.shape[0], seen["score"], seen["bound"]
+
+
+class TestShtccZeroRadiusBound:
+    """The bound that lets the quantizer search skip rows is exact: on every
+    row of a quantizer stack the value at the reference joint (a KL ball of
+    radius 0) is >= the value the nested KL-ball searches give, and equal
+    to it at kappa_alpha 0, where the ball is that point."""
+
+    @settings(max_examples=40)
+    @given(case=st.sampled_from(["tad", "tai", "tai3"]),
+           rows=st.lists(st.tuples(
+               st.sampled_from(["random", "blend", "constant", "identity"]),
+               st.integers(0, 2**32 - 1),
+               st.integers(0, len(BOUND_KAPPAS) - 1)), min_size=1, max_size=6))
+    @example(case="tad", rows=[(kind, 5, k) for kind in ("blend", "identity")
+                               for k in range(len(BOUND_KAPPAS))])
+    @example(case="tai3", rows=[("constant", 3, 0), ("identity", 0, 2),
+                                ("random", 9, 1)])
+    def test_bound_dominates_value(self, case, rows):
+        n_u, score, bound = shtcc_scorers(case)
+        stack = np.array([self.quantizer(kind, seed, n_u)
+                          for kind, seed, _ in rows])
+        owner = np.array([k for *_, k in rows])
+        value, upper = score(stack, owner), bound(stack, owner)
+        assert not np.isnan(value).any() and not np.isnan(upper).any()
+        assert np.all(value <= upper), (value, upper)
+        at_ref = owner == 0
+        assert np.array_equal(value[at_ref], upper[at_ref])
+
+    @staticmethod
+    def quantizer(kind: str, seed: int, n_u: int) -> np.ndarray:
+        """A P_{W|U} with |W| = |U| + 1: W = U embedded ("identity"), W
+        independent of U ("constant"), random rows with zeros ("random"),
+        or a constant row mixed with a fifth of random ones ("blend", whose
+        small I(U;W) the channel can carry)."""
+        rng = np.random.default_rng(seed)
+        if kind == "identity":
+            return np.eye(n_u, n_u + 1)
+        constant = np.repeat(sparse_rows(rng, 1, n_u + 1), n_u, axis=0)
+        rows = sparse_rows(rng, n_u, n_u + 1)
+        return {"constant": constant, "random": rows,
+                "blend": 0.8 * constant + 0.2 * rows}[kind]
+
+    @pytest.mark.parametrize("case", ["tad", "tai", "tai3"])
+    def test_bound_is_not_vacuous(self, case):
+        """Blended quantizers are feasible on every instance, and at a
+        positive kappa_alpha their bound is often strictly above their
+        value, so both sides of the comparison are exercised."""
+        n_u, score, bound = shtcc_scorers(case)
+        stack = np.array([self.quantizer("blend", seed, n_u)
+                          for seed in range(40)])
+        owner = np.resize(np.arange(len(BOUND_KAPPAS)), len(stack))
+        value, upper = score(stack, owner), bound(stack, owner)
+        assert np.isfinite(value).sum() >= 5
+        assert (value < upper).sum() >= 5
 
 
 class TestPinnedValues:

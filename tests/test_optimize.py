@@ -677,6 +677,54 @@ class TestGridThenPatternProblems:
             if want is not None:
                 assert np.array_equal(np.stack(got), np.stack(want))
 
+    @pytest.mark.parametrize("chunk", [4, 4096])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_bound_skips_rows_and_keeps_every_bit(self, monkeypatch, chunk,
+                                                  seeded):
+        """With an upper bound (the value plus a non-negative slack, NaN on
+        some rows), the rows whose bound is <= their problem's best so far
+        go unscored, every NaN-bound row is scored, and the winners and
+        values are those of the call without a bound."""
+        monkeypatch.setattr("errexp.optimize.GRID_CHUNK", chunk)
+        fs = _driver_problems()
+        seeds = self.SEEDS if seeded else []
+
+        def values(stack, owner):
+            vals = np.empty(len(stack))
+            for r in np.unique(owner):
+                vals[owner == r] = fs[r](stack[owner == r])
+            return vals
+
+        offered, nan_rows, scored = [0], set(), set()
+
+        def bound(stack, owner):
+            offered[0] += len(stack)
+            # zero slack on a third of the grid, NaN on a few rows
+            slack = np.round(stack[:, 1, 0], 1) * 0.5
+            upper = np.where(stack[:, 1, 2] == 0.5, np.nan,
+                             values(stack, owner) + slack)
+            nan_rows.update((p.tobytes(), r) for p, r, u
+                            in zip(stack, owner, upper) if np.isnan(u))
+            return upper
+
+        def score(stack, owner):
+            scored.update((p.tobytes(), r) for p, r in zip(stack, owner))
+            return values(stack, owner)
+
+        winners, vals = grid_then_pattern(values, self.CANDS, seeds,
+                                          problems=len(fs), min_step=1e-2)
+        bounded, bounded_vals = grid_then_pattern(
+            score, self.CANDS, seeds, problems=len(fs), bound=bound,
+            min_step=1e-2)
+        assert np.array_equal(bounded_vals, vals)
+        for got, want in zip(bounded, winners):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(np.stack(got), np.stack(want))
+        assert winners[3] is None and bounded[3] is None
+        assert nan_rows and nan_rows <= scored
+        assert len(scored) < offered[0]
+
     def test_ties_keep_first_per_problem(self, monkeypatch):
         monkeypatch.setattr("errexp.optimize.GRID_CHUNK", 4)
         fs = _driver_problems()[:2]
