@@ -21,8 +21,8 @@ _EXPORTS = {
         "Pmf", "JointPmf", "Channel", "EmpiricalType", "kl_divergence",
         "conditional_kl", "mutual_information", "capacity", "empirical_type"),
     "legendre": (
-        "ScoredPmf", "ConjugateResult", "log_mgf", "tilted_mean", "conjugate",
-        "conjugate_mixture", "loglik_scores", "llr_interval"),
+        "ScoredPmf", "ConjugateResult", "conjugate", "loglik_scores",
+        "llr_interval"),
     "exact_regions": (
         "ExponentPoint", "TradeoffCurve", "ChannelPairLaw",
         "direct_region_point", "direct_tradeoff", "direct_curve",
@@ -32,11 +32,11 @@ _EXPORTS = {
         "InputDesign", "expurgated_exponent", "expurgated_exponent_opt",
         "bsc_expurgated_zero_rate", "special_message_exponent",
         "theta_bounds"),
+    "kl_ball": ("kl_ball_projection",),
     "dht_bounds": (
         "SourceModel", "AuxiliaryDesign", "BoundReport", "DhtSearchConfig",
-        "kl_ball_projection", "jhtcc_uncoded", "jhtcc_uncoded_opt",
-        "zeta_rho", "shtcc_tai_stein", "shtcc_tai", "shtcc_tad_stein",
-        "shtcc_tad", "compare_schemes"),
+        "jhtcc_uncoded", "jhtcc_uncoded_opt", "zeta_rho", "shtcc_tai_stein",
+        "shtcc_tai", "shtcc_tad_stein", "shtcc_tad", "compare_schemes"),
     "simulate": (
         "SimConfig", "SimReport", "FitResult", "np_decide",
         "build_type_sequences", "simulate_direct", "simulate_rht",

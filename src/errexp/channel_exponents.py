@@ -1,11 +1,13 @@
 """Channel-coding exponent ingredients for unequal error protection.
 
 Expurgated exponent over Bhattacharyya kernels, the special-message
-protection exponent, and the threshold interval it lives on.
+protection exponent, the threshold interval it lives on, and the table of
+all three over a grid of input designs that the SHTCC bounds share.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +65,11 @@ def _input_given_state(p_sx: np.ndarray) -> np.ndarray:
     marg = p_sx.sum(axis=-1)[..., None]
     return np.where(marg > 0, p_sx / np.where(marg > 0, marg, 1.0),
                     1.0 / p_sx.shape[-1])
+
+
+def _check_alphabet(design: InputDesign, ch: Channel) -> None:
+    if design.joint.row_alphabet != ch.input_alphabet:
+        raise InputError("design alphabet does not match channel input alphabet")
 
 
 def bhattacharyya_kernel(ch: Channel) -> np.ndarray:
@@ -129,8 +136,7 @@ def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
     when the kernel has zero entries carrying weight and the remaining mass
     is small enough that the objective grows linearly in rho.
     """
-    if design.joint.row_alphabet != ch.input_alphabet:
-        raise InputError("design alphabet does not match channel input alphabet")
+    _check_alphabet(design, ch)
     return float(expurgated_exponents(rate, design.joint.probs[None], ch)[0])
 
 
@@ -202,6 +208,7 @@ def output_given_state(design: InputDesign, ch: Channel) -> np.ndarray:
 
 def theta_bounds(design: InputDesign, ch: Channel) -> tuple[float, float]:
     """State-averaged divergences between P(.|S=s) and the channel row at x=s."""
+    _check_alphabet(design, ch)
     ps = design.state_probs
     pys = output_given_state(design, ch)
     return (conditional_kl_arrays(ps, pys, ch.rows),
@@ -232,3 +239,87 @@ def special_message_exponent(design: InputDesign, ch: Channel, theta):
             scores[mask] = np.log(ch.rows[s][mask]) - np.log(pys[s][mask])
         total += weight * conjugate(ScoredPmf(base, scores), theta).value
     return total
+
+
+# ---------------------------------------------------------------------------
+# Channel-side design table shared by the SHTCC bounds
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelTable:
+    """The channel side of D designs P_SX, a row each: the joint, the rate
+    I(X;Y|S), theta_l, the expurgated objective at rate 0 on RHO_GRID, the
+    rate below which E_x is +inf, and thetas on [-theta_l, theta_u] with
+    their E_sp. A design with an infinite theta bound (inputs of disjoint
+    rows) has NaN thetas and E_sp -inf: no theta is feasible for it."""
+
+    p_sx: np.ndarray
+    rate: np.ndarray
+    theta_l: np.ndarray
+    at_zero: np.ndarray
+    inf_below: np.ndarray
+    thetas: np.ndarray
+    e_sp: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in vars(self).values():
+            arr.flags.writeable = False  # the table is shared
+
+    @staticmethod
+    def of(p_sx: np.ndarray, ch: Channel, theta_points: int) -> "ChannelTable":
+        """The table of a (D, |X|, |X|) stack of joints."""
+        wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
+        rate, theta_l = np.empty(len(p_sx)), np.empty(len(p_sx))
+        thetas = np.full((len(p_sx), theta_points), np.nan)
+        e_sp = np.full(thetas.shape, -np.inf)
+        for d, joint in enumerate(p_sx):
+            design = InputDesign.from_matrix(ch.input_alphabet, joint)
+            # I(X;Y|S) = sum_{s,x} P(s) P(x|s) D(W(.|x) || P(.|s)), s-major
+            w_sx = design.state_probs[:, None] * design.input_given_state
+            rate[d] = conditional_kl_arrays(
+                w_sx.reshape(-1), np.tile(ch.rows, (len(w_sx), 1)),
+                np.repeat(output_given_state(design, ch), len(w_sx), axis=0))
+            theta_l[d], theta_u = theta_bounds(design, ch)
+            if np.isfinite(theta_l[d]) and np.isfinite(theta_u):
+                thetas[d] = np.linspace(-theta_l[d], theta_u, theta_points)
+                e_sp[d] = special_message_exponent(design, ch, thetas[d])
+        at_zero = _rho_grid_at_zero(wl, logb, k)
+        return ChannelTable(p_sx, rate, theta_l, at_zero, inf_below, thetas, e_sp)
+
+    def expurgated(self, rates) -> np.ndarray:
+        """E_x (R, D) at each of R rates of every design."""
+        rates = np.asarray(rates, dtype=float)[:, None]
+        # a design at a time: an (R, D, RHO_GRID_POINTS) block raised memory
+        out = np.stack([np.max(-RHO_GRID * rates + at_zero, axis=1)
+                        for at_zero in self.at_zero], axis=1)
+        return np.where(rates < self.inf_below, np.inf, out)
+
+    def theta_terms(self, kappa_alpha) -> tuple[np.ndarray, np.ndarray]:
+        """Per design, at a kappa_alpha or at each of an array of them (one
+        row each): the max of E_sp - theta over thetas with E_sp >=
+        kappa_alpha and the first theta attaining it (-inf and NaN if none)."""
+        kappa = np.asarray(kappa_alpha, dtype=float)[..., None, None]
+        vals = np.where(self.e_sp >= kappa, self.e_sp - self.thetas, -np.inf)
+        top = vals.argmax(axis=-1)[..., None]  # the first of equal maxima
+        term, theta = (np.take_along_axis(a, top, axis=-1)[..., 0]
+                       for a in (vals, np.broadcast_to(self.thetas, vals.shape)))
+        return term, np.where(term > -np.inf, theta, np.nan)
+
+
+def channel_table(ch: Channel, sx_resolution: int,
+                  theta_points: int) -> ChannelTable:
+    """The `ChannelTable` of the P_SX designs on the simplex grid of the
+    given resolution, with theta_points thresholds each: built once per
+    channel and sizes and shared by every caller."""
+    return _channel_table_of(ch.input_alphabet, ch.output_alphabet,
+                             ch.rows.tobytes(), sx_resolution, theta_points)
+
+
+@functools.lru_cache(maxsize=4)
+def _channel_table_of(inputs: tuple, outputs: tuple, rows: bytes,
+                      sx_resolution: int, theta_points: int) -> ChannelTable:
+    n = len(inputs)
+    return ChannelTable.of(
+        np.reshape(list(simplex_grid(n * n, sx_resolution)), (-1, n, n)),
+        Channel(inputs, outputs, np.frombuffer(rows).reshape(n, -1)),
+        theta_points)

@@ -234,6 +234,9 @@ def cmd_region(args) -> int:
         for ka, kb in zip(kappas, map(float, betas)):
             rows.append([ka, kb, ka - kb, "", "direct"])
     elif args.kind == "channel":
+        if args.kappa_grid:
+            raise InputError("--kappa-grid: the channel region sweeps theta "
+                             "over --points and takes no kappa_alpha grid")
         if model.channel is None:
             raise InputError("channel region requires a channel in the model")
         law = _pair_law(model)

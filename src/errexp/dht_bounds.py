@@ -3,6 +3,9 @@
 Separation-based (SHTCC) bounds specialized to testing against independence
 and against dependence, their Stein limits, and the uncoded joint-scheme
 bound, all expressed through KL-ball projections and information quantities.
+The KL-ball layer is `kl_ball` and the channel-coding layer
+`channel_exponents`; this module holds the schemes, their objectives and
+their configs.
 """
 
 from __future__ import annotations
@@ -13,20 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_exponents import (RHO_GRID, InputDesign, _expurgation_terms,
-                                _rho_grid_at_zero, expurgated_exponent_opt,
-                                output_given_state, special_message_exponent,
-                                theta_bounds)
+from .channel_exponents import channel_table, expurgated_exponent_opt
 from .exceptions import InputError
-from .legendre import Mixture
-from .optimize import (bisect_monotone, chunked, grid_then_pattern,
-                       simplex_grid, simplex_grid_array)
-from .prob_core import (Channel, JointPmf, Pmf, capacity, conditional_kl_arrays,
-                        kl_row_groups, kl_rows, mutual_information_pairs,
+from .kl_ball import ball_optimize, project_components
+from .optimize import grid_then_pattern, simplex_grid
+from .prob_core import (Channel, JointPmf, Pmf, capacity, kl_row_groups,
+                        kl_rows, mutual_information_pairs,
                         mutual_information_rows)
 
 PRODUCT_TOL = 1e-12
-BALL_ACTIVE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,141 +112,6 @@ class DhtSearchConfig:
 
 
 # ---------------------------------------------------------------------------
-# KL-ball projection
-
-
-def _project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
-                        kappa_alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Shared-multiplier KL-ball projections of B problems of K weighted
-    components, given as w (B, K) and zero-padded ref and tgt (B, K, n),
-    with one kappa_alpha for all or one per problem: the laws (B, K, n) and
-    the values (B,).
-
-    Problem b minimizes sum_k w_k D(P_k || tgt_k) subject to
-    sum_k w_k D(P_k || ref_k) <= kappa_alpha. A single Lagrange multiplier
-    mu serves every component; each component's optimum is then the tilted
-    law P_k ~ ref_k exp(lam f_k), f_k = log(tgt_k / ref_k) on the common
-    support, at lam = 1 / (1 + mu), and the ball radius is
-    lam psi'(lam) - psi(lam) of the weighted CGF. The multiplier is
-    bracketed by doubling up to a 1e12 cap and then bisected in
-    mu = (1 - lam) / lam; that schedule fixes the returned digits. The value
-    is re-evaluated on the returned laws, adding the components one at a
-    time from 0.0. A zero-weight component drops out and keeps its
-    reference as its law; so does every component of a problem whose value
-    is +inf (an empty common support, or a ball too small for the supports).
-
-    Problems of one shape, live components and widest common support, are
-    solved as one `Mixture.stack` with their live components packed to the
-    front, every step one tilt with a lam and a kappa_alpha per problem, so
-    each visits the multipliers it would visit alone and gets the same bits.
-    """
-    kappa = np.broadcast_to(np.asarray(kappa_alpha, dtype=float), len(w))
-    if not np.all(kappa >= 0):
-        raise InputError("kappa_alpha must be non-negative")
-    live = w > 0
-    laws = ref.copy()
-    solved = kappa == 0
-    if not solved.all():
-        if not live[~solved].any(axis=1).all():
-            raise InputError("mixture has no components")
-        # feasible supports: P_k must be << ref_k, and << tgt_k for finite value
-        masks = (ref > 0) & (tgt > 0)
-        counts = masks.sum(axis=-1)
-        n_live = live.sum(axis=1)
-        width = np.where(live, counts, 0).max(axis=1)
-        finite = ~solved & ~(live & (counts == 0)).any(axis=1)
-        # live components packed to the front; the CGF of a problem is as
-        # wide as its widest common support, and only problems of one shape
-        # share a stack, so every row sum keeps its bits
-        comps = np.argsort(~live, axis=1, kind="stable")
-        for k, m in set(zip(n_live[finite].tolist(), width[finite].tolist())):
-            idx = np.flatnonzero(finite & (n_live == k) & (width == m))
-            at = idx[:, None], comps[idx, :k]
-            # each row's support atoms packed to the front, in order
-            order = np.argsort(~masks[at], axis=-1, kind="stable")[..., :m]
-            p = np.take_along_axis(ref[at], order, axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                f = np.take_along_axis(np.log(tgt[at]) - np.log(ref[at]),
-                                       order, axis=-1)
-            # padded atoms get mass zero and repeat the row's first live score
-            pad = np.arange(m) >= counts[at][..., None]
-            mix = Mixture.stack(w[at], np.where(pad, 0.0, p),
-                                np.where(pad, f[..., :1], f))
-            feasible = ~(kappa[idx] < -mix.tilt(np.zeros(len(idx)))[0] - 1e-12)
-            mix, idx, pad = mix.rows(feasible), idx[feasible], pad[feasible]
-            if not len(idx):
-                continue
-            lam = 1.0 / (1.0 + _ball_multipliers(mix, kappa[idx]))
-            at = idx[:, None], comps[idx, :k]
-            tilted = np.zeros(ref[at].shape)
-            tilted[masks[at]] = mix.tilted(lam)[~pad]
-            laws[at] = tilted
-            solved[idx] = True
-    n = ref.shape[-1]
-    div = kl_rows(laws.reshape(-1, n), tgt.reshape(-1, n)).reshape(w.shape)
-    value = 0.0
-    for k in range(w.shape[1]):
-        # a zero weight adds nothing, not 0 * inf
-        value = value + w[:, k] * np.where(live[:, k], div[:, k], 0.0)
-    return laws, np.where(solved, value, np.inf)
-
-
-def _ball_multipliers(mix: Mixture, kappa: np.ndarray) -> np.ndarray:
-    """The multiplier mu of every problem of a stack, each at its own radius
-    kappa: 0 when the ball does not bind, else doubled from 1 until the
-    radius gap changes sign (at most to the 1e12 cap, where the last
-    multiplier is kept) and bisected to a gap of BALL_ACTIVE_TOL. All
-    problems step in lockstep, and the gaps at the bracket ends are carried
-    into the bisection."""
-
-    def gap(mix: Mixture, mu: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-        lam = 1.0 / (1.0 + mu)
-        psi, dpsi = mix.tilt(lam)
-        return lam * dpsi - psi - kappa
-
-    mu = np.zeros(len(mix.w))
-    g0 = gap(mix, mu, kappa)
-    binds = np.flatnonzero(g0 > 0.0)
-    if not binds.size:
-        return mu
-    mix, kappa = mix.rows(binds), kappa[binds]
-    lo, glo = np.zeros(binds.size), g0[binds]
-    hi = np.ones(binds.size)
-    ghi = gap(mix, hi, kappa)
-    while (grow := (ghi > 0.0) & (hi < 1e12)).any():
-        lo, glo = np.where(grow, hi, lo), np.where(grow, ghi, glo)
-        hi = np.where(grow, hi * 2.0, hi)
-        ghi = np.where(grow, gap(mix, hi, kappa), ghi)
-    # the radius falls in mu; past the 1e12 cap keep the last multiplier
-    mu[binds] = hi
-    run = ~(ghi > 0.0)
-    if run.any():
-        sub = mix.rows(run)
-        mu[binds[run]] = bisect_monotone(
-            lambda x: gap(sub, x, kappa[run]), lo[run], hi[run],
-            tol=BALL_ACTIVE_TOL, max_iter=200, glo=glo[run], ghi=ghi[run])
-    return mu
-
-
-def kl_ball_projection(p_ref: JointPmf, q_target: JointPmf,
-                       kappa_alpha: float) -> tuple[JointPmf, float]:
-    """min over P of D(P || Q_target) subject to D(P || P_ref) <= kappa_alpha.
-
-    The minimizer lies on the tilted family P_ref (Q_target / P_ref)^lam;
-    the ball constraint is driven active within 1e-9 whenever it binds.
-    """
-    if (p_ref.row_alphabet != q_target.row_alphabet
-            or p_ref.col_alphabet != q_target.col_alphabet):
-        raise InputError("reference and target must share alphabets")
-    laws, [value] = _project_components(
-        np.ones((1, 1)), p_ref.probs.reshape(1, 1, -1),
-        q_target.probs.reshape(1, 1, -1), kappa_alpha)
-    minimizer = JointPmf(p_ref.row_alphabet, p_ref.col_alphabet,
-                         laws[0, 0].reshape(p_ref.probs.shape))
-    return minimizer, float(value)
-
-
-# ---------------------------------------------------------------------------
 # Uncoded joint scheme
 
 
@@ -282,7 +145,7 @@ def _uncoded_values(model: SourceModel, ch: Channel, kappa_alpha,
     """`jhtcc_uncoded` of every design of a stack: time shares p_s
     (B, |S|) and P_{X|US} rows pxus (B, |U|, |S|, |X|), at one kappa_alpha
     for all or one per design."""
-    return _project_components(p_s, *_vy_laws(model, ch, pxus), kappa_alpha)[1]
+    return project_components(p_s, *_vy_laws(model, ch, pxus), kappa_alpha)[1]
 
 
 def _design_search(values, model: SourceModel, ch: Channel,
@@ -346,64 +209,13 @@ def _crossing_values(model: SourceModel, ch: Channel, radius,
     with reference and target swapped. A design whose kappa_u(d, 0) is
     already below its radius gets -inf."""
     p_vy, q_vy = _vy_laws(model, ch, pxus)
-    at_zero = _project_components(p_s, p_vy, q_vy, 0.0)[1]
-    crossing = _project_components(p_s, q_vy, p_vy, radius)[1]
+    at_zero = project_components(p_s, p_vy, q_vy, 0.0)[1]
+    crossing = project_components(p_s, q_vy, p_vy, radius)[1]
     return np.where(at_zero < radius, -np.inf, crossing)
 
 
 # ---------------------------------------------------------------------------
 # Ball-constrained information quantities for the separation scheme
-
-
-def _ball_optimize(p_ref: np.ndarray, objective, signs: np.ndarray,
-                   kappa_alpha, config: DhtSearchConfig) -> np.ndarray:
-    """Extremize R objectives over joints within the KL ball around p_ref,
-    at one kappa_alpha for all problems or one per problem.
-
-    `objective(ps, owner)` maps a (B, n) stack of flat joints and the (B,)
-    index of the problem that owns each row to their B values; problem r is
-    maximized when signs[r] is +1 and minimized when it is -1. A problem at
-    kappa_alpha 0 is evaluated at the reference. The others run as one
-    `grid_then_pattern` call over the reference and then the grid points
-    inside the largest ball, so a grid point must beat the reference
-    strictly. Points outside a problem's own ball score -inf and never win,
-    and every point inside it at least the lowest finite float: so a problem
-    that is -inf at the reference and on the whole grid is still searched
-    from the reference, lest a min such as E1 stay at +inf, on the
-    optimistic side; if the search finds nothing either, its value reads
-    -inf again. So a maximized problem never reads below its value at p_ref,
-    nor a minimized one above it. `objective` never sees more than
-    GRID_CHUNK rows at once. Returns the R extrema.
-    """
-    ref = p_ref.reshape(-1)
-    signs = np.asarray(signs, dtype=float)
-    kappa = np.broadcast_to(np.asarray(kappa_alpha, dtype=float), signs.shape)
-    if not np.all(kappa >= 0):
-        raise InputError("kappa_alpha must be non-negative")
-    limit = kappa + 1e-12
-    floor = -np.finfo(float).max
-
-    def signed(ps: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return chunked(lambda t: signs[owner[t]] * objective(ps[t], owner[t]),
-                       len(ps))
-
-    def penalized(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        ps = stack[:, 0]
-        return np.where(kl_rows(ps, ref) > limit[owner], -np.inf,
-                        np.maximum(signed(ps, owner), floor))
-
-    best = np.empty(len(signs))
-    at_ref = np.flatnonzero(kappa == 0)
-    best[at_ref] = signed(np.repeat(ref[None], at_ref.size, axis=0), at_ref)
-    if (search := np.flatnonzero(kappa > 0)).size:
-        grid = simplex_grid_array(ref.size, config.ball_resolution)
-        inside = kl_rows(grid, ref) <= limit[search].max()
-        _, found = grid_then_pattern(
-            lambda stack, owner: penalized(stack, search[owner]),
-            [[ref], *([p] for p in grid[inside])], problems=search.size,
-            min_step=config.pattern_min_step, min_improve=1e-9)
-        best[search] = np.where(found == floor, -np.inf, found)
-    return signs * best
 
 
 def _joint_vw(joints: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
@@ -467,97 +279,19 @@ def zeta_rho(model: SourceModel, p_wus, kappa_alpha,
     of I(U;W) and I(V;W) over the KL ball of joints around P_UV, with W
     generated by that fixed channel, at one kappa_alpha for all channels or
     one per channel. The channels share one output alphabet size, and all
-    2R searches run as one `_ball_optimize`."""
+    2R searches run as one `ball_optimize`."""
     if len({p_wu.rows.shape for p_wu in p_wus}) != 1:
         raise InputError("zeta_rho: test channels must share one shape")
     w_rows = np.stack([p_wu.rows for p_wu in p_wus])
     n = len(w_rows)
     kappa = np.broadcast_to(np.asarray(kappa_alpha, dtype=float), n)
-    both = _ball_optimize(model.p_uv.probs, _ball_objective(w_rows),
-                          np.repeat([1.0, -1.0], n), np.tile(kappa, 2), config)
+    both = ball_optimize(model.p_uv.probs, _ball_objective(w_rows),
+                         np.repeat([1.0, -1.0], n), np.tile(kappa, 2), config)
     return both[:n], both[n:]
 
 
 # ---------------------------------------------------------------------------
-# Channel-side design table shared by the SHTCC bounds
-
-
-@dataclass(frozen=True, eq=False)
-class _ChannelTable:
-    """The channel side of D designs P_SX, a row each: the joint, the rate
-    I(X;Y|S), theta_l, the expurgated objective at rate 0 on RHO_GRID, the
-    rate below which E_x is +inf, and thetas on [-theta_l, theta_u] with
-    their E_sp. A design with an infinite theta bound (inputs of disjoint
-    rows) has NaN thetas and E_sp -inf: no theta is feasible for it."""
-
-    p_sx: np.ndarray
-    rate: np.ndarray
-    theta_l: np.ndarray
-    at_zero: np.ndarray
-    inf_below: np.ndarray
-    thetas: np.ndarray
-    e_sp: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in vars(self).values():
-            arr.flags.writeable = False  # the table is shared
-
-    @staticmethod
-    def of(p_sx: np.ndarray, ch: Channel, theta_points: int) -> "_ChannelTable":
-        """The table of a (D, |X|, |X|) stack of joints."""
-        wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
-        rate, theta_l = np.empty(len(p_sx)), np.empty(len(p_sx))
-        thetas = np.full((len(p_sx), theta_points), np.nan)
-        e_sp = np.full(thetas.shape, -np.inf)
-        for d, joint in enumerate(p_sx):
-            design = InputDesign.from_matrix(ch.input_alphabet, joint)
-            # I(X;Y|S) = sum_{s,x} P(s) P(x|s) D(W(.|x) || P(.|s)), s-major
-            w_sx = design.state_probs[:, None] * design.input_given_state
-            rate[d] = conditional_kl_arrays(
-                w_sx.reshape(-1), np.tile(ch.rows, (len(w_sx), 1)),
-                np.repeat(output_given_state(design, ch), len(w_sx), axis=0))
-            theta_l[d], theta_u = theta_bounds(design, ch)
-            if np.isfinite(theta_l[d]) and np.isfinite(theta_u):
-                thetas[d] = np.linspace(-theta_l[d], theta_u, theta_points)
-                e_sp[d] = special_message_exponent(design, ch, thetas[d])
-        at_zero = _rho_grid_at_zero(wl, logb, k)
-        return _ChannelTable(p_sx, rate, theta_l, at_zero, inf_below, thetas, e_sp)
-
-    def expurgated(self, rates) -> np.ndarray:
-        """E_x (R, D) at each of R rates of every design."""
-        rates = np.asarray(rates, dtype=float)[:, None]
-        # a design at a time: an (R, D, RHO_GRID_POINTS) block raised memory
-        out = np.stack([np.max(-RHO_GRID * rates + at_zero, axis=1)
-                        for at_zero in self.at_zero], axis=1)
-        return np.where(rates < self.inf_below, np.inf, out)
-
-    def theta_terms(self, kappa_alpha) -> tuple[np.ndarray, np.ndarray]:
-        """Per design, at a kappa_alpha or at each of an array of them (one
-        row each): the max of E_sp - theta over thetas with E_sp >=
-        kappa_alpha and the first theta attaining it (-inf and NaN if none)."""
-        kappa = np.asarray(kappa_alpha, dtype=float)[..., None, None]
-        vals = np.where(self.e_sp >= kappa, self.e_sp - self.thetas, -np.inf)
-        top = vals.argmax(axis=-1)[..., None]  # the first of equal maxima
-        term, theta = (np.take_along_axis(a, top, axis=-1)[..., 0]
-                       for a in (vals, np.broadcast_to(self.thetas, vals.shape)))
-        return term, np.where(term > -np.inf, theta, np.nan)
-
-
-def _channel_table(ch: Channel, config: DhtSearchConfig) -> _ChannelTable:
-    """The `_ChannelTable` of the grid P_SX designs, built once per channel
-    and config and shared by every kappa_alpha."""
-    return _channel_table_of(ch.input_alphabet, ch.output_alphabet,
-                             ch.rows.tobytes(), config)
-
-
-@functools.lru_cache(maxsize=4)
-def _channel_table_of(inputs: tuple, outputs: tuple, rows: bytes,
-                      config: DhtSearchConfig) -> _ChannelTable:
-    n = len(inputs)
-    return _ChannelTable.of(
-        np.reshape(list(simplex_grid(n * n, config.sx_resolution)), (-1, n, n)),
-        Channel(inputs, outputs, np.frombuffer(rows).reshape(n, -1)),
-        config.theta_points)
+# SHTCC bounds
 
 
 def _wu_candidates(n_u: int, n_w: int, resolution: int):
@@ -565,10 +299,6 @@ def _wu_candidates(n_u: int, n_w: int, resolution: int):
     varying fastest."""
     rows = list(simplex_grid(n_w, resolution))
     return (np.stack(combo) for combo in itertools.product(rows, repeat=n_u))
-
-
-# ---------------------------------------------------------------------------
-# SHTCC bounds
 
 
 def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
@@ -583,7 +313,7 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
     ball around P_UV; `offset(rho)` is added to the channel term,
     elementwise. One quantizer search serves every kappa_alpha, and the
     grid and every round of its pattern searches are scored as stacks: one
-    `_ball_optimize` per stack covers zeta, rho and E1 of every row, each
+    `ball_optimize` per stack covers zeta, rho and E1 of every row, each
     at its row's kappa_alpha.
 
     The search skips the rows that cannot win, exactly. `value_of` is
@@ -591,7 +321,7 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
     point too: E_x is a max of lines of non-positive slope in the rate, so
     it does not rise with zeta; a larger zeta meets fewer of the rate and
     floor conditions, so fewer designs are feasible; `offset` is
-    non-decreasing; and min and + are monotone. `_ball_optimize` scores
+    non-decreasing; and min and + are monotone. `ball_optimize` scores
     P_UV first and keeps only strict gains, so its zeta is >= and its rho
     and E1 are <= their values at P_UV. So `value_of` the extrema at P_UV,
     a ball of radius 0, bounds each row's value from above, and
@@ -599,7 +329,7 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
     its problem's best. The rows it does score are searched once per
     (quantizer, kappa_alpha) and call: a repeated row of a stack, or one
     met in an earlier stack, reads the extrema of a cache. Each problem of
-    a `_ball_optimize` gets the bits it would get alone, so neither the
+    a `ball_optimize` gets the bits it would get alone, so neither the
     skipped rows nor the cache changes a bit of the result.
     """
     kappas = np.atleast_1d(np.asarray(kappa_alpha, dtype=float))
@@ -610,7 +340,7 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
     p_uv = model.p_uv.probs
     n_u = p_uv.shape[0]
     n_w = n_u + 1
-    table = _channel_table(ch, config)
+    table = channel_table(ch, config.sx_resolution, config.theta_points)
     terms, thetas = table.theta_terms(kappas)
 
     def value_of(zeta, rho, e1, owner: np.ndarray):
@@ -635,8 +365,8 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
 
     def extrema(stack: np.ndarray, radius: np.ndarray) -> np.ndarray:
         """(zeta, rho, E1) of a quantizer stack as a (3, B) array, row b in
-        the KL ball of radius[b] around P_UV: one `_ball_optimize`."""
-        return _ball_optimize(
+        the KL ball of radius[b] around P_UV: one `ball_optimize`."""
+        return ball_optimize(
             p_uv, _ball_objective(stack, first_term),
             np.repeat([1.0, -1.0, -1.0], len(stack)),
             np.tile(radius, 3), config).reshape(3, -1)
@@ -738,7 +468,7 @@ def shtcc_tad_stein(model: SourceModel, ch: Channel,
     n_u = q_uv.shape[0]
     n_w = n_u + 1
     q_u = q_uv.sum(axis=1)
-    table = _channel_table(ch, config)
+    table = channel_table(ch, config.sx_resolution, config.theta_points)
 
     def score(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
         rates = mutual_information_rows(q_u[:, None] * stack)

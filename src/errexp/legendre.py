@@ -3,9 +3,9 @@
 A ScoredPmf pairs a finite PMF with a real (possibly extended-real) score per
 symbol. Every log-MGF, tilted mean, conjugate and boundary inversion in the
 package evaluates a Mixture: weighted log-MGFs sharing one tilt, stored as one
-padded component array. The conjugate is computed by root-finding on the
-tilted mean, which is strictly increasing in the tilt, rather than by direct
-1-D maximization.
+padded component array, whose `tilt` gives the log-MGF and the tilted mean.
+The conjugate is computed by root-finding on the tilted mean, which is
+strictly increasing in the tilt, rather than by direct 1-D maximization.
 """
 
 from __future__ import annotations
@@ -234,34 +234,6 @@ class Mixture:
         return theta * lam - stack.tilt(lam)[0], lam, converged
 
 
-def log_mgf(sp: ScoredPmf, lam: float) -> float:
-    """psi(lam) = log E[exp(lam * f(Z))] in nats; psi(0) = 0 exactly."""
-    if np.isnan(lam):
-        raise InputError("lambda must not be NaN")
-    if lam == 0.0:
-        return 0.0
-    p, f = sp.effective()
-    if p.size == 0:
-        raise InputError("base PMF has empty support")
-    if lam > 0 and np.any(np.isposinf(f)):
-        return float("inf")
-    if lam < 0 and np.any(np.isneginf(f)):
-        return float("inf")
-    finite = np.isfinite(f)
-    # infinite scores on the vanishing side contribute zero weight
-    if not np.any(finite):
-        return float("-inf")
-    return Mixture([(1.0, p[finite], f[finite])]).tilt(lam)[0]
-
-
-def tilted_mean(sp: ScoredPmf, lam: float) -> float:
-    """Derivative psi'(lam): the score mean under the lam-tilted distribution."""
-    p, f = sp.effective()
-    if not np.all(np.isfinite(f)):
-        raise InputError("tilted_mean requires finite scores")
-    return Mixture([(1.0, p, f)]).tilt(lam)[1]
-
-
 def conjugate(sp: ScoredPmf, theta) -> ConjugateResult:
     """Legendre-Fenchel conjugate psi*(theta) = sup_lam theta*lam - psi(lam).
 
@@ -306,24 +278,6 @@ def conjugate(sp: ScoredPmf, theta) -> ConjugateResult:
             edge | interior.converged, scalar)
     res = Mixture([(1.0, p, f)]).conjugate(theta)
     return ConjugateResult.of(res.value, res.maximizer, res.converged, scalar)
-
-
-def conjugate_mixture(scored: list[ScoredPmf], weights, theta: float) -> ConjugateResult:
-    """Conjugate of the weighted sum of log-MGFs sharing one tilt variable.
-
-    Computes sup_lam [theta*lam - sum_k w_k psi_k(lam)], the Chernoff exponent
-    of a sum of independent scores accumulated under a common threshold.
-    Requires finite scores on every component's support.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.size != len(scored) or np.any(w < 0):
-        raise InputError("weights must be non-negative, one per component")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise InputError("weights must sum to 1")
-    components = [(wk, *sp.effective()) for wk, sp in zip(w, scored) if wk != 0]
-    if not components:
-        raise InputError("all mixture weights are zero")
-    return Mixture(components).conjugate(theta)
 
 
 def loglik_scores(p: Pmf, q: Pmf) -> ScoredPmf:

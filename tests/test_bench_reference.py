@@ -211,13 +211,16 @@ def test_shtcc_searches_run_batched(monkeypatch, capsys):
     exponents, one per P_SX design. These counts do not depend on the
     machine; building the table per kappa_alpha would double the last, and
     scoring a row the bound rules out would raise the scored rows."""
-    from errexp import dht_bounds, optimize, prob_core
-    dht_bounds._channel_table_of.cache_clear()  # build the table in this run
+    from errexp import (channel_exponents, dht_bounds, kl_ball, optimize,
+                        prob_core)
+    # build the table in this run
+    channel_exponents._channel_table_of.cache_clear()
     counts = {"runs": 0, "rounds": 0, "special": 0, "kl_rows": 0,
               "offered": 0, "scored": 0}
     lockstep, special, kl_rows, search = (
-        optimize.lockstep_pattern_search, dht_bounds.special_message_exponent,
-        prob_core.kl_rows, dht_bounds.grid_then_pattern)
+        optimize.lockstep_pattern_search,
+        channel_exponents.special_message_exponent, prob_core.kl_rows,
+        dht_bounds.grid_then_pattern)
 
     def counted_lockstep(score, *args, **kwargs):
         counts["runs"] += 1
@@ -249,9 +252,10 @@ def test_shtcc_searches_run_batched(monkeypatch, capsys):
         return search(score, *args, bound=bound, **kwargs)
 
     monkeypatch.setattr(optimize, "lockstep_pattern_search", counted_lockstep)
-    monkeypatch.setattr(dht_bounds, "special_message_exponent", counted_special)
+    monkeypatch.setattr(channel_exponents, "special_message_exponent",
+                        counted_special)
     monkeypatch.setattr(dht_bounds, "grid_then_pattern", counted_search)
-    for module in (prob_core, dht_bounds):
+    for module in (prob_core, dht_bounds, kl_ball):
         monkeypatch.setattr(module, "kl_rows", counted_kl_rows)
     test_shtcc_stdout_byte_identical(monkeypatch, capsys)
     assert counts == {"runs": 23, "rounds": 368, "special": 10,

@@ -302,3 +302,19 @@ class TestSpecialMessageExponent:
             outside = tu + 0.01 if np.isfinite(tu) else np.nan
             with pytest.raises(DomainError):
                 special_message_exponent(design, chan, np.append(thetas, outside))
+
+
+@pytest.mark.parametrize("evaluate", [
+    theta_bounds,
+    lambda design, ch: special_message_exponent(design, ch, 0.0),
+], ids=["theta_bounds", "special_message_exponent"])
+@pytest.mark.parametrize("design, ch", [
+    # the right size, relabelled: once computed silently
+    (InputDesign.from_matrix(("a", "b"), np.full((2, 2), 0.25)),
+     Channel.bsc(0.1)),
+    # the wrong size: once an untyped numpy shape error from matmul
+    (UNIFORM2, CYCLIC3),
+], ids=["relabelled", "two-inputs-on-three"])
+def test_design_alphabet_checked(evaluate, design, ch):
+    with pytest.raises(InputError, match="design alphabet"):
+        evaluate(design, ch)

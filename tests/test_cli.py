@@ -165,6 +165,17 @@ class TestRegion:
         _, _, rows = read_csv(out)
         assert len(rows) == 5 and all(r[4] == "channel" for r in rows)
 
+    def test_channel_curve_rejects_a_kappa_grid(self, bern_model, tmp_path,
+                                                capsys):
+        # the curve sweeps theta over --points; a kappa_alpha grid would be
+        # recorded in the manifest but never used
+        out = tmp_path / "channel.csv"
+        assert main(["region", bern_model, "--kind", "channel",
+                     "--kappa-grid", "0.01,0.02", "--points", "3",
+                     "--out", str(out)]) == 2
+        assert "--kappa-grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rht_curve(self, bern_model, tmp_path):
         out = tmp_path / "rht.csv"
         assert main(["region", bern_model, "--kind", "rht", "--points", "3",

@@ -13,12 +13,12 @@ from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
                     kl_divergence, mutual_information, shtcc_tad,
                     shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
                     special_message_exponent, theta_bounds, zeta_rho)
-from errexp.channel_exponents import (RHO_GRID, expurgated_exponent_opt,
+from errexp.channel_exponents import (RHO_GRID, ChannelTable, channel_table,
+                                      expurgated_exponent_opt,
                                       output_given_state)
-from errexp.dht_bounds import (_ball_objective, _ball_optimize, _channel_table,
-                               _ChannelTable, _project_components,
-                               _tad_first_term, _tai_first_term,
-                               _uncoded_values, _vy_laws)
+from errexp.dht_bounds import (_ball_objective, _tad_first_term,
+                               _tai_first_term, _uncoded_values, _vy_laws)
+from errexp.kl_ball import ball_optimize, project_components
 from errexp.legendre import Mixture
 from errexp.optimize import GRID_CHUNK, grid_then_pattern, simplex_grid
 from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
@@ -62,7 +62,7 @@ def frozen_rate(design, ch):
 
 
 class FrozenSxCache:
-    """The per-design channel-side cache that `_ChannelTable` replaced, kept
+    """The per-design channel-side cache that `ChannelTable` replaced, kept
     as its reference: one P_SX design's rate, theta grid, E_sp and E_x."""
 
     def __init__(self, design, ch, theta_points):
@@ -92,7 +92,7 @@ class FrozenSxCache:
 
 
 def frozen_caches(table, ch, theta_points):
-    """A `FrozenSxCache` per row of a `_ChannelTable`."""
+    """A `FrozenSxCache` per row of a `ChannelTable`."""
     return [FrozenSxCache(InputDesign.from_matrix(ch.input_alphabet, joint),
                           ch, theta_points) for joint in table.p_sx]
 
@@ -165,12 +165,12 @@ def padded(problems):
 
 
 def project_lists(problems, kappa):
-    """`_project_components` on lists of problems, through zero padding: per
+    """`project_components` on lists of problems, through zero padding: per
     problem, the laws of its positive-weight components cut to their own
     lengths, and the value. Every zero-weight or padded component must keep
     its reference as its law."""
     w, ref, tgt = padded(problems)
-    laws, values = _project_components(w, ref, tgt, kappa)
+    laws, values = project_components(w, ref, tgt, kappa)
     assert np.array_equal(laws[w == 0], ref[w == 0])
     return [([law[:np.size(r)] for law, (wk, r, _) in zip(laws[b], comps)
               if wk > 0], values[b]) for b, comps in enumerate(problems)]
@@ -243,7 +243,7 @@ class TestProjectComponents:
 
 def frozen_project_components(components, kappa_alpha):
     """The scalar KL-ball projection with its mu schedule, kept as the
-    reference that the stacked `_project_components` must reproduce."""
+    reference that the stacked `project_components` must reproduce."""
     comps = [(w, np.asarray(r, dtype=float).reshape(-1),
               np.asarray(t, dtype=float).reshape(-1))
              for w, r, t in components if w > 0]
@@ -313,7 +313,7 @@ def _random_problems(rng, n, size):
 
 
 class TestStackedProjection:
-    """`_project_components` on zero-padded stacks of problems against the
+    """`project_components` on zero-padded stacks of problems against the
     frozen scalar projection, problem by problem and bit for bit."""
 
     @staticmethod
@@ -415,12 +415,12 @@ class TestStackedProjection:
         problems = _random_problems(rng, 30, 4)
         kappas = np.resize([0.0, 1e-4, 0.01, 0.05, 5.0], len(problems))
         w, ref, tgt = padded(problems)
-        laws, values = _project_components(w, ref, tgt, kappas)
-        free = _project_components(w, ref, tgt, 1e3)[1]
+        laws, values = project_components(w, ref, tgt, kappas)
+        free = project_components(w, ref, tgt, 1e3)[1]
         for ka in np.unique(kappas):
             at = np.flatnonzero(kappas == ka)
-            sub_laws, sub_values = _project_components(w[at], ref[at],
-                                                       tgt[at], float(ka))
+            sub_laws, sub_values = project_components(w[at], ref[at],
+                                                      tgt[at], float(ka))
             assert np.array_equal(laws[at], sub_laws)
             assert values[at].tolist() == sub_values.tolist()
         for b, comps in enumerate(problems):
@@ -661,8 +661,8 @@ class TestBallOptimizeChunks:
 
         signs = np.tile([1.0, -1.0], len(w_rows))
         # 56 feasible grid points, so the grid pass tiles 24 * 56 rows
-        return _ball_optimize(example1.p_uv.probs, objective, signs, 0.2,
-                              DhtSearchConfig(ball_resolution=10))
+        return ball_optimize(example1.p_uv.probs, objective, signs, 0.2,
+                             DhtSearchConfig(ball_resolution=10))
 
     @pytest.mark.parametrize("cap", [7, 64])
     def test_rows_per_call_capped(self, example1, monkeypatch, cap):
@@ -689,17 +689,17 @@ class TestBallOptimizeMinusInfReference:
             return np.where(np.isclose(ps, first).all(axis=1), 0.0, np.inf)
 
         config = DhtSearchConfig(ball_resolution=8, pattern_min_step=5e-3)
-        assert _ball_optimize(ref, objective, [-1.0], 1.0, config).tolist() == [0.0]
+        assert ball_optimize(ref, objective, [-1.0], 1.0, config).tolist() == [0.0]
         # beside a problem that finds a finite point on the grid, and one
         # that finds nothing at all
         def two(ps, owner):
             return np.where(owner == 0, objective(ps, owner),
                             np.where(owner == 1, ps[:, 0], np.inf))
 
-        got = _ball_optimize(ref, two, [-1.0, -1.0, -1.0], 1.0, config)
+        got = ball_optimize(ref, two, [-1.0, -1.0, -1.0], 1.0, config)
         assert got[0] == 0.0 and np.isfinite(got[1]) and got[2] == np.inf
-        assert got[1] == _ball_optimize(ref, lambda ps, o: ps[:, 0], [-1.0],
-                                        1.0, config)[0]
+        assert got[1] == ball_optimize(ref, lambda ps, o: ps[:, 0], [-1.0],
+                                       1.0, config)[0]
 
 
 class TestStackedBallObjectives:
@@ -853,7 +853,7 @@ class TestStackedSteinObjectives:
         rates = mutual_information_rows(q_uv.sum(axis=1)[:, None] * stack)
         # some designs take the rates of lower rows, so those rows sit
         # exactly at a design's rate, and no design admits the top four rows
-        table = _channel_table(ch, FAST)
+        table = channel_table(ch, FAST.sx_resolution, FAST.theta_points)
         order = np.argsort(rates)
         assigned = order[5:25:5]
         rate = table.rate.copy()
@@ -867,8 +867,8 @@ class TestStackedSteinObjectives:
         for cache, rate, theta_l in zip(caches, table.rate, table.theta_l,
                                         strict=True):
             cache.rate, cache.theta_l = rate, theta_l
-        monkeypatch.setattr("errexp.dht_bounds._channel_table",
-                            lambda ch, config: table)
+        monkeypatch.setattr("errexp.dht_bounds.channel_table",
+                            lambda ch, sx_resolution, theta_points: table)
         score = stein_score(monkeypatch, shtcc_tad_stein, model, ch)
         got = score(stack, np.zeros(len(stack), dtype=int))
         frozen = frozen_tad_stein_objective(q_uv, caches)
@@ -880,7 +880,7 @@ class TestStackedSteinObjectives:
         """The table's (rates x designs) E_x equals the frozen per-design,
         per-rate E_x, and one rate alone gives the bits of its row."""
         rates = np.linspace(0.0, 0.1, 41)
-        table = _channel_table(bsc35, FAST)
+        table = channel_table(bsc35, FAST.sx_resolution, FAST.theta_points)
         caches = frozen_caches(table, bsc35, FAST.theta_points)
         # the rate below which E_x is +inf: none, mid-range, every rate
         for floor in (-np.inf, rates[17], np.inf):
@@ -982,7 +982,7 @@ class TestShtccTai:
     @staticmethod
     def audit(report, kappa, offset, bsc35):
         ach = report.achiever
-        table = _channel_table(bsc35, FAST)
+        table = channel_table(bsc35, FAST.sx_resolution, FAST.theta_points)
         [d] = np.flatnonzero((table.p_sx.reshape(len(table.p_sx), -1)
                               == ach["p_sx"]).all(axis=1))
         design = InputDesign.from_matrix((0, 1), table.p_sx[d])
@@ -1062,6 +1062,7 @@ class TestBatchedShtcc:
             return grid_then_pattern(score_counted, *args, **kwargs)
 
         monkeypatch.setattr("errexp.dht_bounds.grid_then_pattern", counted)
+        monkeypatch.setattr("errexp.kl_ball.grid_then_pattern", counted)
         expect = [repr(r) for r in shtcc_tad(example1, bsc35, kappas, FAST)]
         assert max(rows) > 2 * GRID_CHUNK
         rows.clear()
@@ -1081,7 +1082,7 @@ class TestBatchedShtcc:
             raise AssertionError("searched")
 
         monkeypatch.setattr("errexp.dht_bounds.grid_then_pattern", no_search)
-        monkeypatch.setattr("errexp.dht_bounds._channel_table", no_search)
+        monkeypatch.setattr("errexp.dht_bounds.channel_table", no_search)
         for model, bound in ((example1, shtcc_tad),
                              (skewed_tai_model(), shtcc_tai)):
             with pytest.raises(InputError, match="kappa_alpha"):
@@ -1089,7 +1090,7 @@ class TestBatchedShtcc:
 
 
 class TestPerProblemKappa:
-    """`_ball_optimize` and `zeta_rho` with one kappa_alpha per problem give
+    """`ball_optimize` and `zeta_rho` with one kappa_alpha per problem give
     what their calls at that kappa_alpha alone give, bit for bit."""
 
     # at the reference, binding, not binding (the ball around the uniform
@@ -1106,9 +1107,9 @@ class TestPerProblemKappa:
         signs = np.repeat([1.0, -1.0, -1.0], len(w_rows))
         kappas = np.resize(self.KAPPAS, len(signs))
         ref = example1.p_uv.probs
-        got = _ball_optimize(ref, objective, signs, kappas, self.CONFIG)
+        got = ball_optimize(ref, objective, signs, kappas, self.CONFIG)
         for r, kappa in enumerate(kappas):
-            alone = _ball_optimize(ref, objective, signs, kappa, self.CONFIG)
+            alone = ball_optimize(ref, objective, signs, kappa, self.CONFIG)
             assert_bit_equal(got[r], alone[r])
 
     def test_zeta_rho(self, example1):
@@ -1413,8 +1414,8 @@ class TestCompareSchemes:
         pxus = np.array([[[[a, 1.0 - a]], [[b, 1.0 - b]]]
                          for a, b in itertools.product(ts, ts)])
         p_vy, q_vy = _vy_laws(example1, bsc35, pxus)
-        _, values = _project_components(np.ones((len(pxus), 1)), q_vy, p_vy,
-                                        e_x0)
+        _, values = project_components(np.ones((len(pxus), 1)), q_vy, p_vy,
+                                       e_x0)
         assert crossover >= values.max() - 1e-12
 
     @pytest.mark.parametrize("grid", [[0.005, 0.008], [0.001, 0.003]],
@@ -1441,7 +1442,8 @@ class TestCompareSchemes:
 
 class TestDisjointRowChannel:
     def test_infinite_theta_bound_gets_no_theta_grid(self):
-        table = _channel_table(DISJOINT, FAST)
+        table = channel_table(DISJOINT, FAST.sx_resolution,
+                              FAST.theta_points)
         caches = frozen_caches(table, DISJOINT, FAST.theta_points)
         skipped = np.array([not (np.isfinite(c.theta_l)
                                  and np.isfinite(c.theta_u)) for c in caches])
@@ -1472,7 +1474,7 @@ class TestDisjointRowChannel:
 
 
 def test_sx_cache_rate_equals_frozen_loop():
-    """I(X;Y|S) of the `_ChannelTable` rows against the hand loop it
+    """I(X;Y|S) of the `ChannelTable` rows against the hand loop it
     replaced, bit for bit and type for type: |S||X| = 4-25 terms,
     zero-weight states and inputs, and inputs of disjoint rows."""
     rng = np.random.default_rng(37)
@@ -1481,7 +1483,7 @@ def test_sx_cache_rate_equals_frozen_loop():
         ch = Channel(range(n), range(m), rows)
         p_sx = np.stack([random_weights(rng, n * n).reshape(n, n)
                          for _ in range(2)])
-        table = _ChannelTable.of(p_sx, ch, 3)
+        table = ChannelTable.of(p_sx, ch, 3)
         for joint, rate in zip(p_sx, table.rate, strict=True):
             assert_bit_equal(rate, frozen_rate(
                 InputDesign.from_matrix(range(n), joint), ch))
@@ -1500,7 +1502,7 @@ TABLE_CHANNELS = {
 
 @pytest.mark.parametrize("name", sorted(TABLE_CHANNELS))
 def test_table_rows_equal_frozen_caches(name):
-    """Every row of `_ChannelTable` against the per-design cache it
+    """Every row of `ChannelTable` against the per-design cache it
     replaced, bit for bit: rate, theta_l, the theta grid and its E_sp, the
     best theta term at several kappa_alpha, and E_x at rates through the
     +inf floors. The designs are grid designs and sparse random ones."""
@@ -1510,7 +1512,7 @@ def test_table_rows_equal_frozen_caches(name):
     p_sx = np.concatenate([
         np.reshape(list(simplex_grid(n * n, 2)), (-1, n * n)),
         sparse_rows(rng, 30, n * n, 0.4)]).reshape(-1, n, n)
-    table = _ChannelTable.of(p_sx, ch, 9)
+    table = ChannelTable.of(p_sx, ch, 9)
     caches = frozen_caches(table, ch, 9)
     rates = np.concatenate([np.linspace(0.0, 0.8, 17), [np.log(2.0)]])
     e_x = table.expurgated(rates)

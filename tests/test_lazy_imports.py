@@ -20,7 +20,7 @@ import errexp
 ROOT = Path(__file__).resolve().parents[1]
 
 # the searches and the simulator, which `region` never runs
-UNUSED_BY_REGION = {"dht_bounds", "simulate", "channel_exponents"}
+UNUSED_BY_REGION = {"dht_bounds", "simulate", "channel_exponents", "kl_ball"}
 
 # the public names and their modules, as `errexp` exported them eagerly
 PUBLIC = {
@@ -29,8 +29,7 @@ PUBLIC = {
     "prob_core": ["Pmf", "JointPmf", "Channel", "EmpiricalType",
                   "kl_divergence", "conditional_kl", "mutual_information",
                   "capacity", "empirical_type"],
-    "legendre": ["ScoredPmf", "ConjugateResult", "log_mgf", "tilted_mean",
-                 "conjugate", "conjugate_mixture", "loglik_scores",
+    "legendre": ["ScoredPmf", "ConjugateResult", "conjugate", "loglik_scores",
                  "llr_interval"],
     "exact_regions": ["ExponentPoint", "TradeoffCurve", "ChannelPairLaw",
                       "direct_region_point", "direct_tradeoff", "direct_curve",
@@ -41,11 +40,11 @@ PUBLIC = {
                           "expurgated_exponent_opt",
                           "bsc_expurgated_zero_rate",
                           "special_message_exponent", "theta_bounds"],
+    "kl_ball": ["kl_ball_projection"],
     "dht_bounds": ["SourceModel", "AuxiliaryDesign", "BoundReport",
-                   "DhtSearchConfig", "kl_ball_projection", "jhtcc_uncoded",
-                   "jhtcc_uncoded_opt", "zeta_rho", "shtcc_tai_stein",
-                   "shtcc_tai", "shtcc_tad_stein", "shtcc_tad",
-                   "compare_schemes"],
+                   "DhtSearchConfig", "jhtcc_uncoded", "jhtcc_uncoded_opt",
+                   "zeta_rho", "shtcc_tai_stein", "shtcc_tai",
+                   "shtcc_tad_stein", "shtcc_tad", "compare_schemes"],
     "simulate": ["SimConfig", "SimReport", "FitResult", "np_decide",
                  "build_type_sequences", "simulate_direct", "simulate_rht",
                  "fit_exponent"],

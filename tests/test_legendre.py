@@ -3,9 +3,8 @@ import functools
 import numpy as np
 import pytest
 
-from errexp import (InputError, Pmf, ScoredPmf, conjugate, conjugate_mixture,
-                    kl_divergence, llr_interval, log_mgf, loglik_scores,
-                    tilted_mean)
+from errexp import (InputError, Pmf, ScoredPmf, conjugate, kl_divergence,
+                    llr_interval, loglik_scores)
 from errexp.legendre import LAMBDA_CAP, THETA_RESIDUAL_TOL, Mixture
 from conftest import dense_grid_conjugate, frozen_bisect_monotone, random_pmf
 
@@ -14,7 +13,22 @@ def scored(p_probs, scores) -> ScoredPmf:
     return ScoredPmf(Pmf(tuple(range(len(p_probs))), p_probs), scores)
 
 
+def mixture(*scored_pmfs, weights=(1.0,)) -> Mixture:
+    """The weighted log-MGF sum of scored PMFs with finite supported scores."""
+    return Mixture([(w, *sp.effective()) for w, sp in zip(weights, scored_pmfs)])
+
+
+def log_mgf(sp: ScoredPmf, lam: float) -> float:
+    return mixture(sp).tilt(lam)[0]
+
+
+def tilted_mean(sp: ScoredPmf, lam: float) -> float:
+    return mixture(sp).tilt(lam)[1]
+
+
 class TestLogMgf:
+    """psi(lam) = log E[exp(lam * f(Z))] from `Mixture.tilt`."""
+
     def test_zero_at_lambda_zero(self):
         sp = scored([0.2, 0.8], [3.0, -1.0])
         assert log_mgf(sp, 0.0) == 0.0
@@ -28,22 +42,11 @@ class TestLogMgf:
         sp = scored([0.5, 0.5], [0.0, 1.0])
         assert log_mgf(sp, np.log(2.0)) == pytest.approx(np.log(1.5), abs=1e-14)
 
-    def test_infinite_scores(self):
-        sp = scored([0.5, 0.5], [0.0, np.inf])
-        assert log_mgf(sp, 1.0) == float("inf")
-        assert log_mgf(sp, -1.0) == pytest.approx(np.log(0.5))
-        with pytest.raises(InputError):
-            ScoredPmf(Pmf((0, 1), [0.5, 0.5]), [np.nan, 0.0])
-
-    def test_only_vanishing_infinite_scores_give_minus_infinity(self):
-        # the supported score is -inf, so psi(lam) = log 0 for lam > 0
-        sp = loglik_scores(Pmf((0, 1), [1.0, 0.0]), Pmf((0, 1), [0.0, 1.0]))
-        assert log_mgf(sp, 1.0) == float("-inf")
-        assert log_mgf(sp, 0.5) == float("-inf")
-        assert log_mgf(sp, -1.0) == float("inf")
-
 
 class TestTiltedMean:
+    """psi'(lam), the score mean under the lam-tilted law, from
+    `Mixture.tilt`."""
+
     def test_zero_tilt_is_expectation(self):
         sp = scored([0.3, 0.7], [1.0, -2.0])
         assert tilted_mean(sp, 0.0) == pytest.approx(0.3 - 1.4)
@@ -151,15 +154,8 @@ class TestConjugateMixture:
     def test_single_component_matches_conjugate(self):
         sp = scored([0.4, 0.6], [-1.0, 0.5])
         for theta in (-0.5, 0.0, 0.3):
-            assert conjugate_mixture([sp], [1.0], theta).value == pytest.approx(
+            assert mixture(sp).conjugate(theta).value == pytest.approx(
                 conjugate(sp, theta).value, abs=1e-10)
-
-    def test_weight_validation(self):
-        sp = scored([0.5, 0.5], [0.0, 1.0])
-        with pytest.raises(InputError):
-            conjugate_mixture([sp, sp], [0.7, 0.7], 0.0)
-        with pytest.raises(InputError):
-            conjugate_mixture([sp], [-1.0], 0.0)
 
 
 class TestMixturePadding:
@@ -185,15 +181,17 @@ class TestMixturePadding:
                              @ sp.base.probs)
                   for w, sp in zip(self.W, (self.SHORT, self.LONG)))
         for theta in (-0.6, 0.0, 0.5, 1.0):
-            value = conjugate_mixture([self.SHORT, self.LONG], self.W, theta)
+            value = mixture(self.SHORT, self.LONG,
+                            weights=self.W).conjugate(theta)
             assert value.value == pytest.approx(
                 float(np.max(theta * lams - psi)), abs=1e-6)
 
     def test_score_range_limits(self):
-        lo = conjugate_mixture([self.SHORT, self.LONG], self.W, self.FMIN)
+        mix = mixture(self.SHORT, self.LONG, weights=self.W)
+        lo = mix.conjugate(self.FMIN)
         assert lo.value == -(0.4 * np.log(0.3) + 0.6 * np.log(0.2))
         assert lo.maximizer == float("-inf")
-        hi = conjugate_mixture([self.SHORT, self.LONG], self.W, self.FMAX)
+        hi = mix.conjugate(self.FMAX)
         assert hi.value == -(0.4 * np.log(0.7) + 0.6 * np.log(0.3))
         assert hi.maximizer == float("inf")
 
@@ -342,6 +340,11 @@ class TestLoglikScores:
         q = Pmf((0, 1), [0.5, 0.5])
         assert loglik_scores(q, p).scores[1] == float("-inf")
         assert loglik_scores(p, q).scores[1] == float("inf")
+
+
+def test_scored_pmf_rejects_nan_scores():
+    with pytest.raises(InputError):
+        ScoredPmf(Pmf((0, 1), [0.5, 0.5]), [np.nan, 0.0])
 
 
 def test_llr_interval():

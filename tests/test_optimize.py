@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from errexp import Pmf, ScoredPmf, tilted_mean
+from errexp import Pmf, ScoredPmf
 from errexp.exceptions import BracketError, InputError
+from errexp.legendre import Mixture
 from errexp.optimize import (bisect_monotone, grid_then_pattern,
                              lockstep_pattern_search, maximize_1d,
                              pattern_search, project_rows, simplex_grid,
@@ -27,8 +28,9 @@ class TestBisectMonotone:
     def test_tilted_mean_root_vs_dense_grid(self):
         sp = ScoredPmf(Pmf((0, 1), [0.3, 0.7]), np.array([-1.0, 2.0]))
         theta = 0.5
+        mix = Mixture([(1.0, *sp.effective())])
         [root] = bisect_monotone(
-            lambda lam: np.array([tilted_mean(sp, lam[0]) - theta]),
+            lambda lam: np.array([mix.tilt(lam[0])[1] - theta]),
             *row(-20.0, 20.0), tol=1e-12)
         lams = np.arange(-20.0, 20.0, 1e-5)
         p, f = sp.effective()
@@ -36,7 +38,7 @@ class TestBisectMonotone:
         means = (w * f[None, :]).sum(axis=1) / w.sum(axis=1)
         dense = lams[np.argmin(np.abs(means - theta))]
         assert root == pytest.approx(dense, abs=1e-4)
-        assert tilted_mean(sp, root) == pytest.approx(theta, abs=1e-8)
+        assert mix.tilt(root)[1] == pytest.approx(theta, abs=1e-8)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
