@@ -15,11 +15,10 @@ import numpy as np
 from .exceptions import BracketError, InputError
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# candidates taken at a time by grid_then_pattern's grid pass and rows per
-# call of `chunked`; a batch scorer holds one object per row at once, so
-# this bounds its memory
+# candidates taken at a time by `grid_pass` and rows per call of `chunked`;
+# a batch scorer holds one object per row at once, so this bounds its memory
 GRID_CHUNK = 256
-# rows per score call of grid_then_pattern, however many problems share it:
+# rows per score call of a design search, however many problems share it:
 # a nested search's problems grow with its caller's rows
 GRID_ROWS = 8 * GRID_CHUNK
 # the first step of every pattern search, halved down to its min_step
@@ -263,35 +262,25 @@ def lockstep_pattern_search(score: Callable[[np.ndarray, np.ndarray],
     return x, best
 
 
-def grid_then_pattern(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      candidates: Iterable[Sequence[np.ndarray]],
-                      seeds: Iterable[Sequence[np.ndarray]] = (),
-                      problems: int = 1, bound=None, **pattern_kw
-                      ) -> tuple[list, np.ndarray]:
-    """The design-search driver: the best (blocks, value) of each of R =
-    `problems` problems, by a grid pass followed by pattern searches.
+def grid_pass(score: Callable, candidates: Iterable[Sequence[np.ndarray]],
+              problems: int = 1, bound=None) -> tuple[list, np.ndarray]:
+    """The best (blocks, value) of each of R = `problems` problems over a
+    list of candidates.
 
     `score(stack, owner)` maps a (B, n_blocks, size) stack of block lists and
     the (B,) index of the problem that owns each row to their B values, each
     depending on its own row and owner only. Every candidate is scored for
     every problem, GRID_CHUNK candidates at a time, in the order given, and
-    each problem keeps the first of its equal maxima. Then pattern searches
-    (with `pattern_kw`) run from each problem's winner and from each extra
-    seed, for every problem, all in one `lockstep_pattern_search`: their
-    projected starts are scored as one stack, and so is each round of
-    sweeps. No score call gets more than GRID_ROWS rows (or one chunk of
-    candidates for one problem), so its memory stays bounded however many
-    problems there are. A search result replaces its
-    problem's running best, in that order, only when it is strictly larger,
-    so no value is below that problem's best candidate. Returns the R
-    winners, as lists of blocks (None where every candidate and every search
-    scores -inf), and the array of R values.
+    each problem keeps the first of its equal maxima (NaN never wins). No
+    score call gets more than GRID_ROWS rows (or one chunk for one
+    problem), so its memory stays bounded however many problems and
+    candidates there are. Returns the R winners (None where every candidate
+    scores -inf) and the array of R values.
 
     `bound(stack, owner)`, if given, maps the same arguments to upper bounds
-    of the values. A row whose bound is <= its problem's best so far (before
-    the chunk in the grid pass, its search's running best in a round) could
-    neither win nor be accepted, so it is not scored and reads -inf (a NaN
-    bound is scored): the winners and values are the same bits.
+    of the values. A row whose bound is <= its problem's best before the
+    chunk could not win, so it is not scored and reads -inf (a NaN bound is
+    scored): the winners and values are the same bits.
     """
     owners = np.arange(problems)
     best_blocks, best_val = [None] * problems, np.full(problems, -np.inf)
@@ -310,8 +299,32 @@ def grid_then_pattern(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
             top = vals[np.arange(rs.size), k]
             for i in np.flatnonzero(top > best_val[rs]):
                 best_blocks[rs[i]], best_val[rs[i]] = chunk[k[i]], top[i]
+    return best_blocks, best_val
+
+
+def grid_then_pattern(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                      candidates: Iterable[Sequence[np.ndarray]],
+                      seeds: Iterable[Sequence[np.ndarray]] = (),
+                      problems: int = 1, bound=None, **pattern_kw
+                      ) -> tuple[list, np.ndarray]:
+    """The design-search driver: `grid_pass` over the candidates, then
+    pattern searches.
+
+    The pattern searches (with `pattern_kw`) run from each problem's grid
+    winner and from each extra seed, for every problem, all in one
+    `lockstep_pattern_search`: their projected starts are scored as one
+    stack, and so is each round of sweeps, at most GRID_ROWS rows per score
+    call. A search result replaces its problem's running best, in that
+    order, only when it is strictly larger, so no value is below that
+    problem's best candidate. `score` and `bound` are as in `grid_pass`;
+    in a round, a probe whose bound is <= its search's running best is not
+    scored and reads -inf, so it is not accepted. Returns the R winners,
+    as lists of blocks (None where every candidate and every search scores
+    -inf), and the array of R values.
+    """
+    best_blocks, best_val = grid_pass(score, candidates, problems, bound)
     seeds = list(seeds)
-    starts = [(r, blocks) for r in owners
+    starts = [(r, blocks) for r in range(problems)
               for blocks in [best_blocks[r], *seeds] if blocks is not None]
     if not starts:
         return best_blocks, best_val

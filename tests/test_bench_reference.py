@@ -155,18 +155,22 @@ def test_schemes_stdout_byte_identical(monkeypatch, capsys):
 
 
 def test_schemes_searches_run_batched(monkeypatch, capsys):
-    """The schemes command runs three lockstep pattern searches (the
-    expurgated optimum, every kappa_alpha of the uncoded bound, the
-    crossover) in 38 scorer rounds, and one golden section per score call
-    of the expurgated search. These counts do not depend on the machine: a
-    change that searches one kappa_alpha or one live-entry count at a time
-    raises them (7 runs, 104 rounds and 34 golden sections before the
-    batching)."""
+    """The schemes command runs one lockstep pattern search, the expurgated
+    optimum's, in 12 scorer rounds, and one golden section per score call
+    of the expurgated search. The uncoded bound and the crossover score
+    every deterministic map (u -> x, 4 of them) for each of their 5 and 1
+    problems: 24 rows in 2 score calls. These counts do not depend on the
+    machine: a change that searches one kappa_alpha or one live-entry count
+    at a time raises them (7 runs, 104 rounds and 34 golden sections before
+    the batching), and so does a return to a local search for the uncoded
+    designs (3 runs, 38 rounds, and 1,037 uncoded rows in 28 calls)."""
     from errexp import channel_exponents, dht_bounds, optimize
-    counts = {"runs": 0, "rounds": 0, "golden": 0, "golden_in_opt": 0}
+    counts = {"runs": 0, "rounds": 0, "golden": 0, "golden_in_opt": 0,
+              "uncoded_rows": 0, "uncoded_calls": 0}
     lockstep, golden = (optimize.lockstep_pattern_search,
                         channel_exponents.maximize_1d)
-    expurgated_opt = dht_bounds.expurgated_exponent_opt
+    expurgated_opt, grid_pass = (dht_bounds.expurgated_exponent_opt,
+                                 dht_bounds.grid_pass)
 
     def counted_lockstep(score, *args, **kwargs):
         counts["runs"] += 1
@@ -186,12 +190,21 @@ def test_schemes_searches_run_batched(monkeypatch, capsys):
         counts["golden_in_opt"] += counts["golden"] - before
         return result
 
+    def counted_grid_pass(score, *args, **kwargs):
+        def counted_score(stack, owner):
+            counts["uncoded_calls"] += 1
+            counts["uncoded_rows"] += len(stack)
+            return score(stack, owner)
+        return grid_pass(counted_score, *args, **kwargs)
+
     monkeypatch.setattr(optimize, "lockstep_pattern_search", counted_lockstep)
     monkeypatch.setattr(channel_exponents, "maximize_1d", counted_golden)
     monkeypatch.setattr(dht_bounds, "expurgated_exponent_opt", counted_opt)
+    monkeypatch.setattr(dht_bounds, "grid_pass", counted_grid_pass)
     test_schemes_stdout_byte_identical(monkeypatch, capsys)
-    assert counts == {"runs": 3, "rounds": 38, "golden": 20,
-                      "golden_in_opt": 20}
+    assert counts == {"runs": 1, "rounds": 12, "golden": 20,
+                      "golden_in_opt": 20, "uncoded_rows": 24,
+                      "uncoded_calls": 2}
 
 
 def test_shtcc_searches_run_batched(monkeypatch, capsys):

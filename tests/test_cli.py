@@ -280,8 +280,9 @@ class TestBounds:
 
     def test_jhtcc_uncoded_ternary_pin(self, tmp_path):
         """Byte-for-byte output of the uncoded bound on the general 3-input
-        model bench/models/rht3.json (|V| = 1, |Y| = 3), as computed by the
-        scalar KL-ball projection before the sweeps were stacked."""
+        model bench/models/rht3.json (|V| = 1, |Y| = 3): each value is the
+        largest `jhtcc_uncoded` over the 27 maps u -> x, at (0, 1, 1) for
+        0.01 and at (1, 1, 0) for 0.03 and 0.06."""
         out = tmp_path / "rht3.csv"
         assert main(["bounds", "bench/models/rht3.json", "--scheme",
                      "jhtcc-uncoded", "--grid", "4", "--kappa-grid",
@@ -293,9 +294,9 @@ class TestBounds:
             "# params grid=4,kappa_grid=0.01,0.03,0.06,points=25,"
             "scheme=jhtcc-uncoded\n"
             "kappa_alpha,bound,value,feasible,achiever_digest\n"
-            "0.01,jhtcc_uncoded,0.0305635264,1,eae6dcd84196\n"
-            "0.03,jhtcc_uncoded,0.0110852574,1,eae6dcd84196\n"
-            "0.06,jhtcc_uncoded,0.0013438974,1,eae6dcd84196\n")
+            "0.01,jhtcc_uncoded,0.0321374363,1,a2bb56a5c668\n"
+            "0.03,jhtcc_uncoded,0.0111907734,1,54d77e1f7adc\n"
+            "0.06,jhtcc_uncoded,0.00137750324,1,54d77e1f7adc\n")
 
 class TestSimulate:
     def test_deterministic_byte_identical(self, bern_model, tmp_path):

@@ -16,8 +16,9 @@ from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
 from errexp.channel_exponents import (RHO_GRID, ChannelTable, channel_table,
                                       expurgated_exponent_opt,
                                       output_given_state)
-from errexp.dht_bounds import (_ball_objective, _tad_first_term,
-                               _tai_first_term, _uncoded_values, _vy_laws)
+from errexp.dht_bounds import (_ball_objective, _crossing_values,
+                               _tad_first_term, _tai_first_term,
+                               _uncoded_values, _vy_laws)
 from errexp.kl_ball import ball_optimize, project_components
 from errexp.legendre import Mixture
 from errexp.optimize import GRID_CHUNK, grid_then_pattern, simplex_grid
@@ -548,6 +549,83 @@ class TestJhtccUncoded:
                                  config=FAST)
         assert rep2.value >= rep1.value - 1e-6
         assert len(rep2.achiever["p_s"]) == 2
+
+
+def item16_model() -> tuple[SourceModel, Channel]:
+    """A ternary model over a 3-input channel on which a local search from
+    the uniform rows and from X = U misses the best deterministic map."""
+    p = [[.04, .09], [.19, .01], [.02, .65]]
+    q = [[.03, .08], [.12, .29], [.14, .34]]
+    ch = Channel((0, 1, 2), (0, 1, 2), [[.28, .45, .27], [.68, .09, .23],
+                                        [.26, .18, .56]])
+    return (SourceModel(JointPmf((0, 1, 2), (0, 1), p),
+                        JointPmf((0, 1, 2), (0, 1), q)), ch)
+
+
+def best_deterministic_map(model: SourceModel, ch: Channel,
+                           kappa_alpha: float) -> tuple[float, tuple]:
+    """The largest public `jhtcc_uncoded` over the |X|^|U| single-state
+    maps u -> x, and the first map that attains it."""
+    n_u, n_x = len(model.p_uv.row_alphabet), len(ch.input_alphabet)
+    best = (-np.inf, None)
+    for m in itertools.product(range(n_x), repeat=n_u):
+        design = AuxiliaryDesign(p_s=Pmf((0,), [1.0]),
+                                 p_x_given_us=np.eye(n_x)[list(m)][:, None])
+        value = jhtcc_uncoded(model, ch, kappa_alpha, design)
+        if value > best[0]:
+            best = (value, m)
+    return best
+
+
+class TestUncodedEnumeration:
+    """`jhtcc_uncoded_opt` is the exact maximum over P_{X|US} at each time
+    share: kappa_u is convex in the design, so the deterministic maps, the
+    vertices of the product of simplices, hold its maximum."""
+
+    @pytest.mark.parametrize("kappa,value", [(0.01, 0.03344955159008012),
+                                             (0.05, 0.004461403261207046)])
+    def test_item16_model_equals_best_map(self, kappa, value):
+        model, ch = item16_model()
+        assert best_deterministic_map(model, ch, kappa) == (value, (2, 0, 1))
+        rep = jhtcc_uncoded_opt(model, ch, kappa)
+        assert rep.value == value
+        assert rep.achiever["p_x_given_us"] == tuple(
+            np.eye(3)[[2, 0, 1]].reshape(-1))
+
+    @settings(max_examples=30)
+    @given(n_u=st.sampled_from([2, 3]), n_x=st.sampled_from([2, 3]),
+           n_v=st.sampled_from([1, 2, 3]),
+           kappa=st.sampled_from([0.0, 0.005, 0.02, 0.1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_opt_equals_best_map(self, n_u, n_x, n_v, kappa, seed):
+        rng = np.random.default_rng(seed)
+        p, q = rng.dirichlet(np.ones(n_u * n_v), size=2).reshape(2, n_u, n_v)
+        u, v = tuple(range(n_u)), tuple(range(n_v))
+        model = SourceModel(JointPmf(u, v, p), JointPmf(u, v, q))
+        ch = Channel(tuple(range(n_x)), (0, 1, 2),
+                     rng.dirichlet(np.ones(3), size=n_x))
+        value, _ = best_deterministic_map(model, ch, kappa)
+        assert jhtcc_uncoded_opt(model, ch, kappa).value == value
+
+    @settings(max_examples=40)
+    @given(n_s=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_midpoint_convex_at_fixed_time_share(self, n_s, seed):
+        rng = np.random.default_rng(seed)
+        model, ch, _, _ = ternary_uncoded_instance(rng, 1)
+        p_s = rng.dirichlet(np.ones(n_s), size=1).repeat(3, axis=0)
+        a, b = sparse_rows(rng, 2 * 3 * n_s, 3, 0.3).reshape(2, 3, n_s, 3)
+        pxus = np.stack([a, b, 0.5 * (a + b)])
+        kappa = rng.uniform(0.0, 0.1)
+        uncoded = _uncoded_values(model, ch, kappa, p_s, pxus)
+        # the crossover's -inf mask only replaces a 0, the swapped
+        # projection's value where the design's kappa_u(d, 0) is below the
+        # radius, so the projection itself is the convex function
+        crossing = _crossing_values(model, ch, kappa, p_s, pxus)
+        p_vy, q_vy = _vy_laws(model, ch, pxus)
+        swapped = project_components(p_s, q_vy, p_vy, kappa)[1]
+        assert np.all(np.where(np.isneginf(crossing), swapped, 0.0) <= 1e-10)
+        for f in (uncoded, swapped):
+            assert f[2] <= 0.5 * (f[0] + f[1]) + 1e-10
 
 
 class TestNanKappa:
@@ -1324,11 +1402,12 @@ class TestPinnedValues:
             0.0235745396973739, rel=PIN_REL)
 
     def test_jhtcc_uncoded_two_states(self, example1, bsc35):
+        # the zero-weight first state keeps the first map's rows, x = 0
         rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2, config=FAST)
         assert rep.value == pytest.approx(0.02958613211209734, rel=PIN_REL)
         assert rep.achiever["p_s"] == pytest.approx((0.0, 1.0), rel=PIN_REL)
         assert rep.achiever["p_x_given_us"] == pytest.approx(
-            (0.5, 0.5, 0.0, 1.0, 0.5, 0.5, 1.0, 0.0), rel=PIN_REL)
+            (1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0), rel=PIN_REL)
 
     def test_jhtcc_uncoded_two_states_bits(self, example1, bsc35):
         # the winner gives its first state zero weight, a path that no CLI
@@ -1340,8 +1419,8 @@ class TestPinnedValues:
         assert repr(rep.achiever) == (
             "{'p_s': (%s), 'p_x_given_us': (%s)}" % (
                 ", ".join(map(f64, ("0.0", "1.0"))),
-                ", ".join(map(f64, ("0.5", "0.5", "0.0", "1.0",
-                                    "0.5", "0.5", "1.0", "0.0")))))
+                ", ".join(map(f64, ("1.0", "0.0", "0.0", "1.0",
+                                    "1.0", "0.0", "1.0", "0.0")))))
 
 
 def full_support_tad_model() -> SourceModel:
