@@ -18,8 +18,8 @@ _EXPORTS = {
         "ErrexpError", "InputError", "DomainError", "BracketError",
         "ConvergenceError", "EstimationError"),
     "prob_core": (
-        "Pmf", "JointPmf", "Channel", "EmpiricalType", "kl_divergence",
-        "conditional_kl", "mutual_information", "capacity", "empirical_type"),
+        "Pmf", "JointPmf", "Channel", "kl_divergence", "mutual_information",
+        "capacity"),
     "legendre": (
         "ScoredPmf", "ConjugateResult", "conjugate", "loglik_scores",
         "llr_interval"),
@@ -38,9 +38,8 @@ _EXPORTS = {
         "jhtcc_uncoded", "jhtcc_uncoded_opt", "zeta_rho", "shtcc_tai_stein",
         "shtcc_tai", "shtcc_tad_stein", "shtcc_tad", "compare_schemes"),
     "simulate": (
-        "SimConfig", "SimReport", "FitResult", "np_decide",
-        "build_type_sequences", "simulate_direct", "simulate_rht",
-        "fit_exponent"),
+        "SimConfig", "SimReport", "FitResult", "simulate_direct",
+        "simulate_rht", "fit_exponent"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -315,8 +315,6 @@ def cmd_simulate(args) -> int:
     from .legendre import conjugate, llr_interval, loglik_scores
     from .simulate import SimConfig, simulate_direct, simulate_rht
     model = load_model(args.model)
-    if args.trials < 1:
-        raise InputError("trials must be >= 1")
     ns = tuple(_number_list(args.n_grid, int, "--n-grid"))
     cfg = SimConfig(ns, args.trials, args.seed)
     for option, theta in (("--theta0", args.theta0), ("--theta1", args.theta1)):

@@ -42,16 +42,18 @@ class SourceModel:
     @property
     def is_tai(self) -> bool:
         """Testing against independence: Q_UV is the product of P's marginals."""
-        prod = np.outer(self.p_uv.row_marginal().probs,
-                        self.p_uv.col_marginal().probs)
-        return bool(np.max(np.abs(self.q_uv.probs - prod)) <= PRODUCT_TOL)
+        return _is_product_of_marginals(self.q_uv, self.p_uv)
 
     @property
     def is_tad(self) -> bool:
         """Testing against dependence: P_UV is the product of Q's marginals."""
-        prod = np.outer(self.q_uv.row_marginal().probs,
-                        self.q_uv.col_marginal().probs)
-        return bool(np.max(np.abs(self.p_uv.probs - prod)) <= PRODUCT_TOL)
+        return _is_product_of_marginals(self.p_uv, self.q_uv)
+
+
+def _is_product_of_marginals(joint: JointPmf, of: JointPmf) -> bool:
+    """Whether joint is within PRODUCT_TOL of the product of of's marginals."""
+    prod = np.outer(of.row_marginal().probs, of.col_marginal().probs)
+    return bool(np.max(np.abs(joint.probs - prod)) <= PRODUCT_TOL)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ def project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
     time from 0.0. A zero-weight component drops out and keeps its
     reference as its law; so does every component of a problem whose value
     is +inf (an empty common support, or a ball too small for the supports).
+    A target whose radius, summed as the value is, lies within a
+    kappa_alpha > 0 is its own projection, of value exactly 0.
 
     Problems of one shape, live components and widest common support, are
     solved as one `Mixture.stack` with their live components packed to the
@@ -54,6 +56,9 @@ def project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
     if not solved.all():
         if not live[~solved].any(axis=1).all():
             raise InputError("mixture has no components")
+        inside = ~solved & (_weighted_kl(w, tgt, ref) <= kappa)
+        laws[live & inside[:, None]] = tgt[live & inside[:, None]]
+        solved |= inside
         # feasible supports: P_k must be << ref_k, and << tgt_k for finite value
         masks = (ref > 0) & (tgt > 0)
         counts = masks.sum(axis=-1)
@@ -87,13 +92,18 @@ def project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
             tilted[masks[at]] = mix.tilted(lam)[~pad]
             laws[at] = tilted
             solved[idx] = True
-    n = ref.shape[-1]
-    div = kl_rows(laws.reshape(-1, n), tgt.reshape(-1, n)).reshape(w.shape)
-    value = 0.0
+    return laws, np.where(solved, _weighted_kl(w, laws, tgt), np.inf)
+
+
+def _weighted_kl(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_k w_k D(p_k || q_k) of each problem of (B, K, n) stacks, added one
+    component at a time from 0.0; a zero weight adds nothing, not 0 * inf."""
+    n = p.shape[-1]
+    div = kl_rows(p.reshape(-1, n), q.reshape(-1, n)).reshape(w.shape)
+    total = 0.0
     for k in range(w.shape[1]):
-        # a zero weight adds nothing, not 0 * inf
-        value = value + w[:, k] * np.where(live[:, k], div[:, k], 0.0)
-    return laws, np.where(solved, value, np.inf)
+        total = total + w[:, k] * np.where(w[:, k] > 0, div[:, k], 0.0)
+    return total
 
 
 def _ball_multipliers(mix: Mixture, kappa: np.ndarray) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Finite-alphabet probability primitives.
 
-PMFs, joint distributions, channels, empirical types, KL divergences,
-mutual information and channel capacity. Everything is in nats; infinities
-are representable and propagate (p*log(p/0) = +inf, 0*log(0/q) = 0).
+PMFs, joint distributions, channels, KL divergences, mutual information
+and channel capacity. Everything is in nats; infinities are representable
+and propagate (p*log(p/0) = +inf, 0*log(0/q) = 0).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -146,12 +146,6 @@ class Channel:
     def row_at(self, idx: int) -> Pmf:
         return Pmf(self.output_alphabet, self.rows[idx])
 
-    @property
-    def absolutely_continuous(self) -> bool:
-        """True iff every pair of rows shares support (Assumption on row pairs)."""
-        supports = self.rows > 0
-        return bool(np.all(supports == supports[0]))
-
     def violating_row_pair(self):
         """First (lexicographic) input pair whose rows do not share support, or None."""
         supports = self.rows > 0
@@ -179,34 +173,6 @@ class Channel:
         if not 0.0 <= p <= 1.0:
             raise InputError("BSC crossover must lie in [0, 1]")
         return Channel((0, 1), (0, 1), np.array([[1 - p, p], [p, 1 - p]]))
-
-
-@dataclass(frozen=True)
-class EmpiricalType:
-    """Symbol counts of a length-n sequence."""
-
-    alphabet: tuple
-    counts: np.ndarray
-    n: int = field(init=False)
-
-    def __init__(self, alphabet: Sequence, counts) -> None:
-        alphabet = tuple(alphabet)
-        arr = np.asarray(counts, dtype=int)
-        if arr.ndim != 1 or arr.size != len(alphabet):
-            raise InputError("EmpiricalType: counts length must match alphabet")
-        if np.any(arr < 0):
-            raise InputError("EmpiricalType: negative counts")
-        n = int(arr.sum())
-        if n < 1:
-            raise InputError("EmpiricalType: blocklength must be >= 1")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "n", n)
-
-    def pmf(self) -> Pmf:
-        return Pmf(self.alphabet, self.counts / self.n)
 
 
 def _check_same_alphabet(p: Pmf, q: Pmf) -> None:
@@ -267,18 +233,6 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
     """D(p || q) in nats; +inf when p is not absolutely continuous w.r.t. q."""
     _check_same_alphabet(p, q)
     return kl_array(p.probs, q.probs)
-
-
-def conditional_kl(p_given_x: Channel, q_given_x: Channel, px: Pmf) -> float:
-    """Weighted per-row KL, sum_x px(x) D(p(.|x) || q(.|x)); +inf propagates."""
-    if (p_given_x.input_alphabet != q_given_x.input_alphabet
-            or p_given_x.output_alphabet != q_given_x.output_alphabet):
-        raise InputError("channels are defined on different alphabets")
-    if px.alphabet != p_given_x.input_alphabet:
-        raise InputError("weight PMF alphabet does not match channel input alphabet")
-    total = conditional_kl_arrays(px.probs, p_given_x.rows, q_given_x.rows)
-    # +inf as a Python float, the type kl_divergence gives it
-    return float("inf") if total == np.inf else total
 
 
 def conditional_kl_arrays(w: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -350,19 +304,3 @@ def capacity(ch: Channel, tol: float = 1e-9, max_iter: int = 100_000) -> float:
         r = r * np.exp(d - upper)
         r /= r.sum()
     return max(lower, 0.0)
-
-
-def empirical_type(seq: Sequence, alphabet: Sequence) -> EmpiricalType:
-    """Symbol counts of `seq` over `alphabet`; blocklength = len(seq) >= 1."""
-    alphabet = tuple(alphabet)
-    index = {sym: i for i, sym in enumerate(alphabet)}
-    counts = np.zeros(len(alphabet), dtype=int)
-    n = 0
-    for sym in seq:
-        if sym not in index:
-            raise InputError(f"symbol {sym!r} not in alphabet")
-        counts[index[sym]] += 1
-        n += 1
-    if n == 0:
-        raise InputError("empirical type requires a non-empty sequence")
-    return EmpiricalType(alphabet, counts)

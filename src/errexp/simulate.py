@@ -133,18 +133,6 @@ def _count_scores(counts: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return total
 
 
-def np_decide(seq, p: Pmf, q: Pmf, theta: float) -> str:
-    """Neyman-Pearson threshold test; returns "H1" iff the accumulated
-    log-likelihood ratio reaches n*theta (ties decide H1)."""
-    scores = _llr_vector(p, q)
-    seq = tuple(seq)
-    counts = np.zeros(len(p), dtype=np.int64)
-    for z in seq:
-        counts[p.index(z)] += 1
-    stat = _count_scores(counts[None, :], scores)[0]
-    return "H1" if stat >= len(seq) * theta else "H0"
-
-
 def _pair_counts(law: ChannelPairLaw, n: int) -> list[tuple[int, int, int]]:
     """(index of x_tilde, index of x_prime, count) classes, in lexicographic
     index order, of the length-n sequence pair whose joint type tracks the
@@ -162,17 +150,6 @@ def _pair_counts(law: ChannelPairLaw, n: int) -> list[tuple[int, int, int]]:
         counts[i] += 1
     size = len(law.alphabet)
     return [(*divmod(i, size), int(c)) for i, c in enumerate(counts) if c]
-
-
-def build_type_sequences(law: ChannelPairLaw, n: int):
-    """Length-n sequence pair whose joint type tracks the law by
-    largest-remainder apportionment (lexicographic tie-break on pairs)."""
-    alphabet = law.alphabet
-    x_tilde, x_prime = [], []
-    for a, b, c in _pair_counts(law, n):
-        x_tilde.extend([alphabet[a]] * c)
-        x_prime.extend([alphabet[b]] * c)
-    return tuple(x_tilde), tuple(x_prime)
 
 
 def _substream(seed: int, n: int, stage: int) -> np.random.Generator:
@@ -203,6 +180,11 @@ def _error_count(seed: int, n: int, stage: int, source: np.ndarray,
     maker rejects iff the accumulated pair score of the channel output
     reaches n*theta1. The per-trial statistic keeps the trials that send
     x_tilde first, so each class adds its draws to two contiguous parts.
+
+    So a tie decides H1 where it is exact in floating point, as for p = q,
+    whose scores are all 0. Scores that cancel only in exact arithmetic,
+    such as a BSC's pair scores at equal output counts, sum to a few ulps
+    whose sign the row's place in its block sets (`_count_scores`).
     """
     rng = _substream(seed, n, stage)
     errors = 0

@@ -71,6 +71,7 @@ class TestLoadModel:
         (BERN, "region", ["--kind", "direct", "--kappa-grid=-0.1"]),
         (BERN, "bounds", ["--scheme", "shtcc", "--kappa-grid=0.01,-0.01"]),
         (BERN, "simulate", ["--n-grid", "10", "--trials", "10", "--seed=-1"]),
+        (BERN, "simulate", ["--n-grid", "10", "--trials", "0"]),
         (dict(BERN, u_alphabet=5), "region", ["--kind", "direct"]),
         (dict(BERN, u_alphabet=[["0"], ["1"]]), "region", ["--kind", "direct"]),
         (dict(BERN, channel=dict(BERN["channel"], input_alphabet=3)),
@@ -78,7 +79,8 @@ class TestLoadModel:
     ], ids=["channel-without-rows", "json-list", "zero-points",
             "bad-kappa-grid", "bad-n-grid", "nan-kappa-grid",
             "inf-kappa-grid", "minus-inf-kappa-grid", "negative-kappa-grid",
-            "negative-bounds-kappa-grid", "negative-seed", "int-alphabet",
+            "negative-bounds-kappa-grid", "negative-seed", "zero-trials",
+            "int-alphabet",
             "nested-alphabet", "int-channel-alphabet"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, model, command,
                                      options):

@@ -242,12 +242,49 @@ class TestProjectComponents:
                 abs=1e-12)
 
 
+class TestTargetInsideBall:
+    """A target inside the ball, sum_k w_k D(tgt_k || ref_k) <= kappa_alpha,
+    is feasible, so it is its own projection: the value is exactly 0 and
+    the live components' laws are the target's."""
+
+    def test_stack_with_targets_inside(self):
+        rng = np.random.default_rng(83)
+        problems = _random_problems(rng, 40, 4)
+        # the oracle's radius, the components one at a time from 0.0
+        radius = np.zeros(len(problems))
+        for b, comps in enumerate(problems):
+            for wk, r, t in comps:
+                if wk > 0:
+                    radius[b] += wk * frozen_kl_array(t, r)
+        inside = np.isfinite(radius)
+        scale = rng.choice([1.0, 1.5], len(problems))
+        kappas = np.where(inside, radius * scale, 0.01)
+        w, ref, tgt = padded(problems)
+        laws, values = project_components(w, ref, tgt, kappas)
+        assert inside.sum() >= 10 and (inside & (scale == 1.0)).any()
+        assert values[inside].tolist() == [0.0] * int(inside.sum())
+        live = inside[:, None] & (w > 0)
+        assert np.array_equal(laws[live], tgt[live])
+        assert np.array_equal(laws[w == 0], ref[w == 0])
+        assert (values >= 0.0).all()
+
+    def test_uncoded_identity_map_on_example1(self, example1, bsc35):
+        # D(Q_VY || P_VY) = 0.0457 with X = U, so each radius holds Q_VY
+        design = AuxiliaryDesign.identity_uncoded(2)
+        for kappa in (0.0554, 0.05, 1.0):
+            assert jhtcc_uncoded(example1, bsc35, kappa, design) == 0.0
+
+
 def frozen_project_components(components, kappa_alpha):
     """The scalar KL-ball projection with its mu schedule, kept as the
     reference that the stacked `project_components` must reproduce."""
     comps = [(w, np.asarray(r, dtype=float).reshape(-1),
               np.asarray(t, dtype=float).reshape(-1))
              for w, r, t in components if w > 0]
+    if kappa_alpha > 0 and sum(w * kl_array(t, r)
+                               for w, r, t in comps) <= kappa_alpha:
+        # the target lies inside the ball: it is its own projection
+        return [t.copy() for _, _, t in comps], 0.0
     if kappa_alpha == 0:
         value = sum(w * kl_array(r, t) for w, r, t in comps)
         return [r.copy() for _, r, _ in comps], float(value)
@@ -323,7 +360,7 @@ class TestStackedProjection:
         assert len(got) == len(problems)
         for comps, (laws, value) in zip(problems, got):
             ref_laws, ref_value = frozen_project_components(comps, kappa)
-            assert value == ref_value
+            assert value == ref_value and value >= 0.0
             assert len(laws) == len(ref_laws)
             for a, b in zip(laws, ref_laws):
                 assert np.array_equal(a, b)
@@ -354,14 +391,16 @@ class TestStackedProjection:
         values = self.check([capped, *others], kappa)
         assert values[0] == 0.0
         # gaps of exactly zero at mu = 0, at the first bracket end mu = 1
-        # and at the doubled end mu = 2
+        # and at the doubled end mu = 2; at mu = 0 the radius holds the
+        # target itself, which is then its own projection
         base = [(1.0, np.array([0.4, 0.3, 0.3]), np.array([0.1, 0.2, 0.7]))]
         for mu in (0.0, 1.0, 2.0):
             kappa = float(_radius_at(base, 1.0 / (1.0 + mu)))
             [(laws, _)] = project_lists([base], kappa)
             _, r, t = base[0]
             tilted = Mixture([(1.0, r, np.log(t) - np.log(r))])
-            assert np.array_equal(laws[0], tilted.tilted(1.0 / (1.0 + mu))[0])
+            expect = t if mu == 0.0 else tilted.tilted(1.0 / (1.0 + mu))[0]
+            assert np.array_equal(laws[0], expect)
             self.check([base, *others], kappa)
 
     def test_rows_stop_at_different_iterations(self):

@@ -26,9 +26,8 @@ UNUSED_BY_REGION = {"dht_bounds", "simulate", "channel_exponents", "kl_ball"}
 PUBLIC = {
     "exceptions": ["ErrexpError", "InputError", "DomainError", "BracketError",
                    "ConvergenceError", "EstimationError"],
-    "prob_core": ["Pmf", "JointPmf", "Channel", "EmpiricalType",
-                  "kl_divergence", "conditional_kl", "mutual_information",
-                  "capacity", "empirical_type"],
+    "prob_core": ["Pmf", "JointPmf", "Channel", "kl_divergence",
+                  "mutual_information", "capacity"],
     "legendre": ["ScoredPmf", "ConjugateResult", "conjugate", "loglik_scores",
                  "llr_interval"],
     "exact_regions": ["ExponentPoint", "TradeoffCurve", "ChannelPairLaw",
@@ -45,9 +44,14 @@ PUBLIC = {
                    "DhtSearchConfig", "jhtcc_uncoded", "jhtcc_uncoded_opt",
                    "zeta_rho", "shtcc_tai_stein", "shtcc_tai",
                    "shtcc_tad_stein", "shtcc_tad", "compare_schemes"],
-    "simulate": ["SimConfig", "SimReport", "FitResult", "np_decide",
-                 "build_type_sequences", "simulate_direct", "simulate_rht",
-                 "fit_exponent"],
+    "simulate": ["SimConfig", "SimReport", "FitResult", "simulate_direct",
+                 "simulate_rht", "fit_exponent"],
+}
+
+# public names that nothing but tests called, removed from the package
+REMOVED = {
+    "prob_core": ["EmpiricalType", "empirical_type", "conditional_kl"],
+    "simulate": ["np_decide", "build_type_sequences"],
 }
 
 
@@ -117,3 +121,15 @@ def test_unknown_and_private_names_are_not_exported():
     # the benchmark tracer patches a package attribute only where it exists
     assert getattr(errexp, "_channel_branch_beta", None) is None
     assert getattr(errexp, "load_model", None) is None
+
+
+def test_removed_names_are_gone():
+    for module, group in REMOVED.items():
+        source = importlib.import_module(f"errexp.{module}")
+        for name in group:
+            assert name not in errexp.__all__, name
+            with pytest.raises(AttributeError):
+                getattr(errexp, name)
+            assert not hasattr(source, name), name
+    # the support check is `violating_row_pair() is None`, kept once
+    assert not hasattr(errexp.Channel, "absolutely_continuous")

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from errexp import (Channel, EmpiricalType, InputError, JointPmf, Pmf,
-                    capacity, conditional_kl, empirical_type, kl_divergence,
-                    mutual_information)
+from errexp import (Channel, InputError, JointPmf, Pmf, capacity,
+                    kl_divergence, mutual_information)
 from errexp.prob_core import (conditional_kl_arrays, kl_array, kl_row_groups,
                               kl_rows, mutual_information_arrays,
                               mutual_information_rows)
@@ -13,7 +12,7 @@ from conftest import (assert_bit_equal, divergence_channels, frozen_kl_array,
 
 
 def frozen_conditional_kl(p_rows, q_rows, px) -> float:
-    """The hand loop that `conditional_kl` ran before `conditional_kl_arrays`."""
+    """The hand loop that `conditional_kl_arrays` replaced."""
     total = 0.0
     for i, w in enumerate(px):
         if w == 0:
@@ -69,10 +68,12 @@ class TestChannel:
             Channel((0, 1), (0, 1), [[0.5, 0.4], [0.5, 0.5]])
 
     def test_absolute_continuity_flag(self):
-        assert Channel.bsc(0.35).absolutely_continuous
+        assert Channel.bsc(0.35).violating_row_pair() is None
         ident = Channel((0, 1), (0, 1), np.eye(2))
-        assert not ident.absolutely_continuous
         assert ident.violating_row_pair() == (0, 1)
+        three = Channel((0, 1, 2), (0, 1, 2),
+                        [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0], [0.1, 0.1, 0.8]])
+        assert three.violating_row_pair() == (0, 2)
 
     def test_pair_scores(self):
         ch = Channel((0, 1), (0, 1, 2), [[0.5, 0.5, 0.0], [0.25, 0.0, 0.75]])
@@ -117,33 +118,37 @@ class TestKlDivergence:
 
 
 class TestConditionalKl:
+    """conditional_kl_arrays, sum_x px(x) D(p(.|x) || q(.|x)), on channel
+    rows."""
+
     def test_identical_channels(self, bsc35):
-        assert conditional_kl(bsc35, bsc35, Pmf((0, 1), [0.5, 0.5])) == 0.0
+        assert conditional_kl_arrays(np.array([0.5, 0.5]), bsc35.rows,
+                                     bsc35.rows) == 0.0
 
     def test_point_mass_degenerates(self, bsc35):
         other = Channel.bsc(0.2)
-        px = Pmf((0, 1), [1.0, 0.0])
         expect = kl_divergence(bsc35.row_at(0), other.row_at(0))
-        assert conditional_kl(bsc35, other, px) == pytest.approx(expect)
+        assert conditional_kl_arrays(np.array([1.0, 0.0]), bsc35.rows,
+                                     other.rows) == pytest.approx(expect)
 
     def test_weighted_two_row_case(self, bsc35):
         other = Channel.bsc(0.1)
-        px = Pmf((0, 1), [0.3, 0.7])
-        expect = sum(px.probs[i] * kl_divergence(bsc35.row_at(i), other.row_at(i))
+        px = np.array([0.3, 0.7])
+        expect = sum(px[i] * kl_divergence(bsc35.row_at(i), other.row_at(i))
                      for i in range(2))
-        assert conditional_kl(bsc35, other, px) == pytest.approx(expect, abs=1e-12)
+        assert conditional_kl_arrays(px, bsc35.rows, other.rows) == \
+            pytest.approx(expect, abs=1e-12)
 
     def test_matches_brute_force_4x4(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             a = rng.dirichlet(np.ones(4), size=4)
             b = rng.dirichlet(np.ones(4), size=4)
-            pa = Channel(range(4), range(4), a)
-            pb = Channel(range(4), range(4), b)
-            px = random_pmf(rng, 4)
-            brute = sum(px.probs[i] * np.sum(a[i] * np.log(a[i] / b[i]))
+            px = random_pmf(rng, 4).probs
+            brute = sum(px[i] * np.sum(a[i] * np.log(a[i] / b[i]))
                         for i in range(4))
-            assert conditional_kl(pa, pb, px) == pytest.approx(brute, abs=1e-12)
+            assert conditional_kl_arrays(px, a, b) == pytest.approx(
+                brute, abs=1e-12)
 
 
 class TestMutualInformation:
@@ -255,8 +260,8 @@ class TestRowWiseForms:
 
 
 class TestConditionalKlArrays:
-    """conditional_kl and its array form against the frozen hand loop, bit
-    for bit and type for type, on random channels with 2-5 inputs."""
+    """conditional_kl_arrays against the frozen hand loop, bit for bit, on
+    random channels with 2-5 inputs."""
 
     def test_equals_frozen_loop(self):
         rng = np.random.default_rng(17)
@@ -267,13 +272,11 @@ class TestConditionalKlArrays:
             for other in (rows[::-1], sparse_rows(rng, n, m, 0.35)):
                 for p_rows, q_rows in ((rows, other), (other, rows)):
                     expect = frozen_conditional_kl(p_rows, q_rows, px)
-                    got = conditional_kl(Channel(range(n), range(m), p_rows),
-                                         Channel(range(n), range(m), q_rows),
-                                         Pmf(range(n), px))
-                    assert_bit_equal(got, expect)
+                    got = conditional_kl_arrays(px, p_rows, q_rows)
                     if np.isfinite(expect):
-                        assert_bit_equal(
-                            conditional_kl_arrays(px, p_rows, q_rows), expect)
+                        assert_bit_equal(got, expect)
+                    else:  # the hand loop returns a Python float +inf
+                        assert got == np.inf
                     seen.add((kind, bool(np.isinf(expect))))
         assert {(k, True) for k in ("sparse", "disjoint")} <= seen
         assert {(k, False) for k in ("dense", "identical")} <= seen
@@ -285,10 +288,7 @@ class TestConditionalKlArrays:
         expect = frozen_conditional_kl(p, q, w)
         assert np.isfinite(expect)
         assert_bit_equal(conditional_kl_arrays(w, p, q), expect)
-        got = conditional_kl(Channel(range(3), range(3), p),
-                             Channel(range(3), range(3), q),
-                             Pmf(range(3), [0.25, 0.5, 0.25]))
-        assert_bit_equal(got, float("inf"))  # a Python float, as before
+        assert conditional_kl_arrays(np.array([0.25, 0.5, 0.25]), p, q) == np.inf
 
     def test_sums_in_row_order_past_eight_terms(self):
         # numpy's own sum regroups 9 or more terms; the hand loop adds them
@@ -330,23 +330,3 @@ class TestCapacity:
         ch = Channel((0, 1), (0, 1), [[0.3, 0.7], [0.3, 0.7]])
         assert capacity(ch) == pytest.approx(0.0, abs=1e-12)
 
-
-class TestEmpiricalType:
-    def test_basic_counts(self):
-        t = empirical_type((0, 1, 1, 0), (0, 1))
-        assert t.counts.tolist() == [2, 2] and t.n == 4
-        assert t.pmf().probs.tolist() == [0.5, 0.5]
-
-    def test_unseen_symbols_count_zero(self):
-        t = empirical_type("aab", "abc")
-        assert t.counts.tolist() == [2, 1, 0]
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(InputError):
-            empirical_type((), (0, 1))
-        with pytest.raises(InputError):
-            EmpiricalType((0, 1), [0, 0])
-
-    def test_unknown_symbol_rejected(self):
-        with pytest.raises(InputError):
-            empirical_type((0, 2), (0, 1))

@@ -9,10 +9,9 @@ import pytest
 
 import errexp.simulate as simulate
 from errexp import (Channel, ChannelPairLaw, EstimationError, InputError, Pmf,
-                    SimConfig, SimReport, build_type_sequences,
-                    channel_region_point, conjugate, direct_region_point,
-                    fit_exponent, loglik_scores, np_decide, simulate_direct,
-                    simulate_rht)
+                    SimConfig, SimReport, channel_region_point, conjugate,
+                    direct_region_point, fit_exponent, loglik_scores,
+                    simulate_direct, simulate_rht)
 from errexp.simulate import (_count_scores, _llr_vector, _pair_counts,
                              _substream, _try_fit)
 
@@ -22,56 +21,71 @@ Q58 = Pmf((0, 1), [0.2, 0.8])
 
 
 class TestNpDecide:
+    """The NP decision of the counting path: a trial rejects, deciding H1,
+    iff its accumulated score reaches n*theta."""
+
     def test_tie_goes_to_h1(self):
-        p = Pmf((0, 1), [0.5, 0.5])
-        assert np_decide([0, 1], p, p, 0.0) == "H1"
+        # p against itself scores every symbol 0, so every statistic ties
+        # with the threshold 0 exactly: every trial rejects
+        for p in (Pmf((0, 1), [0.5, 0.5]), Pmf((0, 1, 2), [0.2, 0.3, 0.5])):
+            rep = simulate_direct(p, p, 0.0, SimConfig((1, 2, 7), 50, seed=3))
+            assert rep.alpha_hat == (1.0, 1.0, 1.0)
+            assert rep.beta_hat == (0.0, 0.0, 0.0)
 
     def test_very_low_threshold_always_h1(self):
-        assert np_decide([0, 0, 0], P58, Q58, -1e6) == "H1"
+        rep = simulate_direct(P58, Q58, -1e6, SimConfig((3, 30), 200, seed=4))
+        assert rep.alpha_hat == (1.0, 1.0)
+        assert rep.beta_hat == (0.0, 0.0)
 
     def test_single_letter_enumeration(self):
-        scores = loglik_scores(P58, Q58).scores
-        for symbol in (0, 1):
-            for theta in (-1.0, -0.5, 0.0, 0.5, 1.0):
-                expect = "H1" if scores[symbol] >= theta else "H0"
-                assert np_decide([symbol], P58, Q58, theta) == expect
-
-    def test_iterator_decides_like_list(self):
-        for theta in (-1.0, -0.2, 0.0, 0.5):
-            assert np_decide(iter([0, 0, 0, 0]), P58, Q58, theta) == \
-                np_decide([0, 0, 0, 0], P58, Q58, theta)
+        # a one-hot count row's statistic is its symbol's score, infinite
+        # scores included
+        for p, q in ((P58, Q58), (P3, Q3)):
+            scores = _llr_vector(p, q)
+            got = _count_scores(np.eye(len(p), dtype=np.int64), scores)
+            assert got.tolist() == scores.tolist()
 
     def test_dead_symbol_rejected(self):
         p = Pmf((0, 1), [1.0, 0.0])
-        with pytest.raises(InputError):
-            np_decide([0], p, p, 0.0)
+        with pytest.raises(InputError, match="zero probability under both"):
+            simulate_direct(p, p, 0.0, SimConfig((1,), 10, seed=0))
 
 
 class TestBuildTypeSequences:
+    """The joint types that `simulate_rht` sends: largest-remainder
+    apportionment of n times the pair law, ties broken in lexicographic pair
+    order, read off `SimReport.realized_types`."""
+
+    @staticmethod
+    def realized(law, ns):
+        cfg = SimConfig(tuple(ns), 1, seed=0)
+        return simulate_rht(P58, Q58, Channel.bsc(0.35), 0.0, 0.0, law,
+                            cfg).realized_types
+
     def test_uniform_diagonal(self):
         law = ChannelPairLaw.from_matrix((0, 1), [[0.5, 0.0], [0.0, 0.5]])
-        assert build_type_sequences(law, 4) == ((0, 0, 1, 1), (0, 0, 1, 1))
+        assert self.realized(law, [4]) == (((0, 0, 0.5), (1, 1, 0.5)),)
 
     def test_point_mass(self):
         law = ChannelPairLaw.point_mass((0, 1), (0, 1))
-        assert build_type_sequences(law, 3) == ((0, 0, 0), (1, 1, 1))
+        assert self.realized(law, [3]) == (((0, 1, 1.0),),)
 
     def test_largest_remainder_tie_break(self):
         law = ChannelPairLaw.from_matrix((0, 1), [[0.5, 0.5], [0.0, 0.0]])
-        x_tilde, x_prime = build_type_sequences(law, 3)
-        assert x_tilde == (0, 0, 0) and x_prime == (0, 0, 1)
+        assert self.realized(law, [3]) == (((0, 0, 2 / 3), (0, 1, 1 / 3)),)
 
     def test_type_gap_bound(self):
         rng = np.random.default_rng(61)
-        for n in (7, 23, 100):
+        ns = (7, 23, 100)
+        for _ in range(3):
             law = ChannelPairLaw.from_matrix(
                 (0, 1), rng.dirichlet(np.ones(4)).reshape(2, 2))
-            x_tilde, x_prime = build_type_sequences(law, n)
-            counts = np.zeros((2, 2))
-            for a, b in zip(x_tilde, x_prime):
-                counts[a, b] += 1
-            gap = np.abs(counts / n - law.probs).sum()
-            assert gap <= 4.0 / n
+            for n, classes in zip(ns, self.realized(law, ns)):
+                freq = np.zeros((2, 2))
+                for a, b, f in classes:
+                    freq[a, b] = f
+                assert freq.sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.abs(freq - law.probs).sum() <= 4.0 / n
 
 
 class TestFitExponent:
