@@ -18,8 +18,7 @@ _EXPORTS = {
         "ErrexpError", "InputError", "DomainError", "BracketError",
         "ConvergenceError", "EstimationError"),
     "prob_core": (
-        "Pmf", "JointPmf", "Channel", "kl_divergence", "mutual_information",
-        "capacity"),
+        "Pmf", "JointPmf", "Channel", "kl_divergence", "capacity"),
     "legendre": (
         "ScoredPmf", "ConjugateResult", "conjugate", "loglik_scores",
         "llr_interval"),

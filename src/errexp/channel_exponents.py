@@ -51,13 +51,6 @@ class InputDesign:
         alphabet = tuple(alphabet)
         return InputDesign(JointPmf(alphabet, alphabet, matrix))
 
-    @staticmethod
-    def deterministic(alphabet) -> "InputDesign":
-        """X = S with uniform S."""
-        alphabet = tuple(alphabet)
-        n = len(alphabet)
-        return InputDesign(JointPmf(alphabet, alphabet, np.eye(n) / n))
-
 
 def _input_given_state(p_sx: np.ndarray) -> np.ndarray:
     """P_{X|S} rows of a joint P_SX (or of each of a stack); uniform rows

@@ -224,16 +224,7 @@ def cmd_region(args) -> int:
     q = model.q_uv.flatten()
     columns = ["kappa_alpha", "kappa_beta", "theta0", "theta1", "bound"]
     rows: list[list] = []
-    if args.kind == "direct":
-        upper = kl_divergence(q, p)
-        if upper <= 0:
-            print("warning: degenerate model, empty positive boundary",
-                  file=sys.stderr)
-        kappas = _kappa_grid(args, upper)
-        betas = direct_tradeoff(p, q, np.array(kappas)) if kappas else []
-        for ka, kb in zip(kappas, map(float, betas)):
-            rows.append([ka, kb, ka - kb, "", "direct"])
-    elif args.kind == "channel":
+    if args.kind == "channel":
         if args.kappa_grid:
             raise InputError("--kappa-grid: the channel region sweeps theta "
                              "over --points and takes no kappa_alpha grid")
@@ -244,22 +235,29 @@ def cmd_region(args) -> int:
         if d_max <= 0:
             print("warning: degenerate law, empty positive boundary",
                   file=sys.stderr)
-        curve = channel_region_point(
-            model.channel, law, np.linspace(0.0, d_max * (1 - 1e-9), args.points))
-        for ka, kb, theta in zip(curve.kappa_alpha, curve.kappa_beta, curve.theta):
-            rows.append([float(ka), float(kb), "", theta, "channel"])
-    else:  # rht
-        if model.channel is None:
+        else:
+            curve = channel_region_point(
+                model.channel, law,
+                np.linspace(0.0, d_max * (1 - 1e-9), args.points))
+            rows = [[float(ka), float(kb), "", theta, "channel"]
+                    for ka, kb, theta in zip(curve.kappa_alpha,
+                                             curve.kappa_beta, curve.theta)]
+    else:
+        if args.kind == "rht" and model.channel is None:
             raise InputError("rht region requires a channel in the model")
         upper = kl_divergence(q, p)
         if upper <= 0:
             print("warning: degenerate model, empty positive boundary",
                   file=sys.stderr)
         kappas = _kappa_grid(args, upper)
-        betas = (rht_tradeoff(p, q, model.channel, np.array(kappas))
-                 if kappas else [])
-        for ka, kb in zip(kappas, map(float, betas)):
-            rows.append([ka, kb, "", "", "rht"])
+        if not kappas:
+            betas = []
+        elif args.kind == "direct":
+            betas = direct_tradeoff(p, q, np.array(kappas))
+        else:
+            betas = rht_tradeoff(p, q, model.channel, np.array(kappas))
+        rows = [[ka, kb, ka - kb if args.kind == "direct" else "", "",
+                 args.kind] for ka, kb in zip(kappas, map(float, betas))]
     header = _manifest_lines("region", model, {
         "kind": args.kind, "points": args.points, "grid": args.grid,
         "kappa_grid": args.kappa_grid or ""})
@@ -280,29 +278,23 @@ def cmd_bounds(args) -> int:
     kappas = _kappa_grid(args, kl_divergence(model_file.q_uv.flatten(),
                                              model_file.p_uv.flatten()))
     columns = ["kappa_alpha", "bound", "value", "feasible", "achiever_digest"]
-    rows: list[list] = []
     extra: list[str] = []
     if not (model.is_tai or model.is_tad) and args.scheme != "jhtcc-uncoded":
         raise DomainError("general models support only the jhtcc-uncoded scheme")
     if args.scheme == "both":
         pair_rows, crossover = compare_schemes(model, model_file.channel,
                                                kappas, config)
-        for shtcc_rep, jhtcc_rep in pair_rows:
-            for rep in (shtcc_rep, jhtcc_rep):
-                rows.append([rep.kappa_alpha, rep.name, rep.value,
-                             int(rep.feasible), _digest_achiever(rep.achiever)])
+        reps = [rep for pair in pair_rows for rep in pair]
         if crossover is not None:
             extra.append(f"# crossover kappa_alpha={_fmt(crossover)}")
+    elif args.scheme == "jhtcc-uncoded":
+        reps = jhtcc_uncoded_opt(model, model_file.channel, kappas,
+                                 config=config)
     else:
-        if args.scheme == "jhtcc-uncoded":
-            reps = jhtcc_uncoded_opt(model, model_file.channel, kappas,
-                                     config=config)
-        else:
-            shtcc = shtcc_tai if model.is_tai else shtcc_tad
-            reps = shtcc(model, model_file.channel, kappas, config)
-        for rep in reps:
-            rows.append([rep.kappa_alpha, rep.name, rep.value,
-                         int(rep.feasible), _digest_achiever(rep.achiever)])
+        shtcc = shtcc_tai if model.is_tai else shtcc_tad
+        reps = shtcc(model, model_file.channel, kappas, config)
+    rows = [[rep.kappa_alpha, rep.name, rep.value, int(rep.feasible),
+             _digest_achiever(rep.achiever)] for rep in reps]
     header = _manifest_lines("bounds", model_file, {
         "scheme": args.scheme, "grid": args.grid, "points": args.points,
         "kappa_grid": args.kappa_grid or ""})
@@ -420,17 +412,12 @@ def main(argv=None) -> int:
         if "points" in args and args.points < 1:
             raise InputError("points must be >= 1")
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (BracketError, ConvergenceError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ErrexpError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, DomainError):
+            return EXIT_DOMAIN
+        if isinstance(exc, (BracketError, ConvergenceError, EstimationError)):
+            return EXIT_NUMERIC
         return EXIT_INPUT
 
 

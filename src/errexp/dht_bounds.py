@@ -20,9 +20,9 @@ from .channel_exponents import channel_table, expurgated_exponent_opt
 from .exceptions import InputError
 from .kl_ball import ball_optimize, project_components
 from .optimize import grid_pass, grid_then_pattern, simplex_grid
-from .prob_core import (Channel, JointPmf, Pmf, capacity, kl_row_groups,
-                        kl_rows, mutual_information_pairs,
-                        mutual_information_rows)
+from .prob_core import (Channel, JointPmf, Pmf, capacity,
+                        conditional_kl_rows, kl_row_groups, kl_rows,
+                        mutual_information_pairs, mutual_information_rows)
 
 PRODUCT_TOL = 1e-12
 
@@ -233,7 +233,7 @@ def _crossing_values(model: SourceModel, ch: Channel, radius,
     with reference and target swapped. A design whose kappa_u(d, 0) is
     already below its radius gets -inf."""
     p_vy, q_vy = _vy_laws(model, ch, pxus)
-    at_zero = project_components(p_s, p_vy, q_vy, 0.0)[1]
+    at_zero = conditional_kl_rows(p_s, p_vy, q_vy)
     crossing = project_components(p_s, q_vy, p_vy, radius)[1]
     return np.where(at_zero < radius, -np.inf, crossing)
 
@@ -310,7 +310,8 @@ def zeta_rho(model: SourceModel, p_wus, kappa_alpha,
     n = len(w_rows)
     kappa = np.broadcast_to(np.asarray(kappa_alpha, dtype=float), n)
     both = ball_optimize(model.p_uv.probs, _ball_objective(w_rows),
-                         np.repeat([1.0, -1.0], n), np.tile(kappa, 2), config)
+                         np.repeat([1.0, -1.0], n), np.tile(kappa, 2),
+                         config.ball_resolution, config.pattern_min_step)
     return both[:n], both[n:]
 
 
@@ -393,7 +394,8 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
         return ball_optimize(
             p_uv, _ball_objective(stack, first_term),
             np.repeat([1.0, -1.0, -1.0], len(stack)),
-            np.tile(radius, 3), config).reshape(3, -1)
+            np.tile(radius, 3), config.ball_resolution,
+            config.pattern_min_step).reshape(3, -1)
 
     cache = {}  # (quantizer bytes, kappa index) -> (zeta, rho, E1)
 
@@ -448,12 +450,11 @@ def shtcc_tai_stein(model: SourceModel, ch: Channel,
     max I(V;W) over P_{W|U} with I(U;W) <= capacity, |W| <= |U|+1."""
     if not model.is_tai:
         raise InputError("model is not testing against independence")
+    if _is_product_of_marginals(model.p_uv, model.p_uv):
+        return 0.0  # I(V;W) <= I(V;U) = 0 for any quantizer
     cap = capacity(ch)
     p_uv = model.p_uv.probs
     p_u = p_uv.sum(axis=1)
-    marg_product = np.outer(p_u, p_uv.sum(axis=0))
-    if np.max(np.abs(p_uv - marg_product)) <= PRODUCT_TOL:
-        return 0.0  # I(V;W) <= I(V;U) = 0 for any quantizer
     n_u = p_uv.shape[0]
     n_w = n_u + 1
 

@@ -127,7 +127,7 @@ def direct_tradeoff(p: Pmf, q: Pmf, kappa_alpha):
 def _invert_boundary(mixes: list[Mixture], kappa_alpha) -> np.ndarray:
     """kappa_beta on the boundary traced by lam in [0, 1], per mixture.
 
-    On that segment the type-I exponent g(lam) = lam*psi'(lam) - psi(lam) of
+    On that segment the type-I exponent g(lam) = `Mixture.radius(lam)` of
     each mixture grows from 0 to its maximum at lam = 1; bisect
     g = kappa_alpha and return kappa_alpha - psi'(lam*), clamped at 0 where
     rounding takes it below (near the end of the segment). kappa_alpha is
@@ -140,18 +140,15 @@ def _invert_boundary(mixes: list[Mixture], kappa_alpha) -> np.ndarray:
                         np.stack([m.p for m in mixes]),
                         np.stack([m.f for m in mixes]))
 
-    def g(mix: Mixture, lam: np.ndarray) -> np.ndarray:
-        psi, dpsi = mix.tilt(lam)
-        return lam * dpsi - psi
-
-    g0, g1 = g(mix, np.zeros(len(mixes))), g(mix, np.ones(len(mixes)))
+    g0 = mix.radius(np.zeros(len(mixes)))
+    g1 = mix.radius(np.ones(len(mixes)))
     # g(0) = -psi(0) is 0 up to rounding of the masses; below it lam* = 0
     lam = np.zeros(len(mixes))
     run = ~(kappa_alpha >= g1) & ~(kappa_alpha <= np.maximum(g0, 0.0))
     if run.any():
         sub = mix.rows(run)
         kap = kappa_alpha[run]
-        lam[run] = bisect_monotone(lambda x: g(sub, x) - kap,
+        lam[run] = bisect_monotone(lambda x: sub.radius(x) - kap,
                                    np.zeros(kap.size), np.ones(kap.size),
                                    tol=0.0, max_iter=80, glo=g0[run] - kap,
                                    ghi=g1[run] - kap)

@@ -15,7 +15,7 @@ from .exceptions import InputError
 from .legendre import Mixture
 from .optimize import (bisect_monotone, chunked, grid_then_pattern,
                        simplex_grid_array)
-from .prob_core import JointPmf, kl_rows
+from .prob_core import JointPmf, conditional_kl_rows, kl_rows
 
 BALL_ACTIVE_TOL = 1e-9
 
@@ -32,13 +32,13 @@ def project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
     mu serves every component; each component's optimum is then the tilted
     law P_k ~ ref_k exp(lam f_k), f_k = log(tgt_k / ref_k) on the common
     support, at lam = 1 / (1 + mu), and the ball radius is
-    lam psi'(lam) - psi(lam) of the weighted CGF. The multiplier is
-    bracketed by doubling up to a 1e12 cap and then bisected in
-    mu = (1 - lam) / lam; that schedule fixes the returned digits. The value
-    is re-evaluated on the returned laws, adding the components one at a
-    time from 0.0. A zero-weight component drops out and keeps its
-    reference as its law; so does every component of a problem whose value
-    is +inf (an empty common support, or a ball too small for the supports).
+    `Mixture.radius` of the weighted CGF. The multiplier is bracketed by
+    doubling up to a 1e12 cap and then bisected in mu = (1 - lam) / lam;
+    that schedule fixes the returned digits. The value is
+    `conditional_kl_rows` of the returned laws. A zero-weight component
+    drops out and keeps its reference as its law; so does every component
+    of a problem whose value is +inf (an empty common support, or a ball
+    too small for the supports).
     A target whose radius, summed as the value is, lies within a
     kappa_alpha > 0 is its own projection, of value exactly 0.
 
@@ -56,7 +56,7 @@ def project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
     if not solved.all():
         if not live[~solved].any(axis=1).all():
             raise InputError("mixture has no components")
-        inside = ~solved & (_weighted_kl(w, tgt, ref) <= kappa)
+        inside = ~solved & (conditional_kl_rows(w, tgt, ref) <= kappa)
         laws[live & inside[:, None]] = tgt[live & inside[:, None]]
         solved |= inside
         # feasible supports: P_k must be << ref_k, and << tgt_k for finite value
@@ -82,7 +82,7 @@ def project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
             pad = np.arange(m) >= counts[at][..., None]
             mix = Mixture.stack(w[at], np.where(pad, 0.0, p),
                                 np.where(pad, f[..., :1], f))
-            feasible = ~(kappa[idx] < -mix.tilt(np.zeros(len(idx)))[0] - 1e-12)
+            feasible = ~(kappa[idx] < mix.radius(np.zeros(len(idx))) - 1e-12)
             mix, idx, pad = mix.rows(feasible), idx[feasible], pad[feasible]
             if not len(idx):
                 continue
@@ -92,18 +92,7 @@ def project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
             tilted[masks[at]] = mix.tilted(lam)[~pad]
             laws[at] = tilted
             solved[idx] = True
-    return laws, np.where(solved, _weighted_kl(w, laws, tgt), np.inf)
-
-
-def _weighted_kl(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_k w_k D(p_k || q_k) of each problem of (B, K, n) stacks, added one
-    component at a time from 0.0; a zero weight adds nothing, not 0 * inf."""
-    n = p.shape[-1]
-    div = kl_rows(p.reshape(-1, n), q.reshape(-1, n)).reshape(w.shape)
-    total = 0.0
-    for k in range(w.shape[1]):
-        total = total + w[:, k] * np.where(w[:, k] > 0, div[:, k], 0.0)
-    return total
+    return laws, np.where(solved, conditional_kl_rows(w, laws, tgt), np.inf)
 
 
 def _ball_multipliers(mix: Mixture, kappa: np.ndarray) -> np.ndarray:
@@ -115,9 +104,7 @@ def _ball_multipliers(mix: Mixture, kappa: np.ndarray) -> np.ndarray:
     into the bisection."""
 
     def gap(mix: Mixture, mu: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-        lam = 1.0 / (1.0 + mu)
-        psi, dpsi = mix.tilt(lam)
-        return lam * dpsi - psi - kappa
+        return mix.radius(1.0 / (1.0 + mu)) - kappa
 
     mu = np.zeros(len(mix.w))
     g0 = gap(mix, mu, kappa)
@@ -162,7 +149,7 @@ def kl_ball_projection(p_ref: JointPmf, q_target: JointPmf,
 
 
 def ball_optimize(p_ref: np.ndarray, objective, signs: np.ndarray,
-                  kappa_alpha, config) -> np.ndarray:
+                  kappa_alpha, resolution: int, min_step: float) -> np.ndarray:
     """Extremize R objectives over joints within the KL ball around p_ref,
     at one kappa_alpha for all problems or one per problem.
 
@@ -179,9 +166,9 @@ def ball_optimize(p_ref: np.ndarray, objective, signs: np.ndarray,
     optimistic side; if the search finds nothing either, its value reads
     -inf again. So a maximized problem never reads below its value at p_ref,
     nor a minimized one above it. `objective` never sees more than
-    GRID_CHUNK rows at once. `config` gives the grid's `ball_resolution`
-    and the search's `pattern_min_step` (a `DhtSearchConfig` serves).
-    Returns the R extrema.
+    GRID_CHUNK rows at once. The grid has `resolution` steps per
+    coordinate, and the pattern search stops at `min_step`. Returns the R
+    extrema.
     """
     ref = p_ref.reshape(-1)
     signs = np.asarray(signs, dtype=float)
@@ -204,11 +191,11 @@ def ball_optimize(p_ref: np.ndarray, objective, signs: np.ndarray,
     at_ref = np.flatnonzero(kappa == 0)
     best[at_ref] = signed(np.repeat(ref[None], at_ref.size, axis=0), at_ref)
     if (search := np.flatnonzero(kappa > 0)).size:
-        grid = simplex_grid_array(ref.size, config.ball_resolution)
+        grid = simplex_grid_array(ref.size, resolution)
         inside = kl_rows(grid, ref) <= limit[search].max()
         _, found = grid_then_pattern(
             lambda stack, owner: penalized(stack, search[owner]),
             [[ref], *([p] for p in grid[inside])], problems=search.size,
-            min_step=config.pattern_min_step, min_improve=1e-9)
+            min_step=min_step, min_improve=1e-9)
         best[search] = np.where(found == floor, -np.inf, found)
     return signs * best

@@ -58,9 +58,6 @@ class ConjugateResult:
     maximizer: float
     converged: bool
 
-    def __float__(self) -> float:
-        return self.value
-
     @staticmethod
     def of(value: np.ndarray, lam: np.ndarray, converged: np.ndarray,
            scalar: bool) -> "ConjugateResult":
@@ -149,6 +146,13 @@ class Mixture:
             return psi, dpsi
         return float(psi), float(dpsi)
 
+    def radius(self, lam):
+        """lam psi'(lam) - psi(lam), the Hoeffding radius of the tilt lam:
+        the divergence of the tilted law from the base law, the type-I
+        exponent along a boundary and the KL-ball radius of a projection."""
+        psi, dpsi = self.tilt(lam)
+        return lam * dpsi - psi
+
     def tilted(self, lam) -> np.ndarray:
         """The tilted laws p * exp(lam * f) / sum, one normalised row per
         component; padded atoms keep mass zero."""
@@ -208,10 +212,11 @@ class Mixture:
         glo = g(stack, lo, theta)
         grow = (glo > 0.0) & (lo > lo_cap)
         while grow.any():
-            lo = np.where(grow, np.maximum(np.where(lo < 0, lo * 2.0, -1.0),
-                                           lo_cap), lo)
+            # lo starts at max(-1, floor) and grows only while above
+            # lo_cap >= floor, so it is negative here
+            lo = np.where(grow, np.maximum(lo * 2.0, lo_cap), lo)
             glo = np.where(grow, g(stack, lo, theta), glo)
-            grow &= (lo != floor) & (glo > 0.0) & (lo > lo_cap)
+            grow &= (glo > 0.0) & (lo > lo_cap)
         ghi = g(stack, hi, theta)
         grow = (ghi < 0.0) & (hi < LAMBDA_CAP)
         while grow.any():

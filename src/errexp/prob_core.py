@@ -16,6 +16,8 @@ import numpy as np
 from .exceptions import InputError
 
 PMF_TOL = 1e-12
+CAPACITY_TOL = 1e-9
+CAPACITY_MAX_ITER = 100_000
 
 Symbol = object  # alphabet labels are arbitrary hashable objects
 
@@ -55,27 +57,6 @@ class Pmf:
     def __len__(self) -> int:
         return len(self.alphabet)
 
-    def index(self, symbol) -> int:
-        try:
-            return self.alphabet.index(symbol)
-        except ValueError:
-            raise InputError(f"symbol {symbol!r} not in alphabet") from None
-
-    def prob(self, symbol) -> float:
-        return float(self.probs[self.index(symbol)])
-
-    @staticmethod
-    def uniform(alphabet: Sequence) -> "Pmf":
-        alphabet = tuple(alphabet)
-        return Pmf(alphabet, np.full(len(alphabet), 1.0 / len(alphabet)))
-
-    @staticmethod
-    def point_mass(alphabet: Sequence, symbol) -> "Pmf":
-        alphabet = tuple(alphabet)
-        probs = np.zeros(len(alphabet))
-        probs[alphabet.index(symbol)] = 1.0
-        return Pmf(alphabet, probs)
-
 
 @dataclass(frozen=True)
 class JointPmf:
@@ -112,10 +93,6 @@ class JointPmf:
         labels = tuple((r, c) for r in self.row_alphabet for c in self.col_alphabet)
         return Pmf(labels, self.probs.reshape(-1))
 
-    @staticmethod
-    def product(row: Pmf, col: Pmf) -> "JointPmf":
-        return JointPmf(row.alphabet, col.alphabet, np.outer(row.probs, col.probs))
-
 
 @dataclass(frozen=True)
 class Channel:
@@ -142,9 +119,6 @@ class Channel:
         object.__setattr__(self, "input_alphabet", input_alphabet)
         object.__setattr__(self, "output_alphabet", output_alphabet)
         object.__setattr__(self, "rows", arr)
-
-    def row_at(self, idx: int) -> Pmf:
-        return Pmf(self.output_alphabet, self.rows[idx])
 
     def violating_row_pair(self):
         """First (lexicographic) input pair whose rows do not share support, or None."""
@@ -235,24 +209,29 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
     return kl_array(p.probs, q.probs)
 
 
-def conditional_kl_arrays(w: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """sum_k w_k D(p_k || q_k) over the rows k of the 2-D stacks p and q with
-    w_k != 0; +inf propagates.
+def conditional_kl_rows(w: np.ndarray, p: np.ndarray, q: np.ndarray
+                        ) -> np.ndarray:
+    """sum_k w_k D(p_k || q_k) of each problem of the stacks w (B, K) and
+    p, q (B, K, n), over the components with w_k > 0: the one weighted
+    divergence. +inf propagates.
 
-    The terms are added one at a time from 0.0 in row order: numpy's own sum
+    The terms are added one component at a time from 0.0: numpy's own sum
     regroups them from 8 terms up, which would move the last digits. A zero
-    weight skips its row, so it never multiplies a +inf divergence into NaN.
+    weight adds +0.0, which changes no bits of a sum that starts at +0.0,
+    and never multiplies a +inf divergence into NaN.
     """
-    live = w != 0
+    n = p.shape[-1]
+    div = kl_rows(p.reshape(-1, n), q.reshape(-1, n)).reshape(w.shape)
     total = 0.0
-    for term in w[live] * kl_rows(p[live], q[live]):
-        total += term
+    for k in range(w.shape[1]):
+        total = total + w[:, k] * np.where(w[:, k] > 0, div[:, k], 0.0)
     return total
 
 
-def mutual_information(pxy: JointPmf) -> float:
-    """I(X;Y) = D(P_XY || P_X P_Y) in nats."""
-    return mutual_information_arrays(pxy.probs)
+def conditional_kl_arrays(w: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """sum_k w_k D(p_k || q_k) over the rows k of the 2-D stacks p and q:
+    the one-problem `conditional_kl_rows`."""
+    return conditional_kl_rows(w[None], p[None], q[None])[0]
 
 
 def mutual_information_arrays(joint: np.ndarray) -> float:
@@ -279,27 +258,20 @@ def mutual_information_rows(joints: np.ndarray) -> np.ndarray:
     return kl_rows(*mutual_information_pairs(joints))
 
 
-def capacity(ch: Channel, tol: float = 1e-9, max_iter: int = 100_000) -> float:
+def capacity(ch: Channel) -> float:
     """Channel capacity in nats via alternating maximization.
 
     Deterministic uniform initialization; iterates until the gap between the
-    capacity upper and lower estimates drops below `tol`.
+    capacity upper and lower estimates drops below CAPACITY_TOL, for at most
+    CAPACITY_MAX_ITER updates.
     """
     w = ch.rows
-    m = w.shape[0]
-    r = np.full(m, 1.0 / m)
-    # precompute row entropies sum_y w log w (0 log 0 = 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), 0.0)
-    for _ in range(max_iter):
-        qy = r @ w  # output distribution
-        with np.errstate(divide="ignore"):
-            logqy = np.where(qy > 0, np.log(np.where(qy > 0, qy, 1.0)), 0.0)
-        # d_i = D(w_i || qy)
-        d = np.sum(np.where(w > 0, w * (logw - logqy), 0.0), axis=1)
+    r = np.full(w.shape[0], 1.0 / w.shape[0])
+    for _ in range(CAPACITY_MAX_ITER):
+        d = kl_rows(w, r @ w)  # D(W_x || q_Y) of every input x
         upper = float(np.max(d))
         lower = float(np.sum(r * d))
-        if upper - lower < tol:
+        if upper - lower < CAPACITY_TOL:
             return max(lower, 0.0)
         r = r * np.exp(d - upper)
         r /= r.sum()

@@ -15,6 +15,11 @@ settings.register_profile("errexp", derandomize=True, database=None,
 settings.load_profile("errexp")
 
 
+def row_pmf(ch: Channel, i: int) -> Pmf:
+    """Row i of a channel as a Pmf over its output alphabet."""
+    return Pmf(ch.output_alphabet, ch.rows[i])
+
+
 def dense_grid_conjugate(sp: ScoredPmf, theta: float,
                          lam_lo: float = -20.0, lam_hi: float = 20.0,
                          step: float = 1e-4) -> float:

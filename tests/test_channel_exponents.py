@@ -190,7 +190,9 @@ class TestBscZeroRate:
 
 class TestThetaBounds:
     def test_deterministic_design_is_degenerate(self, bsc35):
-        assert theta_bounds(InputDesign.deterministic((0, 1)), bsc35) == (0.0, 0.0)
+        # X = S with uniform S
+        design = InputDesign.from_matrix((0, 1), np.eye(2) / 2)
+        assert theta_bounds(design, bsc35) == (0.0, 0.0)
 
     def test_identical_row_channel(self):
         ch = Channel((0, 1), (0, 1), [[0.3, 0.7], [0.3, 0.7]])

@@ -4,6 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import errexp.cli
+from errexp import (BracketError, ConvergenceError, DomainError, ErrexpError,
+                    EstimationError, InputError)
 from errexp.cli import load_model, main
 
 EXAMPLE1 = "models/example1.json"
@@ -215,6 +218,38 @@ class TestRegion:
                      "--out", str(tmp_path / "x.csv")]) == 3
 
 
+@pytest.mark.parametrize("kind", ["direct", "channel", "rht"])
+def test_region_of_a_useless_model_prints_only_the_header(kind, tmp_path,
+                                                          capsys):
+    """P = Q over a channel of identical rows: every kind has an empty
+    positive boundary, so it warns, prints the header and no rows, and
+    exits 0."""
+    spec = dict(BERN, q_uv=BERN["p_uv"],
+                channel=dict(BERN["channel"], rows=[["0.4", "0.6"]] * 2))
+    path, out = tmp_path / "useless.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(spec))
+    assert main(["region", str(path), "--kind", kind, "--points", "4",
+                 "--out", str(out)]) == 0
+    assert "warning: degenerate" in capsys.readouterr().err
+    _, header, rows = read_csv(out)
+    assert header == ["kappa_alpha", "kappa_beta", "theta0", "theta1",
+                      "bound"]
+    assert rows == []
+
+
+@pytest.mark.parametrize("error, code", [
+    (InputError, 2), (DomainError, 3), (BracketError, 4),
+    (ConvergenceError, 4), (EstimationError, 4), (ErrexpError, 2)])
+def test_error_classes_map_to_exit_codes(error, code, bern_model,
+                                         monkeypatch, capsys):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(errexp.cli, "cmd_region", fail)
+    assert main(["region", bern_model, "--kind", "direct"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
 @pytest.mark.parametrize("command, options", [
     ("region", ["--kind", "direct"]),
     ("region", ["--kind", "rht"]),
@@ -259,6 +294,25 @@ class TestBounds:
         names = {r[1] for r in rows}
         assert names == {"shtcc_ex0_upper", "jhtcc_uncoded"}
 
+
+    def test_both_over_a_noiseless_channel(self, tmp_path):
+        """example1's source over a noiseless binary channel: E_x(0) and the
+        uncoded bound are +inf at every kappa_alpha, so every row prints
+        inf and there is no crossover line."""
+        with open(EXAMPLE1) as fh:
+            spec = json.load(fh)
+        spec["channel"]["rows"] = [["1", "0"], ["0", "1"]]
+        path, out = tmp_path / "noiseless.json", tmp_path / "both.csv"
+        path.write_text(json.dumps(spec))
+        assert main(["bounds", str(path), "--scheme", "both", "--kappa-grid",
+                     "0.001,0.01", "--out", str(out)]) == 0
+        comments, _, rows = read_csv(out)
+        assert not [c for c in comments if c.startswith("# crossover")]
+        assert rows == [
+            ["0.001", "shtcc_ex0_upper", "inf", "1", "dd8e26a6a3fb"],
+            ["0.001", "jhtcc_uncoded", "inf", "1", "cd9eb066aa24"],
+            ["0.01", "shtcc_ex0_upper", "inf", "1", "dd8e26a6a3fb"],
+            ["0.01", "jhtcc_uncoded", "inf", "1", "cd9eb066aa24"]]
 
     def test_shtcc_on_disjoint_rows_channel(self, tmp_path):
         """Designs that mix two inputs of disjoint rows have theta_l = +inf;

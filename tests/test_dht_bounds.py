@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
                     InputError, JointPmf, Pmf, SourceModel, compare_schemes,
                     jhtcc_uncoded, jhtcc_uncoded_opt, kl_ball_projection,
-                    kl_divergence, mutual_information, shtcc_tad,
+                    kl_divergence, shtcc_tad,
                     shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
                     special_message_exponent, theta_bounds, zeta_rho)
 from errexp.channel_exponents import (RHO_GRID, ChannelTable, channel_table,
@@ -697,11 +697,9 @@ class TestZetaRho:
     def test_zero_radius_is_pointwise(self, example1):
         zeta, rho = zeta_rho(example1, [self.W_SPLIT], 0.0)
         p_u = example1.p_uv.row_marginal().probs
-        i_uw = mutual_information(
-            JointPmf((0, 1), (0, 1), p_u[:, None] * self.W_SPLIT.rows))
-        i_vw = mutual_information(
-            JointPmf((0, 1), (0, 1),
-                     example1.p_uv.probs.T @ self.W_SPLIT.rows))
+        i_uw = mutual_information_arrays(p_u[:, None] * self.W_SPLIT.rows)
+        i_vw = mutual_information_arrays(
+            example1.p_uv.probs.T @ self.W_SPLIT.rows)
         assert zeta == pytest.approx(i_uw, abs=1e-12)
         assert rho == pytest.approx(i_vw, abs=1e-12)
 
@@ -778,8 +776,8 @@ class TestBallOptimizeChunks:
 
         signs = np.tile([1.0, -1.0], len(w_rows))
         # 56 feasible grid points, so the grid pass tiles 24 * 56 rows
-        return ball_optimize(example1.p_uv.probs, objective, signs, 0.2,
-                             DhtSearchConfig(ball_resolution=10))
+        return ball_optimize(example1.p_uv.probs, objective, signs, 0.2, 10,
+                             DhtSearchConfig().pattern_min_step)
 
     @pytest.mark.parametrize("cap", [7, 64])
     def test_rows_per_call_capped(self, example1, monkeypatch, cap):
@@ -805,18 +803,18 @@ class TestBallOptimizeMinusInfReference:
         def objective(ps, owner):
             return np.where(np.isclose(ps, first).all(axis=1), 0.0, np.inf)
 
-        config = DhtSearchConfig(ball_resolution=8, pattern_min_step=5e-3)
-        assert ball_optimize(ref, objective, [-1.0], 1.0, config).tolist() == [0.0]
+        config = (8, 5e-3)  # grid resolution, pattern search step
+        assert ball_optimize(ref, objective, [-1.0], 1.0, *config).tolist() == [0.0]
         # beside a problem that finds a finite point on the grid, and one
         # that finds nothing at all
         def two(ps, owner):
             return np.where(owner == 0, objective(ps, owner),
                             np.where(owner == 1, ps[:, 0], np.inf))
 
-        got = ball_optimize(ref, two, [-1.0, -1.0, -1.0], 1.0, config)
+        got = ball_optimize(ref, two, [-1.0, -1.0, -1.0], 1.0, *config)
         assert got[0] == 0.0 and np.isfinite(got[1]) and got[2] == np.inf
         assert got[1] == ball_optimize(ref, lambda ps, o: ps[:, 0], [-1.0],
-                                       1.0, config)[0]
+                                       1.0, *config)[0]
 
 
 class TestStackedBallObjectives:
@@ -1035,17 +1033,19 @@ def test_stein_pins(crossover, config, example1):
 
 class TestShtccTaiStein:
     def test_product_source_is_zero(self, bsc35):
-        p = JointPmf.product(Pmf((0, 1), [0.5, 0.5]), Pmf((0, 1), [0.3, 0.7]))
+        p = JointPmf((0, 1), (0, 1), np.outer([0.5, 0.5], [0.3, 0.7]))
         model = SourceModel(p, p)
         assert shtcc_tai_stein(model, bsc35, FAST) == 0.0
 
     def test_clean_channel_reaches_source_information(self):
         p = JointPmf((0, 1), (0, 1), [[0.45, 0.05], [0.05, 0.45]])
-        q = JointPmf.product(p.row_marginal(), p.col_marginal())
+        q = JointPmf((0, 1), (0, 1), np.outer(p.row_marginal().probs,
+                                              p.col_marginal().probs))
         model = SourceModel(p, q)
         clean = Channel((0, 1), (0, 1), [[0.999, 0.001], [0.001, 0.999]])
         value = shtcc_tai_stein(model, clean, FAST)
-        assert value == pytest.approx(mutual_information(p), abs=2e-3)
+        assert value == pytest.approx(mutual_information_arrays(p.probs),
+                                      abs=2e-3)
 
     def test_rejects_non_tai(self, example1, bsc35):
         with pytest.raises(InputError):
@@ -1224,9 +1224,10 @@ class TestPerProblemKappa:
         signs = np.repeat([1.0, -1.0, -1.0], len(w_rows))
         kappas = np.resize(self.KAPPAS, len(signs))
         ref = example1.p_uv.probs
-        got = ball_optimize(ref, objective, signs, kappas, self.CONFIG)
+        sizes = self.CONFIG.ball_resolution, self.CONFIG.pattern_min_step
+        got = ball_optimize(ref, objective, signs, kappas, *sizes)
         for r, kappa in enumerate(kappas):
-            alone = ball_optimize(ref, objective, signs, kappa, self.CONFIG)
+            alone = ball_optimize(ref, objective, signs, kappa, *sizes)
             assert_bit_equal(got[r], alone[r])
 
     def test_zeta_rho(self, example1):

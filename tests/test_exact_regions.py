@@ -15,7 +15,8 @@ from errexp.exact_regions import _channel_branch_beta, _law_mixture
 from errexp.legendre import Mixture
 from conftest import (assert_bit_equal, dense_grid_conjugate,
                       divergence_channels, frozen_bisect_monotone,
-                      frozen_kl_array, random_pmf, random_weights, sparse_rows)
+                      frozen_kl_array, random_pmf, random_weights, row_pmf,
+                      sparse_rows)
 
 P58 = Pmf((0, 1), [0.5, 0.5])
 Q58 = Pmf((0, 1), [0.2, 0.8])
@@ -160,7 +161,8 @@ class TestChannelRegionPoint:
         law = ChannelPairLaw.point_mass((0, 1), (0, 1))
         for theta in (-0.1, 0.0, 0.1):
             chn = channel_region_point(bsc35, law, theta)
-            direct = direct_region_point(bsc35.row_at(0), bsc35.row_at(1), theta)
+            direct = direct_region_point(row_pmf(bsc35, 0), row_pmf(bsc35, 1),
+                                         theta)
             assert chn.kappa_alpha == pytest.approx(direct.kappa_alpha, abs=1e-10)
             assert chn.kappa_beta == pytest.approx(direct.kappa_beta, abs=1e-10)
 
@@ -168,7 +170,7 @@ class TestChannelRegionPoint:
         law = ChannelPairLaw.point_mass((0, 1), (0, 1))
         pt = channel_region_point(bsc35, law, 0.0)
         oracle = dense_grid_conjugate(
-            loglik_scores(bsc35.row_at(0), bsc35.row_at(1)), 0.0)
+            loglik_scores(row_pmf(bsc35, 0), row_pmf(bsc35, 1)), 0.0)
         assert pt.kappa_alpha == pytest.approx(oracle, abs=1e-6)
 
     def test_theta_out_of_interval(self, bsc35):
@@ -287,7 +289,7 @@ class TestChannelBranchAtZero:
             ch = Channel((0, 1, 2), (0, 1, 2), rng.dirichlet(np.ones(3), size=3))
             law = ChannelPairLaw.point_mass(ch.input_alphabet, (0, 1))
             assert _channel_branch_beta(ch, [law], 0.0)[0] == pytest.approx(
-                kl_divergence(ch.row_at(0), ch.row_at(1)), abs=1e-12)
+                kl_divergence(row_pmf(ch, 0), row_pmf(ch, 1)), abs=1e-12)
 
 
 class TestChannelPointMatchesBranch:
@@ -384,7 +386,7 @@ class TestBestChannelBranch:
         rows = (rng.dirichlet(np.ones(4), size=7) + 0.05) / 1.2
         ch = Channel(tuple(range(7)), tuple(range(4)), rows)
         for ka in (0.01, 0.1):
-            oracle = max((direct_tradeoff(ch.row_at(i), ch.row_at(j), ka),
+            oracle = max((direct_tradeoff(row_pmf(ch, i), row_pmf(ch, j), ka),
                           (i, j))
                          for i in range(7) for j in range(7) if i != j)
             value, law = best_channel_branch(ch, ka)

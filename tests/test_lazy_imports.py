@@ -26,8 +26,7 @@ UNUSED_BY_REGION = {"dht_bounds", "simulate", "channel_exponents", "kl_ball"}
 PUBLIC = {
     "exceptions": ["ErrexpError", "InputError", "DomainError", "BracketError",
                    "ConvergenceError", "EstimationError"],
-    "prob_core": ["Pmf", "JointPmf", "Channel", "kl_divergence",
-                  "mutual_information", "capacity"],
+    "prob_core": ["Pmf", "JointPmf", "Channel", "kl_divergence", "capacity"],
     "legendre": ["ScoredPmf", "ConjugateResult", "conjugate", "loglik_scores",
                  "llr_interval"],
     "exact_regions": ["ExponentPoint", "TradeoffCurve", "ChannelPairLaw",
@@ -50,8 +49,18 @@ PUBLIC = {
 
 # public names that nothing but tests called, removed from the package
 REMOVED = {
-    "prob_core": ["EmpiricalType", "empirical_type", "conditional_kl"],
+    "prob_core": ["EmpiricalType", "empirical_type", "conditional_kl",
+                  "mutual_information"],
     "simulate": ["np_decide", "build_type_sequences"],
+}
+
+# methods that nothing but tests called, removed from their classes
+REMOVED_METHODS = {
+    ("prob_core", "Pmf"): ["index", "prob", "uniform", "point_mass"],
+    ("prob_core", "JointPmf"): ["product"],
+    ("prob_core", "Channel"): ["row_at"],
+    ("legendre", "ConjugateResult"): ["__float__"],
+    ("channel_exponents", "InputDesign"): ["deterministic"],
 }
 
 
@@ -133,3 +142,10 @@ def test_removed_names_are_gone():
             assert not hasattr(source, name), name
     # the support check is `violating_row_pair() is None`, kept once
     assert not hasattr(errexp.Channel, "absolutely_continuous")
+    for (module, cls), group in REMOVED_METHODS.items():
+        owner = getattr(importlib.import_module(f"errexp.{module}"), cls)
+        for name in group:
+            assert not hasattr(owner, name), (cls, name)
+    # the weighted divergence is `prob_core.conditional_kl_rows`, kept once
+    assert not hasattr(importlib.import_module("errexp.kl_ball"),
+                       "_weighted_kl")

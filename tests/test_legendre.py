@@ -6,7 +6,8 @@ import pytest
 from errexp import (InputError, Pmf, ScoredPmf, conjugate, kl_divergence,
                     llr_interval, loglik_scores)
 from errexp.legendre import LAMBDA_CAP, THETA_RESIDUAL_TOL, Mixture
-from conftest import dense_grid_conjugate, frozen_bisect_monotone, random_pmf
+from conftest import (assert_bit_equal, dense_grid_conjugate,
+                      frozen_bisect_monotone, random_pmf)
 
 
 def scored(p_probs, scores) -> ScoredPmf:
@@ -207,6 +208,38 @@ class TestMixturePadding:
                 p, f = sp.effective()
                 law = p * np.exp(lam * f)
                 assert row[:p.size] == pytest.approx(law / law.sum(), rel=1e-12)
+
+
+class TestRadius:
+    """`Mixture.radius` is lam * psi'(lam) - psi(lam) of one `tilt`, bit for
+    bit, on one mixture and on a stack; at lam = 1 on log-likelihood
+    scores it is D(q || p), the divergence of the tilted law."""
+
+    def test_equals_tilt_expression(self):
+        mix = mixture(TestMixturePadding.SHORT, TestMixturePadding.LONG,
+                      weights=TestMixturePadding.W)
+        for lam in (-3.0, 0.0, 0.3, 1.0, 25.0):
+            psi, dpsi = mix.tilt(lam)
+            assert_bit_equal(mix.radius(lam), lam * dpsi - psi)
+
+    def test_stack(self):
+        rng = np.random.default_rng(41)
+        p = rng.dirichlet(np.ones(4), size=(9, 3))
+        stack = Mixture.stack(rng.dirichlet(np.ones(3), size=9), p,
+                              rng.normal(size=p.shape))
+        lam = rng.uniform(-2.0, 3.0, 9)
+        psi, dpsi = stack.tilt(lam)
+        got = stack.radius(lam)
+        for b, expect in enumerate(lam * dpsi - psi):
+            assert_bit_equal(got[b], expect)
+
+    def test_unit_tilt_of_llr_is_reverse_kl(self):
+        p = Pmf((0, 1, 2), [0.5, 0.3, 0.2])
+        q = Pmf((0, 1, 2), [0.2, 0.3, 0.5])
+        mix = mixture(loglik_scores(p, q))
+        assert mix.radius(1.0) == pytest.approx(kl_divergence(q, p),
+                                                abs=1e-15)
+        assert mix.radius(0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def frozen_mixture_conjugate(mix, theta, lam_lo=None):

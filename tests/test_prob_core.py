@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from errexp import (Channel, InputError, JointPmf, Pmf, capacity,
-                    kl_divergence, mutual_information)
-from errexp.prob_core import (conditional_kl_arrays, kl_array, kl_row_groups,
-                              kl_rows, mutual_information_arrays,
+                    kl_divergence)
+from errexp.prob_core import (conditional_kl_arrays, conditional_kl_rows,
+                              kl_array, kl_row_groups, kl_rows,
+                              mutual_information_arrays,
                               mutual_information_rows)
 from conftest import (assert_bit_equal, divergence_channels, frozen_kl_array,
                       frozen_mutual_information, random_pmf, random_weights,
-                      sparse_rows)
+                      row_pmf, sparse_rows)
 
 
 def frozen_conditional_kl(p_rows, q_rows, px) -> float:
@@ -28,6 +29,10 @@ def binary_entropy(p: float) -> float:
     return -p * np.log(p) - (1 - p) * np.log(1 - p)
 
 
+def product_joint(row: Pmf, col: Pmf) -> JointPmf:
+    return JointPmf(row.alphabet, col.alphabet, np.outer(row.probs, col.probs))
+
+
 class TestPmf:
     def test_rejects_bad_vectors(self):
         with pytest.raises(InputError):
@@ -39,14 +44,9 @@ class TestPmf:
 
     def test_accessors(self):
         p = Pmf(("a", "b"), [0.3, 0.7])
-        assert p.prob("b") == 0.7
+        assert p.alphabet == ("a", "b") and p.probs.tolist() == [0.3, 0.7]
         assert len(p) == 2
-        with pytest.raises(InputError):
-            p.index("c")
-
-    def test_point_mass_and_uniform(self):
-        assert Pmf.point_mass((0, 1, 2), 1).probs.tolist() == [0.0, 1.0, 0.0]
-        assert Pmf.uniform((0, 1)).probs.tolist() == [0.5, 0.5]
+        assert not p.probs.flags.writeable
 
 
 class TestJointPmf:
@@ -56,8 +56,8 @@ class TestJointPmf:
         assert j.col_marginal().probs.tolist() == pytest.approx([0.4, 0.6])
 
     def test_product_and_flatten(self):
-        j = JointPmf.product(Pmf((0, 1), [0.5, 0.5]), Pmf((0, 1), [0.2, 0.8]))
-        assert mutual_information(j) == 0.0
+        j = product_joint(Pmf((0, 1), [0.5, 0.5]), Pmf((0, 1), [0.2, 0.8]))
+        assert mutual_information_arrays(j.probs) == 0.0
         flat = j.flatten()
         assert flat.alphabet == ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -127,14 +127,14 @@ class TestConditionalKl:
 
     def test_point_mass_degenerates(self, bsc35):
         other = Channel.bsc(0.2)
-        expect = kl_divergence(bsc35.row_at(0), other.row_at(0))
+        expect = kl_divergence(row_pmf(bsc35, 0), row_pmf(other, 0))
         assert conditional_kl_arrays(np.array([1.0, 0.0]), bsc35.rows,
                                      other.rows) == pytest.approx(expect)
 
     def test_weighted_two_row_case(self, bsc35):
         other = Channel.bsc(0.1)
         px = np.array([0.3, 0.7])
-        expect = sum(px[i] * kl_divergence(bsc35.row_at(i), other.row_at(i))
+        expect = sum(px[i] * kl_divergence(row_pmf(bsc35, i), row_pmf(other, i))
                      for i in range(2))
         assert conditional_kl_arrays(px, bsc35.rows, other.rows) == \
             pytest.approx(expect, abs=1e-12)
@@ -153,18 +153,18 @@ class TestConditionalKl:
 
 class TestMutualInformation:
     def test_product_is_zero(self):
-        j = JointPmf.product(Pmf((0, 1), [0.3, 0.7]), Pmf((0, 1), [0.6, 0.4]))
-        assert mutual_information(j) == pytest.approx(0.0, abs=1e-12)
+        j = product_joint(Pmf((0, 1), [0.3, 0.7]), Pmf((0, 1), [0.6, 0.4]))
+        assert mutual_information_arrays(j.probs) == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_correlation(self):
         j = JointPmf((0, 1), (0, 1), [[0.5, 0.0], [0.0, 0.5]])
-        assert mutual_information(j) == pytest.approx(np.log(2.0))
+        assert mutual_information_arrays(j.probs) == pytest.approx(np.log(2.0))
 
     def test_doubly_symmetric_binary_source(self):
         eps = 0.1
         j = JointPmf((0, 1), (0, 1),
                      [[(1 - eps) / 2, eps / 2], [eps / 2, (1 - eps) / 2]])
-        assert mutual_information(j) == pytest.approx(
+        assert mutual_information_arrays(j.probs) == pytest.approx(
             np.log(2.0) - binary_entropy(eps), abs=1e-12)
 
     def test_equals_kl_against_product(self):
@@ -172,8 +172,8 @@ class TestMutualInformation:
         for _ in range(20):
             probs = rng.dirichlet(np.ones(6)).reshape(2, 3)
             j = JointPmf((0, 1), (0, 1, 2), probs)
-            prod = JointPmf.product(j.row_marginal(), j.col_marginal())
-            assert mutual_information(j) == pytest.approx(
+            prod = product_joint(j.row_marginal(), j.col_marginal())
+            assert mutual_information_arrays(j.probs) == pytest.approx(
                 kl_divergence(j.flatten(), prod.flatten()), abs=1e-12)
 
 
@@ -255,8 +255,6 @@ class TestRowWiseForms:
             expect = frozen_mutual_information(joint)
             assert got[b] == expect
             assert_bit_equal(mutual_information_arrays(joint), expect)
-            assert_bit_equal(mutual_information(JointPmf(
-                range(shape[0]), range(shape[1]), joint)), expect)
 
 
 class TestConditionalKlArrays:
@@ -289,6 +287,36 @@ class TestConditionalKlArrays:
         assert np.isfinite(expect)
         assert_bit_equal(conditional_kl_arrays(w, p, q), expect)
         assert conditional_kl_arrays(np.array([0.25, 0.5, 0.25]), p, q) == np.inf
+
+    def test_stacked_kernel_equals_frozen_loop(self):
+        """conditional_kl_rows over stacks of problems equals the frozen hand
+        loop problem by problem, bit for bit: zero weights, off-support
+        atoms (+inf divergences) with and without a weight, and problems of
+        8 or more components."""
+        rng = np.random.default_rng(23)
+        seen = set()
+        for _ in range(80):
+            b, k = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+            n = int(rng.integers(2, 10))
+            w = np.stack([random_weights(rng, k) for _ in range(b)])
+            p = sparse_rows(rng, b * k, n).reshape(b, k, n)
+            q = sparse_rows(rng, b * k, n, 0.2).reshape(b, k, n)
+            got = conditional_kl_rows(w, p, q)
+            assert got.shape == (b,)
+            for i in range(b):
+                expect = frozen_conditional_kl(p[i], q[i], w[i])
+                if np.isfinite(expect):
+                    assert_bit_equal(got[i], expect)
+                else:  # the hand loop returns a Python float +inf
+                    assert got[i] == np.inf
+                off = [frozen_kl_array(p[i, j], q[i, j]) == np.inf
+                       for j in range(k)]
+                seen.add((bool(np.isinf(expect)),
+                          any(o and w[i, j] == 0 for j, o in enumerate(off))))
+            # the one-problem form is its one-row case
+            assert_bit_equal(conditional_kl_arrays(w[0], p[0], q[0]), got[0])
+        assert seen == {(False, False), (False, True), (True, False),
+                        (True, True)}
 
     def test_sums_in_row_order_past_eight_terms(self):
         # numpy's own sum regroups 9 or more terms; the hand loop adds them
@@ -324,9 +352,32 @@ class TestCapacity:
         for _ in range(100):
             px = random_pmf(rng, 2, floor=0.0)
             joint = JointPmf((0, 1), (0, 1), px.probs[:, None] * bsc35.rows)
-            assert mutual_information(joint) <= cap + 1e-9
+            assert mutual_information_arrays(joint.probs) <= cap + 1e-9
 
     def test_identical_rows_is_zero(self):
         ch = Channel((0, 1), (0, 1), [[0.3, 0.7], [0.3, 0.7]])
         assert capacity(ch) == pytest.approx(0.0, abs=1e-12)
+
+    def test_z_channel_closed_form(self):
+        """Input 1 flips to 0 with probability p: not symmetric, so the
+        uniform start is not optimal and the input law is updated;
+        C = log(1 + (1 - p) p^(p / (1 - p)))."""
+        p = 0.3
+        assert np.log(1 + (1 - p) * p ** (p / (1 - p))) == pytest.approx(
+            0.3491326435657887, abs=1e-15)
+        ch = Channel((0, 1), (0, 1), [[1.0, 0.0], [p, 1 - p]])
+        assert capacity(ch) == pytest.approx(0.3491326435657887, abs=1e-9)
+
+    def test_asymmetric_three_inputs_vs_dense_grid(self):
+        """The maximum of I(X;Y) over a grid of step 1/400 on the input
+        simplex lies within 1e-6 below the capacity, and never above it."""
+        rows = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+        cap = capacity(Channel((0, 1, 2), (0, 1, 2), rows))
+        n = 400
+        i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        keep = i + j <= n
+        px = np.stack([i[keep], j[keep], n - i[keep] - j[keep]], axis=1) / n
+        grid = mutual_information_rows(px[:, :, None] * rows).max()
+        assert grid <= cap + 1e-12
+        assert cap - grid < 1e-6
 
