@@ -7,8 +7,6 @@ drawn as multinomial symbol types, so no sequences are materialized and a
 million trials per blocklength run in seconds.
 """
 
-import numpy as np
-
 from errexp import (Channel, ChannelPairLaw, Pmf, SimConfig,
                     channel_region_point, conjugate, direct_region_point,
                     loglik_scores, simulate_direct, simulate_rht)

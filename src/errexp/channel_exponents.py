@@ -7,7 +7,6 @@ all three over a grid of input designs that the SHTCC bounds share.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,17 +301,8 @@ class ChannelTable:
 def channel_table(ch: Channel, sx_resolution: int,
                   theta_points: int) -> ChannelTable:
     """The `ChannelTable` of the P_SX designs on the simplex grid of the
-    given resolution, with theta_points thresholds each: built once per
-    channel and sizes and shared by every caller."""
-    return _channel_table_of(ch.input_alphabet, ch.output_alphabet,
-                             ch.rows.tobytes(), sx_resolution, theta_points)
-
-
-@functools.lru_cache(maxsize=4)
-def _channel_table_of(inputs: tuple, outputs: tuple, rows: bytes,
-                      sx_resolution: int, theta_points: int) -> ChannelTable:
-    n = len(inputs)
+    given resolution, with theta_points thresholds each."""
+    n = len(ch.input_alphabet)
     return ChannelTable.of(
         np.reshape(list(simplex_grid(n * n, sx_resolution)), (-1, n, n)),
-        Channel(inputs, outputs, np.frombuffer(rows).reshape(n, -1)),
-        theta_points)
+        ch, theta_points)

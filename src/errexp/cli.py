@@ -272,6 +272,8 @@ def cmd_bounds(args) -> int:
     if model_file.channel is None:
         raise InputError("bounds require a channel in the model")
     model = SourceModel(model_file.p_uv, model_file.q_uv)
+    # only the shtcc searches read the config; built for every scheme, so
+    # a bad --grid fails the same way whichever scheme is asked for
     config = DhtSearchConfig(design_resolution=min(args.grid, 4),
                              ball_resolution=args.grid,
                              sx_resolution=min(args.grid, 6))
@@ -283,13 +285,12 @@ def cmd_bounds(args) -> int:
         raise DomainError("general models support only the jhtcc-uncoded scheme")
     if args.scheme == "both":
         pair_rows, crossover = compare_schemes(model, model_file.channel,
-                                               kappas, config)
+                                               kappas)
         reps = [rep for pair in pair_rows for rep in pair]
         if crossover is not None:
             extra.append(f"# crossover kappa_alpha={_fmt(crossover)}")
     elif args.scheme == "jhtcc-uncoded":
-        reps = jhtcc_uncoded_opt(model, model_file.channel, kappas,
-                                 config=config)
+        reps = jhtcc_uncoded_opt(model, model_file.channel, kappas)
     else:
         shtcc = shtcc_tai if model.is_tai else shtcc_tad
         reps = shtcc(model, model_file.channel, kappas, config)
@@ -388,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="achievable bounds for DHT over a channel")
     common(p_bounds)
-    grid_flags(p_bounds, "simplex grid resolution of the design searches")
+    grid_flags(p_bounds, "simplex grid resolution of the shtcc searches; "
+               "jhtcc-uncoded and both record it in the manifest only")
     p_bounds.add_argument("--scheme", choices=("shtcc", "jhtcc-uncoded", "both"),
                           default="both")
     p_bounds.set_defaults(func=cmd_bounds)

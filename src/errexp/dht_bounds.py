@@ -90,12 +90,11 @@ class BoundReport:
     value: float
     achiever: dict
     feasible: bool
-    grid_resolution: int
 
 
 @dataclass(frozen=True)
 class DhtSearchConfig:
-    """Grid resolutions for the nested design searches."""
+    """Grid resolutions and step of the SHTCC searches and zeta_rho."""
 
     design_resolution: int = 4
     ball_resolution: int = 10
@@ -192,8 +191,7 @@ def _design_search(values, model: SourceModel, ch: Channel, kappa: np.ndarray,
 
 
 def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha,
-                      n_states: int = 1,
-                      config: DhtSearchConfig = DhtSearchConfig()):
+                      n_states: int = 1, p_s_resolution: int = 6):
     """kappa_u* : the uncoded bound maximized over P_{X|US} (and P_S when
     two time-share states are enabled).
 
@@ -204,12 +202,13 @@ def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha,
     (Hoeffding's dual, Ann. Math. Stat. 1965, is a supremum of convex
     functions), so a map attains its maximum (Rockafellar, Convex Analysis,
     Cor. 32.3.2; see `_design_search`): the value is exact over P_{X|US}.
-    With two states, P_S stays on the grid of `config.sx_resolution`, the
-    only field of `config` read here."""
+    With two states, P_S stays on the grid of step 1 / p_s_resolution."""
     if n_states not in (1, 2):
         raise InputError("n_states must be 1 or 2")
+    res = p_s_resolution
+    if not (isinstance(res, (int, np.integer)) and res >= 1):
+        raise InputError(f"p_s_resolution must be an integer >= 1: {res!r}")
     kappas = np.atleast_1d(np.asarray(kappa_alpha, dtype=float))
-    res = config.sx_resolution
     p_s = (np.ones((1, 1)) if n_states == 1 else
            np.array([[k / res, 1.0 - k / res] for k in range(res + 1)]))
     # search i * |P_S| + k pairs kappas[i] with the time share p_s[k]
@@ -221,7 +220,7 @@ def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha,
         "jhtcc_uncoded", float(kappas[i]), float(values[i, k]),
         {"p_s": tuple(p_s[k]),
          "p_x_given_us": tuple(rows[i * len(p_s) + k].reshape(-1))},
-        feasible=True, grid_resolution=config.sx_resolution)
+        feasible=True)
         for i, k in enumerate(values.argmax(axis=1)))  # first of equal maxima
     return reports[0] if np.ndim(kappa_alpha) == 0 else reports
 
@@ -425,8 +424,7 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
         min_step=max(config.pattern_min_step, 0.01), min_improve=1e-6)
     found = np.array([k for k, b in enumerate(blocks) if b is not None],
                      dtype=int)
-    reports = [BoundReport(name, float(ka), 0.0, {}, feasible=False,
-                           grid_resolution=config.design_resolution)
+    reports = [BoundReport(name, float(ka), 0.0, {}, feasible=False)
                for ka in kappas]
     if found.size:
         w_rows = np.array([blocks[k] for k in found])
@@ -440,7 +438,7 @@ def _shtcc(name: str, model: SourceModel, ch: Channel, kappa_alpha,
                         "e_x": float(e_x[i])}
             reports[k] = BoundReport(
                 name, float(kappas[k]), max(float(value[i]), 0.0), achiever,
-                feasible=True, grid_resolution=config.design_resolution)
+                feasible=True)
     return reports[0] if np.ndim(kappa_alpha) == 0 else tuple(reports)
 
 
@@ -536,8 +534,7 @@ def shtcc_tad(model: SourceModel, ch: Channel, kappa_alpha,
 # Scheme comparison
 
 
-def compare_schemes(model: SourceModel, ch: Channel, kappa_grid,
-                    config: DhtSearchConfig = DhtSearchConfig()):
+def compare_schemes(model: SourceModel, ch: Channel, kappa_grid):
     """Per kappa_alpha: the separation scheme's zero-rate expurgated upper
     bound next to the uncoded joint bound, plus the crossover point where
     the uncoded curve meets that line.
@@ -561,8 +558,8 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid,
     grid = [float(ka) for ka in kappa_grid]
     rows = [(BoundReport("shtcc_ex0_upper", jr.kappa_alpha, e_x0,
                          {"p_sx": tuple(design0.joint.probs.reshape(-1))},
-                         feasible=True, grid_resolution=config.sx_resolution),
-             jr) for jr in jhtcc_uncoded_opt(model, ch, grid, config=config)]
+                         feasible=True),
+             jr) for jr in jhtcc_uncoded_opt(model, ch, grid)]
     crossover = None
     if grid and np.isfinite(e_x0):
         _, [value] = _design_search(_crossing_values, model, ch,

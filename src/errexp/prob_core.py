@@ -19,8 +19,6 @@ PMF_TOL = 1e-12
 CAPACITY_TOL = 1e-9
 CAPACITY_MAX_ITER = 100_000
 
-Symbol = object  # alphabet labels are arbitrary hashable objects
-
 
 def _as_prob_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)

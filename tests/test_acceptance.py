@@ -7,7 +7,6 @@ the plain `pytest -v` log.
 import time
 
 import numpy as np
-import pytest
 
 from errexp import (AuxiliaryDesign, Channel, ChannelPairLaw, JointPmf, Pmf,
                     ScoredPmf, SimConfig, SourceModel, compare_schemes,

@@ -226,8 +226,6 @@ def test_shtcc_searches_run_batched(monkeypatch, capsys):
     scoring a row the bound rules out would raise the scored rows."""
     from errexp import (channel_exponents, dht_bounds, kl_ball, optimize,
                         prob_core)
-    # build the table in this run
-    channel_exponents._channel_table_of.cache_clear()
     counts = {"runs": 0, "rounds": 0, "special": 0, "kl_rows": 0,
               "offered": 0, "scored": 0}
     lockstep, special, kl_rows, search = (

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from errexp import (Channel, DomainError, InputDesign, InputError, Pmf,
-                    ScoredPmf, bsc_expurgated_zero_rate, conjugate,
-                    expurgated_exponent, expurgated_exponent_opt,
-                    special_message_exponent, theta_bounds)
+                    ScoredPmf, bsc_expurgated_zero_rate, expurgated_exponent,
+                    expurgated_exponent_opt, special_message_exponent,
+                    theta_bounds)
 from errexp.channel_exponents import (RHO_BLOCK, RHO_GRID, RHO_GRID_POINTS,
                                       _expurgation_terms, _rho_grid_at_zero,
                                       bhattacharyya_kernel,

@@ -1,7 +1,6 @@
 import json
 import warnings
 
-import numpy as np
 import pytest
 
 import errexp.cli
@@ -23,6 +22,7 @@ BERN = {
         "rows": [["0.65", "0.35"], ["0.35", "0.65"]],
     },
 }
+NO_CHANNEL = {k: v for k, v in BERN.items() if k != "channel"}
 
 
 @pytest.fixture
@@ -79,16 +79,35 @@ class TestLoadModel:
         (dict(BERN, u_alphabet=[["0"], ["1"]]), "region", ["--kind", "direct"]),
         (dict(BERN, channel=dict(BERN["channel"], input_alphabet=3)),
          "region", ["--kind", "direct"]),
+        (NO_CHANNEL, "region", ["--kind", "channel"]),
+        (NO_CHANNEL, "region", ["--kind", "rht", "--kappa-grid", "0.01"]),
+        (NO_CHANNEL, "bounds", ["--scheme", "jhtcc-uncoded"]),
+        (dict(BERN, p_uv=[["half"], ["0.5"]]), "region", ["--kind", "direct"]),
+        (dict(BERN, p_uv=[]), "region", ["--kind", "direct"]),
+        (dict(BERN, channel=BERN["channel"]["rows"]),
+         "region", ["--kind", "direct"]),
+        (dict(BERN, channel=dict(BERN["channel"],
+                                 rows=[["0.6", "0.6"], ["0.35", "0.65"]])),
+         "region", ["--kind", "direct"]),
+        (None, "region", ["--kind", "direct"]),
+        (BERN, "bounds", ["--scheme", "both", "--grid", "0"]),
+        (BERN, "bounds", ["--scheme", "jhtcc-uncoded", "--grid", "0"]),
     ], ids=["channel-without-rows", "json-list", "zero-points",
             "bad-kappa-grid", "bad-n-grid", "nan-kappa-grid",
             "inf-kappa-grid", "minus-inf-kappa-grid", "negative-kappa-grid",
             "negative-bounds-kappa-grid", "negative-seed", "zero-trials",
             "int-alphabet",
-            "nested-alphabet", "int-channel-alphabet"])
+            "nested-alphabet", "int-channel-alphabet",
+            "channel-region-without-channel", "rht-region-without-channel",
+            "bounds-without-channel", "non-decimal-probability",
+            "non-matrix-p_uv", "channel-not-an-object",
+            "non-stochastic-channel", "unreadable-path", "both-grid-0",
+            "jhtcc-uncoded-grid-0"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, model, command,
                                      options):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model))
+        if model is not None:  # None: no file at the path
+            path.write_text(json.dumps(model))
         assert main([command, str(path), "--out", str(tmp_path / "x.csv")]
                     + options) == 2
         err = capsys.readouterr().err
@@ -217,6 +236,12 @@ class TestRegion:
         assert main(["region", EXAMPLE1, "--kind", "direct",
                      "--out", str(tmp_path / "x.csv")]) == 3
 
+    def test_rht_of_a_non_ac_source_is_domain_error(self, tmp_path, capsys):
+        # D(Q||P) is finite, so the default grid exists, but D(P||Q) is not
+        assert main(["region", EXAMPLE1, "--kind", "rht",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert "absolutely continuous" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("kind", ["direct", "channel", "rht"])
 def test_region_of_a_useless_model_prints_only_the_header(kind, tmp_path,
@@ -266,6 +291,17 @@ def test_infinite_default_grid_end_exits_3(tmp_path, capsys, command, options):
     out = tmp_path / "x.csv"
     assert main([command, str(path), "--out", str(out)] + options) == 3
     assert "--kappa-grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["shtcc", "both"])
+def test_general_model_takes_only_jhtcc_uncoded(scheme, bern_model, tmp_path,
+                                                capsys):
+    # BERN tests neither against independence nor against dependence
+    out = tmp_path / "x.csv"
+    assert main(["bounds", bern_model, "--scheme", scheme,
+                 "--kappa-grid", "0.01", "--out", str(out)]) == 3
+    assert "jhtcc-uncoded" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from errexp import (AuxiliaryDesign, Channel, DhtSearchConfig, InputDesign,
-                    InputError, JointPmf, Pmf, SourceModel, compare_schemes,
-                    jhtcc_uncoded, jhtcc_uncoded_opt, kl_ball_projection,
-                    kl_divergence, shtcc_tad,
-                    shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
-                    special_message_exponent, theta_bounds, zeta_rho)
+from errexp import (AuxiliaryDesign, BoundReport, Channel, DhtSearchConfig,
+                    InputDesign, InputError, JointPmf, Pmf, SourceModel,
+                    compare_schemes, jhtcc_uncoded, jhtcc_uncoded_opt,
+                    kl_ball_projection, shtcc_tad, shtcc_tad_stein, shtcc_tai,
+                    shtcc_tai_stein, special_message_exponent, theta_bounds,
+                    zeta_rho)
 from errexp.channel_exponents import (RHO_GRID, ChannelTable, channel_table,
                                       expurgated_exponent_opt,
                                       output_given_state)
 from errexp.dht_bounds import (_ball_objective, _crossing_values,
-                               _tad_first_term, _tai_first_term,
-                               _uncoded_values, _vy_laws)
+                               _design_search, _tad_first_term,
+                               _tai_first_term, _uncoded_values, _vy_laws)
 from errexp.kl_ball import ball_optimize, project_components
 from errexp.legendre import Mixture
 from errexp.optimize import GRID_CHUNK, grid_then_pattern, simplex_grid
@@ -557,14 +557,14 @@ class TestJhtccUncoded:
             0.0, abs=1e-9)
 
     def test_opt_dominates_identity_design(self, example1, bsc35):
-        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, config=FAST)
+        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002)
         fixed = jhtcc_uncoded(example1, bsc35, 0.002,
                               AuxiliaryDesign.identity_uncoded(2))
         assert rep.value >= fixed - 1e-9
         assert rep.name == "jhtcc_uncoded" and rep.feasible
 
     def test_non_increasing_in_kappa(self, example1, bsc35):
-        vals = [jhtcc_uncoded_opt(example1, bsc35, k, config=FAST).value
+        vals = [jhtcc_uncoded_opt(example1, bsc35, k).value
                 for k in (0.0, 0.002, 0.01, 0.05)]
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
@@ -572,20 +572,21 @@ class TestJhtccUncoded:
     def test_kappa_sequence_equals_scalar_calls(self, example1, bsc35,
                                                 n_states):
         kappas = [0.0, 0.002, 0.01]
-        reports = jhtcc_uncoded_opt(example1, bsc35, kappas, n_states, FAST)
+        reports = jhtcc_uncoded_opt(example1, bsc35, kappas, n_states,
+                                    FAST.sx_resolution)
         assert reports == tuple(jhtcc_uncoded_opt(example1, bsc35, k,
-                                                  n_states, FAST)
+                                                  n_states, FAST.sx_resolution)
                                 for k in kappas)
         assert [r.kappa_alpha for r in reports] == kappas
 
     def test_empty_kappa_sequence(self, example1, bsc35):
-        assert jhtcc_uncoded_opt(example1, bsc35, [], config=FAST) == ()
-        assert compare_schemes(example1, bsc35, [], FAST) == ([], None)
+        assert jhtcc_uncoded_opt(example1, bsc35, []) == ()
+        assert compare_schemes(example1, bsc35, []) == ([], None)
 
     def test_two_state_time_share_available(self, example1, bsc35):
-        rep1 = jhtcc_uncoded_opt(example1, bsc35, 0.002, config=FAST)
+        rep1 = jhtcc_uncoded_opt(example1, bsc35, 0.002)
         rep2 = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2,
-                                 config=FAST)
+                                 p_s_resolution=FAST.sx_resolution)
         assert rep2.value >= rep1.value - 1e-6
         assert len(rep2.achiever["p_s"]) == 2
 
@@ -673,9 +674,9 @@ class TestNanKappa:
 
     def test_jhtcc_uncoded_opt(self, example1, bsc35):
         with pytest.raises(InputError, match="kappa_alpha"):
-            jhtcc_uncoded_opt(example1, bsc35, np.nan, config=FAST)
+            jhtcc_uncoded_opt(example1, bsc35, np.nan)
         with pytest.raises(InputError, match="kappa_alpha"):
-            jhtcc_uncoded_opt(example1, bsc35, [0.01, np.nan], config=FAST)
+            jhtcc_uncoded_opt(example1, bsc35, [0.01, np.nan])
 
     def test_kl_ball_projection(self):
         with pytest.raises(InputError, match="kappa_alpha"):
@@ -1443,7 +1444,8 @@ class TestPinnedValues:
 
     def test_jhtcc_uncoded_two_states(self, example1, bsc35):
         # the zero-weight first state keeps the first map's rows, x = 0
-        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2, config=FAST)
+        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2,
+                                p_s_resolution=4)
         assert rep.value == pytest.approx(0.02958613211209734, rel=PIN_REL)
         assert rep.achiever["p_s"] == pytest.approx((0.0, 1.0), rel=PIN_REL)
         assert rep.achiever["p_x_given_us"] == pytest.approx(
@@ -1453,7 +1455,8 @@ class TestPinnedValues:
         # the winner gives its first state zero weight, a path that no CLI
         # command runs; value and achiever are pinned bit for bit and type
         # for type
-        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2, config=FAST)
+        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2,
+                                p_s_resolution=4)
         assert repr(rep.value) == "0.029586132112097395"
         f64 = "np.float64({})".format
         assert repr(rep.achiever) == (
@@ -1504,14 +1507,14 @@ def mp_identity_crossing(model: SourceModel, ch: Channel, radius) -> mpmath.mpf:
 class TestCompareSchemes:
     def test_useless_channel_all_zero(self, example1):
         rows, crossover = compare_schemes(example1, Channel.bsc(0.5),
-                                          [0.0, 0.01], FAST)
+                                          [0.0, 0.01])
         for shtcc_rep, jhtcc_rep in rows:
             assert shtcc_rep.value == pytest.approx(0.0, abs=1e-9)
             assert jhtcc_rep.value == pytest.approx(0.0, abs=1e-9)
         assert crossover is None
 
     def test_example1_rows(self, example1, bsc35):
-        rows, crossover = compare_schemes(example1, bsc35, [0.0, 0.005], FAST)
+        rows, crossover = compare_schemes(example1, bsc35, [0.0, 0.005])
         (s0, j0), (s1, j1) = rows
         assert s0.value == pytest.approx(0.0236, abs=2e-3)
         assert j0.value == pytest.approx(0.0471, abs=2e-4)
@@ -1527,7 +1530,7 @@ class TestCompareSchemes:
         assert abs(crossover - float(oracle)) <= 2e-10
 
     def test_crossover_dominates_dense_design_grid(self, example1, bsc35):
-        _, crossover = compare_schemes(example1, bsc35, [0.001, 0.008], FAST)
+        _, crossover = compare_schemes(example1, bsc35, [0.001, 0.008])
         e_x0 = expurgated_exponent_opt(0.0, bsc35)[0]
         ts = np.linspace(0.0, 1.0, 101)
         pxus = np.array([[[[a, 1.0 - a]], [[b, 1.0 - b]]]
@@ -1541,20 +1544,19 @@ class TestCompareSchemes:
                              ids=["below-grid", "above-grid"])
     def test_none_when_crossing_outside_grid(self, example1, bsc35, grid):
         # the crossing lies near 0.00396
-        assert compare_schemes(example1, bsc35, grid, FAST)[1] is None
+        assert compare_schemes(example1, bsc35, grid)[1] is None
 
     def test_none_when_no_design_reaches_the_line(self):
         # kappa_u*(0) = 0.21 lies below E_x(0) = 0.81; unmasked, every design
         # would score a crossing at 0, inside the grid
         rows, crossover = compare_schemes(full_support_tad_model(),
-                                          Channel.bsc(0.01), [0.0, 0.01], FAST)
+                                          Channel.bsc(0.01), [0.0, 0.01])
         (ex0, uncoded_at_zero), _ = rows
         assert uncoded_at_zero.value < ex0.value
         assert crossover is None
 
     def test_none_when_zero_rate_exponent_infinite(self, example1):
-        rows, crossover = compare_schemes(example1, DISJOINT, [0.01, 0.02],
-                                          FAST)
+        rows, crossover = compare_schemes(example1, DISJOINT, [0.01, 0.02])
         assert rows[0][0].value == np.inf
         assert crossover is None
 
@@ -1659,6 +1661,52 @@ def test_search_config_rejects_hanging_or_empty_searches(field, value):
     the config is only built here, no search runs."""
     with pytest.raises(InputError):
         DhtSearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("resolution", [0, 2.5])
+def test_p_s_resolution_rejects_empty_or_fractional_grids(example1, bsc35,
+                                                          resolution):
+    with pytest.raises(InputError, match="p_s_resolution"):
+        jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2,
+                          p_s_resolution=resolution)
+
+
+@pytest.mark.parametrize("resolution", [1, 3])
+def test_p_s_resolution_sets_the_time_share_grid(example1, bsc35,
+                                                 resolution):
+    """The two-state search scores P_S = (k/r, 1 - k/r), k = 0..r, and
+    keeps the first of equal maxima: the reported P_S is the best of the
+    same search run at each grid point alone."""
+    rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2,
+                            p_s_resolution=resolution)
+    grid = [(k / resolution, 1.0 - k / resolution)
+            for k in range(resolution + 1)]
+    assert rep.achiever["p_s"] in grid
+    k = grid.index(rep.achiever["p_s"])
+    p_s = np.array(grid)
+    _, values = _design_search(_uncoded_values, example1, bsc35,
+                               np.full(len(p_s), 0.002), p_s)
+    assert rep.value == values[k] == values.max()
+    assert values[:k].max(initial=-np.inf) < rep.value
+
+
+def test_bound_report_records_no_grid_resolution():
+    """A report names its value, achiever and feasibility; no search
+    resolution, which the uncoded bound and E_x(0) rows do not have."""
+    assert [f.name for f in dataclasses.fields(BoundReport)] == [
+        "name", "kappa_alpha", "value", "achiever", "feasible"]
+
+
+@pytest.mark.parametrize("ch", [Channel.bsc(0.35), CYCLIC3, DISJOINT],
+                         ids=["bsc35", "cyclic3", "disjoint"])
+def test_channel_table_rebuilds_bit_for_bit(ch):
+    """Two `channel_table` calls build two tables with the same bits in
+    every field, NaN thetas and -inf E_sp included."""
+    first, second = (channel_table(ch, 2, 9) for _ in range(2))
+    assert first is not second
+    for field in dataclasses.fields(ChannelTable):
+        a, b = getattr(first, field.name), getattr(second, field.name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
 
 
 def test_auxiliary_design_validation():

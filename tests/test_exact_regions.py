@@ -527,6 +527,13 @@ class TestRhtTradeoffArray:
         with pytest.raises(InputError):
             rht_tradeoff(P58, Q58, bsc35, np.array([0.01, np.nan]))
 
+    @pytest.mark.parametrize("p, q", [(P58, Pmf((0, 1), [0.0, 1.0])),
+                                      (Pmf((0, 1), [1.0, 0.0]), Q58)],
+                             ids=["q-misses-p", "p-misses-q"])
+    def test_non_ac_sources_raise(self, bsc35, p, q):
+        with pytest.raises(DomainError, match="absolutely continuous"):
+            rht_tradeoff(p, q, bsc35, np.array([0.01]))
+
 
 class TestSymmetryProperties:
     """Swapping the hypotheses mirrors the direct region, and relabelling U,
