@@ -310,7 +310,11 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model)
     ns = tuple(_number_list(args.n_grid, int, "--n-grid"))
     cfg = SimConfig(ns, args.trials, args.seed)
-    for option, theta in (("--theta0", args.theta0), ("--theta1", args.theta1)):
+    if model.channel is None and args.theta1 is not None:
+        raise InputError("--theta1: the model has no channel, so the direct "
+                         "test has only --theta0")
+    theta1 = 0.0 if args.theta1 is None else args.theta1
+    for option, theta in (("--theta0", args.theta0), ("--theta1", theta1)):
         if not np.isfinite(theta):
             raise InputError(f"{option}: must be finite, got {theta}")
     p = model.p_uv.flatten()
@@ -328,10 +332,10 @@ def cmd_simulate(args) -> int:
     else:
         law = _pair_law(model)
         src = conjugate(loglik_scores(p, q), args.theta0)
-        chn = channel_region_point(model.channel, law, args.theta1)
+        chn = channel_region_point(model.channel, law, theta1)
         zeta0 = min(src.value, chn.kappa_alpha)
         zeta1 = min(src.value - args.theta0, chn.kappa_beta)
-        report = simulate_rht(p, q, model.channel, args.theta0, args.theta1,
+        report = simulate_rht(p, q, model.channel, args.theta0, theta1,
                               law, cfg)
     columns = ["n", "alpha_hat", "beta_hat", "alpha_errors", "beta_errors"]
     rows = [[n, a, b, ae, be]
@@ -348,7 +352,7 @@ def cmd_simulate(args) -> int:
                          f"residual={_fmt(fit.residual)} "
                          f"censored={int(fit.censored)}")
     header = _manifest_lines("simulate", model, {
-        "theta0": args.theta0, "theta1": args.theta1, "n_grid": args.n_grid,
+        "theta0": args.theta0, "theta1": theta1, "n_grid": args.n_grid,
         "trials": args.trials, "seed": args.seed})
     _emit(args.out, header, columns, rows, args.json, extra)
     if failed:
@@ -399,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim)
     p_sim.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_sim.add_argument("--theta0", type=float, default=0.0)
-    p_sim.add_argument("--theta1", type=float, default=0.0)
+    p_sim.add_argument("--theta1", type=float, default=None,
+                       help="decision threshold of the channel stage "
+                       "(default 0); models with a channel only")
     p_sim.add_argument("--n-grid", default="100,200,400",
                        help="comma-separated blocklengths")
     p_sim.add_argument("--trials", type=int, default=10**5)

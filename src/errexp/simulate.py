@@ -15,16 +15,20 @@ channel rows class by class and, within a class, first for the trials that
 send x_tilde and then for those that send x_prime. That order fixes which
 generator output each trial gets, so changing ``CHUNK_TRIALS`` changes the
 output. Each of those draws is made and scored in blocks of ``BLOCK_ROWS``
-rows. A multinomial draw split over several calls consumes the generator
-exactly as one call does, so the blocks change no count; they keep each score
-matvec on one BLAS thread (see ``_count_scores``), so no BLAS helper thread
-competes with the workers and tie signs do not depend on the core count; and
-they keep each task's temporaries to a few hundred KB besides its per-trial
-statistic.
+rows, and each block is decided as soon as it is scored: only counts are
+kept, so a task's memory is bounded by a block and ``CHUNK_TRIALS`` only
+fixes the draw order. The one exception is a pair law of several classes,
+whose classes before the last add to a per-trial accumulator of
+``CHUNK_TRIALS`` entries. A multinomial draw split over several calls
+consumes the generator exactly as one call does, so the blocks change no
+count; they also keep each score matvec on one BLAS thread (see
+``_count_scores``), so no BLAS helper thread competes with the workers and
+tie signs do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -55,16 +59,25 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        ns = tuple(int(n) for n in self.blocklengths)
+        ns = tuple(_integer(n, "blocklengths") for n in self.blocklengths)
         if len(ns) == 0 or any(n < 1 for n in ns):
             raise InputError("blocklengths must be positive")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise InputError("blocklengths must be strictly increasing")
-        if self.trials < 1:
+        if _integer(self.trials, "trials") < 1:
             raise InputError("trials must be >= 1")
-        if self.seed < 0:
+        if _integer(self.seed, "seed") < 0:
             raise InputError("seed must be non-negative")
         object.__setattr__(self, "blocklengths", ns)
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", int(self.seed))
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; numpy integers pass, bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -116,7 +129,7 @@ def _count_scores(counts: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
     Within one hypothesis a trial never holds both +inf and -inf atoms (the
     signs are tied to which support the samples came from), so the two
-    infinite cases are exclusive.
+    infinite cases are exclusive; scores with no infinite entry skip them.
     """
     finite = np.isfinite(scores)
     width = max(1, int(np.count_nonzero(finite)))
@@ -126,10 +139,10 @@ def _count_scores(counts: np.ndarray, scores: np.ndarray) -> np.ndarray:
     for start in range(0, len(counts), step):
         block = counts[start:start + step, finite].astype(float)
         total[start:start + step] = block @ scores[finite]
-    pos = counts[:, np.isposinf(scores)].sum(axis=1) > 0
-    neg = counts[:, np.isneginf(scores)].sum(axis=1) > 0
-    total = np.where(pos, np.inf, total)
-    total = np.where(neg, -np.inf, total)
+    for sign in (np.inf, -np.inf):
+        hit = scores == sign
+        if hit.any():
+            total[counts[:, hit].sum(axis=1) > 0] = sign
     return total
 
 
@@ -158,13 +171,28 @@ def _substream(seed: int, n: int, stage: int) -> np.random.Generator:
 
 
 def _add_draws(rng: np.random.Generator, n: int, probs: np.ndarray,
-               scores: np.ndarray, out: np.ndarray) -> None:
-    """Adds to each entry of out the accumulated score of a fresh
-    multinomial(n, probs) draw, drawing and scoring BLOCK_ROWS rows at a
-    time."""
-    for start in range(0, len(out), BLOCK_ROWS):
-        block = rng.multinomial(n, probs, size=min(BLOCK_ROWS, len(out) - start))
-        out[start:start + len(block)] += _count_scores(block, scores)
+               scores: np.ndarray, size: int, acc: np.ndarray | None = None,
+               threshold: float | None = None) -> int:
+    """Draws size fresh multinomial(n, probs) rows and scores them,
+    BLOCK_ROWS rows at a time, so memory is bounded by a block whatever the
+    size; the CHUNK_TRIALS that sets size only fixes the draw order.
+
+    Without a threshold, adds each row's accumulated score to its entry of
+    acc and returns 0. With one, returns how many rows' total, their entry
+    of acc (if given) plus their score, reaches it.
+    """
+    reached = 0
+    for start in range(0, size, BLOCK_ROWS):
+        block = rng.multinomial(n, probs, size=min(BLOCK_ROWS, size - start))
+        score = _count_scores(block, scores)
+        if acc is not None:
+            part = acc[start:start + len(block)]
+            if threshold is None:
+                part += score
+                continue
+            score += part
+        reached += int(np.count_nonzero(score >= threshold))
+    return reached
 
 
 def _error_count(seed: int, n: int, stage: int, source: np.ndarray,
@@ -178,31 +206,40 @@ def _error_count(seed: int, n: int, stage: int, source: np.ndarray,
     channel, given as (ch, classes, theta1), the local decision instead
     selects x_prime (reject) or x_tilde for transmission, and the decision
     maker rejects iff the accumulated pair score of the channel output
-    reaches n*theta1. The per-trial statistic keeps the trials that send
-    x_tilde first, so each class adds its draws to two contiguous parts.
+    reaches n*theta1. So a tie decides H1 where it is exact in floating
+    point, as for p = q, whose scores are all 0. Scores that cancel only in
+    exact arithmetic, such as a BSC's pair scores at equal output counts,
+    sum to a few ulps whose sign the row's place in its block sets
+    (`_count_scores`).
 
-    So a tie decides H1 where it is exact in floating point, as for p = q,
-    whose scores are all 0. Scores that cancel only in exact arithmetic,
-    such as a BSC's pair scores at equal output counts, sum to a few ulps
-    whose sign the row's place in its block sets (`_count_scores`).
+    Each block is decided as it is drawn, and only counts are kept. Trials
+    are exchangeable, so of the source stage only the number that send
+    x_tilde is kept, and each class's channel draws cover those trials
+    first. Only the classes before the last add to a per-trial accumulator,
+    so a one-class law (the CLI's default point mass) keeps no per-trial
+    array and memory is bounded by a block; ``CHUNK_TRIALS`` only fixes the
+    draw order.
     """
     rng = _substream(seed, n, stage)
-    errors = 0
+    rejects = 0
     for done in range(0, trials, CHUNK_TRIALS):
-        stat = np.zeros(min(CHUNK_TRIALS, trials - done))
-        _add_draws(rng, n, source, source_scores, stat)
-        reject = stat >= n * theta0
+        size = min(CHUNK_TRIALS, trials - done)
+        reached = _add_draws(rng, n, source, source_scores, size,
+                             threshold=n * theta0)
         if channel is not None:
             ch, classes, theta1 = channel
-            split = len(stat) - int(np.count_nonzero(reject))
-            stat[:] = 0.0
-            for a, b, count in classes:
+            split = size - reached
+            acc = np.zeros(size) if len(classes) > 1 else None
+            reached = 0
+            for i, (a, b, count) in enumerate(classes):
+                threshold = n * theta1 if i == len(classes) - 1 else None
                 score = ch.pair_scores[a, b]
-                _add_draws(rng, count, ch.rows[a], score, stat[:split])
-                _add_draws(rng, count, ch.rows[b], score, stat[split:])
-            reject = stat >= n * theta1
-        errors += int(np.count_nonzero(reject if stage == 0 else ~reject))
-    return errors
+                for row, lo, hi in ((a, 0, split), (b, split, size)):
+                    reached += _add_draws(
+                        rng, count, ch.rows[row], score, hi - lo,
+                        None if acc is None else acc[lo:hi], threshold)
+        rejects += reached
+    return rejects if stage == 0 else trials - rejects
 
 
 def _simulate(p: Pmf, q: Pmf, theta0: float, cfg: SimConfig,

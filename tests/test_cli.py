@@ -92,6 +92,8 @@ class TestLoadModel:
         (None, "region", ["--kind", "direct"]),
         (BERN, "bounds", ["--scheme", "both", "--grid", "0"]),
         (BERN, "bounds", ["--scheme", "jhtcc-uncoded", "--grid", "0"]),
+        (NO_CHANNEL, "simulate", ["--n-grid", "10", "--trials", "10",
+                                  "--theta1", "0"]),
     ], ids=["channel-without-rows", "json-list", "zero-points",
             "bad-kappa-grid", "bad-n-grid", "nan-kappa-grid",
             "inf-kappa-grid", "minus-inf-kappa-grid", "negative-kappa-grid",
@@ -102,7 +104,7 @@ class TestLoadModel:
             "bounds-without-channel", "non-decimal-probability",
             "non-matrix-p_uv", "channel-not-an-object",
             "non-stochastic-channel", "unreadable-path", "both-grid-0",
-            "jhtcc-uncoded-grid-0"])
+            "jhtcc-uncoded-grid-0", "simulate-theta1-without-channel"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, model, command,
                                      options):
         path = tmp_path / "model.json"
@@ -454,6 +456,19 @@ class TestSimulate:
         assert main(["simulate", str(path), "--n-grid", "40", "--trials",
                      "2000", f"--theta0={theta0}"]) == 3
         assert "outside the admissible interval" in capsys.readouterr().err
+
+    def test_default_theta1_recorded_as_zero(self, bern_model, tmp_path):
+        direct = tmp_path / "direct.json"
+        direct.write_text(json.dumps(NO_CHANNEL))
+        manifests = []
+        for path, extra in ((bern_model, []), (bern_model, ["--theta1", "0"]),
+                            (direct, [])):
+            out = tmp_path / "sim.csv"
+            assert main(["simulate", str(path), "--n-grid", "40,80",
+                         "--trials", "2000", "--out", str(out), *extra]) == 0
+            manifests.append(read_csv(out)[0][2])
+        assert manifests == ["# params n_grid=40,80,seed=0,theta0=0.0,"
+                             "theta1=0.0,trials=2000"] * 3
 
     def test_zero_trials_usage_error(self, bern_model, tmp_path):
         assert main(["simulate", bern_model, "--trials", "0",

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import errexp.simulate as simulate
 from errexp import (Channel, ChannelPairLaw, EstimationError, InputError, Pmf,
@@ -199,6 +200,28 @@ class TestSimConfig:
         with pytest.raises(InputError):
             SimConfig((100,), 0, seed=0)
 
+    @pytest.mark.parametrize("ns, trials, seed, name", [
+        ((10.5,), 10, 0, "blocklengths"),
+        ((10, np.float64(20.0)), 10, 0, "blocklengths"),
+        ((True,), 10, 0, "blocklengths"),
+        ((10,), 2.5, 0, "trials"),
+        ((10,), True, 0, "trials"),
+        ((10,), 10, 1.5, "seed"),
+        ((10,), 10, False, "seed"),
+    ])
+    def test_non_integer_rejected(self, ns, trials, seed, name):
+        with pytest.raises(InputError, match=f"{name}: expected an integer"):
+            SimConfig(ns, trials, seed)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig((np.int64(10), np.int32(20)), np.int64(30),
+                        np.uint32(4))
+        assert cfg == SimConfig((10, 20), 30, 4)
+        assert all(type(v) is int
+                   for v in (*cfg.blocklengths, cfg.trials, cfg.seed))
+        assert simulate_direct(P58, Q58, 0.0, cfg) == simulate_direct(
+            P58, Q58, 0.0, SimConfig((10, 20), 30, 4))
+
 
 # ---------------------------------------------------------------------------
 # The serial loops that the concurrent, blocked run replaced, kept as the
@@ -359,6 +382,83 @@ class TestConcurrentRunMatchesSerialLoop:
         assert len(_pair_counts(MULTI_CLASS_LAW, 10)) == 4
 
 
+def _pmf(weights) -> Pmf:
+    return Pmf(range(len(weights)), np.array(weights) / sum(weights))
+
+
+@st.composite
+def _source_pairs(draw):
+    """P and Q on 2-3 symbols, each symbol live under at least one: a
+    symbol dead under one side scores +inf or -inf."""
+    k = draw(st.integers(2, 3))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+        min_size=k, max_size=k).filter(
+            lambda cs: all(sum(side) > 0 for side in zip(*cs))))
+    p, q = zip(*cells)
+    return _pmf(p), _pmf(q)
+
+
+@st.composite
+def _channels_and_laws(draw):
+    """A channel with full-support rows on 2-3 inputs and outputs, and a
+    pair law of 1-4 classes over its inputs."""
+    m, k = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rows = [_pmf(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+            .probs for _ in range(m)]
+    ch = Channel(range(m), range(k), rows)
+    cells = draw(st.lists(st.integers(0, m * m - 1), min_size=1,
+                          max_size=min(4, m * m), unique=True))
+    law = np.zeros(m * m)
+    law[cells] = draw(st.lists(st.integers(1, 4), min_size=len(cells),
+                               max_size=len(cells)))
+    return ch, ChannelPairLaw.from_matrix(range(m), (law / law.sum())
+                                          .reshape(m, m))
+
+
+_THETAS = st.sampled_from([0.0, -0.05, 0.1]) | st.floats(-0.5, 0.5)
+
+
+@st.composite
+def _run_shapes(draw):
+    """Small multiples of 4 for CHUNK_TRIALS and BLOCK_ROWS, a trial count
+    that is not a multiple of the chunk, and a blocklength grid."""
+    chunk = 4 * draw(st.integers(1, 8))
+    block = 4 * draw(st.integers(1, 4))
+    trials = chunk * draw(st.integers(0, 3)) + draw(st.integers(1, chunk - 1))
+    ns = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3,
+                       unique=True))
+    cfg = SimConfig(tuple(sorted(ns)), trials, draw(st.integers(0, 2**32)))
+    return chunk, block, cfg
+
+
+class TestStreamedCountsMatchSerialLoop:
+    """Random inputs for the counts decided block by block: the reports of
+    `simulate_direct` and `simulate_rht` equal the serial oracles'."""
+
+    @settings(max_examples=60)
+    @given(_source_pairs(), _THETAS, _run_shapes())
+    def test_direct(self, pq, theta, shape):
+        (p, q), (chunk, block, cfg) = pq, shape
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "CHUNK_TRIALS", chunk)
+            mp.setattr(simulate, "BLOCK_ROWS", block)
+            got = simulate_direct(p, q, theta, cfg)
+        assert got == _serial_direct(p, q, theta, cfg, chunk)
+
+    @settings(max_examples=60)
+    @given(_source_pairs(), _channels_and_laws(), _THETAS, _THETAS,
+           _run_shapes())
+    def test_rht(self, pq, channel_law, theta0, theta1, shape):
+        (p, q), (ch, law), (chunk, block, cfg) = pq, channel_law, shape
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "CHUNK_TRIALS", chunk)
+            mp.setattr(simulate, "BLOCK_ROWS", block)
+            got = simulate_rht(p, q, ch, theta0, theta1, law, cfg)
+        assert got == _serial_rht(p, q, ch, theta0, theta1, law, cfg, chunk,
+                                  [])
+
+
 class TestTaskPool:
     def test_worker_error_reaches_caller_and_threads_are_joined(
             self, monkeypatch):
@@ -445,3 +545,34 @@ class TestBlasThreadIndependence:
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
         assert b"\n20,0.94720044,0.0531703902,227330,12761\n" in outputs[0]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+class TestMemoryBoundedByBlock:
+    """Each block is decided as it is drawn, so a thousand times more trials
+    costs no more memory: the CLI's point-mass law keeps no per-trial array.
+    A per-chunk statistic of CHUNK_TRIALS floats added about 7 MB."""
+
+    # A child's ru_maxrss starts at the resident size of the process that
+    # spawned it, so a small launcher, not the test process, waits for it.
+    LAUNCHER = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+    def peak_rss_mb(self, trials: int) -> float:
+        argv = [sys.executable, "-c", self.LAUNCHER, sys.executable, "-m",
+                "errexp.cli", "simulate", "bench/models/mc.json", "--n-grid",
+                "10,20", "--trials", str(trials)]
+        done = subprocess.run(argv, cwd=ROOT, env=_subprocess_env(),
+                              capture_output=True, text=True, timeout=120)
+        status, maxrss_kib = map(int, done.stdout.split())
+        assert status == 0, done.stderr
+        return maxrss_kib / 1024.0
+
+    def test_peak_rss_does_not_grow_with_trials(self):
+        small = self.peak_rss_mb(1_000)
+        large = self.peak_rss_mb(1_000_000)
+        assert large - small <= 2.0, (small, large)
