@@ -61,17 +61,16 @@ class AuxiliaryDesign:
     """Time-share P_S and per-(u, s) channel-input rows P_{X|US} (shape
     |U| x |S| x |X|) of the uncoded JHTCC scheme."""
 
-    p_s: Pmf | None = None
-    p_x_given_us: np.ndarray | None = None
+    p_s: Pmf
+    p_x_given_us: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.p_x_given_us is not None:
-            arr = np.asarray(self.p_x_given_us, dtype=float)
-            if arr.ndim != 3:
-                raise InputError("P_{X|US} must have shape (|U|, |S|, |X|)")
-            if np.any(arr < 0) or np.max(np.abs(arr.sum(axis=2) - 1.0)) > 1e-9:
-                raise InputError("P_{X|US} rows must be stochastic")
-            object.__setattr__(self, "p_x_given_us", arr)
+        arr = np.asarray(self.p_x_given_us, dtype=float)
+        if arr.ndim != 3:
+            raise InputError("P_{X|US} must have shape (|U|, |S|, |X|)")
+        if np.any(arr < 0) or np.max(np.abs(arr.sum(axis=2) - 1.0)) > 1e-9:
+            raise InputError("P_{X|US} rows must be stochastic")
+        object.__setattr__(self, "p_x_given_us", arr)
 
     @staticmethod
     def identity_uncoded(n_u: int) -> "AuxiliaryDesign":
@@ -129,8 +128,6 @@ def _vy_laws(model: SourceModel, ch: Channel,
 def jhtcc_uncoded(model: SourceModel, ch: Channel, kappa_alpha: float,
                   design: AuxiliaryDesign) -> float:
     """Uncoded-transmission bound kappa_u for a fixed (P_S, P_{X|US}) design."""
-    if design.p_s is None or design.p_x_given_us is None:
-        raise InputError("uncoded bound needs P_S and P_{X|US}")
     pxus = design.p_x_given_us
     if (pxus.shape[0] != len(model.p_uv.row_alphabet)
             or pxus.shape[2] != len(ch.input_alphabet)):
@@ -149,79 +146,66 @@ def _uncoded_values(model: SourceModel, ch: Channel, kappa_alpha,
     return project_components(p_s, *_vy_laws(model, ch, pxus), kappa_alpha)[1]
 
 
-def _design_search(values, model: SourceModel, ch: Channel, kappa: np.ndarray,
-                   p_s: np.ndarray) -> tuple[list, np.ndarray]:
-    """Best P_{X|US} rows, as (|U||S|, |X|) arrays in the (u, s) layout
-    (None where all score -inf), and values of R problems, problem r at the
-    radius kappa[r] of the (R,) array and the time share p_s[r] of the
-    (R, |S|) array, scored by `values(model, ch, kappa, p_s, pxus)` on
-    stacks, one radius and time share per row: every deterministic map
-    (u, s) -> x, for every problem, in one `grid_pass`.
+def _design_search(values, model: SourceModel, ch: Channel,
+                   kappa: np.ndarray) -> tuple[list, np.ndarray]:
+    """Best single-state P_{X|U} rows, as (|U|, |X|) arrays (None where all
+    score -inf), and values of R problems, problem r at the radius kappa[r]
+    of the (R,) array, scored by `values(model, ch, kappa, p_s, pxus)` on
+    stacks, one radius per row, with the time share p_s a column of ones
+    and pxus of shape (B, |U|, 1, |X|): every deterministic map u -> x, for
+    every problem, in one `grid_pass`.
 
-    The enumeration is exact. Both P_{VY|S=s} and Q_{VY|S=s} are linear in
-    P_{X|US}, and kappa_u, the KL-ball projection, has the dual
-    sup_{mu >= 0} -mu kappa - (1 + mu) sum_s P(s) log sum P_s^{mu/(1+mu)}
-    Q_s^{1/(1+mu)} (Hoeffding, Ann. Math. Stat. 1965). The inner sum is a
-    weighted geometric mean, jointly concave in (P_s, Q_s), so minus its log
-    is convex, and a supremum of convex functions is convex: at a fixed P_S,
-    kappa_u is convex in P_{X|US}. A convex function on a product of
-    simplices attains its maximum at a vertex (Rockafellar, Convex
-    Analysis, Cor. 32.3.2), and the vertices are the |X|^(|U||S|) maps. The
+    The enumeration is exact over every uncoded design (P_S, P_{X|US}).
+    Both P_{VY|S=s} and Q_{VY|S=s} are linear in P_{X|US}, and kappa_u, the
+    KL-ball projection, has the dual sup_{mu >= 0} -mu kappa - (1 + mu)
+    sum_s P(s) log sum P_s^{mu/(1+mu)} Q_s^{1/(1+mu)} (Hoeffding, Ann.
+    Math. Stat. 1965). The inner sum is a weighted geometric mean, jointly
+    concave in (P_s, Q_s), so minus its log is convex, and a supremum of
+    convex functions is convex: at a fixed P_S, kappa_u is convex in
+    P_{X|US}. At fixed rows P_{X|US}, the laws P_s and Q_s do not depend on
+    P_S, which enters the dual linearly inside the supremum: kappa_u is
+    convex in P_S too. A convex function on a product of simplices attains
+    its maximum at a vertex (Rockafellar, Convex Analysis, Cor. 32.3.2). In
+    P_S the vertex is one state s, where kappa_u is the single-state value
+    of the rows P_{X|U,S=s}; in those rows the vertices are the |X|^|U|
+    maps. So time sharing never beats the best single-state map. The
     crossing of `_crossing_values` is the swapped projection, convex by the
     same argument; its -inf mask only replaces a 0.
 
-    The maps are one-hot rows in `itertools.product` order over the (u, s)
-    layout of P_{X|US}, made lazily, and each problem keeps the first of
-    its equal maxima. There are 27 single-state maps at |U| = |X| = 3 and
-    729 with two states. The work grows with the map count: on random
+    The maps are one-hot rows in `itertools.product` order over u, made
+    lazily, and each problem keeps the first of its equal maxima. There are
+    27 maps at |U| = |X| = 3. The work grows with the map count: on random
     models with 25 kappa_alpha, one call took 0.04 s at |U| = |X| = 4 (256
     maps) and 0.11 s at |U| = 10, |X| = 2 (1,024 maps) on a 2-core Intel
     Xeon.
     """
-    n_u, n_s, n_x = (len(model.p_uv.row_alphabet), p_s.shape[1],
-                     len(ch.input_alphabet))
+    n_u, n_x = len(model.p_uv.row_alphabet), len(ch.input_alphabet)
 
     def score(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return values(model, ch, kappa[owner], p_s[owner],
-                      stack.reshape(-1, n_u, n_s, n_x))
+        return values(model, ch, kappa[owner], np.ones((len(owner), 1)),
+                      stack.reshape(-1, n_u, 1, n_x))
 
     maps = (np.eye(n_x)[list(m)]
-            for m in itertools.product(range(n_x), repeat=n_u * n_s))
-    return grid_pass(score, maps, problems=len(p_s))
+            for m in itertools.product(range(n_x), repeat=n_u))
+    return grid_pass(score, maps, problems=len(kappa))
 
 
-def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha,
-                      n_states: int = 1, p_s_resolution: int = 6):
-    """kappa_u* : the uncoded bound maximized over P_{X|US} (and P_S when
-    two time-share states are enabled).
+def jhtcc_uncoded_opt(model: SourceModel, ch: Channel, kappa_alpha):
+    """kappa_u* : the uncoded bound maximized over P_S and P_{X|US}, exact
+    over every uncoded design.
 
-    Elementwise over a sequence of kappa_alpha, as one design search over
-    every (kappa_alpha, P_S) pair: a float gives one BoundReport, a sequence
-    a tuple of them. The search scores the |X|^(|U||S|) deterministic maps
-    (u, s) -> x at each P_S. kappa_u is convex in P_{X|US} at a fixed P_S
-    (Hoeffding's dual, Ann. Math. Stat. 1965, is a supremum of convex
-    functions), so a map attains its maximum (Rockafellar, Convex Analysis,
-    Cor. 32.3.2; see `_design_search`): the value is exact over P_{X|US}.
-    With two states, P_S stays on the grid of step 1 / p_s_resolution."""
-    if n_states not in (1, 2):
-        raise InputError("n_states must be 1 or 2")
-    res = p_s_resolution
-    if not (isinstance(res, (int, np.integer)) and res >= 1):
-        raise InputError(f"p_s_resolution must be an integer >= 1: {res!r}")
+    Elementwise over a sequence of kappa_alpha, as one design search: a
+    float gives one BoundReport, a sequence a tuple of them. kappa_u is
+    convex in P_S and in P_{X|US}, so one state and a deterministic map
+    u -> x attain its maximum (see `_design_search`), and the search scores
+    all |X|^|U| maps. The achiever holds P_S = (1.0,) and the flat (u, s)
+    rows of the first of equal maxima."""
     kappas = np.atleast_1d(np.asarray(kappa_alpha, dtype=float))
-    p_s = (np.ones((1, 1)) if n_states == 1 else
-           np.array([[k / res, 1.0 - k / res] for k in range(res + 1)]))
-    # search i * |P_S| + k pairs kappas[i] with the time share p_s[k]
-    rows, values = _design_search(
-        _uncoded_values, model, ch, np.repeat(kappas, len(p_s)),
-        np.tile(p_s, (len(kappas), 1)))
-    values = values.reshape(len(kappas), len(p_s))
+    rows, values = _design_search(_uncoded_values, model, ch, kappas)
     reports = tuple(BoundReport(
-        "jhtcc_uncoded", float(kappas[i]), float(values[i, k]),
-        {"p_s": tuple(p_s[k]),
-         "p_x_given_us": tuple(rows[i * len(p_s) + k].reshape(-1))},
-        feasible=True)
-        for i, k in enumerate(values.argmax(axis=1)))  # first of equal maxima
+        "jhtcc_uncoded", float(ka), float(value),
+        {"p_s": (1.0,), "p_x_given_us": tuple(r.reshape(-1))}, feasible=True)
+        for ka, value, r in zip(kappas, values, rows))
     return reports[0] if np.ndim(kappa_alpha) == 0 else reports
 
 
@@ -547,12 +531,12 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid):
     Each design's kappa_u(d, .) is non-increasing, so kappa_u* >= E_x(0)
     exactly up to max_d kappa_alpha_d, with kappa_alpha_d = min D(P || P_VY)
     over D(P || Q_VY) <= E_x(0) (Hoeffding, Ann. Math. Stat. 1965; Csiszar,
-    Ann. Probab. 1975): one design search over single-state designs.
-    kappa_alpha_d is the KL-ball projection with reference and target
-    swapped, convex in P_{X|U} by the same dual argument as kappa_u, so its
-    maximum sits at one of the |X|^|U| deterministic maps u -> x
-    (Rockafellar, Convex Analysis, Cor. 32.3.2), and the search scores them
-    all: the crossover is exact over single-state designs.
+    Ann. Probab. 1975): one design search. kappa_alpha_d is the KL-ball
+    projection with reference and target swapped, convex in P_{X|US} and in
+    P_S by the same dual argument as kappa_u, so its maximum sits at one
+    state and one of the |X|^|U| deterministic maps u -> x (Rockafellar,
+    Convex Analysis, Cor. 32.3.2; see `_design_search`), and the search
+    scores them all: the crossover is exact over every uncoded design.
     """
     e_x0, design0 = expurgated_exponent_opt(0.0, ch)
     grid = [float(ka) for ka in kappa_grid]
@@ -563,7 +547,7 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid):
     crossover = None
     if grid and np.isfinite(e_x0):
         _, [value] = _design_search(_crossing_values, model, ch,
-                                    np.array([e_x0]), np.ones((1, 1)))
+                                    np.array([e_x0]))
         if min(grid) <= value <= max(grid):
             crossover = float(value)
     return rows, crossover

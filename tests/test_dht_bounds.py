@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from errexp import (AuxiliaryDesign, BoundReport, Channel, DhtSearchConfig,
                     InputDesign, InputError, JointPmf, Pmf, SourceModel,
                     compare_schemes, jhtcc_uncoded, jhtcc_uncoded_opt,
-                    kl_ball_projection, shtcc_tad, shtcc_tad_stein, shtcc_tai,
-                    shtcc_tai_stein, special_message_exponent, theta_bounds,
-                    zeta_rho)
+                    kl_ball_projection, rht_tradeoff, shtcc_tad,
+                    shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
+                    special_message_exponent, theta_bounds, zeta_rho)
 from errexp.channel_exponents import (RHO_GRID, ChannelTable, channel_table,
                                       expurgated_exponent_opt,
                                       output_given_state)
@@ -532,8 +532,7 @@ class TestUncodedStacks:
                     assert np.array_equal(q_vy[b, s], q.reshape(-1))
 
     def test_design_shapes_checked(self, example1, bsc35):
-        for design in (AuxiliaryDesign(p_s=Pmf((0,), [1.0])),
-                       AuxiliaryDesign(p_s=Pmf((0,), [1.0]),
+        for design in (AuxiliaryDesign(p_s=Pmf((0,), [1.0]),
                                        p_x_given_us=np.full((3, 1, 2), 0.5)),
                        AuxiliaryDesign(p_s=Pmf((0, 1), [0.5, 0.5]),
                                        p_x_given_us=np.full((2, 1, 2), 0.5))):
@@ -568,27 +567,16 @@ class TestJhtccUncoded:
                 for k in (0.0, 0.002, 0.01, 0.05)]
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("n_states", [1, 2])
-    def test_kappa_sequence_equals_scalar_calls(self, example1, bsc35,
-                                                n_states):
+    def test_kappa_sequence_equals_scalar_calls(self, example1, bsc35):
         kappas = [0.0, 0.002, 0.01]
-        reports = jhtcc_uncoded_opt(example1, bsc35, kappas, n_states,
-                                    FAST.sx_resolution)
-        assert reports == tuple(jhtcc_uncoded_opt(example1, bsc35, k,
-                                                  n_states, FAST.sx_resolution)
+        reports = jhtcc_uncoded_opt(example1, bsc35, kappas)
+        assert reports == tuple(jhtcc_uncoded_opt(example1, bsc35, k)
                                 for k in kappas)
         assert [r.kappa_alpha for r in reports] == kappas
 
     def test_empty_kappa_sequence(self, example1, bsc35):
         assert jhtcc_uncoded_opt(example1, bsc35, []) == ()
         assert compare_schemes(example1, bsc35, []) == ([], None)
-
-    def test_two_state_time_share_available(self, example1, bsc35):
-        rep1 = jhtcc_uncoded_opt(example1, bsc35, 0.002)
-        rep2 = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2,
-                                 p_s_resolution=FAST.sx_resolution)
-        assert rep2.value >= rep1.value - 1e-6
-        assert len(rep2.achiever["p_s"]) == 2
 
 
 def item16_model() -> tuple[SourceModel, Channel]:
@@ -617,10 +605,24 @@ def best_deterministic_map(model: SourceModel, ch: Channel,
     return best
 
 
+def random_uncoded_instance(rng, n_u, n_v, n_x, n_y):
+    """A fully supported model on |U| x |V| and a channel |X| -> |Y|."""
+    p, q = rng.dirichlet(np.ones(n_u * n_v), size=2).reshape(2, n_u, n_v)
+    u, v = tuple(range(n_u)), tuple(range(n_v))
+    return (SourceModel(JointPmf(u, v, p), JointPmf(u, v, q)),
+            Channel(tuple(range(n_x)), tuple(range(n_y)),
+                    rng.dirichlet(np.ones(n_y), size=n_x)))
+
+
+def dims():
+    return st.sampled_from([2, 3])
+
+
 class TestUncodedEnumeration:
-    """`jhtcc_uncoded_opt` is the exact maximum over P_{X|US} at each time
-    share: kappa_u is convex in the design, so the deterministic maps, the
-    vertices of the product of simplices, hold its maximum."""
+    """`jhtcc_uncoded_opt` is the exact maximum over every uncoded design
+    (P_S, P_{X|US}): kappa_u is convex in P_{X|US} and in P_S, so one state
+    and a deterministic map, a vertex of each product of simplices, hold
+    its maximum."""
 
     @pytest.mark.parametrize("kappa,value", [(0.01, 0.03344955159008012),
                                              (0.05, 0.004461403261207046)])
@@ -639,13 +641,77 @@ class TestUncodedEnumeration:
            seed=st.integers(0, 2**32 - 1))
     def test_opt_equals_best_map(self, n_u, n_x, n_v, kappa, seed):
         rng = np.random.default_rng(seed)
-        p, q = rng.dirichlet(np.ones(n_u * n_v), size=2).reshape(2, n_u, n_v)
-        u, v = tuple(range(n_u)), tuple(range(n_v))
-        model = SourceModel(JointPmf(u, v, p), JointPmf(u, v, q))
-        ch = Channel(tuple(range(n_x)), (0, 1, 2),
-                     rng.dirichlet(np.ones(3), size=n_x))
+        model, ch = random_uncoded_instance(rng, n_u, n_v, n_x, 3)
         value, _ = best_deterministic_map(model, ch, kappa)
         assert jhtcc_uncoded_opt(model, ch, kappa).value == value
+
+    @settings(max_examples=40)
+    @given(n_s=st.sampled_from([2, 3]), n_u=dims(), n_v=dims(), n_x=dims(),
+           n_y=dims(), kappa=st.sampled_from([0.0, 0.005, 0.02, 0.1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_time_share_no_better_than_best_state(self, n_s, n_u, n_v, n_x,
+                                                  n_y, kappa, seed):
+        """A time-shared design is worth at most its best state alone, and
+        the search reaches at least that: time sharing adds nothing."""
+        rng = np.random.default_rng(seed)
+        model, ch = random_uncoded_instance(rng, n_u, n_v, n_x, n_y)
+        pxus = rng.dirichlet(np.ones(n_x), size=(n_u, n_s))
+        shared = jhtcc_uncoded(model, ch, kappa, AuxiliaryDesign(
+            Pmf(tuple(range(n_s)), rng.dirichlet(np.ones(n_s))), pxus))
+        best = max(jhtcc_uncoded(model, ch, kappa, AuxiliaryDesign(
+            Pmf((0,), [1.0]), pxus[:, [s]])) for s in range(n_s))
+        assert shared <= best + 1e-12
+        assert jhtcc_uncoded_opt(model, ch, kappa).value >= best - 1e-12
+
+    @pytest.mark.parametrize("p,delta", [(0.05, 0.35), (0.1, 0.1),
+                                         (0.2, 0.01), (0.3, 0.45)])
+    def test_dsbs_tai_closed_form(self, p, delta):
+        """DSBS(p) against independence over BSC(delta): at kappa_alpha = 0
+        the best map sends X = U, and V xor Y is Bernoulli(p * delta) under
+        H0 and uniform under H1, so kappa_u* = log 2 - h(p * delta), with
+        p * delta = p(1 - delta) + (1 - p) delta. The first case is the
+        Mrs. Gerber's Lemma corner 0.036906309932277."""
+        p_uv = np.array([[1 - p, p], [p, 1 - p]]) / 2
+        model = SourceModel(JointPmf((0, 1), (0, 1), p_uv),
+                            JointPmf((0, 1), (0, 1), np.full((2, 2), 0.25)))
+        conv = p * (1 - delta) + (1 - p) * delta
+        closed = np.log(2) + conv * np.log(conv) + (1 - conv) * np.log(1 - conv)
+        value = jhtcc_uncoded_opt(model, Channel.bsc(delta), 0.0).value
+        assert abs(value - closed) <= 1e-12
+
+    @settings(max_examples=30)
+    @given(n_u=dims(), n_x=dims(), n_y=dims(), seed=st.integers(0, 2**32 - 1))
+    def test_marginal_testing_ceiling(self, n_u, n_x, n_y, seed):
+        """With |V| = 1 the tester sees only the channel output, and
+        `rht_tradeoff`, the exact trade-off of testing P_U against Q_U over
+        the channel, bounds every scheme from above."""
+        rng = np.random.default_rng(seed)
+        model, ch = random_uncoded_instance(rng, n_u, 1, n_x, n_y)
+        u = model.p_uv.row_alphabet
+        kappas = [0.005, 0.02, 0.1]
+        ceiling = rht_tradeoff(Pmf(u, model.p_uv.probs[:, 0]),
+                               Pmf(u, model.q_uv.probs[:, 0]), ch, kappas)
+        for rep, top in zip(jhtcc_uncoded_opt(model, ch, kappas), ceiling):
+            assert rep.value <= top + 1e-12
+
+    @settings(max_examples=40)
+    @given(n_u=dims(), n_v=dims(), n_x=dims(), n_y=dims(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_relabelling_invariance(self, n_u, n_v, n_x, n_y, seed):
+        """Permuting the symbols of U, V, X and Y leaves kappa_u* as it is."""
+        rng = np.random.default_rng(seed)
+        model, ch = random_uncoded_instance(rng, n_u, n_v, n_x, n_y)
+        pu, pv, px, py = (rng.permutation(n) for n in (n_u, n_v, n_x, n_y))
+        u, v = model.p_uv.row_alphabet, model.p_uv.col_alphabet
+        relabelled = SourceModel(
+            JointPmf(u, v, model.p_uv.probs[pu][:, pv]),
+            JointPmf(u, v, model.q_uv.probs[pu][:, pv]))
+        ch2 = Channel(ch.input_alphabet, ch.output_alphabet,
+                      ch.rows[px][:, py])
+        kappas = [0.0, 0.005, 0.02, 0.1]
+        for a, b in zip(jhtcc_uncoded_opt(model, ch, kappas),
+                        jhtcc_uncoded_opt(relabelled, ch2, kappas)):
+            assert abs(a.value - b.value) <= 1e-12
 
     @settings(max_examples=40)
     @given(n_s=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
@@ -1442,28 +1508,22 @@ class TestPinnedValues:
         assert shtcc_tad_stein(example1, bsc35, FAST) == pytest.approx(
             0.0235745396973739, rel=PIN_REL)
 
-    def test_jhtcc_uncoded_two_states(self, example1, bsc35):
-        # the zero-weight first state keeps the first map's rows, x = 0
-        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2,
-                                p_s_resolution=4)
+    def test_jhtcc_uncoded_one_state(self, example1, bsc35):
+        # the map u -> 1 - u; a second time-share state would add nothing
+        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002)
         assert rep.value == pytest.approx(0.02958613211209734, rel=PIN_REL)
-        assert rep.achiever["p_s"] == pytest.approx((0.0, 1.0), rel=PIN_REL)
+        assert rep.achiever["p_s"] == (1.0,)
         assert rep.achiever["p_x_given_us"] == pytest.approx(
-            (1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0), rel=PIN_REL)
+            (0.0, 1.0, 1.0, 0.0), rel=PIN_REL)
 
-    def test_jhtcc_uncoded_two_states_bits(self, example1, bsc35):
-        # the winner gives its first state zero weight, a path that no CLI
-        # command runs; value and achiever are pinned bit for bit and type
-        # for type
-        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2,
-                                p_s_resolution=4)
+    def test_jhtcc_uncoded_one_state_bits(self, example1, bsc35):
+        # value and achiever are pinned bit for bit and type for type
+        rep = jhtcc_uncoded_opt(example1, bsc35, 0.002)
         assert repr(rep.value) == "0.029586132112097395"
         f64 = "np.float64({})".format
         assert repr(rep.achiever) == (
-            "{'p_s': (%s), 'p_x_given_us': (%s)}" % (
-                ", ".join(map(f64, ("0.0", "1.0"))),
-                ", ".join(map(f64, ("1.0", "0.0", "0.0", "1.0",
-                                    "1.0", "0.0", "1.0", "0.0")))))
+            "{'p_s': (1.0,), 'p_x_given_us': (%s)}"
+            % ", ".join(map(f64, ("0.0", "1.0", "1.0", "0.0"))))
 
 
 def full_support_tad_model() -> SourceModel:
@@ -1663,33 +1723,6 @@ def test_search_config_rejects_hanging_or_empty_searches(field, value):
         DhtSearchConfig(**{field: value})
 
 
-@pytest.mark.parametrize("resolution", [0, 2.5])
-def test_p_s_resolution_rejects_empty_or_fractional_grids(example1, bsc35,
-                                                          resolution):
-    with pytest.raises(InputError, match="p_s_resolution"):
-        jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2,
-                          p_s_resolution=resolution)
-
-
-@pytest.mark.parametrize("resolution", [1, 3])
-def test_p_s_resolution_sets_the_time_share_grid(example1, bsc35,
-                                                 resolution):
-    """The two-state search scores P_S = (k/r, 1 - k/r), k = 0..r, and
-    keeps the first of equal maxima: the reported P_S is the best of the
-    same search run at each grid point alone."""
-    rep = jhtcc_uncoded_opt(example1, bsc35, 0.002, n_states=2,
-                            p_s_resolution=resolution)
-    grid = [(k / resolution, 1.0 - k / resolution)
-            for k in range(resolution + 1)]
-    assert rep.achiever["p_s"] in grid
-    k = grid.index(rep.achiever["p_s"])
-    p_s = np.array(grid)
-    _, values = _design_search(_uncoded_values, example1, bsc35,
-                               np.full(len(p_s), 0.002), p_s)
-    assert rep.value == values[k] == values.max()
-    assert values[:k].max(initial=-np.inf) < rep.value
-
-
 def test_bound_report_records_no_grid_resolution():
     """A report names its value, achiever and feasibility; no search
     resolution, which the uncoded bound and E_x(0) rows do not have."""
@@ -1711,7 +1744,8 @@ def test_channel_table_rebuilds_bit_for_bit(ch):
 
 def test_auxiliary_design_validation():
     with pytest.raises(InputError):
-        AuxiliaryDesign(p_x_given_us=np.full((2, 1, 2), 0.4))
+        AuxiliaryDesign(p_s=Pmf((0,), [1.0]),
+                        p_x_given_us=np.full((2, 1, 2), 0.4))
 
 
 def test_source_model_flags(example1):
