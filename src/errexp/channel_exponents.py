@@ -123,46 +123,73 @@ def _rho_grid_at_zero(wl: np.ndarray, logb: np.ndarray,
 def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
     """Expurgated channel exponent at the given rate, in nats.
 
-    Maximizes -rho*R - rho*log(sum w B^(1/rho)) over rho >= 1 via a
-    log-spaced grid and golden-section refinement. Diverges to +inf exactly
-    when the kernel has zero entries carrying weight and the remaining mass
-    is small enough that the objective grows linearly in rho.
+    Maximizes -rho*R - rho*log(sum w B^(1/rho)) over 1 <= rho <= RHO_CAP:
+    at R = 0 by one evaluation at RHO_CAP, otherwise via a log-spaced grid
+    and golden-section refinement (see `expurgated_exponents`). Diverges to
+    +inf exactly when the kernel has zero entries carrying weight and the
+    remaining mass is small enough that the objective grows linearly in rho.
     """
     _check_alphabet(design, ch)
     return float(expurgated_exponents(rate, design.joint.probs[None], ch)[0])
 
 
+def _kernel_sums(groups, rho: np.ndarray) -> np.ndarray:
+    """sum wl B^(1/rho) of every design, at its own entry of rho, a sum
+    over each (rows, wl, logb) group's live entries."""
+    kernel = np.empty(rho.size)
+    for rows, w_n, b_n in groups:
+        kernel[rows] = np.sum(w_n * np.exp(b_n / rho[rows, None]), axis=1)
+    return kernel
+
+
 def expurgated_exponents(rate: float, p_sx: np.ndarray,
                          ch: Channel) -> np.ndarray:
     """`expurgated_exponent` of every joint P_SX of a (B, |X|, |X|) stack,
-    refined in lockstep.
+    in lockstep, each value replaced by +inf below its inf_below.
 
-    Every design runs in one golden section, its value replaced by +inf
-    below its inf_below. Its sums run over its own live kernel entries, with
-    the designs of one live-entry count stacked as (designs, entries), so
-    each row keeps the bits of its own refinement; the rho grid is scored
-    RHO_BLOCK designs at a time.
+    At R = 0 the maximum over rho sits at RHO_CAP. Write
+    f(s) = log sum w B^s with s = 1/rho; f is convex (a log-sum-exp of
+    lines in s), and f(0) = log sum w = 0 for every design with no weight
+    on a zero kernel entry (the others are +inf at rate 0). So the objective
+    -rho*f(1/rho) = -(f(s) - f(0)) / (s - 0) is minus the chord slope of f
+    from 0. That slope does not rise as s falls, so the objective is
+    non-decreasing in rho = 1/s, and each design takes one evaluation at
+    RHO_CAP, the end of [1, RHO_CAP]. There log B is clipped at 0 (B <= 1
+    by Cauchy-Schwarz, so only rounding lies above) and the kernel sum is
+    divided by sum w, so that every term is at most its weight: the value
+    is never below 0, exactly 0 on a useless or one-input channel, and
+    never -0.0.
+
+    At R > 0 every design runs in one golden section around its best point
+    of RHO_GRID, which is scored RHO_BLOCK designs at a time. Sums run over
+    each design's own live kernel entries, with the designs of one
+    live-entry count stacked as (designs, entries), so each row keeps the
+    bits it would have alone.
     """
     if not rate >= 0:
         raise DomainError("rate must be non-negative")
     wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
-    top = np.empty(len(k), dtype=int)
-    for s in range(0, len(k), RHO_BLOCK):
-        block = slice(s, s + RHO_BLOCK)
-        top[block] = np.argmax(-RHO_GRID * rate + _rho_grid_at_zero(
-            wl[block], logb[block], k[block]), axis=-1)
-    lo = RHO_GRID[np.maximum(top - 1, 0)]
-    hi = RHO_GRID[np.minimum(top + 1, RHO_GRID_POINTS - 1)]
     groups = [(rows, wl[rows, :n], logb[rows, :n])
               for rows, n in _live_groups(k)]
-
-    def objective(rho: np.ndarray) -> np.ndarray:
-        kernel = np.empty(rho.size)
-        for rows, w_n, b_n in groups:
-            kernel[rows] = np.sum(w_n * np.exp(b_n / rho[rows, None]), axis=1)
-        return -rho * rate - rho * np.log(kernel)
-
-    values = maximize_1d(objective, lo, hi, tol=1e-9)[1]
+    if rate == 0:
+        mass = np.empty(len(k))
+        for rows, w_n, _ in groups:
+            mass[rows] = np.sum(w_n, axis=1)
+        kernel = _kernel_sums([(rows, w_n, np.minimum(b_n, 0.0))
+                               for rows, w_n, b_n in groups],
+                              np.full(len(k), RHO_CAP))
+        values = -RHO_CAP * np.log(kernel / mass) + 0.0
+    else:
+        top = np.empty(len(k), dtype=int)
+        for s in range(0, len(k), RHO_BLOCK):
+            block = slice(s, s + RHO_BLOCK)
+            top[block] = np.argmax(-RHO_GRID * rate + _rho_grid_at_zero(
+                wl[block], logb[block], k[block]), axis=-1)
+        lo = RHO_GRID[np.maximum(top - 1, 0)]
+        hi = RHO_GRID[np.minimum(top + 1, RHO_GRID_POINTS - 1)]
+        values = maximize_1d(
+            lambda rho: -rho * rate - rho * np.log(_kernel_sums(groups, rho)),
+            lo, hi, tol=1e-9)[1]
     return np.where(rate < inf_below, np.inf, values)
 
 

@@ -526,7 +526,8 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid):
     Returns (rows, crossover) where each row is a (shtcc BoundReport,
     jhtcc BoundReport) pair and crossover is the kappa_alpha at which
     kappa_u* falls to the expurgated zero-rate value E_x(0) (None when
-    E_x(0) is infinite or the crossing lies outside the grid span).
+    E_x(0) is infinite, or 0, where the two lines meet everywhere, or when
+    the crossing lies outside the grid span).
 
     Each design's kappa_u(d, .) is non-increasing, so kappa_u* >= E_x(0)
     exactly up to max_d kappa_alpha_d, with kappa_alpha_d = min D(P || P_VY)
@@ -545,7 +546,7 @@ def compare_schemes(model: SourceModel, ch: Channel, kappa_grid):
                          feasible=True),
              jr) for jr in jhtcc_uncoded_opt(model, ch, grid)]
     crossover = None
-    if grid and np.isfinite(e_x0):
+    if grid and 0.0 < e_x0 < np.inf:
         _, [value] = _design_search(_crossing_values, model, ch,
                                     np.array([e_x0]))
         if min(grid) <= value <= max(grid):

@@ -114,15 +114,26 @@ def simplex_grid(dimension: int, resolution: int) -> Iterator[np.ndarray]:
     """All compositions of k = `resolution` into `dimension` parts, divided
     by k.
 
-    Lexicographic order; emits exactly C(k+d-1, d-1) valid PMF vectors. Each
-    composition is read off the d-1 bar positions among k+d-1 slots (stars
-    and bars), which itertools.combinations yields in that order.
+    Lexicographic order; emits exactly C(k+d-1, d-1) valid PMF vectors, one
+    row at a time. Each composition is read off the d-1 bar positions among
+    k+d-1 slots (stars and bars), which itertools.combinations yields in
+    that order; GRID_CHUNK of them at a time are padded with -1 and k+d-1
+    into one integer array, whose row differences less one are the parts.
     """
     if dimension < 1 or resolution < 1:
         raise InputError("simplex_grid: dimension and resolution must be >= 1")
+    return _simplex_rows(dimension, resolution)
+
+
+def _simplex_rows(dimension: int, resolution: int) -> Iterator[np.ndarray]:
+    """The rows of `simplex_grid`, built GRID_CHUNK bar tuples at a time."""
     slots = resolution + dimension - 1
-    return ((np.diff((-1, *bars, slots)) - 1) / resolution
-            for bars in itertools.combinations(range(slots), dimension - 1))
+    bars = itertools.combinations(range(slots), dimension - 1)
+    while chunk := list(itertools.islice(bars, GRID_CHUNK)):
+        padded = np.empty((len(chunk), dimension + 1), dtype=int)
+        padded[:, 0], padded[:, -1] = -1, slots
+        padded[:, 1:-1] = chunk
+        yield from (np.diff(padded, axis=1) - 1) / resolution
 
 
 @lru_cache(maxsize=64)

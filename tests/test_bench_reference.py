@@ -156,9 +156,11 @@ def test_schemes_stdout_byte_identical(monkeypatch, capsys):
 
 def test_schemes_searches_run_batched(monkeypatch, capsys):
     """The schemes command runs one lockstep pattern search, the expurgated
-    optimum's, in 12 scorer rounds, and one golden section per score call
-    of the expurgated search. The uncoded bound and the crossover score
-    every deterministic map (u -> x, 4 of them) for each of their 5 and 1
+    optimum's, in 12 scorer rounds. That search is at rate 0, so it runs no
+    golden section: its 1,868 rows (1,771 grid designs, the start and 96
+    probes) take one evaluation each, in 20 score calls (a golden section
+    per call before). The uncoded bound and the crossover score every
+    deterministic map (u -> x, 4 of them) for each of their 5 and 1
     problems: 24 rows in 2 score calls. These counts do not depend on the
     machine: a change that searches one kappa_alpha or one live-entry count
     at a time raises them (7 runs, 104 rounds and 34 golden sections before
@@ -166,9 +168,11 @@ def test_schemes_searches_run_batched(monkeypatch, capsys):
     designs (3 runs, 38 rounds, and 1,037 uncoded rows in 28 calls)."""
     from errexp import channel_exponents, dht_bounds, optimize
     counts = {"runs": 0, "rounds": 0, "golden": 0, "golden_in_opt": 0,
+              "expurgated_rows": 0, "expurgated_calls": 0,
               "uncoded_rows": 0, "uncoded_calls": 0}
     lockstep, golden = (optimize.lockstep_pattern_search,
                         channel_exponents.maximize_1d)
+    expurgated = channel_exponents.expurgated_exponents
     expurgated_opt, grid_pass = (dht_bounds.expurgated_exponent_opt,
                                  dht_bounds.grid_pass)
 
@@ -183,6 +187,11 @@ def test_schemes_searches_run_batched(monkeypatch, capsys):
     def counted_golden(*args, **kwargs):
         counts["golden"] += 1
         return golden(*args, **kwargs)
+
+    def counted_expurgated(rate, p_sx, ch):
+        counts["expurgated_calls"] += 1
+        counts["expurgated_rows"] += len(p_sx)
+        return expurgated(rate, p_sx, ch)
 
     def counted_opt(*args, **kwargs):
         before = counts["golden"]
@@ -199,11 +208,14 @@ def test_schemes_searches_run_batched(monkeypatch, capsys):
 
     monkeypatch.setattr(optimize, "lockstep_pattern_search", counted_lockstep)
     monkeypatch.setattr(channel_exponents, "maximize_1d", counted_golden)
+    monkeypatch.setattr(channel_exponents, "expurgated_exponents",
+                        counted_expurgated)
     monkeypatch.setattr(dht_bounds, "expurgated_exponent_opt", counted_opt)
     monkeypatch.setattr(dht_bounds, "grid_pass", counted_grid_pass)
     test_schemes_stdout_byte_identical(monkeypatch, capsys)
-    assert counts == {"runs": 1, "rounds": 12, "golden": 20,
-                      "golden_in_opt": 20, "uncoded_rows": 24,
+    assert counts == {"runs": 1, "rounds": 12, "golden": 0,
+                      "golden_in_opt": 0, "expurgated_rows": 1868,
+                      "expurgated_calls": 20, "uncoded_rows": 24,
                       "uncoded_calls": 2}
 
 

@@ -1,12 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from errexp import (Channel, DomainError, InputDesign, InputError, Pmf,
                     ScoredPmf, bsc_expurgated_zero_rate, expurgated_exponent,
                     expurgated_exponent_opt, special_message_exponent,
                     theta_bounds)
-from errexp.channel_exponents import (RHO_BLOCK, RHO_GRID, RHO_GRID_POINTS,
-                                      _expurgation_terms, _rho_grid_at_zero,
+from errexp.channel_exponents import (RHO_BLOCK, RHO_CAP, RHO_GRID,
+                                      RHO_GRID_POINTS, _expurgation_terms,
+                                      _rho_grid_at_zero,
                                       bhattacharyya_kernel,
                                       expurgated_exponents, output_given_state)
 from errexp.optimize import grid_then_pattern, simplex_grid
@@ -76,9 +79,11 @@ class TestExpurgatedOpt:
         assert v1 <= v0 + 1e-12
 
 
-def frozen_expurgated_exponent(rate, design, ch):
+def frozen_golden_section(rate, design, ch):
     """The scalar expurgated exponent with its golden section, kept as the
-    reference that the lockstep `expurgated_exponents` must reproduce."""
+    reference that the lockstep `expurgated_exponents` must reproduce at
+    positive rates, and that the rate-0 evaluation at RHO_CAP must meet
+    within 1e-11."""
     wl, logb, powers, inf_below = frozen_expurgation_terms(design.joint.probs,
                                                            ch)
     if rate < inf_below:
@@ -92,6 +97,29 @@ def frozen_expurgated_exponent(rate, design, ch):
     lo = RHO_GRID[max(k - 1, 0)]
     hi = RHO_GRID[min(k + 1, RHO_GRID_POINTS - 1)]
     return frozen_maximize_1d(objective, lo, hi, tol=1e-9)[1]
+
+
+def frozen_expurgated_exponent(rate, design, ch):
+    """The scalar expurgated exponent: the golden section at positive rates
+    and, at rate 0, the one evaluation at RHO_CAP with log B clipped at 0
+    and the kernel sum divided by its mass."""
+    if rate > 0:
+        return frozen_golden_section(rate, design, ch)
+    wl, logb, _, inf_below = frozen_expurgation_terms(design.joint.probs, ch)
+    if rate < inf_below:
+        return float("inf")
+    kernel = float(np.sum(wl * np.exp(np.minimum(logb, 0.0) / RHO_CAP)))
+    return -RHO_CAP * np.log(kernel / float(np.sum(wl))) + 0.0
+
+
+def close_to_golden(values, designs, ch) -> None:
+    """Rate-0 values within 1e-11 of the frozen golden section, infinite
+    exactly where it is."""
+    golden = np.array([frozen_golden_section(0.0, d, ch) for d in designs])
+    values = np.asarray(values)
+    assert np.array_equal(np.isinf(values), np.isinf(golden))
+    finite = np.isfinite(golden)
+    assert np.all(np.abs(values[finite] - golden[finite]) <= 1e-11)
 
 
 def joints(designs) -> np.ndarray:
@@ -115,6 +143,8 @@ class TestLockstepExpurgated:
         expect = [frozen_expurgated_exponent(rate, d, ch) for d in designs]
         assert values.tolist() == expect
         assert [expurgated_exponent(rate, d, ch) for d in designs] == expect
+        if rate == 0.0:
+            close_to_golden(values, designs, ch)
         if ch is SPLIT3 and rate == 0.0:
             assert np.isinf(expect).any() and np.isfinite(expect).any()
 
@@ -129,6 +159,8 @@ class TestLockstepExpurgated:
             assert values.tolist() == expect
             assert [expurgated_exponent(rate, d, bsc35)
                     for d in designs] == expect
+        close_to_golden(expurgated_exponents(0.0, joints(designs), bsc35),
+                        designs, bsc35)
 
     @pytest.mark.parametrize("ch", [CYCLIC3, SPLIT3], ids=["cyclic", "split"])
     def test_terms_equal_frozen_per_design(self, ch):
@@ -170,6 +202,62 @@ class TestLockstepExpurgated:
                                               pattern_min_step=1e-2)
         assert got == value
         assert np.array_equal(design.joint.probs.reshape(-1), blocks[0])
+        close_to_golden([got], [design], ch)
+
+
+class TestZeroRate:
+    """E_x(0) as one evaluation at RHO_CAP: the objective at rate 0 is
+    non-decreasing in rho, the cap value is the mpmath value there, and it
+    is exactly 0, never -0.0, on useless and one-input channels."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(2, 3),
+           n_y=st.integers(2, 4))
+    def test_rho_grid_never_falls(self, seed, n_x, n_y):
+        rng = np.random.default_rng(seed)
+        ch = Channel(tuple(range(n_x)), tuple(range(n_y)),
+                     sparse_rows(rng, n_x, n_y, 0.3))
+        p_sx = sparse_rows(rng, 20, n_x * n_x, 0.4).reshape(-1, n_x, n_x)
+        wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
+        at_zero = _rho_grid_at_zero(wl, logb, k)
+        fall = np.maximum.accumulate(at_zero, axis=1) - at_zero
+        assert fall.max() <= 1e-11
+        # the grid's last point is RHO_CAP, where rate 0 takes its value
+        values = expurgated_exponents(0.0, p_sx, ch)
+        finite = np.isfinite(values)
+        assert np.all(values[~finite] == np.inf)
+        assert np.all(inf_below[~finite] > 0)
+        assert np.all(np.abs(values[finite] - at_zero[finite, -1]) <= 1e-11)
+        assert np.all(values[finite] >= 0.0)
+
+    def test_cap_value_matches_mpmath(self, bsc35):
+        value, design = expurgated_exponent_opt(0.0, bsc35)
+        pxs = design.input_given_state
+        w = (pxs.T * design.state_probs) @ pxs
+        b = bhattacharyya_kernel(bsc35)
+        with mpmath.workdps(50):
+            pairs = [(mpmath.mpf(float(wi)), mpmath.mpf(float(bi)))
+                     for wi, bi in zip(w.reshape(-1), b.reshape(-1)) if wi > 0]
+            cap = mpmath.mpf(RHO_CAP)
+            at_cap = -cap * mpmath.log(sum(wi * bi ** (1 / cap)
+                                           for wi, bi in pairs))
+            limit = -sum(wi * mpmath.log(bi) for wi, bi in pairs)
+            assert abs(value - at_cap) <= 1e-12
+            # the rho -> inf limit lies above the cap (ROADMAP item 5)
+            gap = limit - at_cap
+            assert 2.7e-8 < gap < 2.9e-8
+
+    @pytest.mark.parametrize("rows", [[[0.5, 0.5], [0.5, 0.5]], [[0.3, 0.7]],
+                                      [[0.2, 0.3, 0.5]] * 3],
+                             ids=["useless-bsc", "one-input", "identical3"])
+    def test_exactly_zero_without_information(self, rows):
+        n_x = len(rows)
+        ch = Channel(tuple(range(n_x)), tuple(range(len(rows[0]))), rows)
+        value, _ = expurgated_exponent_opt(0.0, ch, grid_resolution=4)
+        assert_bit_equal(float(value), 0.0)
+        rng = np.random.default_rng(5)
+        p_sx = rng.dirichlet(np.ones(n_x * n_x), 16).reshape(-1, n_x, n_x)
+        assert all(repr(v) == "0.0" for v in
+                   expurgated_exponents(0.0, p_sx, ch).tolist())
 
 
 class TestBscZeroRate:

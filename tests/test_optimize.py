@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import numpy as np
@@ -203,7 +204,48 @@ class TestElementwiseMaximize1d:
                                                   0.0, 1.0)
 
 
+def frozen_simplex_grid(dimension, resolution):
+    """The per-point stars-and-bars formula that the chunked `simplex_grid`
+    replaced, kept as its reference: one `np.diff` per grid point."""
+    slots = resolution + dimension - 1
+    return [(np.diff((-1, *bars, slots)) - 1) / resolution
+            for bars in itertools.combinations(range(slots), dimension - 1)]
+
+
+# (dimension, resolution): d = 1..5, and grids of several GRID_CHUNK (256)
+# chunks with a partial last one: (4, 20) has 1,771 points, (5, 12) 1,820
+FROZEN_GRIDS = [(1, 1), (1, 7), (2, 1), (2, 9), (3, 4), (3, 30), (4, 20),
+                (5, 3), (5, 12)]
+
+
 class TestSimplexGrid:
+    @pytest.mark.parametrize("dimension, resolution", FROZEN_GRIDS)
+    def test_rows_equal_frozen_formula(self, dimension, resolution):
+        got = list(simplex_grid(dimension, resolution))
+        expect = frozen_simplex_grid(dimension, resolution)
+        assert len(got) == comb(resolution + dimension - 1, dimension - 1)
+        assert len(got) == len(expect)
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype and a.shape == b.shape == (dimension,)
+            assert a.tobytes() == b.tobytes()
+
+    def test_rows_are_independent(self):
+        expect = frozen_simplex_grid(4, 20)
+        seen = []
+        for point, want in zip(simplex_grid(4, 20), expect):
+            # writing to a row changes no later row
+            assert np.array_equal(point, want)
+            assert not any(np.shares_memory(point, p) for p in seen[-3:])
+            point[:] = -1.0
+            seen.append(point)
+        assert len(seen) == len(expect)
+
+    @pytest.mark.parametrize("dimension, resolution", [(3, 4), (4, 20), (9, 2)])
+    def test_array_form_keeps_bits(self, dimension, resolution):
+        grid = simplex_grid_array(dimension, resolution)
+        assert grid.tobytes() == np.stack(
+            frozen_simplex_grid(dimension, resolution)).tobytes()
+
     def test_dim2_k2(self):
         pts = [p.tolist() for p in simplex_grid(2, 2)]
         assert pts == [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
