@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, InputError
-from .legendre import ScoredPmf, conjugate
+from .legendre import conjugate_rows
 from .optimize import grid_then_pattern, maximize_1d, simplex_grid
-from .prob_core import Channel, JointPmf, Pmf, conditional_kl_arrays
+from .prob_core import Channel, JointPmf, conditional_kl_rows
 
 RHO_CAP = 1e4
 RHO_GRID_POINTS = 80
@@ -36,14 +36,6 @@ class InputDesign:
     def __post_init__(self) -> None:
         if self.joint.row_alphabet != self.joint.col_alphabet:
             raise InputError("design requires the state alphabet to equal the input alphabet")
-
-    @property
-    def state_probs(self) -> np.ndarray:
-        return self.joint.probs.sum(axis=1)
-
-    @property
-    def input_given_state(self) -> np.ndarray:
-        return _input_given_state(self.joint.probs)
 
     @staticmethod
     def from_matrix(alphabet, matrix) -> "InputDesign":
@@ -220,18 +212,48 @@ def bsc_expurgated_zero_rate(p: float) -> float:
     return -0.25 * float(np.log(4.0 * p * (1.0 - p)))
 
 
-def output_given_state(design: InputDesign, ch: Channel) -> np.ndarray:
-    """Rows P(y | S=s) = sum_x P(x|s) P(y|x)."""
-    return design.input_given_state @ ch.rows
+def _state_outputs(p_sx: np.ndarray, ch: Channel):
+    """(P_S, rows P(y|S=s) = sum_x P(x|s) P(y|x)) of every joint P_SX of a
+    (D, |X|, |X|) stack."""
+    return p_sx.sum(axis=2), _input_given_state(p_sx) @ ch.rows
+
+
+def _theta_bounds(ps: np.ndarray, pys: np.ndarray, ch: Channel):
+    """(theta_l, theta_u) of every design of `_state_outputs`: the
+    state-averaged divergences sum_s P(s) D(P(.|s) || W(.|s)) and
+    sum_s P(s) D(W(.|s) || P(.|s))."""
+    rows = np.broadcast_to(ch.rows, pys.shape)
+    return conditional_kl_rows(ps, pys, rows), conditional_kl_rows(ps, rows, pys)
 
 
 def theta_bounds(design: InputDesign, ch: Channel) -> tuple[float, float]:
     """State-averaged divergences between P(.|S=s) and the channel row at x=s."""
     _check_alphabet(design, ch)
-    ps = design.state_probs
-    pys = output_given_state(design, ch)
-    return (conditional_kl_arrays(ps, pys, ch.rows),
-            conditional_kl_arrays(ps, ch.rows, pys))
+    ps, pys = _state_outputs(design.joint.probs[None], ch)
+    return tuple(bound[0] for bound in _theta_bounds(ps, pys, ch))
+
+
+def _special_messages(ps: np.ndarray, pys: np.ndarray, ch: Channel,
+                      thetas: np.ndarray) -> np.ndarray:
+    """sum_s P(s) psi*_s(theta) of every design of `_state_outputs` at each
+    of its thetas (D, T): psi*_s is the conjugate of the score
+    log W(y|s) - log P(y|s) under P(.|s). Every (design, state, theta) with
+    P(s) > 0 is one row of one `conjugate_rows` call; the conjugates are
+    summed over states in state order from 0.0, a zero-weight state adding
+    nothing."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(pys > 0, np.log(ch.rows) - np.log(pys), 0.0)
+    d, s = np.nonzero(ps > 0)
+    t = thetas.shape[1]
+    res = conjugate_rows(np.repeat(pys[d, s], t, axis=0),
+                         np.repeat(scores[d, s], t, axis=0),
+                         thetas[d].reshape(-1))
+    psi = np.zeros(ps.shape + (t,))
+    psi[d, s] = res.value.reshape(-1, t)
+    total = 0.0
+    for state in range(ps.shape[1]):
+        total = total + ps[:, state, None] * psi[:, state]
+    return total
 
 
 def special_message_exponent(design: InputDesign, ch: Channel, theta):
@@ -239,25 +261,15 @@ def special_message_exponent(design: InputDesign, ch: Channel, theta):
 
     theta must lie in the closed interval [-theta_l, theta_u]; endpoint
     evaluations return the limiting values. Elementwise over an array of
-    theta, whose conjugates are solved in lockstep.
+    theta: the one-design `_special_messages`.
     """
     theta_l, theta_u = theta_bounds(design, ch)
     if not np.all((-theta_l <= np.asarray(theta)) & (theta <= theta_u)):
         raise DomainError(
             f"theta={theta} outside the admissible interval ({-theta_l}, {theta_u})")
-    ps = design.state_probs
-    pys = output_given_state(design, ch)
-    total = 0.0
-    for s, weight in enumerate(ps):
-        if weight == 0:
-            continue
-        base = Pmf(ch.output_alphabet, pys[s])
-        mask = pys[s] > 0
-        scores = np.zeros(len(ch.output_alphabet))
-        with np.errstate(divide="ignore"):
-            scores[mask] = np.log(ch.rows[s][mask]) - np.log(pys[s][mask])
-        total += weight * conjugate(ScoredPmf(base, scores), theta).value
-    return total
+    values = _special_messages(*_state_outputs(design.joint.probs[None], ch),
+                               ch, np.reshape(theta, (1, -1)))
+    return values.reshape(np.shape(theta))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +298,26 @@ class ChannelTable:
 
     @staticmethod
     def of(p_sx: np.ndarray, ch: Channel, theta_points: int) -> "ChannelTable":
-        """The table of a (D, |X|, |X|) stack of joints."""
+        """The table of a (D, |X|, |X|) stack of joints, every column
+        computed for all designs at once."""
         wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
-        rate, theta_l = np.empty(len(p_sx)), np.empty(len(p_sx))
-        thetas = np.full((len(p_sx), theta_points), np.nan)
+        d, n = p_sx.shape[:2]
+        ps, pys = _state_outputs(p_sx, ch)
+        # I(X;Y|S) = sum_{s,x} P(s) P(x|s) D(W(.|x) || P(.|s)), s-major
+        rate = conditional_kl_rows(
+            (ps[..., None] * _input_given_state(p_sx)).reshape(d, -1),
+            np.tile(ch.rows, (d, n, 1)), np.repeat(pys, n, axis=1))
+        theta_l, theta_u = _theta_bounds(ps, pys, ch)
+        ok = np.isfinite(theta_l) & np.isfinite(theta_u)
+        thetas = np.full((d, theta_points), np.nan)
+        # numpy's linspace takes its zero-step formula for a whole stack of
+        # ranges once one has a zero step: those ranges go in a call apart
+        zero = (theta_u + theta_l) / max(theta_points - 1, 1) == 0
+        for rows in (ok & zero, ok & ~zero):
+            thetas[rows] = np.linspace(-theta_l[rows], theta_u[rows],
+                                       theta_points, axis=-1)
         e_sp = np.full(thetas.shape, -np.inf)
-        for d, joint in enumerate(p_sx):
-            design = InputDesign.from_matrix(ch.input_alphabet, joint)
-            # I(X;Y|S) = sum_{s,x} P(s) P(x|s) D(W(.|x) || P(.|s)), s-major
-            w_sx = design.state_probs[:, None] * design.input_given_state
-            rate[d] = conditional_kl_arrays(
-                w_sx.reshape(-1), np.tile(ch.rows, (len(w_sx), 1)),
-                np.repeat(output_given_state(design, ch), len(w_sx), axis=0))
-            theta_l[d], theta_u = theta_bounds(design, ch)
-            if np.isfinite(theta_l[d]) and np.isfinite(theta_u):
-                thetas[d] = np.linspace(-theta_l[d], theta_u, theta_points)
-                e_sp[d] = special_message_exponent(design, ch, thetas[d])
+        e_sp[ok] = _special_messages(ps[ok], pys[ok], ch, thetas[ok])
         at_zero = _rho_grid_at_zero(wl, logb, k)
         return ChannelTable(p_sx, rate, theta_l, at_zero, inf_below, thetas, e_sp)
 
@@ -311,7 +327,8 @@ class ChannelTable:
         # a design at a time: an (R, D, RHO_GRID_POINTS) block raised memory
         out = np.stack([np.max(-RHO_GRID * rates + at_zero, axis=1)
                         for at_zero in self.at_zero], axis=1)
-        return np.where(rates < self.inf_below, np.inf, out)
+        # + 0.0: a design that carries no information reads 0.0, not -0.0
+        return np.where(rates < self.inf_below, np.inf, out + 0.0)
 
     def theta_terms(self, kappa_alpha) -> tuple[np.ndarray, np.ndarray]:
         """Per design, at a kappa_alpha or at each of an array of them (one

@@ -58,15 +58,13 @@ class ConjugateResult:
     maximizer: float
     converged: bool
 
-    @staticmethod
-    def of(value: np.ndarray, lam: np.ndarray, converged: np.ndarray,
-           scalar: bool) -> "ConjugateResult":
-        """The result of an elementwise solve: arrays, or the scalars of its
-        one row."""
-        if scalar:
-            return ConjugateResult(float(value[0]), float(lam[0]),
-                                   bool(converged[0]))
-        return ConjugateResult(value, lam, converged)
+    def shaped(self, shape: tuple) -> "ConjugateResult":
+        """This result of an elementwise solve over flat thetas with the
+        thetas' shape: arrays, or the scalars of its one row for shape ()."""
+        fields = (self.value, self.maximizer, self.converged)
+        if shape == ():
+            return ConjugateResult(*(a[0].item() for a in fields))
+        return ConjugateResult(*(a.reshape(shape) for a in fields))
 
 
 @dataclass(frozen=True)
@@ -159,84 +157,130 @@ class Mixture:
         t = self._shifted(lam)[1]
         return t / t.sum(axis=-1, keepdims=True)
 
-    def conjugate(self, theta, lam_lo: float | None = None) -> ConjugateResult:
+    def conjugate(self, theta, lam_lo=None) -> ConjugateResult:
         """sup_lam theta*lam - psi(lam), with the tilt bounded below by
-        `lam_lo` when negative tilts are inadmissible.
+        `lam_lo` when negative tilts are inadmissible (None: no floor).
 
-        Elementwise over an array of theta: every theta grows its own
-        bracket and all are bisected in lockstep on one stack of copies of
-        this mixture, so each gets the digits it would get alone. A scalar
-        theta is the one-row case and gives a result of scalars."""
-        scalar = np.ndim(theta) == 0
-        theta = np.array(theta, dtype=float, ndmin=1)
-        fmin_k, fmax_k = self.f.min(axis=1), self.f.max(axis=1)
-        fmin, fmax = np.sum(self.w * fmin_k), np.sum(self.w * fmax_k)
-        lam = np.zeros(theta.shape)
-        value = np.zeros(theta.shape)
+        A stack solves one theta and one floor (a value, or one per
+        mixture) for each of its mixtures; a single mixture is tiled over
+        an array of theta. The thetas grow their brackets and are bisected
+        in lockstep, each row getting the digits it would get alone. A
+        scalar theta is the one-row case and gives a result of scalars."""
+        shape = np.shape(theta)
+        theta = np.array(theta, dtype=float).reshape(-1)
+        floor = np.broadcast_to(-np.inf if lam_lo is None else lam_lo,
+                                theta.shape)
+        mix = self if self.w.ndim > 1 else Mixture.stack(
+            *(np.broadcast_to(a, theta.shape + a.shape)
+              for a in (self.w, self.p, self.f)))
+        fmin_k, fmax_k = mix.f.min(axis=-1), mix.f.max(axis=-1)
+        fmin, fmax = (np.sum(mix.w * e, axis=-1) for e in (fmin_k, fmax_k))
+        value, lam = np.zeros((2, theta.size))
         converged = np.ones(theta.shape, dtype=bool)
-        if fmax == fmin:
-            # constant effective score: psi is linear, conjugate degenerates
-            off = theta != fmin
-            lim = -np.sum(self.w * np.log(self.p.sum(axis=1)))
-            value[off] = float(lim)
-            lam[off] = np.copysign(np.inf, theta[off] - fmin)
-            return ConjugateResult.of(value, lam, converged, scalar)
-        upper = theta >= fmax
-        lower = ~upper & (theta <= fmin) & (lam_lo is None)
+        # constant effective score: psi is linear, conjugate degenerates
+        const = fmax == fmin
+        off = const & (theta != fmin)
+        value[off] = -np.sum(mix.w * np.log(mix.p.sum(axis=-1)), axis=-1)[off]
+        lam[off] = np.copysign(np.inf, theta - fmin)[off]
+        upper = ~const & (theta >= fmax)
+        lower = ~const & ~upper & (theta <= fmin) & (floor == -np.inf)
         for rows, side, ext in ((upper, 1.0, fmax_k), (lower, -1.0, fmin_k)):
             # limit as lam -> +/-inf: -sum_k w_k log P_k(argmax / argmin set),
             # positive since every row's extremes are live scores
-            masses = np.where(self.f == ext[:, None], self.p, 0.0).sum(axis=1)
-            value[rows] = float(-np.sum(self.w * np.log(masses)))
+            masses = np.where(mix.f == ext[..., None], mix.p, 0.0).sum(axis=-1)
+            value[rows] = -np.sum(mix.w * np.log(masses), axis=-1)[rows]
             lam[rows] = side * np.inf
-        inner = ~(upper | lower)
+        inner = ~(const | upper | lower)
         if inner.any():
-            value[inner], lam[inner], converged[inner] = self._solve(
-                theta[inner], lam_lo)
-        return ConjugateResult.of(value, lam, converged, scalar)
+            value[inner], lam[inner], converged[inner] = mix.rows(
+                inner)._solve(theta[inner], floor[inner])
+        return ConjugateResult(value, lam, converged).shaped(shape)
 
-    def _solve(self, theta: np.ndarray, lam_lo: float | None):
-        """(value, lam, converged) of the conjugate at every theta strictly
-        inside the score range (or below it, with a floor on the tilt)."""
-        stack = Mixture.stack(*(np.repeat(a[None], theta.size, axis=0)
-                                for a in (self.w, self.p, self.f)))
+    def _solve(self, theta: np.ndarray, floor: np.ndarray):
+        """(value, lam, converged) of the conjugate of each mixture of this
+        stack at its theta, strictly inside its score range (or below it,
+        with a floor on the tilt above -inf)."""
 
         def g(mix: Mixture, lam: np.ndarray, theta: np.ndarray) -> np.ndarray:
             return mix.tilt(lam)[1] - theta
 
-        floor = lam_lo if lam_lo is not None else -np.inf
-        lo_cap = max(-LAMBDA_CAP, floor)
-        lo = np.full(theta.size, max(-1.0, floor))
+        lo_cap = np.maximum(-LAMBDA_CAP, floor)
+        lo = np.maximum(-1.0, floor)
         hi = np.ones(theta.size)
         # grow each bracket geometrically until psi' straddles theta
-        glo = g(stack, lo, theta)
+        glo = g(self, lo, theta)
         grow = (glo > 0.0) & (lo > lo_cap)
         while grow.any():
             # lo starts at max(-1, floor) and grows only while above
             # lo_cap >= floor, so it is negative here
             lo = np.where(grow, np.maximum(lo * 2.0, lo_cap), lo)
-            glo = np.where(grow, g(stack, lo, theta), glo)
+            glo = np.where(grow, g(self, lo, theta), glo)
             grow &= (glo > 0.0) & (lo > lo_cap)
-        ghi = g(stack, hi, theta)
+        ghi = g(self, hi, theta)
         grow = (ghi < 0.0) & (hi < LAMBDA_CAP)
         while grow.any():
             hi = np.where(grow, np.minimum(hi * 2.0, LAMBDA_CAP), hi)
-            ghi = np.where(grow, g(stack, hi, theta), ghi)
+            ghi = np.where(grow, g(self, hi, theta), ghi)
             grow &= (ghi < 0.0) & (hi < LAMBDA_CAP)
         # theta below the attainable tilted-mean range on [floor, cap], or
         # above it
         below, above = glo > 0.0, ~(glo > 0.0) & (ghi < 0.0)
         lam = np.where(below, lo, hi)
-        converged = np.where(below, lam_lo is not None, ~above)
+        converged = np.where(below, floor > -np.inf, ~above)
         run = ~(below | above)
         if run.any():
-            sub = stack.rows(run)
+            sub = self.rows(run)
             # the width stop ends a 2 * LAMBDA_CAP bracket within ~65 halvings
             lam[run] = bisect_monotone(
                 lambda x: g(sub, x, theta[run]), lo[run], hi[run],
                 tol=THETA_RESIDUAL_TOL, xtol=1e-13, max_iter=300,
                 glo=glo[run], ghi=ghi[run])
-        return theta * lam - stack.tilt(lam)[0], lam, converged
+        return theta * lam - self.tilt(lam)[0], lam, converged
+
+
+def conjugate_rows(p, f, theta) -> ConjugateResult:
+    """`conjugate` of each row of the (B, m) stacks of masses p and scores
+    f at its own theta (B,): a result of arrays, one entry per row.
+
+    Atoms of zero mass drop out. A row with +inf scores (and no -inf) is
+    mirrored: its scores and theta change sign, and so does its maximizer.
+    A row with -inf scores is solved on its finite atoms with the tilt
+    floored at 0, and takes the lam -> 0+ edge value -log(finite mass),
+    maximizer 0, where that is larger. A row with both is 0 at lam = 0; a
+    row of -inf scores alone is +inf. The live atoms of each row are
+    packed to the front, and the rows of one live count solved as one
+    `Mixture.stack`, so each row gets the bits it would get alone.
+    """
+    p, f, theta = (np.asarray(a, dtype=float) for a in (p, f, theta))
+    if not np.all(np.isfinite(theta)):
+        raise InputError("theta must be finite")
+    mass = p > 0
+    if not mass.any(axis=1).all():
+        raise InputError("base PMF has empty support")
+    pos, neg = ((mass & (f == inf)).any(axis=1) for inf in (np.inf, -np.inf))
+    sign = np.where(pos & ~neg, -1.0, 1.0)
+    f, theta = f * sign[:, None], theta * sign
+    live = mass & np.isfinite(f)
+    count = np.where(pos & neg, 0, live.sum(axis=1))
+    # no live atom: psi is finite only at lam = 0 (both infinities), or
+    # log 0 for every lam > 0 (-inf scores alone)
+    value = np.where(pos & neg, 0.0, np.inf)
+    lam, converged = value.copy(), np.ones(theta.shape, dtype=bool)
+    floor = np.where(pos | neg, 0.0, -np.inf)
+    order = np.argsort(~live, axis=1, kind="stable")
+    p, f = (np.take_along_axis(a, order, axis=1) for a in (p, f))
+    for n in set(count[count > 0].tolist()):
+        rows = np.flatnonzero(count == n)
+        p_n, f_n = p[rows, None, :n], f[rows, None, :n]
+        res = Mixture.stack(np.ones((rows.size, 1)), p_n, f_n).conjugate(
+            theta[rows], floor[rows])
+        # lam -> 0+ drops the -inf atoms: value -log(sub-mass); lam = 0 gives 0
+        at_zero_plus = -np.log(p_n[:, 0].sum(axis=1))
+        edge = (floor[rows] == 0.0) & (at_zero_plus >= res.value)
+        value[rows] = np.where(edge, at_zero_plus, res.value)
+        lam[rows] = np.where(edge, 0.0, res.maximizer)
+        converged[rows] = edge | res.converged
+    return ConjugateResult(value, lam * sign, converged)
 
 
 def conjugate(sp: ScoredPmf, theta) -> ConjugateResult:
@@ -245,44 +289,14 @@ def conjugate(sp: ScoredPmf, theta) -> ConjugateResult:
     Interior theta is solved by monotone bisection on the tilted mean; beyond
     the score range the limiting value is returned with the maximizer flagged
     +/-inf. Atoms with infinite scores restrict the admissible tilt to the
-    side on which they vanish. Elementwise over an array of theta (see
-    `Mixture.conjugate`).
+    side on which they vanish. Elementwise over an array of theta: the
+    one-PMF `conjugate_rows`.
     """
-    scalar = np.ndim(theta) == 0
-    theta = np.array(theta, dtype=float, ndmin=1)
-    if not np.all(np.isfinite(theta)):
-        raise InputError("theta must be finite")
-    p, f = sp.effective()
-    if p.size == 0:
-        raise InputError("base PMF has empty support")
-    has_neg = np.any(np.isneginf(f))
-    has_pos = np.any(np.isposinf(f))
-    zeros, exact = np.zeros(theta.shape), np.ones(theta.shape, dtype=bool)
-    if has_neg and has_pos:
-        # psi is finite only at lam = 0
-        return ConjugateResult.of(zeros, zeros, exact, scalar)
-    if has_pos:
-        # mirror: conjugate of the reflected scores at -theta with lam <= 0
-        res = conjugate(ScoredPmf(sp.base, -sp.scores), -theta)
-        return ConjugateResult.of(res.value, -res.maximizer, res.converged,
-                                  scalar)
-    if has_neg:
-        finite = np.isfinite(f)
-        if not np.any(finite):
-            # psi = log 0 for every lam > 0
-            inf = np.full(theta.shape, np.inf)
-            return ConjugateResult.of(inf, inf, exact, scalar)
-        interior = Mixture([(1.0, p[finite], f[finite])]).conjugate(
-            theta, lam_lo=0.0)
-        # lam -> 0+ drops the -inf atoms: value -log(sub-mass); lam = 0 gives 0
-        at_zero_plus = -float(np.log(p[finite].sum()))
-        edge = at_zero_plus >= interior.value
-        return ConjugateResult.of(
-            np.where(edge, at_zero_plus, interior.value),
-            np.where(edge, 0.0, interior.maximizer),
-            edge | interior.converged, scalar)
-    res = Mixture([(1.0, p, f)]).conjugate(theta)
-    return ConjugateResult.of(res.value, res.maximizer, res.converged, scalar)
+    shape = np.shape(theta)
+    theta = np.array(theta, dtype=float).reshape(-1)
+    return conjugate_rows(*(np.broadcast_to(a, (theta.size, a.size))
+                            for a in (sp.base.probs, sp.scores)),
+                          theta).shaped(shape)
 
 
 def loglik_scores(p: Pmf, q: Pmf) -> ScoredPmf:

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from errexp import Channel, JointPmf, Pmf, ScoredPmf, SourceModel
+from errexp import (Channel, ConjugateResult, InputError, JointPmf, Pmf,
+                    ScoredPmf, SourceModel)
 from errexp.channel_exponents import (RHO_GRID, _input_given_state,
                                       bhattacharyya_kernel)
+from errexp.legendre import LAMBDA_CAP, THETA_RESIDUAL_TOL, Mixture
+from errexp.optimize import bisect_monotone
+from errexp.prob_core import conditional_kl_arrays
 
 # every property test draws the same examples on every run and writes no
 # example database, so the suite stays deterministic
@@ -213,3 +217,145 @@ CYCLIC3 = Channel((0, 1, 2), (0, 1, 2),
                   [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 SPLIT3 = Channel((0, 1, 2), (0, 1, 2),
                  [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
+
+
+# ---------------------------------------------------------------------------
+# The conjugate and the special-message exponent as they were solved before
+# the stacked `conjugate_rows`: the single-mixture solve, the recursive mirror
+# of +inf scores, and the per-state loop over one design. They are the
+# references that the stacked kernels reproduce bit for bit and type for type.
+
+
+def _frozen_result(value, lam, converged, scalar):
+    if scalar:
+        return ConjugateResult(float(value[0]), float(lam[0]),
+                               bool(converged[0]))
+    return ConjugateResult(value, lam, converged)
+
+
+def _frozen_solve(mix, theta, lam_lo):
+    """The interior solve of one mixture, tiled over the thetas."""
+    stack = Mixture.stack(*(np.repeat(a[None], theta.size, axis=0)
+                            for a in (mix.w, mix.p, mix.f)))
+
+    def g(m, lam, theta):
+        return m.tilt(lam)[1] - theta
+
+    floor = lam_lo if lam_lo is not None else -np.inf
+    lo_cap = max(-LAMBDA_CAP, floor)
+    lo = np.full(theta.size, max(-1.0, floor))
+    hi = np.ones(theta.size)
+    glo = g(stack, lo, theta)
+    grow = (glo > 0.0) & (lo > lo_cap)
+    while grow.any():
+        lo = np.where(grow, np.maximum(lo * 2.0, lo_cap), lo)
+        glo = np.where(grow, g(stack, lo, theta), glo)
+        grow &= (glo > 0.0) & (lo > lo_cap)
+    ghi = g(stack, hi, theta)
+    grow = (ghi < 0.0) & (hi < LAMBDA_CAP)
+    while grow.any():
+        hi = np.where(grow, np.minimum(hi * 2.0, LAMBDA_CAP), hi)
+        ghi = np.where(grow, g(stack, hi, theta), ghi)
+        grow &= (ghi < 0.0) & (hi < LAMBDA_CAP)
+    below, above = glo > 0.0, ~(glo > 0.0) & (ghi < 0.0)
+    lam = np.where(below, lo, hi)
+    converged = np.where(below, lam_lo is not None, ~above)
+    run = ~(below | above)
+    if run.any():
+        sub = stack.rows(run)
+        lam[run] = bisect_monotone(
+            lambda x: g(sub, x, theta[run]), lo[run], hi[run],
+            tol=THETA_RESIDUAL_TOL, xtol=1e-13, max_iter=300,
+            glo=glo[run], ghi=ghi[run])
+    return theta * lam - stack.tilt(lam)[0], lam, converged
+
+
+def frozen_mixture_conjugate_array(mix, theta, lam_lo=None):
+    """The conjugate of one mixture, elementwise over an array of theta."""
+    scalar = np.ndim(theta) == 0
+    theta = np.array(theta, dtype=float, ndmin=1)
+    fmin_k, fmax_k = mix.f.min(axis=1), mix.f.max(axis=1)
+    fmin, fmax = np.sum(mix.w * fmin_k), np.sum(mix.w * fmax_k)
+    lam = np.zeros(theta.shape)
+    value = np.zeros(theta.shape)
+    converged = np.ones(theta.shape, dtype=bool)
+    if fmax == fmin:
+        off = theta != fmin
+        lim = -np.sum(mix.w * np.log(mix.p.sum(axis=1)))
+        value[off] = float(lim)
+        lam[off] = np.copysign(np.inf, theta[off] - fmin)
+        return _frozen_result(value, lam, converged, scalar)
+    upper = theta >= fmax
+    lower = ~upper & (theta <= fmin) & (lam_lo is None)
+    for rows, side, ext in ((upper, 1.0, fmax_k), (lower, -1.0, fmin_k)):
+        masses = np.where(mix.f == ext[:, None], mix.p, 0.0).sum(axis=1)
+        value[rows] = float(-np.sum(mix.w * np.log(masses)))
+        lam[rows] = side * np.inf
+    inner = ~(upper | lower)
+    if inner.any():
+        value[inner], lam[inner], converged[inner] = _frozen_solve(
+            mix, theta[inner], lam_lo)
+    return _frozen_result(value, lam, converged, scalar)
+
+
+def frozen_conjugate(sp: ScoredPmf, theta) -> ConjugateResult:
+    """`conjugate` with the mirror of +inf scores as a recursive call."""
+    scalar = np.ndim(theta) == 0
+    theta = np.array(theta, dtype=float, ndmin=1)
+    if not np.all(np.isfinite(theta)):
+        raise InputError("theta must be finite")
+    p, f = sp.effective()
+    if p.size == 0:
+        raise InputError("base PMF has empty support")
+    has_neg = np.any(np.isneginf(f))
+    has_pos = np.any(np.isposinf(f))
+    zeros, exact = np.zeros(theta.shape), np.ones(theta.shape, dtype=bool)
+    if has_neg and has_pos:
+        return _frozen_result(zeros, zeros, exact, scalar)
+    if has_pos:
+        res = frozen_conjugate(ScoredPmf(sp.base, -sp.scores), -theta)
+        return _frozen_result(res.value, -res.maximizer, res.converged,
+                              scalar)
+    if has_neg:
+        finite = np.isfinite(f)
+        if not np.any(finite):
+            inf = np.full(theta.shape, np.inf)
+            return _frozen_result(inf, inf, exact, scalar)
+        interior = frozen_mixture_conjugate_array(
+            Mixture([(1.0, p[finite], f[finite])]), theta, lam_lo=0.0)
+        at_zero_plus = -float(np.log(p[finite].sum()))
+        edge = at_zero_plus >= interior.value
+        return _frozen_result(
+            np.where(edge, at_zero_plus, interior.value),
+            np.where(edge, 0.0, interior.maximizer),
+            edge | interior.converged, scalar)
+    res = frozen_mixture_conjugate_array(Mixture([(1.0, p, f)]), theta)
+    return _frozen_result(res.value, res.maximizer, res.converged, scalar)
+
+
+def frozen_theta_bounds(design, ch):
+    """(theta_l, theta_u) of one design from its state law and its output
+    rows P(y|s)."""
+    ps = design.joint.probs.sum(axis=1)
+    pys = _input_given_state(design.joint.probs) @ ch.rows
+    return (conditional_kl_arrays(ps, pys, ch.rows),
+            conditional_kl_arrays(ps, ch.rows, pys))
+
+
+def frozen_special_message_exponent(design, ch, theta):
+    """The special-message exponent of one design by a loop over its
+    states, each state one `frozen_conjugate`."""
+    ps = design.joint.probs.sum(axis=1)
+    pys = _input_given_state(design.joint.probs) @ ch.rows
+    total = 0.0
+    for s, weight in enumerate(ps):
+        if weight == 0:
+            continue
+        base = Pmf(ch.output_alphabet, pys[s])
+        mask = pys[s] > 0
+        scores = np.zeros(len(ch.output_alphabet))
+        with np.errstate(divide="ignore"):
+            scores[mask] = np.log(ch.rows[s][mask]) - np.log(pys[s][mask])
+        total += weight * frozen_conjugate(ScoredPmf(base, scores),
+                                           theta).value
+    return total

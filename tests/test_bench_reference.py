@@ -230,19 +230,22 @@ def test_shtcc_searches_run_batched(monkeypatch, capsys):
     pattern searches in 368 scorer rounds (31 in 557 with every row scored
     and searched, 82 in 1036 with one search per kappa_alpha and E1 apart).
     Each objective call of a KL-ball search sums all its divergences in one
-    `kl_rows` call beside the ball check's, 891 calls in all (1480 with
+    `kl_rows` call beside the ball check's, and the channel-design table
+    adds 3 (the rate and the two theta bounds of every design at once): 844
+    calls in all (891 with the table built a design at a time, 1480 with
     every row scored, 3238 with one call per term). It builds its
-    channel-design table once for both kappa_alpha: 10 special-message
-    exponents, one per P_SX design. These counts do not depend on the
-    machine; building the table per kappa_alpha would double the last, and
-    scoring a row the bound rules out would raise the scored rows."""
+    channel-design table once for both kappa_alpha: one stacked
+    special-message call covering the 10 P_SX designs. These counts do not
+    depend on the machine; building the table per kappa_alpha would double
+    the last two, and scoring a row the bound rules out would raise the
+    scored rows."""
     from errexp import (channel_exponents, dht_bounds, kl_ball, optimize,
                         prob_core)
-    counts = {"runs": 0, "rounds": 0, "special": 0, "kl_rows": 0,
-              "offered": 0, "scored": 0}
+    counts = {"runs": 0, "rounds": 0, "special": 0, "special_designs": 0,
+              "kl_rows": 0, "offered": 0, "scored": 0}
     lockstep, special, kl_rows, search = (
         optimize.lockstep_pattern_search,
-        channel_exponents.special_message_exponent, prob_core.kl_rows,
+        channel_exponents._special_messages, prob_core.kl_rows,
         dht_bounds.grid_then_pattern)
 
     def counted_lockstep(score, *args, **kwargs):
@@ -253,9 +256,10 @@ def test_shtcc_searches_run_batched(monkeypatch, capsys):
             return score(*score_args)
         return lockstep(counted_score, *args, **kwargs)
 
-    def counted_special(*args, **kwargs):
+    def counted_special(ps, *args):
         counts["special"] += 1
-        return special(*args, **kwargs)
+        counts["special_designs"] += len(ps)
+        return special(ps, *args)
 
     def counted_kl_rows(*args, **kwargs):
         counts["kl_rows"] += 1
@@ -275,14 +279,15 @@ def test_shtcc_searches_run_batched(monkeypatch, capsys):
         return search(score, *args, bound=bound, **kwargs)
 
     monkeypatch.setattr(optimize, "lockstep_pattern_search", counted_lockstep)
-    monkeypatch.setattr(channel_exponents, "special_message_exponent",
+    monkeypatch.setattr(channel_exponents, "_special_messages",
                         counted_special)
     monkeypatch.setattr(dht_bounds, "grid_then_pattern", counted_search)
     for module in (prob_core, dht_bounds, kl_ball):
         monkeypatch.setattr(module, "kl_rows", counted_kl_rows)
     test_shtcc_stdout_byte_identical(monkeypatch, capsys)
-    assert counts == {"runs": 23, "rounds": 368, "special": 10,
-                      "kl_rows": 891, "offered": 424, "scored": 143}
+    assert counts == {"runs": 23, "rounds": 368, "special": 1,
+                      "special_designs": 10, "kl_rows": 844, "offered": 424,
+                      "scored": 143}
 
 
 # The default-points shtcc command (`--grid 10`, 25 kappa_alpha up to

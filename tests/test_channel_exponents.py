@@ -9,14 +9,15 @@ from errexp import (Channel, DomainError, InputDesign, InputError, Pmf,
                     theta_bounds)
 from errexp.channel_exponents import (RHO_BLOCK, RHO_CAP, RHO_GRID,
                                       RHO_GRID_POINTS, _expurgation_terms,
-                                      _rho_grid_at_zero,
+                                      _input_given_state, _rho_grid_at_zero,
                                       bhattacharyya_kernel,
-                                      expurgated_exponents, output_given_state)
+                                      expurgated_exponents)
 from errexp.optimize import grid_then_pattern, simplex_grid
 from conftest import (CYCLIC3, SPLIT3, assert_bit_equal, dense_grid_conjugate,
                       divergence_channels, frozen_expurgation_terms,
-                      frozen_kl_array, frozen_maximize_1d, random_weights,
-                      sparse_rows, stacked)
+                      frozen_kl_array, frozen_maximize_1d,
+                      frozen_special_message_exponent, frozen_theta_bounds,
+                      random_weights, sparse_rows, stacked)
 
 UNIFORM2 = InputDesign.from_matrix((0, 1), np.full((2, 2), 0.25))
 
@@ -231,8 +232,8 @@ class TestZeroRate:
 
     def test_cap_value_matches_mpmath(self, bsc35):
         value, design = expurgated_exponent_opt(0.0, bsc35)
-        pxs = design.input_given_state
-        w = (pxs.T * design.state_probs) @ pxs
+        pxs = _input_given_state(design.joint.probs)
+        w = (pxs.T * design.joint.probs.sum(axis=1)) @ pxs
         b = bhattacharyya_kernel(bsc35)
         with mpmath.workdps(50):
             pairs = [(mpmath.mpf(float(wi)), mpmath.mpf(float(bi)))
@@ -307,8 +308,8 @@ class TestThetaBounds:
         states."""
 
         def frozen(design, ch):
-            ps = design.state_probs
-            pys = output_given_state(design, ch)
+            ps = design.joint.probs.sum(axis=1)
+            pys = _input_given_state(design.joint.probs) @ ch.rows
             theta_l = 0.0
             theta_u = 0.0
             for s, weight in enumerate(ps):
@@ -348,7 +349,7 @@ class TestSpecialMessageExponent:
 
     def test_interior_vs_dense_grid(self, bsc35):
         tl, tu = theta_bounds(self.DESIGN, bsc35)
-        pys = output_given_state(self.DESIGN, bsc35)
+        pys = _input_given_state(self.DESIGN.joint.probs) @ bsc35.rows
         for theta in np.linspace(-tl * 0.9, tu * 0.9, 5):
             oracle = 0.0
             for s in range(2):
@@ -382,7 +383,7 @@ class TestSpecialMessageExponent:
         for design in [self.DESIGN] + [
                 InputDesign.from_matrix((0, 1, 2), row.reshape(3, 3))
                 for row in sparse_rows(rng, 4, 9, 0.3)]:
-            chan = bsc35 if len(design.state_probs) == 2 else ch
+            chan = bsc35 if len(design.joint.probs) == 2 else ch
             tl, tu = theta_bounds(design, chan)
             # the bounds are +inf where a state's outputs leave a row's support
             thetas = np.linspace(max(-tl, -3.0), min(tu, 3.0), 33)
@@ -392,6 +393,110 @@ class TestSpecialMessageExponent:
             outside = tu + 0.01 if np.isfinite(tu) else np.nan
             with pytest.raises(DomainError):
                 special_message_exponent(design, chan, np.append(thetas, outside))
+
+
+    def test_equals_frozen_state_loop(self):
+        """`theta_bounds` and `special_message_exponent`, one-design cases of
+        the stacked kernels, against the per-state loop they replaced: bit
+        for bit and type for type, at scalar and array theta, on random
+        channels with zero entries and designs with zero-weight states."""
+        rng = np.random.default_rng(43)
+        checked = 0
+        for _, rows in divergence_channels(43, count=40):
+            n, m = rows.shape
+            ch = Channel(range(n), range(m), rows)
+            for _ in range(3):
+                design = InputDesign.from_matrix(
+                    range(n), random_weights(rng, n * n).reshape(n, n))
+                bounds = theta_bounds(design, ch)
+                for got, expect in zip(bounds, frozen_theta_bounds(design, ch),
+                                       strict=True):
+                    assert_bit_equal(got, expect)
+                tl, tu = bounds
+                if not np.isfinite(tu):
+                    continue
+                lo = -tl if np.isfinite(tl) else -2.0
+                thetas = np.concatenate([np.linspace(lo, tu, 7),
+                                         rng.uniform(lo, tu, 4)])
+                for theta in [float(t) for t in thetas] + [thetas]:
+                    got = special_message_exponent(design, ch, theta)
+                    expect = frozen_special_message_exponent(design, ch, theta)
+                    assert type(got) is type(expect)
+                    assert np.asarray(got).tobytes() == np.asarray(
+                        expect).tobytes()
+                checked += 1
+        assert checked > 40
+
+
+def mp_special_message(design, ch, theta) -> mpmath.mpf:
+    """sum_s P(s) sup_lam [lam theta - log sum_y P(y|s) e^(lam f_s(y))] in
+    mpmath, with f_s(y) = log W(y|s) - log P(y|s).
+
+    A -inf score (W(y|s) = 0) confines lam to lam > 0, where its atom drops
+    out, so such a state's sup is the larger of the lam -> 0+ value
+    -log(finite mass) and the stationary point. The stationary point of the
+    concave objective is bisected in lam, after doubling a bracket until
+    the tilted mean straddles theta. Beyond the end of a state's score range
+    the supremum is +inf; there the state takes, as `conjugate` does, its
+    value at that end: -log of the mass of the atoms that attain it."""
+    probs = [[mpmath.mpf(float(v)) for v in row] for row in design.joint.probs]
+    w = [[mpmath.mpf(float(v)) for v in row] for row in ch.rows]
+    theta = mpmath.mpf(float(theta))
+    total = mpmath.mpf(0)
+    for s, row in enumerate(probs):
+        ps = sum(row)
+        if ps == 0:
+            continue
+        pys = [sum(row[x] / ps * w[x][y] for x in range(len(row)))
+               for y in range(len(w[0]))]
+        atoms = [(pys[y], mpmath.log(w[s][y] / pys[y]))
+                 for y in range(len(pys)) if pys[y] > 0 and w[s][y] > 0]
+        floored = any(pys[y] > 0 and w[s][y] == 0 for y in range(len(pys)))
+        top, bottom = (ext(f for _, f in atoms) for ext in (max, min))
+
+        def psi(lam):
+            return mpmath.log(sum(p * mpmath.exp(lam * f) for p, f in atoms))
+
+        def mean(lam):
+            z = [p * mpmath.exp(lam * f) for p, f in atoms]
+            return sum(zi * f for zi, (_, f) in zip(z, atoms)) / sum(z)
+
+        if theta >= top or (theta <= bottom and not floored):
+            end = top if theta >= top else bottom
+            best = -mpmath.log(sum(p for p, f in atoms if f == end))
+        elif floored and mean(0) >= theta:
+            best = -psi(0)  # the lam -> 0+ edge
+        else:
+            lo, hi = mpmath.mpf(0 if floored else -1), mpmath.mpf(1)
+            while mean(hi) < theta:
+                hi *= 2
+            while mean(lo) > theta:
+                lo *= 2
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if mean(mid) < theta else (lo, mid)
+            best = theta * lo - psi(lo)
+        total += ps * best
+    return total
+
+
+@pytest.mark.parametrize("ch, p_sx", [
+    (Channel.bsc(0.35), [[0.0, 0.25], [0.25, 0.5]]),
+    (Channel.bsc(0.1), [[0.45, 0.05], [0.05, 0.45]]),
+    (Channel(range(3), range(3), [[0.8, 0.2, 0.0], [0.1, 0.7, 0.2],
+                                  [0.3, 0.3, 0.4]]),
+     [[0.2, 0.1, 0.0], [0.1, 0.2, 0.1], [0.0, 0.1, 0.2]]),
+], ids=["bsc35", "bsc10", "ternary-neg-inf"])
+def test_special_message_matches_mpmath(ch, p_sx):
+    """The special-message exponent at 9 thetas from -theta_l (or -1 where
+    theta_l = inf) to theta_u, against the definition at 40 digits."""
+    design = InputDesign.from_matrix(ch.input_alphabet, p_sx)
+    tl, tu = theta_bounds(design, ch)
+    thetas = np.linspace(-tl if np.isfinite(tl) else -1.0, tu, 9)
+    values = special_message_exponent(design, ch, thetas)
+    with mpmath.workdps(40):
+        for theta, value in zip(thetas, values, strict=True):
+            assert abs(value - mp_special_message(design, ch, theta)) <= 1e-12
 
 
 @pytest.mark.parametrize("evaluate", [

@@ -12,10 +12,11 @@ from errexp import (AuxiliaryDesign, BoundReport, Channel, DhtSearchConfig,
                     compare_schemes, jhtcc_uncoded, jhtcc_uncoded_opt,
                     kl_ball_projection, rht_tradeoff, shtcc_tad,
                     shtcc_tad_stein, shtcc_tai, shtcc_tai_stein,
-                    special_message_exponent, theta_bounds, zeta_rho)
-from errexp.channel_exponents import (RHO_GRID, ChannelTable, channel_table,
+                    special_message_exponent, zeta_rho)
+from errexp.channel_exponents import (RHO_GRID, ChannelTable,
+                                      _input_given_state, channel_table,
                                       expurgated_exponent_opt,
-                                      output_given_state)
+                                      expurgated_exponents)
 from errexp.dht_bounds import (_ball_objective, _crossing_values,
                                _design_search, _tad_first_term,
                                _tai_first_term, _uncoded_values, _vy_laws)
@@ -27,7 +28,9 @@ from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
 from conftest import (CYCLIC3, SPLIT3, assert_bit_equal, divergence_channels,
                       fit_geometric_family, frozen_bisect_monotone,
                       frozen_expurgation_terms, frozen_kl_array,
-                      frozen_mutual_information, random_weights, sparse_rows)
+                      frozen_mutual_information,
+                      frozen_special_message_exponent, frozen_theta_bounds,
+                      random_weights, sparse_rows)
 
 FAST = DhtSearchConfig(design_resolution=3, ball_resolution=8,
                        sx_resolution=4, theta_points=17,
@@ -50,13 +53,14 @@ def skewed_tai_model() -> SourceModel:
 
 def frozen_rate(design, ch):
     """I(X;Y|S) by the hand loop that the stacked channel side replaced."""
-    ps = design.state_probs
-    pys = output_given_state(design, ch)
+    ps = design.joint.probs.sum(axis=1)
+    pxs = _input_given_state(design.joint.probs)
+    pys = pxs @ ch.rows
     rate = 0.0
     for s, weight in enumerate(ps):
         if weight == 0:
             continue
-        for x, px in enumerate(design.input_given_state[s]):
+        for x, px in enumerate(pxs[s]):
             if px > 0:
                 rate += weight * px * frozen_kl_array(ch.rows[x], pys[s])
     return rate
@@ -64,16 +68,18 @@ def frozen_rate(design, ch):
 
 class FrozenSxCache:
     """The per-design channel-side cache that `ChannelTable` replaced, kept
-    as its reference: one P_SX design's rate, theta grid, E_sp and E_x."""
+    as its reference: one P_SX design's rate, theta grid, E_sp and E_x, with
+    the theta bounds and E_sp of the frozen per-state loop."""
 
     def __init__(self, design, ch, theta_points):
         self.wl, _, self.powers, self.inf_below = frozen_expurgation_terms(
             design.joint.probs, ch)
         self.rate = frozen_rate(design, ch)
-        self.theta_l, self.theta_u = theta_bounds(design, ch)
+        self.theta_l, self.theta_u = frozen_theta_bounds(design, ch)
         if np.isfinite(self.theta_l) and np.isfinite(self.theta_u):
             self.thetas = np.linspace(-self.theta_l, self.theta_u, theta_points)
-            self.e_sp = special_message_exponent(design, ch, self.thetas)
+            self.e_sp = frozen_special_message_exponent(design, ch,
+                                                        self.thetas)
         else:
             self.thetas = self.e_sp = np.empty(0)
 
@@ -1709,6 +1715,38 @@ def test_table_rows_equal_frozen_caches(name):
         frozen = [cache.best_theta_term(kappa) for cache in caches]
         assert [repr(t) for t in term.tolist()] == [repr(f[0]) for f in frozen]
         assert [repr(t) for t in theta.tolist()] == [repr(f[1]) for f in frozen]
+
+
+@pytest.mark.parametrize("ch", [
+    Channel.bsc(0.5), Channel.bsc(0.35),
+    Channel((0,), (0, 1), np.array([[0.3, 0.7]]))],
+    ids=["bsc50", "bsc35", "one-input"])
+def test_table_expurgated_zero_rate_has_no_negative_zero(ch):
+    """E_x at rate 0 from the table has the sign bits of
+    `expurgated_exponents`: 0.0, never -0.0, on designs that carry no
+    information."""
+    table = channel_table(ch, 2, 3)
+    got = table.expurgated([0.0])[0]
+    expect = expurgated_exponents(0.0, table.p_sx, ch)
+    assert np.signbit(got).tolist() == np.signbit(expect).tolist()
+    assert (got == 0.0).any()
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 4])
+def test_channel_table_solves_special_messages_in_one_call(resolution,
+                                                           monkeypatch):
+    """`ChannelTable.of` solves the E_sp of all its designs in one stacked
+    special-message call, whatever the number of designs, and calls the
+    one-design `special_message_exponent` never."""
+    from errexp import channel_exponents
+    calls, stacked = [], channel_exponents._special_messages
+    monkeypatch.setattr(channel_exponents, "_special_messages",
+                        lambda ps, *args: calls.append(len(ps))
+                        or stacked(ps, *args))
+    monkeypatch.setattr(channel_exponents, "special_message_exponent", None)
+    table = channel_table(CYCLIC3, resolution, 5)
+    finite = int(np.isfinite(table.thetas[:, 0]).sum())
+    assert calls == [finite] and 0 < finite < len(table.p_sx)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -570,6 +570,46 @@ class TestSymmetryProperties:
         assert abs(relabelled - base) <= 1e-9
 
 
+class TestRhtTradeoffProperties:
+    """Two properties of the exact remote-HT trade-off on 2-3-symbol
+    sources and 2-3-input channels: kappa_beta does not increase with
+    kappa_alpha, and garbling the channel's output, W to W G for a
+    stochastic matrix G, does not raise it (data processing)."""
+
+    @staticmethod
+    def instance(seed, n_u, n_x, n_y):
+        rng = np.random.default_rng(seed)
+        p, q = random_pmf(rng, n_u), random_pmf(rng, n_u)
+        rows = rng.dirichlet(np.ones(n_y), size=n_x)
+        return rng, p, q, Channel(tuple(range(n_x)), tuple(range(n_y)), rows)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n_u=st.integers(2, 3),
+           n_x=st.integers(2, 3), n_y=st.integers(2, 3),
+           fracs=st.lists(st.floats(0.001, 1.2), min_size=2, max_size=8))
+    def test_kappa_beta_does_not_increase_with_kappa_alpha(self, seed, n_u,
+                                                           n_x, n_y, fracs):
+        _, p, q, ch = self.instance(seed, n_u, n_x, n_y)
+        kappas = np.sort(fracs) * kl_divergence(q, p)
+        beta = rht_tradeoff(p, q, ch, kappas)
+        assert (np.diff(beta) <= 1e-12).all(), (kappas, beta)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n_u=st.integers(2, 3),
+           n_x=st.integers(2, 3), n_y=st.integers(2, 3),
+           n_z=st.integers(2, 3),
+           fracs=st.lists(st.floats(0.001, 1.2), min_size=1, max_size=4))
+    def test_garbled_channel_does_not_raise_kappa_beta(self, seed, n_u, n_x,
+                                                       n_y, n_z, fracs):
+        rng, p, q, ch = self.instance(seed, n_u, n_x, n_y)
+        garbling = rng.dirichlet(np.ones(n_z), size=n_y)
+        garbled = Channel(ch.input_alphabet, tuple(range(n_z)),
+                          ch.rows @ garbling)
+        kappas = np.array(fracs) * kl_divergence(q, p)
+        beta = rht_tradeoff(p, q, ch, kappas)
+        assert (rht_tradeoff(p, q, garbled, kappas) <= beta + 1e-12).all()
+
+
 class TestKappa0:
     def test_min_of_source_and_channel(self, bsc35):
         expect = min(kl_divergence(P58, Q58), channel_max_divergence(bsc35)[0])

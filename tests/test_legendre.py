@@ -2,12 +2,14 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from errexp import (InputError, Pmf, ScoredPmf, conjugate, kl_divergence,
                     llr_interval, loglik_scores)
-from errexp.legendre import LAMBDA_CAP, THETA_RESIDUAL_TOL, Mixture
+from errexp.legendre import (LAMBDA_CAP, THETA_RESIDUAL_TOL, Mixture,
+                             conjugate_rows)
 from conftest import (assert_bit_equal, dense_grid_conjugate,
-                      frozen_bisect_monotone, random_pmf)
+                      frozen_bisect_monotone, frozen_conjugate, random_pmf)
 
 
 def scored(p_probs, scores) -> ScoredPmf:
@@ -355,6 +357,92 @@ class TestElementwiseConjugate:
         at_zero = -float(np.log(0.7))
         assert res.value.tolist() == np.where(
             at_zero >= interior.value, at_zero, interior.value).tolist()
+
+
+@st.composite
+def scored_cases(draw):
+    """(scored PMF, theta) of 1-6 atoms: masses with zeros, scores with
+    +/-inf atoms or all equal, and thetas inside, at and beyond the range of
+    the finite live scores; theta a float or an array."""
+    m = draw(st.integers(1, 6))
+    masses = draw(st.lists(st.sampled_from([0.0, 0.0, 0.2, 0.5, 1.0])
+                           | st.floats(0.01, 1.0), min_size=m, max_size=m))
+    if not any(masses):
+        masses[draw(st.integers(0, m - 1))] = 1.0
+    scores = draw(st.lists(st.floats(-5.0, 5.0)
+                           | st.sampled_from([np.inf, -np.inf, 0.0, 1.0]),
+                           min_size=m, max_size=m))
+    if draw(st.integers(0, 4)) == 0:
+        scores = [scores[0]] * m  # constant scores
+    sp = scored(np.array(masses) / sum(masses), scores)
+    f = sp.scores[(sp.base.probs > 0) & np.isfinite(sp.scores)]
+    lo, hi = (f.min(), f.max()) if f.size else (-1.0, 1.0)
+    span = max(hi - lo, 1.0)
+    picks = draw(st.lists(st.tuples(
+        st.sampled_from(["lo", "hi", "inside", "below", "above"]),
+        st.floats(0.0, 1.0)), min_size=1, max_size=6))
+    where = {"lo": lambda u: lo, "hi": lambda u: hi,
+             "inside": lambda u: lo + u * (hi - lo),
+             "below": lambda u: lo - (0.01 + 2.0 * u) * span,
+             "above": lambda u: hi + (0.01 + 2.0 * u) * span}
+    thetas = [float(where[k](u)) for k, u in picks]
+    return sp, thetas[0] if draw(st.booleans()) else np.array(thetas)
+
+
+@given(scored_cases())
+def test_conjugate_equals_frozen_recursive_solve(case):
+    """`conjugate` (the one-row `conjugate_rows`) against the recursive
+    single-mixture solve it replaced: values, maximizers, convergence flags
+    and their types, bit for bit."""
+    sp, theta = case
+    got, expect = conjugate(sp, theta), frozen_conjugate(sp, theta)
+    for field in ("value", "maximizer", "converged"):
+        g, e = getattr(got, field), getattr(expect, field)
+        if np.ndim(theta) == 0:
+            assert_bit_equal(g, e)
+        else:
+            assert type(g) is type(e) and g.dtype == e.dtype
+            assert g.shape == e.shape and g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["neg-inf", "pos-inf"])
+def test_zero_tilt_edge_matches_frozen_solve(sign):
+    """Just past the finite atoms' mean at lam = 0, the interior value
+    rounds down to the lam -> 0+ edge value -log(finite mass), and the edge
+    wins with maximizer 0 (the same on the mirror side, with +inf scores);
+    further out the interior solve wins."""
+    sp = scored([0.3, 0.3, 0.4], [0.0, -sign * np.inf, sign * 1.5])
+    thetas = sign * (0.6 / 0.7 + np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    res = conjugate(sp, thetas)
+    expect = frozen_conjugate(sp, thetas)
+    for field in ("value", "maximizer", "converged"):
+        assert getattr(res, field).tobytes() == getattr(expect, field).tobytes()
+    assert (res.maximizer[:3] == 0.0).all() and (res.maximizer[3:] != 0.0).all()
+    assert (res.value[:3] == -np.log(0.7)).all()
+
+
+def test_conjugate_rows_equal_one_row_at_a_time():
+    """A stack of rows of every kind (live counts 1-5, zero masses, +inf,
+    -inf, both and only -inf scores), each at its own theta, gives each row
+    the bits of its own `conjugate`."""
+    rng = np.random.default_rng(41)
+    p = rng.dirichlet(np.ones(5), size=300)
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[np.arange(300), rng.integers(0, 5, 300)] += 0.1
+    p /= p.sum(axis=1, keepdims=True)
+    f = rng.normal(scale=2.0, size=p.shape)
+    kind = rng.random(p.shape)
+    f[kind < 0.1] = np.inf
+    f[(kind >= 0.1) & (kind < 0.2)] = -np.inf
+    f[:10] = -np.inf
+    theta = rng.uniform(-4.0, 4.0, 300)
+    res = conjugate_rows(p, f, theta)
+    for b in range(300):
+        one = conjugate(scored(p[b], f[b]), float(theta[b]))
+        assert_bit_equal(res.value[b].item(), one.value)
+        assert_bit_equal(res.maximizer[b].item(), one.maximizer)
+        assert res.converged[b] == one.converged
+    assert (res.value[:10] == np.inf).all()
 
 
 class TestLoglikScores:
