@@ -13,8 +13,9 @@ import numpy as np
 
 from .exceptions import DomainError, InputError
 from .legendre import conjugate_rows
-from .optimize import grid_then_pattern, maximize_1d, simplex_grid
-from .prob_core import Channel, JointPmf, conditional_kl_rows
+from .optimize import (GRID_ROWS, chunked, grid_then_pattern, maximize_1d,
+                       simplex_grid)
+from .prob_core import Channel, JointPmf, conditional_kl_rows, live_groups
 
 RHO_CAP = 1e4
 RHO_GRID_POINTS = 80
@@ -62,18 +63,17 @@ def bhattacharyya_kernel(ch: Channel) -> np.ndarray:
 
 
 def _expurgation_terms(p_sx: np.ndarray, ch: Channel):
-    """(wl, logb, k, inf_below) of the expurgated objective
+    """(groups, inf_below) of the expurgated objective
     -rho*R - rho*log(sum wl * exp(logb / rho)) of every joint P_SX of a
     (B, |X|, |X|) stack.
 
-    Row b of wl and logb holds the pair weights and log Bhattacharyya
-    entries of its k[b] live entries, where both are positive, packed to the
-    front in index order, then zeros; a sum over a row runs over its first
-    k[b] entries only, as over the live entries alone. Every diagonal entry
-    of positive weight is live, so k >= 1. Weight on zero kernel entries
-    makes the objective grow linearly in rho once R < -log(sum wl), so the
-    exponent is +inf for every rate below inf_below (-inf when no weight
-    sits on a zero entry).
+    groups are the `live_groups` (rows, (wl, logb)) of the pair weights and
+    log Bhattacharyya entries, live where both are positive; a sum over a
+    row runs over its live entries alone. Every diagonal entry of positive
+    weight is live, so every design is in a group. Weight on zero kernel
+    entries makes the objective grow linearly in rho once R < -log(sum wl),
+    so the exponent is +inf for every rate below inf_below (-inf when no
+    weight sits on a zero entry).
     """
     # pair weights w[x, x'] = sum_s P_S(s) P_{X|S}(x|s) P_{X|S}(x'|s)
     pxs = _input_given_state(p_sx)
@@ -81,34 +81,26 @@ def _expurgation_terms(p_sx: np.ndarray, ch: Channel):
          @ pxs).reshape(len(p_sx), -1)
     b = bhattacharyya_kernel(ch).reshape(-1)
     live = (w > 0) & (b > 0)
-    k = live.sum(axis=1)
-    order = np.argsort(~live, axis=1, kind="stable")
-    packed = np.arange(b.size) < k[:, None]
-    wl = np.where(packed, np.take_along_axis(w, order, axis=1), 0.0)
-    logb = np.where(packed, np.log(np.where(b > 0, b, 1.0))[order], 0.0)
+    groups = list(live_groups(live, w, np.log(np.where(b > 0, b, 1.0))))
     heavy = ((w > 0) & (b == 0)).any(axis=1)
     inf_below = np.empty(len(w))
-    for rows, n in _live_groups(k):
-        inf_below[rows] = np.where(heavy[rows],
-                                   -np.log(wl[rows, :n].sum(axis=1)), -np.inf)
-    return wl, logb, k, inf_below
+    for rows, (wl, _) in groups:
+        inf_below[rows] = np.where(heavy[rows], -np.log(wl.sum(axis=1)),
+                                   -np.inf)
+    return groups, inf_below
 
 
-def _live_groups(k: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """(rows, n) of each live-entry count n in the array k."""
-    return [(np.flatnonzero(k == n), int(n))
-            for n in np.flatnonzero(np.bincount(k))]
-
-
-def _rho_grid_at_zero(wl: np.ndarray, logb: np.ndarray,
-                      k: np.ndarray) -> np.ndarray:
-    """-rho*log(sum wl B^(1/rho)) on RHO_GRID (last axis) of every row of
-    `_expurgation_terms`, the objective at rate 0: at R add -RHO_GRID * R.
-    A row sums its own k live entries, rows of one count k stacked."""
-    out = np.empty((len(k), RHO_GRID_POINTS))
-    for rows, n in _live_groups(k):
-        powers = np.exp(logb[rows, None, :n] / RHO_GRID[:, None])
-        out[rows] = -RHO_GRID * np.log((powers @ wl[rows, :n, None])[..., 0])
+def _rho_grids(groups, size: int) -> np.ndarray:
+    """-rho*log(sum wl B^(1/rho)) on RHO_GRID (last axis) of each of the
+    `size` designs of `_expurgation_terms` groups, the objective at rate 0:
+    at R add -RHO_GRID * R. The (designs, RHO_GRID_POINTS, entries) powers
+    of a group are built RHO_BLOCK designs at a time."""
+    out = np.empty((size, RHO_GRID_POINTS))
+    for rows, (wl, logb) in groups:
+        def block(t):
+            powers = np.exp(logb[t, None, :] / RHO_GRID[:, None])
+            return -RHO_GRID * np.log((powers @ wl[t, :, None])[..., 0])
+        out[rows] = chunked(block, len(rows), RHO_BLOCK)
     return out
 
 
@@ -127,10 +119,10 @@ def expurgated_exponent(rate: float, design: InputDesign, ch: Channel) -> float:
 
 def _kernel_sums(groups, rho: np.ndarray) -> np.ndarray:
     """sum wl B^(1/rho) of every design, at its own entry of rho, a sum
-    over each (rows, wl, logb) group's live entries."""
+    over each `_expurgation_terms` group's live entries."""
     kernel = np.empty(rho.size)
-    for rows, w_n, b_n in groups:
-        kernel[rows] = np.sum(w_n * np.exp(b_n / rho[rows, None]), axis=1)
+    for rows, (wl, logb) in groups:
+        kernel[rows] = np.sum(wl * np.exp(logb / rho[rows, None]), axis=1)
     return kernel
 
 
@@ -153,30 +145,22 @@ def expurgated_exponents(rate: float, p_sx: np.ndarray,
     never -0.0.
 
     At R > 0 every design runs in one golden section around its best point
-    of RHO_GRID, which is scored RHO_BLOCK designs at a time. Sums run over
-    each design's own live kernel entries, with the designs of one
-    live-entry count stacked as (designs, entries), so each row keeps the
+    of RHO_GRID, from `_rho_grids`. Sums run over each design's own live
+    kernel entries in the layout of `live_groups`, so each row keeps the
     bits it would have alone.
     """
     if not rate >= 0:
         raise DomainError("rate must be non-negative")
-    wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
-    groups = [(rows, wl[rows, :n], logb[rows, :n])
-              for rows, n in _live_groups(k)]
+    groups, inf_below = _expurgation_terms(p_sx, ch)
     if rate == 0:
-        mass = np.empty(len(k))
-        for rows, w_n, _ in groups:
-            mass[rows] = np.sum(w_n, axis=1)
-        kernel = _kernel_sums([(rows, w_n, np.minimum(b_n, 0.0))
-                               for rows, w_n, b_n in groups],
-                              np.full(len(k), RHO_CAP))
-        values = -RHO_CAP * np.log(kernel / mass) + 0.0
+        values = np.empty(len(inf_below))
+        for rows, (wl, logb) in groups:
+            kernel = np.sum(wl * np.exp(np.minimum(logb, 0.0) / RHO_CAP),
+                            axis=1)
+            values[rows] = -RHO_CAP * np.log(kernel / np.sum(wl, axis=1)) + 0.0
     else:
-        top = np.empty(len(k), dtype=int)
-        for s in range(0, len(k), RHO_BLOCK):
-            block = slice(s, s + RHO_BLOCK)
-            top[block] = np.argmax(-RHO_GRID * rate + _rho_grid_at_zero(
-                wl[block], logb[block], k[block]), axis=-1)
+        top = np.argmax(-RHO_GRID * rate + _rho_grids(groups, len(inf_below)),
+                        axis=-1)
         lo = RHO_GRID[np.maximum(top - 1, 0)]
         hi = RHO_GRID[np.minimum(top + 1, RHO_GRID_POINTS - 1)]
         values = maximize_1d(
@@ -238,18 +222,23 @@ def _special_messages(ps: np.ndarray, pys: np.ndarray, ch: Channel,
     """sum_s P(s) psi*_s(theta) of every design of `_state_outputs` at each
     of its thetas (D, T): psi*_s is the conjugate of the score
     log W(y|s) - log P(y|s) under P(.|s). Every (design, state, theta) with
-    P(s) > 0 is one row of one `conjugate_rows` call; the conjugates are
-    summed over states in state order from 0.0, a zero-weight state adding
-    nothing."""
+    P(s) > 0 is one row of a `conjugate_rows` call, GRID_ROWS // T
+    (design, state) pairs per call; the conjugates are summed over states
+    in state order from 0.0, a zero-weight state adding nothing."""
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(pys > 0, np.log(ch.rows) - np.log(pys), 0.0)
     d, s = np.nonzero(ps > 0)
     t = thetas.shape[1]
-    res = conjugate_rows(np.repeat(pys[d, s], t, axis=0),
-                         np.repeat(scores[d, s], t, axis=0),
-                         thetas[d].reshape(-1))
+
+    def solve(pairs: np.ndarray) -> np.ndarray:
+        at = d[pairs], s[pairs]
+        return conjugate_rows(np.repeat(pys[at], t, axis=0),
+                              np.repeat(scores[at], t, axis=0),
+                              thetas[at[0]].reshape(-1)).value
+
     psi = np.zeros(ps.shape + (t,))
-    psi[d, s] = res.value.reshape(-1, t)
+    # reshaped after `chunked`: a stack with no pair makes no call
+    psi[d, s] = chunked(solve, d.size, max(1, GRID_ROWS // t)).reshape(-1, t)
     total = 0.0
     for state in range(ps.shape[1]):
         total = total + ps[:, state, None] * psi[:, state]
@@ -300,7 +289,7 @@ class ChannelTable:
     def of(p_sx: np.ndarray, ch: Channel, theta_points: int) -> "ChannelTable":
         """The table of a (D, |X|, |X|) stack of joints, every column
         computed for all designs at once."""
-        wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
+        groups, inf_below = _expurgation_terms(p_sx, ch)
         d, n = p_sx.shape[:2]
         ps, pys = _state_outputs(p_sx, ch)
         # I(X;Y|S) = sum_{s,x} P(s) P(x|s) D(W(.|x) || P(.|s)), s-major
@@ -318,7 +307,7 @@ class ChannelTable:
                                        theta_points, axis=-1)
         e_sp = np.full(thetas.shape, -np.inf)
         e_sp[ok] = _special_messages(ps[ok], pys[ok], ch, thetas[ok])
-        at_zero = _rho_grid_at_zero(wl, logb, k)
+        at_zero = _rho_grids(groups, d)
         return ChannelTable(p_sx, rate, theta_l, at_zero, inf_below, thetas, e_sp)
 
     def expurgated(self, rates) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import InputError
 from .optimize import bisect_monotone
-from .prob_core import Pmf, kl_divergence
+from .prob_core import Pmf, kl_divergence, live_groups
 
 LAMBDA_CAP = 1e6
 THETA_RESIDUAL_TOL = 1e-10
@@ -247,9 +247,9 @@ def conjugate_rows(p, f, theta) -> ConjugateResult:
     A row with -inf scores is solved on its finite atoms with the tilt
     floored at 0, and takes the lam -> 0+ edge value -log(finite mass),
     maximizer 0, where that is larger. A row with both is 0 at lam = 0; a
-    row of -inf scores alone is +inf. The live atoms of each row are
-    packed to the front, and the rows of one live count solved as one
-    `Mixture.stack`, so each row gets the bits it would get alone.
+    row of -inf scores alone is +inf. The rows of each `live_groups` group
+    are solved as one `Mixture.stack`, so each row gets the bits it would
+    get alone.
     """
     p, f, theta = (np.asarray(a, dtype=float) for a in (p, f, theta))
     if not np.all(np.isfinite(theta)):
@@ -260,22 +260,17 @@ def conjugate_rows(p, f, theta) -> ConjugateResult:
     pos, neg = ((mass & (f == inf)).any(axis=1) for inf in (np.inf, -np.inf))
     sign = np.where(pos & ~neg, -1.0, 1.0)
     f, theta = f * sign[:, None], theta * sign
-    live = mass & np.isfinite(f)
-    count = np.where(pos & neg, 0, live.sum(axis=1))
+    live = mass & np.isfinite(f) & ~(pos & neg)[:, None]
     # no live atom: psi is finite only at lam = 0 (both infinities), or
     # log 0 for every lam > 0 (-inf scores alone)
     value = np.where(pos & neg, 0.0, np.inf)
     lam, converged = value.copy(), np.ones(theta.shape, dtype=bool)
     floor = np.where(pos | neg, 0.0, -np.inf)
-    order = np.argsort(~live, axis=1, kind="stable")
-    p, f = (np.take_along_axis(a, order, axis=1) for a in (p, f))
-    for n in set(count[count > 0].tolist()):
-        rows = np.flatnonzero(count == n)
-        p_n, f_n = p[rows, None, :n], f[rows, None, :n]
-        res = Mixture.stack(np.ones((rows.size, 1)), p_n, f_n).conjugate(
-            theta[rows], floor[rows])
+    for rows, (p_n, f_n) in live_groups(live, p, f):
+        res = Mixture.stack(np.ones((rows.size, 1)), p_n[:, None],
+                            f_n[:, None]).conjugate(theta[rows], floor[rows])
         # lam -> 0+ drops the -inf atoms: value -log(sub-mass); lam = 0 gives 0
-        at_zero_plus = -np.log(p_n[:, 0].sum(axis=1))
+        at_zero_plus = -np.log(p_n.sum(axis=1))
         edge = (floor[rows] == 0.0) & (at_zero_plus >= res.value)
         value[rows] = np.where(edge, at_zero_plus, res.value)
         lam[rows] = np.where(edge, 0.0, res.maximizer)

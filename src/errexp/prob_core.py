@@ -152,19 +152,38 @@ def _check_same_alphabet(p: Pmf, q: Pmf) -> None:
         raise InputError("PMFs are defined on different alphabets")
 
 
+def live_groups(live: np.ndarray, *arrays):
+    """The one layout of a ragged stack: for a (B, m) mask `live`, yield
+    (rows, packed) for each live count n > 0 in ascending order, where rows
+    are the rows with n live entries and packed holds each array (broadcast
+    to the mask's shape) at those rows, its live entries packed to the
+    front in order, n wide.
+
+    A row's value must not depend on the stack it sits in, yet numpy adds
+    fewer than 8 terms one by one and more in pairs, so its bits depend on
+    how many terms a row sums. Stacking only rows of one live count, each
+    with its own live entries in order, gives every row the bits it would
+    get alone.
+    """
+    count = live.sum(axis=1)
+    for n in sorted(set(count.tolist()) - {0}):
+        pick = live & (count == n)[:, None]
+        yield np.flatnonzero(count == n), [
+            np.broadcast_to(a, live.shape)[pick].reshape(-1, n)
+            for a in arrays]
+
+
 def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """KL divergence D(p_k || q_k) in nats of every row of a 2-D stack p
     against q (one row, or one per row of p): the one kernel that sums a KL
     divergence.
 
-    Each row sums only the terms on its support, and numpy's summation order
-    depends on how many there are, so a row's value must not depend on the
-    stack it is in. numpy adds fewer than 8 terms one by one, in order, so
-    such a row is the running sum of its whole row with zeros off its
-    support: no term is -0.0, and adding +0.0 changes no bits. Rows of 8 or
-    more terms, which numpy sums pairwise, are summed in groups of equal
-    support size, each row's terms in their order. A term p/0 is +inf,
-    which makes a row off q's support +inf.
+    Each row sums only the terms on its support. numpy adds fewer than 8
+    terms one by one, in order, so such a row is the running sum of its
+    whole row with zeros off its support: no term is -0.0, and adding +0.0
+    changes no bits. Rows of 8 or more terms, which numpy sums pairwise,
+    are summed in the groups of `live_groups`. A term p/0 is +inf, which
+    makes a row off q's support +inf.
     """
     p = np.ascontiguousarray(p, dtype=float)
     mask = p > 0
@@ -172,10 +191,9 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         terms = p * np.log(p / q)
     out = np.where(mask, terms, 0.0).cumsum(axis=1)[:, -1]
     if p.shape[1] >= 8:
-        counts = mask.sum(axis=1)
-        for k in set(counts[counts >= 8].tolist()):
-            rows = np.flatnonzero(counts == k)
-            out[rows] = terms[rows][mask[rows]].reshape(len(rows), k).sum(axis=1)
+        wide = mask & (mask.sum(axis=1) >= 8)[:, None]
+        for rows, (packed,) in live_groups(wide, terms):
+            out[rows] = packed.sum(axis=1)
     return out
 
 

@@ -9,7 +9,7 @@ from errexp import (Channel, DomainError, InputDesign, InputError, Pmf,
                     theta_bounds)
 from errexp.channel_exponents import (RHO_BLOCK, RHO_CAP, RHO_GRID,
                                       RHO_GRID_POINTS, _expurgation_terms,
-                                      _input_given_state, _rho_grid_at_zero,
+                                      _input_given_state, _rho_grids,
                                       bhattacharyya_kernel,
                                       expurgated_exponents)
 from errexp.optimize import grid_then_pattern, simplex_grid
@@ -168,15 +168,17 @@ class TestLockstepExpurgated:
         rng = np.random.default_rng(17)
         p_sx = np.concatenate([sparse_rows(rng, 60, 9, 0.4),
                                np.eye(3).reshape(1, 9) / 3]).reshape(-1, 3, 3)
-        wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
-        assert len(set(k.tolist())) > 3 and np.isinf(inf_below).any()
-        at_zero = _rho_grid_at_zero(wl, logb, k)
+        groups, inf_below = _expurgation_terms(p_sx, ch)
+        assert len(groups) > 3 and np.isinf(inf_below).any()
+        at_zero = _rho_grids(groups, len(p_sx))
+        packed = {b: (wl[i], logb[i]) for rows, (wl, logb) in groups
+                  for i, b in enumerate(rows)}
+        assert sorted(packed) == list(range(len(p_sx)))
         for b, joint in enumerate(p_sx):
             f_wl, f_logb, f_powers, f_inf = frozen_expurgation_terms(joint, ch)
-            assert k[b] == f_wl.size and inf_below[b] == f_inf
-            assert np.array_equal(wl[b, :k[b]], f_wl)
-            assert np.array_equal(logb[b, :k[b]], f_logb)
-            assert not wl[b, k[b]:].any() and not logb[b, k[b]:].any()
+            assert inf_below[b] == f_inf
+            assert np.array_equal(packed[b][0], f_wl)
+            assert np.array_equal(packed[b][1], f_logb)
             # the rho grid at rate 0 as one design alone scored it
             assert np.array_equal(
                 at_zero[b], -RHO_GRID * np.log((f_powers @ f_wl[:, None])[:, 0]))
@@ -184,7 +186,8 @@ class TestLockstepExpurgated:
     def test_more_designs_than_a_rho_block(self, bsc35):
         rng = np.random.default_rng(29)
         p_sx = sparse_rows(rng, 3 * RHO_BLOCK + 5, 4, 0.2).reshape(-1, 2, 2)
-        assert np.bincount(_expurgation_terms(p_sx, bsc35)[2]).max() > RHO_BLOCK
+        groups = _expurgation_terms(p_sx, bsc35)[0]
+        assert max(len(rows) for rows, _ in groups) > RHO_BLOCK
         values = expurgated_exponents(0.05, p_sx, bsc35)
         designs = [InputDesign.from_matrix((0, 1), joint) for joint in p_sx]
         assert values.tolist() == [
@@ -218,8 +221,8 @@ class TestZeroRate:
         ch = Channel(tuple(range(n_x)), tuple(range(n_y)),
                      sparse_rows(rng, n_x, n_y, 0.3))
         p_sx = sparse_rows(rng, 20, n_x * n_x, 0.4).reshape(-1, n_x, n_x)
-        wl, logb, k, inf_below = _expurgation_terms(p_sx, ch)
-        at_zero = _rho_grid_at_zero(wl, logb, k)
+        groups, inf_below = _expurgation_terms(p_sx, ch)
+        at_zero = _rho_grids(groups, len(p_sx))
         fall = np.maximum.accumulate(at_zero, axis=1) - at_zero
         assert fall.max() <= 1e-11
         # the grid's last point is RHO_CAP, where rate 0 takes its value

@@ -22,7 +22,8 @@ from errexp.dht_bounds import (_ball_objective, _crossing_values,
                                _tai_first_term, _uncoded_values, _vy_laws)
 from errexp.kl_ball import ball_optimize, project_components
 from errexp.legendre import Mixture
-from errexp.optimize import GRID_CHUNK, grid_then_pattern, simplex_grid
+from errexp.optimize import (GRID_CHUNK, GRID_ROWS, grid_then_pattern,
+                             simplex_grid)
 from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
                                mutual_information_rows)
 from conftest import (CYCLIC3, SPLIT3, assert_bit_equal, divergence_channels,
@@ -1747,6 +1748,33 @@ def test_channel_table_solves_special_messages_in_one_call(resolution,
     table = channel_table(CYCLIC3, resolution, 5)
     finite = int(np.isfinite(table.thetas[:, 0]).sum())
     assert calls == [finite] and 0 < finite < len(table.p_sx)
+
+
+def test_special_messages_solve_at_most_grid_rows_per_call(monkeypatch):
+    """A table of more (design, state, theta) rows than GRID_ROWS solves
+    its special messages in one `_special_messages` call whose
+    `conjugate_rows` calls get at most GRID_ROWS rows each, and every E_sp
+    equals the frozen per-state loop bit for bit."""
+    from errexp import channel_exponents
+    ch = Channel((0, 1, 2), (0, 1, 2), np.array(
+        [[0.8, 0.2, 0.0], [0.1, 0.7, 0.2], [0.3, 0.3, 0.4]]))
+    calls, rows, solve = [], [], channel_exponents.conjugate_rows
+    stacked = channel_exponents._special_messages
+    monkeypatch.setattr(channel_exponents, "_special_messages",
+                        lambda ps, *args: calls.append(len(ps))
+                        or stacked(ps, *args))
+    monkeypatch.setattr(channel_exponents, "conjugate_rows",
+                        lambda p, *args: rows.append(len(p))
+                        or solve(p, *args))
+    table = channel_table(ch, 3, 33)
+    assert len(calls) == 1 and sum(rows) > GRID_ROWS
+    assert len(rows) > 1 and max(rows) <= GRID_ROWS
+    for joint, thetas, e_sp in zip(table.p_sx, table.thetas, table.e_sp,
+                                   strict=True):
+        if np.isfinite(thetas[0]):
+            frozen = frozen_special_message_exponent(
+                InputDesign.from_matrix(range(3), joint), ch, thetas)
+            assert e_sp.tobytes() == frozen.tobytes()
 
 
 @pytest.mark.parametrize("field, value", [

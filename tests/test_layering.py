@@ -4,6 +4,8 @@ One table pins which modules of `errexp` each module imports, at any depth
 of its body (the CLI imports its subcommands' modules inside functions).
 The layering rules below hold on that table, and no module imports another
 module's underscore name unless this file allow-lists it with a reason.
+Packing each row's live entries to the front, the layout of ragged stacks,
+is `prob_core.live_groups`'s alone, again unless allow-listed here.
 """
 
 import ast
@@ -33,6 +35,13 @@ PRIVATE_ALLOWED = {
     ("simulate", "exact_regions", "_check_assumption"):
         "the simulator rejects a channel whose rows do not share support "
         "with the same check and message as the exact regions it verifies",
+}
+
+# module -> why it may pack live entries itself with np.argsort(~mask)
+PACKING_ALLOWED = {
+    "kl_ball": "the KL-ball projection pads its components to a shared "
+               "(k, m) width, the layout of `Mixture`, not the packing of "
+               "rows of one live count that `live_groups` gives",
 }
 
 
@@ -85,3 +94,22 @@ def test_no_private_names_cross_modules():
                for module, names in deps.items() for name in names
                if name.startswith("_") and not name.endswith("__")}
     assert private == set(PRIVATE_ALLOWED)
+
+
+def packing_modules() -> set[str]:
+    """The modules that call np.argsort on an inverted mask, the stable
+    sort that packs each row's live entries to the front."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "argsort" and node.args
+                    and isinstance(node.args[0], ast.UnaryOp)
+                    and isinstance(node.args[0].op, ast.Invert)):
+                found.add(path.stem)
+    return found
+
+
+def test_live_entries_are_packed_in_prob_core():
+    assert packing_modules() - {"prob_core"} == set(PACKING_ALLOWED)

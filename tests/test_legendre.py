@@ -422,27 +422,35 @@ def test_zero_tilt_edge_matches_frozen_solve(sign):
 
 
 def test_conjugate_rows_equal_one_row_at_a_time():
-    """A stack of rows of every kind (live counts 1-5, zero masses, +inf,
-    -inf, both and only -inf scores), each at its own theta, gives each row
-    the bits of its own `conjugate`."""
-    rng = np.random.default_rng(41)
-    p = rng.dirichlet(np.ones(5), size=300)
-    p[rng.random(p.shape) < 0.3] = 0.0
-    p[np.arange(300), rng.integers(0, 5, 300)] += 0.1
-    p /= p.sum(axis=1, keepdims=True)
-    f = rng.normal(scale=2.0, size=p.shape)
-    kind = rng.random(p.shape)
-    f[kind < 0.1] = np.inf
-    f[(kind >= 0.1) & (kind < 0.2)] = -np.inf
-    f[:10] = -np.inf
-    theta = rng.uniform(-4.0, 4.0, 300)
-    res = conjugate_rows(p, f, theta)
-    for b in range(300):
-        one = conjugate(scored(p[b], f[b]), float(theta[b]))
-        assert_bit_equal(res.value[b].item(), one.value)
-        assert_bit_equal(res.maximizer[b].item(), one.maximizer)
-        assert res.converged[b] == one.converged
-    assert (res.value[:10] == np.inf).all()
+    """A stack of rows of every kind (live counts 1-5, then up to 12, where
+    numpy sums 8 or more terms pairwise; zero masses, +inf, -inf, both and
+    only -inf scores), each at its own theta, gives each row the bits of its
+    own `conjugate` and of the recursive solve it replaced."""
+    for width, zero_frac, inf_frac in ((5, 0.3, 0.1), (12, 0.1, 0.04)):
+        rng = np.random.default_rng(41)
+        p = rng.dirichlet(np.ones(width), size=300)
+        p[rng.random(p.shape) < zero_frac] = 0.0
+        p[np.arange(300), rng.integers(0, width, 300)] += 0.1
+        p /= p.sum(axis=1, keepdims=True)
+        f = rng.normal(scale=2.0, size=p.shape)
+        kind = rng.random(p.shape)
+        f[kind < inf_frac] = np.inf
+        f[(kind >= inf_frac) & (kind < 2 * inf_frac)] = -np.inf
+        f[:10] = -np.inf
+        theta = rng.uniform(-4.0, 4.0, 300)
+        res = conjugate_rows(p, f, theta)
+        for b in range(300):
+            one = conjugate(scored(p[b], f[b]), float(theta[b]))
+            assert_bit_equal(res.value[b].item(), one.value)
+            assert_bit_equal(res.maximizer[b].item(), one.maximizer)
+            assert res.converged[b] == one.converged
+            frozen = frozen_conjugate(scored(p[b], f[b]), float(theta[b]))
+            assert_bit_equal(one.value, frozen.value)
+            assert_bit_equal(one.maximizer, frozen.maximizer)
+        assert (res.value[:10] == np.inf).all()
+        live = ((p > 0) & np.isfinite(f)).sum(axis=1)
+        assert (live[10:] >= 8).any() == (width >= 8)
+        assert (p == 0).any()
 
 
 class TestLoglikScores:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from errexp import (Channel, InputError, JointPmf, Pmf, capacity,
                     kl_divergence)
 from errexp.prob_core import (conditional_kl_arrays, conditional_kl_rows,
                               kl_array, kl_row_groups, kl_rows,
-                              mutual_information_arrays,
+                              live_groups, mutual_information_arrays,
                               mutual_information_rows)
 from conftest import (assert_bit_equal, divergence_channels, frozen_kl_array,
                       frozen_mutual_information, random_pmf, random_weights,
@@ -175,6 +176,28 @@ class TestMutualInformation:
             prod = product_joint(j.row_marginal(), j.col_marginal())
             assert mutual_information_arrays(j.probs) == pytest.approx(
                 kl_divergence(j.flatten(), prod.flatten()), abs=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 12),
+       width=st.integers(1, 12), live_frac=st.floats(0.0, 1.0))
+def test_live_groups_pack_each_row_alone(seed, n_rows, width, live_frac):
+    """The groups partition the rows with a live entry, their counts
+    ascend, and each packed row is the row's live entries in order, for
+    every array passed (one broadcast from a single row)."""
+    rng = np.random.default_rng(seed)
+    live = rng.random((n_rows, width)) < live_frac
+    a = rng.normal(size=(n_rows, width))
+    b = rng.integers(0, 100, size=width)
+    groups = list(live_groups(live, a, b))
+    rows = np.concatenate([r for r, _ in groups] + [np.empty(0, dtype=int)])
+    assert sorted(rows.tolist()) == np.flatnonzero(live.any(axis=1)).tolist()
+    counts = [packed[0].shape[1] for _, packed in groups]
+    assert counts == sorted(set(counts)) and 0 not in counts
+    for group_rows, (pa, pb) in groups:
+        assert pa.dtype == a.dtype and pb.dtype == b.dtype
+        for i, row in enumerate(group_rows):
+            assert pa[i].tolist() == a[row][live[row]].tolist()
+            assert pb[i].tolist() == b[live[row]].tolist()
 
 
 class TestRowWiseForms:
