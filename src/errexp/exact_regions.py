@@ -118,32 +118,30 @@ def direct_tradeoff(p: Pmf, q: Pmf, kappa_alpha):
     beta = np.where(kappa <= 0, d_pq, 0.0)
     inside = ~(kappa <= 0) & ~(kappa >= d_qp)
     if inside.any():
-        mix = Mixture([(1.0, *loglik_scores(p, q).effective())])
-        beta[inside] = _invert_boundary([mix] * int(inside.sum()),
-                                        kappa[inside])
+        sp = loglik_scores(p, q)
+        [(_, _, mix)] = Mixture.packed(
+            np.ones((1, 1)), sp.base.probs[None, None], sp.scores[None, None])
+        beta[inside] = _invert_boundary(
+            mix.rows(np.zeros(int(inside.sum()), dtype=int)), kappa[inside])
     return float(beta[0]) if np.ndim(kappa_alpha) == 0 else beta
 
 
-def _invert_boundary(mixes: list[Mixture], kappa_alpha) -> np.ndarray:
-    """kappa_beta on the boundary traced by lam in [0, 1], per mixture.
+def _invert_boundary(mix: Mixture, kappa_alpha) -> np.ndarray:
+    """kappa_beta on the boundary traced by lam in [0, 1], per mixture of a
+    stack.
 
     On that segment the type-I exponent g(lam) = `Mixture.radius(lam)` of
     each mixture grows from 0 to its maximum at lam = 1; bisect
     g = kappa_alpha and return kappa_alpha - psi'(lam*), clamped at 0 where
     rounding takes it below (near the end of the segment). kappa_alpha is
-    one value, or one per mixture. The mixtures share one shape and are
-    bisected in lockstep as one `Mixture.stack`.
+    one value, or one per mixture. The mixtures are bisected in lockstep.
     """
-    kappa_alpha = np.broadcast_to(np.asarray(kappa_alpha, dtype=float),
-                                  (len(mixes),))
-    mix = Mixture.stack(np.stack([m.w for m in mixes]),
-                        np.stack([m.p for m in mixes]),
-                        np.stack([m.f for m in mixes]))
-
-    g0 = mix.radius(np.zeros(len(mixes)))
-    g1 = mix.radius(np.ones(len(mixes)))
+    n = len(mix.w)
+    kappa_alpha = np.broadcast_to(np.asarray(kappa_alpha, dtype=float), (n,))
+    g0 = mix.radius(np.zeros(n))
+    g1 = mix.radius(np.ones(n))
     # g(0) = -psi(0) is 0 up to rounding of the masses; below it lam* = 0
-    lam = np.zeros(len(mixes))
+    lam = np.zeros(n)
     run = ~(kappa_alpha >= g1) & ~(kappa_alpha <= np.maximum(g0, 0.0))
     if run.any():
         sub = mix.rows(run)
@@ -184,11 +182,10 @@ def channel_region_point(ch: Channel, law: ChannelPairLaw, theta) -> ExponentPoi
     if not np.all((-d_min <= theta) & (theta <= d_max)):
         raise DomainError(
             f"theta={theta} outside the admissible interval ({-d_min}, {d_max})")
-    mix = _law_mixture(ch, law.probs)
-    if mix is None:
-        value = np.zeros(np.shape(theta)) if np.ndim(theta) else 0.0
-    else:
-        value = mix.conjugate(theta).value
+    value = np.zeros(np.shape(theta)) if np.ndim(theta) else 0.0
+    for _, _, mix in _law_mixtures(ch, law.probs[None]):
+        # the law's one mixture, unless it has only diagonal mass
+        value = mix.rows(0).conjugate(theta).value
     return ExponentPoint(value, value - theta, theta)
 
 
@@ -213,14 +210,16 @@ def _row_pairs(ch: Channel) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(ch.rows, n, axis=0), np.tile(ch.rows, (n, 1))
 
 
-def _law_mixture(ch: Channel, weights: np.ndarray) -> Mixture | None:
-    """CGF mixture of the per-pair scores log(row_j / row_i) with base row_i,
-    one component per off-diagonal pair the law charges; None when only
-    diagonal mass remains."""
-    i, j = np.nonzero((weights != 0) & ~np.eye(len(weights), dtype=bool))
-    if i.size == 0:
-        return None
-    return Mixture(zip(weights[i, j], ch.rows[i], ch.pair_scores[i, j]))
+def _law_mixtures(ch: Channel, weights: np.ndarray):
+    """The `Mixture.packed` stacks of a (L, |X|, |X|) stack of pair laws:
+    the CGF mixture of the per-pair scores log(row_j / row_i) with base
+    row_i, one component per off-diagonal pair a law charges. A law with
+    only diagonal mass is in no stack."""
+    n = len(ch.rows)
+    w = np.where(np.eye(n, dtype=bool), 0.0, weights).reshape(len(weights), -1)
+    p, f = (np.broadcast_to(a, (len(w),) + a.shape)
+            for a in (_row_pairs(ch)[0], ch.pair_scores.reshape(n * n, -1)))
+    return Mixture.packed(w, p, f)
 
 
 def _channel_branch_beta(ch: Channel, laws, kappa_alpha) -> np.ndarray:
@@ -228,20 +227,17 @@ def _channel_branch_beta(ch: Channel, laws, kappa_alpha) -> np.ndarray:
 
     Elementwise over kappa_alpha, one stack per branch: every (kappa_alpha,
     law) pair whose law mixtures share a shape is one row of one inversion.
-    A scalar kappa_alpha gives (L,), an array of A values (A, L).
+    A law with only diagonal mass gives 0. A scalar kappa_alpha gives (L,),
+    an array of A values (A, L).
     """
     kappa = np.array(kappa_alpha, dtype=float, ndmin=1)
-    mixes = [_law_mixture(ch, law.probs) for law in laws]
-    betas = np.zeros((kappa.size, len(mixes)))
-    shapes: dict[tuple, list[int]] = {}
-    for i, mix in enumerate(mixes):
-        if mix is not None:
-            shapes.setdefault(mix.p.shape, []).append(i)
-    for idx in shapes.values():
-        # kappa-major rows: row a * len(idx) + k is law idx[k] at kappa[a]
-        betas[:, idx] = _invert_boundary(
-            [mixes[i] for i in idx] * kappa.size,
-            np.repeat(kappa, len(idx))).reshape(kappa.size, len(idx))
+    # kappa-major rows: row a * L + l is law l at kappa[a]
+    weights = np.tile([law.probs for law in laws], (kappa.size, 1, 1))
+    row_kappa = np.repeat(kappa, len(laws))
+    betas = np.zeros(len(weights))
+    for rows, _, mix in _law_mixtures(ch, weights):
+        betas[rows] = _invert_boundary(mix, row_kappa[rows])
+    betas = betas.reshape(kappa.size, len(laws))
     return betas[0] if np.ndim(kappa_alpha) == 0 else betas
 
 
@@ -268,13 +264,15 @@ def best_channel_branch(ch: Channel, kappa_alpha):
     "Lower bounds to error probability for coding on discrete memoryless
     channels I" (Inf. Control, 1967).
 
-    Elementwise over kappa_alpha: a scalar gives (value, law), an array the
-    array of values and the list of laws, every (kappa_alpha, law) pair
-    scored in one `_channel_branch_beta` call.
+    Elementwise over kappa_alpha >= 0: a scalar gives (value, law), an
+    array the array of values and the list of laws, every (kappa_alpha,
+    law) pair scored in one `_channel_branch_beta` call.
     """
     kappa = np.array(kappa_alpha, dtype=float, ndmin=1)
     if np.isnan(kappa).any():
         raise InputError("kappa_alpha must not be NaN")
+    if (kappa < 0).any():
+        raise InputError("kappa_alpha must be non-negative")
     _check_assumption(ch)
     laws = [ChannelPairLaw.point_mass(ch.input_alphabet, pair)
             for pair in itertools.product(ch.input_alphabet, repeat=2)]

@@ -42,10 +42,10 @@ def project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
     A target whose radius, summed as the value is, lies within a
     kappa_alpha > 0 is its own projection, of value exactly 0.
 
-    Problems of one shape, live components and widest common support, are
-    solved as one `Mixture.stack` with their live components packed to the
-    front, every step one tilt with a lam and a kappa_alpha per problem, so
-    each visits the multipliers it would visit alone and gets the same bits.
+    The problems are solved on the stacks of `Mixture.packed`, one per
+    shape, every step one tilt with a lam and a kappa_alpha per problem, so
+    each visits the multipliers it would visit alone and gets the same bits;
+    the tilted laws are scattered back through the common supports.
     """
     kappa = np.broadcast_to(np.asarray(kappa_alpha, dtype=float), len(w))
     if not np.all(kappa >= 0):
@@ -61,35 +61,20 @@ def project_components(w: np.ndarray, ref: np.ndarray, tgt: np.ndarray,
         solved |= inside
         # feasible supports: P_k must be << ref_k, and << tgt_k for finite value
         masks = (ref > 0) & (tgt > 0)
-        counts = masks.sum(axis=-1)
-        n_live = live.sum(axis=1)
-        width = np.where(live, counts, 0).max(axis=1)
-        finite = ~solved & ~(live & (counts == 0)).any(axis=1)
-        # live components packed to the front; the CGF of a problem is as
-        # wide as its widest common support, and only problems of one shape
-        # share a stack, so every row sum keeps its bits
-        comps = np.argsort(~live, axis=1, kind="stable")
-        for k, m in set(zip(n_live[finite].tolist(), width[finite].tolist())):
-            idx = np.flatnonzero(finite & (n_live == k) & (width == m))
-            at = idx[:, None], comps[idx, :k]
-            # each row's support atoms packed to the front, in order
-            order = np.argsort(~masks[at], axis=-1, kind="stable")[..., :m]
-            p = np.take_along_axis(ref[at], order, axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                f = np.take_along_axis(np.log(tgt[at]) - np.log(ref[at]),
-                                       order, axis=-1)
-            # padded atoms get mass zero and repeat the row's first live score
-            pad = np.arange(m) >= counts[at][..., None]
-            mix = Mixture.stack(w[at], np.where(pad, 0.0, p),
-                                np.where(pad, f[..., :1], f))
+        finite = ~solved & ~(live & ~masks.any(axis=-1)).any(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = np.log(tgt) - np.log(ref)
+        for idx, comps, mix in Mixture.packed(
+                np.where(finite[:, None], w, 0.0), np.where(masks, ref, 0.0),
+                scores):
             feasible = ~(kappa[idx] < mix.radius(np.zeros(len(idx))) - 1e-12)
-            mix, idx, pad = mix.rows(feasible), idx[feasible], pad[feasible]
+            mix, idx = mix.rows(feasible), idx[feasible]
             if not len(idx):
                 continue
             lam = 1.0 / (1.0 + _ball_multipliers(mix, kappa[idx]))
-            at = idx[:, None], comps[idx, :k]
+            at = idx[:, None], comps[feasible]
             tilted = np.zeros(ref[at].shape)
-            tilted[masks[at]] = mix.tilted(lam)[~pad]
+            tilted[masks[at]] = mix.tilted(lam)[mix.p > 0]
             laws[at] = tilted
             solved[idx] = True
     return laws, np.where(solved, conditional_kl_rows(w, laws, tgt), np.inf)

@@ -40,11 +40,6 @@ class ScoredPmf:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "scores", arr)
 
-    def effective(self) -> tuple[np.ndarray, np.ndarray]:
-        """(probs, scores) restricted to atoms with positive base mass."""
-        mask = self.base.probs > 0
-        return self.base.probs[mask], self.scores[mask]
-
 
 @dataclass(frozen=True)
 class ConjugateResult:
@@ -67,15 +62,15 @@ class ConjugateResult:
         return ConjugateResult(*(a.reshape(shape) for a in fields))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mixture:
     """Weighted sum of log-MGFs sharing one tilt: psi(lam) = sum_k w_k psi_k(lam).
 
-    Built from (weight, probs, finite-on-support scores) components of any
-    lengths (probs may be sub-PMFs) and stored as w (K,), p (K, m) and
-    f (K, m). Every atom with zero mass, padded or not, repeats a live score of
-    its own row, so each row's min, max and log-sum-exp shift are those of
-    its support. `Mixture.stack` holds B such mixtures of one shape as
+    Stored as w (K,), p (K, m) and f (K, m): one row of masses (a sub-PMF)
+    and finite scores per component, laid out by `Mixture.packed`. A row's
+    live atoms come first, in order; every atom of zero mass repeats the
+    row's first live score, so each row's min, max and log-sum-exp shift
+    are those of its support. A stack holds B such mixtures of one shape as
     w (B, K), p (B, K, m) and f (B, K, m); its tilts take one lam per
     mixture and return one value per mixture.
     """
@@ -84,41 +79,56 @@ class Mixture:
     p: np.ndarray
     f: np.ndarray
 
-    def __init__(self, components) -> None:
-        comps = [(float(wk), np.asarray(pk, dtype=float),
-                  np.asarray(fk, dtype=float)) for wk, pk, fk in components]
-        if not comps:
-            raise InputError("mixture has no components")
-        m = max(pk.size for _, pk, _ in comps)
-        p = np.zeros((len(comps), m))
-        f = np.empty((len(comps), m))
-        for k, (_, pk, fk) in enumerate(comps):
-            live = pk > 0
-            if not np.any(live) or not np.all(np.isfinite(fk[live])):
-                raise InputError("mixture components need mass and finite "
-                                 "scores on their support")
-            p[k, :pk.size] = pk
-            # zero-mass atoms, padded or not, repeat the first live score
-            f[k] = fk[live][0]
-            f[k, :pk.size][live] = fk[live]
-        w = np.array([wk for wk, _, _ in comps])
-        self._freeze(w, p, f)
-
-    def _freeze(self, w: np.ndarray, p: np.ndarray, f: np.ndarray) -> None:
-        for name, arr in (("w", w), ("p", p), ("f", f)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
     @classmethod
     def stack(cls, w: np.ndarray, p: np.ndarray, f: np.ndarray) -> "Mixture":
-        """B mixtures from w (B, K), p (B, K, m) and f (B, K, m), each row
-        laid out as `Mixture(components)` lays out its components.
+        """The mixture, or stack of mixtures, of arrays already laid out as
+        `Mixture.packed` lays them out.
 
         Row sums run over the last axis of C-ordered arrays, so every
-        mixture's values are bit for bit those of its own `Mixture`."""
+        mixture of a stack gets the bits it would get alone."""
         mix = object.__new__(cls)
-        mix._freeze(*(np.ascontiguousarray(a, dtype=float) for a in (w, p, f)))
+        for name, a in (("w", w), ("p", p), ("f", f)):
+            arr = np.ascontiguousarray(a, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(mix, name, arr)
         return mix
+
+    @classmethod
+    def packed(cls, w, p, f):
+        """The stacks of B problems of K weighted components, given as
+        w (B, K) and masses and scores p, f (B, K, n): yields
+        (rows, comps, stack) for each shape, the problems `rows` (R,), the
+        live components of each `comps` (R, k) and their `Mixture.stack`.
+
+        A component is live where its weight is positive, an atom where its
+        mass is; a live component needs a live atom, and finite scores on
+        its live atoms. Each problem's live components are packed to the
+        front in order, and each component's live atoms too. Atoms are
+        padded to the problem's widest live support m, with mass 0 and the
+        component's first live score. Problems of one shape (k, m) share a
+        stack, so every row sum keeps its bits; a problem with no live
+        component is in none.
+        """
+        w, p, f = (np.asarray(a, dtype=float) for a in (w, p, f))
+        live, mass = w > 0, p > 0
+        counts = mass.sum(axis=-1)
+        if (live & ((counts == 0) | (mass & ~np.isfinite(f)).any(axis=-1))
+                ).any():
+            raise InputError("mixture components need mass and finite "
+                             "scores on their support")
+        n_live = live.sum(axis=1)
+        width = np.where(live, counts, 0).max(axis=1)
+        order = np.argsort(~live, axis=1, kind="stable")
+        # a problem with no live component has the shape (0, 0)
+        for k, m in sorted(set(zip(n_live.tolist(), width.tolist())) - {(0, 0)}):
+            rows = np.flatnonzero((n_live == k) & (width == m))
+            at = rows[:, None], order[rows, :k]
+            atoms = np.argsort(~mass[at], axis=-1, kind="stable")[..., :m]
+            pk, fk = (np.take_along_axis(a[at], atoms, axis=-1)
+                      for a in (p, f))
+            pad = np.arange(m) >= counts[at][..., None]
+            yield rows, at[1], cls.stack(w[at], np.where(pad, 0.0, pk),
+                                         np.where(pad, fk[..., :1], fk))
 
     def rows(self, index) -> "Mixture":
         """The sub-stack of the mixtures selected by `index`."""

@@ -24,6 +24,18 @@ def row_pmf(ch: Channel, i: int) -> Pmf:
     return Pmf(ch.output_alphabet, ch.rows[i])
 
 
+def packed_mixture(components) -> Mixture:
+    """The one mixture of ragged (weight, probs, scores) components:
+    zero-padded to one length and laid out by `Mixture.packed`."""
+    comps = [(w, *(np.asarray(a, dtype=float).reshape(-1) for a in pf))
+             for w, *pf in components]
+    p, f = np.zeros((2, 1, len(comps), max(pk.size for _, pk, _ in comps)))
+    for k, (_, pk, fk) in enumerate(comps):
+        p[0, k, :pk.size], f[0, k, :fk.size] = pk, fk
+    [(_, _, mix)] = Mixture.packed([[w for w, _, _ in comps]], p, f)
+    return mix.rows(0)
+
+
 def dense_grid_conjugate(sp: ScoredPmf, theta: float,
                          lam_lo: float = -20.0, lam_hi: float = 20.0,
                          step: float = 1e-4) -> float:
@@ -32,7 +44,8 @@ def dense_grid_conjugate(sp: ScoredPmf, theta: float,
     Independent of the bisection implementation: evaluates
     theta*lam - log E[exp(lam f)] on every grid point and takes the maximum.
     """
-    p, f = sp.effective()
+    mask = sp.base.probs > 0
+    p, f = sp.base.probs[mask], sp.scores[mask]
     lams = np.arange(lam_lo, lam_hi + step, step)
     log_terms = np.log(p)[None, :] + lams[:, None] * f[None, :]
     m = log_terms.max(axis=1)
@@ -304,7 +317,8 @@ def frozen_conjugate(sp: ScoredPmf, theta) -> ConjugateResult:
     theta = np.array(theta, dtype=float, ndmin=1)
     if not np.all(np.isfinite(theta)):
         raise InputError("theta must be finite")
-    p, f = sp.effective()
+    mask = sp.base.probs > 0
+    p, f = sp.base.probs[mask], sp.scores[mask]
     if p.size == 0:
         raise InputError("base PMF has empty support")
     has_neg = np.any(np.isneginf(f))
@@ -322,14 +336,14 @@ def frozen_conjugate(sp: ScoredPmf, theta) -> ConjugateResult:
             inf = np.full(theta.shape, np.inf)
             return _frozen_result(inf, inf, exact, scalar)
         interior = frozen_mixture_conjugate_array(
-            Mixture([(1.0, p[finite], f[finite])]), theta, lam_lo=0.0)
+            packed_mixture([(1.0, p[finite], f[finite])]), theta, lam_lo=0.0)
         at_zero_plus = -float(np.log(p[finite].sum()))
         edge = at_zero_plus >= interior.value
         return _frozen_result(
             np.where(edge, at_zero_plus, interior.value),
             np.where(edge, 0.0, interior.maximizer),
             edge | interior.converged, scalar)
-    res = frozen_mixture_conjugate_array(Mixture([(1.0, p, f)]), theta)
+    res = frozen_mixture_conjugate_array(packed_mixture([(1.0, p, f)]), theta)
     return _frozen_result(res.value, res.maximizer, res.converged, scalar)
 
 

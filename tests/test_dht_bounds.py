@@ -21,7 +21,6 @@ from errexp.dht_bounds import (_ball_objective, _crossing_values,
                                _design_search, _tad_first_term,
                                _tai_first_term, _uncoded_values, _vy_laws)
 from errexp.kl_ball import ball_optimize, project_components
-from errexp.legendre import Mixture
 from errexp.optimize import (GRID_CHUNK, GRID_ROWS, grid_then_pattern,
                              simplex_grid)
 from errexp.prob_core import (kl_array, kl_rows, mutual_information_arrays,
@@ -31,7 +30,7 @@ from conftest import (CYCLIC3, SPLIT3, assert_bit_equal, divergence_channels,
                       frozen_expurgation_terms, frozen_kl_array,
                       frozen_mutual_information,
                       frozen_special_message_exponent, frozen_theta_bounds,
-                      random_weights, sparse_rows)
+                      packed_mixture, random_weights, sparse_rows)
 
 FAST = DhtSearchConfig(design_resolution=3, ball_resolution=8,
                        sx_resolution=4, theta_points=17,
@@ -298,8 +297,8 @@ def frozen_project_components(components, kappa_alpha):
     masks = [(r > 0) & (t > 0) for _, r, t in comps]
     if not all(np.any(m) for m in masks):
         return [r.copy() for _, r, _ in comps], float("inf")
-    mix = Mixture([(w, r[m], np.log(t[m]) - np.log(r[m]))
-                   for (w, r, t), m in zip(comps, masks)])
+    mix = packed_mixture([(w, r[m], np.log(t[m]) - np.log(r[m]))
+                          for (w, r, t), m in zip(comps, masks)])
     if kappa_alpha < -mix.tilt(0.0)[0] - 1e-12:
         return [r.copy() for _, r, _ in comps], float("inf")
 
@@ -324,9 +323,9 @@ def frozen_project_components(components, kappa_alpha):
 def _radius_at(components, lam):
     """The ball radius lam psi'(lam) - psi(lam) of one problem's CGF, in the
     arithmetic of the projection, so a gap there is exactly zero."""
-    mix = Mixture([(w, r[(r > 0) & (t > 0)],
-                    np.log(t[(r > 0) & (t > 0)]) - np.log(r[(r > 0) & (t > 0)]))
-                   for w, r, t in components if w > 0])
+    mix = packed_mixture([(w, r[(r > 0) & (t > 0)],
+                           np.log(t[(r > 0) & (t > 0)]) - np.log(r[(r > 0) & (t > 0)]))
+                          for w, r, t in components if w > 0])
     psi, dpsi = mix.tilt(lam)
     return lam * dpsi - psi
 
@@ -405,7 +404,7 @@ class TestStackedProjection:
             kappa = float(_radius_at(base, 1.0 / (1.0 + mu)))
             [(laws, _)] = project_lists([base], kappa)
             _, r, t = base[0]
-            tilted = Mixture([(1.0, r, np.log(t) - np.log(r))])
+            tilted = packed_mixture([(1.0, r, np.log(t) - np.log(r))])
             expect = t if mu == 0.0 else tilted.tilted(1.0 / (1.0 + mu))[0]
             assert np.array_equal(laws[0], expect)
             self.check([base, *others], kappa)
@@ -423,7 +422,7 @@ class TestStackedProjection:
         """Distinct multipliers the frozen schedule visits for one problem."""
         seen = set()
         w, r, t = comps[0]
-        mix = Mixture([(w, r, np.log(t) - np.log(r))])
+        mix = packed_mixture([(w, r, np.log(t) - np.log(r))])
 
         def gap(mu):
             seen.add(mu)
@@ -476,6 +475,27 @@ class TestStackedProjection:
         assert (positive & (values > free)).any()    # the ball binds
         assert (positive & (values == free)).any()   # it does not
         assert (kappas == 0).any() and np.isinf(values[kappas > 0]).any()
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n_problems=st.integers(1, 6),
+           n_comp=st.integers(1, 3), size=st.integers(1, 12),
+           zero_frac=st.floats(0.0, 0.9),
+           kappa=st.sampled_from([0.0, 1e-4, 0.01, 0.3, 5.0]))
+    def test_no_nan_on_zero_masses(self, seed, n_problems, n_comp, size,
+                                   zero_frac, kappa):
+        """Zero weights, zero masses and supports that are not absolutely
+        continuous either way give laws and values that are never NaN:
+        each value is finite and non-negative, or +inf."""
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(n_comp), size=n_problems)
+        w[rng.random(w.shape) < zero_frac] = 0.0
+        w[~(w > 0).any(axis=1), 0] = 1.0
+        ref, tgt = (sparse_rows(rng, n_problems * n_comp, size, zero_frac)
+                    .reshape(n_problems, n_comp, size) for _ in range(2))
+        laws, values = project_components(w, ref, tgt, kappa)
+        assert not np.isnan(laws).any() and not np.isnan(values).any()
+        assert (values >= 0.0).all() and (laws >= 0.0).all()
+        assert np.allclose(laws.sum(axis=-1), 1.0)
 
     def test_uncoded_values_on_a_ternary_model(self):
         rng = np.random.default_rng(37)

@@ -11,12 +11,11 @@ from errexp import (Channel, ChannelPairLaw, DomainError, ExponentPoint,
                     channel_max_divergence, channel_region_point, direct_curve,
                     direct_region_point, direct_tradeoff, kappa0,
                     kl_divergence, llr_interval, loglik_scores, rht_tradeoff)
-from errexp.exact_regions import _channel_branch_beta, _law_mixture
-from errexp.legendre import Mixture
+from errexp.exact_regions import _channel_branch_beta
 from conftest import (assert_bit_equal, dense_grid_conjugate,
                       divergence_channels, frozen_bisect_monotone,
-                      frozen_kl_array, random_pmf, random_weights, row_pmf,
-                      sparse_rows)
+                      frozen_kl_array, packed_mixture, random_pmf,
+                      random_weights, row_pmf, sparse_rows)
 
 P58 = Pmf((0, 1), [0.5, 0.5])
 Q58 = Pmf((0, 1), [0.2, 0.8])
@@ -381,6 +380,17 @@ class TestBestChannelBranch:
         with pytest.raises(InputError):
             best_channel_branch(ch, np.array([0.01, np.nan]))
 
+    @pytest.mark.parametrize("kappa", [-0.1, -1.0, np.array([0.01, -0.1])])
+    def test_negative_kappa_raises(self, kappa):
+        # kappa_alpha + D(row_0 || row_1) would read below the Stein value
+        with pytest.raises(InputError, match="non-negative"):
+            best_channel_branch(Channel.bsc(0.1), kappa)
+
+    def test_zero_kappa_is_the_largest_row_divergence(self):
+        ch = Channel.bsc(0.1)
+        assert best_channel_branch(ch, 0.0)[0] == pytest.approx(
+            channel_max_divergence(ch)[0], abs=1e-12)
+
     def test_seven_inputs_take_the_pair_maximum(self):
         rng = np.random.default_rng(29)
         rows = (rng.dirichlet(np.ones(4), size=7) + 0.05) / 1.2
@@ -392,6 +402,15 @@ class TestBestChannelBranch:
             value, law = best_channel_branch(ch, ka)
             assert value == pytest.approx(oracle[0], abs=1e-12)
             assert law.probs[oracle[1]] == 1.0
+
+
+def law_mixture(ch, weights):
+    """The CGF mixture of one pair law, one component per off-diagonal pair
+    it charges; None when only diagonal mass remains."""
+    i, j = np.nonzero((weights != 0) & ~np.eye(len(weights), dtype=bool))
+    if i.size == 0:
+        return None
+    return packed_mixture(zip(weights[i, j], ch.rows[i], ch.pair_scores[i, j]))
 
 
 def frozen_invert_boundary(mix, kappa_alpha):
@@ -414,11 +433,11 @@ class TestLockstepInversion:
     """_channel_branch_beta on lists of laws, grouped into stacks of one
     mixture shape, against the frozen scalar inversion, law by law."""
 
-    @pytest.mark.parametrize("n_out", [3, 4])
+    @pytest.mark.parametrize("n_out", [3, 4, 9])
     def test_laws_match_scalar(self, n_out):
         rng = np.random.default_rng(n_out)
         rows = rng.dirichlet(np.ones(n_out), size=3)
-        if n_out == 4:
+        if n_out > 3:
             rows[:, 3] = 0.0  # an output symbol no input produces
             rows /= rows.sum(axis=1, keepdims=True)
         ch = Channel((0, 1, 2), tuple(range(n_out)), rows)
@@ -428,7 +447,7 @@ class TestLockstepInversion:
                  for i in range(3) for j in range(3)]
         for ka in (0.0, 1e-4, 0.02, 0.3, 5.0):
             got = _channel_branch_beta(ch, laws, ka)
-            expect = [0.0 if (mix := _law_mixture(ch, law.probs)) is None
+            expect = [0.0 if (mix := law_mixture(ch, law.probs)) is None
                       else frozen_invert_boundary(mix, ka) for law in laws]
             assert got.tolist() == expect
 
@@ -444,7 +463,8 @@ class TestElementwiseRegions:
         betas = direct_tradeoff(P58, Q58, kappas)
         assert betas.tolist() == [direct_tradeoff(P58, Q58, float(k))
                                   for k in kappas]
-        mix = Mixture([(1.0, *loglik_scores(P58, Q58).effective())])
+        sp = loglik_scores(P58, Q58)
+        mix = packed_mixture([(1.0, sp.base.probs, sp.scores)])
         assert betas[4:].tolist() == [frozen_invert_boundary(mix, float(k))
                                       for k in kappas[4:]]
 
@@ -572,36 +592,41 @@ class TestSymmetryProperties:
 
 class TestRhtTradeoffProperties:
     """Two properties of the exact remote-HT trade-off on 2-3-symbol
-    sources and 2-3-input channels: kappa_beta does not increase with
-    kappa_alpha, and garbling the channel's output, W to W G for a
-    stochastic matrix G, does not raise it (data processing)."""
+    sources and 2-3-input channels with 2-9 outputs, one of which may be
+    dead (a zero column): kappa_beta does not increase with kappa_alpha,
+    and garbling the channel's output, W to W G for a stochastic matrix G,
+    does not raise it (data processing)."""
 
     @staticmethod
-    def instance(seed, n_u, n_x, n_y):
+    def instance(seed, n_u, n_x, n_y, dead=False):
         rng = np.random.default_rng(seed)
         p, q = random_pmf(rng, n_u), random_pmf(rng, n_u)
         rows = rng.dirichlet(np.ones(n_y), size=n_x)
+        if dead:
+            rows[:, rng.integers(n_y)] = 0.0
+            rows /= rows.sum(axis=1, keepdims=True)
         return rng, p, q, Channel(tuple(range(n_x)), tuple(range(n_y)), rows)
 
     @settings(max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), n_u=st.integers(2, 3),
-           n_x=st.integers(2, 3), n_y=st.integers(2, 3),
+           n_x=st.integers(2, 3), n_y=st.integers(2, 9), dead=st.booleans(),
            fracs=st.lists(st.floats(0.001, 1.2), min_size=2, max_size=8))
     def test_kappa_beta_does_not_increase_with_kappa_alpha(self, seed, n_u,
-                                                           n_x, n_y, fracs):
-        _, p, q, ch = self.instance(seed, n_u, n_x, n_y)
+                                                           n_x, n_y, dead,
+                                                           fracs):
+        _, p, q, ch = self.instance(seed, n_u, n_x, n_y, dead)
         kappas = np.sort(fracs) * kl_divergence(q, p)
         beta = rht_tradeoff(p, q, ch, kappas)
         assert (np.diff(beta) <= 1e-12).all(), (kappas, beta)
 
     @settings(max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), n_u=st.integers(2, 3),
-           n_x=st.integers(2, 3), n_y=st.integers(2, 3),
-           n_z=st.integers(2, 3),
+           n_x=st.integers(2, 3), n_y=st.integers(2, 9), dead=st.booleans(),
+           n_z=st.integers(2, 9),
            fracs=st.lists(st.floats(0.001, 1.2), min_size=1, max_size=4))
     def test_garbled_channel_does_not_raise_kappa_beta(self, seed, n_u, n_x,
-                                                       n_y, n_z, fracs):
-        rng, p, q, ch = self.instance(seed, n_u, n_x, n_y)
+                                                       n_y, dead, n_z, fracs):
+        rng, p, q, ch = self.instance(seed, n_u, n_x, n_y, dead)
         garbling = rng.dirichlet(np.ones(n_z), size=n_y)
         garbled = Channel(ch.input_alphabet, tuple(range(n_z)),
                           ch.rows @ garbling)

@@ -5,7 +5,9 @@ of its body (the CLI imports its subcommands' modules inside functions).
 The layering rules below hold on that table, and no module imports another
 module's underscore name unless this file allow-lists it with a reason.
 Packing each row's live entries to the front, the layout of ragged stacks,
-is `prob_core.live_groups`'s alone, again unless allow-listed here.
+is `prob_core.live_groups`'s alone, again unless allow-listed here, and
+only `legendre` lays out a `Mixture.stack`: every other module builds its
+mixtures through `Mixture.packed`.
 """
 
 import ast
@@ -39,9 +41,10 @@ PRIVATE_ALLOWED = {
 
 # module -> why it may pack live entries itself with np.argsort(~mask)
 PACKING_ALLOWED = {
-    "kl_ball": "the KL-ball projection pads its components to a shared "
-               "(k, m) width, the layout of `Mixture`, not the packing of "
-               "rows of one live count that `live_groups` gives",
+    "legendre": "`Mixture.packed` pads the components of a problem to its "
+                "widest live support, the padded (k, m) layout of "
+                "`Mixture`, not the packing of rows of one live count that "
+                "`live_groups` gives",
 }
 
 
@@ -113,3 +116,21 @@ def packing_modules() -> set[str]:
 
 def test_live_entries_are_packed_in_prob_core():
     assert packing_modules() - {"prob_core"} == set(PACKING_ALLOWED)
+
+
+def stack_modules() -> set[str]:
+    """The modules that call `Mixture.stack`."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "stack"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "Mixture"):
+                found.add(path.stem)
+    return found
+
+
+def test_mixtures_are_laid_out_in_legendre():
+    assert stack_modules() == {"legendre"}

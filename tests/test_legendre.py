@@ -9,7 +9,8 @@ from errexp import (InputError, Pmf, ScoredPmf, conjugate, kl_divergence,
 from errexp.legendre import (LAMBDA_CAP, THETA_RESIDUAL_TOL, Mixture,
                              conjugate_rows)
 from conftest import (assert_bit_equal, dense_grid_conjugate,
-                      frozen_bisect_monotone, frozen_conjugate, random_pmf)
+                      frozen_bisect_monotone, frozen_conjugate, packed_mixture,
+                      random_pmf, sparse_rows)
 
 
 def scored(p_probs, scores) -> ScoredPmf:
@@ -18,7 +19,8 @@ def scored(p_probs, scores) -> ScoredPmf:
 
 def mixture(*scored_pmfs, weights=(1.0,)) -> Mixture:
     """The weighted log-MGF sum of scored PMFs with finite supported scores."""
-    return Mixture([(w, *sp.effective()) for w, sp in zip(weights, scored_pmfs)])
+    return packed_mixture([(w, sp.base.probs, sp.scores)
+                           for w, sp in zip(weights, scored_pmfs)])
 
 
 def log_mgf(sp: ScoredPmf, lam: float) -> float:
@@ -173,8 +175,7 @@ class TestMixturePadding:
     FMAX = 0.4 * 1.5 + 0.6 * 1.0
 
     def test_storage(self):
-        mix = Mixture([(w, *sp.effective())
-                       for w, sp in zip(self.W, (self.SHORT, self.LONG))])
+        mix = mixture(self.SHORT, self.LONG, weights=self.W)
         assert mix.p.tolist() == [[0.3, 0.7, 0.0], [0.2, 0.5, 0.3]]
         assert mix.f[0, 2] in (0.5, 1.5)
 
@@ -200,16 +201,73 @@ class TestMixturePadding:
 
 
     def test_tilted_rows(self):
-        mix = Mixture([(w, *sp.effective())
-                       for w, sp in zip(self.W, (self.SHORT, self.LONG))])
+        mix = mixture(self.SHORT, self.LONG, weights=self.W)
         for lam in (-3.0, 0.0, 0.7, 25.0):
             rows = mix.tilted(lam)
             assert rows.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-15)
             assert rows[0, 2] == 0.0
             for row, sp in zip(rows, (self.SHORT, self.LONG)):
-                p, f = sp.effective()
+                p, f = sp.base.probs, sp.scores
                 law = p * np.exp(lam * f)
                 assert row[:p.size] == pytest.approx(law / law.sum(), rel=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_problems=st.integers(1, 8),
+       n_comp=st.integers(1, 4), n_atoms=st.integers(1, 12),
+       zero_frac=st.floats(0.0, 0.9))
+def test_packed_lays_out_each_problem_alone(seed, n_problems, n_comp,
+                                            n_atoms, zero_frac):
+    """The groups of `Mixture.packed` partition the problems with a live
+    component, one group per shape (k, m); each packed row holds its
+    component's live atoms in order, then atoms of mass 0 and the first
+    live score; and each problem's tilt in its group is bit-equal to its
+    tilt packed alone. Dead atoms carry infinite and NaN scores."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(n_comp), size=n_problems)
+    w[rng.random(w.shape) < zero_frac] = 0.0
+    p = sparse_rows(rng, n_problems * n_comp, n_atoms, zero_frac).reshape(
+        n_problems, n_comp, n_atoms)
+    f = rng.normal(scale=2.0, size=p.shape)
+    f[p == 0] = rng.choice([np.inf, -np.inf, np.nan], size=int((p == 0).sum()))
+    groups = list(Mixture.packed(w, p, f))
+    rows = np.concatenate([r for r, _, _ in groups] + [np.empty(0, dtype=int)])
+    assert sorted(rows.tolist()) == np.flatnonzero((w > 0).any(axis=1)).tolist()
+    shapes = [mix.p.shape[1:] for _, _, mix in groups]
+    assert len(set(shapes)) == len(shapes)
+    for rows, comps, mix in groups:
+        lams = rng.uniform(-3.0, 3.0, rows.size)
+        psi, dpsi = mix.tilt(lams)
+        for i, b in enumerate(rows):
+            assert comps[i].tolist() == np.flatnonzero(w[b] > 0).tolist()
+            assert mix.w[i].tolist() == w[b][w[b] > 0].tolist()
+            live = p[b, comps[i]] > 0
+            assert mix.p.shape[-1] == live.sum(axis=1).max()
+            for j, c in enumerate(comps[i]):
+                n = live[j].sum()
+                assert mix.p[i, j, :n].tolist() == p[b, c][live[j]].tolist()
+                assert mix.f[i, j, :n].tolist() == f[b, c][live[j]].tolist()
+                assert (mix.p[i, j, n:] == 0.0).all()
+                assert (mix.f[i, j, n:] == mix.f[i, j, 0]).all()
+            [(_, _, alone)] = Mixture.packed(w[b:b + 1], p[b:b + 1], f[b:b + 1])
+            one_psi, one_dpsi = alone.tilt(lams[i:i + 1])
+            assert_bit_equal(psi[i], one_psi[0])
+            assert_bit_equal(dpsi[i], one_dpsi[0])
+
+
+@pytest.mark.parametrize("p, f", [([0.0, 0.0], [1.0, 2.0]),
+                                  ([0.5, 0.5], [1.0, np.inf]),
+                                  ([0.5, 0.5], [np.nan, 0.0])],
+                         ids=["no-mass", "infinite-score", "nan-score"])
+def test_packed_rejects_bad_live_components(p, f):
+    w = np.array([[0.5, 0.5]])
+    p = np.array([[[0.5, 0.5], p]])
+    f = np.array([[[0.0, 1.0], f]])
+    with pytest.raises(InputError, match="mass and finite scores"):
+        list(Mixture.packed(w, p, f))
+    # the same component at weight zero drops out
+    w[0, 1] = 0.0
+    [(_, comps, mix)] = Mixture.packed(w, p, f)
+    assert comps.tolist() == [[0]] and mix.p.tolist() == [[[0.5, 0.5]]]
 
 
 class TestRadius:
@@ -319,19 +377,19 @@ class TestElementwiseConjugate:
             comps = [(w, random_pmf(rng, size).probs,
                       rng.normal(scale=3.0, size=size))
                      for w in rng.dirichlet(np.ones(n_comp))]
-            mix = Mixture(comps)
+            mix = packed_mixture(comps)
             self.check(mix, self.thetas(rng, mix), lam_lo)
 
     def test_steep_scores_reach_the_tilt_cap(self):
         # a score gap of 1e-7 needs tilts near 1e7 > LAMBDA_CAP to move psi'
-        mix = Mixture([(1.0, np.array([0.999999, 1e-6]),
-                        np.array([0.0, 1e-7]))])
+        mix = packed_mixture([(1.0, np.array([0.999999, 1e-6]),
+                               np.array([0.0, 1e-7]))])
         res = self.check(mix, np.array([2e-8, 5e-8, 9e-8, 1e-13]))
         assert not res.converged.all()
 
     def test_constant_scores(self):
-        mix = Mixture([(0.4, np.array([0.5, 0.3]), np.array([1.0, 1.0])),
-                       (0.6, np.array([0.2]), np.array([-1.0]))])
+        mix = packed_mixture([(0.4, np.array([0.5, 0.3]), np.array([1.0, 1.0])),
+                              (0.6, np.array([0.2]), np.array([-1.0]))])
         self.check(mix, np.array([-0.2, -0.1, 0.0, 0.5]))
 
     def test_infinite_scores_and_mirror(self):
@@ -350,7 +408,7 @@ class TestElementwiseConjugate:
     def test_infinite_scores_match_frozen_solve(self):
         # with -inf atoms the solve runs on the finite part with lam >= 0
         p, f = np.array([0.3, 0.3, 0.4]), np.array([0.0, -np.inf, 1.5])
-        mix = Mixture([(1.0, p[[0, 2]], f[[0, 2]])])
+        mix = packed_mixture([(1.0, p[[0, 2]], f[[0, 2]])])
         thetas = np.linspace(-1.0, 2.0, 31)
         interior = self.check(mix, thetas, lam_lo=0.0)
         res = conjugate(scored(p, f), thetas)

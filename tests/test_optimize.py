@@ -7,12 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from errexp import Pmf, ScoredPmf
 from errexp.exceptions import BracketError, InputError
-from errexp.legendre import Mixture
 from errexp.optimize import (bisect_monotone, grid_then_pattern,
                              lockstep_pattern_search, maximize_1d,
                              pattern_search, project_rows, simplex_grid,
                              simplex_grid_array)
-from conftest import frozen_bisect_monotone, frozen_maximize_1d, stacked
+from conftest import (frozen_bisect_monotone, frozen_maximize_1d,
+                      packed_mixture, stacked)
 
 
 def row(*ends):
@@ -29,12 +29,12 @@ class TestBisectMonotone:
     def test_tilted_mean_root_vs_dense_grid(self):
         sp = ScoredPmf(Pmf((0, 1), [0.3, 0.7]), np.array([-1.0, 2.0]))
         theta = 0.5
-        mix = Mixture([(1.0, *sp.effective())])
+        mix = packed_mixture([(1.0, sp.base.probs, sp.scores)])
         [root] = bisect_monotone(
             lambda lam: np.array([mix.tilt(lam[0])[1] - theta]),
             *row(-20.0, 20.0), tol=1e-12)
         lams = np.arange(-20.0, 20.0, 1e-5)
-        p, f = sp.effective()
+        p, f = sp.base.probs, sp.scores
         w = p[None, :] * np.exp(lams[:, None] * f[None, :])
         means = (w * f[None, :]).sum(axis=1) / w.sum(axis=1)
         dense = lams[np.argmin(np.abs(means - theta))]
